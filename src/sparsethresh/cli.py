@@ -134,6 +134,13 @@ def _parse_indices(text) -> list[int] | None:
     return [int(p) for p in str(text).split(",") if p != ""]
 
 
+def _source_int(value, field: str) -> int:
+    """A JSON integer from the config 'dictionary' object; bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config 'dictionary.{field}' must be an integer, got {value!r}")
+    return value
+
+
 def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
     """One dictionary source: the --dict flag, or the config 'dictionary' field."""
     renorm = bool(_opt(args, cfg, "renormalize", False))
@@ -152,14 +159,20 @@ def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
         )
     kind = kind_keys[0]
     if kind == "path":
+        if not isinstance(source["path"], str):
+            raise ValueError("config 'dictionary.path' must be a string")
         return dictionary.load_dictionary(source["path"], renormalize=renorm)
     if kind == "mub":
-        return dictionary.build_mub(int(source["mub"]))
+        return dictionary.build_mub(_source_int(source["mub"], "mub"))
     if kind == "two_onb":
-        return dictionary.build_two_onb(int(source["two_onb"]))
-    m, n = (int(v) for v in source["random"])
+        return dictionary.build_two_onb(_source_int(source["two_onb"], "two_onb"))
+    size = source["random"]
+    if not isinstance(size, list) or len(size) != 2:
+        raise ValueError("config 'dictionary.random' must be a list [m, N]")
+    m, n = (_source_int(v, "random") for v in size)
     return dictionary.build_random_dictionary(
-        m, n, int(source.get("seed", 0)), int(source.get("split", 0))
+        m, n, _source_int(source.get("seed", 0), "seed"),
+        _source_int(source.get("split", 0), "split"),
     )
 
 

@@ -35,20 +35,14 @@ their closed-form bounds
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
 from .model import choose_support_a, sample_support_b
-from .rng import derive_rng
-from .threshold import (
-    GAMMA_GRID_DEFAULT,
-    TheoremParams,
-    check_arbitrary_block,
-    check_random_block,
-)
+from .rng import derive_rng, fan_out
+from .threshold import first_feasible_gamma
 
 __all__ = [
     "SubDictionary",
@@ -250,6 +244,16 @@ def default_u(s: float, N: int) -> float:
     return math.sqrt(4.0 * s * math.log(N))
 
 
+def _moment_coefficients(stats: DictionaryStats, n_a: int, n_b: int, Nb: int):
+    """(sqrt(q) coefficient, constant) of the Xi_B and of the Xi_X moment bound."""
+    const_b = 2.0 * n_b * stats.spec_b**2 / Nb if n_b else 0.0
+    const_x = math.sqrt(n_b / Nb) * stats.spec_a * stats.spec_b if n_b else 0.0
+    return (
+        (6.0 * math.sqrt(stats.mu_b**2 * n_b), const_b),
+        (3.0 / math.sqrt(2.0) * math.sqrt(stats.mu**2 * n_a), const_x),
+    )
+
+
 def alpha_beta(
     stats: DictionaryStats,
     n_a: int,
@@ -263,18 +267,13 @@ def alpha_beta(
         raise ValueError(f"budgets must be nonnegative, got {n_a}, {n_b}")
     if n_b > 0 and Nb < 1:
         raise ValueError("n_b > 0 requires a nonempty block B")
-    alpha = 3.0 * math.sqrt(stats.mu**2 * n_a / 2.0)
-    beta = max(n_a - 1, 0) * stats.mu_a
-    degenerate = n_b == 0
-    if n_b > 0:
-        alpha += 6.0 * math.sqrt(stats.mu_b**2 * n_b)
-        beta += 2.0 * n_b * stats.spec_b**2 / Nb
-        beta += math.sqrt(n_b / Nb) * stats.spec_a * stats.spec_b
-        q1 = max(4.0 * math.log(n_b / 2.0 + 1.0), 4.0 * math.log(n_b), 4.0)
-    else:
-        q1 = 4.0
+    (coef_b, const_b), (coef_x, const_x) = _moment_coefficients(stats, n_a, n_b, Nb)
     return TailBoundSpec(
-        alpha=alpha, beta=beta, q1=q1, u=default_u(s, N), degenerate=degenerate
+        alpha=coef_x + coef_b,
+        beta=max(n_a - 1, 0) * stats.mu_a + const_b + const_x,
+        q1=max(moment_floor_b(n_b), moment_floor_x(n_b)),
+        u=default_u(s, N),
+        degenerate=n_b == 0,
     )
 
 
@@ -294,22 +293,13 @@ def tail_probability(u: float, spec: TailBoundSpec) -> tuple[float, float]:
 # ============================================================
 
 
-def _resolve_support_a(D, strategy, n_a, support_a):
-    if strategy == "random-baseline":
-        return None  # re-drawn per trial
-    return choose_support_a(strategy, D.Na, n_a, indices=support_a)
-
-
 def _smin_chunk(payload):
-    D, strategy, fixed_a, n_a, n_b, lo, hi, master_seed = payload
-    stats = analyze(D)
+    D, stats, strategy, fixed_a, n_a, n_b, lo, hi, master_seed = payload
     rows = np.empty((hi - lo, 5))
     violations = 0
     for t in range(lo, hi):
         rng = derive_rng(master_seed, t)
-        cols_a = (
-            sample_support_b(D.Na, n_a, rng) if fixed_a is None else fixed_a
-        )
+        cols_a = choose_support_a(strategy, D.Na, n_a, indices=fixed_a, rng=rng)
         cols_b = sample_support_b(D.Nb, n_b, rng)
         rec = hollow_gram_chain(extract_subdictionary(D, cols_a, cols_b), stats)
         violations += bool(rec.violations())
@@ -401,17 +391,18 @@ def run_smin_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    fixed_a = _resolve_support_a(D, strategy, n_a, support_a)
+    fixed_a = (
+        None if strategy == "random-baseline"
+        else choose_support_a(strategy, D.Na, n_a, indices=support_a)
+    )
+    stats = analyze(D)
 
-    chunks = _split_ranges(trials, workers)
+    step = -(-trials // max(1, min(workers, trials)))
     payloads = [
-        (D, strategy, fixed_a, n_a, n_b, lo, hi, master_seed) for lo, hi in chunks
+        (D, stats, strategy, fixed_a, n_a, n_b, lo, min(lo + step, trials), master_seed)
+        for lo in range(0, trials, step)
     ]
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_smin_chunk, payloads))
-    else:
-        parts = [_smin_chunk(p) for p in payloads]
+    parts = fan_out(_smin_chunk, payloads, workers)
     rows = np.vstack([p[0] for p in parts])
     violation_count = sum(p[1] for p in parts)
 
@@ -420,17 +411,7 @@ def run_smin_trials(
     rate = failure_count / trials
     lemma_bound = float(D.N) ** (-s)
 
-    stats = analyze(D)
-    gamma_feasible = None
-    for gamma in GAMMA_GRID_DEFAULT:
-        params = TheoremParams(s=s, gamma=gamma, n_a=n_a, n_b=n_b)
-        ok_a = check_arbitrary_block(stats.mu, stats.mu_a, D.N, params).satisfied
-        ok_b = check_random_block(
-            stats.mu_b, stats.spec_a, stats.spec_b, D.Nb, D.N, params
-        ).satisfied
-        if ok_a and ok_b:
-            gamma_feasible = gamma
-            break
+    gamma_feasible = first_feasible_gamma(stats, D.N, D.Nb, s, n_a, n_b)
     bound_respected = (rate <= lemma_bound) if gamma_feasible is not None else None
 
     counts, edges = np.histogram(np.clip(sig, 0.0, 1.0), bins=50, range=(0.0, 1.0))
@@ -457,12 +438,6 @@ def run_smin_trials(
         histogram_counts=counts,
         histogram_edges=edges,
     )
-
-
-def _split_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    parts = max(1, min(workers, n))
-    step = -(-n // parts)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 # ============================================================
@@ -577,16 +552,11 @@ def estimate_moment(
         else:
             xi_x[t] = 0.0
 
+    (coef_b, const_b), (coef_x, const_x) = _moment_coefficients(stats, n_a, n_b, D.Nb)
     sqrt_q = math.sqrt(q)
-    bound_b = 6.0 * math.sqrt(stats.mu_b**2 * n_b) * sqrt_q
-    if n_b:
-        bound_b += 2.0 * n_b * stats.spec_b**2 / D.Nb
+    bound_b = coef_b * sqrt_q + const_b
     x_valid = q >= floor_x - 1e-12
-    bound_x = None
-    if x_valid:
-        bound_x = 3.0 / math.sqrt(2.0) * math.sqrt(stats.mu**2 * n_a) * sqrt_q
-        if n_b:
-            bound_x += math.sqrt(n_b / D.Nb) * stats.spec_a * stats.spec_b
+    bound_x = coef_x * sqrt_q + const_x if x_valid else None
 
     boot_rng = derive_rng(master_seed, trials, 1)
     boot_b = np.empty(n_boot)

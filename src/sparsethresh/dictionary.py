@@ -348,20 +348,22 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
         if key not in doc:
             raise DictionaryFormatError(f"{path}: missing field {key!r}")
     m, n, na = doc["m"], doc["N"], doc["Na"]
-    if not all(isinstance(v, int) for v in (m, n, na)):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (m, n, na)):
         raise DictionaryFormatError(f"{path}: m, N, Na must be integers")
     if m < 1 or n < m:
         raise DictionaryFormatError(f"{path}: need N >= m >= 1, got m={m}, N={n}")
     if not 0 <= na <= n:
         raise DictionaryFormatError(f"{path}: Na={na} outside [0, N={n}]")
     entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise DictionaryFormatError(f"{path}: entries must be a list of [re, im] pairs")
     if len(entries) != m * n:
         raise DictionaryFormatError(
             f"{path}: expected {m * n} entries, found {len(entries)}"
         )
     try:
         pairs = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs") from exc
     if pairs.shape != (m * n, 2):
         raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs")

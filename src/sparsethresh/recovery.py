@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,9 +28,8 @@ from .model import (
     HybridSupportSpec,
     choose_support_a,
     sample_instance,
-    sample_support_b,
 )
-from .rng import derive_rng
+from .rng import derive_rng, fan_out
 
 __all__ = [
     "BpSolverConfig",
@@ -263,14 +261,9 @@ def _sweep_cell(payload):
     successes = 0
     for t in range(trials):
         rng = derive_rng(master_seed, *key, t)
-        if strategy == "random-baseline":
-            support_a = sample_support_b(D.Na, n_a, rng)
-        else:
-            support_a = choose_support_a(strategy, D.Na, n_a)
+        support_a = choose_support_a(strategy, D.Na, n_a, rng=rng)
         spec = HybridSupportSpec(support_a=support_a, n_b=n_b)
-        instance = sample_instance(D, spec, coeff, rng)
-        outcome = solve_bp(D, instance.y, cfg, x_true=instance.x)
-        successes += outcome.success
+        successes += recovery_trial(D, spec, coeff, cfg, rng).success
     return successes
 
 
@@ -358,24 +351,13 @@ def run_recovery_sweep(
             f"grid exceeds block sizes Na={D.Na}, Nb={D.Nb}: "
             f"na up to {max(na_values)}, nb up to {max(nb_values)}"
         )
-    coeff = coeff or CoefficientSpec()
-    if coeff.magnitude_law == "unit":
-        warnings.warn(_UNIT_LAW_WARNING, stacklevel=2)
-
-    payloads = []
-    for si, strategy in enumerate(strategies):
-        for ai, n_a in enumerate(na_values):
-            for bi, n_b in enumerate(nb_values):
-                payloads.append(
-                    (D, strategy, n_a, n_b, trials_per_cell, master_seed,
-                     (si, ai, bi), coeff, cfg)
-                )
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_sweep_cell, payloads))
-    else:
-        counts = [_sweep_cell(p) for p in payloads]
-
+    payloads = [
+        (D, strategy, n_a, n_b, trials_per_cell, master_seed, (si, ai, bi), coeff, cfg)
+        for si, strategy in enumerate(strategies)
+        for ai, n_a in enumerate(na_values)
+        for bi, n_b in enumerate(nb_values)
+    ]
+    counts = fan_out(_sweep_cell, payloads, workers)
     successes = np.array(counts, dtype=np.int64).reshape(
         len(strategies), len(na_values), len(nb_values)
     )

@@ -44,6 +44,7 @@ __all__ = [
     "check_random_block",
     "check_uniqueness_threshold",
     "evaluate_conditions",
+    "first_feasible_gamma",
     "max_sparsity_search",
     "scaling_report",
 ]
@@ -272,6 +273,21 @@ def evaluate_conditions(
 # ============================================================
 # budget search
 # ============================================================
+
+
+def first_feasible_gamma(
+    stats: DictionaryStats, N: int, Nb: int, s: float, n_a: int, n_b: int
+) -> float | None:
+    """First gamma of GAMMA_GRID_DEFAULT at which eq3 and eq4 both hold, else None."""
+    for gamma in GAMMA_GRID_DEFAULT:
+        params = TheoremParams(s=s, gamma=gamma, n_a=n_a, n_b=n_b)
+        ok_a = check_arbitrary_block(stats.mu, stats.mu_a, N, params).satisfied
+        ok_b = check_random_block(
+            stats.mu_b, stats.spec_a, stats.spec_b, Nb, N, params
+        ).satisfied
+        if ok_a and ok_b:
+            return gamma
+    return None
 
 
 @dataclass(frozen=True)

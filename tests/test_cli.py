@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line driver (exit codes, files, determinism)."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsethresh import PartitionedDictionary, load_dictionary, save_dictionary
 from sparsethresh.cli import main
@@ -180,6 +186,62 @@ class TestConfig:
 
 
 # ==============================
+# malformed input
+# ==============================
+
+
+def _malformed_argv(tmp, file_fields=None, source=None) -> list[str]:
+    """``analyze`` on a 1 x 1 dictionary file with ``file_fields`` overridden,
+    or on a config whose 'dictionary' object is ``source``."""
+    tmp = Path(tmp)
+    if source is not None:
+        (tmp / "cfg.json").write_text(json.dumps({"dictionary": source}))
+        return ["analyze", "--config", str(tmp / "cfg.json")]
+    path = tmp / "one.dict.json"
+    save_dictionary(PartitionedDictionary(np.eye(1), 0), path)
+    doc = {**json.loads(path.read_text()), **file_fields}
+    path.write_text(json.dumps(doc))
+    return ["analyze", "--dict", str(path)]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "file_fields, source, message",
+        [
+            ({"entries": 5}, None, "entries must be a list"),
+            ({"m": True}, None, "must be integers"),
+            (None, {"mub": None}, "dictionary.mub"),
+            (None, {"path": None}, "dictionary.path"),
+        ],
+        ids=["entries-not-a-list", "m-is-a-bool", "mub-null", "path-null"],
+    )
+    def test_exits_2_with_a_message(self, tmp_path, capsys, file_fields, source, message):
+        assert main(_malformed_argv(tmp_path, file_fields, source)) == 2
+        assert message in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        field=st.sampled_from(["entries", "m", "mub", "path"]),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 12) | st.just(10**400)
+            | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=6,
+        ),
+    )
+    def test_any_json_value_exits_0_or_2(self, field, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            if field in ("entries", "m"):
+                argv = _malformed_argv(tmp, file_fields={field: value})
+            else:
+                argv = _malformed_argv(tmp, source={field: value})
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                assert main(argv) in (0, 2)
+
+
+# ==============================
 # experiments
 # ==============================
 
@@ -230,6 +292,15 @@ class TestSmin:
         assert main(base + ["--out", str(a)]) == 0
         assert main(base + ["--out", str(b), "--threads", "2"]) == 0
         assert (a / "smin_trials.csv").read_bytes() == (b / "smin_trials.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_a_usage_error(self, dict_dir, tmp_path, capsys, threads):
+        rc = main([
+            "smin", "--dict", dict_dir["mub7"], "--trials", "10",
+            "--threads", threads, "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_prescribed_support_flag(self, dict_dir, tmp_path):
         rc = main([

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparsethresh import (
+    SUPPORT_A_STRATEGIES,
     DictionaryStats,
     HollowGramRecord,
     PartitionedDictionary,
@@ -293,11 +294,15 @@ class TestRunSminTrials:
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         assert a.summary_dict() == b.summary_dict()
 
-    def test_workers_do_not_change_the_stream(self, mub5):
-        serial = run_smin_trials(mub5, "first-n", 2, 3, trials=80, master_seed=2)
-        parallel = run_smin_trials(mub5, "first-n", 2, 3, trials=80, master_seed=2, workers=2)
-        np.testing.assert_array_equal(serial.sigma_min, parallel.sigma_min)
-        np.testing.assert_array_equal(serial.xi_s, parallel.xi_s)
+    @pytest.mark.parametrize("strategy", SUPPORT_A_STRATEGIES)
+    def test_workers_do_not_change_the_stream(self, mub5, strategy):
+        support_a = (4, 1) if strategy == "prescribed" else None
+        kwargs = dict(trials=80, master_seed=2, support_a=support_a)
+        serial = run_smin_trials(mub5, strategy, 2, 3, **kwargs)
+        parallel = run_smin_trials(mub5, strategy, 2, 3, workers=2, **kwargs)
+        for field in ("sigma_min", "xi_s", "xi_a", "xi_b", "xi_x"):
+            np.testing.assert_array_equal(getattr(serial, field), getattr(parallel, field))
+        assert serial.summary_dict() == parallel.summary_dict()
 
     def test_prescribed_support_is_recorded(self, mub5):
         res = run_smin_trials(

@@ -130,6 +130,21 @@ class TestChooseSupportA:
         assert first == second
         assert len(first) == 5
 
+    def test_random_baseline_draws_what_sample_support_b_draws(self):
+        ours, theirs = derive_rng(3, 1), derive_rng(3, 1)
+        assert choose_support_a("random-baseline", 20, 5, rng=ours) == sample_support_b(
+            20, 5, theirs
+        )
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize(
+        "strategy, indices", [("first-n", None), ("spread", None), ("prescribed", [7, 2])]
+    )
+    def test_fixed_strategies_draw_nothing(self, strategy, indices):
+        rng = derive_rng(3, 1)
+        choose_support_a(strategy, 10, 2, indices=indices, rng=rng)
+        assert rng.random() == derive_rng(3, 1).random()
+
     def test_random_baseline_needs_entropy_source(self):
         with pytest.raises(ValueError, match="rng or a seed"):
             choose_support_a("random-baseline", 20, 5)

@@ -15,7 +15,7 @@ from sparsethresh import (
     sample_instance,
     solve_bp,
 )
-from sparsethresh.recovery import RECOVERY_CSV_HEADER, SUCCESS_REL_ERROR
+from sparsethresh.recovery import RECOVERY_CSV_HEADER, SUCCESS_REL_ERROR, SWEEP_STRATEGIES
 
 TOL = 1e-12
 
@@ -222,11 +222,11 @@ class TestRecoverySweep:
         np.testing.assert_array_equal(a.successes, b.successes)
         assert a.csv_rows() == b.csv_rows()
 
-    def test_workers_do_not_change_counts(self, two_onb4):
-        serial = run_recovery_sweep(two_onb4, (0, 1), (1,), trials_per_cell=4, master_seed=2)
-        parallel = run_recovery_sweep(
-            two_onb4, (0, 1), (1,), trials_per_cell=4, master_seed=2, workers=2
-        )
+    @pytest.mark.parametrize("strategy", SWEEP_STRATEGIES)
+    def test_workers_do_not_change_counts(self, two_onb4, strategy):
+        kwargs = dict(trials_per_cell=4, master_seed=2, strategies=(strategy,))
+        serial = run_recovery_sweep(two_onb4, (0, 1), (1,), **kwargs)
+        parallel = run_recovery_sweep(two_onb4, (0, 1), (1,), workers=2, **kwargs)
         np.testing.assert_array_equal(serial.successes, parallel.successes)
 
     def test_rank_deficient_cell_fails(self, two_onb4):
