@@ -4,7 +4,7 @@ The package splits into small focused modules:
 
   dictionary     partitioned dictionaries, coherence and spectral statistics
   model          the hybrid support model and coefficient sampling
-  threshold      closed-form sparsity conditions and the budget search
+  threshold      closed-form terms, sparsity conditions and the budget search
   concentration  hollow Gram chain, tail bounds, sigma_min and moment runs
   recovery       basis pursuit, a brute-force l0 oracle, success-rate sweeps
   svg            deterministic plot emitters

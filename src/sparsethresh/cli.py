@@ -95,21 +95,51 @@ def _load_config(args) -> dict:
     return cfg
 
 
+# JSON type of each config key, as its flag declares it; the list-valued keys
+# take a flag-style string or a JSON list of the element type given here
+_CONFIG_TYPES = {
+    **dict.fromkeys(("na", "nb", "trials", "seed", "threads", "split"), int),
+    **dict.fromkeys(("s", "gamma", "q"), float),
+    **dict.fromkeys(("json", "renormalize", "maximize"), bool),
+    **dict.fromkeys(("strategy", "out"), str),
+}
+_CONFIG_LISTS = {"support_a": int, "na_range": int, "nb_range": int, "strategies": str}
+_JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
+
+
+def _is_json(value, kind) -> bool:
+    """Whether a decoded JSON value has ``kind``; bools are not numbers."""
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _opt(args, cfg: dict, name: str, default=None):
-    """Flag value if given, else config field, else default."""
-    value = getattr(args, name.replace("-", "_"), None)
+    """Flag value if given, else the config field checked against its type, else default."""
+    value = getattr(args, name, None)
     if value is not None:
         return value
-    if name in cfg:
-        return cfg[name]
-    return default
+    if name not in cfg:
+        return default
+    value = cfg[name]
+    kind = _CONFIG_TYPES.get(name)
+    if kind is not None:
+        ok, want = _is_json(value, kind), f"a JSON {_JSON_NAMES[kind]}"
+    else:
+        elem = _CONFIG_LISTS[name]
+        ok = isinstance(value, str) or (
+            isinstance(value, list) and all(_is_json(v, elem) for v in value)
+        )
+        want = f"a string or a list of JSON {_JSON_NAMES[elem]}s"
+    if not ok:
+        raise ValueError(f"config '{name}' must be {want}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _parse_values(text) -> list[int]:
     """Accept '3', '0,2,5', or 'lo:hi[:step]' (inclusive)."""
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    text = str(text)
+    if isinstance(text, list):
+        return text
     if ":" in text:
         parts = [int(p) for p in text.split(":")]
         if len(parts) == 2:
@@ -129,21 +159,21 @@ def _parse_values(text) -> list[int]:
 def _parse_indices(text) -> list[int] | None:
     if text is None:
         return None
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(p) for p in str(text).split(",") if p != ""]
+    if isinstance(text, list):
+        return text
+    return [int(p) for p in text.split(",") if p != ""]
 
 
 def _source_int(value, field: str) -> int:
     """A JSON integer from the config 'dictionary' object; bools are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_json(value, int):
         raise ValueError(f"config 'dictionary.{field}' must be an integer, got {value!r}")
     return value
 
 
 def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
     """One dictionary source: the --dict flag, or the config 'dictionary' field."""
-    renorm = bool(_opt(args, cfg, "renormalize", False))
+    renorm = _opt(args, cfg, "renormalize", False)
     path = getattr(args, "dict", None)
     if path:
         return dictionary.load_dictionary(path, renormalize=renorm)
@@ -218,10 +248,10 @@ def _report_lines(report) -> list[str]:
 
 def _params_from(args, cfg) -> threshold.TheoremParams:
     return threshold.TheoremParams(
-        s=float(_opt(args, cfg, "s", 1.0)),
-        gamma=float(_opt(args, cfg, "gamma", 0.5)),
-        n_a=int(_opt(args, cfg, "na", 0)),
-        n_b=int(_opt(args, cfg, "nb", 0)),
+        s=_opt(args, cfg, "s", 1.0),
+        gamma=_opt(args, cfg, "gamma", 0.5),
+        n_a=_opt(args, cfg, "na", 0),
+        n_b=_opt(args, cfg, "nb", 0),
     )
 
 
@@ -231,7 +261,7 @@ def _params_from(args, cfg) -> threshold.TheoremParams:
 
 
 def cmd_build_dict(args, cfg) -> int:
-    seed = int(_opt(args, cfg, "seed", 0))
+    seed = _opt(args, cfg, "seed", 0)
     if args.mub is not None:
         D = dictionary.build_mub(args.mub)
         default_name = f"mub{args.mub}.dict.json"
@@ -240,7 +270,7 @@ def cmd_build_dict(args, cfg) -> int:
         default_name = f"two_onb{args.two_onb}.dict.json"
     elif args.random is not None:
         m, n = args.random
-        split = int(_opt(args, cfg, "split", 0))
+        split = _opt(args, cfg, "split", 0)
         D = dictionary.build_random_dictionary(m, n, seed, split)
         default_name = f"random{m}x{n}_seed{seed}.dict.json"
     else:
@@ -257,7 +287,7 @@ def cmd_build_dict(args, cfg) -> int:
 def cmd_analyze(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
     stats = dictionary.analyze(D)
-    if args.json:
+    if _opt(args, cfg, "json", False):
         doc = {"m": D.m, "N": D.N, "Na": D.Na, "Nb": D.Nb, **stats.to_dict()}
         sys.stdout.write(_json_text(doc))
     else:
@@ -271,9 +301,9 @@ def cmd_check(args, cfg) -> int:
     stats = dictionary.analyze(D)
     if _opt(args, cfg, "maximize", False):
         result = threshold.max_sparsity_search(
-            stats, D.N, D.Nb, s=float(_opt(args, cfg, "s", 1.0))
+            stats, D.N, D.Nb, s=_opt(args, cfg, "s", 1.0)
         )
-        if args.json:
+        if _opt(args, cfg, "json", False):
             sys.stdout.write(_json_text(result.to_dict()))
         else:
             print(
@@ -285,7 +315,7 @@ def cmd_check(args, cfg) -> int:
         return 0
     params = _params_from(args, cfg)
     report = threshold.evaluate_conditions(stats, D.N, D.Nb, params)
-    if args.json:
+    if _opt(args, cfg, "json", False):
         sys.stdout.write(_json_text(report.to_dict()))
     else:
         for line in _report_lines(report):
@@ -298,13 +328,13 @@ def cmd_smin(args, cfg) -> int:
     result = concentration.run_smin_trials(
         D,
         strategy=_opt(args, cfg, "strategy", "first-n"),
-        n_a=int(_opt(args, cfg, "na", 1)),
-        n_b=int(_opt(args, cfg, "nb", 1)),
-        trials=int(_opt(args, cfg, "trials", 1000)),
-        s=float(_opt(args, cfg, "s", 1.0)),
-        master_seed=int(_opt(args, cfg, "seed", 0)),
+        n_a=_opt(args, cfg, "na", 1),
+        n_b=_opt(args, cfg, "nb", 1),
+        trials=_opt(args, cfg, "trials", 1000),
+        s=_opt(args, cfg, "s", 1.0),
+        master_seed=_opt(args, cfg, "seed", 0),
         support_a=_parse_indices(_opt(args, cfg, "support_a")),
-        workers=int(_opt(args, cfg, "threads", 1)),
+        workers=_opt(args, cfg, "threads", 1),
     )
     out = _out_dir(args, cfg)
     _write_rows(os.path.join(out, "smin_trials.csv"), result.csv_rows())
@@ -319,7 +349,7 @@ def cmd_smin(args, cfg) -> int:
             x_label="sigma_min",
         ),
     )
-    if args.json:
+    if _opt(args, cfg, "json", False):
         sys.stdout.write(_json_text(result.summary_dict()))
     else:
         print(
@@ -334,11 +364,11 @@ def cmd_moments(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
     result = concentration.estimate_moment(
         D,
-        n_a=int(_opt(args, cfg, "na", 1)),
-        n_b=int(_opt(args, cfg, "nb", 1)),
-        q=float(_opt(args, cfg, "q", 4.0)),
-        trials=int(_opt(args, cfg, "trials", 2000)),
-        master_seed=int(_opt(args, cfg, "seed", 0)),
+        n_a=_opt(args, cfg, "na", 1),
+        n_b=_opt(args, cfg, "nb", 1),
+        q=_opt(args, cfg, "q", 4.0),
+        trials=_opt(args, cfg, "trials", 2000),
+        master_seed=_opt(args, cfg, "seed", 0),
         strategy=_opt(args, cfg, "strategy", "first-n"),
         support_a=_parse_indices(_opt(args, cfg, "support_a")),
     )
@@ -366,7 +396,7 @@ def cmd_moments(args, cfg) -> int:
             y_label="moment root",
         ),
     )
-    if args.json:
+    if _opt(args, cfg, "json", False):
         sys.stdout.write(_json_text(result.summary_dict()))
     else:
         print(
@@ -388,10 +418,10 @@ def cmd_recover(args, cfg) -> int:
         D,
         na_values,
         nb_values,
-        trials_per_cell=int(_opt(args, cfg, "trials", 50)),
+        trials_per_cell=_opt(args, cfg, "trials", 50),
         strategies=tuple(strategies),
-        master_seed=int(_opt(args, cfg, "seed", 0)),
-        workers=int(_opt(args, cfg, "threads", 1)),
+        master_seed=_opt(args, cfg, "seed", 0),
+        workers=_opt(args, cfg, "threads", 1),
     )
     out = _out_dir(args, cfg)
     _write_rows(os.path.join(out, "recovery_rates.csv"), grid.csv_rows())
@@ -427,7 +457,7 @@ def cmd_recover(args, cfg) -> int:
                 y_label="n_a",
             ),
         )
-    if args.json:
+    if _opt(args, cfg, "json", False):
         sys.stdout.write(_json_text(grid.summary_dict()))
     else:
         print(
@@ -579,7 +609,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except (dictionary.DictionaryFormatError, ValueError, OSError) as exc:
+    except (dictionary.DictionaryFormatError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -11,25 +11,13 @@ Xi_S = ||S^H S - I||:
     Xi_X <= ||A|| ||B||                      (norm sub-multiplicativity)
 
 with Xi_A, Xi_B the block hollow Gram norms and Xi_X = ||A'^H B'||.  The
-random part concentrates; with L = s log N and
-
-    alpha = 6 sqrt(mu_b^2 n_b) + 3 sqrt(mu^2 n_a / 2)
-    beta  = (n_a - 1) mu_a + 2 n_b ||B||^2 / N_b + sqrt(n_b / N_b) ||A|| ||B||
-    Q1    = max{4 log(n_b/2 + 1), 4 log n_b, 4}
-
-the tail bound  P{Xi_S >= e^{1/4} (alpha u + beta)} <= e^{-u^2/4}  holds for
-all u >= sqrt(Q1).  At u = sqrt(4 s log N) the failure probability is N^{-s};
-when the two block conditions (eq3/eq4) hold the threshold e^{1/4}(alpha u +
-beta) is at most 1/2, which pins sigma_min > 1/sqrt(2) outside the N^{-s}
-event.  ``run_smin_trials`` measures all of this empirically and
-``estimate_moment`` compares Monte Carlo moments of Xi_B and Xi_X against
-their closed-form bounds
-
-    [E Xi_B^q]^{1/q} <= 6 sqrt(mu_b^2 n_b) sqrt(q) + 2 n_b ||B||^2 / N_b
-                        valid for q >= max{4 log(n_b/2 + 1), 4}
-    [E Xi_X^q]^{1/q} <= (3/sqrt(2)) sqrt(mu^2 n_a) sqrt(q)
-                        + sqrt(n_b / N_b) ||A|| ||B||
-                        valid for q >= max{4 log n_b, 4}
+random part concentrates: with alpha and beta from the block terms of
+``threshold`` and Q1 = max{4 log(n_b/2 + 1), 4 log n_b, 4}, the tail bound
+P{Xi_S >= e^{1/4} (alpha u + beta)} <= e^{-u^2/4} holds for all u >= sqrt(Q1).
+At u = sqrt(4 s log N) it is N^{-s}, and eq3 + eq4 = 2 (alpha u + beta), so
+when both block conditions hold the threshold is at most 1/2, which pins
+sigma_min > 1/sqrt(2) outside the N^{-s} event.  ``run_smin_trials`` measures
+this empirically; ``estimate_moment`` checks the Xi_B and Xi_X moment bounds.
 """
 
 from __future__ import annotations
@@ -42,7 +30,7 @@ import numpy as np
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
 from .model import choose_support_a, sample_support_b
 from .rng import derive_rng, fan_out
-from .threshold import first_feasible_gamma
+from .threshold import block_a_terms, block_b_terms, default_u, first_feasible_gamma
 
 __all__ = [
     "SubDictionary",
@@ -185,6 +173,7 @@ class HollowGramRecord:
 
 def hollow_gram_chain(sub: SubDictionary, stats: DictionaryStats) -> HollowGramRecord:
     """Measure every quantity in the chain for one sub-dictionary."""
+    slope_a, gersgorin = block_a_terms(stats.mu, stats.mu_a, sub.n_a)
     a_part, b_part = sub.A_part, sub.B_part
     xi_x = 0.0
     if sub.n_a and sub.n_b:
@@ -202,8 +191,8 @@ def hollow_gram_chain(sub: SubDictionary, stats: DictionaryStats) -> HollowGramR
         xi_b=_hollow_norm(b_part),
         xi_x=xi_x,
         row_norm_ab=row_norm_ab,
-        gersgorin_rhs=max(sub.n_a - 1, 0) * stats.mu_a,
-        row_norm_bound=math.sqrt(stats.mu**2 * sub.n_a),
+        gersgorin_rhs=gersgorin,
+        row_norm_bound=slope_a * math.sqrt(2.0) / 3.0,  # slope_a / (3/sqrt(2))
         cross_bound=stats.spec_a * stats.spec_b,
     )
 
@@ -237,23 +226,6 @@ class TailBoundSpec:
         }
 
 
-def default_u(s: float, N: int) -> float:
-    """The canonical tail argument u = sqrt(4 s log N), giving bound N^{-s}."""
-    if N <= 2:
-        raise ValueError(f"need N > 2, got {N}")
-    return math.sqrt(4.0 * s * math.log(N))
-
-
-def _moment_coefficients(stats: DictionaryStats, n_a: int, n_b: int, Nb: int):
-    """(sqrt(q) coefficient, constant) of the Xi_B and of the Xi_X moment bound."""
-    const_b = 2.0 * n_b * stats.spec_b**2 / Nb if n_b else 0.0
-    const_x = math.sqrt(n_b / Nb) * stats.spec_a * stats.spec_b if n_b else 0.0
-    return (
-        (6.0 * math.sqrt(stats.mu_b**2 * n_b), const_b),
-        (3.0 / math.sqrt(2.0) * math.sqrt(stats.mu**2 * n_a), const_x),
-    )
-
-
 def alpha_beta(
     stats: DictionaryStats,
     n_a: int,
@@ -265,12 +237,11 @@ def alpha_beta(
     """Assemble alpha, beta, Q1 and the default u for the given budgets."""
     if n_a < 0 or n_b < 0:
         raise ValueError(f"budgets must be nonnegative, got {n_a}, {n_b}")
-    if n_b > 0 and Nb < 1:
-        raise ValueError("n_b > 0 requires a nonempty block B")
-    (coef_b, const_b), (coef_x, const_x) = _moment_coefficients(stats, n_a, n_b, Nb)
+    slope_a, gersgorin = block_a_terms(stats.mu, stats.mu_a, n_a)
+    slope_b, frame, cross = block_b_terms(stats.mu_b, stats.spec_a, stats.spec_b, n_b, Nb)
     return TailBoundSpec(
-        alpha=coef_x + coef_b,
-        beta=max(n_a - 1, 0) * stats.mu_a + const_b + const_x,
+        alpha=slope_a + slope_b,
+        beta=gersgorin + frame + cross,
         q1=max(moment_floor_b(n_b), moment_floor_x(n_b)),
         u=default_u(s, N),
         degenerate=n_b == 0,
@@ -396,6 +367,7 @@ def run_smin_trials(
         else choose_support_a(strategy, D.Na, n_a, indices=support_a)
     )
     stats = analyze(D)
+    gamma_feasible = first_feasible_gamma(stats, D.N, D.Nb, s, n_a, n_b)
 
     step = -(-trials // max(1, min(workers, trials)))
     payloads = [
@@ -410,8 +382,6 @@ def run_smin_trials(
     failure_count = int(np.count_nonzero(sig <= 1.0 / math.sqrt(2.0)))
     rate = failure_count / trials
     lemma_bound = float(D.N) ** (-s)
-
-    gamma_feasible = first_feasible_gamma(stats, D.N, D.Nb, s, n_a, n_b)
     bound_respected = (rate <= lemma_bound) if gamma_feasible is not None else None
 
     counts, edges = np.histogram(np.clip(sig, 0.0, 1.0), bins=50, range=(0.0, 1.0))
@@ -552,11 +522,12 @@ def estimate_moment(
         else:
             xi_x[t] = 0.0
 
-    (coef_b, const_b), (coef_x, const_x) = _moment_coefficients(stats, n_a, n_b, D.Nb)
+    slope_a, _ = block_a_terms(stats.mu, stats.mu_a, n_a)
+    slope_b, frame, cross = block_b_terms(stats.mu_b, stats.spec_a, stats.spec_b, n_b, D.Nb)
     sqrt_q = math.sqrt(q)
-    bound_b = coef_b * sqrt_q + const_b
+    bound_b = slope_b * sqrt_q + frame
     x_valid = q >= floor_x - 1e-12
-    bound_x = coef_x * sqrt_q + const_x if x_valid else None
+    bound_x = slope_a * sqrt_q + cross if x_valid else None
 
     boot_rng = derive_rng(master_seed, trials, 1)
     boot_b = np.empty(n_boot)

@@ -2,19 +2,23 @@
 
 All conditions bound the support sizes n_a (arbitrary block A) and n_b
 (random block B) through the coherence profile of the dictionary; logs are
-natural throughout.  With L = s log N and budget split gamma in [0, 1]:
+natural throughout.  With L = s log N, u = sqrt(4 s log N) (``default_u``) and
+budget split gamma in [0, 1]:
 
   eq1  n_a + n_b <  min{ c mu^-2 / L, mu^-2 / 2 }          (strict), c = 0.004212
   eq2  n_a + n_b <= mu^-2 / (8 (s + 1) log N)
-  eq3  6 sqrt(2) sqrt(n_a mu^2 L) + 2 (n_a - 1) mu_a  <=  (1 - gamma) e^{-1/4}
-  eq4  24 sqrt(n_b mu_b^2 L) + 4 n_b ||B||^2 / N_b
-         + 2 sqrt(n_b / N_b) ||A|| ||B||               <=  gamma e^{-1/4}
+  eq3  2 (slope_a u + gersgorin)           <=  (1 - gamma) e^{-1/4}
+  eq4  2 (slope_b u + frame + cross)       <=  gamma e^{-1/4}
   eq5  n_a + n_b <  mu^-2 / 2                               (strict)
   eq6  n_a + n_b <= mu^-2 / (8 (s + 1) log N)
   classical  n_a + n_b <  (1 + 1/mu) / 2                    (strict)
 
-eq3 and eq4 are the two halves of the singular-value concentration premise;
-eq5 gives l0 uniqueness and eq6 adds l1 equivalence on top of eq3/eq4.
+where ``block_a_terms`` and ``block_b_terms`` define the block terms.  eq3 and
+eq4 are the two halves of the singular-value concentration premise: the same
+terms build ``concentration``'s alpha = slope_a + slope_b and beta = gersgorin
++ frame + cross, with eq3 + eq4 = 2 (alpha u + beta), and its moment bounds
+slope_b sqrt(q) + frame on Xi_B and slope_a sqrt(q) + cross on Xi_X.  eq5
+gives l0 uniqueness and eq6 adds l1 equivalence on top of eq3/eq4.
 An orthonormal dictionary has mu = 0 and every mu^-2 threshold becomes +inf;
 the report then carries rhs = inf and the condition holds for any budget.
 
@@ -43,6 +47,9 @@ __all__ = [
     "check_arbitrary_block",
     "check_random_block",
     "check_uniqueness_threshold",
+    "block_a_terms",
+    "block_b_terms",
+    "default_u",
     "evaluate_conditions",
     "first_feasible_gamma",
     "max_sparsity_search",
@@ -62,11 +69,16 @@ def _require_n_gt_2(N: int):
         raise ValueError(f"condition checks require N > 2 columns, got N={N}")
 
 
+def _require_s(s: float):
+    if not (math.isfinite(s) and s >= 1):
+        raise ValueError(f"s must be a finite number >= 1, got {s}")
+
+
 def _inv_mu_sq(mu: float) -> float:
     """mu^-2 with the orthonormal case mapped to +inf."""
     if mu < 0:
         raise ValueError(f"coherence must be nonnegative, got {mu}")
-    if mu == 0.0:
+    if mu * mu == 0.0:  # also a mu so small that its square underflows
         return math.inf
     return 1.0 / (mu * mu)
 
@@ -81,8 +93,7 @@ class TheoremParams:
     n_b: int = 0
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        _require_s(self.s)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.n_a < 0 or self.n_b < 0:
@@ -188,25 +199,46 @@ def check_random_support_threshold(
     return eq1, eq2
 
 
+def default_u(s: float, N: int) -> float:
+    """The canonical tail argument u = sqrt(4 s log N), giving bound N^{-s}."""
+    _require_n_gt_2(N)
+    return math.sqrt(4.0 * s * math.log(N))
+
+
+def block_a_terms(mu: float, mu_a: float, n_a: int) -> tuple[float, float]:
+    """Block-A terms: slope = (3/sqrt(2)) sqrt(mu^2 n_a), the sqrt(q) coefficient
+    of the Xi_X moment bound, and gersgorin = (n_a - 1) mu_a, the bound on Xi_A."""
+    return 3.0 / math.sqrt(2.0) * math.sqrt(mu**2 * n_a), max(n_a - 1, 0) * mu_a
+
+
+def block_b_terms(
+    mu_b: float, spec_a: float, spec_b: float, n_b: int, Nb: int
+) -> tuple[float, float, float]:
+    """Block-B terms, all 0 at n_b = 0: slope = 6 sqrt(mu_b^2 n_b) and frame =
+    2 n_b ||B||^2 / N_b of the Xi_B moment bound, cross = sqrt(n_b / N_b) ||A|| ||B||
+    the constant of the Xi_X moment bound."""
+    if n_b == 0:
+        return 0.0, 0.0, 0.0
+    if Nb < 1:
+        raise ValueError(f"n_b={n_b} > 0 requires a nonempty block B")
+    slope = 6.0 * math.sqrt(mu_b**2 * n_b)
+    return slope, 2.0 * n_b * spec_b**2 / Nb, math.sqrt(n_b / Nb) * spec_a * spec_b
+
+
 def check_arbitrary_block(
     mu: float, mu_a: float, N: int, params: TheoremParams
 ) -> ConditionCheck:
     """Concentration condition on the fixed block-A support (eq3).
 
-    lhs = 6 sqrt(2) sqrt(n_a mu^2 s log N) + 2 (n_a - 1) mu_a
-    rhs = (1 - gamma) e^{-1/4}
+    lhs = 2 (slope_a u + gersgorin), rhs = (1 - gamma) e^{-1/4}
 
     n_a = 0 leaves nothing on block A to control; the condition is vacuous
     and reported with lhs = 0.
     """
-    _require_n_gt_2(N)
-    rhs = (1.0 - params.gamma) * _QUARTER_DECAY
-    if params.n_a == 0:
-        return _make_check("eq3", 0.0, rhs, strict=False, note="vacuous at n_a = 0")
-    lhs = 6.0 * math.sqrt(2.0) * math.sqrt(
-        params.n_a * mu * mu * params.s * math.log(N)
-    ) + 2.0 * (params.n_a - 1) * mu_a
-    return _make_check("eq3", lhs, rhs, strict=False)
+    slope, gersgorin = block_a_terms(mu, mu_a, params.n_a)
+    lhs = 2.0 * (slope * default_u(params.s, N) + gersgorin)
+    note = "vacuous at n_a = 0" if params.n_a == 0 else ""
+    return _make_check("eq3", lhs, (1.0 - params.gamma) * _QUARTER_DECAY, strict=False, note=note)
 
 
 def check_random_block(
@@ -219,22 +251,11 @@ def check_random_block(
 ) -> ConditionCheck:
     """Concentration condition on the random block-B support (eq4).
 
-    lhs = 24 sqrt(n_b mu_b^2 s log N) + 4 n_b ||B||^2 / N_b
-          + 2 sqrt(n_b / N_b) ||A|| ||B||
-    rhs = gamma e^{-1/4}
+    lhs = 2 (slope_b u + frame + cross), rhs = gamma e^{-1/4}
     """
-    _require_n_gt_2(N)
-    rhs = params.gamma * _QUARTER_DECAY
-    if params.n_b == 0:
-        return _make_check("eq4", 0.0, rhs, strict=False)
-    if Nb < 1:
-        raise ValueError(f"n_b={params.n_b} requested but block B is empty")
-    lhs = (
-        24.0 * math.sqrt(params.n_b * mu_b * mu_b * params.s * math.log(N))
-        + 4.0 * params.n_b * spec_b * spec_b / Nb
-        + 2.0 * math.sqrt(params.n_b / Nb) * spec_a * spec_b
-    )
-    return _make_check("eq4", lhs, rhs, strict=False)
+    slope, frame, cross = block_b_terms(mu_b, spec_a, spec_b, params.n_b, Nb)
+    lhs = 2.0 * (slope * default_u(params.s, N) + frame + cross)
+    return _make_check("eq4", lhs, params.gamma * _QUARTER_DECAY, strict=False)
 
 
 def check_uniqueness_threshold(
@@ -278,14 +299,15 @@ def evaluate_conditions(
 def first_feasible_gamma(
     stats: DictionaryStats, N: int, Nb: int, s: float, n_a: int, n_b: int
 ) -> float | None:
-    """First gamma of GAMMA_GRID_DEFAULT at which eq3 and eq4 both hold, else None."""
+    """First gamma of GAMMA_GRID_DEFAULT at which eq3 and eq4 both hold, else None.
+
+    Neither lhs depends on gamma, so each is evaluated once.
+    """
+    params = TheoremParams(s=s, n_a=n_a, n_b=n_b)
+    lhs_a = check_arbitrary_block(stats.mu, stats.mu_a, N, params).lhs
+    lhs_b = check_random_block(stats.mu_b, stats.spec_a, stats.spec_b, Nb, N, params).lhs
     for gamma in GAMMA_GRID_DEFAULT:
-        params = TheoremParams(s=s, gamma=gamma, n_a=n_a, n_b=n_b)
-        ok_a = check_arbitrary_block(stats.mu, stats.mu_a, N, params).satisfied
-        ok_b = check_random_block(
-            stats.mu_b, stats.spec_a, stats.spec_b, Nb, N, params
-        ).satisfied
-        if ok_a and ok_b:
+        if lhs_a <= (1.0 - gamma) * _QUARTER_DECAY and lhs_b <= gamma * _QUARTER_DECAY:
             return gamma
     return None
 
@@ -372,6 +394,7 @@ def max_sparsity_search(
     block budgets below their natural limits N - Nb and Nb.
     """
     _require_n_gt_2(N)
+    _require_s(s)
     grid = GAMMA_GRID_DEFAULT if gamma_grid is None else tuple(gamma_grid)
     if not grid:
         raise ValueError("gamma_grid must be non-empty")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsethresh import PartitionedDictionary, load_dictionary, save_dictionary
+from sparsethresh import PartitionedDictionary, concentration, load_dictionary, save_dictionary
 from sparsethresh.cli import main
 
 
@@ -190,38 +190,97 @@ class TestConfig:
 # ==============================
 
 
-def _malformed_argv(tmp, file_fields=None, source=None) -> list[str]:
-    """``analyze`` on a 1 x 1 dictionary file with ``file_fields`` overridden,
-    or on a config whose 'dictionary' object is ``source``."""
+def _malformed_argv(tmp, file_fields=None, config=None, command="analyze") -> list[str]:
+    """``command`` on a 1 x 1 dictionary file with ``file_fields`` overridden,
+    or on mub3 through a config file holding ``config``; its 'dictionary'
+    object, if any, replaces mub3.  Experiments write into ``tmp``."""
     tmp = Path(tmp)
-    if source is not None:
-        (tmp / "cfg.json").write_text(json.dumps({"dictionary": source}))
-        return ["analyze", "--config", str(tmp / "cfg.json")]
+    out = ["--out", str(tmp)] if command in ("smin", "moments", "recover") else []
+    if config is not None:
+        (tmp / "cfg.json").write_text(json.dumps({"dictionary": {"mub": 3}, **config}))
+        return [command, "--config", str(tmp / "cfg.json"), *out]
     path = tmp / "one.dict.json"
     save_dictionary(PartitionedDictionary(np.eye(1), 0), path)
     doc = {**json.loads(path.read_text()), **file_fields}
     path.write_text(json.dumps(doc))
-    return ["analyze", "--dict", str(path)]
+    return [command, "--dict", str(path), *out]
+
+
+# the subcommand that reads each fuzzed key, run on a config small enough
+# to finish in well under a second whatever the key's value
+_FUZZ_RUNS = {
+    **dict.fromkeys(("entries", "m", "mub", "path", "json", "renormalize"), "analyze"),
+    **dict.fromkeys(("na", "nb", "s", "gamma"), "report"),
+    "maximize": "check",
+    **dict.fromkeys(("trials", "seed", "threads", "strategy", "support_a"), "smin"),
+    "q": "moments",
+    **dict.fromkeys(("na_range", "nb_range", "strategies"), "recover"),
+}
+_FUZZ_BASE = {
+    "smin": {"trials": 3},
+    "moments": {"trials": 1000},
+    "recover": {"trials": 1, "na_range": "0:1", "nb_range": "0:1", "strategies": "first-n"},
+}
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "file_fields, source, message",
+        "command, file_fields, config, message",
         [
-            ({"entries": 5}, None, "entries must be a list"),
-            ({"m": True}, None, "must be integers"),
-            (None, {"mub": None}, "dictionary.mub"),
-            (None, {"path": None}, "dictionary.path"),
+            ("analyze", {"entries": 5}, None, "entries must be a list"),
+            ("analyze", {"m": True}, None, "must be integers"),
+            ("analyze", None, {"dictionary": {"mub": None}}, "dictionary.mub"),
+            ("analyze", None, {"dictionary": {"path": None}}, "dictionary.path"),
+            ("smin", None, {"trials": [5]}, "'trials' must be a JSON integer"),
+            ("moments", None, {"trials": [5]}, "'trials' must be a JSON integer"),
+            ("recover", None, {"trials": [5]}, "'trials' must be a JSON integer"),
+            ("smin", None, {"na": None}, "'na' must be a JSON integer"),
+            ("moments", None, {"na": None}, "'na' must be a JSON integer"),
+            ("moments", None, {"q": [4]}, "'q' must be a JSON number"),
+            ("recover", None, {"strategies": 5}, "'strategies' must be a string or a list"),
+            ("recover", None, {"na_range": [None]}, "'na_range' must be a string or a list"),
+            ("check", None, {"nb": True}, "'nb' must be a JSON integer"),
+            ("check", None, {"s": "2"}, "'s' must be a JSON number"),
+            ("check", None, {"maximize": 1}, "'maximize' must be a JSON boolean"),
+            ("analyze", None, {"json": "yes"}, "'json' must be a JSON boolean"),
+            ("smin", None, {"support_a": [1.0]}, "'support_a' must be a string or a list"),
+            ("report", None, {"out": 5}, "'out' must be a JSON string"),
         ],
-        ids=["entries-not-a-list", "m-is-a-bool", "mub-null", "path-null"],
+        ids=[
+            "entries-not-a-list", "m-is-a-bool", "mub-null", "path-null",
+            "smin-trials-list", "moments-trials-list", "recover-trials-list",
+            "smin-na-null", "moments-na-null", "moments-q-list",
+            "recover-strategies-int", "recover-na-range-null-item", "check-nb-bool",
+            "check-s-string", "check-maximize-int", "analyze-json-string",
+            "smin-support-a-floats", "report-out-int",
+        ],
     )
-    def test_exits_2_with_a_message(self, tmp_path, capsys, file_fields, source, message):
-        assert main(_malformed_argv(tmp_path, file_fields, source)) == 2
+    def test_exits_2_with_a_message(
+        self, tmp_path, capsys, command, file_fields, config, message
+    ):
+        assert main(_malformed_argv(tmp_path, file_fields, config, command)) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--s", "nan"],
+            ["check", "--maximize", "--s", "nan"],
+            ["smin", "--s", "nan", "--trials", "5"],
+        ],
+        ids=["check", "check-maximize", "smin"],
+    )
+    def test_non_finite_s_exits_2(self, dict_dir, tmp_path, capsys, argv):
+        argv = [*argv, "--dict", dict_dir["mub7"]]
+        if argv[0] == "smin":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "s must be a finite number >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @settings(max_examples=100, deadline=None)
     @given(
-        field=st.sampled_from(["entries", "m", "mub", "path"]),
+        field=st.sampled_from(sorted(_FUZZ_RUNS)),
         value=st.recursive(
             st.none() | st.booleans() | st.integers(-3, 12) | st.just(10**400)
             | st.floats() | st.text(max_size=4),
@@ -231,11 +290,15 @@ class TestMalformedInput:
         ),
     )
     def test_any_json_value_exits_0_or_2(self, field, value):
+        command = _FUZZ_RUNS[field]
         with tempfile.TemporaryDirectory() as tmp:
             if field in ("entries", "m"):
                 argv = _malformed_argv(tmp, file_fields={field: value})
+            elif field in ("mub", "path"):
+                argv = _malformed_argv(tmp, config={"dictionary": {field: value}})
             else:
-                argv = _malformed_argv(tmp, source={field: value})
+                config = {**_FUZZ_BASE.get(command, {}), field: value}
+                argv = _malformed_argv(tmp, config=config, command=command)
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 assert main(argv) in (0, 2)
@@ -301,6 +364,18 @@ class TestSmin:
         ])
         assert rc == 2
         assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_bad_s_fails_before_any_trial(self, dict_dir, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran before the parameters were checked")
+
+        monkeypatch.setattr(concentration, "fan_out", no_trials)
+        rc = main([
+            "smin", "--dict", dict_dir["mub7"], "--s", "0.5", "--trials", "5000",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "s must be a finite number >= 1" in capsys.readouterr().err
 
     def test_prescribed_support_flag(self, dict_dir, tmp_path):
         rc = main([

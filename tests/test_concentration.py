@@ -410,6 +410,17 @@ class TestEstimateMoment:
         parts = rows[1].split(",")
         assert float(parts[1]) == est.xi_b[0]
 
+    def test_bounds_sum_to_the_tail_coefficients(self, mub5):
+        # the Xi_B and Xi_X bounds share their terms with alpha and beta,
+        # which add only the Gersgorin term (n_a - 1) mu_a
+        n_a, n_b, q = 2, 3, 5.0
+        est = estimate_moment(mub5, n_a, n_b, q=q, trials=1000, master_seed=8)
+        assert q >= est.floor_x
+        stats = analyze(mub5)
+        spec = alpha_beta(stats, n_a, n_b, mub5.Nb, mub5.N)
+        expected = spec.alpha * math.sqrt(q) + spec.beta - (n_a - 1) * stats.mu_a
+        assert abs(est.bound_b + est.bound_x - expected) <= 1e-12
+
     def test_rejects_underpowered_runs(self, mub5):
         with pytest.raises(ValueError, match="1000"):
             estimate_moment(mub5, 1, 4, q=8.0, trials=999)

@@ -22,6 +22,7 @@ from sparsethresh import (
     max_sparsity_search,
     scaling_report,
 )
+from sparsethresh.threshold import first_feasible_gamma
 
 # Hand-computed reference values, frozen.
 QUARTER_DECAY = 0.7788007830714049
@@ -80,9 +81,10 @@ class TestRandomSupportThreshold:
         assert eq1.satisfied and eq2.satisfied
 
     def test_orthonormal_case_is_unbounded(self):
-        eq1, eq2 = check_random_support_threshold(0.0, 50, TheoremParams(n_a=40))
-        assert eq1.rhs == math.inf and eq2.rhs == math.inf
-        assert eq1.satisfied and eq2.satisfied
+        for mu in (0.0, 1e-200):        # 1e-200 squared underflows to 0
+            eq1, eq2 = check_random_support_threshold(mu, 50, TheoremParams(n_a=40))
+            assert eq1.rhs == math.inf and eq2.rhs == math.inf
+            assert eq1.satisfied and eq2.satisfied
 
     def test_constant_override_scales_rhs(self):
         params = TheoremParams(n_a=1)
@@ -178,6 +180,13 @@ class TestTheoremParams:
         with pytest.raises(ValueError):
             TheoremParams(n_a=-1)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_s_is_rejected(self, s):
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            TheoremParams(s=s)
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            max_sparsity_search(_stats(mu=0.1), 100, 50, s=s)
+
 
 # ==============================
 # combined report
@@ -272,6 +281,34 @@ class TestInvariants:
         assert hi.lhs >= lo.lhs - TOL
         if not lo.satisfied:
             assert not hi.satisfied
+
+    @given(
+        mu=st.floats(0.0, 0.02),
+        mu_a=st.floats(0.0, 0.05),
+        mu_b=st.floats(0.0, 0.02),
+        spec_b=st.floats(0.1, 1.5),
+        N=st.integers(3, 5000),
+        nb_frac=st.floats(0.0, 1.0),
+        s=st.floats(1.0, 3.0),
+        n_a=st.integers(0, 7),
+        n_b=st.integers(0, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_first_feasible_gamma_is_the_first_grid_gamma_passing_eq3_and_eq4(
+        self, mu, mu_a, mu_b, spec_b, N, nb_frac, s, n_a, n_b
+    ):
+        stats = _stats(mu=mu, mu_a=mu_a, mu_b=mu_b, spec_b=spec_b)
+        Nb = 1 + int(nb_frac * (N - 2))
+        passing = [
+            gamma for gamma in GAMMA_GRID_DEFAULT
+            if all(
+                evaluate_conditions(stats, N, Nb, TheoremParams(s, gamma, n_a, n_b))
+                .get(cid).satisfied
+                for cid in ("eq3", "eq4")
+            )
+        ]
+        expected = passing[0] if passing else None
+        assert first_feasible_gamma(stats, N, Nb, s, n_a, n_b) == expected
 
     def test_margin_sign_matches_satisfied(self):
         report = evaluate_conditions(_stats(mu=0.2), 100, 50, TheoremParams(n_a=2, n_b=2))
