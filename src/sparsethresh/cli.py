@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 usage or input error, 3 condition-check failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -64,23 +65,39 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _write_rows(path, rows: list[str]):
-    _write_text(path, "\n".join(rows) + "\n")
-
-
-def _out_dir(args, cfg) -> str:
-    out = _opt(args, cfg, "out", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # ============================================================
-# config and argument plumbing
+# options: each one's type and help, resolved from flag, config or default
 # ============================================================
+
+
+# name -> (type, help); ``[int]`` and ``[str]`` are list options, which take a
+# flag-style string or a JSON list of that element type.  Every name is both
+# the long flag (underscores as dashes) and the config key.
+_OPTIONS = {
+    "na": (int, "block-A budget n_a"),
+    "nb": (int, "block-B budget n_b"),
+    "s": (float, "confidence exponent s >= 1"),
+    "gamma": (float, "budget split in [0, 1]"),
+    "q": (float, "moment order q, at least its validity floor"),
+    "trials": (int, "number of trials (per grid cell for recover)"),
+    "seed": (int, "master seed (for build-dict: the seed of --random)"),
+    "threads": (int, "worker process count"),
+    "split": (int, "block-A size for --random"),
+    "strategy": (str, "A-support: first-n, spread, prescribed or random-baseline"),
+    "support_a": ([int], "A indices for --strategy prescribed, e.g. 3,1 or 0:2"),
+    "na_range": ([int], "n_a values, e.g. 0:3 or 0,2,4"),
+    "nb_range": ([int], "n_b values, e.g. 0:3"),
+    "strategies": ([str], "comma list from: first-n, spread, random-baseline"),
+    "out": (str, "output directory; for build-dict and report an output file"),
+    "json": (bool, "print the JSON summary to stdout"),
+    "renormalize": (bool, "rescale imperfectly normalized columns on load"),
+    "maximize": (bool, "search the largest feasible (n_a, n_b) over gamma"),
+}
+_JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
 
 def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
+    path = args.config
     if not path:
         return {}
     try:
@@ -95,18 +112,6 @@ def _load_config(args) -> dict:
     return cfg
 
 
-# JSON type of each config key, as its flag declares it; the list-valued keys
-# take a flag-style string or a JSON list of the element type given here
-_CONFIG_TYPES = {
-    **dict.fromkeys(("na", "nb", "trials", "seed", "threads", "split"), int),
-    **dict.fromkeys(("s", "gamma", "q"), float),
-    **dict.fromkeys(("json", "renormalize", "maximize"), bool),
-    **dict.fromkeys(("strategy", "out"), str),
-}
-_CONFIG_LISTS = {"support_a": int, "na_range": int, "nb_range": int, "strategies": str}
-_JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
-
-
 def _is_json(value, kind) -> bool:
     """Whether a decoded JSON value has ``kind``; bools are not numbers."""
     if kind in (int, float) and isinstance(value, bool):
@@ -114,33 +119,29 @@ def _is_json(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _opt(args, cfg: dict, name: str, default=None):
-    """Flag value if given, else the config field checked against its type, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name not in cfg:
-        return default
-    value = cfg[name]
-    kind = _CONFIG_TYPES.get(name)
-    if kind is not None:
-        ok, want = _is_json(value, kind), f"a JSON {_JSON_NAMES[kind]}"
-    else:
-        elem = _CONFIG_LISTS[name]
-        ok = isinstance(value, str) or (
-            isinstance(value, list) and all(_is_json(v, elem) for v in value)
+def _config_value(name: str, value):
+    """A config value checked against its option's type; numbers become floats."""
+    if name not in _OPTIONS:
+        raise ValueError(
+            f"unknown config key '{name}': each key must be 'dictionary' "
+            "or an option of some subcommand"
         )
-        want = f"a string or a list of JSON {_JSON_NAMES[elem]}s"
+    kind = _OPTIONS[name][0]
+    if isinstance(kind, list):
+        ok = isinstance(value, str) or (
+            isinstance(value, list) and all(_is_json(v, kind[0]) for v in value)
+        )
+        want = f"a string or a list of JSON {_JSON_NAMES[kind[0]]}s"
+    else:
+        ok, want = _is_json(value, kind), f"a JSON {_JSON_NAMES[kind]}"
     if not ok:
         raise ValueError(f"config '{name}' must be {want}, got {value!r}")
     return float(value) if kind is float else value
 
 
-def _parse_values(text) -> list[int]:
-    """Accept '3', '0,2,5', or 'lo:hi[:step]' (inclusive)."""
-    if isinstance(text, list):
-        return text
-    if ":" in text:
+def _parse_list(text: str, elem) -> list:
+    """Comma-separated values, or for integers also 'lo:hi[:step]' (inclusive)."""
+    if elem is int and ":" in text:
         parts = [int(p) for p in text.split(":")]
         if len(parts) == 2:
             lo, hi, step = parts[0], parts[1], 1
@@ -151,17 +152,23 @@ def _parse_values(text) -> list[int]:
         if step < 1 or hi < lo:
             raise ValueError(f"bad range {text!r}")
         return list(range(lo, hi + 1, step))
-    if "," in text:
-        return [int(p) for p in text.split(",") if p != ""]
-    return [int(text)]
+    return [elem(p) for p in text.split(",") if p != ""]
 
 
-def _parse_indices(text) -> list[int] | None:
-    if text is None:
-        return None
-    if isinstance(text, list):
-        return text
-    return [int(p) for p in text.split(",") if p != ""]
+def _resolve(args, cfg: dict, defaults: dict) -> None:
+    """Check every config value, then set each option in ``defaults`` on
+    ``args``: the flag if given, else the config value, else the default."""
+    checked = {
+        name: _config_value(name, value) for name, value in cfg.items() if name != "dictionary"
+    }
+    for name, default in defaults.items():
+        value = getattr(args, name)
+        if value is None:
+            value = checked.get(name, default)
+        kind = _OPTIONS[name][0]
+        if isinstance(kind, list) and isinstance(value, str):
+            value = _parse_list(value, kind[0])
+        setattr(args, name, value)
 
 
 def _source_int(value, field: str) -> int:
@@ -173,10 +180,8 @@ def _source_int(value, field: str) -> int:
 
 def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
     """One dictionary source: the --dict flag, or the config 'dictionary' field."""
-    renorm = _opt(args, cfg, "renormalize", False)
-    path = getattr(args, "dict", None)
-    if path:
-        return dictionary.load_dictionary(path, renormalize=renorm)
+    if args.dict:
+        return dictionary.load_dictionary(args.dict, renormalize=args.renormalize)
     source = cfg.get("dictionary")
     if source is None:
         raise ValueError("no dictionary given: pass --dict or a config 'dictionary' field")
@@ -191,7 +196,7 @@ def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
     if kind == "path":
         if not isinstance(source["path"], str):
             raise ValueError("config 'dictionary.path' must be a string")
-        return dictionary.load_dictionary(source["path"], renormalize=renorm)
+        return dictionary.load_dictionary(source["path"], renormalize=args.renormalize)
     if kind == "mub":
         return dictionary.build_mub(_source_int(source["mub"], "mub"))
     if kind == "two_onb":
@@ -246,13 +251,22 @@ def _report_lines(report) -> list[str]:
     return rows
 
 
-def _params_from(args, cfg) -> threshold.TheoremParams:
-    return threshold.TheoremParams(
-        s=_opt(args, cfg, "s", 1.0),
-        gamma=_opt(args, cfg, "gamma", 0.5),
-        n_a=_opt(args, cfg, "na", 0),
-        n_b=_opt(args, cfg, "nb", 0),
-    )
+def _emit(args, files: dict[str, str], summary: str, line: str) -> int:
+    """Write ``files`` (name -> text) into --out, then print the JSON summary
+    or ``line`` and the names written."""
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files.items():
+        _write_text(os.path.join(args.out, name), text)
+    if args.json:
+        sys.stdout.write(summary)
+    else:
+        print(line)
+        print(f"wrote {args.out}/{', '.join(files)}")
+    return 0
+
+
+def _csv_text(rows: list[str]) -> str:
+    return "\n".join(rows) + "\n"
 
 
 # ============================================================
@@ -261,7 +275,6 @@ def _params_from(args, cfg) -> threshold.TheoremParams:
 
 
 def cmd_build_dict(args, cfg) -> int:
-    seed = _opt(args, cfg, "seed", 0)
     if args.mub is not None:
         D = dictionary.build_mub(args.mub)
         default_name = f"mub{args.mub}.dict.json"
@@ -270,12 +283,11 @@ def cmd_build_dict(args, cfg) -> int:
         default_name = f"two_onb{args.two_onb}.dict.json"
     elif args.random is not None:
         m, n = args.random
-        split = _opt(args, cfg, "split", 0)
-        D = dictionary.build_random_dictionary(m, n, seed, split)
-        default_name = f"random{m}x{n}_seed{seed}.dict.json"
+        D = dictionary.build_random_dictionary(m, n, args.seed, args.split)
+        default_name = f"random{m}x{n}_seed{args.seed}.dict.json"
     else:
         raise ValueError("pick a builder: --mub, --two-onb or --random")
-    path = _opt(args, cfg, "out", default_name)
+    path = default_name if args.out is None else args.out
     dictionary.save_dictionary(D, path)
     stats = dictionary.analyze(D)
     for line in _stats_lines(D, stats):
@@ -287,7 +299,7 @@ def cmd_build_dict(args, cfg) -> int:
 def cmd_analyze(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
     stats = dictionary.analyze(D)
-    if _opt(args, cfg, "json", False):
+    if args.json:
         doc = {"m": D.m, "N": D.N, "Na": D.Na, "Nb": D.Nb, **stats.to_dict()}
         sys.stdout.write(_json_text(doc))
     else:
@@ -299,11 +311,9 @@ def cmd_analyze(args, cfg) -> int:
 def cmd_check(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
     stats = dictionary.analyze(D)
-    if _opt(args, cfg, "maximize", False):
-        result = threshold.max_sparsity_search(
-            stats, D.N, D.Nb, s=_opt(args, cfg, "s", 1.0)
-        )
-        if _opt(args, cfg, "json", False):
+    if args.maximize:
+        result = threshold.max_sparsity_search(stats, D.N, D.Nb, s=args.s)
+        if args.json:
             sys.stdout.write(_json_text(result.to_dict()))
         else:
             print(
@@ -313,9 +323,9 @@ def cmd_check(args, cfg) -> int:
             for line in _report_lines(result.report):
                 print(line)
         return 0
-    params = _params_from(args, cfg)
+    params = threshold.TheoremParams(s=args.s, gamma=args.gamma, n_a=args.na, n_b=args.nb)
     report = threshold.evaluate_conditions(stats, D.N, D.Nb, params)
-    if _opt(args, cfg, "json", False):
+    if args.json:
         sys.stdout.write(_json_text(report.to_dict()))
     else:
         for line in _report_lines(report):
@@ -327,55 +337,45 @@ def cmd_smin(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
     result = concentration.run_smin_trials(
         D,
-        strategy=_opt(args, cfg, "strategy", "first-n"),
-        n_a=_opt(args, cfg, "na", 1),
-        n_b=_opt(args, cfg, "nb", 1),
-        trials=_opt(args, cfg, "trials", 1000),
-        s=_opt(args, cfg, "s", 1.0),
-        master_seed=_opt(args, cfg, "seed", 0),
-        support_a=_parse_indices(_opt(args, cfg, "support_a")),
-        workers=_opt(args, cfg, "threads", 1),
+        strategy=args.strategy,
+        n_a=args.na,
+        n_b=args.nb,
+        trials=args.trials,
+        s=args.s,
+        master_seed=args.seed,
+        support_a=args.support_a,
+        workers=args.threads,
     )
-    out = _out_dir(args, cfg)
-    _write_rows(os.path.join(out, "smin_trials.csv"), result.csv_rows())
-    _write_text(os.path.join(out, "smin_summary.json"), _json_text(result.summary_dict()))
-    _write_text(
-        os.path.join(out, "smin_sigma_hist.svg"),
-        svg.histogram_svg(
+    summary = _json_text(result.summary_dict())
+    files = {
+        "smin_trials.csv": _csv_text(result.csv_rows()),
+        "smin_summary.json": summary,
+        "smin_sigma_hist.svg": svg.histogram_svg(
             result.histogram_counts,
             result.histogram_edges,
             title=f"sigma_min over {result.trials} draws "
             f"(n_a={result.n_a}, n_b={result.n_b})",
             x_label="sigma_min",
         ),
+    }
+    return _emit(
+        args, files, summary,
+        f"trials = {result.trials}  failures = {result.failure_count}  "
+        f"rate = {result.empirical_failure_rate!r}  bound = {result.lemma_bound!r}",
     )
-    if _opt(args, cfg, "json", False):
-        sys.stdout.write(_json_text(result.summary_dict()))
-    else:
-        print(
-            f"trials = {result.trials}  failures = {result.failure_count}  "
-            f"rate = {result.empirical_failure_rate!r}  bound = {result.lemma_bound!r}"
-        )
-        print(f"wrote {out}/smin_trials.csv, smin_summary.json, smin_sigma_hist.svg")
-    return 0
 
 
 def cmd_moments(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
     result = concentration.estimate_moment(
         D,
-        n_a=_opt(args, cfg, "na", 1),
-        n_b=_opt(args, cfg, "nb", 1),
-        q=_opt(args, cfg, "q", 4.0),
-        trials=_opt(args, cfg, "trials", 2000),
-        master_seed=_opt(args, cfg, "seed", 0),
-        strategy=_opt(args, cfg, "strategy", "first-n"),
-        support_a=_parse_indices(_opt(args, cfg, "support_a")),
-    )
-    out = _out_dir(args, cfg)
-    _write_rows(os.path.join(out, "moment_trials.csv"), result.csv_rows())
-    _write_text(
-        os.path.join(out, "moment_summary.json"), _json_text(result.summary_dict())
+        n_a=args.na,
+        n_b=args.nb,
+        q=args.q,
+        trials=args.trials,
+        master_seed=args.seed,
+        strategy=args.strategy,
+        support_a=args.support_a,
     )
     bars = [
         ("xi_b estimate", result.estimate_b),
@@ -388,102 +388,78 @@ def cmd_moments(args, cfg) -> int:
             ("xi_x upper95", result.upper95_x),
             ("xi_x bound", result.bound_x),
         ]
-    _write_text(
-        os.path.join(out, "moment_bounds.svg"),
-        svg.bars_svg(
+    summary = _json_text(result.summary_dict())
+    files = {
+        "moment_trials.csv": _csv_text(result.csv_rows()),
+        "moment_summary.json": summary,
+        "moment_bounds.svg": svg.bars_svg(
             bars,
             title=f"moment roots vs bounds (q={result.q:g}, trials={result.trials})",
             y_label="moment root",
         ),
+    }
+    return _emit(
+        args, files, summary,
+        f"q = {result.q:g}  estimate_b = {result.estimate_b!r}  "
+        f"bound_b = {result.bound_b!r}",
     )
-    if _opt(args, cfg, "json", False):
-        sys.stdout.write(_json_text(result.summary_dict()))
-    else:
-        print(
-            f"q = {result.q:g}  estimate_b = {result.estimate_b!r}  "
-            f"bound_b = {result.bound_b!r}"
-        )
-        print(f"wrote {out}/moment_trials.csv, moment_summary.json, moment_bounds.svg")
-    return 0
 
 
 def cmd_recover(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
-    na_values = _parse_values(_opt(args, cfg, "na_range", "0:2"))
-    nb_values = _parse_values(_opt(args, cfg, "nb_range", "0:2"))
-    strategies = _opt(args, cfg, "strategies", "first-n,random-baseline")
-    if isinstance(strategies, str):
-        strategies = [sname for sname in strategies.split(",") if sname]
     grid = recovery.run_recovery_sweep(
         D,
-        na_values,
-        nb_values,
-        trials_per_cell=_opt(args, cfg, "trials", 50),
-        strategies=tuple(strategies),
-        master_seed=_opt(args, cfg, "seed", 0),
-        workers=_opt(args, cfg, "threads", 1),
+        args.na_range,
+        args.nb_range,
+        trials_per_cell=args.trials,
+        strategies=tuple(args.strategies),
+        master_seed=args.seed,
+        workers=args.threads,
     )
-    out = _out_dir(args, cfg)
-    _write_rows(os.path.join(out, "recovery_rates.csv"), grid.csv_rows())
-    _write_text(
-        os.path.join(out, "recovery_summary.json"), _json_text(grid.summary_dict())
-    )
-    totals = sorted(
-        {n_a + n_b for n_a in grid.na_values for n_b in grid.nb_values}
-    )
+    totals = sorted({n_a + n_b for n_a in grid.na_values for n_b in grid.nb_values})
     series = {}
     for strategy in grid.strategies:
         by_total = grid.rate_by_total(strategy)
         series[strategy] = [by_total[t] for t in totals]
-    _write_text(
-        os.path.join(out, "recovery_rates.svg"),
-        svg.line_chart_svg(
+    summary = _json_text(grid.summary_dict())
+    files = {
+        "recovery_rates.csv": _csv_text(grid.csv_rows()),
+        "recovery_summary.json": summary,
+        "recovery_rates.svg": svg.line_chart_svg(
             totals,
             series,
             title=f"basis-pursuit success rate ({grid.trials_per_cell} trials/cell)",
             x_label="n_a + n_b",
             y_label="success rate",
         ),
-    )
+    }
     for si, strategy in enumerate(grid.strategies):
-        _write_text(
-            os.path.join(out, f"recovery_heatmap_{strategy}.svg"),
-            svg.heatmap_svg(
-                grid.rates[si],
-                x_ticks=grid.nb_values,
-                y_ticks=grid.na_values,
-                title=f"success rate, strategy {strategy}",
-                x_label="n_b",
-                y_label="n_a",
-            ),
+        files[f"recovery_heatmap_{strategy}.svg"] = svg.heatmap_svg(
+            grid.rates[si],
+            x_ticks=grid.nb_values,
+            y_ticks=grid.na_values,
+            title=f"success rate, strategy {strategy}",
+            x_label="n_b",
+            y_label="n_a",
         )
-    if _opt(args, cfg, "json", False):
-        sys.stdout.write(_json_text(grid.summary_dict()))
-    else:
-        print(
-            f"cells = {len(grid.strategies) * len(grid.na_values) * len(grid.nb_values)}"
-            f"  trials/cell = {grid.trials_per_cell}"
-        )
-        print(f"wrote {out}/recovery_rates.csv, recovery_summary.json, recovery_rates.svg")
-    return 0
+    return _emit(
+        args, files, summary,
+        f"cells = {len(grid.strategies) * len(grid.na_values) * len(grid.nb_values)}"
+        f"  trials/cell = {grid.trials_per_cell}",
+    )
 
 
 def cmd_report(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
     stats = dictionary.analyze(D)
-    params = _params_from(args, cfg)
+    params = threshold.TheoremParams(s=args.s, gamma=args.gamma, n_a=args.na, n_b=args.nb)
     doc = {
         "m": D.m,
         "N": D.N,
         "Na": D.Na,
         "Nb": D.Nb,
         "stats": stats.to_dict(),
-        "params": {
-            "s": params.s,
-            "gamma": params.gamma,
-            "n_a": params.n_a,
-            "n_b": params.n_b,
-        },
+        "params": dataclasses.asdict(params),
         "conditions": threshold.evaluate_conditions(stats, D.N, D.Nb, params).to_dict(),
         "search": threshold.max_sparsity_search(
             stats, D.N, D.Nb, s=params.s
@@ -491,28 +467,44 @@ def cmd_report(args, cfg) -> int:
         "scaling": threshold.scaling_report(stats, D).to_dict(),
     }
     text = _json_text(doc)
-    out = _opt(args, cfg, "out")
-    if out:
-        _write_text(out, text)
-        print(f"wrote {out}")
+    if args.out:
+        _write_text(args.out, text)
+        print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
     return 0
 
 
 # ============================================================
-# parser
+# subcommand table and parser
 # ============================================================
 
 
-def _add_common(sp, dict_arg: bool = True):
-    sp.add_argument("--config", help="JSON config file; flags override its fields")
-    sp.add_argument("--json", action="store_true", default=None,
-                    help="print the JSON summary to stdout")
-    if dict_arg:
-        sp.add_argument("--dict", help="path to a .dict.json dictionary file")
-        sp.add_argument("--renormalize", action="store_true", default=None,
-                        help="rescale imperfectly normalized columns on load")
+# subcommand -> (handler, help, {option: default})
+_COMMANDS = {
+    "build-dict": (cmd_build_dict, "construct and save a dictionary",
+                   {"split": 0, "seed": 0, "out": None}),
+    "analyze": (cmd_analyze, "print dictionary statistics",
+                {"renormalize": False, "json": False}),
+    "check": (cmd_check, "evaluate the closed-form conditions",
+              {"renormalize": False, "json": False, "na": 0, "nb": 0, "s": 1.0,
+               "gamma": 0.5, "maximize": False}),
+    "smin": (cmd_smin, "sigma_min concentration experiment",
+             {"renormalize": False, "json": False, "na": 1, "nb": 1, "trials": 1000,
+              "seed": 0, "s": 1.0, "strategy": "first-n", "support_a": None, "out": ".",
+              "threads": 1}),
+    "moments": (cmd_moments, "moment estimates vs closed-form bounds",
+                {"renormalize": False, "json": False, "na": 1, "nb": 1, "q": 4.0,
+                 "trials": 2000, "seed": 0, "strategy": "first-n", "support_a": None,
+                 "out": "."}),
+    "recover": (cmd_recover, "basis-pursuit success-rate sweep",
+                {"renormalize": False, "json": False, "na_range": [0, 1, 2],
+                 "nb_range": [0, 1, 2], "trials": 50, "seed": 0,
+                 "strategies": ["first-n", "random-baseline"], "out": ".", "threads": 1}),
+    "report": (cmd_report, "combined JSON report for a dictionary",
+               {"renormalize": False, "na": 0, "nb": 0, "s": 1.0, "gamma": 0.5,
+                "out": None}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -522,81 +514,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "basis-pursuit experiments for partitioned dictionaries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("build-dict", help="construct and save a dictionary")
-    _add_common(sp, dict_arg=False)
-    sp.add_argument("--mub", type=int, help="odd prime p for the p+1-basis dictionary")
-    sp.add_argument("--two-onb", type=int, dest="two_onb",
-                    help="m for the identity+Fourier dictionary")
-    sp.add_argument("--random", type=int, nargs=2, metavar=("M", "N"),
-                    help="random unit columns of C^M, N of them")
-    sp.add_argument("--split", type=int, help="block-A size for --random")
-    sp.add_argument("--seed", type=int, help="seed for --random")
-    sp.add_argument("--out", "-o", help="output path (.dict.json)")
-    sp.set_defaults(func=cmd_build_dict)
-
-    sp = sub.add_parser("analyze", help="print dictionary statistics")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("check", help="evaluate the closed-form conditions")
-    _add_common(sp)
-    sp.add_argument("--na", type=int, help="block-A budget n_a")
-    sp.add_argument("--nb", type=int, help="block-B budget n_b")
-    sp.add_argument("--s", type=float, help="confidence exponent s >= 1")
-    sp.add_argument("--gamma", type=float, help="budget split in [0, 1]")
-    sp.add_argument("--maximize", action="store_true", default=None,
-                    help="search the largest feasible (n_a, n_b) over gamma")
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("smin", help="sigma_min concentration experiment")
-    _add_common(sp)
-    sp.add_argument("--na", type=int)
-    sp.add_argument("--nb", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--strategy", choices=("first-n", "spread", "prescribed",
-                                           "random-baseline"))
-    sp.add_argument("--support-a", dest="support_a",
-                    help="comma-separated A indices for --strategy prescribed")
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--threads", type=int, help="worker process count")
-    sp.set_defaults(func=cmd_smin)
-
-    sp = sub.add_parser("moments", help="moment estimates vs closed-form bounds")
-    _add_common(sp)
-    sp.add_argument("--na", type=int)
-    sp.add_argument("--nb", type=int)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--strategy", choices=("first-n", "spread", "prescribed"))
-    sp.add_argument("--support-a", dest="support_a")
-    sp.add_argument("--out", help="output directory")
-    sp.set_defaults(func=cmd_moments)
-
-    sp = sub.add_parser("recover", help="basis-pursuit success-rate sweep")
-    _add_common(sp)
-    sp.add_argument("--na-range", dest="na_range", help="e.g. 0:3 or 0,2,4")
-    sp.add_argument("--nb-range", dest="nb_range", help="e.g. 0:3")
-    sp.add_argument("--trials", type=int, help="trials per grid cell")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--strategies", help="comma list from: first-n, spread, "
-                                         "random-baseline")
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--threads", type=int)
-    sp.set_defaults(func=cmd_recover)
-
-    sp = sub.add_parser("report", help="combined JSON report for a dictionary")
-    _add_common(sp)
-    sp.add_argument("--na", type=int)
-    sp.add_argument("--nb", type=int)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--out", help="output file (default: stdout)")
-    sp.set_defaults(func=cmd_report)
-
+    for command, (_, help_text, defaults) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="JSON config file; flags override its fields")
+        if command == "build-dict":
+            sp.add_argument("--mub", type=int, help="odd prime p for the p+1-basis dictionary")
+            sp.add_argument("--two-onb", type=int, help="m for the identity+Fourier dictionary")
+            sp.add_argument("--random", type=int, nargs=2, metavar=("M", "N"),
+                            help="random unit columns of C^M, N of them")
+        else:  # every other subcommand reads a dictionary
+            sp.add_argument("--dict", help="path to a .dict.json dictionary file")
+        for name in defaults:
+            kind, option_help = _OPTIONS[name]
+            flags = ["--" + name.replace("_", "-")]
+            if command == "build-dict" and name == "out":
+                flags.append("-o")
+            if kind is bool:
+                sp.add_argument(*flags, action="store_true", default=None, help=option_help)
+            else:
+                sp.add_argument(*flags, help=option_help,
+                                type=None if isinstance(kind, list) else kind)
     return parser
 
 
@@ -607,8 +544,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        handler, _, defaults = _COMMANDS[args.command]
         cfg = _load_config(args)
-        return args.func(args, cfg)
+        _resolve(args, cfg, defaults)
+        return handler(args, cfg)
     except (dictionary.DictionaryFormatError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

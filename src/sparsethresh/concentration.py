@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
-from .model import choose_support_a, sample_support_b
+from .model import SUPPORT_A_STRATEGIES, choose_support_a, sample_support_b
 from .rng import derive_rng, fan_out
 from .threshold import block_a_terms, block_b_terms, default_u, first_feasible_gamma
 
@@ -493,18 +493,26 @@ def estimate_moment(
 ) -> MomentEstimate:
     """Estimate [E Xi^q]^{1/q} for Xi_B and Xi_X over random B-supports.
 
-    The A-support is fixed (default: first n_a columns).  Bootstrap
+    The A-support is fixed (default: first n_a columns; ``random-baseline``,
+    which redraws it per trial, is refused).  Bootstrap
     percentiles (upper edge of the 95% interval) quantify Monte Carlo error;
     the analytic bounds are provably slack, so the upper edge should sit
     well below them.
     """
+    fixed = tuple(name for name in SUPPORT_A_STRATEGIES if name != "random-baseline")
+    if strategy not in fixed:
+        raise ValueError(
+            f"moments need a fixed A-support: strategy must be one of {fixed}, "
+            f"got {strategy!r}"
+        )
     if trials < 1000:
         raise ValueError(f"moment estimation needs >= 1000 trials, got {trials}")
     floor_b = moment_floor_b(n_b)
     floor_x = moment_floor_x(n_b)
-    if q < floor_b - 1e-12:
+    if not (math.isfinite(q) and q >= floor_b - 1e-12):
         raise ValueError(
-            f"q={q} is below the validity floor {floor_b:.6g} for n_b={n_b}"
+            f"q must be a finite number at or above the validity floor "
+            f"{floor_b:.6g} for n_b={n_b}, got q={q}"
         )
     stats = analyze(D)
     fixed_a = choose_support_a(strategy, D.Na, n_a, indices=support_a)

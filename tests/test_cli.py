@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsethresh import PartitionedDictionary, concentration, load_dictionary, save_dictionary
+from sparsethresh import (
+    PartitionedDictionary, cli, concentration, load_dictionary, recovery, save_dictionary,
+)
 from sparsethresh.cli import main
 
 
@@ -184,6 +186,14 @@ class TestConfig:
         assert main(["analyze", "--config", cfg]) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    def test_key_of_another_subcommand_is_accepted(self, tmp_path, capsys):
+        # one file can serve several commands: q and na_range are not check's
+        cfg = self._write_config(
+            tmp_path,
+            {"dictionary": {"mub": 3}, "na": 0, "nb": 0, "q": 8.0, "na_range": "0:1"},
+        )
+        assert main(["check", "--config", cfg]) == 0
+
 
 # ==============================
 # malformed input
@@ -245,6 +255,8 @@ class TestMalformedInput:
             ("analyze", None, {"json": "yes"}, "'json' must be a JSON boolean"),
             ("smin", None, {"support_a": [1.0]}, "'support_a' must be a string or a list"),
             ("report", None, {"out": 5}, "'out' must be a JSON string"),
+            ("smin", None, {"trails": 7}, "unknown config key 'trails'"),
+            ("check", None, {"q": "8"}, "'q' must be a JSON number"),
         ],
         ids=[
             "entries-not-a-list", "m-is-a-bool", "mub-null", "path-null",
@@ -252,7 +264,8 @@ class TestMalformedInput:
             "smin-na-null", "moments-na-null", "moments-q-list",
             "recover-strategies-int", "recover-na-range-null-item", "check-nb-bool",
             "check-s-string", "check-maximize-int", "analyze-json-string",
-            "smin-support-a-floats", "report-out-int",
+            "smin-support-a-floats", "report-out-int", "smin-unknown-key",
+            "check-other-command-key-string",
         ],
     )
     def test_exits_2_with_a_message(
@@ -423,6 +436,31 @@ class TestMoments:
         assert rc == 2
         assert "floor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--q", "nan"], {}, "q must be a finite number"),
+            (["--q", "inf"], {}, "q must be a finite number"),
+            ([], {"q": math.nan}, "q must be a finite number"),
+            (["--strategy", "random-baseline"], {}, "moments need a fixed A-support"),
+            ([], {"strategy": "random-baseline"}, "moments need a fixed A-support"),
+        ],
+        ids=["q-nan", "q-inf", "config-q-nan", "random-baseline", "config-random-baseline"],
+    )
+    def test_rejected_parameters_write_nothing(
+        self, dict_dir, tmp_path, capsys, flags, config, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dictionary": {"path": dict_dir["mub7"]}, **config}))
+        out = tmp_path / "out"
+        rc = main([
+            "moments", "--config", str(cfg), "--na", "1", "--nb", "1",
+            "--trials", "1000", "--out", str(out), *flags,
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRecover:
     def test_artifacts_and_determinism(self, dict_dir, tmp_path, capsys):
@@ -479,6 +517,91 @@ class TestReport:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["search"]["best_total"] >= 0
+
+
+# ==============================
+# option resolution
+# ==============================
+
+
+_RUNNERS = {
+    "smin": (concentration, "run_smin_trials"),
+    "moments": (concentration, "estimate_moment"),
+    "recover": (recovery, "run_recovery_sweep"),
+}
+_SMALL_RUNS = {
+    "smin": ["--na", "1", "--nb", "1", "--trials", "5"],
+    "moments": ["--na", "1", "--nb", "1", "--trials", "1000"],
+    "recover": ["--na-range", "0:1", "--nb-range", "1", "--trials", "1",
+                "--strategies", "first-n,spread"],
+}
+# (flag text, config value) of each option type, none of them a default
+_SAMPLES = {
+    "int": ("3", 3),
+    "float": ("2.5", 2.5),
+    "str": ("spread", "spread"),
+    "[int]": ("1:3", [1, 2, 3]),
+    "[str]": ("first-n,spread", ["first-n", "spread"]),
+}
+
+
+class TestResolveFirst:
+    @pytest.mark.parametrize("config", [{"out": 5}, {"json": "yes"}], ids=["out-int", "json-str"])
+    @pytest.mark.parametrize("command", sorted(_RUNNERS))
+    def test_bad_config_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, config
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr(*_RUNNERS[command], no_work)
+        monkeypatch.setattr(cli, "_resolve_dictionary", no_work)
+        (tmp_path / "cfg.json").write_text(json.dumps({"dictionary": {"mub": 3}, **config}))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        assert rc == 2
+        key = next(iter(config))
+        assert f"config '{key}' must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(_RUNNERS))
+    def test_wrote_line_names_every_file(self, dict_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        rc = main([command, "--dict", dict_dir["mub7"], "--out", str(out),
+                   *_SMALL_RUNS[command]])
+        assert rc == 0
+        wrote = capsys.readouterr().out.splitlines()[-1]
+        prefix = f"wrote {out}/"
+        assert wrote.startswith(prefix)
+        named = wrote[len(prefix):].split(", ")
+        assert sorted(named) == sorted(p.name for p in out.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_flag_and_config_key_give_the_same_value(
+        self, tmp_path, monkeypatch, command
+    ):
+        seen = []
+        _, help_text, defaults = cli._COMMANDS[command]
+        monkeypatch.setitem(
+            cli._COMMANDS, command,
+            (lambda args, cfg: seen.append(vars(args)) or 0, help_text, defaults),
+        )
+        cfg = tmp_path / "cfg.json"
+        for name, default in defaults.items():
+            kind = cli._OPTIONS[name][0]
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                flags, value = [flag], True
+            else:
+                tag = f"[{kind[0].__name__}]" if isinstance(kind, list) else kind.__name__
+                text, value = _SAMPLES[tag]
+                flags = [flag, text]
+            cfg.write_text(json.dumps({name: value}))
+            assert main([command, *flags]) == 0
+            assert main([command, "--config", str(cfg)]) == 0
+            from_flag, from_config = ({**v, "config": None} for v in seen[-2:])
+            assert from_flag == from_config, name
+            assert from_flag[name] != default, name
 
 
 class TestUsageErrors:

@@ -428,3 +428,12 @@ class TestEstimateMoment:
     def test_rejects_q_below_floor(self, mub5):
         with pytest.raises(ValueError, match="floor"):
             estimate_moment(mub5, 1, 20, q=4.0, trials=1000)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_rejects_non_finite_q(self, mub5, q):
+        with pytest.raises(ValueError, match="q must be a finite number"):
+            estimate_moment(mub5, 1, 4, q=q, trials=1000)
+
+    def test_rejects_a_redrawn_a_support(self, mub5):
+        with pytest.raises(ValueError, match="moments need a fixed A-support"):
+            estimate_moment(mub5, 1, 4, q=8.0, trials=1000, strategy="random-baseline")
