@@ -311,8 +311,9 @@ def cmd_analyze(args, cfg) -> int:
 def cmd_check(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
     stats = dictionary.analyze(D)
+    params = threshold.TheoremParams(s=args.s, gamma=args.gamma, n_a=args.na, n_b=args.nb)
     if args.maximize:
-        result = threshold.max_sparsity_search(stats, D.N, D.Nb, s=args.s)
+        result = threshold.max_sparsity_search(stats, D.N, D.Nb, s=params.s)
         if args.json:
             sys.stdout.write(_json_text(result.to_dict()))
         else:
@@ -323,7 +324,6 @@ def cmd_check(args, cfg) -> int:
             for line in _report_lines(result.report):
                 print(line)
         return 0
-    params = threshold.TheoremParams(s=args.s, gamma=args.gamma, n_a=args.na, n_b=args.nb)
     report = threshold.evaluate_conditions(stats, D.N, D.Nb, params)
     if args.json:
         sys.stdout.write(_json_text(report.to_dict()))

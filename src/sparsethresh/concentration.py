@@ -265,12 +265,12 @@ def tail_probability(u: float, spec: TailBoundSpec) -> tuple[float, float]:
 
 
 def _smin_chunk(payload):
-    D, stats, strategy, fixed_a, n_a, n_b, lo, hi, master_seed = payload
+    D, stats, strategy, support_a, n_a, n_b, lo, hi, master_seed = payload
     rows = np.empty((hi - lo, 5))
     violations = 0
     for t in range(lo, hi):
         rng = derive_rng(master_seed, t)
-        cols_a = choose_support_a(strategy, D.Na, n_a, indices=fixed_a, rng=rng)
+        cols_a = choose_support_a(strategy, D.Na, n_a, indices=support_a, rng=rng)
         cols_b = sample_support_b(D.Nb, n_b, rng)
         rec = hollow_gram_chain(extract_subdictionary(D, cols_a, cols_b), stats)
         violations += bool(rec.violations())
@@ -371,7 +371,7 @@ def run_smin_trials(
 
     step = -(-trials // max(1, min(workers, trials)))
     payloads = [
-        (D, stats, strategy, fixed_a, n_a, n_b, lo, min(lo + step, trials), master_seed)
+        (D, stats, strategy, support_a, n_a, n_b, lo, min(lo + step, trials), master_seed)
         for lo in range(0, trials, step)
     ]
     parts = fan_out(_smin_chunk, payloads, workers)

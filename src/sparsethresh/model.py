@@ -142,6 +142,10 @@ def choose_support_a(
         )
     if not 0 <= n_pick <= n_total:
         raise ValueError(f"need 0 <= n_pick <= n_total, got {n_pick} of {n_total}")
+    if indices is not None and strategy != "prescribed":
+        raise ValueError(
+            f"support_a indices apply only to the prescribed strategy, got {strategy!r}"
+        )
     if strategy == "prescribed":
         if indices is None:
             raise ValueError("prescribed strategy needs an explicit index list")

@@ -257,6 +257,8 @@ class TestMalformedInput:
             ("report", None, {"out": 5}, "'out' must be a JSON string"),
             ("smin", None, {"trails": 7}, "unknown config key 'trails'"),
             ("check", None, {"q": "8"}, "'q' must be a JSON number"),
+            ("check", None, {"maximize": True, "na": 99, "gamma": 7},
+             "gamma must lie in [0, 1]"),
         ],
         ids=[
             "entries-not-a-list", "m-is-a-bool", "mub-null", "path-null",
@@ -265,7 +267,7 @@ class TestMalformedInput:
             "recover-strategies-int", "recover-na-range-null-item", "check-nb-bool",
             "check-s-string", "check-maximize-int", "analyze-json-string",
             "smin-support-a-floats", "report-out-int", "smin-unknown-key",
-            "check-other-command-key-string",
+            "check-other-command-key-string", "check-maximize-gamma-out-of-range",
         ],
     )
     def test_exits_2_with_a_message(
@@ -400,6 +402,27 @@ class TestSmin:
         summary = json.loads((tmp_path / "smin_summary.json").read_text())
         assert summary["support_a"] == [3, 1]
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--support-a", "3,5"], {}),
+            ([], {"strategy": "spread", "support_a": [3, 5]}),
+            (["--strategy", "random-baseline", "--support-a", "3,5"], {}),
+        ],
+        ids=["first-n", "config-spread", "random-baseline"],
+    )
+    def test_support_a_needs_prescribed(self, dict_dir, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dictionary": {"path": dict_dir["mub7"]}, **config}))
+        out = tmp_path / "out"
+        rc = main([
+            "smin", "--config", str(cfg), "--na", "2", "--nb", "1", "--trials", "5",
+            "--out", str(out), *flags,
+        ])
+        assert rc == 2
+        assert "apply only to the prescribed strategy" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_numbers_are_plain_floats(self, dict_dir, tmp_path):
         rc = main([
             "smin", "--dict", dict_dir["mub7"], "--na", "1", "--nb", "1",
@@ -444,8 +467,14 @@ class TestMoments:
             ([], {"q": math.nan}, "q must be a finite number"),
             (["--strategy", "random-baseline"], {}, "moments need a fixed A-support"),
             ([], {"strategy": "random-baseline"}, "moments need a fixed A-support"),
+            (["--support-a", "3"], {}, "apply only to the prescribed strategy"),
+            ([], {"strategy": "spread", "support_a": [3]},
+             "apply only to the prescribed strategy"),
         ],
-        ids=["q-nan", "q-inf", "config-q-nan", "random-baseline", "config-random-baseline"],
+        ids=[
+            "q-nan", "q-inf", "config-q-nan", "random-baseline", "config-random-baseline",
+            "support-a-first-n", "config-support-a-spread",
+        ],
     )
     def test_rejected_parameters_write_nothing(
         self, dict_dir, tmp_path, capsys, flags, config, message

@@ -145,6 +145,11 @@ class TestChooseSupportA:
         choose_support_a(strategy, 10, 2, indices=indices, rng=rng)
         assert rng.random() == derive_rng(3, 1).random()
 
+    @pytest.mark.parametrize("strategy", ["first-n", "spread", "random-baseline"])
+    def test_indices_need_prescribed(self, strategy):
+        with pytest.raises(ValueError, match="only to the prescribed strategy"):
+            choose_support_a(strategy, 10, 2, indices=[7, 2], seed=0)
+
     def test_random_baseline_needs_entropy_source(self):
         with pytest.raises(ValueError, match="rng or a seed"):
             choose_support_a("random-baseline", 20, 5)

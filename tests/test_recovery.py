@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsethresh import (
     BpSolverConfig,
@@ -96,6 +98,21 @@ class TestSolveBp:
         base = solve_bp(two_onb8, y)
         rotated = solve_bp(two_onb8, phase * y)
         assert np.max(np.abs(rotated.x_hat - phase * base.x_hat)) <= 1e-7
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.floats(1e-6, 1e6))
+    @example(c=1e-6)
+    @example(c=1e6)
+    def test_solution_scales_with_the_data(self, mub7, c):
+        # a k=3 instance that ran to the 100,000-iteration cap at both ends
+        # when the stopping floors were absolute
+        rng = derive_rng(11)
+        _, y = _planted(mub7, (2, 16, 40), rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        base = solve_bp(mub7, y)
+        scaled = solve_bp(mub7, c * y)
+        assert base.converged and scaled.converged
+        gap = np.linalg.norm(scaled.x_hat / c - base.x_hat)
+        assert gap <= 1e-8 * np.linalg.norm(base.x_hat)
 
     def test_success_requires_reference(self, two_onb4):
         _, y = _planted(two_onb4, (0,), [1.0])
@@ -235,6 +252,20 @@ class TestRecoverySweep:
             strategies=("first-n",), cfg=BpSolverConfig(max_iterations=2000),
         )
         assert float(grid.rates[0, 0, 0]) == 0.0
+
+    def test_solver_stalls_are_counted_apart(self, two_onb4):
+        grid = run_recovery_sweep(
+            two_onb4, (1,), (1, 2), trials_per_cell=3, master_seed=4,
+            cfg=BpSolverConfig(max_iterations=2),
+        )
+        assert np.all(grid.nonconverged == 3)
+        assert np.all(grid.iterations_max == 2)
+        assert np.all(grid.successes == 0)
+        doc = grid.summary_dict()
+        assert doc["nonconverged"] == [[[3, 3]], [[3, 3]]]
+        assert doc["iterations_max"] == [[[2, 2]], [[2, 2]]]
+        assert np.shape(doc["rates"]) == np.shape(doc["nonconverged"])
+        assert grid.csv_rows()[0] == RECOVERY_CSV_HEADER
 
     def test_csv_layout(self, two_onb4):
         grid = run_recovery_sweep(two_onb4, (0, 1), (0, 1), trials_per_cell=5, master_seed=3)
