@@ -18,12 +18,22 @@ At u = sqrt(4 s log N) it is N^{-s}, and eq3 + eq4 = 2 (alpha u + beta), so
 when both block conditions hold the threshold is at most 1/2, which pins
 sigma_min > 1/sqrt(2) outside the N^{-s} event.  ``run_smin_trials`` measures
 this empirically; ``estimate_moment`` checks the Xi_B and Xi_X moment bounds.
+
+Both runners share one kernel.  ``draw_supports`` reads trial t's supports
+from its own stream derive_rng(master_seed, t), and ``chain_batch`` measures
+the chain for a block of TRIAL_BLOCK draws at once: the sub-dictionaries are
+stacked into one (T, m, k) array, and each of sigma_min, Xi_S, Xi_A, Xi_B and
+Xi_X takes one stacked ``np.linalg.svd(..., compute_uv=False)``.  That is
+the LAPACK routine the per-matrix ``svd`` and ``norm(ord=2)`` call, applied
+matrix by matrix, so every value is bit-identical to measuring the draw on
+its own, whatever the block or worker split.  A batched ``eigvalsh`` of the
+Gram would be cheaper but rounds differently, moving the CSVs' last digits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +51,8 @@ __all__ = [
     "extract_subdictionary",
     "sigma_min",
     "hollow_gram_chain",
+    "draw_supports",
+    "chain_batch",
     "alpha_beta",
     "default_u",
     "tail_probability",
@@ -49,6 +61,9 @@ __all__ = [
 ]
 
 CHAIN_SLACK = 1e-9
+
+# Trials per chain_batch call: bounds the stacked working set, never the output.
+TRIAL_BLOCK = 256
 
 TRIAL_CSV_HEADER = "trialIndex,sigmaMin,xiS,xiA,xiB,xiX"
 MOMENT_CSV_HEADER = "trialIndex,xiB,xiX"
@@ -103,6 +118,14 @@ def extract_subdictionary(
     return SubDictionary(columns_a=ca, columns_b=cb, S=S, parent=D)
 
 
+def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
+    """sigma_min of each stacked (m, k) matrix; exactly 0 when k > m."""
+    T, m, k = stack.shape
+    if k > m:
+        return np.zeros(T)
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+
 def sigma_min(S) -> float:
     """Smallest singular value of S as an operator on coefficient space.
 
@@ -112,89 +135,157 @@ def sigma_min(S) -> float:
     mat = np.asarray(S, dtype=np.complex128)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError("sigma_min needs a nonempty matrix")
-    if mat.shape[1] > mat.shape[0]:
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
+    return float(_smallest_singular_values(mat[None])[0])
 
 
-def _hollow_norm(block: np.ndarray) -> float:
-    """||X^H X - I|| for a column block; 0.0 for an empty block."""
-    k = block.shape[1]
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """norm(ord=2) of each stacked matrix: its largest singular value."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def _hollow_norms(blocks: np.ndarray) -> np.ndarray:
+    """||X^H X - I|| for each stacked column block X; zeros for empty blocks."""
+    k = blocks.shape[-1]
     if k == 0:
-        return 0.0
-    gram = block.conj().T @ block - np.eye(k)
-    return float(np.linalg.norm(gram, ord=2))
+        return np.zeros(len(blocks))
+    return _spectral_norms(_adjoint(blocks) @ blocks - np.eye(k))
+
+
+_MEASURED = ("sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab")
 
 
 @dataclass(frozen=True)
 class HollowGramRecord:
-    """All chain quantities for one sub-dictionary draw.
+    """All chain quantities for one sub-dictionary draw, or for a batch of them.
 
-    ``gersgorin_rhs``, ``row_norm_bound`` and ``cross_bound`` are the
-    closed-form ceilings the respective measured quantities must stay under;
-    ``violations`` names any inequality broken beyond CHAIN_SLACK (always
-    empty when the inputs are consistent).
+    The measured fields (``_MEASURED``) are floats for one draw and length-T
+    arrays for a ``chain_batch``.  ``gersgorin_rhs``, ``row_norm_bound`` and
+    ``cross_bound`` are the closed-form ceilings the respective measured
+    quantities must stay under; ``breaks`` is the one table of the six chain
+    inequalities (never broken when the inputs are consistent).
     """
 
-    sigma_min: float
-    xi_s: float
-    xi_a: float
-    xi_b: float
-    xi_x: float
-    row_norm_ab: float
+    sigma_min: float | np.ndarray
+    xi_s: float | np.ndarray
+    xi_a: float | np.ndarray
+    xi_b: float | np.ndarray
+    xi_x: float | np.ndarray
+    row_norm_ab: float | np.ndarray
     gersgorin_rhs: float
     row_norm_bound: float
     cross_bound: float
 
     @property
-    def xi_max_path(self) -> float:
-        return max(self.xi_a, self.xi_b) + self.xi_x
+    def xi_max_path(self):
+        return np.maximum(self.xi_a, self.xi_b) + self.xi_x
 
     @property
-    def xi_sum_path(self) -> float:
+    def xi_sum_path(self):
         return self.xi_a + self.xi_b + self.xi_x
 
+    def breaks(self, slack: float = CHAIN_SLACK) -> dict:
+        """Inequality name -> broken beyond ``slack`` (a mask over a batch's draws)."""
+        return {
+            "sigma_min^2 >= 1 - xi_s": self.sigma_min**2 < 1.0 - self.xi_s - slack,
+            "xi_s <= max(xi_a, xi_b) + xi_x": self.xi_s > self.xi_max_path + slack,
+            "xi_s <= xi_a + xi_b + xi_x": self.xi_s > self.xi_sum_path + slack,
+            "xi_a <= (n_a - 1) mu_a": self.xi_a > self.gersgorin_rhs + slack,
+            "row_norm_ab <= sqrt(mu^2 n_a)": self.row_norm_ab > self.row_norm_bound + slack,
+            "xi_x <= ||A|| ||B||": self.xi_x > self.cross_bound + slack,
+        }
+
     def violations(self, slack: float = CHAIN_SLACK) -> list[str]:
-        out = []
-        if self.sigma_min**2 < 1.0 - self.xi_s - slack:
-            out.append("sigma_min^2 >= 1 - xi_s")
-        if self.xi_s > self.xi_max_path + slack:
-            out.append("xi_s <= max(xi_a, xi_b) + xi_x")
-        if self.xi_s > self.xi_sum_path + slack:
-            out.append("xi_s <= xi_a + xi_b + xi_x")
-        if self.xi_a > self.gersgorin_rhs + slack:
-            out.append("xi_a <= (n_a - 1) mu_a")
-        if self.row_norm_ab > self.row_norm_bound + slack:
-            out.append("row_norm_ab <= sqrt(mu^2 n_a)")
-        if self.xi_x > self.cross_bound + slack:
-            out.append("xi_x <= ||A|| ||B||")
-        return out
+        """Names of the inequalities one draw breaks beyond ``slack``."""
+        return [name for name, broken in self.breaks(slack).items() if broken]
+
+    def draw(self, t: int) -> HollowGramRecord:
+        """The one-draw record of draw ``t`` of a batch."""
+        return replace(self, **{f: float(getattr(self, f)[t]) for f in _MEASURED})
 
 
-def hollow_gram_chain(sub: SubDictionary, stats: DictionaryStats) -> HollowGramRecord:
-    """Measure every quantity in the chain for one sub-dictionary."""
-    slope_a, gersgorin = block_a_terms(stats.mu, stats.mu_a, sub.n_a)
-    a_part, b_part = sub.A_part, sub.B_part
-    xi_x = 0.0
-    if sub.n_a and sub.n_b:
-        xi_x = float(np.linalg.norm(a_part.conj().T @ b_part, ord=2))
-    row_norm_ab = 0.0
-    if sub.n_a and sub.parent.Nb:
-        # max column l2 norm of A'^H against the FULL block B
-        row_norm_ab = float(
-            np.linalg.norm(a_part.conj().T @ sub.parent.B, axis=0).max()
-        )
+def draw_supports(
+    D: PartitionedDictionary,
+    strategy: str,
+    n_a: int,
+    n_b: int,
+    master_seed: int,
+    lo: int,
+    hi: int,
+    support_a=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A- and B-column indices of trials lo..hi-1, as (T, n_a) and (T, n_b) arrays.
+
+    Trial t reads its own stream derive_rng(master_seed, t): the A-support
+    first (only ``random-baseline`` draws it from the stream), then the
+    B-support, so row t does not depend on which other trials are drawn.
+    """
+    cols_a = np.empty((hi - lo, n_a), dtype=np.intp)
+    cols_b = np.empty((hi - lo, n_b), dtype=np.intp)
+    for row, t in enumerate(range(lo, hi)):
+        rng = derive_rng(master_seed, t)
+        cols_a[row] = choose_support_a(strategy, D.Na, n_a, indices=support_a, rng=rng)
+        cols_b[row] = sample_support_b(D.Nb, n_b, rng)
+    return cols_a, cols_b
+
+
+def chain_batch(
+    D: PartitionedDictionary, stats: DictionaryStats, cols_a, cols_b
+) -> HollowGramRecord:
+    """Measure every quantity in the chain for T draws at once.
+
+    Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
+    columns of A and B.  The T sub-dictionaries are stacked and each
+    quantity takes one stacked SVD, which LAPACK runs matrix by matrix, so
+    draw t's values do not depend on the other draws.
+    """
+    cols_a = np.asarray(cols_a, dtype=np.intp)
+    cols_b = np.asarray(cols_b, dtype=np.intp)
+    T, n_a = cols_a.shape
+    n_b = cols_b.shape[1]
+    if n_a + n_b == 0:
+        raise ValueError("empty sub-dictionary has no smallest singular value")
+    # (T, m, k), each draw laid out as np.hstack lays out one S: column-major,
+    # but row-major for two single columns.  BLAS dot kernels round contiguous
+    # and strided columns differently, so the layout keeps the bytes.
+    S = np.concatenate((D.A.T[cols_a], D.B.T[cols_b]), axis=1).swapaxes(1, 2)
+    if n_a == n_b == 1:
+        S = np.ascontiguousarray(S)
+    a_part, b_part = S[..., :n_a], S[..., n_a:]
+    xi_x = _spectral_norms(_adjoint(a_part) @ b_part) if n_a and n_b else np.zeros(T)
+    xi_a = row_norm_ab = np.zeros(T)
+    if n_a:
+        # both depend on the A-support only: measure each distinct one once
+        _, first, which = np.unique(cols_a, axis=0, return_index=True, return_inverse=True)
+        which = which.reshape(-1)
+        a_distinct = a_part[first]
+        xi_a = _hollow_norms(a_distinct)[which]
+        if D.Nb:
+            # max column l2 norm of A'^H against the FULL block B, one support
+            # at a time so memory stays n_a x Nb
+            row_norm_ab = np.array([
+                np.linalg.norm(a.conj().T @ D.B, axis=0).max() for a in a_distinct
+            ])[which]
+    slope_a, gersgorin = block_a_terms(stats.mu, stats.mu_a, n_a)
     return HollowGramRecord(
-        sigma_min=sigma_min(sub.S),
-        xi_s=_hollow_norm(sub.S),
-        xi_a=_hollow_norm(a_part),
-        xi_b=_hollow_norm(b_part),
+        sigma_min=_smallest_singular_values(S),
+        xi_s=_hollow_norms(S),
+        xi_a=xi_a,
+        xi_b=_hollow_norms(b_part),
         xi_x=xi_x,
         row_norm_ab=row_norm_ab,
         gersgorin_rhs=gersgorin,
         row_norm_bound=slope_a * math.sqrt(2.0) / 3.0,  # slope_a / (3/sqrt(2))
         cross_bound=stats.spec_a * stats.spec_b,
     )
+
+
+def hollow_gram_chain(sub: SubDictionary, stats: DictionaryStats) -> HollowGramRecord:
+    """Measure every quantity in the chain for one sub-dictionary."""
+    return chain_batch(sub.parent, stats, [sub.columns_a], [sub.columns_b]).draw(0)
 
 
 # ============================================================
@@ -264,18 +355,43 @@ def tail_probability(u: float, spec: TailBoundSpec) -> tuple[float, float]:
 # ============================================================
 
 
+def _check_budgets(D: PartitionedDictionary, n_a: int, n_b: int) -> None:
+    if n_a + n_b == 0:
+        raise ValueError("empty sub-dictionary has no smallest singular value")
+    if not (0 <= n_a <= D.Na and 0 <= n_b <= D.Nb):
+        raise ValueError(
+            f"budgets must satisfy 0 <= n_a <= {D.Na} and 0 <= n_b <= {D.Nb}, "
+            f"got n_a={n_a}, n_b={n_b}"
+        )
+
+
+def _chain_blocks(D, stats, strategy, support_a, n_a, n_b, master_seed, lo, hi):
+    """(first trial, ``chain_batch`` record) for trials lo..hi-1, TRIAL_BLOCK at a time."""
+    for start in range(lo, hi, TRIAL_BLOCK):
+        stop = min(start + TRIAL_BLOCK, hi)
+        cols_a, cols_b = draw_supports(
+            D, strategy, n_a, n_b, master_seed, start, stop, support_a
+        )
+        yield start, chain_batch(D, stats, cols_a, cols_b)
+
+
 def _smin_chunk(payload):
+    """CSV columns, breaks per inequality and broken trials of trials lo..hi-1."""
     D, stats, strategy, support_a, n_a, n_b, lo, hi, master_seed = payload
     rows = np.empty((hi - lo, 5))
-    violations = 0
-    for t in range(lo, hi):
-        rng = derive_rng(master_seed, t)
-        cols_a = choose_support_a(strategy, D.Na, n_a, indices=support_a, rng=rng)
-        cols_b = sample_support_b(D.Nb, n_b, rng)
-        rec = hollow_gram_chain(extract_subdictionary(D, cols_a, cols_b), stats)
-        violations += bool(rec.violations())
-        rows[t - lo] = (rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x)
-    return rows, violations
+    by_inequality: dict[str, int] = {}
+    broken_trials = 0
+    for start, rec in _chain_blocks(
+        D, stats, strategy, support_a, n_a, n_b, master_seed, lo, hi
+    ):
+        rows[start - lo : start - lo + len(rec.sigma_min)] = np.column_stack(
+            (rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x)
+        )
+        masks = rec.breaks()
+        for name, mask in masks.items():
+            by_inequality[name] = by_inequality.get(name, 0) + int(np.count_nonzero(mask))
+        broken_trials += int(np.count_nonzero(np.logical_or.reduce(list(masks.values()))))
+    return rows, by_inequality, broken_trials
 
 
 @dataclass(eq=False)
@@ -296,6 +412,7 @@ class SminExperimentResult:
     xi_b: np.ndarray
     xi_x: np.ndarray
     violation_count: int
+    violations_by_inequality: dict[str, int]
     failure_count: int
     empirical_failure_rate: float
     lemma_bound: float
@@ -325,6 +442,7 @@ class SminExperimentResult:
             "support_a": list(self.support_a) if self.support_a is not None else None,
             "N": self.N,
             "violation_count": self.violation_count,
+            "violations_by_inequality": dict(self.violations_by_inequality),
             "failure_count": self.failure_count,
             "empirical_failure_rate": self.empirical_failure_rate,
             "lemma1_bound": self.lemma_bound,
@@ -362,6 +480,7 @@ def run_smin_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_budgets(D, n_a, n_b)
     fixed_a = (
         None if strategy == "random-baseline"
         else choose_support_a(strategy, D.Na, n_a, indices=support_a)
@@ -376,7 +495,8 @@ def run_smin_trials(
     ]
     parts = fan_out(_smin_chunk, payloads, workers)
     rows = np.vstack([p[0] for p in parts])
-    violation_count = sum(p[1] for p in parts)
+    by_inequality = {name: sum(p[1][name] for p in parts) for name in parts[0][1]}
+    violation_count = sum(p[2] for p in parts)
 
     sig = rows[:, 0]
     failure_count = int(np.count_nonzero(sig <= 1.0 / math.sqrt(2.0)))
@@ -400,6 +520,7 @@ def run_smin_trials(
         xi_b=rows[:, 3],
         xi_x=rows[:, 4],
         violation_count=violation_count,
+        violations_by_inequality=by_inequality,
         failure_count=failure_count,
         empirical_failure_rate=rate,
         lemma_bound=lemma_bound,
@@ -514,21 +635,17 @@ def estimate_moment(
             f"q must be a finite number at or above the validity floor "
             f"{floor_b:.6g} for n_b={n_b}, got q={q}"
         )
+    _check_budgets(D, n_a, n_b)
+    choose_support_a(strategy, D.Na, n_a, indices=support_a)  # validate before any work
     stats = analyze(D)
-    fixed_a = choose_support_a(strategy, D.Na, n_a, indices=support_a)
-    a_sel = D.A[:, list(fixed_a)]
 
     xi_b = np.empty(trials)
     xi_x = np.empty(trials)
-    for t in range(trials):
-        rng = derive_rng(master_seed, t)
-        cols_b = sample_support_b(D.Nb, n_b, rng)
-        b_sel = D.B[:, list(cols_b)]
-        xi_b[t] = _hollow_norm(b_sel)
-        if n_a and n_b:
-            xi_x[t] = float(np.linalg.norm(a_sel.conj().T @ b_sel, ord=2))
-        else:
-            xi_x[t] = 0.0
+    for start, rec in _chain_blocks(
+        D, stats, strategy, support_a, n_a, n_b, master_seed, 0, trials
+    ):
+        xi_b[start : start + len(rec.xi_b)] = rec.xi_b
+        xi_x[start : start + len(rec.xi_x)] = rec.xi_x
 
     slope_a, _ = block_a_terms(stats.mu, stats.mu_a, n_a)
     slope_b, frame, cross = block_b_terms(stats.mu_b, stats.spec_a, stats.spec_b, n_b, D.Nb)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import PartitionedDictionary
-from .rng import derive_rng
 
 __all__ = [
     "MAGNITUDE_LAWS",
@@ -43,7 +42,6 @@ class HybridSupportSpec:
 
     support_a: tuple[int, ...]
     n_b: int
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "support_a", tuple(int(i) for i in self.support_a))
@@ -126,15 +124,14 @@ def choose_support_a(
     n_pick: int,
     indices=None,
     rng: np.random.Generator | None = None,
-    seed: int | None = None,
 ) -> tuple[int, ...]:
     """Pick the fixed block-A support per strategy.
 
     prescribed        pass ``indices`` through after validation
     first-n           {0, 1, ..., n_pick - 1}
     spread            evenly spaced, index i -> floor(i * n_total / n_pick)
-    random-baseline   uniform subset from ``rng`` (or a fresh stream from
-                      ``seed``); the control against the fixed strategies
+    random-baseline   uniform subset drawn from ``rng``; the control against
+                      the fixed strategies
     """
     if strategy not in SUPPORT_A_STRATEGIES:
         raise ValueError(
@@ -163,9 +160,7 @@ def choose_support_a(
         # floor(i * n_total / n_pick) is strictly increasing since n_total >= n_pick
         return tuple(i * n_total // n_pick for i in range(n_pick))
     if rng is None:
-        if seed is None:
-            raise ValueError("random-baseline needs an rng or a seed")
-        rng = derive_rng(seed)
+        raise ValueError("random-baseline needs an rng")
     return sample_support_b(n_total, n_pick, rng)
 
 
@@ -177,18 +172,15 @@ def choose_support_a(
 def sample_instance(
     D: PartitionedDictionary,
     spec: HybridSupportSpec,
+    rng: np.random.Generator,
     coeff: CoefficientSpec | None = None,
-    rng: np.random.Generator | None = None,
 ) -> SparseInstance:
-    """Draw one hybrid-model instance.
+    """Draw one hybrid-model instance from ``rng``.
 
     Draw order is fixed (B-support, then magnitudes, then phases) so a given
-    stream always produces the same instance.  When ``rng`` is omitted a
-    stream is derived from ``spec.seed``.
+    stream always produces the same instance.
     """
     coeff = coeff or CoefficientSpec()
-    if rng is None:
-        rng = derive_rng(spec.seed)
     if any(i >= D.Na for i in spec.support_a):
         raise ValueError(
             f"support_a {spec.support_a} outside block A of size {D.Na}"

@@ -286,15 +286,15 @@ def brute_force_l0(D, y, k_max: int, tol: float | None = None) -> BruteForceResu
 def recovery_trial(
     D: PartitionedDictionary,
     spec: HybridSupportSpec,
+    rng: np.random.Generator,
     coeff: CoefficientSpec | None = None,
     cfg: BpSolverConfig | None = None,
-    rng: np.random.Generator | None = None,
 ) -> RecoveryOutcome:
-    """Sample one hybrid instance and measure recovery diagnostics."""
+    """Sample one hybrid instance from ``rng`` and measure recovery diagnostics."""
     coeff = coeff or CoefficientSpec()
     if coeff.magnitude_law == "unit":
         warnings.warn(_UNIT_LAW_WARNING, stacklevel=2)
-    instance = sample_instance(D, spec, coeff, rng)
+    instance = sample_instance(D, spec, rng, coeff)
     return solve_bp(D, instance.y, cfg, x_true=instance.x)
 
 
@@ -309,7 +309,7 @@ def _sweep_cell(payload):
         rng = derive_rng(master_seed, *key, t)
         support_a = choose_support_a(strategy, D.Na, n_a, rng=rng)
         spec = HybridSupportSpec(support_a=support_a, n_b=n_b)
-        outcome = recovery_trial(D, spec, coeff, cfg, rng)
+        outcome = recovery_trial(D, spec, rng, coeff, cfg)
         successes += outcome.success
         nonconverged += not outcome.converged
         iterations_max = max(iterations_max, outcome.iterations)

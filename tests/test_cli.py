@@ -392,6 +392,24 @@ class TestSmin:
         assert rc == 2
         assert "s must be a finite number >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "na, nb, message",
+        [("0", "0", "empty sub-dictionary"), ("8", "1", "budgets"), ("1", "50", "budgets")],
+    )
+    def test_bad_budget_fails_before_any_trial(
+        self, dict_dir, tmp_path, capsys, monkeypatch, na, nb, message
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran before the budgets were checked")
+
+        monkeypatch.setattr(concentration, "fan_out", no_trials)
+        rc = main([
+            "smin", "--dict", dict_dir["mub7"], "--na", na, "--nb", nb,
+            "--strategy", "random-baseline", "--trials", "5000", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_prescribed_support_flag(self, dict_dir, tmp_path):
         rc = main([
             "smin", "--dict", dict_dir["mub7"], "--strategy", "prescribed",

@@ -1,5 +1,6 @@
 """Tests for the hollow Gram chain, tail bounds, and Monte Carlo experiments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from sparsethresh import (
     TailBoundSpec,
     alpha_beta,
     analyze,
+    build_mub,
     check_arbitrary_block,
     check_random_block,
     default_u,
@@ -25,9 +27,13 @@ from sparsethresh import (
     sigma_min,
     tail_probability,
 )
+from sparsethresh import concentration
 from sparsethresh.concentration import (
     MOMENT_CSV_HEADER,
+    TRIAL_BLOCK,
     TRIAL_CSV_HEADER,
+    chain_batch,
+    draw_supports,
     moment_floor_b,
     moment_floor_x,
 )
@@ -56,6 +62,39 @@ def _pair_dictionary() -> PartitionedDictionary:
     """[e1, (e1 + e2)/sqrt(2)] split 1 + 1; every chain quantity is closed-form."""
     col = np.array([1.0, 1.0]) / math.sqrt(2.0)
     return PartitionedDictionary(np.column_stack([np.eye(2)[:, 0], col]), 1)
+
+
+@pytest.fixture(scope="module")
+def mub13():
+    return build_mub(13)
+
+
+def _reference_chain(D, cols_a, cols_b) -> tuple[float, ...]:
+    """One draw's (sigma_min, xi_s, xi_a, xi_b, xi_x, row_norm_ab), one LAPACK
+    call per matrix as the per-draw runner measured them."""
+    S = np.hstack([D.A[:, list(cols_a)], D.B[:, list(cols_b)]])
+    a_part, b_part = S[:, : len(cols_a)], S[:, len(cols_a) :]
+
+    def hollow(block):
+        k = block.shape[1]
+        return float(np.linalg.norm(block.conj().T @ block - np.eye(k), ord=2)) if k else 0.0
+
+    xi_x = row_norm = 0.0
+    if len(cols_a) and len(cols_b):
+        xi_x = float(np.linalg.norm(a_part.conj().T @ b_part, ord=2))
+    if len(cols_a) and D.Nb:
+        row_norm = float(np.linalg.norm(a_part.conj().T @ D.B, axis=0).max())
+    smin = 0.0 if S.shape[1] > S.shape[0] else float(np.linalg.svd(S, compute_uv=False)[-1])
+    return smin, hollow(S), hollow(a_part), hollow(b_part), xi_x, row_norm
+
+
+# the shapes the kernel is pinned on: mixed, one-sided, single columns and k > m
+CHAIN_SHAPES = [(2, 3), (0, 3), (3, 0), (1, 1), (4, 5), (1, 3), (3, 1)]
+
+
+def _support_a(D, strategy, n_a):
+    # a descending prescribed list, so column order inside A' is exercised
+    return tuple(range(D.Na - 1, D.Na - 1 - n_a, -1)) if strategy == "prescribed" else None
 
 
 # ==============================
@@ -170,6 +209,56 @@ class TestHollowGramChain:
         )
         assert rec.violations() == []
         assert rec.violations(slack=1e-15) != []
+
+
+class TestChainBatch:
+    @pytest.mark.parametrize("strategy", SUPPORT_A_STRATEGIES)
+    @pytest.mark.parametrize("n_a, n_b", CHAIN_SHAPES)
+    @pytest.mark.parametrize("dict_name", ["mub7", "mub13"])
+    def test_matches_the_per_draw_reference_bit_for_bit(
+        self, request, dict_name, n_a, n_b, strategy
+    ):
+        D = request.getfixturevalue(dict_name)
+        support_a = _support_a(D, strategy, n_a)
+        cols_a, cols_b = draw_supports(D, strategy, n_a, n_b, 5, 0, 60, support_a)
+        rec = chain_batch(D, analyze(D), cols_a, cols_b)
+        expected = np.array([_reference_chain(D, a, b) for a, b in zip(cols_a, cols_b)])
+        measured = np.column_stack(
+            [rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x, rec.row_norm_ab]
+        )
+        np.testing.assert_array_equal(measured, expected)
+
+    def test_supports_follow_the_per_trial_streams(self, mub7):
+        cols_a, cols_b = draw_supports(mub7, "random-baseline", 2, 3, 4, 10, 13)
+        for row, t in enumerate(range(10, 13)):
+            rng = derive_rng(4, t)
+            assert tuple(cols_a[row]) == sample_support_b(7, 2, rng)
+            assert tuple(cols_b[row]) == sample_support_b(49, 3, rng)
+
+    def test_one_draw_is_a_batch_of_one(self, mub7, mub7_stats):
+        sub = extract_subdictionary(mub7, (3, 0), (5, 9, 40))
+        rec = hollow_gram_chain(sub, mub7_stats)
+        batch = chain_batch(mub7, mub7_stats, [(3, 0)], [(5, 9, 40)])
+        assert rec == batch.draw(0)
+        assert isinstance(rec.xi_s, float)
+
+    def test_breaks_masks_each_draw(self):
+        # draw 0 is clean, draw 1 breaks sigma_min^2 >= 1 - xi_s, draw 2 the cross bound
+        rec = HollowGramRecord(
+            sigma_min=np.array([1.0, 0.1, 1.0]), xi_s=np.array([0.0, 0.2, 0.0]),
+            xi_a=np.array([0.0, 0.05, 0.0]), xi_b=np.array([0.0, 0.05, 0.0]),
+            xi_x=np.array([0.0, 0.15, 2.0]), row_norm_ab=np.zeros(3),
+            gersgorin_rhs=1.0, row_norm_bound=1.0, cross_bound=1.0,
+        )
+        masks = rec.breaks()
+        assert [int(np.count_nonzero(m)) for m in masks.values()] == [1, 0, 0, 0, 0, 1]
+        for t in range(3):
+            broken = [name for name, mask in masks.items() if mask[t]]
+            assert rec.draw(t).violations() == broken
+
+    def test_rejects_empty_selection(self, mub3):
+        with pytest.raises(ValueError, match="empty"):
+            chain_batch(mub3, analyze(mub3), np.empty((4, 0), int), np.empty((4, 0), int))
 
 
 # ==============================
@@ -340,6 +429,48 @@ class TestRunSminTrials:
         with pytest.raises(ValueError, match="trials"):
             run_smin_trials(mub5, "first-n", 1, 1, trials=0)
 
+    @pytest.mark.parametrize("trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 519])
+    def test_block_boundaries_keep_the_prefix(self, mub5, trials):
+        longer = run_smin_trials(mub5, "random-baseline", 2, 3, trials=600, master_seed=8)
+        res = run_smin_trials(mub5, "random-baseline", 2, 3, trials=trials, master_seed=8)
+        assert res.csv_rows() == longer.csv_rows()[: trials + 1]
+
+    def test_summary_counts_breaks_per_inequality(self, mub7, monkeypatch):
+        # a cross ceiling ||A|| ||B|| shrunk to 0.8 is broken by every draw with xi_x > 0.8
+        stats = analyze(mub7)
+        shrunk = dataclasses.replace(stats, spec_a=0.8, spec_b=1.0)
+        monkeypatch.setattr(concentration, "analyze", lambda D: shrunk)
+        res = run_smin_trials(mub7, "first-n", 2, 3, trials=300, master_seed=1)
+        summary = res.summary_dict()
+        by_name = summary["violations_by_inequality"]
+        assert list(by_name) == list(hollow_gram_chain(
+            extract_subdictionary(mub7, (0,), (0,)), stats
+        ).breaks())
+        expected = int(np.count_nonzero(res.xi_x > 0.8 + concentration.CHAIN_SLACK))
+        assert 0 < expected < 300
+        assert by_name["xi_x <= ||A|| ||B||"] == expected
+        assert sum(by_name.values()) == expected == summary["violation_count"]
+        assert list(summary).index("violations_by_inequality") == (
+            list(summary).index("violation_count") + 1
+        )
+
+    @pytest.mark.parametrize("strategy", ["first-n", "random-baseline"])
+    @pytest.mark.parametrize(
+        "n_a, n_b, message",
+        [(0, 0, "empty sub-dictionary"), (6, 1, "budgets"), (1, 26, "budgets"),
+         (-1, 2, "budgets")],
+    )
+    def test_bad_budgets_fail_before_any_work(
+        self, mub5, monkeypatch, strategy, n_a, n_b, message
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the budgets were checked")
+
+        monkeypatch.setattr(concentration, "analyze", no_work)
+        monkeypatch.setattr(concentration, "fan_out", no_work)
+        with pytest.raises(ValueError, match=message):
+            run_smin_trials(mub5, strategy, n_a, n_b, trials=10)
+
 
 # ==============================
 # moment estimation
@@ -434,6 +565,80 @@ class TestEstimateMoment:
         with pytest.raises(ValueError, match="q must be a finite number"):
             estimate_moment(mub5, 1, 4, q=q, trials=1000)
 
+    @pytest.mark.parametrize("dict_name, n_a, n_b", [
+        ("mub7", 2, 3), ("mub7", 0, 3), ("mub13", 1, 1), ("mub13", 3, 1), ("mub13", 4, 5),
+    ])
+    def test_matches_the_per_draw_reference_bit_for_bit(self, request, dict_name, n_a, n_b):
+        D = request.getfixturevalue(dict_name)
+        est = estimate_moment(
+            D, n_a, n_b, q=9.0, trials=1000, master_seed=3, strategy="spread", n_boot=1
+        )
+        cols_a = tuple(i * D.Na // n_a for i in range(n_a))
+        expected = np.array([
+            _reference_chain(D, cols_a, sample_support_b(D.Nb, n_b, derive_rng(3, t)))[3:5]
+            for t in range(1000)
+        ])
+        np.testing.assert_array_equal(np.column_stack([est.xi_b, est.xi_x]), expected)
+
+    def test_rejects_an_empty_sub_dictionary(self, mub5):
+        with pytest.raises(ValueError, match="empty sub-dictionary"):
+            estimate_moment(mub5, 0, 0, q=8.0, trials=1000)
+
     def test_rejects_a_redrawn_a_support(self, mub5):
         with pytest.raises(ValueError, match="moments need a fixed A-support"):
             estimate_moment(mub5, 1, 4, q=8.0, trials=1000, strategy="random-baseline")
+
+
+# ==============================
+# LAPACK calls per trial
+# ==============================
+
+
+class TestLapackCalls:
+    """Trials are evaluated in stacked blocks: LAPACK calls grow per block, not per draw."""
+
+    EXTRA = 1000
+    ALLOWED = 5 * -(-EXTRA // TRIAL_BLOCK)
+
+    @pytest.fixture()
+    def lapack_calls(self, monkeypatch):
+        calls = [0]
+
+        def counted(fn, reaches_lapack):
+            def wrapper(*args, **kwargs):
+                calls[0] += reaches_lapack(*args, **kwargs)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("svd", "svdvals", "eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(
+                np.linalg, name, counted(getattr(np.linalg, name), lambda *a, **k: True)
+            )
+
+        def norm_reaches_lapack(x, ord=None, axis=None, *args, **kwargs):
+            return np.ndim(x) == 2 and axis is None and ord in (2, -2, "nuc")
+
+        monkeypatch.setattr(np.linalg, "norm", counted(np.linalg.norm, norm_reaches_lapack))
+
+        def count(fn):
+            before = calls[0]
+            fn()
+            return calls[0] - before
+
+        return count
+
+    def test_smin_trials(self, mub7, lapack_calls):
+        def run(trials):
+            return lapack_calls(
+                lambda: run_smin_trials(mub7, "first-n", 2, 3, trials=trials, master_seed=1)
+            )
+
+        assert run(1 + self.EXTRA) - run(1) <= self.ALLOWED
+
+    def test_estimate_moment(self, mub7, lapack_calls):
+        def run(trials):
+            return lapack_calls(
+                lambda: estimate_moment(mub7, 2, 3, q=8.0, trials=trials, n_boot=1)
+            )
+
+        assert run(1000 + self.EXTRA) - run(1000) <= self.ALLOWED

@@ -125,8 +125,8 @@ class TestChooseSupportA:
             choose_support_a("prescribed", 10, 2, indices=[1])
 
     def test_random_baseline_deterministic_in_seed(self):
-        first = choose_support_a("random-baseline", 20, 5, seed=7)
-        second = choose_support_a("random-baseline", 20, 5, seed=7)
+        first = choose_support_a("random-baseline", 20, 5, rng=derive_rng(7))
+        second = choose_support_a("random-baseline", 20, 5, rng=derive_rng(7))
         assert first == second
         assert len(first) == 5
 
@@ -148,10 +148,10 @@ class TestChooseSupportA:
     @pytest.mark.parametrize("strategy", ["first-n", "spread", "random-baseline"])
     def test_indices_need_prescribed(self, strategy):
         with pytest.raises(ValueError, match="only to the prescribed strategy"):
-            choose_support_a(strategy, 10, 2, indices=[7, 2], seed=0)
+            choose_support_a(strategy, 10, 2, indices=[7, 2], rng=derive_rng(0))
 
     def test_random_baseline_needs_entropy_source(self):
-        with pytest.raises(ValueError, match="rng or a seed"):
+        with pytest.raises(ValueError, match="needs an rng"):
             choose_support_a("random-baseline", 20, 5)
 
     def test_unknown_strategy(self):
@@ -166,59 +166,63 @@ class TestChooseSupportA:
 
 class TestSampleInstance:
     def test_zero_budget_gives_zero_signal(self, two_onb4):
-        inst = sample_instance(two_onb4, HybridSupportSpec((), 0))
+        inst = sample_instance(two_onb4, HybridSupportSpec((), 0), derive_rng(0))
         assert inst.support == ()
         assert inst.sparsity == 0
         assert np.all(inst.x == 0) and np.all(inst.y == 0)
 
     def test_support_layout(self, mub7):
-        spec = HybridSupportSpec(support_a=(4, 1), n_b=3, seed=5)
-        inst = sample_instance(mub7, spec)
+        spec = HybridSupportSpec(support_a=(4, 1), n_b=3)
+        inst = sample_instance(mub7, spec, derive_rng(5))
         assert inst.sparsity == 5
         assert inst.support[:2] == (1, 4)
         assert all(7 <= i < 56 for i in inst.support[2:])
         assert list(inst.support) == sorted(inst.support)
 
     def test_values_align_with_support(self, mub7):
-        inst = sample_instance(mub7, HybridSupportSpec((0, 2), 4, seed=9))
+        inst = sample_instance(mub7, HybridSupportSpec((0, 2), 4), derive_rng(9))
         np.testing.assert_array_equal(inst.x[list(inst.support)], inst.values)
         assert np.count_nonzero(inst.x) == inst.sparsity
         assert np.min(np.abs(inst.values)) > 1e-12
 
     def test_measurement_is_consistent(self, mub7):
-        inst = sample_instance(mub7, HybridSupportSpec((0, 3), 5, seed=2))
+        inst = sample_instance(mub7, HybridSupportSpec((0, 3), 5), derive_rng(2))
         assert np.max(np.abs(inst.y - mub7.matrix @ inst.x)) <= TOL
 
     def test_single_unit_atom(self):
         D = PartitionedDictionary(np.eye(4), 4)
-        inst = sample_instance(D, HybridSupportSpec((2,), 0, seed=1),
+        inst = sample_instance(D, HybridSupportSpec((2,), 0), derive_rng(1),
                                CoefficientSpec("unit"))
         assert inst.support == (2,)
         assert abs(abs(inst.y[2]) - 1.0) <= TOL
         assert np.max(np.abs(np.delete(inst.y, 2))) == 0.0
 
     def test_deterministic_in_spec_seed(self, mub5):
-        spec = HybridSupportSpec((1,), 3, seed=42)
-        a = sample_instance(mub5, spec)
-        b = sample_instance(mub5, spec)
+        spec = HybridSupportSpec((1,), 3)
+        a = sample_instance(mub5, spec, derive_rng(42))
+        b = sample_instance(mub5, spec, derive_rng(42))
         assert a.support == b.support
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_explicit_rng_matches_seed_derivation(self, mub5):
-        spec = HybridSupportSpec((1,), 3, seed=42)
-        via_seed = sample_instance(mub5, spec)
-        via_rng = sample_instance(mub5, spec, rng=derive_rng(42))
-        assert via_seed.support == via_rng.support
-        np.testing.assert_array_equal(via_seed.values, via_rng.values)
+        # the instance is the stream of seed 42 read in the documented order:
+        # B-support, then magnitudes, then phases
+        inst = sample_instance(mub5, HybridSupportSpec((1,), 3), derive_rng(42))
+        by_hand = derive_rng(42)
+        support_b = sample_support_b(mub5.Nb, 3, by_hand)
+        magnitudes = CoefficientSpec().sample_magnitudes(4, by_hand)
+        phases = by_hand.uniform(0.0, 2.0 * np.pi, size=4)
+        assert inst.support == (1,) + tuple(mub5.Na + j for j in support_b)
+        np.testing.assert_array_equal(inst.values, magnitudes * np.exp(1j * phases))
 
     def test_rejects_support_outside_block_a(self, mub3):
         with pytest.raises(ValueError, match="block A"):
-            sample_instance(mub3, HybridSupportSpec((3,), 0))
+            sample_instance(mub3, HybridSupportSpec((3,), 0), derive_rng(0))
 
     def test_rejects_oversized_b_budget(self, mub3):
         with pytest.raises(ValueError, match="block B"):
-            sample_instance(mub3, HybridSupportSpec((), 10))
+            sample_instance(mub3, HybridSupportSpec((), 10), derive_rng(0))
 
     def test_b_column_inclusion_is_uniform(self):
         # marginal inclusion of each B column is n_b/Nb within 3 sigma

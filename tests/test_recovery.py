@@ -209,19 +209,19 @@ class TestOracleAgreement:
 class TestRecoveryTrial:
     def test_hybrid_instance_succeeds(self):
         D = PartitionedDictionary(np.eye(8), 4)
-        out = recovery_trial(D, HybridSupportSpec((0, 2), 2, seed=5))
+        out = recovery_trial(D, HybridSupportSpec((0, 2), 2), derive_rng(5))
         assert out.success
         assert out.support_match is True
 
     def test_zero_budget(self, two_onb4):
-        out = recovery_trial(two_onb4, HybridSupportSpec((), 0, seed=0))
+        out = recovery_trial(two_onb4, HybridSupportSpec((), 0), derive_rng(0))
         assert out.success
         assert out.relative_l2_error == 0.0
 
     def test_unit_law_warns(self, two_onb4):
         with pytest.warns(UserWarning, match="continuous"):
             out = recovery_trial(
-                two_onb4, HybridSupportSpec((0,), 0, seed=1), CoefficientSpec("unit")
+                two_onb4, HybridSupportSpec((0,), 0), derive_rng(1), CoefficientSpec("unit")
             )
         assert out.converged
 
