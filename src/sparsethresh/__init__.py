@@ -3,9 +3,10 @@
 The package splits into small focused modules:
 
   dictionary     partitioned dictionaries, coherence and spectral statistics
-  model          the hybrid support model and coefficient sampling
+  model          the one hybrid-support draw and coefficient sampling
   threshold      closed-form terms, sparsity conditions and the budget search
-  concentration  hollow Gram chain, tail bounds, sigma_min and moment runs
+  concentration  the batched hollow Gram chain, tail bounds, sigma_min and
+                 moment runs
   recovery       basis pursuit, a brute-force l0 oracle, success-rate sweeps
   svg            deterministic plot emitters
   cli            the ``sparsethresh`` command-line driver
@@ -30,9 +31,9 @@ from .model import (
     MAGNITUDE_LAWS,
     SUPPORT_A_STRATEGIES,
     CoefficientSpec,
-    HybridSupportSpec,
     SparseInstance,
     choose_support_a,
+    draw_support,
     sample_instance,
     sample_support_b,
 )
@@ -57,15 +58,13 @@ from .concentration import (
     HollowGramRecord,
     MomentEstimate,
     SminExperimentResult,
-    SubDictionary,
     TailBoundSpec,
     alpha_beta,
+    chain_batch,
     default_u,
+    draw_supports,
     estimate_moment,
-    extract_subdictionary,
-    hollow_gram_chain,
     run_smin_trials,
-    sigma_min,
     tail_probability,
 )
 from .recovery import (
@@ -74,7 +73,6 @@ from .recovery import (
     PhaseTransitionGrid,
     RecoveryOutcome,
     brute_force_l0,
-    recovery_trial,
     run_recovery_sweep,
     solve_bp,
 )

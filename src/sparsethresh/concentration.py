@@ -20,7 +20,8 @@ sigma_min > 1/sqrt(2) outside the N^{-s} event.  ``run_smin_trials`` measures
 this empirically; ``estimate_moment`` checks the Xi_B and Xi_X moment bounds.
 
 Both runners share one kernel.  ``draw_supports`` reads trial t's supports
-from its own stream derive_rng(master_seed, t), and ``chain_batch`` measures
+from its own stream derive_rng(master_seed, t) through ``model.draw_support``
+(the A-support first, then the B-support), and ``chain_batch`` measures
 the chain for a block of TRIAL_BLOCK draws at once: the sub-dictionaries are
 stacked into one (T, m, k) array, and each of sigma_min, Xi_S, Xi_A, Xi_B and
 Xi_X takes one stacked ``np.linalg.svd(..., compute_uv=False)``.  That is
@@ -33,24 +34,20 @@ Gram would be cheaper but rounds differently, moving the CSVs' last digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
-from .model import SUPPORT_A_STRATEGIES, choose_support_a, sample_support_b
+from .model import SUPPORT_A_STRATEGIES, choose_support_a, draw_support
 from .rng import derive_rng, fan_out
 from .threshold import block_a_terms, block_b_terms, default_u, first_feasible_gamma
 
 __all__ = [
-    "SubDictionary",
     "HollowGramRecord",
     "TailBoundSpec",
     "SminExperimentResult",
     "MomentEstimate",
-    "extract_subdictionary",
-    "sigma_min",
-    "hollow_gram_chain",
     "draw_supports",
     "chain_batch",
     "alpha_beta",
@@ -70,52 +67,8 @@ MOMENT_CSV_HEADER = "trialIndex,xiB,xiX"
 
 
 # ============================================================
-# sub-dictionaries and the inequality chain
+# the inequality chain
 # ============================================================
-
-
-@dataclass(frozen=True, eq=False)
-class SubDictionary:
-    """Selected columns [A' B'] of a partitioned dictionary, plus the parent."""
-
-    columns_a: tuple[int, ...]
-    columns_b: tuple[int, ...]
-    S: np.ndarray
-    parent: PartitionedDictionary
-
-    @property
-    def n_a(self) -> int:
-        return len(self.columns_a)
-
-    @property
-    def n_b(self) -> int:
-        return len(self.columns_b)
-
-    @property
-    def A_part(self) -> np.ndarray:
-        return self.S[:, : self.n_a]
-
-    @property
-    def B_part(self) -> np.ndarray:
-        return self.S[:, self.n_a :]
-
-
-def extract_subdictionary(
-    D: PartitionedDictionary, columns_a, columns_b
-) -> SubDictionary:
-    """Assemble S from duplicate-free index sets into blocks A and B."""
-    ca = tuple(int(i) for i in columns_a)
-    cb = tuple(int(j) for j in columns_b)
-    if not ca and not cb:
-        raise ValueError("empty sub-dictionary has no smallest singular value")
-    if len(set(ca)) != len(ca) or len(set(cb)) != len(cb):
-        raise ValueError("column index sets must be duplicate-free")
-    if any(not 0 <= i < D.Na for i in ca):
-        raise ValueError(f"A-column indices out of range [0, {D.Na}): {ca}")
-    if any(not 0 <= j < D.Nb for j in cb):
-        raise ValueError(f"B-column indices out of range [0, {D.Nb}): {cb}")
-    S = np.hstack([D.A[:, list(ca)], D.B[:, list(cb)]])
-    return SubDictionary(columns_a=ca, columns_b=cb, S=S, parent=D)
 
 
 def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
@@ -124,18 +77,6 @@ def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
     if k > m:
         return np.zeros(T)
     return np.linalg.svd(stack, compute_uv=False)[:, -1]
-
-
-def sigma_min(S) -> float:
-    """Smallest singular value of S as an operator on coefficient space.
-
-    A matrix with more columns than rows has a nontrivial null space, so the
-    value is exactly 0 without touching the SVD.
-    """
-    mat = np.asarray(S, dtype=np.complex128)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError("sigma_min needs a nonempty matrix")
-    return float(_smallest_singular_values(mat[None])[0])
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -155,26 +96,23 @@ def _hollow_norms(blocks: np.ndarray) -> np.ndarray:
     return _spectral_norms(_adjoint(blocks) @ blocks - np.eye(k))
 
 
-_MEASURED = ("sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab")
-
-
 @dataclass(frozen=True)
 class HollowGramRecord:
-    """All chain quantities for one sub-dictionary draw, or for a batch of them.
+    """All chain quantities for a batch of T sub-dictionary draws.
 
-    The measured fields (``_MEASURED``) are floats for one draw and length-T
-    arrays for a ``chain_batch``.  ``gersgorin_rhs``, ``row_norm_bound`` and
+    The measured fields (``sigma_min`` through ``row_norm_ab``) are length-T
+    arrays, entry t for draw t.  ``gersgorin_rhs``, ``row_norm_bound`` and
     ``cross_bound`` are the closed-form ceilings the respective measured
     quantities must stay under; ``breaks`` is the one table of the six chain
     inequalities (never broken when the inputs are consistent).
     """
 
-    sigma_min: float | np.ndarray
-    xi_s: float | np.ndarray
-    xi_a: float | np.ndarray
-    xi_b: float | np.ndarray
-    xi_x: float | np.ndarray
-    row_norm_ab: float | np.ndarray
+    sigma_min: np.ndarray
+    xi_s: np.ndarray
+    xi_a: np.ndarray
+    xi_b: np.ndarray
+    xi_x: np.ndarray
+    row_norm_ab: np.ndarray
     gersgorin_rhs: float
     row_norm_bound: float
     cross_bound: float
@@ -188,7 +126,7 @@ class HollowGramRecord:
         return self.xi_a + self.xi_b + self.xi_x
 
     def breaks(self, slack: float = CHAIN_SLACK) -> dict:
-        """Inequality name -> broken beyond ``slack`` (a mask over a batch's draws)."""
+        """Inequality name -> mask of the draws that break it beyond ``slack``."""
         return {
             "sigma_min^2 >= 1 - xi_s": self.sigma_min**2 < 1.0 - self.xi_s - slack,
             "xi_s <= max(xi_a, xi_b) + xi_x": self.xi_s > self.xi_max_path + slack,
@@ -197,14 +135,6 @@ class HollowGramRecord:
             "row_norm_ab <= sqrt(mu^2 n_a)": self.row_norm_ab > self.row_norm_bound + slack,
             "xi_x <= ||A|| ||B||": self.xi_x > self.cross_bound + slack,
         }
-
-    def violations(self, slack: float = CHAIN_SLACK) -> list[str]:
-        """Names of the inequalities one draw breaks beyond ``slack``."""
-        return [name for name, broken in self.breaks(slack).items() if broken]
-
-    def draw(self, t: int) -> HollowGramRecord:
-        """The one-draw record of draw ``t`` of a batch."""
-        return replace(self, **{f: float(getattr(self, f)[t]) for f in _MEASURED})
 
 
 def draw_supports(
@@ -219,16 +149,15 @@ def draw_supports(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A- and B-column indices of trials lo..hi-1, as (T, n_a) and (T, n_b) arrays.
 
-    Trial t reads its own stream derive_rng(master_seed, t): the A-support
-    first (only ``random-baseline`` draws it from the stream), then the
-    B-support, so row t does not depend on which other trials are drawn.
+    Row t is ``draw_support`` on trial t's own stream derive_rng(master_seed,
+    t), so it does not depend on which other trials are drawn.
     """
     cols_a = np.empty((hi - lo, n_a), dtype=np.intp)
     cols_b = np.empty((hi - lo, n_b), dtype=np.intp)
     for row, t in enumerate(range(lo, hi)):
-        rng = derive_rng(master_seed, t)
-        cols_a[row] = choose_support_a(strategy, D.Na, n_a, indices=support_a, rng=rng)
-        cols_b[row] = sample_support_b(D.Nb, n_b, rng)
+        cols_a[row], cols_b[row] = draw_support(
+            D, strategy, n_a, n_b, derive_rng(master_seed, t), support_a
+        )
     return cols_a, cols_b
 
 
@@ -238,9 +167,10 @@ def chain_batch(
     """Measure every quantity in the chain for T draws at once.
 
     Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
-    columns of A and B.  The T sub-dictionaries are stacked and each
-    quantity takes one stacked SVD, which LAPACK runs matrix by matrix, so
-    draw t's values do not depend on the other draws.
+    columns of A and B; each row must be duplicate-free and inside its block.
+    The T sub-dictionaries are stacked and each quantity takes one stacked
+    SVD, which LAPACK runs matrix by matrix, so draw t's values do not depend
+    on the other draws.
     """
     cols_a = np.asarray(cols_a, dtype=np.intp)
     cols_b = np.asarray(cols_b, dtype=np.intp)
@@ -248,6 +178,12 @@ def chain_batch(
     n_b = cols_b.shape[1]
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
+    for block, cols, size in (("A", cols_a, D.Na), ("B", cols_b, D.Nb)):
+        if cols.size and (cols.min() < 0 or cols.max() >= size):
+            raise ValueError(f"{block}-column indices out of range [0, {size})")
+        ordered = np.sort(cols, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise ValueError(f"{block}-column index sets must be duplicate-free")
     # (T, m, k), each draw laid out as np.hstack lays out one S: column-major,
     # but row-major for two single columns.  BLAS dot kernels round contiguous
     # and strided columns differently, so the layout keeps the bytes.
@@ -281,11 +217,6 @@ def chain_batch(
         row_norm_bound=slope_a * math.sqrt(2.0) / 3.0,  # slope_a / (3/sqrt(2))
         cross_bound=stats.spec_a * stats.spec_b,
     )
-
-
-def hollow_gram_chain(sub: SubDictionary, stats: DictionaryStats) -> HollowGramRecord:
-    """Measure every quantity in the chain for one sub-dictionary."""
-    return chain_batch(sub.parent, stats, [sub.columns_a], [sub.columns_b]).draw(0)
 
 
 # ============================================================

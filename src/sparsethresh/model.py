@@ -11,6 +11,11 @@ An instance is a coefficient vector x of length N with
 together with the measurement y = D x.  Everything is driven by explicit
 generator streams (see ``sparsethresh.rng``), so instances are reproducible
 and independent of evaluation order.
+
+``draw_support`` is the one hybrid-support draw of every runner: the
+A-support first (only ``random-baseline`` reads the stream for it), then the
+B-support.  ``sample_instance`` reads the same stream on: magnitudes, then
+phases.  So ``smin``, ``moments`` and ``recover`` see one support per stream.
 """
 
 from __future__ import annotations
@@ -24,37 +29,16 @@ from .dictionary import PartitionedDictionary
 __all__ = [
     "MAGNITUDE_LAWS",
     "SUPPORT_A_STRATEGIES",
-    "HybridSupportSpec",
     "CoefficientSpec",
     "SparseInstance",
     "sample_support_b",
     "choose_support_a",
+    "draw_support",
     "sample_instance",
 ]
 
 MAGNITUDE_LAWS = ("half-normal-modulus", "uniform", "unit")
 SUPPORT_A_STRATEGIES = ("prescribed", "first-n", "spread", "random-baseline")
-
-
-@dataclass(frozen=True)
-class HybridSupportSpec:
-    """Support sizes for one experiment: fixed A-indices plus n_b random B-columns."""
-
-    support_a: tuple[int, ...]
-    n_b: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "support_a", tuple(int(i) for i in self.support_a))
-        if len(set(self.support_a)) != len(self.support_a):
-            raise ValueError(f"support_a has duplicate indices: {self.support_a}")
-        if any(i < 0 for i in self.support_a):
-            raise ValueError(f"support_a has negative indices: {self.support_a}")
-        if self.n_b < 0:
-            raise ValueError(f"n_b must be nonnegative, got {self.n_b}")
-
-    @property
-    def n_a(self) -> int:
-        return len(self.support_a)
 
 
 @dataclass(frozen=True)
@@ -164,6 +148,23 @@ def choose_support_a(
     return sample_support_b(n_total, n_pick, rng)
 
 
+def draw_support(
+    D: PartitionedDictionary,
+    strategy: str,
+    n_a: int,
+    n_b: int,
+    rng: np.random.Generator,
+    support_a=None,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One hybrid support as (A-column indices, B-column indices).
+
+    The A-support comes first (``choose_support_a``; only ``random-baseline``
+    reads ``rng``), then n_b B-columns uniformly at random from ``rng``.
+    """
+    cols_a = choose_support_a(strategy, D.Na, n_a, indices=support_a, rng=rng)
+    return cols_a, sample_support_b(D.Nb, n_b, rng)
+
+
 # ============================================================
 # instance sampling
 # ============================================================
@@ -171,25 +172,22 @@ def choose_support_a(
 
 def sample_instance(
     D: PartitionedDictionary,
-    spec: HybridSupportSpec,
+    strategy: str,
+    n_a: int,
+    n_b: int,
     rng: np.random.Generator,
+    support_a=None,
     coeff: CoefficientSpec | None = None,
 ) -> SparseInstance:
     """Draw one hybrid-model instance from ``rng``.
 
-    Draw order is fixed (B-support, then magnitudes, then phases) so a given
-    stream always produces the same instance.
+    Draw order is fixed (``draw_support``, then magnitudes, then phases) so a
+    given stream always produces the same instance.  The support lists the
+    A-columns in ascending order, then the B-columns as indices into D.
     """
     coeff = coeff or CoefficientSpec()
-    if any(i >= D.Na for i in spec.support_a):
-        raise ValueError(
-            f"support_a {spec.support_a} outside block A of size {D.Na}"
-        )
-    if spec.n_b > D.Nb:
-        raise ValueError(f"n_b={spec.n_b} exceeds block B size {D.Nb}")
-
-    support_b = sample_support_b(D.Nb, spec.n_b, rng)
-    support = tuple(sorted(spec.support_a)) + tuple(D.Na + j for j in support_b)
+    cols_a, cols_b = draw_support(D, strategy, n_a, n_b, rng, support_a)
+    support = tuple(sorted(cols_a)) + tuple(D.Na + j for j in cols_b)
     k = len(support)
 
     magnitudes = coeff.sample_magnitudes(k, rng)

@@ -26,7 +26,11 @@ stops.
 ``brute_force_l0`` enumerates all supports up to a small size cap and reports
 every one that reproduces y by least squares, which settles minimality and
 uniqueness by definition at desk scale.  Monte Carlo sweeps over (n_a, n_b)
-cells aggregate success rates into a phase-transition grid.
+cells aggregate success rates into a phase-transition grid.  Trial t of the
+cell at grid indices (si, ai, bi) reads its stream
+derive_rng(master_seed, si, ai, bi, t) through ``model.sample_instance``
+(support, then magnitudes, then phases) and hands y to ``solve_bp``.  A sweep under the non-continuous
+``unit`` magnitude law warns once, in the calling process, before any solve.
 """
 
 from __future__ import annotations
@@ -39,12 +43,7 @@ from itertools import combinations
 import numpy as np
 
 from .dictionary import PartitionedDictionary
-from .model import (
-    CoefficientSpec,
-    HybridSupportSpec,
-    choose_support_a,
-    sample_instance,
-)
+from .model import CoefficientSpec, sample_instance
 from .rng import derive_rng, fan_out
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "PhaseTransitionGrid",
     "solve_bp",
     "brute_force_l0",
-    "recovery_trial",
     "run_recovery_sweep",
     "SUCCESS_REL_ERROR",
 ]
@@ -283,21 +281,6 @@ def brute_force_l0(D, y, k_max: int, tol: float | None = None) -> BruteForceResu
 # ============================================================
 
 
-def recovery_trial(
-    D: PartitionedDictionary,
-    spec: HybridSupportSpec,
-    rng: np.random.Generator,
-    coeff: CoefficientSpec | None = None,
-    cfg: BpSolverConfig | None = None,
-) -> RecoveryOutcome:
-    """Sample one hybrid instance from ``rng`` and measure recovery diagnostics."""
-    coeff = coeff or CoefficientSpec()
-    if coeff.magnitude_law == "unit":
-        warnings.warn(_UNIT_LAW_WARNING, stacklevel=2)
-    instance = sample_instance(D, spec, rng, coeff)
-    return solve_bp(D, instance.y, cfg, x_true=instance.x)
-
-
 SWEEP_STRATEGIES = ("first-n", "spread", "random-baseline")
 
 
@@ -307,9 +290,8 @@ def _sweep_cell(payload):
     successes = nonconverged = iterations_max = 0
     for t in range(trials):
         rng = derive_rng(master_seed, *key, t)
-        support_a = choose_support_a(strategy, D.Na, n_a, rng=rng)
-        spec = HybridSupportSpec(support_a=support_a, n_b=n_b)
-        outcome = recovery_trial(D, spec, rng, coeff, cfg)
+        inst = sample_instance(D, strategy, n_a, n_b, rng, coeff=coeff)
+        outcome = solve_bp(D, inst.y, cfg, x_true=inst.x)
         successes += outcome.success
         nonconverged += not outcome.converged
         iterations_max = max(iterations_max, outcome.iterations)
@@ -385,13 +367,20 @@ def run_recovery_sweep(
     """Measure success rates over the (strategy, n_a, n_b) grid.
 
     Per-trial streams are keyed by (strategy, cell, trial), so the grid is
-    bitwise identical across worker counts and run orders.
+    bitwise identical across worker counts and run orders.  Every grid value
+    and strategy is checked, and the unit-law warning raised, before any
+    solve.
     """
     na_values = tuple(int(v) for v in na_values)
     nb_values = tuple(int(v) for v in nb_values)
     strategies = tuple(strategies)
     if not na_values or not nb_values or not strategies:
         raise ValueError("na_values, nb_values and strategies must be non-empty")
+    for name, values in (
+        ("na_values", na_values), ("nb_values", nb_values), ("strategies", strategies)
+    ):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} has repeated entries: {values}")
     for strategy in strategies:
         if strategy not in SWEEP_STRATEGIES:
             raise ValueError(
@@ -399,11 +388,13 @@ def run_recovery_sweep(
             )
     if trials_per_cell < 1:
         raise ValueError(f"trials_per_cell must be >= 1, got {trials_per_cell}")
-    if max(na_values) > D.Na or max(nb_values) > D.Nb:
+    if min(na_values + nb_values) < 0 or max(na_values) > D.Na or max(nb_values) > D.Nb:
         raise ValueError(
-            f"grid exceeds block sizes Na={D.Na}, Nb={D.Nb}: "
-            f"na up to {max(na_values)}, nb up to {max(nb_values)}"
+            f"grid outside the block sizes [0, Na={D.Na}] x [0, Nb={D.Nb}]: "
+            f"na_values {na_values}, nb_values {nb_values}"
         )
+    if coeff is not None and coeff.magnitude_law == "unit":
+        warnings.warn(_UNIT_LAW_WARNING, stacklevel=2)
     payloads = [
         (D, strategy, n_a, n_b, trials_per_cell, master_seed, (si, ai, bi), coeff, cfg)
         for si, strategy in enumerate(strategies)

@@ -546,6 +546,28 @@ class TestRecover:
         lines = (tmp_path / "recovery_rates.csv").read_text().splitlines()
         assert len(lines) == 1 + 2        # one strategy, 2 x 1 grid
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--strategies", "first-n,first-n"], "strategies has repeated"),
+            (["--na-range", "1,1"], "na_values has repeated"),
+            (["--na-range", "0,1,-1", "--nb-range", "0:4", "--trials", "20"], "block sizes"),
+        ],
+        ids=["strategy-twice", "na-twice", "na-negative"],
+    )
+    def test_bad_grid_exits_2_before_any_solve(
+        self, dict_dir, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cell was solved before the grid was checked")
+
+        monkeypatch.setattr(recovery, "fan_out", no_work)
+        out = tmp_path / "out"
+        rc = main(["recover", "--dict", dict_dir["onb4"], "--out", str(out), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReport:
     def test_writes_combined_document(self, dict_dir, tmp_path, capsys):

@@ -20,11 +20,8 @@ from sparsethresh import (
     default_u,
     derive_rng,
     estimate_moment,
-    extract_subdictionary,
-    hollow_gram_chain,
     run_smin_trials,
     sample_support_b,
-    sigma_min,
     tail_probability,
 )
 from sparsethresh import concentration
@@ -97,56 +94,79 @@ def _support_a(D, strategy, n_a):
     return tuple(range(D.Na - 1, D.Na - 1 - n_a, -1)) if strategy == "prescribed" else None
 
 
+def _chain(D, cols_a, cols_b, stats=None) -> HollowGramRecord:
+    """``chain_batch`` of the one draw (cols_a, cols_b)."""
+    return chain_batch(D, stats or analyze(D), [cols_a], [cols_b])
+
+
+def _broken(rec: HollowGramRecord, t: int = 0, slack: float = concentration.CHAIN_SLACK):
+    """Names of the inequalities that draw t of ``rec`` breaks."""
+    return [name for name, mask in rec.breaks(slack).items() if mask[t]]
+
+
 # ==============================
 # sub-dictionary extraction
 # ==============================
 
 
 class TestExtractSubdictionary:
+    """``chain_batch`` selects draw t's columns [A' B'] and checks them."""
+
     def test_full_identity(self):
         D = PartitionedDictionary(np.eye(4), 2)
-        sub = extract_subdictionary(D, (0, 1), (0, 1))
-        np.testing.assert_array_equal(sub.S, np.eye(4))
-        assert sub.n_a == 2 and sub.n_b == 2
+        rec = _chain(D, (0, 1), (0, 1))
+        assert rec.sigma_min[0] == 1.0
+        assert rec.xi_s[0] == rec.xi_a[0] == rec.xi_b[0] == rec.xi_x[0] == 0.0
 
     def test_column_layout(self, mub3):
-        sub = extract_subdictionary(mub3, (0, 2), (1, 5, 7))
-        assert sub.S.shape == (3, 5)
-        np.testing.assert_array_equal(sub.A_part, mub3.A[:, [0, 2]])
-        np.testing.assert_array_equal(sub.B_part, mub3.B[:, [1, 5, 7]])
+        # every quantity equals the reference built on np.hstack([A[:, ca], B[:, cb]])
+        rec = _chain(mub3, (0, 2), (1, 5, 7))
+        measured = [float(getattr(rec, f)[0]) for f in (
+            "sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab"
+        )]
+        assert measured == list(_reference_chain(mub3, (0, 2), (1, 5, 7)))
 
     def test_rejects_empty_selection(self, mub3):
         with pytest.raises(ValueError, match="empty"):
-            extract_subdictionary(mub3, (), ())
+            _chain(mub3, (), ())
 
     def test_rejects_duplicates(self, mub3):
         with pytest.raises(ValueError, match="duplicate"):
-            extract_subdictionary(mub3, (0, 0), (1,))
+            _chain(mub3, (0, 0), (1,))
         with pytest.raises(ValueError, match="duplicate"):
-            extract_subdictionary(mub3, (0,), (1, 1))
+            _chain(mub3, (0,), (1, 1))
+        # one bad row among clean ones is enough
+        with pytest.raises(ValueError, match="duplicate"):
+            chain_batch(mub3, analyze(mub3), [(0, 1), (2, 2)], [(1,), (2,)])
 
     def test_rejects_out_of_range(self, mub3):
         with pytest.raises(ValueError, match="out of range"):
-            extract_subdictionary(mub3, (3,), ())
+            _chain(mub3, (3,), ())
         with pytest.raises(ValueError, match="out of range"):
-            extract_subdictionary(mub3, (), (9,))
+            _chain(mub3, (), (9,))
+        # negative indices are refused, never wrapped around
+        with pytest.raises(ValueError, match="out of range"):
+            _chain(mub3, (-1,), ())
+        with pytest.raises(ValueError, match="out of range"):
+            _chain(mub3, (0,), (-9,))
 
 
 class TestSigmaMin:
     def test_orthonormal_columns(self):
-        assert abs(sigma_min(np.eye(5)) - 1.0) <= TOL
+        D = PartitionedDictionary(np.eye(5), 2)
+        assert abs(_chain(D, (0, 1), (0, 1, 2)).sigma_min[0] - 1.0) <= TOL
 
     def test_known_pair(self):
-        assert abs(sigma_min(_pair_dictionary().matrix) - SIGMA_PAIR) <= TOL
+        D = _pair_dictionary()
+        assert abs(_chain(D, (0,), (0,)).sigma_min[0] - SIGMA_PAIR) <= TOL
 
-    def test_wide_matrix_is_exactly_zero(self):
-        assert sigma_min(np.ones((2, 3))) == 0.0
+    def test_wide_matrix_is_exactly_zero(self, two_onb4):
+        # 5 columns in 4 rows have a nontrivial null space
+        assert _chain(two_onb4, (0, 1, 2), (0, 1)).sigma_min[0] == 0.0
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sigma_min(np.zeros((0, 0)))
-        with pytest.raises(ValueError):
-            sigma_min(np.ones(3))
+    def test_rejects_empty(self, mub3):
+        with pytest.raises(ValueError, match="empty"):
+            _chain(mub3, (), ())
 
 
 # ==============================
@@ -156,59 +176,57 @@ class TestSigmaMin:
 
 class TestHollowGramChain:
     def test_orthonormal_subblock_is_clean(self, two_onb4):
-        sub = extract_subdictionary(two_onb4, (0, 1, 2), ())
-        rec = hollow_gram_chain(sub, analyze(two_onb4))
-        assert rec.xi_s <= TOL and rec.xi_a <= TOL
-        assert rec.xi_b == 0.0 and rec.xi_x == 0.0
-        assert abs(rec.sigma_min - 1.0) <= TOL
-        assert rec.violations() == []
+        rec = _chain(two_onb4, (0, 1, 2), ())
+        assert rec.xi_s[0] <= TOL and rec.xi_a[0] <= TOL
+        assert rec.xi_b[0] == 0.0 and rec.xi_x[0] == 0.0
+        assert abs(rec.sigma_min[0] - 1.0) <= TOL
+        assert _broken(rec) == []
 
     def test_row_norm_bound_is_tight_for_two_onb(self, two_onb4):
         # |<e_i, f_j>| = 1/2 for every pair, so the coherence bound is met
         # with equality by the full-B row norm
-        sub = extract_subdictionary(two_onb4, (0, 1, 2), ())
-        rec = hollow_gram_chain(sub, analyze(two_onb4))
-        assert abs(rec.row_norm_ab - math.sqrt(3.0) / 2.0) <= TOL
+        rec = _chain(two_onb4, (0, 1, 2), ())
+        assert abs(rec.row_norm_ab[0] - math.sqrt(3.0) / 2.0) <= TOL
         assert abs(rec.row_norm_bound - math.sqrt(3.0) / 2.0) <= TOL
 
     def test_pair_dictionary_closed_forms(self):
         D = _pair_dictionary()
-        rec = hollow_gram_chain(extract_subdictionary(D, (0,), (0,)), analyze(D))
+        rec = _chain(D, (0,), (0,))
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        assert abs(rec.sigma_min - SIGMA_PAIR) <= TOL
-        assert abs(rec.xi_s - inv_sqrt2) <= TOL
-        assert rec.xi_a == 0.0 and rec.xi_b <= TOL
-        assert abs(rec.xi_x - inv_sqrt2) <= TOL
+        assert abs(rec.sigma_min[0] - SIGMA_PAIR) <= TOL
+        assert abs(rec.xi_s[0] - inv_sqrt2) <= TOL
+        assert rec.xi_a[0] == 0.0 and rec.xi_b[0] <= TOL
+        assert abs(rec.xi_x[0] - inv_sqrt2) <= TOL
         assert rec.gersgorin_rhs == 0.0
-        assert abs(rec.xi_max_path - rec.xi_sum_path) <= TOL
-        assert rec.violations() == []
+        assert abs(rec.xi_max_path[0] - rec.xi_sum_path[0]) <= TOL
+        assert _broken(rec) == []
 
     def test_mub_draws_never_violate_the_chain(self, mub7, mub7_stats):
         rng = derive_rng(7)
         for _ in range(100):
             cols_a = sample_support_b(7, 2, rng)
             cols_b = sample_support_b(49, 3, rng)
-            rec = hollow_gram_chain(
-                extract_subdictionary(mub7, cols_a, cols_b), mub7_stats
-            )
-            assert rec.violations() == []
-            assert rec.xi_a == 0.0            # identity sub-blocks are exact
+            rec = _chain(mub7, cols_a, cols_b, mub7_stats)
+            assert _broken(rec) == []
+            assert rec.xi_a[0] == 0.0            # identity sub-blocks are exact
 
     def test_violation_reporting(self):
         # fabricated record breaking the first chain inequality only
         rec = HollowGramRecord(
-            sigma_min=0.1, xi_s=0.2, xi_a=0.05, xi_b=0.05, xi_x=0.15,
-            row_norm_ab=0.0, gersgorin_rhs=1.0, row_norm_bound=1.0, cross_bound=1.0,
+            sigma_min=np.array([0.1]), xi_s=np.array([0.2]), xi_a=np.array([0.05]),
+            xi_b=np.array([0.05]), xi_x=np.array([0.15]), row_norm_ab=np.zeros(1),
+            gersgorin_rhs=1.0, row_norm_bound=1.0, cross_bound=1.0,
         )
-        assert rec.violations() == ["sigma_min^2 >= 1 - xi_s"]
+        assert _broken(rec) == ["sigma_min^2 >= 1 - xi_s"]
 
     def test_slack_silences_small_breaches(self):
         rec = HollowGramRecord(
-            sigma_min=1.0, xi_s=0.5, xi_a=0.5 - 1e-12, xi_b=0.0, xi_x=0.0,
-            row_norm_ab=0.0, gersgorin_rhs=1.0, row_norm_bound=1.0, cross_bound=1.0,
+            sigma_min=np.ones(1), xi_s=np.array([0.5]), xi_a=np.array([0.5 - 1e-12]),
+            xi_b=np.zeros(1), xi_x=np.zeros(1), row_norm_ab=np.zeros(1),
+            gersgorin_rhs=1.0, row_norm_bound=1.0, cross_bound=1.0,
         )
-        assert rec.violations() == []
-        assert rec.violations(slack=1e-15) != []
+        assert _broken(rec) == []
+        assert _broken(rec, slack=1e-15) != []
 
 
 class TestChainBatch:
@@ -236,11 +254,15 @@ class TestChainBatch:
             assert tuple(cols_b[row]) == sample_support_b(49, 3, rng)
 
     def test_one_draw_is_a_batch_of_one(self, mub7, mub7_stats):
-        sub = extract_subdictionary(mub7, (3, 0), (5, 9, 40))
-        rec = hollow_gram_chain(sub, mub7_stats)
-        batch = chain_batch(mub7, mub7_stats, [(3, 0)], [(5, 9, 40)])
-        assert rec == batch.draw(0)
-        assert isinstance(rec.xi_s, float)
+        # a draw measured alone equals the same draw inside a larger batch
+        alone = _chain(mub7, (3, 0), (5, 9, 40), mub7_stats)
+        batch = chain_batch(
+            mub7, mub7_stats, [(1, 2), (3, 0), (6, 4)], [(0, 1, 2), (5, 9, 40), (48, 7, 3)]
+        )
+        for field in ("sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab"):
+            assert getattr(alone, field).shape == (1,)
+            assert getattr(alone, field)[0] == getattr(batch, field)[1]
+        assert alone.breaks().keys() == batch.breaks().keys()
 
     def test_breaks_masks_each_draw(self):
         # draw 0 is clean, draw 1 breaks sigma_min^2 >= 1 - xi_s, draw 2 the cross bound
@@ -252,13 +274,39 @@ class TestChainBatch:
         )
         masks = rec.breaks()
         assert [int(np.count_nonzero(m)) for m in masks.values()] == [1, 0, 0, 0, 0, 1]
-        for t in range(3):
-            broken = [name for name, mask in masks.items() if mask[t]]
-            assert rec.draw(t).violations() == broken
+        assert [_broken(rec, t) for t in range(3)] == [
+            [], ["sigma_min^2 >= 1 - xi_s"], ["xi_x <= ||A|| ||B||"]
+        ]
 
     def test_rejects_empty_selection(self, mub3):
         with pytest.raises(ValueError, match="empty"):
             chain_batch(mub3, analyze(mub3), np.empty((4, 0), int), np.empty((4, 0), int))
+
+    @pytest.mark.parametrize("dict_name", ["mub7", "mub13", "two_onb8"])
+    def test_permuting_columns_inside_a_block_permutes_nothing_measured(
+        self, request, dict_name
+    ):
+        # relabel the columns of A and of B; the same draws, read through the
+        # inverse permutations, must measure bit for bit the same
+        D = request.getfixturevalue(dict_name)
+        stats = analyze(D)
+        rng = np.random.default_rng(11)
+        shapes = [(2, 3, "random-baseline"), (1, 1, "first-n"), (3, 0, "spread"),
+                  (0, 4, "first-n")]
+        for _ in range(3):
+            perm_a, perm_b = rng.permutation(D.Na), rng.permutation(D.Nb)
+            permuted = PartitionedDictionary(
+                np.hstack([D.A[:, perm_a], D.B[:, perm_b]]), D.Na
+            )
+            inv_a, inv_b = np.argsort(perm_a), np.argsort(perm_b)
+            for n_a, n_b, strategy in shapes:
+                cols_a, cols_b = draw_supports(D, strategy, n_a, n_b, 6, 0, 40)
+                rec = chain_batch(D, stats, cols_a, cols_b)
+                moved = chain_batch(permuted, stats, inv_a[cols_a], inv_b[cols_b])
+                for field in ("sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab"):
+                    np.testing.assert_array_equal(
+                        getattr(moved, field), getattr(rec, field), err_msg=field
+                    )
 
 
 # ==============================
@@ -443,9 +491,7 @@ class TestRunSminTrials:
         res = run_smin_trials(mub7, "first-n", 2, 3, trials=300, master_seed=1)
         summary = res.summary_dict()
         by_name = summary["violations_by_inequality"]
-        assert list(by_name) == list(hollow_gram_chain(
-            extract_subdictionary(mub7, (0,), (0,)), stats
-        ).breaks())
+        assert list(by_name) == list(_chain(mub7, (0,), (0,), stats).breaks())
         expected = int(np.count_nonzero(res.xi_x > 0.8 + concentration.CHAIN_SLACK))
         assert 0 < expected < 300
         assert by_name["xi_x <= ||A|| ||B||"] == expected

@@ -8,13 +8,14 @@ import pytest
 
 from sparsethresh import (
     CoefficientSpec,
-    HybridSupportSpec,
     PartitionedDictionary,
     choose_support_a,
     derive_rng,
+    draw_support,
     sample_instance,
     sample_support_b,
 )
+from sparsethresh.concentration import draw_supports
 
 TOL = 1e-12
 
@@ -25,22 +26,26 @@ TOL = 1e-12
 
 
 class TestHybridSupportSpec:
-    def test_n_a_counts_indices(self):
-        spec = HybridSupportSpec(support_a=(0, 3, 5), n_b=2)
-        assert spec.n_a == 3
-        assert spec.n_b == 2
+    """The hybrid support's specification as ``draw_support`` checks it."""
 
-    def test_rejects_duplicates(self):
+    def test_n_a_counts_indices(self, mub7):
+        cols_a, cols_b = draw_support(mub7, "prescribed", 3, 2, derive_rng(0), (0, 3, 5))
+        assert cols_a == (0, 3, 5)
+        assert len(cols_b) == 2
+
+    def test_rejects_duplicates(self, mub7):
         with pytest.raises(ValueError, match="duplicate"):
-            HybridSupportSpec(support_a=(1, 1), n_b=0)
+            draw_support(mub7, "prescribed", 2, 0, derive_rng(0), (1, 1))
 
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError, match="negative"):
-            HybridSupportSpec(support_a=(-1,), n_b=0)
+    def test_rejects_negative_index(self, mub7):
+        with pytest.raises(ValueError, match="out of range"):
+            draw_support(mub7, "prescribed", 1, 0, derive_rng(0), (-1,))
 
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            HybridSupportSpec(support_a=(), n_b=-2)
+    def test_rejects_negative_count(self, mub7):
+        with pytest.raises(ValueError, match="n_pick"):
+            draw_support(mub7, "first-n", 0, -2, derive_rng(0))
+        with pytest.raises(ValueError, match="n_pick"):
+            draw_support(mub7, "first-n", -1, 0, derive_rng(0))
 
 
 class TestCoefficientSpec:
@@ -166,63 +171,64 @@ class TestChooseSupportA:
 
 class TestSampleInstance:
     def test_zero_budget_gives_zero_signal(self, two_onb4):
-        inst = sample_instance(two_onb4, HybridSupportSpec((), 0), derive_rng(0))
+        inst = sample_instance(two_onb4, "first-n", 0, 0, derive_rng(0))
         assert inst.support == ()
         assert inst.sparsity == 0
         assert np.all(inst.x == 0) and np.all(inst.y == 0)
 
     def test_support_layout(self, mub7):
-        spec = HybridSupportSpec(support_a=(4, 1), n_b=3)
-        inst = sample_instance(mub7, spec, derive_rng(5))
+        inst = sample_instance(mub7, "prescribed", 2, 3, derive_rng(5), support_a=(4, 1))
         assert inst.sparsity == 5
         assert inst.support[:2] == (1, 4)
         assert all(7 <= i < 56 for i in inst.support[2:])
         assert list(inst.support) == sorted(inst.support)
 
     def test_values_align_with_support(self, mub7):
-        inst = sample_instance(mub7, HybridSupportSpec((0, 2), 4), derive_rng(9))
+        inst = sample_instance(mub7, "prescribed", 2, 4, derive_rng(9), support_a=(0, 2))
         np.testing.assert_array_equal(inst.x[list(inst.support)], inst.values)
         assert np.count_nonzero(inst.x) == inst.sparsity
         assert np.min(np.abs(inst.values)) > 1e-12
 
     def test_measurement_is_consistent(self, mub7):
-        inst = sample_instance(mub7, HybridSupportSpec((0, 3), 5), derive_rng(2))
+        inst = sample_instance(mub7, "prescribed", 2, 5, derive_rng(2), support_a=(0, 3))
         assert np.max(np.abs(inst.y - mub7.matrix @ inst.x)) <= TOL
 
     def test_single_unit_atom(self):
         D = PartitionedDictionary(np.eye(4), 4)
-        inst = sample_instance(D, HybridSupportSpec((2,), 0), derive_rng(1),
-                               CoefficientSpec("unit"))
+        inst = sample_instance(D, "prescribed", 1, 0, derive_rng(1), support_a=(2,),
+                               coeff=CoefficientSpec("unit"))
         assert inst.support == (2,)
         assert abs(abs(inst.y[2]) - 1.0) <= TOL
         assert np.max(np.abs(np.delete(inst.y, 2))) == 0.0
 
     def test_deterministic_in_spec_seed(self, mub5):
-        spec = HybridSupportSpec((1,), 3)
-        a = sample_instance(mub5, spec, derive_rng(42))
-        b = sample_instance(mub5, spec, derive_rng(42))
+        a = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
+        b = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
         assert a.support == b.support
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_explicit_rng_matches_seed_derivation(self, mub5):
         # the instance is the stream of seed 42 read in the documented order:
-        # B-support, then magnitudes, then phases
-        inst = sample_instance(mub5, HybridSupportSpec((1,), 3), derive_rng(42))
+        # A-support, B-support, then magnitudes, then phases
+        inst = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
         by_hand = derive_rng(42)
+        support_a = sample_support_b(mub5.Na, 1, by_hand)
         support_b = sample_support_b(mub5.Nb, 3, by_hand)
         magnitudes = CoefficientSpec().sample_magnitudes(4, by_hand)
         phases = by_hand.uniform(0.0, 2.0 * np.pi, size=4)
-        assert inst.support == (1,) + tuple(mub5.Na + j for j in support_b)
+        assert inst.support == support_a + tuple(mub5.Na + j for j in support_b)
         np.testing.assert_array_equal(inst.values, magnitudes * np.exp(1j * phases))
 
     def test_rejects_support_outside_block_a(self, mub3):
-        with pytest.raises(ValueError, match="block A"):
-            sample_instance(mub3, HybridSupportSpec((3,), 0), derive_rng(0))
+        with pytest.raises(ValueError, match="out of range"):
+            sample_instance(mub3, "prescribed", 1, 0, derive_rng(0), support_a=(3,))
+        with pytest.raises(ValueError, match="n_pick <= n_total"):
+            sample_instance(mub3, "first-n", 4, 0, derive_rng(0))
 
     def test_rejects_oversized_b_budget(self, mub3):
-        with pytest.raises(ValueError, match="block B"):
-            sample_instance(mub3, HybridSupportSpec((), 10), derive_rng(0))
+        with pytest.raises(ValueError, match="n_pick <= n_total"):
+            sample_instance(mub3, "first-n", 0, 10, derive_rng(0))
 
     def test_b_column_inclusion_is_uniform(self):
         # marginal inclusion of each B column is n_b/Nb within 3 sigma
@@ -243,7 +249,7 @@ class TestSampleInstance:
         rng = derive_rng(31)
         phases = []
         for _ in range(12_500):
-            inst = sample_instance(D, HybridSupportSpec((), 8), rng=rng)
+            inst = sample_instance(D, "first-n", 0, 8, rng)
             phases.append(np.angle(inst.values))
         u = np.sort(np.concatenate(phases) % (2.0 * np.pi)) / (2.0 * np.pi)
         n = u.size
@@ -251,3 +257,19 @@ class TestSampleInstance:
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(grid - u), np.max(u - (grid - 1.0 / n)))
         assert ks < 0.01
+
+
+class TestOneStreamOneSupport:
+    """``smin``, ``moments`` and ``recover`` read one support per stream."""
+
+    @pytest.mark.parametrize("strategy", ["first-n", "spread", "random-baseline", "prescribed"])
+    @pytest.mark.parametrize("n_a, n_b", [(2, 3), (0, 4), (3, 0)])
+    def test_instance_support_is_the_chain_support(self, mub7, strategy, n_a, n_b):
+        # a descending prescribed list: draw_supports keeps the order, the
+        # instance sorts it
+        support_a = tuple(range(6, 6 - n_a, -1)) if strategy == "prescribed" else None
+        for t in (0, 1, 17):
+            inst = sample_instance(mub7, strategy, n_a, n_b, derive_rng(4, t), support_a)
+            cols_a, cols_b = draw_supports(mub7, strategy, n_a, n_b, 4, t, t + 1, support_a)
+            expected = tuple(sorted(cols_a[0])) + tuple(mub7.Na + cols_b[0])
+            assert inst.support == tuple(int(i) for i in expected)

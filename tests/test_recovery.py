@@ -1,5 +1,7 @@
 """Tests for basis pursuit, the l0 oracle, and the success-rate sweep."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,15 +10,14 @@ from hypothesis import strategies as st
 from sparsethresh import (
     BpSolverConfig,
     CoefficientSpec,
-    HybridSupportSpec,
     PartitionedDictionary,
     brute_force_l0,
     derive_rng,
-    recovery_trial,
     run_recovery_sweep,
     sample_instance,
     solve_bp,
 )
+from sparsethresh import recovery
 from sparsethresh.recovery import RECOVERY_CSV_HEADER, SUCCESS_REL_ERROR, SWEEP_STRATEGIES
 
 TOL = 1e-12
@@ -189,9 +190,7 @@ class TestOracleAgreement:
         checked = 0
         for t in range(40):
             n_a, n_b = budgets[t % len(budgets)]
-            support_a = tuple(np.sort(rng.choice(8, size=n_a, replace=False))) if n_a else ()
-            spec = HybridSupportSpec(support_a=support_a, n_b=n_b)
-            inst = sample_instance(two_onb8, spec, rng=rng)
+            inst = sample_instance(two_onb8, "random-baseline", n_a, n_b, rng)
             out = solve_bp(two_onb8, inst.y, x_true=inst.x)
             assert out.success
             oracle = brute_force_l0(two_onb8, inst.y, k_max=2)
@@ -206,24 +205,38 @@ class TestOracleAgreement:
 # ==============================
 
 
+def _trial(D, strategy, n_a, n_b, rng, support_a=None, coeff=None):
+    """One sweep trial: an instance from ``rng``, then basis pursuit on its y."""
+    inst = sample_instance(D, strategy, n_a, n_b, rng, support_a, coeff)
+    return solve_bp(D, inst.y, x_true=inst.x)
+
+
 class TestRecoveryTrial:
     def test_hybrid_instance_succeeds(self):
         D = PartitionedDictionary(np.eye(8), 4)
-        out = recovery_trial(D, HybridSupportSpec((0, 2), 2), derive_rng(5))
+        out = _trial(D, "prescribed", 2, 2, derive_rng(5), support_a=(0, 2))
         assert out.success
         assert out.support_match is True
 
     def test_zero_budget(self, two_onb4):
-        out = recovery_trial(two_onb4, HybridSupportSpec((), 0), derive_rng(0))
+        out = _trial(two_onb4, "first-n", 0, 0, derive_rng(0))
         assert out.success
         assert out.relative_l2_error == 0.0
 
     def test_unit_law_warns(self, two_onb4):
-        with pytest.warns(UserWarning, match="continuous"):
-            out = recovery_trial(
-                two_onb4, HybridSupportSpec((0,), 0), derive_rng(1), CoefficientSpec("unit")
-            )
+        # the warning belongs to the sweep, once per run: a trial solves
+        # silently, and 4 cells of 3 trials warn once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _trial(two_onb4, "first-n", 1, 0, derive_rng(1),
+                         coeff=CoefficientSpec("unit"))
         assert out.converged
+        with pytest.warns(UserWarning, match="continuous") as record:
+            run_recovery_sweep(
+                two_onb4, (0, 1), (0, 1), trials_per_cell=3, strategies=("first-n",),
+                coeff=CoefficientSpec("unit"),
+            )
+        assert len(record) == 1
 
 
 class TestRecoverySweep:
@@ -296,12 +309,35 @@ class TestRecoverySweep:
         with pytest.raises(ValueError, match="block sizes"):
             run_recovery_sweep(two_onb4, (5,), (0,), 1)
 
+    @pytest.mark.parametrize(
+        "na_values, nb_values, strategies, message",
+        [
+            ((1, 1), (0,), ("first-n",), "na_values has repeated"),
+            ((0,), (2, 0, 2), ("first-n",), "nb_values has repeated"),
+            ((0,), (0,), ("first-n", "spread", "first-n"), "strategies has repeated"),
+            ((0, 1, -1), (0, 1), ("first-n",), "block sizes"),
+            ((0,), (-2,), ("first-n",), "block sizes"),
+            ((0,), (5,), ("first-n",), "block sizes"),
+        ],
+    )
+    def test_bad_grid_fails_before_any_solve(
+        self, two_onb4, monkeypatch, na_values, nb_values, strategies, message
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cell was solved before the grid was checked")
+
+        monkeypatch.setattr(recovery, "fan_out", no_work)
+        with pytest.raises(ValueError, match=message):
+            run_recovery_sweep(two_onb4, na_values, nb_values, 20, strategies=strategies)
+
     def test_unit_law_warns(self, two_onb4):
-        with pytest.warns(UserWarning, match="continuous"):
-            run_recovery_sweep(
-                two_onb4, (1,), (0,), trials_per_cell=2, master_seed=0,
-                coeff=CoefficientSpec("unit"),
-            )
+        # raised in the calling process, so a pooled run warns too
+        for workers in (1, 2):
+            with pytest.warns(UserWarning, match="continuous"):
+                run_recovery_sweep(
+                    two_onb4, (1,), (0, 1), trials_per_cell=2, master_seed=0,
+                    coeff=CoefficientSpec("unit"), workers=workers,
+                )
 
     def test_summary_dict_rates(self, two_onb4):
         grid = run_recovery_sweep(two_onb4, (0,), (1,), trials_per_cell=3, master_seed=5)
