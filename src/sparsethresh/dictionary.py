@@ -17,6 +17,11 @@ concatenation of the identity and Fourier bases (coherence 1/sqrt(m)), and the
 identity plus p chirp bases for an odd prime p (p + 1 mutually unbiased bases
 of C^p, coherence 1/sqrt(p)).  Arbitrary dictionaries round-trip through a
 JSON text format, see ``save_dictionary``.
+
+Memory: ``coherence`` and ``analyze`` never form the N x N Gram matrix.  They
+walk its upper triangle in row chunks of about GRAM_CHUNK_BYTES (16 MiB) and
+read mu, mu_a and mu_b from each chunk in the same pass, so beside the m x N
+matrix they hold one chunk and its modulus (about 24 MiB) whatever N is.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ __all__ = [
 
 COLUMN_NORM_TOL = 1e-10
 LOAD_NORM_TOL = 1e-8
+# Bytes of complex Gram entries formed at once by ``_coherences``.
+GRAM_CHUNK_BYTES = 16 * 2**20
+# Gram products start at a multiple of this many columns (see ``_coherences``).
+_GRAM_ALIGN = 64
 
 
 class DictionaryFormatError(ValueError):
@@ -176,9 +185,49 @@ def coherence(matrix) -> float:
     mat = _as_complex_matrix(matrix)
     if mat.shape[1] < 2:
         raise ValueError("coherence is undefined for fewer than two columns")
-    gram = np.abs(mat.conj().T @ mat)
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max())
+    return _coherences(mat, 0)[0]
+
+
+def _max(block: np.ndarray) -> float:
+    return float(block.max()) if block.size else 0.0
+
+
+def _coherences(mat: np.ndarray, split: int) -> tuple[float, float, float]:
+    """mu of all columns, mu_a of columns [0, split) and mu_b of [split, N).
+
+    One pass over the upper triangle of the Gram matrix, ``rows`` rows at a
+    time: the chunk of rows [lo, hi) holds |d_i^H d_j| for i in [lo, hi) and
+    j from ``start`` <= lo on, with its diagonal zeroed, and each entry
+    raises the coherence of the block pair it lies in.  A block with fewer
+    than two columns reads 0.0.
+
+    Each entry is rounded as in one N x N product, so no value depends on
+    GRAM_CHUNK_BYTES:
+
+    - BLAS rounds the ragged last columns of a product on a path of their
+      own, so every chunk's columns run from a multiple of _GRAM_ALIGN to N
+      and end in the same ragged columns as the N x N product;
+    - in those columns |G_ij| and |G_ji| can differ in the last bit, so a
+      chunk holding rows past the last multiple of _GRAM_ALIGN spans every
+      column;
+    - no chunk has a single row, which BLAS would take as a matrix-vector
+      product.
+    """
+    n = mat.shape[1]
+    ragged = n - n % _GRAM_ALIGN
+    rows = max(2, GRAM_CHUNK_BYTES // (16 * n))
+    mu = mu_a = mu_b = 0.0
+    for lo in range(0, n - 1, rows):
+        hi = n if n - lo <= rows + 1 else lo + rows  # no lone last row
+        start = 0 if hi > ragged else lo - lo % _GRAM_ALIGN
+        gram = np.abs(mat[:, lo:hi].conj().T @ mat[:, start:])
+        np.fill_diagonal(gram[:, lo - start :], 0.0)
+        ra = min(max(split - lo, 0), hi - lo)  # chunk rows [0, ra) lie in A
+        ca = max(split - start, 0)  # chunk columns [0, ca) lie in A
+        mu_a = max(mu_a, _max(gram[:ra, :ca]))
+        mu_b = max(mu_b, _max(gram[ra:, ca:]))
+        mu = max(mu, mu_a, mu_b, _max(gram[:ra, ca:]), _max(gram[ra:, :ca]))
+    return mu, mu_a, mu_b
 
 
 def cross_coherence(block_a, block_b) -> float:
@@ -274,17 +323,14 @@ def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> Partit
 # ============================================================
 
 
-def _block_coherence(block: np.ndarray) -> tuple[float, bool]:
-    if block.shape[1] < 2:
-        return 0.0, False
-    return coherence(block), True
-
-
 def analyze(D: PartitionedDictionary) -> DictionaryStats:
-    """Populate every DictionaryStats field for a partitioned dictionary."""
-    mu = coherence(D.matrix) if D.N >= 2 else 0.0
-    mu_a, a_def = _block_coherence(D.A)
-    mu_b, b_def = _block_coherence(D.B)
+    """Populate every DictionaryStats field for a partitioned dictionary.
+
+    mu, mu_a and mu_b come from one chunked pass over the upper triangle of
+    D's Gram matrix (``_coherences``), so the memory it takes is one chunk
+    of about GRAM_CHUNK_BYTES (16 MiB) plus its modulus, whatever N is.
+    """
+    mu, mu_a, mu_b = _coherences(D.matrix, D.Na)
     spec_a = spectral_norm(D.A)
     spec_b = spectral_norm(D.B)
     spec_d = spectral_norm(D.matrix)
@@ -301,8 +347,8 @@ def analyze(D: PartitionedDictionary) -> DictionaryStats:
         welch=welch,
         tight_dev_a=tight_dev_a,
         tight_dev_b=tight_dev_b,
-        mu_a_defined=a_def,
-        mu_b_defined=b_def,
+        mu_a_defined=D.Na >= 2,
+        mu_b_defined=D.Nb >= 2,
     )
 
 
@@ -361,12 +407,18 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
         raise DictionaryFormatError(
             f"{path}: expected {m * n} entries, found {len(entries)}"
         )
+    not_numbers = f"{path}: entries must be [re, im] pairs of numbers"
     try:
-        pairs = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs") from exc
-    if pairs.shape != (m * n, 2):
-        raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs")
+        pairs = np.asarray(entries)
+    except ValueError as exc:
+        raise DictionaryFormatError(not_numbers) from exc
+    if pairs.dtype.kind not in "fi" or pairs.shape != (m * n, 2):
+        raise DictionaryFormatError(not_numbers)
+    # JSON true and false among numbers turn into 1 and 0, so only the
+    # entries that read 1 or 0 need a look at their Python type
+    rows, cols = np.nonzero((pairs == 0) | (pairs == 1))
+    if any(type(entries[i][j]) is bool for i, j in zip(rows.tolist(), cols.tolist())):
+        raise DictionaryFormatError(not_numbers)
     mat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(m, n)
     if not np.all(np.isfinite(pairs)):
         raise DictionaryFormatError(f"{path}: entries must be finite")

@@ -239,6 +239,15 @@ class TestMalformedInput:
         [
             ("analyze", {"entries": 5}, None, "entries must be a list"),
             ("analyze", {"m": True}, None, "must be integers"),
+            ("analyze", {"m": 2, "N": 2, "Na": 1,
+                         "entries": [["1", 0], [0, 0], [0, 0], [1, 0]]},
+             None, "pairs of numbers"),
+            ("analyze", {"m": 2, "N": 2, "Na": 1,
+                         "entries": [[1, 0], [0, 0], [0, 0], [True, False]]},
+             None, "pairs of numbers"),
+            ("analyze", {"m": 2, "N": 2, "Na": 1,
+                         "entries": [[True, False], [False, False], [False, False], [True, False]]},
+             None, "pairs of numbers"),
             ("analyze", None, {"dictionary": {"mub": None}}, "dictionary.mub"),
             ("analyze", None, {"dictionary": {"path": None}}, "dictionary.path"),
             ("smin", None, {"trials": [5]}, "'trials' must be a JSON integer"),
@@ -261,7 +270,8 @@ class TestMalformedInput:
              "gamma must lie in [0, 1]"),
         ],
         ids=[
-            "entries-not-a-list", "m-is-a-bool", "mub-null", "path-null",
+            "entries-not-a-list", "m-is-a-bool", "entries-string",
+            "entries-bool-among-numbers", "entries-all-bool", "mub-null", "path-null",
             "smin-trials-list", "moments-trials-list", "recover-trials-list",
             "smin-na-null", "moments-na-null", "moments-q-list",
             "recover-strategies-int", "recover-na-range-null-item", "check-nb-bool",

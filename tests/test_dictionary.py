@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsethresh import dictionary
 from sparsethresh import (
     DictionaryFormatError,
     PartitionedDictionary,
@@ -296,6 +298,140 @@ class TestAnalyze:
 
 
 # ==============================
+# one pass over a chunked Gram
+# ==============================
+
+
+def _dense_gram(mat):
+    gram = np.abs(mat.conj().T @ mat)
+    np.fill_diagonal(gram, 0.0)
+    return gram
+
+
+def _dense_block_coherence(block):
+    """Reference: mu_a or mu_b from the block's own dense Gram, as analyze
+    read them before it walked one chunked Gram."""
+    if block.shape[1] < 2:
+        return 0.0, False
+    return float(_dense_gram(block).max()), True
+
+
+def _dense_blocks_of_one_gram(mat, split):
+    """mu_a and mu_b read off the diagonal blocks of the dense N x N Gram."""
+    gram = _dense_gram(mat)
+    a, b = gram[:split, :split], gram[split:, split:]
+    return (float(a.max()) if a.size else 0.0), (float(b.max()) if b.size else 0.0)
+
+
+def _analyze_in_chunks(monkeypatch, D, rows):
+    """analyze with GRAM_CHUNK_BYTES set to hold ``rows`` Gram rows."""
+    monkeypatch.setattr(dictionary, "GRAM_CHUNK_BYTES", rows * 16 * D.N)
+    return analyze(D)
+
+
+_GRAM_CASES = {
+    "mub7": lambda: build_mub(7),
+    "mub13": lambda: build_mub(13),
+    "two_onb8": lambda: build_two_onb(8),
+    "random12x300": lambda: build_random_dictionary(12, 300, seed=8),
+}
+
+
+class TestOnePassGram:
+    # the reference's ragged-column rounding differs from the one-pass Gram's
+    # by at most this much; measured: 5.6e-17 (random12x300, split 2) and
+    # 5.7e-18 (two_onb8, split 13 and 14, on a rounding-noise mu_b of 8e-17)
+    BLOCK_ROUNDING = np.finfo(float).eps
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("name", sorted(_GRAM_CASES))
+    def test_chunks_straddling_the_split_match_the_dense_reference(
+        self, monkeypatch, name, rows
+    ):
+        D = _GRAM_CASES[name]()
+        mu = float(_dense_gram(D.matrix).max())
+        edge = 2 * rows
+        for split in sorted({0, 1, 2, edge - 1, edge, edge + 1, D.N - 1, D.N}):
+            Ds = PartitionedDictionary(D.matrix, split)
+            whole = _analyze_in_chunks(monkeypatch, Ds, D.N)
+            stats = _analyze_in_chunks(monkeypatch, Ds, rows)
+            assert stats == whole, split
+            assert stats.mu == mu, split
+            assert (stats.mu_a, stats.mu_b) == _dense_blocks_of_one_gram(D.matrix, split)
+            mu_a, a_defined = _dense_block_coherence(Ds.A)
+            mu_b, b_defined = _dense_block_coherence(Ds.B)
+            assert (stats.mu_a_defined, stats.mu_b_defined) == (a_defined, b_defined)
+            # BLAS rounds the ragged last columns of a product on their own,
+            # and a block's own Gram ends in other columns than D's
+            assert abs(stats.mu_a - mu_a) <= self.BLOCK_ROUNDING, split
+            assert abs(stats.mu_b - mu_b) <= self.BLOCK_ROUNDING, split
+
+    @pytest.mark.parametrize("name", ["mub7", "mub13", "two_onb8"])
+    def test_built_split_is_bit_identical_to_separate_block_grams(self, monkeypatch, name):
+        D = _GRAM_CASES[name]()
+        for rows in (1, 3, 7, D.N):
+            stats = _analyze_in_chunks(monkeypatch, D, rows)
+            assert stats.mu_a == _dense_block_coherence(D.A)[0]
+            assert stats.mu_b == _dense_block_coherence(D.B)[0]
+
+    @given(
+        m=st.integers(1, 9),
+        extra=st.integers(0, 140),
+        seed=st.integers(0, 10**6),
+        split_share=st.floats(0, 1),
+        rows=st.integers(1, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_size_changes_no_bit(self, m, extra, seed, split_share, rows):
+        D = build_random_dictionary(m, m + extra, seed=seed)
+        Ds = PartitionedDictionary(D.matrix, round(split_share * D.N))
+        with pytest.MonkeyPatch.context() as mp:
+            whole = _analyze_in_chunks(mp, Ds, D.N)
+            stats = _analyze_in_chunks(mp, Ds, rows)
+        assert stats == whole
+        if D.N >= 2:
+            assert stats.mu == float(_dense_gram(D.matrix).max())
+        assert stats.mu >= max(stats.mu_a, stats.mu_b)
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_rows_past_the_last_aligned_column_span_every_column(self, monkeypatch, rows):
+        # the dense Gram's max is |G[69, 15]|, one ulp above |G[15, 69]|:
+        # column 69 is one of the product's ragged last columns
+        D = build_random_dictionary(3, 70, seed=22)
+        gram = _dense_gram(D.matrix)
+        assert gram[69, 15] == gram.max() > gram[15, 69]
+        assert _analyze_in_chunks(monkeypatch, D, rows).mu == gram.max()
+
+    def test_coherence_reads_the_same_pass(self, monkeypatch, two_onb8):
+        monkeypatch.setattr(dictionary, "GRAM_CHUNK_BYTES", 3 * 16 * two_onb8.N)
+        assert coherence(two_onb8.matrix) == float(_dense_gram(two_onb8.matrix).max())
+
+
+class TestBoundedMemory:
+    # the dense N x N Gram of mub61 and its modulus alone take 343 MB
+    LIMIT = 64 * 2**20
+
+    @pytest.fixture(scope="class")
+    def mub61(self):
+        return build_mub(61)
+
+    @staticmethod
+    def _traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_analyze_mub61(self, mub61):
+        assert self._traced_peak(analyze, mub61) <= self.LIMIT
+
+    def test_coherence_mub61(self, mub61):
+        assert self._traced_peak(coherence, mub61.matrix) <= self.LIMIT
+
+
+# ==============================
 # save / load round trip
 # ==============================
 
@@ -371,6 +507,27 @@ class TestSaveLoad:
         path = self._write(tmp_path, {"m": 3, "N": 1, "Na": 0, "entries": entries})
         with pytest.raises(DictionaryFormatError, match="N >= m"):
             load_dictionary(path)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [["1", 0], [0, 0], [0, 0], [1, 0]],
+            [[1, 0], [0, 0], [0, 0], [True, False]],
+            [[1.0, 0.0], [0.0, 0.0], [0.0, False], [1.0, 0.0]],
+            [[True, False], [False, False], [False, False], [True, False]],
+            [[1, 0], [0, 0], [0, 0], [None, 0]],
+            [[1, 0], [0, 0], [0, 0], [1]],
+        ],
+        ids=["string", "bool-among-ints", "bool-among-floats", "all-bool", "null", "ragged"],
+    )
+    def test_rejects_entries_that_are_not_numbers(self, tmp_path, entries):
+        path = self._write(tmp_path, {"m": 2, "N": 2, "Na": 1, "entries": entries})
+        with pytest.raises(DictionaryFormatError, match="pairs of numbers"):
+            load_dictionary(path)
+
+    def test_integer_entries_load(self, tmp_path):
+        path = self._write(tmp_path, {"m": 2, "N": 2, "Na": 1, "entries": self._EYE2})
+        np.testing.assert_array_equal(load_dictionary(path).matrix, np.eye(2))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DictionaryFormatError, match="cannot read"):
