@@ -75,6 +75,7 @@ from .recovery import (
     brute_force_l0,
     run_recovery_sweep,
     solve_bp,
+    solve_bp_batch,
 )
 from .rng import derive_rng
 

@@ -29,6 +29,9 @@ the LAPACK routine the per-matrix ``svd`` and ``norm(ord=2)`` call, applied
 matrix by matrix, so every value is bit-identical to measuring the draw on
 its own, whatever the block or worker split.  A batched ``eigvalsh`` of the
 Gram would be cheaper but rounds differently, moving the CSVs' last digits.
+``estimate_moment`` reads only Xi_B and Xi_X, so it takes the stacking and
+those two SVDs from the same code (``_sub_dictionaries``) and skips the
+other three.
 """
 
 from __future__ import annotations
@@ -161,16 +164,12 @@ def draw_supports(
     return cols_a, cols_b
 
 
-def chain_batch(
-    D: PartitionedDictionary, stats: DictionaryStats, cols_a, cols_b
-) -> HollowGramRecord:
-    """Measure every quantity in the chain for T draws at once.
+def _sub_dictionaries(D: PartitionedDictionary, cols_a, cols_b):
+    """(S, Xi_B, Xi_X) of T draws: the stacked (T, m, n_a + n_b) sub-dictionaries
+    and the two B-dependent chain quantities, each from one stacked SVD.
 
     Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
     columns of A and B; each row must be duplicate-free and inside its block.
-    The T sub-dictionaries are stacked and each quantity takes one stacked
-    SVD, which LAPACK runs matrix by matrix, so draw t's values do not depend
-    on the other draws.
     """
     cols_a = np.asarray(cols_a, dtype=np.intp)
     cols_b = np.asarray(cols_b, dtype=np.intp)
@@ -192,12 +191,29 @@ def chain_batch(
         S = np.ascontiguousarray(S)
     a_part, b_part = S[..., :n_a], S[..., n_a:]
     xi_x = _spectral_norms(_adjoint(a_part) @ b_part) if n_a and n_b else np.zeros(T)
+    return S, _hollow_norms(b_part), xi_x
+
+
+def chain_batch(
+    D: PartitionedDictionary, stats: DictionaryStats, cols_a, cols_b
+) -> HollowGramRecord:
+    """Measure every quantity in the chain for T draws at once.
+
+    Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
+    columns of A and B; each row must be duplicate-free and inside its block.
+    The T sub-dictionaries are stacked and each quantity takes one stacked
+    SVD, which LAPACK runs matrix by matrix, so draw t's values do not depend
+    on the other draws.
+    """
+    S, xi_b, xi_x = _sub_dictionaries(D, cols_a, cols_b)
+    cols_a = np.asarray(cols_a, dtype=np.intp)
+    T, n_a = cols_a.shape
     xi_a = row_norm_ab = np.zeros(T)
     if n_a:
         # both depend on the A-support only: measure each distinct one once
         _, first, which = np.unique(cols_a, axis=0, return_index=True, return_inverse=True)
         which = which.reshape(-1)
-        a_distinct = a_part[first]
+        a_distinct = S[..., :n_a][first]
         xi_a = _hollow_norms(a_distinct)[which]
         if D.Nb:
             # max column l2 norm of A'^H against the FULL block B, one support
@@ -210,7 +226,7 @@ def chain_batch(
         sigma_min=_smallest_singular_values(S),
         xi_s=_hollow_norms(S),
         xi_a=xi_a,
-        xi_b=_hollow_norms(b_part),
+        xi_b=xi_b,
         xi_x=xi_x,
         row_norm_ab=row_norm_ab,
         gersgorin_rhs=gersgorin,
@@ -296,14 +312,11 @@ def _check_budgets(D: PartitionedDictionary, n_a: int, n_b: int) -> None:
         )
 
 
-def _chain_blocks(D, stats, strategy, support_a, n_a, n_b, master_seed, lo, hi):
-    """(first trial, ``chain_batch`` record) for trials lo..hi-1, TRIAL_BLOCK at a time."""
+def _support_blocks(D, strategy, support_a, n_a, n_b, master_seed, lo, hi):
+    """(first trial, A-columns, B-columns) of trials lo..hi-1, TRIAL_BLOCK at a time."""
     for start in range(lo, hi, TRIAL_BLOCK):
         stop = min(start + TRIAL_BLOCK, hi)
-        cols_a, cols_b = draw_supports(
-            D, strategy, n_a, n_b, master_seed, start, stop, support_a
-        )
-        yield start, chain_batch(D, stats, cols_a, cols_b)
+        yield start, *draw_supports(D, strategy, n_a, n_b, master_seed, start, stop, support_a)
 
 
 def _smin_chunk(payload):
@@ -312,9 +325,10 @@ def _smin_chunk(payload):
     rows = np.empty((hi - lo, 5))
     by_inequality: dict[str, int] = {}
     broken_trials = 0
-    for start, rec in _chain_blocks(
-        D, stats, strategy, support_a, n_a, n_b, master_seed, lo, hi
+    for start, cols_a, cols_b in _support_blocks(
+        D, strategy, support_a, n_a, n_b, master_seed, lo, hi
     ):
+        rec = chain_batch(D, stats, cols_a, cols_b)
         rows[start - lo : start - lo + len(rec.sigma_min)] = np.column_stack(
             (rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x)
         )
@@ -572,11 +586,13 @@ def estimate_moment(
 
     xi_b = np.empty(trials)
     xi_x = np.empty(trials)
-    for start, rec in _chain_blocks(
-        D, stats, strategy, support_a, n_a, n_b, master_seed, 0, trials
+    # only Xi_B and Xi_X: sigma_min, Xi_S and Xi_A would be unused SVDs
+    for start, cols_a, cols_b in _support_blocks(
+        D, strategy, support_a, n_a, n_b, master_seed, 0, trials
     ):
-        xi_b[start : start + len(rec.xi_b)] = rec.xi_b
-        xi_x[start : start + len(rec.xi_x)] = rec.xi_x
+        _, block_b, block_x = _sub_dictionaries(D, cols_a, cols_b)
+        xi_b[start : start + len(block_b)] = block_b
+        xi_x[start : start + len(block_x)] = block_x
 
     slope_a, _ = block_a_terms(stats.mu, stats.mu_a, n_a)
     slope_b, frame, cross = block_b_terms(stats.mu_b, stats.spec_a, stats.spec_b, n_b, D.Nb)

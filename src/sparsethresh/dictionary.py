@@ -363,14 +363,19 @@ def analyze(D: PartitionedDictionary) -> DictionaryStats:
 
 
 def save_dictionary(D: PartitionedDictionary, path) -> None:
-    lines = ["{", f' "m": {D.m},', f' "N": {D.N},', f' "Na": {D.Na},', ' "entries": [']
-    flat = D.matrix.reshape(-1)
-    body = [f"  [{z.real:.16e}, {z.imag:.16e}]" for z in flat]
-    lines.append(",\n".join(body))
-    lines.extend([" ]", "}", ""])
+    """Write D as .dict.json text, one entry at a time, so no large string is
+    ever held: joined text, even one matrix row at a time, left the calling
+    process's heap larger for the work after it.  The file appears under
+    ``path`` only when complete."""
+    entries = (f"  [{z.real:.16e}, {z.imag:.16e}]" for row in D.matrix for z in row.tolist())
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+        fh.write(f'{{\n "m": {D.m},\n "N": {D.N},\n "Na": {D.Na},\n "entries": [\n')
+        fh.write(next(entries))  # m, N >= 1: there is a first entry
+        for entry in entries:
+            fh.write(",\n")
+            fh.write(entry)
+        fh.write("\n ]\n}\n")
     os.replace(tmp, path)
 
 

@@ -1,11 +1,13 @@
 """l1 recovery: equality-constrained basis pursuit plus a tiny l0 oracle.
 
-``solve_bp`` minimizes sum_i |x_i| (complex modulus) subject to D x = y with
-ADMM (Boyd et al. 2011, "Distributed Optimization and Statistical Learning
-via the Alternating Direction Method of Multipliers"): alternate the affine
-projection x = v - pinv(D) (D v) + pinv(D) y onto the constraint set with
-complex soft-thresholding, plus a scaled dual step.  The iteration is
-scale-free and tunes its own step:
+``solve_bp_batch`` minimizes sum_i |x_i| (complex modulus) subject to D x = y
+for every column y of Y with ADMM (Boyd et al. 2011, "Distributed
+Optimization and Statistical Learning via the Alternating Direction Method
+of Multipliers"): alternate the affine projection
+x = v - pinv(D) (D v) + pinv(D) y onto the constraint set with complex
+soft-thresholding, plus a scaled dual step.  ``solve_bp`` is the batch of
+one column, so there is one iteration loop.  The iteration is scale-free and
+tunes its own step, per column:
 
 - it solves for y / ||y|| and multiplies the result by ||y||, so the
   stopping floors max(1, ...) are relative to ||y|| and the iteration count
@@ -19,6 +21,13 @@ scale-free and tunes its own step:
   (residual balancing, section 3.4.1).  The projection does not depend on
   rho, so a new rho needs no refactorisation.
 
+The columns run in lock step: each keeps its own y-scale, rho and stopping
+test and leaves the batch on the iteration it converges, so a batch costs
+about its longest solve.  A column's iterates differ from those it gets
+alone only by the rounding of a matrix-matrix product against a
+matrix-vector one (about 1e-15 relative); no iteration count or success
+moved on the README and benchmark grids.
+
 The returned x is always the projected iterate, never the relaxed point, so
 it satisfies the constraint to machine precision wherever the iteration
 stops.
@@ -26,11 +35,15 @@ stops.
 ``brute_force_l0`` enumerates all supports up to a small size cap and reports
 every one that reproduces y by least squares, which settles minimality and
 uniqueness by definition at desk scale.  Monte Carlo sweeps over (n_a, n_b)
-cells aggregate success rates into a phase-transition grid.  Trial t of the
-cell at grid indices (si, ai, bi) reads its stream
-derive_rng(master_seed, si, ai, bi, t) through ``model.sample_instance``
-(support, then magnitudes, then phases) and hands y to ``solve_bp``.  A sweep under the non-continuous
-``unit`` magnitude law warns once, in the calling process, before any solve.
+cells aggregate success rates into a phase-transition grid.  A sweep cell
+draws every trial, then makes one batched solve: trial t of the cell at grid
+indices (si, ai, bi) reads its stream derive_rng(master_seed, si, ai, bi, t)
+through ``model.sample_instance`` (support, then magnitudes, then phases),
+and the cell's y are stacked into one ``solve_bp_batch`` call (SOLVE_BLOCK
+trials at most, so memory does not grow with the trial count).  The batch is
+always the cell, never the worker's share, so the grid does not depend on
+the worker count.  A sweep under the non-continuous ``unit`` magnitude law
+warns once, in the calling process, before any solve.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ __all__ = [
     "BruteForceResult",
     "PhaseTransitionGrid",
     "solve_bp",
+    "solve_bp_batch",
     "brute_force_l0",
     "run_recovery_sweep",
     "SUCCESS_REL_ERROR",
@@ -67,6 +81,10 @@ RELAXATION = 1.6
 BALANCE_EVERY = 10
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
+
+# Trials per batched solve of a sweep cell: bounds the working set, never the
+# output.
+SOLVE_BLOCK = 256
 
 _UNIT_LAW_WARNING = (
     "unit magnitudes are not drawn from a continuous distribution; "
@@ -117,11 +135,6 @@ class RecoveryOutcome:
         )
 
 
-def _shrink(w: np.ndarray, k: float) -> np.ndarray:
-    """Complex soft-threshold: shrink the modulus by k, keep the phase."""
-    return np.maximum(1.0 - k / np.maximum(np.abs(w), 1e-300), 0.0) * w
-
-
 def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
@@ -141,67 +154,161 @@ def solve_bp(
     cfg: BpSolverConfig | None = None,
     x_true=None,
 ) -> RecoveryOutcome:
-    """Minimize the l1 norm subject to D x = y.
+    """Minimize the l1 norm subject to D x = y: ``solve_bp_batch`` on one column.
 
     Never raises on non-convergence; the outcome carries converged=False and
     the last projected (feasible) iterate instead.  When ``x_true`` is given,
     the relative l2 error (absolute norm if x_true = 0) and the support match
     at floor SUPPORT_FLOOR_FACTOR * max|x_hat| are filled in.
     """
+    y = np.asarray(y, dtype=np.complex128).reshape(-1, 1)
+    if x_true is not None:
+        x_true = np.asarray(x_true, dtype=np.complex128).reshape(-1, 1)
+    return solve_bp_batch(D, y, cfg, x_true)[0]
+
+
+def solve_bp_batch(
+    D,
+    Y,
+    cfg: BpSolverConfig | None = None,
+    X_true=None,
+) -> list[RecoveryOutcome]:
+    """``solve_bp`` on every column of Y at once, in lock step.
+
+    Each column keeps its own y-scale, rho and residual balancing, stops by
+    its own test and is written out on the iteration it converges; its
+    iterates are those it gets alone up to the rounding of a matrix-matrix
+    product (about 1e-15 relative).  Columns that converge leave the active
+    set, so a batch costs about its longest solve.  ``X_true`` holds the
+    reference x of each column.  Every column is checked before any setup.
+    """
     cfg = cfg or BpSolverConfig()
     mat = _dictionary_matrix(D)
     m, n = mat.shape
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if y.shape[0] != m:
-        raise ValueError(f"y has length {y.shape[0]}, expected {m}")
-    if not np.all(np.isfinite(y.view(float))):
+    Y = np.asarray(Y, dtype=np.complex128)
+    if Y.ndim != 2:
+        raise ValueError(f"Y must hold one y per column, got shape {Y.shape}")
+    if Y.shape[0] != m:
+        raise ValueError(f"y has length {Y.shape[0]}, expected {m}")
+    if not np.isfinite(Y).all():
         raise ValueError("y must be finite")
+    k = Y.shape[1]
+    x_true_rows = None
+    if X_true is not None:
+        X_true = np.asarray(X_true, dtype=np.complex128)
+        if X_true.shape != (n, k):
+            raise ValueError(f"X_true has shape {X_true.shape}, expected {(n, k)}")
+        x_true_rows = np.ascontiguousarray(X_true.T)
+    if not k:
+        return []
 
-    y_scale = _norm(y) or 1.0
-    y_unit = y / y_scale
+    # one row per column of Y, so each row is a contiguous vector
+    y_rows = np.ascontiguousarray(Y.T)
+    y_scale = np.array([_norm(y) or 1.0 for y in y_rows])
+    y_unit = y_rows / y_scale[:, None]
     pinv = np.linalg.pinv(mat)
-    x_feas = pinv @ y_unit
-    rho = cfg.step_parameter
-    # complex scalars: numpy scales a complex array by a float scalar through
-    # a slower mixed-type loop
-    relax, relax_rest = complex(RELAXATION), complex(1.0 - RELAXATION)
+    mat_t, pinv_t = mat.T, pinv.T
+    x_feas = y_unit @ pinv_t
+    rho = np.full(k, float(cfg.step_parameter))
+    tol = np.array([[cfg.primal_tolerance], [cfg.dual_tolerance]])
+    # 0-d arrays, not Python scalars: a ufunc converts a Python scalar operand
+    # on every call, which costs more than the arithmetic on a few columns
+    relax, relax_rest = np.array(complex(RELAXATION)), np.array(complex(1.0 - RELAXATION))
+    zero, one, tiny = np.array(0.0), np.array(1.0), np.array(1e-300)
 
-    x = np.zeros(n, dtype=complex)
-    z = np.zeros(n, dtype=complex)
-    u = np.zeros(n, dtype=complex)
-    converged = False
+    # x - z, z - z_old, x, z and u of every active column, so that the five
+    # norms of the stopping test take one call
+    state = np.zeros((5, k, n), dtype=complex)
+    active = np.arange(k)  # the Y column of each row of state
+    outcomes: list[RecoveryOutcome | None] = [None] * k
+
+    def write_out(rows, it, converged):
+        for row in rows:
+            j = int(active[row])
+            outcomes[j] = _outcome(
+                mat, state[2, row], y_unit[j], y_scale[j], it, converged,
+                None if x_true_rows is None else x_true_rows[j],
+            )
+
     it = 0
+    bound = False
     for it in range(1, cfg.max_iterations + 1):
+        if not bound:
+            # views and work buffers of the active columns, remade when one leaves
+            r, s, x, z, u = state
+            w, mag, scaled_z = np.empty_like(x), np.empty(x.shape), np.empty_like(z)
+            threshold = 1.0 / rho[:, None]
+            # ||r||, ||s||, ||x||, ||z||, ||u||, and the factors that make
+            # rows 1 and 4 rho ||s|| and rho ||u||
+            norms, factors = np.empty((5, rho.size)), np.ones((5, rho.size))
+            factors[1::3] = rho
+            residuals, scales, x_norm, z_norm = norms[:2], norms[2::2], norms[2], norms[3]
+            limits, ok = np.empty((2, rho.size)), np.empty((2, rho.size), dtype=bool)
+            done = np.empty(rho.size, dtype=bool)
+            # each squared norm as a (1 x 2n) @ (2n x 1) product of the
+            # vector's real view with itself, all five in one matmul call
+            flat = state.view(np.float64)
+            as_rows, as_cols, squared = flat[..., None, :], flat[..., None], norms[..., None, None]
+            bound = True
         v = z - u
-        x = v - pinv @ (mat @ v) + x_feas
-        w = relax * x + relax_rest * z + u
-        z_old = z
-        z = _shrink(w, 1.0 / rho)
-        u = w - z
-        r_norm = _norm(x - z)
-        s_norm = rho * _norm(z - z_old)
-        r_scale = max(1.0, _norm(x), _norm(z))
-        s_scale = max(1.0, rho * _norm(u))
-        if r_norm <= cfg.primal_tolerance * r_scale and s_norm <= cfg.dual_tolerance * s_scale:
-            converged = True
-            break
+        np.subtract(v, (v @ mat_t) @ pinv_t, out=x)
+        x += x_feas
+        np.multiply(relax, x, out=w)
+        np.multiply(relax_rest, z, out=scaled_z)
+        w += scaled_z
+        w += u
+        np.negative(z, out=s)
+        # complex soft-threshold: shrink the modulus of w by 1/rho, keep the phase
+        np.abs(w, out=mag)
+        np.maximum(mag, tiny, out=mag)
+        np.divide(threshold, mag, out=mag)
+        np.subtract(one, mag, out=mag)
+        np.maximum(mag, zero, out=mag)
+        np.multiply(mag, w, out=z)
+        s += z
+        np.subtract(w, z, out=u)
+        np.subtract(x, z, out=r)
+        np.matmul(as_rows, as_cols, out=squared)
+        np.sqrt(norms, out=norms)
+        norms *= factors
+        # rows 2 and 4 become the stopping scales max(1, ||x||, ||z||) and
+        # max(1, rho ||u||)
+        np.maximum(x_norm, z_norm, out=x_norm)
+        np.maximum(scales, one, out=scales)
+        np.multiply(tol, scales, out=limits)
+        np.less_equal(residuals, limits, out=ok)
+        np.logical_and(ok[0], ok[1], out=done)
         if it % BALANCE_EVERY == 0:
-            r_rel = r_norm / r_scale
-            s_rel = s_norm / s_scale
-            if r_rel > BALANCE_RATIO * s_rel:
-                rho *= BALANCE_FACTOR
-                u = u / BALANCE_FACTOR
-            elif s_rel > BALANCE_RATIO * r_rel:
-                rho /= BALANCE_FACTOR
-                u = u * BALANCE_FACTOR
+            r_rel, s_rel = residuals / scales
+            step = np.where(
+                r_rel > BALANCE_RATIO * s_rel,
+                BALANCE_FACTOR,
+                np.where(s_rel > BALANCE_RATIO * r_rel, 1.0 / BALANCE_FACTOR, 1.0),
+            )
+            rho *= step
+            u /= step[:, None]
+            threshold = 1.0 / rho[:, None]
+            factors[1::3] = rho
+        if np.count_nonzero(done):
+            write_out(np.flatnonzero(done), it, True)
+            keep = ~done
+            if not keep.any():
+                break
+            state, rho, x_feas, active = state[:, keep], rho[keep], x_feas[keep], active[keep]
+            bound = False
+    else:
+        write_out(range(active.size), it, False)
+    return outcomes
 
-    feas = _norm(mat @ x - y_unit)
-    x = x * y_scale
+
+def _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true) -> RecoveryOutcome:
+    """One column's result: back to the scale of y, with the error fields."""
+    feas = _norm(mat @ x_unit - y_unit)
+    x = x_unit * y_scale
 
     rel_err = None
     match = None
     if x_true is not None:
-        x_true = np.asarray(x_true, dtype=np.complex128).reshape(-1)
         true_norm = float(np.linalg.norm(x_true))
         diff = float(np.linalg.norm(x - x_true))
         rel_err = diff / true_norm if true_norm > 0 else float(np.linalg.norm(x))
@@ -214,7 +321,7 @@ def solve_bp(
         x_hat=x,
         l1_value=float(np.abs(x).sum()),
         feasibility_residual=feas,
-        iterations=it,
+        iterations=iterations,
         converged=converged,
         relative_l2_error=rel_err,
         support_match=match,
@@ -285,17 +392,26 @@ SWEEP_STRATEGIES = ("first-n", "spread", "random-baseline")
 
 
 def _sweep_cell(payload):
-    """(successes, solver stalls, largest iteration count) of one cell."""
+    """(successes, solver stalls, largest iteration count) of one cell: draw
+    every trial, then one batched solve per SOLVE_BLOCK trials."""
     D, strategy, n_a, n_b, trials, master_seed, key, coeff, cfg = payload
-    successes = nonconverged = iterations_max = 0
-    for t in range(trials):
-        rng = derive_rng(master_seed, *key, t)
-        inst = sample_instance(D, strategy, n_a, n_b, rng, coeff=coeff)
-        outcome = solve_bp(D, inst.y, cfg, x_true=inst.x)
-        successes += outcome.success
-        nonconverged += not outcome.converged
-        iterations_max = max(iterations_max, outcome.iterations)
-    return successes, nonconverged, iterations_max
+    outcomes = []
+    for start in range(0, trials, SOLVE_BLOCK):
+        instances = [
+            sample_instance(D, strategy, n_a, n_b, derive_rng(master_seed, *key, t), coeff=coeff)
+            for t in range(start, min(start + SOLVE_BLOCK, trials))
+        ]
+        outcomes += solve_bp_batch(
+            D,
+            np.stack([inst.y for inst in instances], axis=1),
+            cfg,
+            np.stack([inst.x for inst in instances], axis=1),
+        )
+    return (
+        sum(o.success for o in outcomes),
+        sum(not o.converged for o in outcomes),
+        max(o.iterations for o in outcomes),
+    )
 
 
 @dataclass(eq=False)

@@ -687,4 +687,5 @@ class TestLapackCalls:
                 lambda: estimate_moment(mub7, 2, 3, q=8.0, trials=trials, n_boot=1)
             )
 
-        assert run(1000 + self.EXTRA) - run(1000) <= self.ALLOWED
+        # Xi_B and Xi_X only: two stacked SVDs per block, not the chain's five
+        assert run(1000 + self.EXTRA) - run(1000) <= 2 * -(-self.EXTRA // TRIAL_BLOCK)

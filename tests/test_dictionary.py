@@ -430,6 +430,12 @@ class TestBoundedMemory:
     def test_coherence_mub61(self, mub61):
         assert self._traced_peak(coherence, mub61.matrix) <= self.LIMIT
 
+    def test_save_mub61_never_holds_the_text(self, mub61, tmp_path):
+        # the file is 12 MB of text; the writer holds one matrix row of values
+        path = tmp_path / "mub61.dict.json"
+        assert self._traced_peak(save_dictionary, mub61, path) <= 4 * 2**20
+        assert path.stat().st_size > 12 * 10**6
+
 
 # ==============================
 # save / load round trip
@@ -451,6 +457,31 @@ class TestSaveLoad:
         loaded = load_dictionary(path)
         np.testing.assert_array_equal(loaded.matrix, D.matrix)
         assert analyze(loaded) == analyze(D)
+
+    @staticmethod
+    def _one_string_text(D):
+        """The writer's text as one joined string: the reference layout."""
+        lines = ["{", f' "m": {D.m},', f' "N": {D.N},', f' "Na": {D.Na},', ' "entries": [']
+        body = [f"  [{z.real:.16e}, {z.imag:.16e}]" for z in D.matrix.reshape(-1)]
+        lines.append(",\n".join(body))
+        lines.extend([" ]", "}", ""])
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_mub(7),
+            lambda: build_two_onb(8),
+            lambda: build_random_dictionary(5, 23, seed=9, split=7),
+        ],
+        ids=["mub7", "two_onb8", "random5x23"],
+    )
+    def test_streamed_text_matches_the_one_string_layout(self, build, tmp_path):
+        D = build()
+        path = tmp_path / "d.dict.json"
+        save_dictionary(D, path)
+        assert path.read_bytes() == self._one_string_text(D).encode("utf-8")
+        assert not list(tmp_path.glob("*.tmp*"))
 
     def test_written_file_lists_flat_entry_pairs(self, mub3, tmp_path):
         path = tmp_path / "d.dict.json"

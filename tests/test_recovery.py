@@ -16,6 +16,7 @@ from sparsethresh import (
     run_recovery_sweep,
     sample_instance,
     solve_bp,
+    solve_bp_batch,
 )
 from sparsethresh import recovery
 from sparsethresh.recovery import RECOVERY_CSV_HEADER, SUCCESS_REL_ERROR, SWEEP_STRATEGIES
@@ -127,6 +128,80 @@ class TestSolveBp:
             solve_bp(two_onb4, np.zeros(5))
         with pytest.raises(ValueError, match="finite"):
             solve_bp(two_onb4, np.array([np.nan, 0, 0, 0]))
+
+
+# ==============================
+# batched solves
+# ==============================
+
+
+def _cell_data(D, strategy, n_a, n_b, trials, seed, key):
+    """y and x of a sweep cell's trials, one column per trial."""
+    instances = [
+        sample_instance(D, strategy, n_a, n_b, derive_rng(seed, *key, t)) for t in range(trials)
+    ]
+    return (
+        np.stack([inst.y for inst in instances], axis=1),
+        np.stack([inst.x for inst in instances], axis=1),
+    )
+
+
+class TestSolveBpBatch:
+    # (dictionary, strategy, n_a, n_b, seed, cell key), 10 trials each: a
+    # README-grid cell, whose trial 8 takes 1,338 iterations and 6 of whose
+    # 10 trials succeed, and two mub7 cells with solves of 1,972 and 1,133
+    CELLS = [
+        ("two_onb8", "random-baseline", 3, 1, 3, (1, 3, 1)),
+        ("mub7", "random-baseline", 3, 0, 5, (1, 3, 0)),
+        ("mub7", "first-n", 0, 3, 5, (0, 0, 3)),
+    ]
+
+    @pytest.mark.parametrize("name, strategy, n_a, n_b, seed, key", CELLS)
+    def test_a_column_does_not_depend_on_its_batch(
+        self, request, name, strategy, n_a, n_b, seed, key
+    ):
+        D = request.getfixturevalue(name)
+        Y, X = _cell_data(D, strategy, n_a, n_b, 10, seed, key)
+        alone = [solve_bp(D, Y[:, j], x_true=X[:, j]) for j in range(10)]
+        batch = solve_bp_batch(D, Y, X_true=X)
+        perm = np.random.default_rng(0).permutation(10)
+        permuted = solve_bp_batch(D, Y[:, perm], X_true=X[:, perm])
+        assert max(out.iterations for out in alone) > 1000
+        for j, solo in enumerate(alone):
+            for out in (batch[j], permuted[int(np.flatnonzero(perm == j)[0])]):
+                assert (out.iterations, out.converged, out.success) == (
+                    solo.iterations, solo.converged, solo.success
+                )
+                gap = np.linalg.norm(out.x_hat - solo.x_hat)
+                assert gap <= 1e-10 * np.linalg.norm(solo.x_hat)
+
+    def test_capped_columns_stay_feasible(self, two_onb8):
+        Y, X = _cell_data(two_onb8, "first-n", 2, 2, 4, 7, (0, 2, 2))
+        outs = solve_bp_batch(two_onb8, Y, BpSolverConfig(max_iterations=2), X)
+        assert [(o.iterations, o.converged, o.success) for o in outs] == [(2, False, False)] * 4
+        assert max(o.feasibility_residual for o in outs) <= 1e-10
+
+    def test_empty_batch(self, two_onb4):
+        assert solve_bp_batch(two_onb4, np.zeros((4, 0))) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_one_nonfinite_y_fails_before_any_iteration(self, two_onb8, monkeypatch, bad):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the solver set up before the data were checked")
+
+        monkeypatch.setattr(np.linalg, "pinv", no_setup)
+        Y, X = _cell_data(two_onb8, "first-n", 1, 1, 5, 0, (0, 1, 1))
+        Y[3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_bp_batch(two_onb8, Y, X_true=X)
+
+    def test_rejects_bad_shapes(self, two_onb4):
+        with pytest.raises(ValueError, match="one y per column"):
+            solve_bp_batch(two_onb4, np.zeros(4))
+        with pytest.raises(ValueError, match="length 5"):
+            solve_bp_batch(two_onb4, np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="X_true"):
+            solve_bp_batch(two_onb4, np.zeros((4, 2)), X_true=np.zeros((8, 3)))
 
 
 # ==============================
@@ -258,6 +333,59 @@ class TestRecoverySweep:
         serial = run_recovery_sweep(two_onb4, (0, 1), (1,), **kwargs)
         parallel = run_recovery_sweep(two_onb4, (0, 1), (1,), workers=2, **kwargs)
         np.testing.assert_array_equal(serial.successes, parallel.successes)
+
+    # successes, nonconverged and iterations_max of a two_onb8 grid (n_a 0-3,
+    # n_b 1-4, all three strategies, 6 trials, seed 21) as the one-trial-at-a-
+    # time solver gave them, uncapped and capped at 300 iterations
+    PINNED = {
+        None: (
+            [[[6, 6, 6, 6], [6, 6, 4, 2], [6, 4, 3, 0], [4, 1, 1, 0]],
+             [[6, 6, 6, 6], [6, 5, 3, 1], [5, 4, 2, 0], [3, 1, 2, 0]],
+             [[6, 6, 6, 6], [6, 6, 4, 2], [6, 4, 1, 0], [3, 1, 0, 0]]],
+            [[[0] * 4] * 4] * 3,
+            [[[96, 96, 102, 123], [142, 144, 352, 1045], [127, 334, 371, 333],
+              [343, 373, 366, 361]],
+             [[96, 96, 95, 161], [134, 125, 742, 1062], [193, 194, 293, 614],
+              [1607, 669, 330, 489]],
+             [[96, 97, 98, 150], [147, 151, 236, 291], [143, 548, 255, 704],
+              [521, 390, 411, 291]]],
+        ),
+        300: (
+            [[[6, 6, 6, 6], [6, 6, 4, 2], [6, 3, 3, 0], [4, 1, 1, 0]],
+             [[6, 6, 6, 6], [6, 5, 3, 1], [5, 4, 2, 0], [3, 0, 2, 0]],
+             [[6, 6, 6, 6], [6, 6, 4, 2], [6, 4, 1, 0], [3, 0, 0, 0]]],
+            [[[0, 0, 0, 0], [0, 0, 1, 2], [0, 1, 1, 1], [1, 1, 2, 1]],
+             [[0, 0, 0, 0], [0, 0, 1, 4], [0, 0, 0, 2], [2, 4, 1, 2]],
+             [[0, 0, 0, 0], [0, 0, 0, 0], [0, 2, 0, 3], [1, 2, 3, 0]]],
+            [[[96, 96, 102, 123], [142, 144, 300, 300], [127, 300, 300, 300],
+              [300, 300, 300, 300]],
+             [[96, 96, 95, 161], [134, 125, 300, 300], [193, 194, 293, 300],
+              [300, 300, 300, 300]],
+             [[96, 97, 98, 150], [147, 151, 236, 291], [143, 300, 255, 300],
+              [300, 300, 300, 291]]],
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cap", [None, 300])
+    def test_pinned_grid(self, two_onb8, cap, workers):
+        cfg = None if cap is None else BpSolverConfig(max_iterations=cap)
+        grid = run_recovery_sweep(
+            two_onb8, (0, 1, 2, 3), (1, 2, 3, 4), trials_per_cell=6,
+            strategies=SWEEP_STRATEGIES, master_seed=21, cfg=cfg, workers=workers,
+        )
+        successes, nonconverged, iterations_max = self.PINNED[cap]
+        assert grid.successes.tolist() == successes
+        assert grid.nonconverged.tolist() == nonconverged
+        assert grid.iterations_max.tolist() == iterations_max
+
+    def test_solve_blocks_do_not_change_counts(self, two_onb8, monkeypatch):
+        kwargs = dict(trials_per_cell=10, master_seed=8, strategies=("random-baseline",))
+        whole = run_recovery_sweep(two_onb8, (1, 2), (2, 3), **kwargs)
+        monkeypatch.setattr(recovery, "SOLVE_BLOCK", 4)  # blocks of 4, 4 and 2
+        split = run_recovery_sweep(two_onb8, (1, 2), (2, 3), **kwargs)
+        for name in ("successes", "nonconverged", "iterations_max"):
+            np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
 
     def test_rank_deficient_cell_fails(self, two_onb4):
         grid = run_recovery_sweep(
