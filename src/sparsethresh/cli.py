@@ -310,8 +310,10 @@ def cmd_analyze(args, cfg) -> int:
 
 def cmd_check(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
-    stats = dictionary.analyze(D)
     params = threshold.TheoremParams(s=args.s, gamma=args.gamma, n_a=args.na, n_b=args.nb)
+    if not args.maximize:  # the search ignores n_a and n_b
+        D.check_budgets(params.n_a, params.n_b)
+    stats = dictionary.analyze(D)
     if args.maximize:
         result = threshold.max_sparsity_search(stats, D.N, D.Nb, s=params.s)
         if args.json:
@@ -451,8 +453,9 @@ def cmd_recover(args, cfg) -> int:
 
 def cmd_report(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
-    stats = dictionary.analyze(D)
     params = threshold.TheoremParams(s=args.s, gamma=args.gamma, n_a=args.na, n_b=args.nb)
+    D.check_budgets(params.n_a, params.n_b)
+    stats = dictionary.analyze(D)
     doc = {
         "m": D.m,
         "N": D.N,

@@ -305,11 +305,7 @@ def tail_probability(u: float, spec: TailBoundSpec) -> tuple[float, float]:
 def _check_budgets(D: PartitionedDictionary, n_a: int, n_b: int) -> None:
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
-    if not (0 <= n_a <= D.Na and 0 <= n_b <= D.Nb):
-        raise ValueError(
-            f"budgets must satisfy 0 <= n_a <= {D.Na} and 0 <= n_b <= {D.Nb}, "
-            f"got n_a={n_a}, n_b={n_b}"
-        )
+    D.check_budgets(n_a, n_b)
 
 
 def _support_blocks(D, strategy, support_a, n_a, n_b, master_seed, lo, hi):

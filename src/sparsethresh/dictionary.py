@@ -132,6 +132,14 @@ class PartitionedDictionary:
     def B(self) -> np.ndarray:
         return self.matrix[:, self.split :]
 
+    def check_budgets(self, n_a: int, n_b: int) -> None:
+        """Raise ValueError unless 0 <= n_a <= Na and 0 <= n_b <= Nb."""
+        if not (0 <= n_a <= self.Na and 0 <= n_b <= self.Nb):
+            raise ValueError(
+                f"budgets must satisfy 0 <= n_a <= {self.Na} and 0 <= n_b <= {self.Nb}, "
+                f"got n_a={n_a}, n_b={n_b}"
+            )
+
 
 @dataclass(frozen=True)
 class DictionaryStats:

@@ -35,15 +35,18 @@ stops.
 ``brute_force_l0`` enumerates all supports up to a small size cap and reports
 every one that reproduces y by least squares, which settles minimality and
 uniqueness by definition at desk scale.  Monte Carlo sweeps over (n_a, n_b)
-cells aggregate success rates into a phase-transition grid.  A sweep cell
-draws every trial, then makes one batched solve: trial t of the cell at grid
+cells aggregate success rates into a phase-transition grid.  A sweep lists
+its trials in grid order (strategy, n_a, n_b, trial) and solves the list in
+consecutive blocks of SOLVE_BLOCK trials, one batched solve per block, so
+cells with short solves share one tail instead of each paying its own: every
+y has length m whatever the cell's sparsity.  Trial t of the cell at grid
 indices (si, ai, bi) reads its stream derive_rng(master_seed, si, ai, bi, t)
-through ``model.sample_instance`` (support, then magnitudes, then phases),
-and the cell's y are stacked into one ``solve_bp_batch`` call (SOLVE_BLOCK
-trials at most, so memory does not grow with the trial count).  The batch is
-always the cell, never the worker's share, so the grid does not depend on
-the worker count.  A sweep under the non-continuous ``unit`` magnitude law
-warns once, in the calling process, before any solve.
+through ``model.sample_instance`` (support, then magnitudes, then phases).
+The blocks depend only on the grid and the trial count, never on the worker
+count, and the workers fan out over blocks, so the grid does not depend on
+the worker count and a sweep of at most SOLVE_BLOCK trials runs in one
+process.  A sweep under the non-continuous ``unit`` magnitude law warns once,
+in the calling process, before any solve.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ BALANCE_EVERY = 10
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
 
-# Trials per batched solve of a sweep cell: bounds the working set, never the
+# Trials per batched solve of a sweep: bounds the working set, never the
 # output.
 SOLVE_BLOCK = 256
 
@@ -391,26 +394,27 @@ def brute_force_l0(D, y, k_max: int, tol: float | None = None) -> BruteForceResu
 SWEEP_STRATEGIES = ("first-n", "spread", "random-baseline")
 
 
-def _sweep_cell(payload):
-    """(successes, solver stalls, largest iteration count) of one cell: draw
-    every trial, then one batched solve per SOLVE_BLOCK trials."""
-    D, strategy, n_a, n_b, trials, master_seed, key, coeff, cfg = payload
-    outcomes = []
-    for start in range(0, trials, SOLVE_BLOCK):
-        instances = [
-            sample_instance(D, strategy, n_a, n_b, derive_rng(master_seed, *key, t), coeff=coeff)
-            for t in range(start, min(start + SOLVE_BLOCK, trials))
-        ]
-        outcomes += solve_bp_batch(
-            D,
-            np.stack([inst.y for inst in instances], axis=1),
-            cfg,
-            np.stack([inst.x for inst in instances], axis=1),
+def _solve_trials(payload):
+    """(success, stall, iteration count) of trials lo..hi-1 of a sweep's flat
+    list, in one batched solve."""
+    D, strategies, na_values, nb_values, trials, master_seed, coeff, cfg, lo, hi = payload
+    instances = []
+    for index in range(lo, hi):
+        cell, t = divmod(index, trials)
+        rest, bi = divmod(cell, len(nb_values))
+        si, ai = divmod(rest, len(na_values))
+        rng = derive_rng(master_seed, si, ai, bi, t)
+        instances.append(
+            sample_instance(D, strategies[si], na_values[ai], nb_values[bi], rng, coeff=coeff)
         )
-    return (
-        sum(o.success for o in outcomes),
-        sum(not o.converged for o in outcomes),
-        max(o.iterations for o in outcomes),
+    outcomes = solve_bp_batch(
+        D,
+        np.stack([inst.y for inst in instances], axis=1),
+        cfg,
+        np.stack([inst.x for inst in instances], axis=1),
+    )
+    return np.array(
+        [(o.success, not o.converged, o.iterations) for o in outcomes], dtype=np.int64
     )
 
 
@@ -482,7 +486,11 @@ def run_recovery_sweep(
 ) -> PhaseTransitionGrid:
     """Measure success rates over the (strategy, n_a, n_b) grid.
 
-    Per-trial streams are keyed by (strategy, cell, trial), so the grid is
+    The trials are listed in grid order (strategy, n_a, n_b, trial) and solved
+    in consecutive blocks of SOLVE_BLOCK, one batched solve per block; the
+    ``workers`` processes fan out over blocks, so a sweep of at most
+    SOLVE_BLOCK trials runs in one process.  Per-trial streams are keyed by
+    (strategy, cell, trial) and the blocks by the grid alone, so the grid is
     bitwise identical across worker counts and run orders.  Every grid value
     and strategy is checked, and the unit-law warning raised, before any
     solve.
@@ -511,15 +519,17 @@ def run_recovery_sweep(
         )
     if coeff is not None and coeff.magnitude_law == "unit":
         warnings.warn(_UNIT_LAW_WARNING, stacklevel=2)
-    payloads = [
-        (D, strategy, n_a, n_b, trials_per_cell, master_seed, (si, ai, bi), coeff, cfg)
-        for si, strategy in enumerate(strategies)
-        for ai, n_a in enumerate(na_values)
-        for bi, n_b in enumerate(nb_values)
-    ]
     shape = (len(strategies), len(na_values), len(nb_values))
-    counts = np.array(fan_out(_sweep_cell, payloads, workers), dtype=np.int64)
-    successes, nonconverged, iterations_max = (c.reshape(shape) for c in counts.T)
+    total = math.prod(shape) * trials_per_cell
+    payloads = [
+        (D, strategies, na_values, nb_values, trials_per_cell, master_seed, coeff, cfg,
+         lo, min(lo + SOLVE_BLOCK, total))
+        for lo in range(0, total, SOLVE_BLOCK)
+    ]
+    per_trial = np.concatenate(fan_out(_solve_trials, payloads, workers))
+    per_trial = per_trial.reshape(*shape, trials_per_cell, 3)
+    successes, nonconverged = per_trial[..., 0].sum(axis=-1), per_trial[..., 1].sum(axis=-1)
+    iterations_max = per_trial[..., 2].max(axis=-1)
     return PhaseTransitionGrid(
         na_values=na_values,
         nb_values=nb_values,

@@ -141,6 +141,29 @@ class TestCheck:
         rhs_by_id = {c["id"]: c["rhs"] for c in doc["conditions"]}
         assert rhs_by_id["eq1"] is None        # +inf in JSON output
 
+    @pytest.mark.parametrize("command", ["check", "report"])
+    @pytest.mark.parametrize("na, nb", [("100", "1"), ("1", "100"), ("8", "0"), ("0", "50")])
+    def test_impossible_budget_exits_2_before_any_evaluation(
+        self, dict_dir, tmp_path, capsys, monkeypatch, command, na, nb
+    ):
+        # mub7 has Na = 7 and Nb = 49
+        def no_work(*args, **kwargs):
+            raise AssertionError("the dictionary was analyzed before the budgets were checked")
+
+        monkeypatch.setattr(cli.dictionary, "analyze", no_work)
+        out = tmp_path / "report.json"
+        argv = [command, "--dict", dict_dir["mub7"], "--na", na, "--nb", nb]
+        assert main(argv + (["--out", str(out)] if command == "report" else [])) == 2
+        captured = capsys.readouterr()
+        assert "budgets must satisfy 0 <= n_a <= 7 and 0 <= n_b <= 49" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_maximize_ignores_the_budgets(self, dict_dir, capsys):
+        rc = main(["check", "--dict", dict_dir["mub7"], "--maximize", "--na", "100"])
+        assert rc == 0
+        assert "best n_a" in capsys.readouterr().out
+
 
 # ==============================
 # config file handling

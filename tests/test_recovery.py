@@ -382,10 +382,38 @@ class TestRecoverySweep:
     def test_solve_blocks_do_not_change_counts(self, two_onb8, monkeypatch):
         kwargs = dict(trials_per_cell=10, master_seed=8, strategies=("random-baseline",))
         whole = run_recovery_sweep(two_onb8, (1, 2), (2, 3), **kwargs)
-        monkeypatch.setattr(recovery, "SOLVE_BLOCK", 4)  # blocks of 4, 4 and 2
+        monkeypatch.setattr(recovery, "SOLVE_BLOCK", 4)  # ten blocks of 4 over 4 cells
         split = run_recovery_sweep(two_onb8, (1, 2), (2, 3), **kwargs)
         for name in ("successes", "nonconverged", "iterations_max"):
             np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cap", [None, 300])
+    def test_blocks_that_straddle_cells(self, two_onb8, monkeypatch, cap, workers):
+        # 8 cells of 5 trials in blocks of 7: blocks cut across cells and
+        # strategies, and 6 payloads fan out; each cell solved alone must agree
+        na_values, nb_values, strategies, trials, seed = (1, 3), (2, 4), SWEEP_STRATEGIES[::2], 5, 6
+        cfg = None if cap is None else BpSolverConfig(max_iterations=cap)
+        expected = np.zeros((3, len(strategies), len(na_values), len(nb_values)), dtype=int)
+        for si, strategy in enumerate(strategies):
+            for ai, n_a in enumerate(na_values):
+                for bi, n_b in enumerate(nb_values):
+                    Y, X = _cell_data(two_onb8, strategy, n_a, n_b, trials, seed, (si, ai, bi))
+                    outs = solve_bp_batch(two_onb8, Y, cfg, X)
+                    expected[:, si, ai, bi] = (
+                        sum(o.success for o in outs),
+                        sum(not o.converged for o in outs),
+                        max(o.iterations for o in outs),
+                    )
+        assert 0 < expected[0].sum() < expected[0].size * trials
+        monkeypatch.setattr(recovery, "SOLVE_BLOCK", 7)
+        grid = run_recovery_sweep(
+            two_onb8, na_values, nb_values, trials_per_cell=trials, strategies=strategies,
+            master_seed=seed, cfg=cfg, workers=workers,
+        )
+        assert grid.successes.tolist() == expected[0].tolist()
+        assert grid.nonconverged.tolist() == expected[1].tolist()
+        assert grid.iterations_max.tolist() == expected[2].tolist()
 
     def test_rank_deficient_cell_fails(self, two_onb4):
         grid = run_recovery_sweep(
@@ -472,6 +500,38 @@ class TestRecoverySweep:
         doc = grid.summary_dict()
         assert doc["rates"][0][0][0] == 1.0
         assert doc["trials_per_cell"] == 3
+
+
+def _fuchs_certified(mat, x) -> bool:
+    """Whether x is provably the unique l1 minimizer for y = D x, a priori
+    (Fuchs 2004): D_S is injective on the support S of x, and
+    v = pinv(D_S^H) sign(x_S) has |d_j^H v| < 1 for every j outside S."""
+    support = np.flatnonzero(x)
+    sub = mat[:, support]
+    if np.linalg.matrix_rank(sub) < support.size:
+        return False
+    v = np.linalg.pinv(sub.conj().T) @ (x[support] / np.abs(x[support]))
+    off = np.delete(mat, support, axis=1)
+    return bool(np.abs(off.conj().T @ v).max() < 1.0)
+
+
+class TestCertificateGate:
+    def test_every_certified_trial_is_a_success(self, two_onb8, monkeypatch):
+        solved = []
+
+        def recording(D, Y, cfg=None, X_true=None):
+            outs = solve_bp_batch(D, Y, cfg, X_true)
+            solved.extend(zip(X_true.T, outs))
+            return outs
+
+        monkeypatch.setattr(recovery, "solve_bp_batch", recording)
+        run_recovery_sweep(
+            two_onb8, (0, 1, 2, 3), (1, 2, 3), trials_per_cell=4, master_seed=17,
+        )
+        assert len(solved) == 96
+        certified = [out for x, out in solved if _fuchs_certified(two_onb8.matrix, x)]
+        assert certified
+        assert all(out.success for out in certified)
 
 
 class TestSuccessDefinition:
