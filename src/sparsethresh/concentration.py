@@ -302,12 +302,6 @@ def tail_probability(u: float, spec: TailBoundSpec) -> tuple[float, float]:
 # ============================================================
 
 
-def _check_budgets(D: PartitionedDictionary, n_a: int, n_b: int) -> None:
-    if n_a + n_b == 0:
-        raise ValueError("empty sub-dictionary has no smallest singular value")
-    D.check_budgets(n_a, n_b)
-
-
 def _support_blocks(D, strategy, support_a, n_a, n_b, master_seed, lo, hi):
     """(first trial, A-columns, B-columns) of trials lo..hi-1, TRIAL_BLOCK at a time."""
     for start in range(lo, hi, TRIAL_BLOCK):
@@ -421,7 +415,9 @@ def run_smin_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_budgets(D, n_a, n_b)
+    if n_a + n_b == 0:
+        raise ValueError("empty sub-dictionary has no smallest singular value")
+    D.check_budgets(n_a, n_b)
     fixed_a = (
         None if strategy == "random-baseline"
         else choose_support_a(strategy, D.Na, n_a, indices=support_a)
@@ -576,7 +572,9 @@ def estimate_moment(
             f"q must be a finite number at or above the validity floor "
             f"{floor_b:.6g} for n_b={n_b}, got q={q}"
         )
-    _check_budgets(D, n_a, n_b)
+    if n_a + n_b == 0:
+        raise ValueError("empty sub-dictionary has no smallest singular value")
+    D.check_budgets(n_a, n_b)
     choose_support_a(strategy, D.Na, n_a, indices=support_a)  # validate before any work
     stats = analyze(D)
 

@@ -32,6 +32,19 @@ The returned x is always the projected iterate, never the relaxed point, so
 it satisfies the constraint to machine precision wherever the iteration
 stops.
 
+ADMM's iteration counts are heavy-tailed, and a batch costs its longest
+solve.  So when ``max_iterations`` exceeds HANDOVER_ITERATIONS, ADMM stops
+there, and every column still running is handed over to a log-barrier
+Newton method on the dual, max Re(y^H w) subject to |d_j^H w| <= 1 (Boyd
+and Vandenberghe 2004, section 11.3, as l1-magic applies it to basis
+pursuit).  All handed-over columns share each Newton step's batched QR and
+solves, but each keeps its own barrier weight, step and stopping test, so
+its result does not depend on the others.  Its x is least squares on the
+dual's active set when a duality-gap certificate backs it, and the
+central-path point projected onto D x = y otherwise.  A column that
+converges within HANDOVER_ITERATIONS, and every column when
+``max_iterations`` is at most HANDOVER_ITERATIONS, is ADMM's alone.
+
 ``brute_force_l0`` enumerates all supports up to a small size cap and reports
 every one that reproduces y by least squares, which settles minimality and
 uniqueness by definition at desk scale.  Monte Carlo sweeps over (n_a, n_b)
@@ -89,6 +102,23 @@ BALANCE_FACTOR = 2.0
 # output.
 SOLVE_BLOCK = 256
 
+# The dual Newton finisher (see the module docstring).  Past a gap of about
+# 1e-9 the Hessian is numerically singular.
+HANDOVER_ITERATIONS = 1_000
+NEWTON_MAX_STEPS = 500
+NEWTON_GAP = 1e-7  # stop once 2N / tau, the central path's duality gap, is below
+NEWTON_CENTERED = 1e-10  # half the squared Newton decrement that ends a centering
+NEWTON_TAU_FACTOR = 10.0
+NEWTON_STEP_FRACTION = 0.99  # of the largest step that keeps every |d_j^H w| < 1
+NEWTON_BACKTRACK_SLOPE = 0.01
+NEWTON_BACKTRACK_LIMIT = 60
+ACTIVE_MARGIN = 1e-4  # the polish support is {j : |d_j^H w| > 1 - ACTIVE_MARGIN}
+POLISH_RESIDUAL = 1e-10  # ||D_S x_S - y|| / ||y|| a polish may leave
+POLISH_GAP = 1e-6  # ||x_S||_1 - Re(y^H w) a polish may leave, at ||y|| = 1
+# handed-over columns per Newton solve: bounds the stacked QR's input (32 m N
+# bytes a column), never the output
+NEWTON_CHUNK_BYTES = 16 * 2**20
+
 _UNIT_LAW_WARNING = (
     "unit magnitudes are not drawn from a continuous distribution; "
     "uniqueness-based success claims are fragile under this law"
@@ -98,7 +128,11 @@ _UNIT_LAW_WARNING = (
 @dataclass(frozen=True)
 class BpSolverConfig:
     """ADMM settings; ``step_parameter`` is the initial rho, which residual
-    balancing then moves.  Tolerances are relative to ||y||."""
+    balancing then moves.  Tolerances are relative to ||y||.
+
+    ``max_iterations`` caps ADMM.  When it exceeds HANDOVER_ITERATIONS, ADMM
+    stops at HANDOVER_ITERATIONS instead and hands every column still running
+    to the dual Newton finisher (see the module docstring)."""
 
     step_parameter: float = 1.0
     max_iterations: int = 100_000
@@ -119,6 +153,10 @@ class RecoveryOutcome:
     """Solver output and diagnostics; error fields need a reference x_true.
 
     ``feasibility_residual`` is ||D x_hat - y|| / ||y|| (0 when y = 0).
+    ``iterations`` counts ADMM iterations, or HANDOVER_ITERATIONS plus the
+    Newton steps for a solve handed over to the dual Newton finisher, so it
+    exceeds HANDOVER_ITERATIONS exactly when the solve was handed over.
+    ``converged`` is the stopping test of whichever method finished.
     """
 
     x_hat: np.ndarray
@@ -182,8 +220,11 @@ def solve_bp_batch(
     its own test and is written out on the iteration it converges; its
     iterates are those it gets alone up to the rounding of a matrix-matrix
     product (about 1e-15 relative).  Columns that converge leave the active
-    set, so a batch costs about its longest solve.  ``X_true`` holds the
-    reference x of each column.  Every column is checked before any setup.
+    set, so a batch costs about its longest solve, and the columns still
+    running at HANDOVER_ITERATIONS (when ``max_iterations`` exceeds it) are
+    finished together by the dual Newton method, whose arithmetic is row by
+    row.  ``X_true`` holds the reference x of each column.  Every column is
+    checked before any setup.
     """
     cfg = cfg or BpSolverConfig()
     mat = _dictionary_matrix(D)
@@ -235,7 +276,7 @@ def solve_bp_batch(
 
     it = 0
     bound = False
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, min(cfg.max_iterations, HANDOVER_ITERATIONS) + 1):
         if not bound:
             # views and work buffers of the active columns, remade when one leaves
             r, s, x, z, u = state
@@ -300,8 +341,147 @@ def solve_bp_batch(
             state, rho, x_feas, active = state[:, keep], rho[keep], x_feas[keep], active[keep]
             bound = False
     else:
-        write_out(range(active.size), it, False)
+        if cfg.max_iterations <= HANDOVER_ITERATIONS:
+            write_out(range(active.size), it, False)
+            return outcomes
+        chunk = max(1, NEWTON_CHUNK_BYTES // (32 * m * n))
+        for lo in range(0, active.size, chunk):
+            cols = active[lo:lo + chunk]
+            x_fin, steps, finished = _newton_finish(mat, pinv, y_unit[cols])
+            for j, x_unit, step, converged in zip(cols, x_fin, steps, finished):
+                outcomes[j] = _outcome(
+                    mat, x_unit, y_unit[j], y_scale[j], HANDOVER_ITERATIONS + int(step),
+                    bool(converged), None if x_true_rows is None else x_true_rows[j],
+                )
     return outcomes
+
+
+def _newton_finish(mat, pinv, y):
+    """Basis pursuit on each row of ``y`` (unit norm) by a log-barrier Newton
+    method on its dual: the x, Newton step count and gap-test flag per row.
+
+    The dual, max Re(y^H w) subject to |d_j^H w| <= 1, is centered on
+    -tau Re(y^H w) - sum_j log(1 - |d_j^H w|^2) in the real unknowns of w
+    (Boyd and Vandenberghe 2004, section 11.3; l1-magic does the same for
+    basis pursuit), with w in the range of D.  Each row starts at w = 0 and
+    tau = 2N, keeps its own tau (times NEWTON_TAU_FACTOR per centering) and
+    stops when a centering leaves a gap 2N / tau <= NEWTON_GAP, or after
+    NEWTON_MAX_STEPS steps.  All rows share each step's arrays and batched
+    factorisations, but every quantity is computed row by row, so a row does
+    not depend on the others.
+
+    The x of a row is least squares on the dual's active set
+    {j : |d_j^H w| > 1 - ACTIVE_MARGIN}, accepted only behind a duality-gap
+    certificate: it must fit y to POLISH_RESIDUAL and its l1 norm may exceed
+    the dual value Re(y^H w), a lower bound on the optimum, by at most
+    POLISH_GAP.  Otherwise x is the central-path point x_j = 2 c_j /
+    (tau (1 - |c_j|^2)), c = D^H w, projected onto D x = y.
+    """
+    h, n = y.shape[0], mat.shape[1]
+    # w = U z over an orthonormal basis U of the range of D, so that the
+    # Hessian is nonsingular; G = U^H D then has c = D^H w = G^H z
+    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
+    basis = u[:, : int(np.count_nonzero(sv > sv[0] * max(mat.shape) * np.finfo(float).eps))]
+    g = basis.conj().T @ mat
+    r = g.shape[0]
+    conj_g, g_t = g.conj(), np.ascontiguousarray(g.T)
+    # z -> G^H z as a real (2N x 2r) matrix on interleaved (re, im)
+    # coordinates, held as (N, 2, 2r): e[j] is B_j^T, the map z -> c_j
+    e = np.ascontiguousarray(
+        np.stack([conj_g, 1j * conj_g], axis=1).reshape(2 * r, n).view(np.float64).T
+    ).reshape(n, 2, 2 * r)
+    y_real = _row_products(y, basis.conj()).view(np.float64)
+    z = np.zeros((h, r), dtype=complex)
+    tau = np.full(h, 2.0 * n)
+    steps = np.zeros(h, dtype=np.int64)
+    finished = np.zeros(h, dtype=bool)
+    live = np.arange(h)
+    for _ in range(NEWTON_MAX_STEPS):
+        steps[live] += 1
+        zl, yl, tl = z[live], y_real[live], tau[live]
+        c = _row_products(zl, conj_g)
+        abs2 = c.real**2 + c.imag**2
+        s = 1.0 - abs2
+        alpha = 2.0 / s
+        grad = _row_products(alpha * c, g_t).view(np.float64) - tl[:, None] * yl
+        # H = sum_j B_j W_j B_j^T, with W_j = alpha_j I + alpha_j^2 p_j p_j^T
+        # for p_j = (Re c_j, Im c_j), is K^T K for the rows K_j = W_j^(1/2)
+        # B_j^T; W_j^(1/2) = sqrt(alpha_j) I + gamma_j u_j u_j^T with u_j =
+        # p_j / |p_j|, and B_j u_j is the real form of g_j c_j / |c_j|.  A QR
+        # of K gives H = R^T R without forming H, whose condition number is
+        # the square of K's and passes 1 / eps near the end of the path.
+        root = np.sqrt(alpha)
+        gamma = np.sqrt(alpha * (1.0 + alpha * abs2)) - root
+        unit = c / np.maximum(np.sqrt(abs2), 1e-300)
+        k = e * root[:, :, None, None]
+        k += (unit.view(np.float64).reshape(-1, n, 2) * gamma[:, :, None])[:, :, :, None] * (
+            (unit[:, :, None] * g_t).view(np.float64)[:, :, None, :]
+        )
+        r_factor = np.linalg.qr(k.reshape(-1, 2 * n, 2 * r), mode="r")
+        rhs = np.stack([grad, yl], axis=-1)
+        inv_grad, inv_y = np.moveaxis(
+            np.linalg.solve(r_factor, np.linalg.solve(r_factor.transpose(0, 2, 1), rhs)), -1, 0
+        )
+        direction = -inv_grad
+        decrement = (grad * inv_grad).sum(axis=1)
+        centered = decrement <= 2.0 * NEWTON_CENTERED
+        done = centered & (2.0 * n / tl <= NEWTON_GAP)
+        finished[live[done]] = True
+        raise_tau = centered & ~done
+        if raise_tau.any():
+            # H does not depend on tau: at tau' the gradient moves by
+            # -(tau' - tau) y and the step by (tau' - tau) H^-1 y
+            raise_by = np.where(raise_tau, tl * (NEWTON_TAU_FACTOR - 1.0), 0.0)
+            tl = tl + raise_by
+            tau[live] = tl
+            grad = grad - raise_by[:, None] * yl
+            direction = direction + raise_by[:, None] * inv_y
+            decrement = -(grad * direction).sum(axis=1)
+        dz = np.ascontiguousarray(direction).view(complex)
+        dc = _row_products(dz, conj_g)
+        quad = dc.real**2 + dc.imag**2
+        lin = c.real * dc.real + c.imag * dc.imag
+        with np.errstate(divide="ignore"):
+            reach = (s / (lin + np.sqrt(lin**2 + quad * s))).min(axis=1)
+        step = np.where(done, 0.0, np.minimum(1.0, NEWTON_STEP_FRACTION * reach))
+        # halve the step of each row until its barrier objective falls by at
+        # least NEWTON_BACKTRACK_SLOPE * step * decrement
+        gain = tl * (yl * direction).sum(axis=1)
+        short = ~done
+        for _ in range(NEWTON_BACKTRACK_LIMIT):
+            t = step[:, None]
+            rise = -step * gain - np.log1p(-(2.0 * t * lin + t * t * quad) / s).sum(axis=1)
+            short &= rise > -NEWTON_BACKTRACK_SLOPE * step * decrement
+            if not short.any():
+                break
+            step[short] *= 0.5
+        z[live] = zl + step[:, None] * dz
+        live = live[~done]
+        if not live.size:
+            break
+
+    c = _row_products(z, conj_g)
+    w = _row_products(z, basis.T)
+    central = 2.0 * c / (tau[:, None] * (1.0 - (c.real**2 + c.imag**2)))
+    x = central - _row_products(_row_products(central, mat.T) - y, pinv.T)
+    for row, active in enumerate(np.abs(c) > 1.0 - ACTIVE_MARGIN):
+        support = np.flatnonzero(active)
+        sub = mat[:, support]
+        x_s = np.linalg.lstsq(sub, y[row], rcond=None)[0]
+        if (
+            _norm(sub @ x_s - y[row]) <= POLISH_RESIDUAL
+            and np.abs(x_s).sum() <= np.vdot(y[row], w[row]).real + POLISH_GAP
+        ):
+            x[row] = 0.0
+            x[row, support] = x_s
+    return x, steps, finished
+
+
+def _row_products(a, b):
+    """a @ b one row of a at a time, so that a row's rounding does not depend
+    on the other rows: the finisher's ill-conditioned last steps would
+    amplify it."""
+    return (a[:, None, :] @ b)[:, 0]
 
 
 def _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true) -> RecoveryOutcome:
@@ -429,7 +609,10 @@ class PhaseTransitionGrid:
     master_seed: int
     successes: np.ndarray  # shape (strategies, na_values, nb_values)
     nonconverged: np.ndarray  # solver stalls, same shape
-    iterations_max: np.ndarray  # largest ADMM iteration count, same shape
+    # largest iteration count, same shape: ADMM iterations, or
+    # HANDOVER_ITERATIONS plus Newton steps for a trial handed over
+    iterations_max: np.ndarray
+    handed_over: np.ndarray  # trials finished by the dual Newton method, same shape
 
     @property
     def rates(self) -> np.ndarray:
@@ -470,6 +653,7 @@ class PhaseTransitionGrid:
             ],
             "nonconverged": self.nonconverged.tolist(),
             "iterations_max": self.iterations_max.tolist(),
+            "handed_over": self.handed_over.tolist(),
         }
 
 
@@ -530,6 +714,7 @@ def run_recovery_sweep(
     per_trial = per_trial.reshape(*shape, trials_per_cell, 3)
     successes, nonconverged = per_trial[..., 0].sum(axis=-1), per_trial[..., 1].sum(axis=-1)
     iterations_max = per_trial[..., 2].max(axis=-1)
+    handed_over = (per_trial[..., 2] > HANDOVER_ITERATIONS).sum(axis=-1)
     return PhaseTransitionGrid(
         na_values=na_values,
         nb_values=nb_values,
@@ -539,4 +724,5 @@ def run_recovery_sweep(
         successes=successes,
         nonconverged=nonconverged,
         iterations_max=iterations_max,
+        handed_over=handed_over,
     )

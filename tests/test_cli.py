@@ -561,6 +561,9 @@ class TestRecover:
         lines = (one / "recovery_rates.csv").read_text().splitlines()
         assert lines[0] == "nA,nB,strategy,trials,successes,rate"
         assert lines[1] == "0,0,first-n,4,4,1.0"
+        summary = json.loads((one / "recovery_summary.json").read_text())
+        for grid in ("nonconverged", "iterations_max", "handed_over"):
+            assert np.shape(summary[grid]) == np.shape(summary["rates"]), grid
 
     def test_range_syntax_error(self, dict_dir, capsys):
         rc = main([

@@ -148,8 +148,11 @@ def _cell_data(D, strategy, n_a, n_b, trials, seed, key):
 
 class TestSolveBpBatch:
     # (dictionary, strategy, n_a, n_b, seed, cell key), 10 trials each: a
-    # README-grid cell, whose trial 8 takes 1,338 iterations and 6 of whose
-    # 10 trials succeed, and two mub7 cells with solves of 1,972 and 1,133
+    # README-grid cell, whose trial 8 took 1,338 ADMM iterations and 6 of
+    # whose 10 trials succeed, and two mub7 cells with solves of 1,972 and
+    # 1,133.  Each has a column that the dual Newton method finishes (two
+    # together in the first mub7 cell), whose x is the ill-conditioned
+    # central-path point when its polish is refused.
     CELLS = [
         ("two_onb8", "random-baseline", 3, 1, 3, (1, 3, 1)),
         ("mub7", "random-baseline", 3, 0, 5, (1, 3, 0)),
@@ -166,7 +169,7 @@ class TestSolveBpBatch:
         batch = solve_bp_batch(D, Y, X_true=X)
         perm = np.random.default_rng(0).permutation(10)
         permuted = solve_bp_batch(D, Y[:, perm], X_true=X[:, perm])
-        assert max(out.iterations for out in alone) > 1000
+        assert max(out.iterations for out in alone) > recovery.HANDOVER_ITERATIONS
         for j, solo in enumerate(alone):
             for out in (batch[j], permuted[int(np.flatnonzero(perm == j)[0])]):
                 assert (out.iterations, out.converged, out.success) == (
@@ -180,6 +183,23 @@ class TestSolveBpBatch:
         outs = solve_bp_batch(two_onb8, Y, BpSolverConfig(max_iterations=2), X)
         assert [(o.iterations, o.converged, o.success) for o in outs] == [(2, False, False)] * 4
         assert max(o.feasibility_residual for o in outs) <= 1e-10
+
+    def test_capped_at_the_handover_stays_admm(self, two_onb8):
+        # the README grid's 70,571-iteration solve, capped where the handover
+        # would start: ADMM's own unconverged iterate, with the values that
+        # ADMM gave before the finisher existed
+        inst = sample_instance(two_onb8, "first-n", 2, 3, derive_rng(3, 0, 2, 3, 20))
+        cfg = BpSolverConfig(max_iterations=recovery.HANDOVER_ITERATIONS)
+        out = solve_bp(two_onb8, inst.y, cfg, x_true=inst.x)
+        assert (out.iterations, out.converged, out.success) == (1000, False, False)
+        assert out.l1_value == pytest.approx(4.246181835067384, rel=1e-9)
+        assert out.relative_l2_error == pytest.approx(0.0029323647117591384, rel=1e-9)
+        assert out.feasibility_residual <= 1e-10
+        finished = solve_bp(two_onb8, inst.y, x_true=inst.x)
+        assert finished.converged and finished.success
+        assert recovery.HANDOVER_ITERATIONS < finished.iterations <= (
+            recovery.HANDOVER_ITERATIONS + recovery.NEWTON_MAX_STEPS
+        )
 
     def test_empty_batch(self, two_onb4):
         assert solve_bp_batch(two_onb4, np.zeros((4, 0))) == []
@@ -202,6 +222,49 @@ class TestSolveBpBatch:
             solve_bp_batch(two_onb4, np.zeros((5, 2)))
         with pytest.raises(ValueError, match="X_true"):
             solve_bp_batch(two_onb4, np.zeros((4, 2)), X_true=np.zeros((8, 3)))
+
+
+class TestNewtonFinisher:
+    """Every column handed over after one ADMM iteration: the Newton method's
+    verdicts on README-grid trials (two_onb8, seed 3) where a careless polish
+    goes wrong."""
+
+    @staticmethod
+    def _finished(D, strategy, n_a, n_b, t, monkeypatch):
+        monkeypatch.setattr(recovery, "HANDOVER_ITERATIONS", 1)
+        si = ("first-n", "random-baseline").index(strategy)
+        inst = sample_instance(D, strategy, n_a, n_b, derive_rng(3, si, n_a, n_b, t))
+        out = solve_bp(D, inst.y, x_true=inst.x)
+        assert out.converged and out.iterations > 1
+        return inst, out
+
+    @pytest.mark.parametrize("n_a, n_b, t", [(1, 4, 10), (3, 2, 40)])
+    def test_uncertified_polish_leaves_a_failure(self, two_onb8, monkeypatch, n_a, n_b, t):
+        # x_true's l1 norm exceeds the optimum by 1e-6 relative, so least
+        # squares on the large entries of x reproduces it, and a polish on any
+        # support must pass the gap test; the point returned beats x_true
+        inst, out = self._finished(two_onb8, "random-baseline", n_a, n_b, t, monkeypatch)
+        assert not out.success
+        assert out.l1_value < np.abs(inst.x).sum()
+        assert out.feasibility_residual <= 1e-10
+
+    @pytest.mark.parametrize("n_a, n_b, t", [(3, 1, 22), (3, 1, 47)])
+    def test_dual_support_keeps_a_success(self, two_onb8, monkeypatch, n_a, n_b, t):
+        # the dual value equals ||x_true||_1 to 1e-8: the certified polish on
+        # the dual's active set returns x_true itself
+        _, out = self._finished(two_onb8, "first-n", n_a, n_b, t, monkeypatch)
+        assert out.success and out.support_match
+        assert out.relative_l2_error <= 1e-12
+
+    def test_a_small_entry_stays_in_the_polish(self, two_onb8, monkeypatch):
+        # an entry 2e-4 of the largest falls below a support cut at
+        # 1e-3 max|x|, but its |d_j^H w| comes within ACTIVE_MARGIN of 1
+        monkeypatch.setattr(recovery, "HANDOVER_ITERATIONS", 1)
+        x_true, y = _planted(two_onb8, (1, 11), [1.0, 2e-4j])
+        out = solve_bp(two_onb8, y, x_true=x_true)
+        assert out.converged and out.iterations > 1
+        assert out.success and out.support_match
+        assert out.relative_l2_error <= 1e-12
 
 
 # ==============================
@@ -336,17 +399,19 @@ class TestRecoverySweep:
 
     # successes, nonconverged and iterations_max of a two_onb8 grid (n_a 0-3,
     # n_b 1-4, all three strategies, 6 trials, seed 21) as the one-trial-at-a-
-    # time solver gave them, uncapped and capped at 300 iterations
+    # time solver gave them, uncapped and capped at 300 iterations.  The three
+    # uncapped maxima above HANDOVER_ITERATIONS are 1,000 ADMM iterations plus
+    # Newton steps (the ADMM-only solves took 1045, 1062 and 1607).
     PINNED = {
         None: (
             [[[6, 6, 6, 6], [6, 6, 4, 2], [6, 4, 3, 0], [4, 1, 1, 0]],
              [[6, 6, 6, 6], [6, 5, 3, 1], [5, 4, 2, 0], [3, 1, 2, 0]],
              [[6, 6, 6, 6], [6, 6, 4, 2], [6, 4, 1, 0], [3, 1, 0, 0]]],
             [[[0] * 4] * 4] * 3,
-            [[[96, 96, 102, 123], [142, 144, 352, 1045], [127, 334, 371, 333],
+            [[[96, 96, 102, 123], [142, 144, 352, 1078], [127, 334, 371, 333],
               [343, 373, 366, 361]],
-             [[96, 96, 95, 161], [134, 125, 742, 1062], [193, 194, 293, 614],
-              [1607, 669, 330, 489]],
+             [[96, 96, 95, 161], [134, 125, 742, 1073], [193, 194, 293, 614],
+              [1082, 669, 330, 489]],
              [[96, 97, 98, 150], [147, 151, 236, 291], [143, 548, 255, 704],
               [521, 390, 411, 291]]],
         ),
@@ -378,6 +443,8 @@ class TestRecoverySweep:
         assert grid.successes.tolist() == successes
         assert grid.nonconverged.tolist() == nonconverged
         assert grid.iterations_max.tolist() == iterations_max
+        handed = grid.iterations_max > recovery.HANDOVER_ITERATIONS
+        assert grid.handed_over.tolist() == handed.astype(int).tolist()
 
     def test_solve_blocks_do_not_change_counts(self, two_onb8, monkeypatch):
         kwargs = dict(trials_per_cell=10, master_seed=8, strategies=("random-baseline",))
@@ -394,7 +461,7 @@ class TestRecoverySweep:
         # strategies, and 6 payloads fan out; each cell solved alone must agree
         na_values, nb_values, strategies, trials, seed = (1, 3), (2, 4), SWEEP_STRATEGIES[::2], 5, 6
         cfg = None if cap is None else BpSolverConfig(max_iterations=cap)
-        expected = np.zeros((3, len(strategies), len(na_values), len(nb_values)), dtype=int)
+        expected = np.zeros((4, len(strategies), len(na_values), len(nb_values)), dtype=int)
         for si, strategy in enumerate(strategies):
             for ai, n_a in enumerate(na_values):
                 for bi, n_b in enumerate(nb_values):
@@ -404,6 +471,7 @@ class TestRecoverySweep:
                         sum(o.success for o in outs),
                         sum(not o.converged for o in outs),
                         max(o.iterations for o in outs),
+                        sum(o.iterations > recovery.HANDOVER_ITERATIONS for o in outs),
                     )
         assert 0 < expected[0].sum() < expected[0].size * trials
         monkeypatch.setattr(recovery, "SOLVE_BLOCK", 7)
@@ -414,6 +482,7 @@ class TestRecoverySweep:
         assert grid.successes.tolist() == expected[0].tolist()
         assert grid.nonconverged.tolist() == expected[1].tolist()
         assert grid.iterations_max.tolist() == expected[2].tolist()
+        assert grid.handed_over.tolist() == expected[3].tolist()
 
     def test_rank_deficient_cell_fails(self, two_onb4):
         grid = run_recovery_sweep(
@@ -433,6 +502,7 @@ class TestRecoverySweep:
         doc = grid.summary_dict()
         assert doc["nonconverged"] == [[[3, 3]], [[3, 3]]]
         assert doc["iterations_max"] == [[[2, 2]], [[2, 2]]]
+        assert doc["handed_over"] == [[[0, 0]], [[0, 0]]]
         assert np.shape(doc["rates"]) == np.shape(doc["nonconverged"])
         assert grid.csv_rows()[0] == RECOVERY_CSV_HEADER
 
