@@ -178,6 +178,19 @@ def _source_int(value, field: str) -> int:
     return value
 
 
+# build-dict flag and config 'dictionary' key -> (integer count, help, build);
+# build(value, seed, split) gives the dictionary and its default file name
+_BUILDERS = {
+    "mub": (None, "odd prime p for the p+1-basis dictionary",
+            lambda p, seed, split: (dictionary.build_mub(p), f"mub{p}.dict.json")),
+    "two_onb": (None, "m for the identity+Fourier dictionary",
+                lambda m, seed, split: (dictionary.build_two_onb(m), f"two_onb{m}.dict.json")),
+    "random": (2, "random unit columns of C^M, N of them", lambda size, seed, split: (
+        dictionary.build_random_dictionary(*size, seed, split),
+        "random{}x{}_seed{}.dict.json".format(*size, seed))),
+}
+
+
 def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
     """One dictionary source: the --dict flag, or the config 'dictionary' field."""
     if args.dict:
@@ -187,28 +200,26 @@ def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
         raise ValueError("no dictionary given: pass --dict or a config 'dictionary' field")
     if not isinstance(source, dict) or len(source) == 0:
         raise ValueError("config 'dictionary' must be an object naming one source")
-    kind_keys = [k for k in source if k in ("path", "mub", "two_onb", "random")]
+    kind_keys = [k for k in source if k == "path" or k in _BUILDERS]
     if len(kind_keys) != 1:
         raise ValueError(
-            "config 'dictionary' must name exactly one of path/mub/two_onb/random"
+            f"config 'dictionary' must name exactly one of path/{'/'.join(_BUILDERS)}"
         )
     kind = kind_keys[0]
+    value = source[kind]
     if kind == "path":
-        if not isinstance(source["path"], str):
+        if not isinstance(value, str):
             raise ValueError("config 'dictionary.path' must be a string")
-        return dictionary.load_dictionary(source["path"], renormalize=args.renormalize)
-    if kind == "mub":
-        return dictionary.build_mub(_source_int(source["mub"], "mub"))
-    if kind == "two_onb":
-        return dictionary.build_two_onb(_source_int(source["two_onb"], "two_onb"))
-    size = source["random"]
-    if not isinstance(size, list) or len(size) != 2:
-        raise ValueError("config 'dictionary.random' must be a list [m, N]")
-    m, n = (_source_int(v, "random") for v in size)
-    return dictionary.build_random_dictionary(
-        m, n, _source_int(source.get("seed", 0), "seed"),
-        _source_int(source.get("split", 0), "split"),
-    )
+        return dictionary.load_dictionary(value, renormalize=args.renormalize)
+    count, _, build = _BUILDERS[kind]
+    if count is None:
+        value = _source_int(value, kind)
+    elif isinstance(value, list) and len(value) == count:
+        value = [_source_int(v, kind) for v in value]
+    else:
+        raise ValueError(f"config 'dictionary.{kind}' must be a list [m, N]")
+    seed, split = (_source_int(source.get(key, 0), key) for key in ("seed", "split"))
+    return build(value, seed, split)[0]
 
 
 # ============================================================
@@ -275,18 +286,10 @@ def _csv_text(rows: list[str]) -> str:
 
 
 def cmd_build_dict(args, cfg) -> int:
-    if args.mub is not None:
-        D = dictionary.build_mub(args.mub)
-        default_name = f"mub{args.mub}.dict.json"
-    elif args.two_onb is not None:
-        D = dictionary.build_two_onb(args.two_onb)
-        default_name = f"two_onb{args.two_onb}.dict.json"
-    elif args.random is not None:
-        m, n = args.random
-        D = dictionary.build_random_dictionary(m, n, args.seed, args.split)
-        default_name = f"random{m}x{n}_seed{args.seed}.dict.json"
-    else:
+    given = [name for name in _BUILDERS if getattr(args, name) is not None]
+    if not given:
         raise ValueError("pick a builder: --mub, --two-onb or --random")
+    D, default_name = _BUILDERS[given[0]][2](getattr(args, given[0]), args.seed, args.split)
     path = default_name if args.out is None else args.out
     dictionary.save_dictionary(D, path)
     stats = dictionary.analyze(D)
@@ -521,10 +524,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         if command == "build-dict":
-            sp.add_argument("--mub", type=int, help="odd prime p for the p+1-basis dictionary")
-            sp.add_argument("--two-onb", type=int, help="m for the identity+Fourier dictionary")
-            sp.add_argument("--random", type=int, nargs=2, metavar=("M", "N"),
-                            help="random unit columns of C^M, N of them")
+            for name, (count, builder_help, _) in _BUILDERS.items():
+                sp.add_argument("--" + name.replace("_", "-"), type=int, nargs=count,
+                                metavar=count and ("M", "N"), help=builder_help)
         else:  # every other subcommand reads a dictionary
             sp.add_argument("--dict", help="path to a .dict.json dictionary file")
         for name in defaults:
@@ -551,7 +553,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         _resolve(args, cfg, defaults)
         return handler(args, cfg)
-    except (dictionary.DictionaryFormatError, ValueError, OverflowError, OSError) as exc:
+    except (dictionary.DictionaryFormatError, ValueError, OverflowError, OSError,
+            MemoryError) as exc:  # MemoryError: a --trials too large for its results
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -19,12 +19,13 @@ when both block conditions hold the threshold is at most 1/2, which pins
 sigma_min > 1/sqrt(2) outside the N^{-s} event.  ``run_smin_trials`` measures
 this empirically; ``estimate_moment`` checks the Xi_B and Xi_X moment bounds.
 
-Both runners share one kernel.  ``draw_supports`` reads trial t's supports
-from its own stream derive_rng(master_seed, t) through ``model.draw_support``
-(the A-support first, then the B-support), and ``chain_batch`` measures
-the chain for a block of TRIAL_BLOCK draws at once: the sub-dictionaries are
-stacked into one (T, m, k) array, and each of sigma_min, Xi_S, Xi_A, Xi_B and
-Xi_X takes one stacked ``np.linalg.svd(..., compute_uv=False)``.  That is
+Both runners share one kernel, run on the blocks of ``rng.fan_out``.
+``draw_supports`` reads trial t's supports from its own stream
+derive_rng(master_seed, t) through ``model.draw_support`` (the A-support
+first, then the B-support), and ``chain_batch`` measures the chain for a
+block of draws at once: the sub-dictionaries are stacked into one (T, m, k)
+array, and each of sigma_min, Xi_S, Xi_A, Xi_B and Xi_X takes one stacked
+``np.linalg.svd(..., compute_uv=False)``.  That is
 the LAPACK routine the per-matrix ``svd`` and ``norm(ord=2)`` call, applied
 matrix by matrix, so every value is bit-identical to measuring the draw on
 its own, whatever the block or worker split.  A batched ``eigvalsh`` of the
@@ -37,6 +38,7 @@ other three.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +63,6 @@ __all__ = [
 ]
 
 CHAIN_SLACK = 1e-9
-
-# Trials per chain_batch call: bounds the stacked working set, never the output.
-TRIAL_BLOCK = 256
 
 TRIAL_CSV_HEADER = "trialIndex,sigmaMin,xiS,xiA,xiB,xiX"
 MOMENT_CSV_HEADER = "trialIndex,xiB,xiX"
@@ -254,15 +253,6 @@ class TailBoundSpec:
     u: float
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "q1": self.q1,
-            "u": self.u,
-            "degenerate": self.degenerate,
-        }
-
 
 def alpha_beta(
     stats: DictionaryStats,
@@ -302,31 +292,20 @@ def tail_probability(u: float, spec: TailBoundSpec) -> tuple[float, float]:
 # ============================================================
 
 
-def _support_blocks(D, strategy, support_a, n_a, n_b, master_seed, lo, hi):
-    """(first trial, A-columns, B-columns) of trials lo..hi-1, TRIAL_BLOCK at a time."""
-    for start in range(lo, hi, TRIAL_BLOCK):
-        stop = min(start + TRIAL_BLOCK, hi)
-        yield start, *draw_supports(D, strategy, n_a, n_b, master_seed, start, stop, support_a)
-
-
-def _smin_chunk(payload):
-    """CSV columns, breaks per inequality and broken trials of trials lo..hi-1."""
-    D, stats, strategy, support_a, n_a, n_b, lo, hi, master_seed = payload
-    rows = np.empty((hi - lo, 5))
-    by_inequality: dict[str, int] = {}
-    broken_trials = 0
-    for start, cols_a, cols_b in _support_blocks(
-        D, strategy, support_a, n_a, n_b, master_seed, lo, hi
-    ):
-        rec = chain_batch(D, stats, cols_a, cols_b)
-        rows[start - lo : start - lo + len(rec.sigma_min)] = np.column_stack(
-            (rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x)
-        )
-        masks = rec.breaks()
-        for name, mask in masks.items():
-            by_inequality[name] = by_inequality.get(name, 0) + int(np.count_nonzero(mask))
-        broken_trials += int(np.count_nonzero(np.logical_or.reduce(list(masks.values()))))
-    return rows, by_inequality, broken_trials
+def _smin_block(common, lo, hi):
+    """lo, then the CSV columns, breaks per inequality and broken trials of
+    trials lo..hi-1."""
+    D, stats, strategy, support_a, n_a, n_b, master_seed = common
+    rec = chain_batch(
+        D, stats, *draw_supports(D, strategy, n_a, n_b, master_seed, lo, hi, support_a)
+    )
+    masks = rec.breaks()
+    return (
+        lo,
+        np.column_stack((rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x)),
+        {name: int(np.count_nonzero(mask)) for name, mask in masks.items()},
+        int(np.count_nonzero(np.logical_or.reduce(list(masks.values())))),
+    )
 
 
 @dataclass(eq=False)
@@ -422,18 +401,17 @@ def run_smin_trials(
         None if strategy == "random-baseline"
         else choose_support_a(strategy, D.Na, n_a, indices=support_a)
     )
+    rows = np.empty((trials, 5))  # before any work: an impossible count fails here
     stats = analyze(D)
     gamma_feasible = first_feasible_gamma(stats, D.N, D.Nb, s, n_a, n_b)
 
-    step = -(-trials // max(1, min(workers, trials)))
-    payloads = [
-        (D, stats, strategy, support_a, n_a, n_b, lo, min(lo + step, trials), master_seed)
-        for lo in range(0, trials, step)
-    ]
-    parts = fan_out(_smin_chunk, payloads, workers)
-    rows = np.vstack([p[0] for p in parts])
-    by_inequality = {name: sum(p[1][name] for p in parts) for name in parts[0][1]}
-    violation_count = sum(p[2] for p in parts)
+    by_inequality: Counter = Counter()
+    violation_count = 0
+    common = (D, stats, strategy, support_a, n_a, n_b, master_seed)
+    for lo, block, breaks, broken in fan_out(_smin_block, common, trials, workers):
+        rows[lo : lo + len(block)] = block
+        by_inequality.update(breaks)
+        violation_count += broken
 
     sig = rows[:, 0]
     failure_count = int(np.count_nonzero(sig <= 1.0 / math.sqrt(2.0)))
@@ -457,7 +435,7 @@ def run_smin_trials(
         xi_b=rows[:, 3],
         xi_x=rows[:, 4],
         violation_count=violation_count,
-        violations_by_inequality=by_inequality,
+        violations_by_inequality=dict(by_inequality),
         failure_count=failure_count,
         empirical_failure_rate=rate,
         lemma_bound=lemma_bound,
@@ -534,6 +512,14 @@ class MomentEstimate:
         }
 
 
+def _moment_block(common, lo, hi):
+    """lo, then Xi_B and Xi_X of trials lo..hi-1; sigma_min, Xi_S and Xi_A
+    would be unused SVDs."""
+    D, strategy, support_a, n_a, n_b, master_seed = common
+    cols_a, cols_b = draw_supports(D, strategy, n_a, n_b, master_seed, lo, hi, support_a)
+    return lo, *_sub_dictionaries(D, cols_a, cols_b)[1:]
+
+
 def _moment_root(values: np.ndarray, q: float) -> float:
     return float(np.mean(values**q) ** (1.0 / q))
 
@@ -576,17 +562,13 @@ def estimate_moment(
         raise ValueError("empty sub-dictionary has no smallest singular value")
     D.check_budgets(n_a, n_b)
     choose_support_a(strategy, D.Na, n_a, indices=support_a)  # validate before any work
+    xi_b, xi_x = np.empty(trials), np.empty(trials)
     stats = analyze(D)
 
-    xi_b = np.empty(trials)
-    xi_x = np.empty(trials)
-    # only Xi_B and Xi_X: sigma_min, Xi_S and Xi_A would be unused SVDs
-    for start, cols_a, cols_b in _support_blocks(
-        D, strategy, support_a, n_a, n_b, master_seed, 0, trials
-    ):
-        _, block_b, block_x = _sub_dictionaries(D, cols_a, cols_b)
-        xi_b[start : start + len(block_b)] = block_b
-        xi_x[start : start + len(block_x)] = block_x
+    common = (D, strategy, support_a, n_a, n_b, master_seed)
+    for lo, block_b, block_x in fan_out(_moment_block, common, trials, 1):
+        xi_b[lo : lo + len(block_b)] = block_b
+        xi_x[lo : lo + len(block_x)] = block_x
 
     slope_a, _ = block_a_terms(stats.mu, stats.mu_a, n_a)
     slope_b, frame, cross = block_b_terms(stats.mu_b, stats.spec_a, stats.spec_b, n_b, D.Nb)

@@ -7,11 +7,12 @@ of Multipliers"): alternate the affine projection
 x = v - pinv(D) (D v) + pinv(D) y onto the constraint set with complex
 soft-thresholding, plus a scaled dual step.  ``solve_bp`` is the batch of
 one column, so there is one iteration loop.  The iteration is scale-free and
-tunes its own step, per column:
+tunes its own step, per column, from rho = 1 (STEP_PARAMETER):
 
 - it solves for y / ||y|| and multiplies the result by ||y||, so the
   stopping floors max(1, ...) are relative to ||y|| and the iteration count
-  does not depend on the scale of y;
+  does not depend on the scale of y; both residuals stop at TOLERANCE
+  times their floor;
 - the z- and dual updates use the over-relaxed point
   1.6 x + (1 - 1.6) z (RELAXATION; section 3.4.3 there);
 - every 10 iterations (BALANCE_EVERY) the primal and dual residuals, each
@@ -50,16 +51,16 @@ every one that reproduces y by least squares, which settles minimality and
 uniqueness by definition at desk scale.  Monte Carlo sweeps over (n_a, n_b)
 cells aggregate success rates into a phase-transition grid.  A sweep lists
 its trials in grid order (strategy, n_a, n_b, trial) and solves the list in
-consecutive blocks of SOLVE_BLOCK trials, one batched solve per block, so
-cells with short solves share one tail instead of each paying its own: every
-y has length m whatever the cell's sparsity.  Trial t of the cell at grid
-indices (si, ai, bi) reads its stream derive_rng(master_seed, si, ai, bi, t)
-through ``model.sample_instance`` (support, then magnitudes, then phases).
-The blocks depend only on the grid and the trial count, never on the worker
-count, and the workers fan out over blocks, so the grid does not depend on
-the worker count and a sweep of at most SOLVE_BLOCK trials runs in one
-process.  A sweep under the non-continuous ``unit`` magnitude law warns once,
-in the calling process, before any solve.
+the blocks of ``rng.fan_out``, one batched solve per block, so cells with
+short solves share one tail instead of each paying its own: every y has
+length m whatever the cell's sparsity.  Trial t of the cell at grid indices
+(si, ai, bi) reads its stream derive_rng(master_seed, si, ai, bi, t) through
+``model.sample_instance`` (support, then magnitudes, then phases).  The
+blocks depend only on the grid and the trial count, never on the worker
+count, and each block's counts are added into the grids as it arrives, so
+the grid does not depend on the worker count and memory does not grow with
+the trial count.  A sweep under the non-continuous ``unit`` magnitude law
+warns once, in the calling process, before any solve.
 """
 
 from __future__ import annotations
@@ -93,14 +94,12 @@ RECOVERY_CSV_HEADER = "nA,nB,strategy,trials,successes,rate"
 
 # ADMM step rules (see the module docstring).  Balancing on every iteration
 # falls into a limit cycle: single-atom mub7 cells drop from 8/8 to 0/8.
+STEP_PARAMETER = 1.0  # the initial rho, which residual balancing then moves
+TOLERANCE = 1e-8  # of both residuals, relative to their stopping floors
 RELAXATION = 1.6
 BALANCE_EVERY = 10
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
-
-# Trials per batched solve of a sweep: bounds the working set, never the
-# output.
-SOLVE_BLOCK = 256
 
 # The dual Newton finisher (see the module docstring).  Past a gap of about
 # 1e-9 the Hessian is numerically singular.
@@ -127,25 +126,16 @@ _UNIT_LAW_WARNING = (
 
 @dataclass(frozen=True)
 class BpSolverConfig:
-    """ADMM settings; ``step_parameter`` is the initial rho, which residual
-    balancing then moves.  Tolerances are relative to ||y||.
+    """ADMM settings: ``max_iterations`` caps ADMM.  When it exceeds
+    HANDOVER_ITERATIONS, ADMM stops at HANDOVER_ITERATIONS instead and hands
+    every column still running to the dual Newton finisher (see the module
+    docstring)."""
 
-    ``max_iterations`` caps ADMM.  When it exceeds HANDOVER_ITERATIONS, ADMM
-    stops at HANDOVER_ITERATIONS instead and hands every column still running
-    to the dual Newton finisher (see the module docstring)."""
-
-    step_parameter: float = 1.0
     max_iterations: int = 100_000
-    primal_tolerance: float = 1e-8
-    dual_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.step_parameter <= 0:
-            raise ValueError(f"step_parameter must be positive, got {self.step_parameter}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.primal_tolerance <= 0 or self.dual_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,10 +243,10 @@ def solve_bp_batch(
     pinv = np.linalg.pinv(mat)
     mat_t, pinv_t = mat.T, pinv.T
     x_feas = y_unit @ pinv_t
-    rho = np.full(k, float(cfg.step_parameter))
-    tol = np.array([[cfg.primal_tolerance], [cfg.dual_tolerance]])
+    rho = np.full(k, STEP_PARAMETER)
     # 0-d arrays, not Python scalars: a ufunc converts a Python scalar operand
     # on every call, which costs more than the arithmetic on a few columns
+    tol = np.array(TOLERANCE)
     relax, relax_rest = np.array(complex(RELAXATION)), np.array(complex(1.0 - RELAXATION))
     zero, one, tiny = np.array(0.0), np.array(1.0), np.array(1e-300)
 
@@ -574,10 +564,10 @@ def brute_force_l0(D, y, k_max: int, tol: float | None = None) -> BruteForceResu
 SWEEP_STRATEGIES = ("first-n", "spread", "random-baseline")
 
 
-def _solve_trials(payload):
-    """(success, stall, iteration count) of trials lo..hi-1 of a sweep's flat
-    list, in one batched solve."""
-    D, strategies, na_values, nb_values, trials, master_seed, coeff, cfg, lo, hi = payload
+def _solve_trials(common, lo, hi):
+    """(flat cell index, success, stall, handed over, iteration count) of
+    trials lo..hi-1 of a sweep's flat list, in one batched solve."""
+    D, strategies, na_values, nb_values, trials, master_seed, coeff, cfg = common
     instances = []
     for index in range(lo, hi):
         cell, t = divmod(index, trials)
@@ -593,9 +583,11 @@ def _solve_trials(payload):
         cfg,
         np.stack([inst.x for inst in instances], axis=1),
     )
-    return np.array(
-        [(o.success, not o.converged, o.iterations) for o in outcomes], dtype=np.int64
-    )
+    return np.array([
+        (index // trials, o.success, not o.converged,
+         o.iterations > HANDOVER_ITERATIONS, o.iterations)
+        for index, o in zip(range(lo, hi), outcomes)
+    ], dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -671,13 +663,12 @@ def run_recovery_sweep(
     """Measure success rates over the (strategy, n_a, n_b) grid.
 
     The trials are listed in grid order (strategy, n_a, n_b, trial) and solved
-    in consecutive blocks of SOLVE_BLOCK, one batched solve per block; the
-    ``workers`` processes fan out over blocks, so a sweep of at most
-    SOLVE_BLOCK trials runs in one process.  Per-trial streams are keyed by
-    (strategy, cell, trial) and the blocks by the grid alone, so the grid is
-    bitwise identical across worker counts and run orders.  Every grid value
-    and strategy is checked, and the unit-law warning raised, before any
-    solve.
+    in the blocks of ``rng.fan_out`` over ``workers`` processes, one batched
+    solve per block, whose counts are added into the grids as it arrives.
+    Per-trial streams are keyed by (strategy, cell, trial) and the blocks by
+    the grid alone, so the grid is bitwise identical across worker counts and
+    run orders.  Every grid value and strategy is checked, and the unit-law
+    warning raised, before any solve.
     """
     na_values = tuple(int(v) for v in na_values)
     nb_values = tuple(int(v) for v in nb_values)
@@ -704,17 +695,13 @@ def run_recovery_sweep(
     if coeff is not None and coeff.magnitude_law == "unit":
         warnings.warn(_UNIT_LAW_WARNING, stacklevel=2)
     shape = (len(strategies), len(na_values), len(nb_values))
-    total = math.prod(shape) * trials_per_cell
-    payloads = [
-        (D, strategies, na_values, nb_values, trials_per_cell, master_seed, coeff, cfg,
-         lo, min(lo + SOLVE_BLOCK, total))
-        for lo in range(0, total, SOLVE_BLOCK)
-    ]
-    per_trial = np.concatenate(fan_out(_solve_trials, payloads, workers))
-    per_trial = per_trial.reshape(*shape, trials_per_cell, 3)
-    successes, nonconverged = per_trial[..., 0].sum(axis=-1), per_trial[..., 1].sum(axis=-1)
-    iterations_max = per_trial[..., 2].max(axis=-1)
-    handed_over = (per_trial[..., 2] > HANDOVER_ITERATIONS).sum(axis=-1)
+    # per cell: successes, stalls, handed-over trials and the largest iteration count
+    counts = np.zeros((math.prod(shape), 4), dtype=np.int64)
+    common = (D, strategies, na_values, nb_values, trials_per_cell, master_seed, coeff, cfg)
+    for rows in fan_out(_solve_trials, common, len(counts) * trials_per_cell, workers):
+        np.add.at(counts[:, :3], rows[:, 0], rows[:, 1:4])
+        np.maximum.at(counts[:, 3], rows[:, 0], rows[:, 4])
+    successes, nonconverged, handed_over, iterations_max = counts.T.reshape(4, *shape)
     return PhaseTransitionGrid(
         na_values=na_values,
         nb_values=nb_values,

@@ -1,4 +1,4 @@
-"""Deterministic random streams and the process fan-out of experiment runners.
+"""Deterministic random streams and the one block loop of experiment runners.
 
 Every Monte Carlo loop in this package draws from a generator derived as
 
@@ -7,18 +7,24 @@ Every Monte Carlo loop in this package draws from a generator derived as
 where ``key`` identifies the trial (for example ``(cell_index, trial_index)``).
 Streams for distinct keys are statistically independent and do not depend on
 the order in which they are created, so parallel and serial runs of the same
-experiment produce byte-identical output.  ``fan_out`` is the one process
-pool of the runners; it returns results in payload order.
+experiment produce byte-identical output.  ``fan_out`` is the one loop that
+cuts the runners' trials into blocks, run inline or in a process pool.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 __all__ = ["derive_rng", "fan_out"]
+
+# Trials per block: bounds each block's working set, never the output.
+BLOCK = 256
+
+_worker_task = None  # (fn, common), set once in each pool process
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -29,13 +35,36 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def fan_out(fn, payloads, workers: int) -> list:
-    """``[fn(p) for p in payloads]``, run in min(workers, len(payloads), CPU
-    count) processes when that is at least 2; ``fn`` and payloads must pickle."""
+def fan_out(fn, common, total: int, workers: int):
+    """Yield ``fn(common, lo, hi)`` for the consecutive blocks [lo, hi) of BLOCK
+    trials over 0..total-1, in order: inline when min(workers, block count,
+    CPU count) is below 2, else from a pool of that many processes that each
+    receive ``fn`` and ``common`` once.  ``fn``, ``common`` and the results
+    must pickle."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    pool_size = min(workers, len(payloads), os.cpu_count() or 1)
+    blocks = ((lo, min(lo + BLOCK, total)) for lo in range(0, total, BLOCK))
+    pool_size = min(workers, -(-total // BLOCK), os.cpu_count() or 1)
     if pool_size < 2:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(fn, payloads))
+        return (fn(common, lo, hi) for lo, hi in blocks)
+    return _pooled(fn, common, blocks, pool_size)
+
+
+def _pooled(fn, common, blocks, pool_size):
+    with ProcessPoolExecutor(pool_size, initializer=_bind, initargs=(fn, common)) as pool:
+        pending = deque()
+        for lo, hi in blocks:
+            pending.append(pool.submit(_run_block, lo, hi))
+            if len(pending) == 2 * pool_size:  # at most 2 blocks per worker in flight
+                yield pending.popleft().result()
+        yield from (future.result() for future in pending)
+
+
+def _bind(fn, common):
+    global _worker_task
+    _worker_task = (fn, common)
+
+
+def _run_block(lo, hi):
+    fn, common = _worker_task
+    return fn(common, lo, hi)

@@ -187,13 +187,13 @@ def _eight_s_plus_one_rhs(mu: float, s: float, N: int) -> float:
 
 
 def check_random_support_threshold(
-    mu: float, N: int, params: TheoremParams, c: float = SPARSITY_CONSTANT
+    mu: float, N: int, params: TheoremParams
 ) -> tuple[ConditionCheck, ConditionCheck]:
     """Total-budget thresholds for a fully random support (eq1 strict, eq2 not)."""
     _require_n_gt_2(N)
     total = float(params.total)
     inv = _inv_mu_sq(mu)
-    rhs1 = min(c * inv / (params.s * math.log(N)), inv / 2.0)
+    rhs1 = min(SPARSITY_CONSTANT * inv / (params.s * math.log(N)), inv / 2.0)
     eq1 = _make_check("eq1", total, rhs1, strict=True)
     eq2 = _make_check("eq2", total, _eight_s_plus_one_rhs(mu, params.s, N), strict=False)
     return eq1, eq2
@@ -225,6 +225,16 @@ def block_b_terms(
     return slope, 2.0 * n_b * spec_b**2 / Nb, math.sqrt(n_b / Nb) * spec_a * spec_b
 
 
+def _eq3_lhs(mu: float, mu_a: float, n_a: int, u: float) -> float:
+    slope, gersgorin = block_a_terms(mu, mu_a, n_a)
+    return 2.0 * (slope * u + gersgorin)
+
+
+def _eq4_lhs(mu_b: float, spec_a: float, spec_b: float, n_b: int, Nb: int, u: float) -> float:
+    slope, frame, cross = block_b_terms(mu_b, spec_a, spec_b, n_b, Nb)
+    return 2.0 * (slope * u + frame + cross)
+
+
 def check_arbitrary_block(
     mu: float, mu_a: float, N: int, params: TheoremParams
 ) -> ConditionCheck:
@@ -235,8 +245,7 @@ def check_arbitrary_block(
     n_a = 0 leaves nothing on block A to control; the condition is vacuous
     and reported with lhs = 0.
     """
-    slope, gersgorin = block_a_terms(mu, mu_a, params.n_a)
-    lhs = 2.0 * (slope * default_u(params.s, N) + gersgorin)
+    lhs = _eq3_lhs(mu, mu_a, params.n_a, default_u(params.s, N))
     note = "vacuous at n_a = 0" if params.n_a == 0 else ""
     return _make_check("eq3", lhs, (1.0 - params.gamma) * _QUARTER_DECAY, strict=False, note=note)
 
@@ -253,8 +262,7 @@ def check_random_block(
 
     lhs = 2 (slope_b u + frame + cross), rhs = gamma e^{-1/4}
     """
-    slope, frame, cross = block_b_terms(mu_b, spec_a, spec_b, params.n_b, Nb)
-    lhs = 2.0 * (slope * default_u(params.s, N) + frame + cross)
+    lhs = _eq4_lhs(mu_b, spec_a, spec_b, params.n_b, Nb, default_u(params.s, N))
     return _make_check("eq4", lhs, params.gamma * _QUARTER_DECAY, strict=False)
 
 
@@ -274,10 +282,9 @@ def evaluate_conditions(
     N: int,
     Nb: int,
     params: TheoremParams,
-    c: float = SPARSITY_CONSTANT,
 ) -> ConditionReport:
     """Evaluate every condition for one (s, gamma, n_a, n_b) setting."""
-    eq1, eq2 = check_random_support_threshold(stats.mu, N, params, c)
+    eq1, eq2 = check_random_support_threshold(stats.mu, N, params)
     eq3 = check_arbitrary_block(stats.mu, stats.mu_a, N, params)
     eq4 = check_random_block(stats.mu_b, stats.spec_a, stats.spec_b, Nb, N, params)
     eq5, eq6 = check_uniqueness_threshold(stats.mu, N, params)
@@ -303,9 +310,10 @@ def first_feasible_gamma(
 
     Neither lhs depends on gamma, so each is evaluated once.
     """
-    params = TheoremParams(s=s, n_a=n_a, n_b=n_b)
-    lhs_a = check_arbitrary_block(stats.mu, stats.mu_a, N, params).lhs
-    lhs_b = check_random_block(stats.mu_b, stats.spec_a, stats.spec_b, Nb, N, params).lhs
+    _require_s(s)
+    u = default_u(s, N)
+    lhs_a = _eq3_lhs(stats.mu, stats.mu_a, n_a, u)
+    lhs_b = _eq4_lhs(stats.mu_b, stats.spec_a, stats.spec_b, n_b, Nb, u)
     for gamma in GAMMA_GRID_DEFAULT:
         if lhs_a <= (1.0 - gamma) * _QUARTER_DECAY and lhs_b <= gamma * _QUARTER_DECAY:
             return gamma
@@ -349,16 +357,16 @@ class SparsitySearchResult:
         }
 
 
-def _largest_feasible(check, hi: int) -> int:
-    """Largest n in [0, hi] passing ``check``, exploiting monotone lhs."""
+def _largest_feasible(ok, hi: int) -> int:
+    """Largest n in [0, hi] passing ``ok``, exploiting monotone lhs."""
     if hi < 0:
         return 0
-    if check(hi).satisfied:
+    if ok(hi):
         return hi
-    lo = 0  # invariant: check(lo) holds (n = 0 is always vacuous-true)
+    lo = 0  # invariant: ok(lo) holds (n = 0 is always vacuous-true)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if check(mid).satisfied:
+        if ok(mid):
             lo = mid
         else:
             hi = mid
@@ -380,11 +388,10 @@ def max_sparsity_search(
     N: int,
     Nb: int,
     s: float = 1.0,
-    gamma_grid=None,
     na_cap: int | None = None,
     nb_cap: int | None = None,
 ) -> SparsitySearchResult:
-    """Maximize n_a + n_b subject to eq3..eq6 over a gamma grid.
+    """Maximize n_a + n_b subject to eq3..eq6 over GAMMA_GRID_DEFAULT.
 
     Both concentration conditions have lhs nondecreasing in their budget, so a
     per-gamma binary search is exact; the total is then trimmed to the eq5/eq6
@@ -395,11 +402,7 @@ def max_sparsity_search(
     """
     _require_n_gt_2(N)
     _require_s(s)
-    grid = GAMMA_GRID_DEFAULT if gamma_grid is None else tuple(gamma_grid)
-    if not grid:
-        raise ValueError("gamma_grid must be non-empty")
-    if any(not 0.0 <= g <= 1.0 for g in grid):
-        raise ValueError(f"gamma_grid values must lie in [0, 1]: {grid}")
+    u = default_u(s, N)
     Na = N - Nb
     a_hi = Na if na_cap is None else min(na_cap, Na)
     b_hi = Nb if nb_cap is None else min(nb_cap, Nb)
@@ -410,17 +413,11 @@ def max_sparsity_search(
     total_cap = min(eq5_cap, eq6_cap)
 
     per_gamma = []
-    for gamma in grid:
-        def p(n_a=0, n_b=0):
-            return TheoremParams(s=s, gamma=gamma, n_a=n_a, n_b=n_b)
-
-        na_max = _largest_feasible(
-            lambda n: check_arbitrary_block(stats.mu, stats.mu_a, N, p(n_a=n)), a_hi
-        )
+    for gamma in GAMMA_GRID_DEFAULT:
+        rhs_a, rhs_b = (1.0 - gamma) * _QUARTER_DECAY, gamma * _QUARTER_DECAY
+        na_max = _largest_feasible(lambda n: _eq3_lhs(stats.mu, stats.mu_a, n, u) <= rhs_a, a_hi)
         nb_max = _largest_feasible(
-            lambda n: check_random_block(
-                stats.mu_b, stats.spec_a, stats.spec_b, Nb, N, p(n_b=n)
-            ),
+            lambda n: _eq4_lhs(stats.mu_b, stats.spec_a, stats.spec_b, n, Nb, u) <= rhs_b,
             b_hi,
         )
         best_total = na_max + nb_max

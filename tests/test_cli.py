@@ -713,5 +713,26 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, module, runner",
+        [
+            ("smin", concentration, "run_smin_trials"),
+            ("moments", concentration, "estimate_moment"),
+            ("recover", recovery, "run_recovery_sweep"),
+        ],
+    )
+    def test_out_of_memory_is_a_usage_error(
+        self, dict_dir, tmp_path, capsys, monkeypatch, command, module, runner
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 36.4 TiB for an array")
+
+        monkeypatch.setattr(module, runner, exhausted)
+        rc = main([command, "--dict", dict_dir["mub7"], "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+        assert "Traceback" not in err
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2

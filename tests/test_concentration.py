@@ -27,7 +27,6 @@ from sparsethresh import (
 from sparsethresh import concentration
 from sparsethresh.concentration import (
     MOMENT_CSV_HEADER,
-    TRIAL_BLOCK,
     TRIAL_CSV_HEADER,
     chain_batch,
     draw_supports,
@@ -477,10 +476,14 @@ class TestRunSminTrials:
         with pytest.raises(ValueError, match="trials"):
             run_smin_trials(mub5, "first-n", 1, 1, trials=0)
 
-    @pytest.mark.parametrize("trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 519])
-    def test_block_boundaries_keep_the_prefix(self, mub5, trials):
-        longer = run_smin_trials(mub5, "random-baseline", 2, 3, trials=600, master_seed=8)
-        res = run_smin_trials(mub5, "random-baseline", 2, 3, trials=trials, master_seed=8)
+    @pytest.mark.parametrize("trials", [1, 15, 16, 17, 41])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_boundaries_keep_the_prefix(self, mub5, monkeypatch, trials, workers):
+        monkeypatch.setattr("sparsethresh.rng.BLOCK", 16)
+        longer = run_smin_trials(mub5, "random-baseline", 2, 3, trials=50, master_seed=8)
+        res = run_smin_trials(
+            mub5, "random-baseline", 2, 3, trials=trials, master_seed=8, workers=workers
+        )
         assert res.csv_rows() == longer.csv_rows()[: trials + 1]
 
     def test_summary_counts_breaks_per_inequality(self, mub7, monkeypatch):
@@ -635,6 +638,25 @@ class TestEstimateMoment:
             estimate_moment(mub5, 1, 4, q=8.0, trials=1000, strategy="random-baseline")
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda D: run_smin_trials(D, "first-n", 1, 1, trials=10**17),
+        lambda D: estimate_moment(D, 1, 1, q=8.0, trials=10**17),
+    ],
+    ids=["smin", "moments"],
+)
+def test_an_impossible_trial_count_fails_before_any_work(mub5, monkeypatch, run):
+    # the per-trial arrays (10^17 rows) exceed any address space
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the per-trial arrays were allocated")
+
+    monkeypatch.setattr(concentration, "analyze", no_work)
+    monkeypatch.setattr(concentration, "fan_out", no_work)
+    with pytest.raises(MemoryError):
+        run(mub5)
+
+
 # ==============================
 # LAPACK calls per trial
 # ==============================
@@ -644,10 +666,12 @@ class TestLapackCalls:
     """Trials are evaluated in stacked blocks: LAPACK calls grow per block, not per draw."""
 
     EXTRA = 1000
-    ALLOWED = 5 * -(-EXTRA // TRIAL_BLOCK)
+    BLOCK = 100
+    ALLOWED = 5 * -(-EXTRA // BLOCK)
 
     @pytest.fixture()
     def lapack_calls(self, monkeypatch):
+        monkeypatch.setattr("sparsethresh.rng.BLOCK", self.BLOCK)
         calls = [0]
 
         def counted(fn, reaches_lapack):
@@ -688,4 +712,4 @@ class TestLapackCalls:
             )
 
         # Xi_B and Xi_X only: two stacked SVDs per block, not the chain's five
-        assert run(1000 + self.EXTRA) - run(1000) <= 2 * -(-self.EXTRA // TRIAL_BLOCK)
+        assert run(1000 + self.EXTRA) - run(1000) <= 2 * -(-self.EXTRA // self.BLOCK)

@@ -38,17 +38,11 @@ def _planted(D, support, values):
 
 class TestBpSolverConfig:
     def test_defaults(self):
-        cfg = BpSolverConfig()
-        assert cfg.step_parameter == 1.0
-        assert cfg.max_iterations == 100_000
+        assert BpSolverConfig().max_iterations == 100_000
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BpSolverConfig(step_parameter=0.0)
-        with pytest.raises(ValueError):
             BpSolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            BpSolverConfig(primal_tolerance=-1e-8)
 
 
 class TestSolveBp:
@@ -449,7 +443,7 @@ class TestRecoverySweep:
     def test_solve_blocks_do_not_change_counts(self, two_onb8, monkeypatch):
         kwargs = dict(trials_per_cell=10, master_seed=8, strategies=("random-baseline",))
         whole = run_recovery_sweep(two_onb8, (1, 2), (2, 3), **kwargs)
-        monkeypatch.setattr(recovery, "SOLVE_BLOCK", 4)  # ten blocks of 4 over 4 cells
+        monkeypatch.setattr("sparsethresh.rng.BLOCK", 4)  # ten blocks of 4 over 4 cells
         split = run_recovery_sweep(two_onb8, (1, 2), (2, 3), **kwargs)
         for name in ("successes", "nonconverged", "iterations_max"):
             np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
@@ -458,7 +452,7 @@ class TestRecoverySweep:
     @pytest.mark.parametrize("cap", [None, 300])
     def test_blocks_that_straddle_cells(self, two_onb8, monkeypatch, cap, workers):
         # 8 cells of 5 trials in blocks of 7: blocks cut across cells and
-        # strategies, and 6 payloads fan out; each cell solved alone must agree
+        # strategies, and 6 blocks fan out; each cell solved alone must agree
         na_values, nb_values, strategies, trials, seed = (1, 3), (2, 4), SWEEP_STRATEGIES[::2], 5, 6
         cfg = None if cap is None else BpSolverConfig(max_iterations=cap)
         expected = np.zeros((4, len(strategies), len(na_values), len(nb_values)), dtype=int)
@@ -474,7 +468,7 @@ class TestRecoverySweep:
                         sum(o.iterations > recovery.HANDOVER_ITERATIONS for o in outs),
                     )
         assert 0 < expected[0].sum() < expected[0].size * trials
-        monkeypatch.setattr(recovery, "SOLVE_BLOCK", 7)
+        monkeypatch.setattr("sparsethresh.rng.BLOCK", 7)
         grid = run_recovery_sweep(
             two_onb8, na_values, nb_values, trials_per_cell=trials, strategies=strategies,
             master_seed=seed, cfg=cfg, workers=workers,

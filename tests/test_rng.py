@@ -1,22 +1,30 @@
-"""Tests for the process fan-out shared by the Monte Carlo runners."""
+"""Tests for the block loop shared by the Monte Carlo runners."""
+
+from concurrent.futures import Future
 
 import pytest
 
 from sparsethresh import rng
 
 
-def _square(x):
-    return x * x
+def _span(common, lo, hi):
+    return common, lo, hi
+
+
+def _blocks(total):
+    return [(lo, min(lo + rng.BLOCK, total)) for lo in range(0, total, rng.BLOCK)]
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool by one that records its size and runs inline."""
-    sizes = []
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs each block when submitted
+    and records its size and the number of blocks submitted so far."""
+    record = {"sizes": [], "submitted": 0}
 
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class FakeExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            record["sizes"].append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -24,35 +32,60 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, payloads):
-            return map(fn, payloads)
+        def submit(self, fn, *args):
+            record["submitted"] += 1
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-    monkeypatch.setattr(rng, "ProcessPoolExecutor", RecordingExecutor)
-    return sizes
+    monkeypatch.setattr(rng, "ProcessPoolExecutor", FakeExecutor)
+    return record
 
 
 class TestFanOut:
-    def test_serial_results_keep_payload_order(self, pool_sizes):
-        assert rng.fan_out(_square, [3, 1, 2], 1) == [9, 1, 4]
-        assert pool_sizes == []
+    @pytest.mark.parametrize("total", [1, rng.BLOCK - 1, rng.BLOCK, rng.BLOCK + 1, 3 * rng.BLOCK])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_arrive_in_order(self, total, workers):
+        # at 2 workers and 2 or more blocks, a real pool receives ``common``
+        common = {"payload": list(range(5))}
+        out = list(rng.fan_out(_span, common, total, workers))
+        assert out == [(common, lo, hi) for lo, hi in _blocks(total)]
 
-    def test_pool_is_capped_at_the_cpu_count(self, pool_sizes, monkeypatch):
+    def test_no_trials_no_blocks(self, fake_pool):
+        assert list(rng.fan_out(_span, None, 0, 4)) == []
+        assert fake_pool["sizes"] == []
+
+    def test_pool_is_capped_at_the_cpu_count(self, fake_pool, monkeypatch):
         monkeypatch.setattr(rng.os, "cpu_count", lambda: 2)
-        assert rng.fan_out(_square, range(5), 10**6) == [0, 1, 4, 9, 16]
-        assert pool_sizes == [2]
+        total = 5 * rng.BLOCK
+        assert list(rng.fan_out(_span, 0, total, 10**6)) == [(0, *b) for b in _blocks(total)]
+        assert fake_pool["sizes"] == [2]
 
-    def test_pool_is_capped_at_the_payload_count(self, pool_sizes, monkeypatch):
+    def test_pool_is_capped_at_the_block_count(self, fake_pool, monkeypatch):
         monkeypatch.setattr(rng.os, "cpu_count", lambda: 8)
-        assert rng.fan_out(_square, [5, 6, 7], 4) == [25, 36, 49]
-        assert rng.fan_out(_square, [5], 4) == [25]
-        assert pool_sizes == [3]
+        assert len(list(rng.fan_out(_span, 0, 3 * rng.BLOCK, 4))) == 3
+        assert len(list(rng.fan_out(_span, 0, rng.BLOCK, 4))) == 1  # inline
+        assert fake_pool["sizes"] == [3]
 
-    def test_unknown_cpu_count_runs_serially(self, pool_sizes, monkeypatch):
+    def test_unknown_cpu_count_runs_inline(self, fake_pool, monkeypatch):
         monkeypatch.setattr(rng.os, "cpu_count", lambda: None)
-        assert rng.fan_out(_square, [1, 2], 2) == [1, 4]
-        assert pool_sizes == []
+        assert len(list(rng.fan_out(_span, 0, 2 * rng.BLOCK, 2))) == 2
+        assert fake_pool["sizes"] == []
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_workers_below_one(self, workers):
+    def test_rejects_workers_below_one_before_any_block(self, workers):
+        def no_work(common, lo, hi):
+            raise AssertionError("a block ran")
+
         with pytest.raises(ValueError, match="workers"):
-            rng.fan_out(_square, [1], workers)
+            rng.fan_out(no_work, None, 10, workers)
+
+    def test_at_most_two_blocks_per_worker_in_flight(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(rng.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(rng, "BLOCK", 2)
+        ahead = []
+        for i, _ in enumerate(rng.fan_out(_span, 0, 41, 3)):
+            ahead.append(fake_pool["submitted"] - i)
+        assert fake_pool["sizes"] == [3]
+        assert len(ahead) == 21 and fake_pool["submitted"] == 21
+        assert max(ahead) <= 2 * 3
