@@ -178,17 +178,16 @@ def _source_int(value, field: str) -> int:
     return value
 
 
-# build-dict flag and config 'dictionary' key -> (integer count, help, build);
-# build(value, seed, split) gives the dictionary and its default file name
-_BUILDERS = {
-    "mub": (None, "odd prime p for the p+1-basis dictionary",
-            lambda p, seed, split: (dictionary.build_mub(p), f"mub{p}.dict.json")),
-    "two_onb": (None, "m for the identity+Fourier dictionary",
-                lambda m, seed, split: (dictionary.build_two_onb(m), f"two_onb{m}.dict.json")),
-    "random": (2, "random unit columns of C^M, N of them", lambda size, seed, split: (
-        dictionary.build_random_dictionary(*size, seed, split),
-        "random{}x{}_seed{}.dict.json".format(*size, seed))),
-}
+def _build(kind: str, value, seed: int, split: int):
+    """Build the dictionary a build-dict flag or config 'dictionary' key names
+    (mub, two_onb or random); return it with its default file name."""
+    if kind == "mub":
+        return dictionary.build_mub(value), f"mub{value}.dict.json"
+    if kind == "two_onb":
+        return dictionary.build_two_onb(value), f"two_onb{value}.dict.json"
+    m, n = value
+    D = dictionary.build_random_dictionary(m, n, seed, split)
+    return D, f"random{m}x{n}_seed{seed}.dict.json"
 
 
 def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
@@ -200,26 +199,24 @@ def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
         raise ValueError("no dictionary given: pass --dict or a config 'dictionary' field")
     if not isinstance(source, dict) or len(source) == 0:
         raise ValueError("config 'dictionary' must be an object naming one source")
-    kind_keys = [k for k in source if k == "path" or k in _BUILDERS]
+    kind_keys = [k for k in source if k in ("path", "mub", "two_onb", "random")]
     if len(kind_keys) != 1:
         raise ValueError(
-            f"config 'dictionary' must name exactly one of path/{'/'.join(_BUILDERS)}"
+            "config 'dictionary' must name exactly one of path/mub/two_onb/random"
         )
     kind = kind_keys[0]
-    value = source[kind]
     if kind == "path":
-        if not isinstance(value, str):
+        if not isinstance(source["path"], str):
             raise ValueError("config 'dictionary.path' must be a string")
-        return dictionary.load_dictionary(value, renormalize=args.renormalize)
-    count, _, build = _BUILDERS[kind]
-    if count is None:
-        value = _source_int(value, kind)
-    elif isinstance(value, list) and len(value) == count:
-        value = [_source_int(v, kind) for v in value]
-    else:
-        raise ValueError(f"config 'dictionary.{kind}' must be a list [m, N]")
+        return dictionary.load_dictionary(source["path"], renormalize=args.renormalize)
+    if kind != "random":
+        return _build(kind, _source_int(source[kind], kind), 0, 0)[0]
+    size = source["random"]
+    if not isinstance(size, list) or len(size) != 2:
+        raise ValueError("config 'dictionary.random' must be a list [m, N]")
+    m, n = (_source_int(v, "random") for v in size)
     seed, split = (_source_int(source.get(key, 0), key) for key in ("seed", "split"))
-    return build(value, seed, split)[0]
+    return _build(kind, (m, n), seed, split)[0]
 
 
 # ============================================================
@@ -286,10 +283,10 @@ def _csv_text(rows: list[str]) -> str:
 
 
 def cmd_build_dict(args, cfg) -> int:
-    given = [name for name in _BUILDERS if getattr(args, name) is not None]
+    given = [kind for kind in ("mub", "two_onb", "random") if getattr(args, kind) is not None]
     if not given:
         raise ValueError("pick a builder: --mub, --two-onb or --random")
-    D, default_name = _BUILDERS[given[0]][2](getattr(args, given[0]), args.seed, args.split)
+    D, default_name = _build(given[0], getattr(args, given[0]), args.seed, args.split)
     path = default_name if args.out is None else args.out
     dictionary.save_dictionary(D, path)
     stats = dictionary.analyze(D)
@@ -317,25 +314,22 @@ def cmd_check(args, cfg) -> int:
     if not args.maximize:  # the search ignores n_a and n_b
         D.check_budgets(params.n_a, params.n_b)
     stats = dictionary.analyze(D)
-    if args.maximize:
+    if args.maximize:  # reports the best budget found, so never fails
         result = threshold.max_sparsity_search(stats, D.N, D.Nb, s=params.s)
-        if args.json:
-            sys.stdout.write(_json_text(result.to_dict()))
-        else:
-            print(
-                f"best n_a = {result.best_n_a}, n_b = {result.best_n_b}, "
-                f"gamma = {result.best_gamma}, total = {result.best_total}"
-            )
-            for line in _report_lines(result.report):
-                print(line)
-        return 0
-    report = threshold.evaluate_conditions(stats, D.N, D.Nb, params)
-    if args.json:
-        sys.stdout.write(_json_text(report.to_dict()))
+        report, ok = result.report, True
+        head = [
+            f"best n_a = {result.best_n_a}, n_b = {result.best_n_b}, "
+            f"gamma = {result.best_gamma}, total = {result.best_total}"
+        ]
     else:
-        for line in _report_lines(report):
+        result = report = threshold.evaluate_conditions(stats, D.N, D.Nb, params)
+        ok, head = report.all_satisfied, []
+    if args.json:
+        sys.stdout.write(_json_text(result.to_dict()))
+    else:
+        for line in head + _report_lines(report):
             print(line)
-    return 0 if report.all_satisfied else 3
+    return 0 if ok else 3
 
 
 def cmd_smin(args, cfg) -> int:
@@ -524,9 +518,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         if command == "build-dict":
-            for name, (count, builder_help, _) in _BUILDERS.items():
-                sp.add_argument("--" + name.replace("_", "-"), type=int, nargs=count,
-                                metavar=count and ("M", "N"), help=builder_help)
+            sp.add_argument("--mub", type=int, help="odd prime p for the p+1-basis dictionary")
+            sp.add_argument("--two-onb", type=int, help="m for the identity+Fourier dictionary")
+            sp.add_argument("--random", type=int, nargs=2, metavar=("M", "N"),
+                            help="random unit columns of C^M, N of them")
         else:  # every other subcommand reads a dictionary
             sp.add_argument("--dict", help="path to a .dict.json dictionary file")
         for name in defaults:
@@ -553,8 +548,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         _resolve(args, cfg, defaults)
         return handler(args, cfg)
-    except (dictionary.DictionaryFormatError, ValueError, OverflowError, OSError,
-            MemoryError) as exc:  # MemoryError: a --trials too large for its results
+    except (dictionary.DictionaryFormatError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

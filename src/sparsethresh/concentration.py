@@ -292,6 +292,15 @@ def tail_probability(u: float, spec: TailBoundSpec) -> tuple[float, float]:
 # ============================================================
 
 
+def _per_trial(shape) -> np.ndarray:
+    """Allocate a runner's per-trial results before any work, so a trial count
+    too large to hold fails as a usage error."""
+    try:
+        return np.empty(shape)
+    except MemoryError as exc:
+        raise ValueError(f"too many trials to hold one row each: {exc}") from None
+
+
 def _smin_block(common, lo, hi):
     """lo, then the CSV columns, breaks per inequality and broken trials of
     trials lo..hi-1."""
@@ -337,12 +346,9 @@ class SminExperimentResult:
 
     def csv_rows(self) -> list[str]:
         out = [TRIAL_CSV_HEADER]
+        columns = (self.sigma_min, self.xi_s, self.xi_a, self.xi_b, self.xi_x)
         for t in range(self.trials):
-            values = (
-                self.sigma_min[t], self.xi_s[t], self.xi_a[t],
-                self.xi_b[t], self.xi_x[t],
-            )
-            out.append(f"{t}," + ",".join(repr(float(v)) for v in values))
+            out.append(f"{t}," + ",".join(repr(float(c[t])) for c in columns))
         return out
 
     def summary_dict(self) -> dict:
@@ -401,7 +407,7 @@ def run_smin_trials(
         None if strategy == "random-baseline"
         else choose_support_a(strategy, D.Na, n_a, indices=support_a)
     )
-    rows = np.empty((trials, 5))  # before any work: an impossible count fails here
+    rows = _per_trial((trials, 5))
     stats = analyze(D)
     gamma_feasible = first_feasible_gamma(stats, D.N, D.Nb, s, n_a, n_b)
 
@@ -562,7 +568,7 @@ def estimate_moment(
         raise ValueError("empty sub-dictionary has no smallest singular value")
     D.check_budgets(n_a, n_b)
     choose_support_a(strategy, D.Na, n_a, indices=support_a)  # validate before any work
-    xi_b, xi_x = np.empty(trials), np.empty(trials)
+    xi_b, xi_x = _per_trial((2, trials))
     stats = analyze(D)
 
     common = (D, strategy, support_a, n_a, n_b, master_seed)

@@ -14,8 +14,8 @@ cuts the runners' trials into blocks, run inline or in a process pool.
 from __future__ import annotations
 
 import os
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from itertools import islice
 
 import numpy as np
 
@@ -37,10 +37,11 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 def fan_out(fn, common, total: int, workers: int):
     """Yield ``fn(common, lo, hi)`` for the consecutive blocks [lo, hi) of BLOCK
-    trials over 0..total-1, in order: inline when min(workers, block count,
-    CPU count) is below 2, else from a pool of that many processes that each
-    receive ``fn`` and ``common`` once.  ``fn``, ``common`` and the results
-    must pickle."""
+    trials over 0..total-1: inline and in order when min(workers, block
+    count, CPU count) is below 2, else from a pool of that many processes that
+    each receive ``fn`` and ``common`` once, as the blocks finish.  So each
+    result must say where it belongs (its ``lo``, or its cell), and ``fn``,
+    ``common`` and the results must pickle."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     blocks = ((lo, min(lo + BLOCK, total)) for lo in range(0, total, BLOCK))
@@ -52,12 +53,12 @@ def fan_out(fn, common, total: int, workers: int):
 
 def _pooled(fn, common, blocks, pool_size):
     with ProcessPoolExecutor(pool_size, initializer=_bind, initargs=(fn, common)) as pool:
-        pending = deque()
-        for lo, hi in blocks:
-            pending.append(pool.submit(_run_block, lo, hi))
-            if len(pending) == 2 * pool_size:  # at most 2 blocks per worker in flight
-                yield pending.popleft().result()
-        yield from (future.result() for future in pending)
+        # at most 2 blocks per worker in flight; each one taken refills its slot
+        running = {pool.submit(_run_block, lo, hi) for lo, hi in islice(blocks, 2 * pool_size)}
+        while running:
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            yield from (future.result() for future in done)
+            running |= {pool.submit(_run_block, lo, hi) for lo, hi in islice(blocks, len(done))}
 
 
 def _bind(fn, common):

@@ -713,25 +713,29 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    @pytest.mark.parametrize(
-        "command, module, runner",
-        [
-            ("smin", concentration, "run_smin_trials"),
-            ("moments", concentration, "estimate_moment"),
-            ("recover", recovery, "run_recovery_sweep"),
-        ],
-    )
-    def test_out_of_memory_is_a_usage_error(
-        self, dict_dir, tmp_path, capsys, monkeypatch, command, module, runner
+    @pytest.mark.parametrize("command", ["smin", "moments"])
+    def test_too_many_trials_to_hold_is_a_usage_error(
+        self, dict_dir, tmp_path, capsys, monkeypatch, command
     ):
-        def exhausted(*args, **kwargs):
-            raise MemoryError("Unable to allocate 36.4 TiB for an array")
+        # smin and moments keep one row per trial, allocated before any block
+        real_empty = np.empty
 
-        monkeypatch.setattr(module, runner, exhausted)
-        rc = main([command, "--dict", dict_dir["mub7"], "--out", str(tmp_path)])
+        def empty(shape, *args, **kwargs):
+            if np.prod(shape) > 10**9:
+                raise MemoryError("Unable to allocate 36.4 TiB for an array")
+            return real_empty(shape, *args, **kwargs)
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran before the rows were allocated")
+
+        monkeypatch.setattr(concentration.np, "empty", empty)
+        monkeypatch.setattr(concentration, "fan_out", no_trials)
+        rc = main([
+            command, "--dict", dict_dir["mub7"], "--trials", str(10**12), "--out", str(tmp_path),
+        ])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate")
+        assert err.startswith("error: too many trials to hold one row each: Unable to allocate")
         assert "Traceback" not in err
 
     def test_missing_subcommand(self, capsys):

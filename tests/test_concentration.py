@@ -653,7 +653,7 @@ def test_an_impossible_trial_count_fails_before_any_work(mub5, monkeypatch, run)
 
     monkeypatch.setattr(concentration, "analyze", no_work)
     monkeypatch.setattr(concentration, "fan_out", no_work)
-    with pytest.raises(MemoryError):
+    with pytest.raises(ValueError, match="too many trials to hold one row each"):
         run(mub5)
 
 

@@ -1,5 +1,6 @@
 """Tests for the block loop shared by the Monte Carlo runners."""
 
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -9,6 +10,12 @@ from sparsethresh import rng
 
 def _span(common, lo, hi):
     return common, lo, hi
+
+
+def _slow_first(common, lo, hi):
+    if lo == 0:
+        time.sleep(1.0)
+    return lo
 
 
 def _blocks(total):
@@ -44,12 +51,23 @@ def fake_pool(monkeypatch):
 
 class TestFanOut:
     @pytest.mark.parametrize("total", [1, rng.BLOCK - 1, rng.BLOCK, rng.BLOCK + 1, 3 * rng.BLOCK])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_blocks_arrive_in_order(self, total, workers):
+    def test_inline_blocks_arrive_in_order(self, total):
+        out = list(rng.fan_out(_span, "common", total, 1))
+        assert out == [("common", lo, hi) for lo, hi in _blocks(total)]
+
+    @pytest.mark.parametrize("total", [rng.BLOCK + 1, 3 * rng.BLOCK])
+    def test_pooled_blocks_each_arrive_once(self, total):
         # at 2 workers and 2 or more blocks, a real pool receives ``common``
         common = {"payload": list(range(5))}
-        out = list(rng.fan_out(_span, common, total, workers))
-        assert out == [(common, lo, hi) for lo, hi in _blocks(total)]
+        out = list(rng.fan_out(_span, common, total, 2))
+        assert sorted(out, key=lambda r: r[1]) == [(common, lo, hi) for lo, hi in _blocks(total)]
+
+    def test_pooled_blocks_arrive_as_they_finish(self, monkeypatch):
+        # a slow first block does not hold back the blocks after it
+        monkeypatch.setattr(rng.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(rng, "BLOCK", 1)
+        out = list(rng.fan_out(_slow_first, None, 4, 2))
+        assert sorted(out) == [0, 1, 2, 3] and out[0] != 0
 
     def test_no_trials_no_blocks(self, fake_pool):
         assert list(rng.fan_out(_span, None, 0, 4)) == []
@@ -58,7 +76,8 @@ class TestFanOut:
     def test_pool_is_capped_at_the_cpu_count(self, fake_pool, monkeypatch):
         monkeypatch.setattr(rng.os, "cpu_count", lambda: 2)
         total = 5 * rng.BLOCK
-        assert list(rng.fan_out(_span, 0, total, 10**6)) == [(0, *b) for b in _blocks(total)]
+        out = sorted(rng.fan_out(_span, 0, total, 10**6))
+        assert out == [(0, *b) for b in _blocks(total)]
         assert fake_pool["sizes"] == [2]
 
     def test_pool_is_capped_at_the_block_count(self, fake_pool, monkeypatch):
@@ -88,4 +107,4 @@ class TestFanOut:
             ahead.append(fake_pool["submitted"] - i)
         assert fake_pool["sizes"] == [3]
         assert len(ahead) == 21 and fake_pool["submitted"] == 21
-        assert max(ahead) <= 2 * 3
+        assert max(ahead) == 2 * 3
