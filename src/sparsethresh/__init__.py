@@ -45,10 +45,6 @@ from .threshold import (
     ScalingReport,
     SparsitySearchResult,
     TheoremParams,
-    check_arbitrary_block,
-    check_random_block,
-    check_random_support_threshold,
-    check_uniqueness_threshold,
     classical_threshold,
     evaluate_conditions,
     max_sparsity_search,

@@ -518,10 +518,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         if command == "build-dict":
-            sp.add_argument("--mub", type=int, help="odd prime p for the p+1-basis dictionary")
-            sp.add_argument("--two-onb", type=int, help="m for the identity+Fourier dictionary")
-            sp.add_argument("--random", type=int, nargs=2, metavar=("M", "N"),
-                            help="random unit columns of C^M, N of them")
+            group = sp.add_mutually_exclusive_group()  # at most one builder
+            group.add_argument("--mub", type=int, help="odd prime p for the p+1-basis dictionary")
+            group.add_argument("--two-onb", type=int, help="m for the identity+Fourier dictionary")
+            group.add_argument("--random", type=int, nargs=2, metavar=("M", "N"),
+                               help="random unit columns of C^M, N of them")
         else:  # every other subcommand reads a dictionary
             sp.add_argument("--dict", help="path to a .dict.json dictionary file")
         for name in defaults:

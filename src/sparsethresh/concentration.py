@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 CHAIN_SLACK = 1e-9
+BOOT_CHUNK_BYTES = 16 * 2**20  # bounds one bootstrap chunk's int64 resample indices
 
 TRIAL_CSV_HEADER = "trialIndex,sigmaMin,xiS,xiA,xiB,xiX"
 MOMENT_CSV_HEADER = "trialIndex,xiB,xiX"
@@ -586,7 +587,7 @@ def estimate_moment(
     boot_rng = derive_rng(master_seed, trials, 1)
     boot_b = np.empty(n_boot)
     boot_x = np.empty(n_boot)
-    chunk = 100
+    chunk = max(1, min(100, BOOT_CHUNK_BYTES // (8 * trials)))  # resamples at a time
     for lo in range(0, n_boot, chunk):
         hi = min(lo + chunk, n_boot)
         idx = boot_rng.integers(0, trials, size=(hi - lo, trials))

@@ -18,18 +18,25 @@ eq4 are the two halves of the singular-value concentration premise: the same
 terms build ``concentration``'s alpha = slope_a + slope_b and beta = gersgorin
 + frame + cross, with eq3 + eq4 = 2 (alpha u + beta), and its moment bounds
 slope_b sqrt(q) + frame on Xi_B and slope_a sqrt(q) + cross on Xi_X.  eq5
-gives l0 uniqueness and eq6 adds l1 equivalence on top of eq3/eq4.
+gives l0 uniqueness and eq6 adds l1 equivalence on top of eq3/eq4.  N > 2 and
+s >= 1 give 8 (s + 1) log N > 2, so eq6's rhs lies below eq5's and eq6 implies
+eq5; eq2 is eq6's formula.
 An orthonormal dictionary has mu = 0 and every mu^-2 threshold becomes +inf;
 the report then carries rhs = inf and the condition holds for any budget.
 
-``max_sparsity_search`` maximizes n_a + n_b subject to eq3..eq6 over a gamma
-grid; ``scaling_report`` reduces the asymptotic design targets to five
-dimensionless ratios with no pass/fail attached.
+Each condition has one home: ``_conditions`` writes its lhs, rhs, strictness
+and note once, and ``evaluate_conditions``, ``first_feasible_gamma`` and
+``max_sparsity_search`` all read it.  The search maximizes n_a + n_b subject
+to eq3..eq6 over a gamma grid by three bisections per gamma: n_a against eq3,
+n_b against eq4, then the total against eq5 and eq6.  ``scaling_report``
+reduces the asymptotic design targets to five dimensionless ratios with no
+pass/fail attached.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
@@ -43,10 +50,6 @@ __all__ = [
     "SparsitySearchResult",
     "ScalingReport",
     "classical_threshold",
-    "check_random_support_threshold",
-    "check_arbitrary_block",
-    "check_random_block",
-    "check_uniqueness_threshold",
     "block_a_terms",
     "block_b_terms",
     "default_u",
@@ -72,15 +75,6 @@ def _require_n_gt_2(N: int):
 def _require_s(s: float):
     if not (math.isfinite(s) and s >= 1):
         raise ValueError(f"s must be a finite number >= 1, got {s}")
-
-
-def _inv_mu_sq(mu: float) -> float:
-    """mu^-2 with the orthonormal case mapped to +inf."""
-    if mu < 0:
-        raise ValueError(f"coherence must be nonnegative, got {mu}")
-    if mu * mu == 0.0:  # also a mu so small that its square underflows
-        return math.inf
-    return 1.0 / (mu * mu)
 
 
 @dataclass(frozen=True)
@@ -130,11 +124,6 @@ class ConditionCheck:
         }
 
 
-def _make_check(cid: str, lhs: float, rhs: float, strict: bool, note: str = "") -> ConditionCheck:
-    ok = (lhs < rhs) if strict else (lhs <= rhs)
-    return ConditionCheck(id=cid, lhs=lhs, rhs=rhs, strict=strict, satisfied=bool(ok), note=note)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """All evaluated conditions plus the two combined premise flags.
@@ -169,7 +158,7 @@ class ConditionReport:
 
 
 # ============================================================
-# individual conditions
+# the conditions
 # ============================================================
 
 
@@ -180,23 +169,6 @@ def classical_threshold(mu: float) -> float:
     if mu == 0.0:
         return math.inf
     return 0.5 * (1.0 + 1.0 / mu)
-
-
-def _eight_s_plus_one_rhs(mu: float, s: float, N: int) -> float:
-    return _inv_mu_sq(mu) / (8.0 * (s + 1.0) * math.log(N))
-
-
-def check_random_support_threshold(
-    mu: float, N: int, params: TheoremParams
-) -> tuple[ConditionCheck, ConditionCheck]:
-    """Total-budget thresholds for a fully random support (eq1 strict, eq2 not)."""
-    _require_n_gt_2(N)
-    total = float(params.total)
-    inv = _inv_mu_sq(mu)
-    rhs1 = min(SPARSITY_CONSTANT * inv / (params.s * math.log(N)), inv / 2.0)
-    eq1 = _make_check("eq1", total, rhs1, strict=True)
-    eq2 = _make_check("eq2", total, _eight_s_plus_one_rhs(mu, params.s, N), strict=False)
-    return eq1, eq2
 
 
 def default_u(s: float, N: int) -> float:
@@ -225,56 +197,68 @@ def block_b_terms(
     return slope, 2.0 * n_b * spec_b**2 / Nb, math.sqrt(n_b / Nb) * spec_a * spec_b
 
 
-def _eq3_lhs(mu: float, mu_a: float, n_a: int, u: float) -> float:
-    slope, gersgorin = block_a_terms(mu, mu_a, n_a)
-    return 2.0 * (slope * u + gersgorin)
+@dataclass(frozen=True)
+class _Condition:
+    """One inequality lhs(n) vs rhs(gamma), n being the budget it reads."""
+
+    id: str
+    budget: str  # the TheoremParams attribute n: "n_a", "n_b" or "total"
+    lhs: Callable[[int], float]  # nondecreasing in n
+    rhs: Callable[[float], float]
+    strict: bool
+    note: str = ""  # reported at n = 0
+
+    def holds(self, lhs: float, gamma: float) -> bool:
+        rhs = self.rhs(gamma)
+        return lhs < rhs if self.strict else lhs <= rhs
+
+    def check(self, params: TheoremParams) -> ConditionCheck:
+        n = getattr(params, self.budget)
+        lhs = self.lhs(n)
+        ok = self.holds(lhs, params.gamma)
+        note = self.note if n == 0 else ""
+        return ConditionCheck(self.id, lhs, self.rhs(params.gamma), self.strict, ok, note)
 
 
-def _eq4_lhs(mu_b: float, spec_a: float, spec_b: float, n_b: int, Nb: int, u: float) -> float:
-    slope, frame, cross = block_b_terms(mu_b, spec_a, spec_b, n_b, Nb)
-    return 2.0 * (slope * u + frame + cross)
+def _conditions(stats: DictionaryStats, N: int, Nb: int, s: float) -> tuple[_Condition, ...]:
+    """eq1..eq6 and the classical bound for one profile and s, in report order."""
+    _require_s(s)
+    u = default_u(s, N)
+    classical = classical_threshold(stats.mu)  # also rejects mu < 0
+    mu_sq = stats.mu * stats.mu
+    inv = 1.0 / mu_sq if mu_sq else math.inf  # inf also where mu^2 underflows
+    l0_cap = inv / 2.0
+    l1_cap = inv / (8.0 * (s + 1.0) * math.log(N))
+    eq1_cap = min(SPARSITY_CONSTANT * inv / (s * math.log(N)), l0_cap)
 
+    def block_lhs(slope: float, *constants: float) -> float:
+        value = slope * u if slope else 0.0  # a zero slope adds 0 even where u is inf
+        for constant in constants:
+            value += constant
+        return 2.0 * value
 
-def check_arbitrary_block(
-    mu: float, mu_a: float, N: int, params: TheoremParams
-) -> ConditionCheck:
-    """Concentration condition on the fixed block-A support (eq3).
-
-    lhs = 2 (slope_a u + gersgorin), rhs = (1 - gamma) e^{-1/4}
-
-    n_a = 0 leaves nothing on block A to control; the condition is vacuous
-    and reported with lhs = 0.
-    """
-    lhs = _eq3_lhs(mu, mu_a, params.n_a, default_u(params.s, N))
-    note = "vacuous at n_a = 0" if params.n_a == 0 else ""
-    return _make_check("eq3", lhs, (1.0 - params.gamma) * _QUARTER_DECAY, strict=False, note=note)
-
-
-def check_random_block(
-    mu_b: float,
-    spec_a: float,
-    spec_b: float,
-    Nb: int,
-    N: int,
-    params: TheoremParams,
-) -> ConditionCheck:
-    """Concentration condition on the random block-B support (eq4).
-
-    lhs = 2 (slope_b u + frame + cross), rhs = gamma e^{-1/4}
-    """
-    lhs = _eq4_lhs(mu_b, spec_a, spec_b, params.n_b, Nb, default_u(params.s, N))
-    return _make_check("eq4", lhs, params.gamma * _QUARTER_DECAY, strict=False)
-
-
-def check_uniqueness_threshold(
-    mu: float, N: int, params: TheoremParams
-) -> tuple[ConditionCheck, ConditionCheck]:
-    """Budget thresholds closing the argument: eq5 (l0, strict) and eq6 (l1)."""
-    _require_n_gt_2(N)
-    total = float(params.total)
-    eq5 = _make_check("eq5", total, _inv_mu_sq(mu) / 2.0, strict=True)
-    eq6 = _make_check("eq6", total, _eight_s_plus_one_rhs(mu, params.s, N), strict=False)
-    return eq5, eq6
+    return (
+        _Condition("eq1", "total", float, lambda gamma: eq1_cap, strict=True),
+        _Condition("eq2", "total", float, lambda gamma: l1_cap, strict=False),
+        _Condition(
+            "eq3",
+            "n_a",
+            lambda n: block_lhs(*block_a_terms(stats.mu, stats.mu_a, n)),
+            lambda gamma: (1.0 - gamma) * _QUARTER_DECAY,
+            strict=False,
+            note="vacuous at n_a = 0",
+        ),
+        _Condition(
+            "eq4",
+            "n_b",
+            lambda n: block_lhs(*block_b_terms(stats.mu_b, stats.spec_a, stats.spec_b, n, Nb)),
+            lambda gamma: gamma * _QUARTER_DECAY,
+            strict=False,
+        ),
+        _Condition("eq5", "total", float, lambda gamma: l0_cap, strict=True),
+        _Condition("eq6", "total", float, lambda gamma: l1_cap, strict=False),
+        _Condition("classical", "total", float, lambda gamma: classical, strict=True),
+    )
 
 
 def evaluate_conditions(
@@ -284,15 +268,10 @@ def evaluate_conditions(
     params: TheoremParams,
 ) -> ConditionReport:
     """Evaluate every condition for one (s, gamma, n_a, n_b) setting."""
-    eq1, eq2 = check_random_support_threshold(stats.mu, N, params)
-    eq3 = check_arbitrary_block(stats.mu, stats.mu_a, N, params)
-    eq4 = check_random_block(stats.mu_b, stats.spec_a, stats.spec_b, Nb, N, params)
-    eq5, eq6 = check_uniqueness_threshold(stats.mu, N, params)
-    classical = _make_check(
-        "classical", float(params.total), classical_threshold(stats.mu), strict=True
-    )
+    checks = tuple(c.check(params) for c in _conditions(stats, N, Nb, params.s))
+    eq3, eq4, eq5, eq6 = checks[2:6]
     return ConditionReport(
-        conditions=(eq1, eq2, eq3, eq4, eq5, eq6, classical),
+        conditions=checks,
         l0_uniqueness=eq3.satisfied and eq4.satisfied and eq5.satisfied,
         l0_l1_equivalence=eq3.satisfied and eq4.satisfied and eq6.satisfied,
     )
@@ -308,14 +287,13 @@ def first_feasible_gamma(
 ) -> float | None:
     """First gamma of GAMMA_GRID_DEFAULT at which eq3 and eq4 both hold, else None.
 
-    Neither lhs depends on gamma, so each is evaluated once.
+    Neither lhs depends on gamma, so both are evaluated once, up front: n_b > 0
+    on an empty block B raises even where eq3 fails.
     """
-    _require_s(s)
-    u = default_u(s, N)
-    lhs_a = _eq3_lhs(stats.mu, stats.mu_a, n_a, u)
-    lhs_b = _eq4_lhs(stats.mu_b, stats.spec_a, stats.spec_b, n_b, Nb, u)
+    _, _, eq3, eq4, *_ = _conditions(stats, N, Nb, s)
+    lhs_a, lhs_b = eq3.lhs(n_a), eq4.lhs(n_b)
     for gamma in GAMMA_GRID_DEFAULT:
-        if lhs_a <= (1.0 - gamma) * _QUARTER_DECAY and lhs_b <= gamma * _QUARTER_DECAY:
+        if eq3.holds(lhs_a, gamma) and eq4.holds(lhs_b, gamma):
             return gamma
     return None
 
@@ -357,8 +335,13 @@ class SparsitySearchResult:
         }
 
 
-def _largest_feasible(ok, hi: int) -> int:
-    """Largest n in [0, hi] passing ``ok``, exploiting monotone lhs."""
+def _largest_feasible(conditions: tuple[_Condition, ...], gamma: float, hi: int) -> int:
+    """Largest n in [0, hi] at which every condition holds at gamma, by
+    bisection over their nondecreasing lhs."""
+
+    def ok(n: int) -> bool:
+        return all(c.holds(c.lhs(n), gamma) for c in conditions)
+
     if hi < 0:
         return 0
     if ok(hi):
@@ -373,16 +356,6 @@ def _largest_feasible(ok, hi: int) -> int:
     return lo
 
 
-def _strict_total_cap(rhs: float) -> float:
-    """Largest integer total strictly below rhs (inf passes through)."""
-    if math.isinf(rhs):
-        return math.inf
-    cap = math.floor(rhs)
-    if cap == rhs:
-        cap -= 1
-    return cap
-
-
 def max_sparsity_search(
     stats: DictionaryStats,
     N: int,
@@ -393,38 +366,25 @@ def max_sparsity_search(
 ) -> SparsitySearchResult:
     """Maximize n_a + n_b subject to eq3..eq6 over GAMMA_GRID_DEFAULT.
 
-    Both concentration conditions have lhs nondecreasing in their budget, so a
-    per-gamma binary search is exact; the total is then trimmed to the eq5/eq6
-    caps keeping n_a first.  Returns the lexicographically largest
-    (n_a + n_b, n_a) over the grid, with the first maximizing gamma on ties,
-    and (0, 0) when nothing is feasible.  ``na_cap``/``nb_cap`` restrict the
-    block budgets below their natural limits N - Nb and Nb.
+    Every lhs is nondecreasing in its budget, so the per-gamma bisections of
+    n_a, n_b and then their total are exact; the total is trimmed keeping n_a
+    first.  Returns the lexicographically largest (n_a + n_b, n_a) over the
+    grid, with the first maximizing gamma on ties, and (0, 0) when nothing is
+    feasible.  ``na_cap``/``nb_cap`` restrict the block budgets below their
+    natural limits N - Nb and Nb.
     """
-    _require_n_gt_2(N)
-    _require_s(s)
-    u = default_u(s, N)
+    _, _, eq3, eq4, eq5, eq6, _ = _conditions(stats, N, Nb, s)
     Na = N - Nb
     a_hi = Na if na_cap is None else min(na_cap, Na)
     b_hi = Nb if nb_cap is None else min(nb_cap, Nb)
 
-    eq5_cap = _strict_total_cap(_inv_mu_sq(stats.mu) / 2.0)
-    eq6_rhs = _eight_s_plus_one_rhs(stats.mu, s, N)
-    eq6_cap = math.inf if math.isinf(eq6_rhs) else math.floor(eq6_rhs)
-    total_cap = min(eq5_cap, eq6_cap)
-
     per_gamma = []
     for gamma in GAMMA_GRID_DEFAULT:
-        rhs_a, rhs_b = (1.0 - gamma) * _QUARTER_DECAY, gamma * _QUARTER_DECAY
-        na_max = _largest_feasible(lambda n: _eq3_lhs(stats.mu, stats.mu_a, n, u) <= rhs_a, a_hi)
-        nb_max = _largest_feasible(
-            lambda n: _eq4_lhs(stats.mu_b, stats.spec_a, stats.spec_b, n, Nb, u) <= rhs_b,
-            b_hi,
-        )
-        best_total = na_max + nb_max
-        if math.isfinite(total_cap):
-            best_total = min(best_total, max(int(total_cap), 0))
-        n_a = min(na_max, best_total)
-        per_gamma.append(GammaBest(gamma=gamma, n_a=n_a, n_b=best_total - n_a))
+        na_max = _largest_feasible((eq3,), gamma, a_hi)
+        nb_max = _largest_feasible((eq4,), gamma, b_hi)
+        total = _largest_feasible((eq5, eq6), gamma, na_max + nb_max)
+        n_a = min(na_max, total)
+        per_gamma.append(GammaBest(gamma=gamma, n_a=n_a, n_b=total - n_a))
 
     best = max(per_gamma, key=lambda g: (g.total, g.n_a))
     report = evaluate_conditions(

@@ -21,9 +21,8 @@ from sparsethresh import (
     brute_force_l0,
     build_mub,
     build_random_dictionary,
-    check_arbitrary_block,
-    check_random_block,
     estimate_moment,
+    evaluate_conditions,
     max_sparsity_search,
     run_smin_trials,
     solve_bp,
@@ -139,12 +138,11 @@ def test_tail_bound_identity_and_half_threshold():
             n_a=int(rng.integers(0, 7)),
             n_b=int(rng.integers(0, 5)),
         )
-        ok_a = check_arbitrary_block(mu, mu_a, N, params).satisfied
-        ok_b = check_random_block(mu_b, spec_a, spec_b, Nb, N, params).satisfied
-        if not (ok_a and ok_b):
+        stats = _stats(mu, mu_a, mu_b, spec_a, spec_b)
+        report = evaluate_conditions(stats, N, Nb, params)
+        if not (report.get("eq3").satisfied and report.get("eq4").satisfied):
             continue
         passing += 1
-        stats = _stats(mu, mu_a, mu_b, spec_a, spec_b)
         spec = alpha_beta(stats, params.n_a, params.n_b, Nb, N, s=params.s)
         threshold, _ = tail_probability(spec.u, spec)
         assert threshold <= 0.5 + 1e-12

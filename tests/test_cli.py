@@ -66,6 +66,14 @@ class TestBuildDict:
         assert rc == 2
         assert "pick a builder" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second", [["--two-onb", "4"], ["--random", "4", "9"]])
+    def test_two_builders_are_a_usage_error(self, tmp_path, capsys, second):
+        out = tmp_path / "x.dict.json"
+        rc = main(["build-dict", "--mub", "5", *second, "-o", str(out)])
+        assert rc == 2
+        assert "not allowed with argument --mub" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_random_builder_is_deterministic(self, tmp_path):
         a = tmp_path / "a.dict.json"
         b = tmp_path / "b.dict.json"

@@ -15,8 +15,6 @@ from sparsethresh import (
     alpha_beta,
     analyze,
     build_mub,
-    check_arbitrary_block,
-    check_random_block,
     default_u,
     derive_rng,
     estimate_moment,
@@ -33,7 +31,7 @@ from sparsethresh.concentration import (
     moment_floor_b,
     moment_floor_x,
 )
-from sparsethresh.threshold import TheoremParams
+from sparsethresh.threshold import TheoremParams, evaluate_conditions
 
 # Hand-computed reference values, frozen.
 SIGMA_PAIR = 0.541196100146197         # sqrt(1 - 1/sqrt(2))
@@ -385,10 +383,8 @@ class TestTailProbability:
             n_a = int(rng.integers(0, 30))
             n_b = int(rng.integers(0, 30))
             params = TheoremParams(s=s, gamma=0.5, n_a=n_a, n_b=n_b)
-            lhs3 = check_arbitrary_block(stats.mu, stats.mu_a, N, params).lhs
-            lhs4 = check_random_block(
-                stats.mu_b, stats.spec_a, stats.spec_b, Nb, N, params
-            ).lhs
+            report = evaluate_conditions(stats, N, Nb, params)
+            lhs3, lhs4 = report.get("eq3").lhs, report.get("eq4").lhs
             spec = alpha_beta(stats, n_a, n_b, Nb, N, s=s)
             lhs_half = 0.5 * (lhs3 + lhs4)
             assert abs(spec.alpha * spec.u + spec.beta - lhs_half) <= 1e-12 * max(
@@ -581,6 +577,29 @@ class TestEstimateMoment:
         np.testing.assert_array_equal(a.xi_b, b.xi_b)
         assert a.upper95_b == b.upper95_b
         assert a.summary_dict() == b.summary_dict()
+
+    def test_bootstrap_chunks_do_not_move_the_bounds(self, mub7, monkeypatch):
+        # one resample per chunk reads the same index stream as 100 per chunk
+        default = estimate_moment(mub7, 2, 3, q=8.0, trials=1001, master_seed=4)
+        shapes, derive_rng = [], concentration.derive_rng
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def integers(self, *args, size=None):
+                shapes.append(size)
+                return self.rng.integers(*args, size=size)
+
+        def spy_on_bootstrap(*key):  # the bootstrap's stream is (master_seed, trials, 1)
+            return Spy(derive_rng(*key)) if key == (4, 1001, 1) else derive_rng(*key)
+
+        monkeypatch.setattr(concentration, "derive_rng", spy_on_bootstrap)
+        monkeypatch.setattr(concentration, "BOOT_CHUNK_BYTES", 1)
+        single = estimate_moment(mub7, 2, 3, q=8.0, trials=1001, master_seed=4)
+        assert shapes == [(1, 1001)] * 1000
+        assert (single.upper95_b, single.upper95_x) == (default.upper95_b, default.upper95_x)
+        assert single.upper95_x is not None
 
     def test_csv_rows(self, mub5):
         est = estimate_moment(mub5, 1, 4, q=7.2, trials=1000, master_seed=6)

@@ -1,4 +1,4 @@
-"""Tests for the closed-form condition checkers and the budget search."""
+"""Tests for the closed-form conditions and the budget search."""
 
 import math
 
@@ -12,10 +12,6 @@ from sparsethresh import (
     DictionaryStats,
     TheoremParams,
     analyze,
-    check_arbitrary_block,
-    check_random_block,
-    check_random_support_threshold,
-    check_uniqueness_threshold,
     classical_threshold,
     evaluate_conditions,
     max_sparsity_search,
@@ -44,6 +40,11 @@ def _stats(mu=0.0, mu_a=0.0, mu_b=0.0, spec_a=1.0, spec_b=1.0) -> DictionaryStat
     )
 
 
+def _check(cid, params=TheoremParams(), N=100, Nb=50, **profile):
+    """One evaluated condition for the synthetic profile ``_stats(**profile)``."""
+    return evaluate_conditions(_stats(**profile), N, Nb, params).get(cid)
+
+
 # ==============================
 # individual conditions
 # ==============================
@@ -65,97 +66,97 @@ class TestClassicalThreshold:
 
 class TestRandomSupportThreshold:
     def test_reference_rhs(self):
-        params = TheoremParams(s=1.0, n_a=3, n_b=4)
-        eq1, _ = check_random_support_threshold(0.01, 200, params)
+        eq1 = _check("eq1", TheoremParams(s=1.0, n_a=3, n_b=4), N=200, mu=0.01)
         assert abs(eq1.rhs - EQ1_RHS_001_200) <= TOL
         assert eq1.satisfied        # 7 < 7.9497
 
     def test_boundary_budget_fails(self):
-        params = TheoremParams(s=1.0, n_a=4, n_b=4)
-        eq1, _ = check_random_support_threshold(0.01, 200, params)
+        eq1 = _check("eq1", TheoremParams(s=1.0, n_a=4, n_b=4), N=200, mu=0.01)
         assert not eq1.satisfied    # 8 > 7.9497
 
     def test_zero_budget_always_passes(self):
-        eq1, eq2 = check_random_support_threshold(0.9, 1000, TheoremParams())
-        assert eq1.satisfied and eq2.satisfied
+        report = evaluate_conditions(_stats(mu=0.9), 1000, 500, TheoremParams())
+        assert report.get("eq1").satisfied and report.get("eq2").satisfied
 
     def test_orthonormal_case_is_unbounded(self):
         for mu in (0.0, 1e-200):        # 1e-200 squared underflows to 0
-            eq1, eq2 = check_random_support_threshold(mu, 50, TheoremParams(n_a=40))
+            report = evaluate_conditions(_stats(mu=mu), 50, 10, TheoremParams(n_a=40))
+            eq1, eq2 = report.get("eq1"), report.get("eq2")
             assert eq1.rhs == math.inf and eq2.rhs == math.inf
             assert eq1.satisfied and eq2.satisfied
 
     def test_requires_n_above_2(self):
         with pytest.raises(ValueError, match="N > 2"):
-            check_random_support_threshold(0.5, 2, TheoremParams())
+            evaluate_conditions(_stats(mu=0.5), 2, 1, TheoremParams())
 
 
 class TestArbitraryBlock:
     def test_reference_values(self):
         params = TheoremParams(s=1.0, gamma=0.0, n_a=1)
-        low = check_arbitrary_block(0.01, 0.0, 100, params)
+        low = _check("eq3", params, mu=0.01)
         assert abs(low.lhs - EQ3_LHS_MU001) <= TOL
         assert low.satisfied
-        high = check_arbitrary_block(0.1, 0.0, 100, params)
+        high = _check("eq3", params, mu=0.1)
         assert abs(high.lhs - EQ3_LHS_MU01) <= TOL
         assert not high.satisfied
 
     def test_rhs_is_budget_share(self):
-        check = check_arbitrary_block(0.0, 0.0, 100, TheoremParams(gamma=0.25, n_a=1))
+        check = _check("eq3", TheoremParams(gamma=0.25, n_a=1))
         assert abs(check.rhs - 0.75 * QUARTER_DECAY) <= TOL
 
     def test_zero_coherence_single_atom(self):
-        check = check_arbitrary_block(0.0, 0.0, 100, TheoremParams(gamma=0.0, n_a=1))
+        check = _check("eq3", TheoremParams(gamma=0.0, n_a=1))
         assert check.lhs == 0.0 and check.satisfied
 
     def test_vacuous_without_budget(self):
-        check = check_arbitrary_block(0.9, 0.9, 100, TheoremParams(n_a=0))
+        check = _check("eq3", TheoremParams(n_a=0), mu=0.9, mu_a=0.9)
         assert check.lhs == 0.0 and check.satisfied
         assert "vacuous" in check.note
 
     def test_sub_coherence_term(self):
         # second term is 2 (n_a - 1) mu_a exactly
-        base = check_arbitrary_block(0.0, 0.25, 100, TheoremParams(n_a=3)).lhs
+        base = _check("eq3", TheoremParams(n_a=3), mu_a=0.25).lhs
         assert abs(base - 2.0 * 2 * 0.25) <= TOL
 
 
 class TestRandomBlock:
     def test_reference_values(self):
         params = TheoremParams(s=1.0, gamma=1.0, n_b=1)
-        clean = check_random_block(0.0, 1.0, 1.0, 100, 100, params)
+        clean = _check("eq4", params, Nb=100)
         assert abs(clean.lhs - EQ4_LHS_MUB0) <= TOL
         assert clean.satisfied
-        coherent = check_random_block(0.1, 1.0, 1.0, 100, 100, params)
+        coherent = _check("eq4", params, Nb=100, mu_b=0.1)
         assert abs(coherent.lhs - EQ4_LHS_MUB01) <= TOL
         assert not coherent.satisfied
 
     def test_zero_budget_passes_any_gamma(self):
-        check = check_random_block(0.9, 9.0, 9.0, 10, 100, TheoremParams(gamma=0.0, n_b=0))
+        check = _check("eq4", TheoremParams(gamma=0.0), Nb=10, mu_b=0.9, spec_a=9.0, spec_b=9.0)
         assert check.lhs == 0.0 and check.satisfied
 
     def test_requires_nonempty_block_for_budget(self):
         with pytest.raises(ValueError, match="empty"):
-            check_random_block(0.1, 1.0, 1.0, 0, 100, TheoremParams(n_b=1))
+            _check("eq4", TheoremParams(n_b=1), Nb=0, mu_b=0.1)
+        with pytest.raises(ValueError, match="nonempty"):  # even where eq3 fails
+            first_feasible_gamma(_stats(mu=0.9, mu_a=0.9), 100, 0, 1.0, 5, 2)
 
 
 class TestUniquenessThreshold:
     def test_reference_rhs(self):
-        eq5, eq6 = check_uniqueness_threshold(0.125, 1000, TheoremParams(s=1.0))
+        report = evaluate_conditions(_stats(mu=0.125), 1000, 500, TheoremParams(s=1.0))
+        eq5, eq6 = report.get("eq5"), report.get("eq6")
         assert eq5.rhs == 32.0
         assert abs(eq6.rhs - EQ6_RHS_EIGHTH_1000) <= TOL
 
     def test_strictness_at_boundary(self):
         # eq5 is strict: total exactly at the threshold fails
-        eq5, _ = check_uniqueness_threshold(0.125, 1000, TheoremParams(n_a=32))
-        assert not eq5.satisfied
-        eq5, _ = check_uniqueness_threshold(0.125, 1000, TheoremParams(n_a=31))
-        assert eq5.satisfied
+        assert not _check("eq5", TheoremParams(n_a=32), N=1000, mu=0.125).satisfied
+        assert _check("eq5", TheoremParams(n_a=31), N=1000, mu=0.125).satisfied
 
     def test_eq6_is_non_strict(self):
         # rhs = 1/(16 log N) mu^-2; pick mu so rhs is an exact integer
         params = TheoremParams(s=1.0, n_a=2)
         mu = 1.0 / math.sqrt(32.0 * math.log(100.0))
-        _, eq6 = check_uniqueness_threshold(mu, 100, params)
+        eq6 = _check("eq6", params, mu=mu)
         assert abs(eq6.rhs - 2.0) <= 1e-9
         if eq6.rhs >= 2.0:
             assert eq6.satisfied
@@ -215,6 +216,14 @@ class TestEvaluateConditions:
         assert not report.l0_uniqueness
         assert not report.l0_l1_equivalence
 
+    def test_empty_budget_is_vacuous_even_where_u_overflows(self):
+        # u = sqrt(4 s log N) is inf at s = 1e308, and 0 * inf would make the lhs nan
+        stats = _stats(mu=0.1, mu_a=0.1, mu_b=0.1)
+        report = evaluate_conditions(stats, 100, 50, TheoremParams(s=1e308))
+        for cid in ("eq3", "eq4"):
+            assert report.get(cid).lhs == 0.0 and report.get(cid).satisfied, cid
+        assert first_feasible_gamma(stats, 100, 50, 1e308, 0, 0) == 0.0
+
     def test_classical_entry(self):
         report = evaluate_conditions(_stats(mu=0.5), 100, 50, TheoremParams(n_a=1))
         classical = report.get("classical")
@@ -237,8 +246,8 @@ class TestEvaluateConditions:
 class TestInvariants:
     def test_gamma_tradeoff_partitions_budget(self):
         for gamma in GAMMA_GRID_DEFAULT:
-            rhs3 = check_arbitrary_block(0.0, 0.0, 100, TheoremParams(gamma=gamma, n_a=1)).rhs
-            rhs4 = check_random_block(0.0, 1.0, 1.0, 10, 100, TheoremParams(gamma=gamma, n_b=0)).rhs
+            report = evaluate_conditions(_stats(), 100, 10, TheoremParams(gamma=gamma, n_a=1))
+            rhs3, rhs4 = report.get("eq3").rhs, report.get("eq4").rhs
             assert abs(rhs3 + rhs4 - QUARTER_DECAY) <= 1e-15
 
     def test_eq2_and_eq6_share_the_formula(self):
@@ -248,10 +257,25 @@ class TestInvariants:
             s = float(rng.uniform(1.0, 3.0))
             N = int(rng.integers(3, 5000))
             params = TheoremParams(s=s, n_a=int(rng.integers(0, 5)), n_b=int(rng.integers(0, 5)))
-            _, eq2 = check_random_support_threshold(mu, N, params)
-            _, eq6 = check_uniqueness_threshold(mu, N, params)
+            report = evaluate_conditions(_stats(mu=mu), N, N // 2, params)
+            eq2, eq6 = report.get("eq2"), report.get("eq6")
             assert eq2.rhs == eq6.rhs
             assert eq2.satisfied == eq6.satisfied
+
+    @given(
+        mu=st.floats(0.0, 1.0),
+        N=st.integers(3, 10**6),
+        s=st.floats(1.0, 1e6),
+        total=st.integers(0, 2000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eq6_implies_eq5(self, mu, N, s, total):
+        # 8 (s + 1) log N > 2 for N > 2 and s >= 1, so eq6's rhs lies below eq5's
+        report = evaluate_conditions(_stats(mu=mu), N, N // 2, TheoremParams(s=s, n_a=total))
+        eq5, eq6 = report.get("eq5"), report.get("eq6")
+        assert eq6.rhs < eq5.rhs or eq6.rhs == eq5.rhs == math.inf
+        if eq6.satisfied:
+            assert eq5.satisfied
 
     @given(
         mu=st.floats(0.0, 0.5),
@@ -260,8 +284,8 @@ class TestInvariants:
     )
     @settings(max_examples=60, deadline=None)
     def test_block_a_lhs_monotone_in_budget(self, mu, mu_a, n_a):
-        lo = check_arbitrary_block(mu, mu_a, 100, TheoremParams(n_a=n_a))
-        hi = check_arbitrary_block(mu, mu_a, 100, TheoremParams(n_a=n_a + 1))
+        lo = _check("eq3", TheoremParams(n_a=n_a), mu=mu, mu_a=mu_a)
+        hi = _check("eq3", TheoremParams(n_a=n_a + 1), mu=mu, mu_a=mu_a)
         assert hi.lhs >= lo.lhs - TOL
         if not lo.satisfied:
             assert not hi.satisfied
@@ -269,8 +293,8 @@ class TestInvariants:
     @given(mu_b=st.floats(0.0, 0.5), n_b=st.integers(0, 30))
     @settings(max_examples=60, deadline=None)
     def test_block_b_lhs_monotone_in_budget(self, mu_b, n_b):
-        lo = check_random_block(mu_b, 1.0, 1.0, 50, 100, TheoremParams(n_b=n_b))
-        hi = check_random_block(mu_b, 1.0, 1.0, 50, 100, TheoremParams(n_b=n_b + 1))
+        lo = _check("eq4", TheoremParams(n_b=n_b), mu_b=mu_b)
+        hi = _check("eq4", TheoremParams(n_b=n_b + 1), mu_b=mu_b)
         assert hi.lhs >= lo.lhs - TOL
         if not lo.satisfied:
             assert not hi.satisfied
@@ -319,19 +343,13 @@ class TestInvariants:
 
 def _brute_force_best(stats, N, Nb, s, gamma, na_hi, nb_hi):
     """Reference scan: lexicographically largest feasible (total, n_a)."""
-    na_ok = [
-        check_arbitrary_block(stats.mu, stats.mu_a, N, TheoremParams(s=s, gamma=gamma, n_a=n)).satisfied
-        for n in range(na_hi + 1)
-    ]
-    nb_ok = [
-        check_random_block(stats.mu_b, stats.spec_a, stats.spec_b, Nb, N,
-                           TheoremParams(s=s, gamma=gamma, n_b=n)).satisfied
-        for n in range(nb_hi + 1)
-    ]
-    tot_ok = []
-    for t in range(na_hi + nb_hi + 1):
-        eq5, eq6 = check_uniqueness_threshold(stats.mu, N, TheoremParams(s=s, n_a=t))
-        tot_ok.append(eq5.satisfied and eq6.satisfied)
+    def ok(cids, n_a=0, n_b=0):
+        report = evaluate_conditions(stats, N, Nb, TheoremParams(s, gamma, n_a, n_b))
+        return all(report.get(cid).satisfied for cid in cids)
+
+    na_ok = [ok(("eq3",), n_a=n) for n in range(na_hi + 1)]
+    nb_ok = [ok(("eq4",), n_b=n) for n in range(nb_hi + 1)]
+    tot_ok = [ok(("eq5", "eq6"), n_a=t) for t in range(na_hi + nb_hi + 1)]
     best = (0, 0)
     for na in range(na_hi + 1):
         for nb in range(nb_hi + 1):
