@@ -404,10 +404,9 @@ def run_smin_trials(
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
     D.check_budgets(n_a, n_b)
-    fixed_a = (
-        None if strategy == "random-baseline"
-        else choose_support_a(strategy, D.Na, n_a, indices=support_a)
-    )
+    fixed_a = None  # random-baseline re-draws it per trial, and refuses support_a here
+    if strategy != "random-baseline" or support_a is not None:
+        fixed_a = choose_support_a(strategy, D.Na, n_a, indices=support_a)
     rows = _per_trial((trials, 5))
     stats = analyze(D)
     gamma_feasible = first_feasible_gamma(stats, D.N, D.Nb, s, n_a, n_b)

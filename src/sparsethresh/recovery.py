@@ -6,8 +6,10 @@ Optimization and Statistical Learning via the Alternating Direction Method
 of Multipliers"): alternate the affine projection
 x = v - pinv(D) (D v) + pinv(D) y onto the constraint set with complex
 soft-thresholding, plus a scaled dual step.  ``solve_bp`` is the batch of
-one column, so there is one iteration loop.  The iteration is scale-free and
-tunes its own step, per column, from rho = 1 (STEP_PARAMETER):
+one column, so there is one iteration loop, and both return one
+``RecoveryOutcome`` whose fields hold one entry per column.  The iteration
+is scale-free and tunes its own step, per column, from rho = 1
+(STEP_PARAMETER):
 
 - it solves for y / ||y|| and multiplies the result by ||y||, so the
   stopping floors max(1, ...) are relative to ||y|| and the iteration count
@@ -126,10 +128,8 @@ _UNIT_LAW_WARNING = (
 
 @dataclass(frozen=True)
 class BpSolverConfig:
-    """ADMM settings: ``max_iterations`` caps ADMM.  When it exceeds
-    HANDOVER_ITERATIONS, ADMM stops at HANDOVER_ITERATIONS instead and hands
-    every column still running to the dual Newton finisher (see the module
-    docstring)."""
+    """ADMM settings: ``max_iterations`` caps ADMM (see the module docstring
+    for the handover to the dual Newton finisher)."""
 
     max_iterations: int = 100_000
 
@@ -140,7 +140,8 @@ class BpSolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryOutcome:
-    """Solver output and diagnostics; error fields need a reference x_true.
+    """Solver output of a batch, one entry per column of Y (one row of
+    ``x_hat``); the error fields need a reference X_true and are None without.
 
     ``feasibility_residual`` is ||D x_hat - y|| / ||y|| (0 when y = 0).
     ``iterations`` counts ADMM iterations, or HANDOVER_ITERATIONS plus the
@@ -150,20 +151,18 @@ class RecoveryOutcome:
     """
 
     x_hat: np.ndarray
-    l1_value: float
-    feasibility_residual: float
-    iterations: int
-    converged: bool
-    relative_l2_error: float | None = None
-    support_match: bool | None = None
+    l1_value: np.ndarray
+    feasibility_residual: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    relative_l2_error: np.ndarray | None = None
+    support_match: np.ndarray | None = None
 
     @property
-    def success(self) -> bool:
-        return (
-            self.converged
-            and self.relative_l2_error is not None
-            and self.relative_l2_error <= SUCCESS_REL_ERROR
-        )
+    def success(self) -> np.ndarray:
+        if self.relative_l2_error is None:
+            return np.zeros_like(self.converged)
+        return self.converged & (self.relative_l2_error <= SUCCESS_REL_ERROR)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -185,7 +184,8 @@ def solve_bp(
     cfg: BpSolverConfig | None = None,
     x_true=None,
 ) -> RecoveryOutcome:
-    """Minimize the l1 norm subject to D x = y: ``solve_bp_batch`` on one column.
+    """Minimize the l1 norm subject to D x = y: ``solve_bp_batch`` on one
+    column, so each field of the outcome holds one entry.
 
     Never raises on non-convergence; the outcome carries converged=False and
     the last projected (feasible) iterate instead.  When ``x_true`` is given,
@@ -195,7 +195,7 @@ def solve_bp(
     y = np.asarray(y, dtype=np.complex128).reshape(-1, 1)
     if x_true is not None:
         x_true = np.asarray(x_true, dtype=np.complex128).reshape(-1, 1)
-    return solve_bp_batch(D, y, cfg, x_true)[0]
+    return solve_bp_batch(D, y, cfg, x_true)
 
 
 def solve_bp_batch(
@@ -203,18 +203,18 @@ def solve_bp_batch(
     Y,
     cfg: BpSolverConfig | None = None,
     X_true=None,
-) -> list[RecoveryOutcome]:
-    """``solve_bp`` on every column of Y at once, in lock step.
+) -> RecoveryOutcome:
+    """``solve_bp`` on every column of Y at once, in lock step: one outcome
+    whose fields hold one entry per column.
 
     Each column keeps its own y-scale, rho and residual balancing, stops by
     its own test and is written out on the iteration it converges; its
     iterates are those it gets alone up to the rounding of a matrix-matrix
     product (about 1e-15 relative).  Columns that converge leave the active
-    set, so a batch costs about its longest solve, and the columns still
-    running at HANDOVER_ITERATIONS (when ``max_iterations`` exceeds it) are
-    finished together by the dual Newton method, whose arithmetic is row by
-    row.  ``X_true`` holds the reference x of each column.  Every column is
-    checked before any setup.
+    set, so a batch costs about its longest solve; the columns handed over
+    (see the module docstring) are finished together, row by row.
+    ``X_true`` holds the reference x of each column.  Every column is checked
+    before any setup.
     """
     cfg = cfg or BpSolverConfig()
     mat = _dictionary_matrix(D)
@@ -233,13 +233,18 @@ def solve_bp_batch(
         if X_true.shape != (n, k):
             raise ValueError(f"X_true has shape {X_true.shape}, expected {(n, k)}")
         x_true_rows = np.ascontiguousarray(X_true.T)
-    if not k:
-        return []
 
     # one row per column of Y, so each row is a contiguous vector
     y_rows = np.ascontiguousarray(Y.T)
     y_scale = np.array([_norm(y) or 1.0 for y in y_rows])
     y_unit = y_rows / y_scale[:, None]
+    # each column's x at ||y|| = 1, iteration count and stopping test, written
+    # where it stops
+    x_unit = np.zeros((k, n), dtype=complex)
+    iterations = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    if not k:
+        return _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true_rows)
     pinv = np.linalg.pinv(mat)
     mat_t, pinv_t = mat.T, pinv.T
     x_feas = y_unit @ pinv_t
@@ -254,15 +259,6 @@ def solve_bp_batch(
     # norms of the stopping test take one call
     state = np.zeros((5, k, n), dtype=complex)
     active = np.arange(k)  # the Y column of each row of state
-    outcomes: list[RecoveryOutcome | None] = [None] * k
-
-    def write_out(rows, it, converged):
-        for row in rows:
-            j = int(active[row])
-            outcomes[j] = _outcome(
-                mat, state[2, row], y_unit[j], y_scale[j], it, converged,
-                None if x_true_rows is None else x_true_rows[j],
-            )
 
     it = 0
     bound = False
@@ -324,7 +320,8 @@ def solve_bp_batch(
             threshold = 1.0 / rho[:, None]
             factors[1::3] = rho
         if np.count_nonzero(done):
-            write_out(np.flatnonzero(done), it, True)
+            cols = active[done]
+            x_unit[cols], iterations[cols], converged[cols] = x[done], it, True
             keep = ~done
             if not keep.any():
                 break
@@ -332,18 +329,14 @@ def solve_bp_batch(
             bound = False
     else:
         if cfg.max_iterations <= HANDOVER_ITERATIONS:
-            write_out(range(active.size), it, False)
-            return outcomes
-        chunk = max(1, NEWTON_CHUNK_BYTES // (32 * m * n))
-        for lo in range(0, active.size, chunk):
-            cols = active[lo:lo + chunk]
-            x_fin, steps, finished = _newton_finish(mat, pinv, y_unit[cols])
-            for j, x_unit, step, converged in zip(cols, x_fin, steps, finished):
-                outcomes[j] = _outcome(
-                    mat, x_unit, y_unit[j], y_scale[j], HANDOVER_ITERATIONS + int(step),
-                    bool(converged), None if x_true_rows is None else x_true_rows[j],
-                )
-    return outcomes
+            x_unit[active], iterations[active] = state[2], it
+        else:
+            chunk = max(1, NEWTON_CHUNK_BYTES // (32 * m * n))
+            for lo in range(0, active.size, chunk):
+                cols = active[lo:lo + chunk]
+                x_unit[cols], steps, converged[cols] = _newton_finish(mat, pinv, y_unit[cols])
+                iterations[cols] = HANDOVER_ITERATIONS + steps
+    return _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true_rows)
 
 
 def _newton_finish(mat, pinv, y):
@@ -475,25 +468,20 @@ def _row_products(a, b):
 
 
 def _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true) -> RecoveryOutcome:
-    """One column's result: back to the scale of y, with the error fields."""
-    feas = _norm(mat @ x_unit - y_unit)
-    x = x_unit * y_scale
-
-    rel_err = None
-    match = None
+    """The batch's result, one row per column: back to the scale of y, with
+    the error fields when ``x_true`` holds a reference row per column."""
+    x = x_unit * y_scale[:, None]
+    rel_err = match = None
     if x_true is not None:
-        true_norm = float(np.linalg.norm(x_true))
-        diff = float(np.linalg.norm(x - x_true))
-        rel_err = diff / true_norm if true_norm > 0 else float(np.linalg.norm(x))
-        floor = SUPPORT_FLOOR_FACTOR * float(np.abs(x).max(initial=0.0))
-        est_support = {int(i) for i in np.where(np.abs(x) > floor)[0]}
-        true_support = {int(i) for i in np.where(np.abs(x_true) > 1e-12)[0]}
-        match = est_support == true_support
-
+        true_norm = np.linalg.norm(x_true, axis=1)
+        rel_err = np.linalg.norm(x, axis=1)  # the absolute norm where x_true = 0
+        np.divide(np.linalg.norm(x - x_true, axis=1), true_norm, out=rel_err, where=true_norm > 0)
+        floor = SUPPORT_FLOOR_FACTOR * np.abs(x).max(axis=1, initial=0.0)
+        match = ((np.abs(x) > floor[:, None]) == (np.abs(x_true) > 1e-12)).all(axis=1)
     return RecoveryOutcome(
         x_hat=x,
-        l1_value=float(np.abs(x).sum()),
-        feasibility_residual=feas,
+        l1_value=np.abs(x).sum(axis=1),
+        feasibility_residual=np.linalg.norm(x_unit @ mat.T - y_unit, axis=1),
         iterations=iterations,
         converged=converged,
         relative_l2_error=rel_err,
@@ -577,17 +565,16 @@ def _solve_trials(common, lo, hi):
         instances.append(
             sample_instance(D, strategies[si], na_values[ai], nb_values[bi], rng, coeff=coeff)
         )
-    outcomes = solve_bp_batch(
+    out = solve_bp_batch(
         D,
         np.stack([inst.y for inst in instances], axis=1),
         cfg,
         np.stack([inst.x for inst in instances], axis=1),
     )
-    return np.array([
-        (index // trials, o.success, not o.converged,
-         o.iterations > HANDOVER_ITERATIONS, o.iterations)
-        for index, o in zip(range(lo, hi), outcomes)
-    ], dtype=np.int64)
+    return np.stack([
+        np.arange(lo, hi) // trials, out.success, ~out.converged,
+        out.iterations > HANDOVER_ITERATIONS, out.iterations,
+    ], axis=1)
 
 
 @dataclass(eq=False)
@@ -601,9 +588,7 @@ class PhaseTransitionGrid:
     master_seed: int
     successes: np.ndarray  # shape (strategies, na_values, nb_values)
     nonconverged: np.ndarray  # solver stalls, same shape
-    # largest iteration count, same shape: ADMM iterations, or
-    # HANDOVER_ITERATIONS plus Newton steps for a trial handed over
-    iterations_max: np.ndarray
+    iterations_max: np.ndarray  # largest RecoveryOutcome.iterations, same shape
     handed_over: np.ndarray  # trials finished by the dual Newton method, same shape
 
     @property

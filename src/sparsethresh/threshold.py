@@ -21,8 +21,10 @@ slope_b sqrt(q) + frame on Xi_B and slope_a sqrt(q) + cross on Xi_X.  eq5
 gives l0 uniqueness and eq6 adds l1 equivalence on top of eq3/eq4.  N > 2 and
 s >= 1 give 8 (s + 1) log N > 2, so eq6's rhs lies below eq5's and eq6 implies
 eq5; eq2 is eq6's formula.
-An orthonormal dictionary has mu = 0 and every mu^-2 threshold becomes +inf;
-the report then carries rhs = inf and the condition holds for any budget.
+An orthonormal dictionary has mu = 0 and every mu^-2 threshold becomes +inf
+at any s; the report then carries rhs = inf and the condition holds for any
+budget.  A zero budget holds every condition, also where eq1's rhs underflows
+to 0 at huge s.
 
 Each condition has one home: ``_conditions`` writes its lhs, rhs, strictness
 and note once, and ``evaluate_conditions``, ``first_feasible_gamma`` and
@@ -209,6 +211,10 @@ class _Condition:
     note: str = ""  # reported at n = 0
 
     def holds(self, lhs: float, gamma: float) -> bool:
+        # lhs 0 holds every condition: eq1's rhs, > 0 in exact arithmetic, can
+        # underflow to 0 at huge s
+        if not lhs:
+            return True
         rhs = self.rhs(gamma)
         return lhs < rhs if self.strict else lhs <= rhs
 
@@ -227,9 +233,12 @@ def _conditions(stats: DictionaryStats, N: int, Nb: int, s: float) -> tuple[_Con
     classical = classical_threshold(stats.mu)  # also rejects mu < 0
     mu_sq = stats.mu * stats.mu
     inv = 1.0 / mu_sq if mu_sq else math.inf  # inf also where mu^2 underflows
-    l0_cap = inv / 2.0
-    l1_cap = inv / (8.0 * (s + 1.0) * math.log(N))
-    eq1_cap = min(SPARSITY_CONSTANT * inv / (s * math.log(N)), l0_cap)
+    if math.isinf(inv):  # every cap is inf at any s, where inf / inf would be nan
+        l0_cap = l1_cap = eq1_cap = math.inf
+    else:
+        l0_cap = inv / 2.0
+        l1_cap = inv / (8.0 * (s + 1.0) * math.log(N))
+        eq1_cap = min(SPARSITY_CONSTANT * inv / (s * math.log(N)), l0_cap)
 
     def block_lhs(slope: float, *constants: float) -> float:
         value = slope * u if slope else 0.0  # a zero slope adds 0 even where u is inf

@@ -264,11 +264,10 @@ def test_bp_soundness_and_l0_agreement(two_onb8):
         assert outcome.feasibility_residual <= 1e-8
         assert outcome.l1_value <= float(np.abs(x_true).sum()) + 1e-6
         oracle = brute_force_l0(two_onb8, y, k_max=2)
-        if oracle.unique and outcome.support_match:
-            floor = SUPPORT_FLOOR_FACTOR * float(np.abs(outcome.x_hat).max())
-            bp_support = tuple(
-                int(i) for i in np.where(np.abs(outcome.x_hat) > floor)[0]
-            )
+        if oracle.unique and outcome.support_match[0]:
+            x_hat = outcome.x_hat[0]
+            floor = SUPPORT_FLOOR_FACTOR * float(np.abs(x_hat).max())
+            bp_support = tuple(int(i) for i in np.where(np.abs(x_hat) > floor)[0])
             assert bp_support == oracle.supports[0]
             agreements += 1
     assert agreements >= 150, f"only {agreements}/200 trials reached the l0 comparison"

@@ -119,6 +119,11 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "eq1" in out and "NO" not in out
 
+    def test_zero_budget_passes_where_eq1_underflows(self, dict_dir, capsys):
+        rc = main(["check", "--dict", dict_dir["mub7"], "--s", "1e308"])
+        assert rc == 0
+        assert "NO" not in capsys.readouterr().out
+
     def test_overloaded_budget_fails_with_exit_3(self, dict_dir, capsys):
         rc = main(["check", "--dict", dict_dir["mub7"], "--na", "2", "--nb", "2"])
         assert rc == 3

@@ -516,6 +516,15 @@ class TestRunSminTrials:
         with pytest.raises(ValueError, match=message):
             run_smin_trials(mub5, strategy, n_a, n_b, trials=10)
 
+    def test_random_baseline_with_support_a_fails_before_any_work(self, mub5, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the A-support was checked")
+
+        monkeypatch.setattr(concentration, "analyze", no_work)
+        monkeypatch.setattr(concentration, "fan_out", no_work)
+        with pytest.raises(ValueError, match="apply only to the prescribed strategy"):
+            run_smin_trials(mub5, "random-baseline", 1, 1, trials=10, support_a=[2])
+
 
 # ==============================
 # moment estimation

@@ -67,7 +67,7 @@ class TestSolveBp:
         x_true, y = _planted(two_onb4, (2,), [1.0])
         out = solve_bp(two_onb4, y, x_true=x_true)
         assert out.success
-        assert out.support_match is True
+        assert out.support_match[0].item() is True
         assert out.l1_value <= 1.0 + 1e-6
 
     def test_two_atoms_across_blocks(self, two_onb8):
@@ -77,7 +77,7 @@ class TestSolveBp:
         out = solve_bp(two_onb8, y, x_true=x_true)
         assert out.success
         assert out.relative_l2_error <= 1e-6
-        assert out.support_match is True
+        assert out.support_match[0].item() is True
 
     def test_unconverged_iterate_is_still_feasible(self, two_onb8):
         x_true, y = _planted(two_onb8, (0, 5, 10), [1.0, 1.0, 1.0])
@@ -163,20 +163,55 @@ class TestSolveBpBatch:
         batch = solve_bp_batch(D, Y, X_true=X)
         perm = np.random.default_rng(0).permutation(10)
         permuted = solve_bp_batch(D, Y[:, perm], X_true=X[:, perm])
-        assert max(out.iterations for out in alone) > recovery.HANDOVER_ITERATIONS
+        assert max(out.iterations[0] for out in alone) > recovery.HANDOVER_ITERATIONS
         for j, solo in enumerate(alone):
-            for out in (batch[j], permuted[int(np.flatnonzero(perm == j)[0])]):
-                assert (out.iterations, out.converged, out.success) == (
-                    solo.iterations, solo.converged, solo.success
+            for out, col in ((batch, j), (permuted, int(np.flatnonzero(perm == j)[0]))):
+                assert (out.iterations[col], out.converged[col], out.success[col]) == (
+                    solo.iterations[0], solo.converged[0], solo.success[0]
                 )
-                gap = np.linalg.norm(out.x_hat - solo.x_hat)
-                assert gap <= 1e-10 * np.linalg.norm(solo.x_hat)
+                gap = np.linalg.norm(out.x_hat[col] - solo.x_hat[0])
+                assert gap <= 1e-10 * np.linalg.norm(solo.x_hat[0])
+
+    def test_batch_fields_match_the_per_column_formulas(self, two_onb8):
+        # the README-grid cell of CELLS plus a zero column (x_true = 0: the
+        # error is the absolute norm), against each field written column by column
+        Y, X = _cell_data(two_onb8, "random-baseline", 3, 1, 10, 3, (1, 3, 1))
+        Y, X = np.hstack([Y, np.zeros((8, 1))]), np.hstack([X, np.zeros((16, 1))])
+        out = solve_bp_batch(two_onb8, Y, X_true=X)
+        for j in range(Y.shape[1]):
+            x, x_true, y = out.x_hat[j], X[:, j], Y[:, j]
+            true_norm = np.linalg.norm(x_true)
+            error = np.linalg.norm(x - x_true) / true_norm if true_norm else np.linalg.norm(x)
+            floor = recovery.SUPPORT_FLOOR_FACTOR * np.abs(x).max()
+            match = set(np.flatnonzero(np.abs(x) > floor)) == set(np.flatnonzero(x_true))
+            feasibility = np.linalg.norm(two_onb8.matrix @ x - y) / (np.linalg.norm(y) or 1.0)
+            assert out.relative_l2_error[j] == pytest.approx(error, rel=1e-12, abs=1e-300)
+            assert out.support_match[j] == match
+            assert out.l1_value[j] == pytest.approx(np.abs(x).sum(), rel=1e-12)
+            assert out.feasibility_residual[j] == pytest.approx(feasibility, abs=1e-13)
+            assert out.success[j] == (out.converged[j] and error <= SUCCESS_REL_ERROR)
+        assert 0 < np.count_nonzero(out.success) < Y.shape[1]
 
     def test_capped_columns_stay_feasible(self, two_onb8):
         Y, X = _cell_data(two_onb8, "first-n", 2, 2, 4, 7, (0, 2, 2))
-        outs = solve_bp_batch(two_onb8, Y, BpSolverConfig(max_iterations=2), X)
-        assert [(o.iterations, o.converged, o.success) for o in outs] == [(2, False, False)] * 4
-        assert max(o.feasibility_residual for o in outs) <= 1e-10
+        out = solve_bp_batch(two_onb8, Y, BpSolverConfig(max_iterations=2), X)
+        columns = zip(out.iterations.tolist(), out.converged.tolist(), out.success.tolist())
+        assert list(columns) == [(2, False, False)] * 4
+        assert out.feasibility_residual.max() <= 1e-10
+
+    def test_a_column_converging_on_the_cap_iteration(self, two_onb8):
+        # the cap ends the batch on the iteration its fastest column converges,
+        # after that column has left the active set
+        Y, X = _cell_data(two_onb8, "first-n", 2, 2, 4, 7, (0, 2, 2))
+        free = solve_bp_batch(two_onb8, Y, X_true=X)
+        cap = int(free.iterations.min())
+        first = free.iterations == cap
+        assert 0 < np.count_nonzero(first) < 4
+        out = solve_bp_batch(two_onb8, Y, BpSolverConfig(max_iterations=cap), X)
+        assert out.iterations.tolist() == [cap] * 4
+        assert out.converged.tolist() == first.tolist()
+        np.testing.assert_array_equal(out.x_hat[first], free.x_hat[first])
+        assert out.feasibility_residual.max() <= 1e-10
 
     def test_capped_at_the_handover_stays_admm(self, two_onb8):
         # the README grid's 70,571-iteration solve, capped where the handover
@@ -196,7 +231,20 @@ class TestSolveBpBatch:
         )
 
     def test_empty_batch(self, two_onb4):
-        assert solve_bp_batch(two_onb4, np.zeros((4, 0))) == []
+        out = solve_bp_batch(two_onb4, np.zeros((4, 0)))
+        assert out.x_hat.shape == (0, 8)
+        assert out.iterations.shape == out.converged.shape == out.success.shape == (0,)
+
+    def test_empty_batch_returns_zero_length_fields_before_any_setup(self, two_onb4, monkeypatch):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the solver set up for an empty batch")
+
+        monkeypatch.setattr(np.linalg, "pinv", no_setup)
+        out = solve_bp_batch(two_onb4, np.zeros((4, 0)), X_true=np.zeros((8, 0)))
+        assert out.x_hat.shape == (0, 8)
+        for name in ("l1_value", "feasibility_residual", "iterations", "converged",
+                     "relative_l2_error", "support_match", "success"):
+            assert getattr(out, name).shape == (0,), name
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_one_nonfinite_y_fails_before_any_iteration(self, two_onb8, monkeypatch, bad):
@@ -348,7 +396,7 @@ class TestRecoveryTrial:
         D = PartitionedDictionary(np.eye(8), 4)
         out = _trial(D, "prescribed", 2, 2, derive_rng(5), support_a=(0, 2))
         assert out.success
-        assert out.support_match is True
+        assert out.support_match[0].item() is True
 
     def test_zero_budget(self, two_onb4):
         out = _trial(two_onb4, "first-n", 0, 0, derive_rng(0))
@@ -460,12 +508,12 @@ class TestRecoverySweep:
             for ai, n_a in enumerate(na_values):
                 for bi, n_b in enumerate(nb_values):
                     Y, X = _cell_data(two_onb8, strategy, n_a, n_b, trials, seed, (si, ai, bi))
-                    outs = solve_bp_batch(two_onb8, Y, cfg, X)
+                    out = solve_bp_batch(two_onb8, Y, cfg, X)
                     expected[:, si, ai, bi] = (
-                        sum(o.success for o in outs),
-                        sum(not o.converged for o in outs),
-                        max(o.iterations for o in outs),
-                        sum(o.iterations > recovery.HANDOVER_ITERATIONS for o in outs),
+                        np.count_nonzero(out.success),
+                        np.count_nonzero(~out.converged),
+                        out.iterations.max(),
+                        np.count_nonzero(out.iterations > recovery.HANDOVER_ITERATIONS),
                     )
         assert 0 < expected[0].sum() < expected[0].size * trials
         monkeypatch.setattr("sparsethresh.rng.BLOCK", 7)
@@ -584,18 +632,18 @@ class TestCertificateGate:
         solved = []
 
         def recording(D, Y, cfg=None, X_true=None):
-            outs = solve_bp_batch(D, Y, cfg, X_true)
-            solved.extend(zip(X_true.T, outs))
-            return outs
+            out = solve_bp_batch(D, Y, cfg, X_true)
+            solved.extend(zip(X_true.T, out.success.tolist()))
+            return out
 
         monkeypatch.setattr(recovery, "solve_bp_batch", recording)
         run_recovery_sweep(
             two_onb8, (0, 1, 2, 3), (1, 2, 3), trials_per_cell=4, master_seed=17,
         )
         assert len(solved) == 96
-        certified = [out for x, out in solved if _fuchs_certified(two_onb8.matrix, x)]
+        certified = [success for x, success in solved if _fuchs_certified(two_onb8.matrix, x)]
         assert certified
-        assert all(out.success for out in certified)
+        assert all(success for success in certified)
 
 
 class TestSuccessDefinition:

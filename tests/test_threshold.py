@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sparsethresh import (
     GAMMA_GRID_DEFAULT,
     DictionaryStats,
+    PartitionedDictionary,
     TheoremParams,
     analyze,
     classical_threshold,
@@ -223,6 +224,22 @@ class TestEvaluateConditions:
         for cid in ("eq3", "eq4"):
             assert report.get(cid).lhs == 0.0 and report.get(cid).satisfied, cid
         assert first_feasible_gamma(stats, 100, 50, 1e308, 0, 0) == 0.0
+
+    def test_zero_budget_holds_every_condition_where_eq1_underflows(self, mub7):
+        # c mu^-2 / (s log N) is 0 at s = 1e308, yet the true rhs is positive
+        report = evaluate_conditions(analyze(mub7), mub7.N, mub7.Nb, TheoremParams(s=1e308))
+        assert report.get("eq1").rhs == 0.0
+        assert report.all_satisfied
+        assert report.l0_uniqueness and report.l0_l1_equivalence
+
+    @pytest.mark.parametrize("s", [1.0, 1e300, 1e308])
+    def test_orthonormal_caps_are_inf_at_any_s(self, s):
+        D = PartitionedDictionary(np.eye(24), 4)
+        report = evaluate_conditions(analyze(D), D.N, D.Nb, TheoremParams(s=s, n_a=2))
+        for cid in ("eq1", "eq2", "eq5", "eq6", "classical"):
+            assert report.get(cid).rhs == math.inf, cid
+        assert report.all_satisfied
+        assert report.l0_uniqueness and report.l0_l1_equivalence
 
     def test_classical_entry(self):
         report = evaluate_conditions(_stats(mu=0.5), 100, 50, TheoremParams(n_a=1))
