@@ -3,7 +3,7 @@
 The package splits into small focused modules:
 
   dictionary     partitioned dictionaries, coherence and spectral statistics
-  model          the one hybrid-support draw and coefficient sampling
+  model          the one hybrid-support draw and instance sampling
   threshold      closed-form terms, sparsity conditions and the budget search
   concentration  the batched hollow Gram chain, tail bounds, sigma_min and
                  moment runs
@@ -28,10 +28,7 @@ from .dictionary import (
     welch_bound,
 )
 from .model import (
-    MAGNITUDE_LAWS,
     SUPPORT_A_STRATEGIES,
-    CoefficientSpec,
-    SparseInstance,
     choose_support_a,
     draw_support,
     sample_instance,
@@ -46,6 +43,7 @@ from .threshold import (
     SparsitySearchResult,
     TheoremParams,
     classical_threshold,
+    default_u,
     evaluate_conditions,
     max_sparsity_search,
     scaling_report,
@@ -57,7 +55,6 @@ from .concentration import (
     TailBoundSpec,
     alpha_beta,
     chain_batch,
-    default_u,
     draw_supports,
     estimate_moment,
     run_smin_trials,

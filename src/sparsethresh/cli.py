@@ -139,8 +139,9 @@ def _config_value(name: str, value):
     return float(value) if kind is float else value
 
 
-def _parse_list(text: str, elem) -> list:
-    """Comma-separated values, or for integers also 'lo:hi[:step]' (inclusive)."""
+def _parse_list(text: str, elem):
+    """Comma-separated values, or for integers also 'lo:hi[:step]' (inclusive),
+    which stays a lazy range: its reader takes no more values than it can use."""
     if elem is int and ":" in text:
         parts = [int(p) for p in text.split(":")]
         if len(parts) == 2:
@@ -151,7 +152,7 @@ def _parse_list(text: str, elem) -> list:
             raise ValueError(f"bad range {text!r}, expected lo:hi or lo:hi:step")
         if step < 1 or hi < lo:
             raise ValueError(f"bad range {text!r}")
-        return list(range(lo, hi + 1, step))
+        return range(lo, hi + 1, step)
     return [elem(p) for p in text.split(",") if p != ""]
 
 

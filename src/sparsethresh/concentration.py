@@ -46,7 +46,9 @@ import numpy as np
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
 from .model import SUPPORT_A_STRATEGIES, choose_support_a, draw_support
 from .rng import derive_rng, fan_out
-from .threshold import block_a_terms, block_b_terms, default_u, first_feasible_gamma
+from .threshold import (
+    _require_n_gt_2, _require_s, block_a_terms, block_b_terms, default_u, first_feasible_gamma,
+)
 
 __all__ = [
     "HollowGramRecord",
@@ -56,7 +58,6 @@ __all__ = [
     "draw_supports",
     "chain_batch",
     "alpha_beta",
-    "default_u",
     "tail_probability",
     "run_smin_trials",
     "estimate_moment",
@@ -404,6 +405,10 @@ def run_smin_trials(
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
     D.check_budgets(n_a, n_b)
+    _require_s(s)
+    _require_n_gt_2(D.N)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     fixed_a = None  # random-baseline re-draws it per trial, and refuses support_a here
     if strategy != "random-baseline" or support_a is not None:
         fixed_a = choose_support_a(strategy, D.Na, n_a, indices=support_a)

@@ -273,13 +273,24 @@ def welch_bound(m: int, N: int) -> float:
 # ============================================================
 
 
+def _allocate(m: int, n: int) -> np.ndarray:
+    """A builder's m x n matrix, allocated before any work, so that a size too
+    large to hold fails as a usage error."""
+    try:
+        return np.empty((m, n), dtype=complex)
+    except (MemoryError, ValueError) as exc:  # ValueError: past the address space
+        raise ValueError(f"a {m} x {n} dictionary is too large to hold: {exc}") from None
+
+
 def build_two_onb(m: int) -> PartitionedDictionary:
     """Identity plus unitary Fourier basis, split at m; coherence 1/sqrt(m)."""
     if m < 2:
         raise ValueError(f"two-basis dictionary needs m >= 2, got {m}")
+    mat = _allocate(m, 2 * m)
+    mat[:, :m] = np.eye(m)
     j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    fourier = np.exp(-2j * np.pi * ((j * k) % m) / m) / math.sqrt(m)
-    return PartitionedDictionary(np.hstack([np.eye(m, dtype=complex), fourier]), m)
+    mat[:, m:] = np.exp(-2j * np.pi * ((j * k) % m) / m) / math.sqrt(m)
+    return PartitionedDictionary(mat, m)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -304,24 +315,25 @@ def build_mub(p: int) -> PartitionedDictionary:
             f"p must be an odd prime, got {p}; load prepared dictionaries "
             "from a file for other sizes"
         )
+    mat = _allocate(p, p * (p + 1))
+    mat[:, :p] = np.eye(p)
     t = np.arange(p)
-    blocks = [np.eye(p, dtype=complex)]
     for a in range(p):
-        chirp = np.empty((p, p), dtype=complex)
         for b in range(p):
             # exact modular phase keeps angles in [0, 2 pi) before the exp
             k = (a * t * t + b * t) % p
-            chirp[:, b] = np.exp(2j * np.pi * k / p) / math.sqrt(p)
-        blocks.append(chirp)
-    return PartitionedDictionary(np.hstack(blocks), p)
+            mat[:, (a + 1) * p + b] = np.exp(2j * np.pi * k / p) / math.sqrt(p)
+    return PartitionedDictionary(mat, p)
 
 
 def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> PartitionedDictionary:
     """Columns i.i.d. uniform on the complex unit sphere of C^m; deterministic per seed."""
     if not 1 <= m <= N:
         raise ValueError(f"need N >= m >= 1, got m={m}, N={N}")
+    mat = _allocate(m, N)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    mat = rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N))
+    mat.real = rng.standard_normal((m, N))
+    mat.imag = rng.standard_normal((m, N))
     mat /= np.linalg.norm(mat, axis=0)
     return PartitionedDictionary(mat, split)
 

@@ -5,8 +5,9 @@ An instance is a coefficient vector x of length N with
   - a caller-chosen support of size n_a inside block A (any strategy, or an
     explicit index list),
   - a support of size n_b drawn uniformly at random from block B,
-  - nonzero values z_i = r_i * exp(i theta_i) with magnitudes r_i from a
-    configurable law and phases theta_i i.i.d. uniform on [0, 2 pi),
+  - nonzero values z_i = r_i * exp(i theta_i) whose magnitudes r_i are the
+    modulus of a standard complex Gaussian (continuous and strictly positive)
+    and whose phases theta_i are i.i.d. uniform on [0, 2 pi),
 
 together with the measurement y = D x.  Everything is driven by explicit
 generator streams (see ``sparsethresh.rng``), so instances are reproducible
@@ -20,71 +21,21 @@ phases.  So ``smin``, ``moments`` and ``recover`` see one support per stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .dictionary import PartitionedDictionary
 
 __all__ = [
-    "MAGNITUDE_LAWS",
     "SUPPORT_A_STRATEGIES",
-    "CoefficientSpec",
-    "SparseInstance",
     "sample_support_b",
     "choose_support_a",
     "draw_support",
     "sample_instance",
 ]
 
-MAGNITUDE_LAWS = ("half-normal-modulus", "uniform", "unit")
 SUPPORT_A_STRATEGIES = ("prescribed", "first-n", "spread", "random-baseline")
-
-
-@dataclass(frozen=True)
-class CoefficientSpec:
-    """Law of the nonzero values; phases are always uniform on [0, 2 pi).
-
-    magnitude_law:
-      half-normal-modulus  modulus of a standard complex Gaussian (default);
-                           continuous and strictly positive a.s.
-      uniform              uniform on (0, 1]; continuous
-      unit                 constant 1; NOT continuous, kept for worst-case
-                           style experiments only
-    """
-
-    magnitude_law: str = "half-normal-modulus"
-
-    def __post_init__(self):
-        if self.magnitude_law not in MAGNITUDE_LAWS:
-            raise ValueError(
-                f"unknown magnitude_law {self.magnitude_law!r}, "
-                f"expected one of {MAGNITUDE_LAWS}"
-            )
-
-    def sample_magnitudes(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.magnitude_law == "half-normal-modulus":
-            re = rng.standard_normal(n)
-            im = rng.standard_normal(n)
-            return np.hypot(re, im) / np.sqrt(2.0)
-        if self.magnitude_law == "uniform":
-            # 1 - U with U in [0, 1) lands in (0, 1]
-            return 1.0 - rng.uniform(0.0, 1.0, size=n)
-        return np.ones(n)
-
-
-@dataclass(frozen=True, eq=False)
-class SparseInstance:
-    """One sampled coefficient vector and its measurement y = D x."""
-
-    support: tuple[int, ...]
-    values: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-    @property
-    def sparsity(self) -> int:
-        return len(self.support)
 
 
 # ============================================================
@@ -130,9 +81,11 @@ def choose_support_a(
     if strategy == "prescribed":
         if indices is None:
             raise ValueError("prescribed strategy needs an explicit index list")
-        chosen = tuple(int(i) for i in indices)
+        # one index past n_pick tells a list too long, however long it is
+        chosen = tuple(int(i) for i in islice(indices, n_pick + 1))
         if len(chosen) != n_pick:
-            raise ValueError(f"expected {n_pick} indices, got {len(chosen)}")
+            got = "more" if len(chosen) > n_pick else len(chosen)
+            raise ValueError(f"expected {n_pick} indices, got {got}")
         if len(set(chosen)) != len(chosen):
             raise ValueError(f"prescribed indices contain duplicates: {chosen}")
         if any(not 0 <= i < n_total for i in chosen):
@@ -177,24 +130,20 @@ def sample_instance(
     n_b: int,
     rng: np.random.Generator,
     support_a=None,
-    coeff: CoefficientSpec | None = None,
-) -> SparseInstance:
-    """Draw one hybrid-model instance from ``rng``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one hybrid-model instance (x, y) from ``rng``, with y = D x.
 
-    Draw order is fixed (``draw_support``, then magnitudes, then phases) so a
-    given stream always produces the same instance.  The support lists the
-    A-columns in ascending order, then the B-columns as indices into D.
+    Draw order is fixed (``draw_support``, then the magnitudes from all k
+    real parts before the k imaginary parts, then the phases) so a given
+    stream always produces the same instance.  The i-th value goes to the
+    i-th support index in ascending order, so the support is
+    ``np.flatnonzero(x)``: the A-columns, then the B-columns.
     """
-    coeff = coeff or CoefficientSpec()
     cols_a, cols_b = draw_support(D, strategy, n_a, n_b, rng, support_a)
-    support = tuple(sorted(cols_a)) + tuple(D.Na + j for j in cols_b)
+    support = sorted(cols_a) + [D.Na + j for j in cols_b]
     k = len(support)
-
-    magnitudes = coeff.sample_magnitudes(k, rng)
+    magnitudes = np.hypot(rng.standard_normal(k), rng.standard_normal(k)) / np.sqrt(2.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
-    values = magnitudes * np.exp(1j * phases)
-
     x = np.zeros(D.N, dtype=complex)
-    x[list(support)] = values
-    y = D.matrix @ x
-    return SparseInstance(support=support, values=values, x=x, y=y)
+    x[support] = magnitudes * np.exp(1j * phases)
+    return x, D.matrix @ x

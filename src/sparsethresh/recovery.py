@@ -1,14 +1,14 @@
 """l1 recovery: equality-constrained basis pursuit plus a tiny l0 oracle.
 
 ``solve_bp_batch`` minimizes sum_i |x_i| (complex modulus) subject to D x = y
-for every column y of Y with ADMM (Boyd et al. 2011, "Distributed
+for every row y of Y with ADMM (Boyd et al. 2011, "Distributed
 Optimization and Statistical Learning via the Alternating Direction Method
 of Multipliers"): alternate the affine projection
 x = v - pinv(D) (D v) + pinv(D) y onto the constraint set with complex
 soft-thresholding, plus a scaled dual step.  ``solve_bp`` is the batch of
-one column, so there is one iteration loop, and both return one
-``RecoveryOutcome`` whose fields hold one entry per column.  The iteration
-is scale-free and tunes its own step, per column, from rho = 1
+one row, so there is one iteration loop, and both return one
+``RecoveryOutcome`` whose fields hold one entry per row.  The iteration
+is scale-free and tunes its own step, per row, from rho = 1
 (STEP_PARAMETER):
 
 - it solves for y / ||y|| and multiplies the result by ||y||, so the
@@ -24,9 +24,9 @@ is scale-free and tunes its own step, per column, from rho = 1
   (residual balancing, section 3.4.1).  The projection does not depend on
   rho, so a new rho needs no refactorisation.
 
-The columns run in lock step: each keeps its own y-scale, rho and stopping
+The rows run in lock step: each keeps its own y-scale, rho and stopping
 test and leaves the batch on the iteration it converges, so a batch costs
-about its longest solve.  A column's iterates differ from those it gets
+about its longest solve.  A row's iterates differ from those it gets
 alone only by the rounding of a matrix-matrix product against a
 matrix-vector one (about 1e-15 relative); no iteration count or success
 moved on the README and benchmark grids.
@@ -37,15 +37,15 @@ stops.
 
 ADMM's iteration counts are heavy-tailed, and a batch costs its longest
 solve.  So when ``max_iterations`` exceeds HANDOVER_ITERATIONS, ADMM stops
-there, and every column still running is handed over to a log-barrier
+there, and every row still running is handed over to a log-barrier
 Newton method on the dual, max Re(y^H w) subject to |d_j^H w| <= 1 (Boyd
 and Vandenberghe 2004, section 11.3, as l1-magic applies it to basis
-pursuit).  All handed-over columns share each Newton step's batched QR and
+pursuit).  All handed-over rows share each Newton step's batched QR and
 solves, but each keeps its own barrier weight, step and stopping test, so
 its result does not depend on the others.  Its x is least squares on the
 dual's active set when a duality-gap certificate backs it, and the
-central-path point projected onto D x = y otherwise.  A column that
-converges within HANDOVER_ITERATIONS, and every column when
+central-path point projected onto D x = y otherwise.  A row that
+converges within HANDOVER_ITERATIONS, and every row when
 ``max_iterations`` is at most HANDOVER_ITERATIONS, is ADMM's alone.
 
 ``brute_force_l0`` enumerates all supports up to a small size cap and reports
@@ -57,25 +57,23 @@ the blocks of ``rng.fan_out``, one batched solve per block, so cells with
 short solves share one tail instead of each paying its own: every y has
 length m whatever the cell's sparsity.  Trial t of the cell at grid indices
 (si, ai, bi) reads its stream derive_rng(master_seed, si, ai, bi, t) through
-``model.sample_instance`` (support, then magnitudes, then phases).  The
-blocks depend only on the grid and the trial count, never on the worker
-count, and each block's counts are added into the grids as it arrives, so
-the grid does not depend on the worker count and memory does not grow with
-the trial count.  A sweep under the non-continuous ``unit`` magnitude law
-warns once, in the calling process, before any solve.
+``model.sample_instance`` (support, then magnitudes, then phases), which
+gives its row of the block's X and Y.  The blocks depend only on the grid
+and the trial count, never on the worker count, and each block's counts are
+added into the grids as it arrives, so the grid does not depend on the
+worker count and memory does not grow with the trial count.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .dictionary import PartitionedDictionary
-from .model import CoefficientSpec, sample_instance
+from .model import sample_instance
 from .rng import derive_rng, fan_out
 
 __all__ = [
@@ -116,14 +114,9 @@ NEWTON_BACKTRACK_LIMIT = 60
 ACTIVE_MARGIN = 1e-4  # the polish support is {j : |d_j^H w| > 1 - ACTIVE_MARGIN}
 POLISH_RESIDUAL = 1e-10  # ||D_S x_S - y|| / ||y|| a polish may leave
 POLISH_GAP = 1e-6  # ||x_S||_1 - Re(y^H w) a polish may leave, at ||y|| = 1
-# handed-over columns per Newton solve: bounds the stacked QR's input (32 m N
-# bytes a column), never the output
+# handed-over rows per Newton solve: bounds the stacked QR's input (32 m N
+# bytes a row), never the output
 NEWTON_CHUNK_BYTES = 16 * 2**20
-
-_UNIT_LAW_WARNING = (
-    "unit magnitudes are not drawn from a continuous distribution; "
-    "uniqueness-based success claims are fragile under this law"
-)
 
 
 @dataclass(frozen=True)
@@ -140,8 +133,8 @@ class BpSolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryOutcome:
-    """Solver output of a batch, one entry per column of Y (one row of
-    ``x_hat``); the error fields need a reference X_true and are None without.
+    """Solver output of a batch, one entry (and one row of ``x_hat``) per row
+    of Y; the error fields need a reference X_true and are None without.
 
     ``feasibility_residual`` is ||D x_hat - y|| / ||y|| (0 when y = 0).
     ``iterations`` counts ADMM iterations, or HANDOVER_ITERATIONS plus the
@@ -185,16 +178,16 @@ def solve_bp(
     x_true=None,
 ) -> RecoveryOutcome:
     """Minimize the l1 norm subject to D x = y: ``solve_bp_batch`` on one
-    column, so each field of the outcome holds one entry.
+    row, so each field of the outcome holds one entry.
 
     Never raises on non-convergence; the outcome carries converged=False and
     the last projected (feasible) iterate instead.  When ``x_true`` is given,
     the relative l2 error (absolute norm if x_true = 0) and the support match
     at floor SUPPORT_FLOOR_FACTOR * max|x_hat| are filled in.
     """
-    y = np.asarray(y, dtype=np.complex128).reshape(-1, 1)
+    y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
     if x_true is not None:
-        x_true = np.asarray(x_true, dtype=np.complex128).reshape(-1, 1)
+        x_true = np.asarray(x_true, dtype=np.complex128).reshape(1, -1)
     return solve_bp_batch(D, y, cfg, x_true)
 
 
@@ -204,67 +197,62 @@ def solve_bp_batch(
     cfg: BpSolverConfig | None = None,
     X_true=None,
 ) -> RecoveryOutcome:
-    """``solve_bp`` on every column of Y at once, in lock step: one outcome
-    whose fields hold one entry per column.
+    """``solve_bp`` on every row y of Y (k, m) at once, in lock step: one
+    outcome whose fields hold one entry per row.
 
-    Each column keeps its own y-scale, rho and residual balancing, stops by
-    its own test and is written out on the iteration it converges; its
-    iterates are those it gets alone up to the rounding of a matrix-matrix
-    product (about 1e-15 relative).  Columns that converge leave the active
-    set, so a batch costs about its longest solve; the columns handed over
-    (see the module docstring) are finished together, row by row.
-    ``X_true`` holds the reference x of each column.  Every column is checked
-    before any setup.
+    Each row keeps its own y-scale, rho and residual balancing, stops by its
+    own test and is written out on the iteration it converges; its iterates
+    are those it gets alone up to the rounding of a matrix-matrix product
+    (about 1e-15 relative).  Rows that converge leave the active set, so a
+    batch costs about its longest solve; the rows handed over (see the
+    module docstring) are finished together.  ``X_true`` (k, N) holds the
+    reference x of each row.  Every row is checked before any setup.
     """
     cfg = cfg or BpSolverConfig()
     mat = _dictionary_matrix(D)
     m, n = mat.shape
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2:
-        raise ValueError(f"Y must hold one y per column, got shape {Y.shape}")
-    if Y.shape[0] != m:
-        raise ValueError(f"y has length {Y.shape[0]}, expected {m}")
+        raise ValueError(f"Y must hold one y per row, got shape {Y.shape}")
+    if Y.shape[1] != m:
+        raise ValueError(f"y has length {Y.shape[1]}, expected {m}")
     if not np.isfinite(Y).all():
         raise ValueError("y must be finite")
-    k = Y.shape[1]
-    x_true_rows = None
+    k = Y.shape[0]
     if X_true is not None:
         X_true = np.asarray(X_true, dtype=np.complex128)
-        if X_true.shape != (n, k):
-            raise ValueError(f"X_true has shape {X_true.shape}, expected {(n, k)}")
-        x_true_rows = np.ascontiguousarray(X_true.T)
+        if X_true.shape != (k, n):
+            raise ValueError(f"X_true has shape {X_true.shape}, expected {(k, n)}")
 
-    # one row per column of Y, so each row is a contiguous vector
-    y_rows = np.ascontiguousarray(Y.T)
-    y_scale = np.array([_norm(y) or 1.0 for y in y_rows])
-    y_unit = y_rows / y_scale[:, None]
-    # each column's x at ||y|| = 1, iteration count and stopping test, written
+    y_scale = np.array([_norm(y) or 1.0 for y in Y])
+    y_unit = Y / y_scale[:, None]
+    # each row's x at ||y|| = 1, iteration count and stopping test, written
     # where it stops
     x_unit = np.zeros((k, n), dtype=complex)
     iterations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     if not k:
-        return _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true_rows)
+        return _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, X_true)
     pinv = np.linalg.pinv(mat)
     mat_t, pinv_t = mat.T, pinv.T
     x_feas = y_unit @ pinv_t
     rho = np.full(k, STEP_PARAMETER)
     # 0-d arrays, not Python scalars: a ufunc converts a Python scalar operand
-    # on every call, which costs more than the arithmetic on a few columns
+    # on every call, which costs more than the arithmetic on a few rows
     tol = np.array(TOLERANCE)
     relax, relax_rest = np.array(complex(RELAXATION)), np.array(complex(1.0 - RELAXATION))
     zero, one, tiny = np.array(0.0), np.array(1.0), np.array(1e-300)
 
-    # x - z, z - z_old, x, z and u of every active column, so that the five
+    # x - z, z - z_old, x, z and u of every active row, so that the five
     # norms of the stopping test take one call
     state = np.zeros((5, k, n), dtype=complex)
-    active = np.arange(k)  # the Y column of each row of state
+    active = np.arange(k)  # the Y row of each row of state
 
     it = 0
     bound = False
     for it in range(1, min(cfg.max_iterations, HANDOVER_ITERATIONS) + 1):
         if not bound:
-            # views and work buffers of the active columns, remade when one leaves
+            # views and work buffers of the active rows, remade when one leaves
             r, s, x, z, u = state
             w, mag, scaled_z = np.empty_like(x), np.empty(x.shape), np.empty_like(z)
             threshold = 1.0 / rho[:, None]
@@ -320,8 +308,8 @@ def solve_bp_batch(
             threshold = 1.0 / rho[:, None]
             factors[1::3] = rho
         if np.count_nonzero(done):
-            cols = active[done]
-            x_unit[cols], iterations[cols], converged[cols] = x[done], it, True
+            rows = active[done]
+            x_unit[rows], iterations[rows], converged[rows] = x[done], it, True
             keep = ~done
             if not keep.any():
                 break
@@ -333,10 +321,10 @@ def solve_bp_batch(
         else:
             chunk = max(1, NEWTON_CHUNK_BYTES // (32 * m * n))
             for lo in range(0, active.size, chunk):
-                cols = active[lo:lo + chunk]
-                x_unit[cols], steps, converged[cols] = _newton_finish(mat, pinv, y_unit[cols])
-                iterations[cols] = HANDOVER_ITERATIONS + steps
-    return _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true_rows)
+                rows = active[lo:lo + chunk]
+                x_unit[rows], steps, converged[rows] = _newton_finish(mat, pinv, y_unit[rows])
+                iterations[rows] = HANDOVER_ITERATIONS + steps
+    return _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, X_true)
 
 
 def _newton_finish(mat, pinv, y):
@@ -468,8 +456,8 @@ def _row_products(a, b):
 
 
 def _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true) -> RecoveryOutcome:
-    """The batch's result, one row per column: back to the scale of y, with
-    the error fields when ``x_true`` holds a reference row per column."""
+    """The batch's result, one entry per row: back to the scale of y, with
+    the error fields when ``x_true`` holds each row's reference x."""
     x = x_unit * y_scale[:, None]
     rel_err = match = None
     if x_true is not None:
@@ -555,22 +543,16 @@ SWEEP_STRATEGIES = ("first-n", "spread", "random-baseline")
 def _solve_trials(common, lo, hi):
     """(flat cell index, success, stall, handed over, iteration count) of
     trials lo..hi-1 of a sweep's flat list, in one batched solve."""
-    D, strategies, na_values, nb_values, trials, master_seed, coeff, cfg = common
-    instances = []
-    for index in range(lo, hi):
+    D, strategies, na_values, nb_values, trials, master_seed, cfg = common
+    X = np.empty((hi - lo, D.N), dtype=complex)
+    Y = np.empty((hi - lo, D.m), dtype=complex)
+    for row, index in enumerate(range(lo, hi)):
         cell, t = divmod(index, trials)
         rest, bi = divmod(cell, len(nb_values))
         si, ai = divmod(rest, len(na_values))
         rng = derive_rng(master_seed, si, ai, bi, t)
-        instances.append(
-            sample_instance(D, strategies[si], na_values[ai], nb_values[bi], rng, coeff=coeff)
-        )
-    out = solve_bp_batch(
-        D,
-        np.stack([inst.y for inst in instances], axis=1),
-        cfg,
-        np.stack([inst.x for inst in instances], axis=1),
-    )
+        X[row], Y[row] = sample_instance(D, strategies[si], na_values[ai], nb_values[bi], rng)
+    out = solve_bp_batch(D, Y, cfg, X)
     return np.stack([
         np.arange(lo, hi) // trials, out.success, ~out.converged,
         out.iterations > HANDOVER_ITERATIONS, out.iterations,
@@ -641,7 +623,6 @@ def run_recovery_sweep(
     trials_per_cell: int,
     strategies=("first-n", "random-baseline"),
     master_seed: int = 0,
-    coeff: CoefficientSpec | None = None,
     cfg: BpSolverConfig | None = None,
     workers: int = 1,
 ) -> PhaseTransitionGrid:
@@ -652,14 +633,20 @@ def run_recovery_sweep(
     solve per block, whose counts are added into the grids as it arrives.
     Per-trial streams are keyed by (strategy, cell, trial) and the blocks by
     the grid alone, so the grid is bitwise identical across worker counts and
-    run orders.  Every grid value and strategy is checked, and the unit-law
-    warning raised, before any solve.
+    run orders.  Every grid value and strategy is checked before any solve.
     """
-    na_values = tuple(int(v) for v in na_values)
-    nb_values = tuple(int(v) for v in nb_values)
+    # at most Na + 1 distinct values fit in [0, Na]: one more read tells a longer input
+    na_values = tuple(int(v) for v in islice(na_values, D.Na + 2))
+    nb_values = tuple(int(v) for v in islice(nb_values, D.Nb + 2))
     strategies = tuple(strategies)
     if not na_values or not nb_values or not strategies:
         raise ValueError("na_values, nb_values and strategies must be non-empty")
+    for name, values, top in (("na_values", na_values, D.Na), ("nb_values", nb_values, D.Nb)):
+        if len(values) > top + 1:
+            raise ValueError(
+                f"{name} has more than {top + 1} entries, so some repeat or fall "
+                f"outside [0, {top}]"
+            )
     for name, values in (
         ("na_values", na_values), ("nb_values", nb_values), ("strategies", strategies)
     ):
@@ -677,12 +664,10 @@ def run_recovery_sweep(
             f"grid outside the block sizes [0, Na={D.Na}] x [0, Nb={D.Nb}]: "
             f"na_values {na_values}, nb_values {nb_values}"
         )
-    if coeff is not None and coeff.magnitude_law == "unit":
-        warnings.warn(_UNIT_LAW_WARNING, stacklevel=2)
     shape = (len(strategies), len(na_values), len(nb_values))
     # per cell: successes, stalls, handed-over trials and the largest iteration count
     counts = np.zeros((math.prod(shape), 4), dtype=np.int64)
-    common = (D, strategies, na_values, nb_values, trials_per_cell, master_seed, coeff, cfg)
+    common = (D, strategies, na_values, nb_values, trials_per_cell, master_seed, cfg)
     for rows in fan_out(_solve_trials, common, len(counts) * trials_per_cell, workers):
         np.add.at(counts[:, :3], rows[:, 0], rows[:, 1:4])
         np.maximum.at(counts[:, 3], rows[:, 0], rows[:, 4])

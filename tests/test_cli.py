@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,34 @@ class TestBuildDict:
         assert rc == 2
         assert "not allowed with argument --mub" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["build-dict", "--two-onb", "1000000"], None),
+            (["build-dict", "--random", "1000000", "1000000"], None),
+            (["build-dict", "--mub", "1000003"], None),
+            (["analyze"], {"two_onb": 1000000}),
+            (["analyze"], {"random": [1000000, 1000000]}),
+        ],
+        ids=["two-onb", "random", "mub", "config-two-onb", "config-random"],
+    )
+    def test_impossible_size_exits_2(self, tmp_path, capsys, monkeypatch, argv, config):
+        # the builder's matrix (up to 32 TB) is allocated before any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("a dictionary was built or saved")
+
+        monkeypatch.setattr(np, "meshgrid", no_work)
+        monkeypatch.setattr(cli.dictionary, "save_dictionary", no_work)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps({"dictionary": config}))
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a ") and "dictionary is too large to hold" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == ([] if config is None else [tmp_path / "cfg.json"])
 
     def test_random_builder_is_deterministic(self, tmp_path):
         a = tmp_path / "a.dict.json"
@@ -585,6 +614,39 @@ class TestRecover:
         assert rc == 2
         assert "bad range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["recover", "--dict", "onb4", "--na-range", "0:20000000"],
+             "na_values has more than 5 entries"),
+            (["recover", "--dict", "onb4", "--nb-range", "3:20000000:2"],
+             "nb_values has more than 5 entries"),
+            (["smin", "--dict", "mub7", "--strategy", "prescribed", "--na", "2",
+              "--support-a", "0:20000000"], "expected 2 indices, got more"),
+            (["moments", "--dict", "mub7", "--strategy", "prescribed", "--na", "2",
+              "--support-a", "0:20000000"], "expected 2 indices, got more"),
+        ],
+        ids=["na-range", "nb-range-step", "smin-support-a", "moments-support-a"],
+    )
+    def test_a_huge_range_exits_2_fast_with_a_short_message(
+        self, dict_dir, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        # 0:20000000 once expanded to 20 million values before the check, and
+        # the error line listed every one of them
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the range was checked")
+
+        monkeypatch.setattr(recovery, "fan_out", no_work)
+        monkeypatch.setattr(concentration, "fan_out", no_work)
+        argv = [dict_dir.get(a, a) for a in argv]
+        start = time.perf_counter()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err) < 200
+        assert not (tmp_path / "out").exists()
+
     def test_strategy_list_and_comma_values(self, dict_dir, tmp_path):
         rc = main([
             "recover", "--dict", dict_dir["onb4"], "--na-range", "0,1",
@@ -717,7 +779,12 @@ class TestResolveFirst:
             cfg.write_text(json.dumps({name: value}))
             assert main([command, *flags]) == 0
             assert main([command, "--config", str(cfg)]) == 0
-            from_flag, from_config = ({**v, "config": None} for v in seen[-2:])
+            # a flag's lo:hi stays a lazy range: compare the values it holds
+            from_flag, from_config = (
+                {**{k: list(x) if isinstance(x, range) else x for k, x in v.items()},
+                 "config": None}
+                for v in seen[-2:]
+            )
             assert from_flag == from_config, name
             assert from_flag[name] != default, name
 

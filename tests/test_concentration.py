@@ -516,6 +516,25 @@ class TestRunSminTrials:
         with pytest.raises(ValueError, match=message):
             run_smin_trials(mub5, strategy, n_a, n_b, trials=10)
 
+    @pytest.mark.parametrize(
+        "D, kwargs, message",
+        [
+            (None, {"s": 0.5}, "s must be a finite number >= 1"),
+            (None, {"s": math.nan}, "s must be a finite number >= 1"),
+            (None, {"workers": 0}, "workers must be >= 1"),
+            (PartitionedDictionary(np.eye(2), 1), {}, "N > 2"),
+        ],
+        ids=["s-below-1", "s-nan", "no-workers", "N-2"],
+    )
+    def test_bad_settings_fail_before_any_work(self, mub5, monkeypatch, D, kwargs, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the settings were checked")
+
+        for name in ("_per_trial", "analyze", "fan_out"):
+            monkeypatch.setattr(concentration, name, no_work)
+        with pytest.raises(ValueError, match=message):
+            run_smin_trials(D or mub5, "first-n", 1, 1, trials=10, **kwargs)
+
     def test_random_baseline_with_support_a_fails_before_any_work(self, mub5, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the A-support was checked")

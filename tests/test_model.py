@@ -1,4 +1,4 @@
-"""Tests for the hybrid support model and coefficient sampling."""
+"""Tests for the hybrid support model and instance sampling."""
 
 import itertools
 import math
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sparsethresh import (
-    CoefficientSpec,
     PartitionedDictionary,
     choose_support_a,
     derive_rng,
@@ -46,26 +45,6 @@ class TestHybridSupportSpec:
             draw_support(mub7, "first-n", 0, -2, derive_rng(0))
         with pytest.raises(ValueError, match="n_pick"):
             draw_support(mub7, "first-n", -1, 0, derive_rng(0))
-
-
-class TestCoefficientSpec:
-    def test_rejects_unknown_law(self):
-        with pytest.raises(ValueError, match="magnitude_law"):
-            CoefficientSpec(magnitude_law="rademacher")
-
-    def test_unit_law_is_constant(self):
-        mags = CoefficientSpec("unit").sample_magnitudes(5, derive_rng(0))
-        np.testing.assert_array_equal(mags, np.ones(5))
-
-    def test_uniform_law_lands_in_half_open_interval(self):
-        mags = CoefficientSpec("uniform").sample_magnitudes(10_000, derive_rng(1))
-        assert np.all(mags > 0.0) and np.all(mags <= 1.0)
-        assert abs(mags.mean() - 0.5) < 0.01
-
-    def test_half_normal_law_has_unit_second_moment(self):
-        mags = CoefficientSpec().sample_magnitudes(100_000, derive_rng(2))
-        assert np.all(mags > 0.0)
-        assert abs(np.mean(mags**2) - 1.0) < 0.02
 
 
 # ==============================
@@ -128,6 +107,8 @@ class TestChooseSupportA:
             choose_support_a("prescribed", 10, 2, indices=[1, 10])
         with pytest.raises(ValueError, match="expected 2"):
             choose_support_a("prescribed", 10, 2, indices=[1])
+        with pytest.raises(ValueError, match="expected 2 indices, got more"):
+            choose_support_a("prescribed", 10, 2, indices=range(10**18))  # read lazily
 
     def test_random_baseline_deterministic_in_seed(self):
         first = choose_support_a("random-baseline", 20, 5, rng=derive_rng(7))
@@ -169,56 +150,59 @@ class TestChooseSupportA:
 # ==============================
 
 
+def _nonzeros(seed, draws):
+    """The nonzero values of ``draws`` instances with 8 of 16 B-columns."""
+    D = PartitionedDictionary(np.eye(16), 0)
+    rng = derive_rng(seed)
+    xs = [sample_instance(D, "first-n", 0, 8, rng)[0] for _ in range(draws)]
+    return np.concatenate([x[np.flatnonzero(x)] for x in xs])
+
+
 class TestSampleInstance:
     def test_zero_budget_gives_zero_signal(self, two_onb4):
-        inst = sample_instance(two_onb4, "first-n", 0, 0, derive_rng(0))
-        assert inst.support == ()
-        assert inst.sparsity == 0
-        assert np.all(inst.x == 0) and np.all(inst.y == 0)
+        x, y = sample_instance(two_onb4, "first-n", 0, 0, derive_rng(0))
+        assert x.shape == (8,) and y.shape == (4,)
+        assert np.all(x == 0) and np.all(y == 0)
 
     def test_support_layout(self, mub7):
-        inst = sample_instance(mub7, "prescribed", 2, 3, derive_rng(5), support_a=(4, 1))
-        assert inst.sparsity == 5
-        assert inst.support[:2] == (1, 4)
-        assert all(7 <= i < 56 for i in inst.support[2:])
-        assert list(inst.support) == sorted(inst.support)
+        x, _ = sample_instance(mub7, "prescribed", 2, 3, derive_rng(5), support_a=(4, 1))
+        support = np.flatnonzero(x)
+        assert support.size == 5
+        assert support[:2].tolist() == [1, 4]
+        assert all(7 <= i < 56 for i in support[2:])
 
     def test_values_align_with_support(self, mub7):
-        inst = sample_instance(mub7, "prescribed", 2, 4, derive_rng(9), support_a=(0, 2))
-        np.testing.assert_array_equal(inst.x[list(inst.support)], inst.values)
-        assert np.count_nonzero(inst.x) == inst.sparsity
-        assert np.min(np.abs(inst.values)) > 1e-12
+        x, _ = sample_instance(mub7, "prescribed", 2, 4, derive_rng(9), support_a=(0, 2))
+        cols_a, cols_b = draw_support(mub7, "prescribed", 2, 4, derive_rng(9), (0, 2))
+        assert np.flatnonzero(x).tolist() == [*cols_a, *(mub7.Na + j for j in cols_b)]
+        assert np.min(np.abs(x[np.flatnonzero(x)])) > 1e-12
 
     def test_measurement_is_consistent(self, mub7):
-        inst = sample_instance(mub7, "prescribed", 2, 5, derive_rng(2), support_a=(0, 3))
-        assert np.max(np.abs(inst.y - mub7.matrix @ inst.x)) <= TOL
-
-    def test_single_unit_atom(self):
-        D = PartitionedDictionary(np.eye(4), 4)
-        inst = sample_instance(D, "prescribed", 1, 0, derive_rng(1), support_a=(2,),
-                               coeff=CoefficientSpec("unit"))
-        assert inst.support == (2,)
-        assert abs(abs(inst.y[2]) - 1.0) <= TOL
-        assert np.max(np.abs(np.delete(inst.y, 2))) == 0.0
+        x, y = sample_instance(mub7, "prescribed", 2, 5, derive_rng(2), support_a=(0, 3))
+        assert np.max(np.abs(y - mub7.matrix @ x)) <= TOL
 
     def test_deterministic_in_spec_seed(self, mub5):
         a = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
         b = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
-        assert a.support == b.support
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_explicit_rng_matches_seed_derivation(self, mub5):
         # the instance is the stream of seed 42 read in the documented order:
-        # A-support, B-support, then magnitudes, then phases
-        inst = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
+        # A-support, B-support, then magnitudes (all real parts, then all
+        # imaginary parts), then phases
+        x, y = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
         by_hand = derive_rng(42)
         support_a = sample_support_b(mub5.Na, 1, by_hand)
         support_b = sample_support_b(mub5.Nb, 3, by_hand)
-        magnitudes = CoefficientSpec().sample_magnitudes(4, by_hand)
+        re, im = by_hand.standard_normal(4), by_hand.standard_normal(4)
         phases = by_hand.uniform(0.0, 2.0 * np.pi, size=4)
-        assert inst.support == support_a + tuple(mub5.Na + j for j in support_b)
-        np.testing.assert_array_equal(inst.values, magnitudes * np.exp(1j * phases))
+        expected = np.zeros(mub5.N, dtype=complex)
+        expected[[*support_a, *(mub5.Na + j for j in support_b)]] = (
+            np.hypot(re, im) / np.sqrt(2.0) * np.exp(1j * phases)
+        )
+        np.testing.assert_array_equal(x, expected)
+        np.testing.assert_array_equal(y, mub5.matrix @ expected)
 
     def test_rejects_support_outside_block_a(self, mub3):
         with pytest.raises(ValueError, match="out of range"):
@@ -243,15 +227,17 @@ class TestSampleInstance:
         three_sigma = 3.0 * math.sqrt(p * (1 - p) / draws)
         assert np.max(np.abs(hits / draws - p)) <= three_sigma
 
+    def test_half_normal_law_has_unit_second_moment(self):
+        # the modulus of a standard complex Gaussian: 1e5 magnitudes, every
+        # one of them > 0 (a zero would drop out of the nonzeros)
+        mags = np.abs(_nonzeros(2, 12_500))
+        assert mags.size == 100_000
+        assert abs(np.mean(mags**2) - 1.0) < 0.02
+
     def test_phases_are_uniform(self):
         # Kolmogorov-Smirnov distance of 1e5 sampled phases against U[0, 2 pi)
-        D = PartitionedDictionary(np.eye(16), 0)
-        rng = derive_rng(31)
-        phases = []
-        for _ in range(12_500):
-            inst = sample_instance(D, "first-n", 0, 8, rng)
-            phases.append(np.angle(inst.values))
-        u = np.sort(np.concatenate(phases) % (2.0 * np.pi)) / (2.0 * np.pi)
+        phases = np.angle(_nonzeros(31, 12_500))
+        u = np.sort(phases % (2.0 * np.pi)) / (2.0 * np.pi)
         n = u.size
         assert n == 100_000
         grid = np.arange(1, n + 1) / n
@@ -269,7 +255,7 @@ class TestOneStreamOneSupport:
         # instance sorts it
         support_a = tuple(range(6, 6 - n_a, -1)) if strategy == "prescribed" else None
         for t in (0, 1, 17):
-            inst = sample_instance(mub7, strategy, n_a, n_b, derive_rng(4, t), support_a)
+            x, _ = sample_instance(mub7, strategy, n_a, n_b, derive_rng(4, t), support_a)
             cols_a, cols_b = draw_supports(mub7, strategy, n_a, n_b, 4, t, t + 1, support_a)
-            expected = tuple(sorted(cols_a[0])) + tuple(mub7.Na + cols_b[0])
-            assert inst.support == tuple(int(i) for i in expected)
+            expected = sorted(cols_a[0]) + list(mub7.Na + cols_b[0])
+            assert np.flatnonzero(x).tolist() == expected

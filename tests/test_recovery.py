@@ -1,7 +1,5 @@
 """Tests for basis pursuit, the l0 oracle, and the success-rate sweep."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 
 from sparsethresh import (
     BpSolverConfig,
-    CoefficientSpec,
     PartitionedDictionary,
     brute_force_l0,
     derive_rng,
@@ -130,21 +127,18 @@ class TestSolveBp:
 
 
 def _cell_data(D, strategy, n_a, n_b, trials, seed, key):
-    """y and x of a sweep cell's trials, one column per trial."""
-    instances = [
+    """Y and X of a sweep cell's trials, one row per trial."""
+    X, Y = zip(*(
         sample_instance(D, strategy, n_a, n_b, derive_rng(seed, *key, t)) for t in range(trials)
-    ]
-    return (
-        np.stack([inst.y for inst in instances], axis=1),
-        np.stack([inst.x for inst in instances], axis=1),
-    )
+    ))
+    return np.array(Y), np.array(X)
 
 
 class TestSolveBpBatch:
     # (dictionary, strategy, n_a, n_b, seed, cell key), 10 trials each: a
     # README-grid cell, whose trial 8 took 1,338 ADMM iterations and 6 of
     # whose 10 trials succeed, and two mub7 cells with solves of 1,972 and
-    # 1,133.  Each has a column that the dual Newton method finishes (two
+    # 1,133.  Each has a row that the dual Newton method finishes (two
     # together in the first mub7 cell), whose x is the ill-conditioned
     # central-path point when its polish is refused.
     CELLS = [
@@ -159,10 +153,10 @@ class TestSolveBpBatch:
     ):
         D = request.getfixturevalue(name)
         Y, X = _cell_data(D, strategy, n_a, n_b, 10, seed, key)
-        alone = [solve_bp(D, Y[:, j], x_true=X[:, j]) for j in range(10)]
+        alone = [solve_bp(D, Y[j], x_true=X[j]) for j in range(10)]
         batch = solve_bp_batch(D, Y, X_true=X)
         perm = np.random.default_rng(0).permutation(10)
-        permuted = solve_bp_batch(D, Y[:, perm], X_true=X[:, perm])
+        permuted = solve_bp_batch(D, Y[perm], X_true=X[perm])
         assert max(out.iterations[0] for out in alone) > recovery.HANDOVER_ITERATIONS
         for j, solo in enumerate(alone):
             for out, col in ((batch, j), (permuted, int(np.flatnonzero(perm == j)[0]))):
@@ -173,13 +167,13 @@ class TestSolveBpBatch:
                 assert gap <= 1e-10 * np.linalg.norm(solo.x_hat[0])
 
     def test_batch_fields_match_the_per_column_formulas(self, two_onb8):
-        # the README-grid cell of CELLS plus a zero column (x_true = 0: the
-        # error is the absolute norm), against each field written column by column
+        # the README-grid cell of CELLS plus a zero row (x_true = 0: the
+        # error is the absolute norm), against each field written row by row
         Y, X = _cell_data(two_onb8, "random-baseline", 3, 1, 10, 3, (1, 3, 1))
-        Y, X = np.hstack([Y, np.zeros((8, 1))]), np.hstack([X, np.zeros((16, 1))])
+        Y, X = np.vstack([Y, np.zeros((1, 8))]), np.vstack([X, np.zeros((1, 16))])
         out = solve_bp_batch(two_onb8, Y, X_true=X)
-        for j in range(Y.shape[1]):
-            x, x_true, y = out.x_hat[j], X[:, j], Y[:, j]
+        for j in range(Y.shape[0]):
+            x, x_true, y = out.x_hat[j], X[j], Y[j]
             true_norm = np.linalg.norm(x_true)
             error = np.linalg.norm(x - x_true) / true_norm if true_norm else np.linalg.norm(x)
             floor = recovery.SUPPORT_FLOOR_FACTOR * np.abs(x).max()
@@ -190,18 +184,18 @@ class TestSolveBpBatch:
             assert out.l1_value[j] == pytest.approx(np.abs(x).sum(), rel=1e-12)
             assert out.feasibility_residual[j] == pytest.approx(feasibility, abs=1e-13)
             assert out.success[j] == (out.converged[j] and error <= SUCCESS_REL_ERROR)
-        assert 0 < np.count_nonzero(out.success) < Y.shape[1]
+        assert 0 < np.count_nonzero(out.success) < Y.shape[0]
 
     def test_capped_columns_stay_feasible(self, two_onb8):
         Y, X = _cell_data(two_onb8, "first-n", 2, 2, 4, 7, (0, 2, 2))
         out = solve_bp_batch(two_onb8, Y, BpSolverConfig(max_iterations=2), X)
-        columns = zip(out.iterations.tolist(), out.converged.tolist(), out.success.tolist())
-        assert list(columns) == [(2, False, False)] * 4
+        rows = zip(out.iterations.tolist(), out.converged.tolist(), out.success.tolist())
+        assert list(rows) == [(2, False, False)] * 4
         assert out.feasibility_residual.max() <= 1e-10
 
     def test_a_column_converging_on_the_cap_iteration(self, two_onb8):
-        # the cap ends the batch on the iteration its fastest column converges,
-        # after that column has left the active set
+        # the cap ends the batch on the iteration its fastest row converges,
+        # after that row has left the active set
         Y, X = _cell_data(two_onb8, "first-n", 2, 2, 4, 7, (0, 2, 2))
         free = solve_bp_batch(two_onb8, Y, X_true=X)
         cap = int(free.iterations.min())
@@ -217,21 +211,21 @@ class TestSolveBpBatch:
         # the README grid's 70,571-iteration solve, capped where the handover
         # would start: ADMM's own unconverged iterate, with the values that
         # ADMM gave before the finisher existed
-        inst = sample_instance(two_onb8, "first-n", 2, 3, derive_rng(3, 0, 2, 3, 20))
+        x, y = sample_instance(two_onb8, "first-n", 2, 3, derive_rng(3, 0, 2, 3, 20))
         cfg = BpSolverConfig(max_iterations=recovery.HANDOVER_ITERATIONS)
-        out = solve_bp(two_onb8, inst.y, cfg, x_true=inst.x)
+        out = solve_bp(two_onb8, y, cfg, x_true=x)
         assert (out.iterations, out.converged, out.success) == (1000, False, False)
         assert out.l1_value == pytest.approx(4.246181835067384, rel=1e-9)
         assert out.relative_l2_error == pytest.approx(0.0029323647117591384, rel=1e-9)
         assert out.feasibility_residual <= 1e-10
-        finished = solve_bp(two_onb8, inst.y, x_true=inst.x)
+        finished = solve_bp(two_onb8, y, x_true=x)
         assert finished.converged and finished.success
         assert recovery.HANDOVER_ITERATIONS < finished.iterations <= (
             recovery.HANDOVER_ITERATIONS + recovery.NEWTON_MAX_STEPS
         )
 
     def test_empty_batch(self, two_onb4):
-        out = solve_bp_batch(two_onb4, np.zeros((4, 0)))
+        out = solve_bp_batch(two_onb4, np.zeros((0, 4)))
         assert out.x_hat.shape == (0, 8)
         assert out.iterations.shape == out.converged.shape == out.success.shape == (0,)
 
@@ -240,7 +234,7 @@ class TestSolveBpBatch:
             raise AssertionError("the solver set up for an empty batch")
 
         monkeypatch.setattr(np.linalg, "pinv", no_setup)
-        out = solve_bp_batch(two_onb4, np.zeros((4, 0)), X_true=np.zeros((8, 0)))
+        out = solve_bp_batch(two_onb4, np.zeros((0, 4)), X_true=np.zeros((0, 8)))
         assert out.x_hat.shape == (0, 8)
         for name in ("l1_value", "feasibility_residual", "iterations", "converged",
                      "relative_l2_error", "support_match", "success"):
@@ -253,21 +247,21 @@ class TestSolveBpBatch:
 
         monkeypatch.setattr(np.linalg, "pinv", no_setup)
         Y, X = _cell_data(two_onb8, "first-n", 1, 1, 5, 0, (0, 1, 1))
-        Y[3, 2] = bad
+        Y[2, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             solve_bp_batch(two_onb8, Y, X_true=X)
 
     def test_rejects_bad_shapes(self, two_onb4):
-        with pytest.raises(ValueError, match="one y per column"):
+        with pytest.raises(ValueError, match="one y per row"):
             solve_bp_batch(two_onb4, np.zeros(4))
         with pytest.raises(ValueError, match="length 5"):
-            solve_bp_batch(two_onb4, np.zeros((5, 2)))
+            solve_bp_batch(two_onb4, np.zeros((2, 5)))
         with pytest.raises(ValueError, match="X_true"):
-            solve_bp_batch(two_onb4, np.zeros((4, 2)), X_true=np.zeros((8, 3)))
+            solve_bp_batch(two_onb4, np.zeros((2, 4)), X_true=np.zeros((3, 8)))
 
 
 class TestNewtonFinisher:
-    """Every column handed over after one ADMM iteration: the Newton method's
+    """Every row handed over after one ADMM iteration: the Newton method's
     verdicts on README-grid trials (two_onb8, seed 3) where a careless polish
     goes wrong."""
 
@@ -275,19 +269,19 @@ class TestNewtonFinisher:
     def _finished(D, strategy, n_a, n_b, t, monkeypatch):
         monkeypatch.setattr(recovery, "HANDOVER_ITERATIONS", 1)
         si = ("first-n", "random-baseline").index(strategy)
-        inst = sample_instance(D, strategy, n_a, n_b, derive_rng(3, si, n_a, n_b, t))
-        out = solve_bp(D, inst.y, x_true=inst.x)
+        x, y = sample_instance(D, strategy, n_a, n_b, derive_rng(3, si, n_a, n_b, t))
+        out = solve_bp(D, y, x_true=x)
         assert out.converged and out.iterations > 1
-        return inst, out
+        return x, out
 
     @pytest.mark.parametrize("n_a, n_b, t", [(1, 4, 10), (3, 2, 40)])
     def test_uncertified_polish_leaves_a_failure(self, two_onb8, monkeypatch, n_a, n_b, t):
         # x_true's l1 norm exceeds the optimum by 1e-6 relative, so least
         # squares on the large entries of x reproduces it, and a polish on any
         # support must pass the gap test; the point returned beats x_true
-        inst, out = self._finished(two_onb8, "random-baseline", n_a, n_b, t, monkeypatch)
+        x, out = self._finished(two_onb8, "random-baseline", n_a, n_b, t, monkeypatch)
         assert not out.success
-        assert out.l1_value < np.abs(inst.x).sum()
+        assert out.l1_value < np.abs(x).sum()
         assert out.feasibility_residual <= 1e-10
 
     @pytest.mark.parametrize("n_a, n_b, t", [(3, 1, 22), (3, 1, 47)])
@@ -370,12 +364,12 @@ class TestOracleAgreement:
         checked = 0
         for t in range(40):
             n_a, n_b = budgets[t % len(budgets)]
-            inst = sample_instance(two_onb8, "random-baseline", n_a, n_b, rng)
-            out = solve_bp(two_onb8, inst.y, x_true=inst.x)
+            x, y = sample_instance(two_onb8, "random-baseline", n_a, n_b, rng)
+            out = solve_bp(two_onb8, y, x_true=x)
             assert out.success
-            oracle = brute_force_l0(two_onb8, inst.y, k_max=2)
+            oracle = brute_force_l0(two_onb8, y, k_max=2)
             if oracle.unique and out.support_match:
-                assert oracle.supports[0] == inst.support
+                assert oracle.supports[0] == tuple(np.flatnonzero(x).tolist())
                 checked += 1
         assert checked >= 30      # the certificate fires on most draws
 
@@ -385,10 +379,10 @@ class TestOracleAgreement:
 # ==============================
 
 
-def _trial(D, strategy, n_a, n_b, rng, support_a=None, coeff=None):
+def _trial(D, strategy, n_a, n_b, rng, support_a=None):
     """One sweep trial: an instance from ``rng``, then basis pursuit on its y."""
-    inst = sample_instance(D, strategy, n_a, n_b, rng, support_a, coeff)
-    return solve_bp(D, inst.y, x_true=inst.x)
+    x, y = sample_instance(D, strategy, n_a, n_b, rng, support_a)
+    return solve_bp(D, y, x_true=x)
 
 
 class TestRecoveryTrial:
@@ -402,21 +396,6 @@ class TestRecoveryTrial:
         out = _trial(two_onb4, "first-n", 0, 0, derive_rng(0))
         assert out.success
         assert out.relative_l2_error == 0.0
-
-    def test_unit_law_warns(self, two_onb4):
-        # the warning belongs to the sweep, once per run: a trial solves
-        # silently, and 4 cells of 3 trials warn once
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = _trial(two_onb4, "first-n", 1, 0, derive_rng(1),
-                         coeff=CoefficientSpec("unit"))
-        assert out.converged
-        with pytest.warns(UserWarning, match="continuous") as record:
-            run_recovery_sweep(
-                two_onb4, (0, 1), (0, 1), trials_per_cell=3, strategies=("first-n",),
-                coeff=CoefficientSpec("unit"),
-            )
-        assert len(record) == 1
 
 
 class TestRecoverySweep:
@@ -526,6 +505,34 @@ class TestRecoverySweep:
         assert grid.iterations_max.tolist() == expected[2].tolist()
         assert grid.handed_over.tolist() == expected[3].tolist()
 
+    def test_block_rows_are_the_per_trial_instances(self, two_onb8, monkeypatch):
+        # blocks of 7 over 2 x 2 x 2 cells of 5 trials: row r of a block's X
+        # and Y is trial lo + r's sample_instance, bit for bit
+        strategies, na_values, nb_values, trials, seed = SWEEP_STRATEGIES[1:], (0, 2), (1, 3), 5, 4
+        blocks = []
+
+        def recording(D, Y, cfg=None, X_true=None):
+            blocks.append((X_true.copy(), Y.copy()))
+            return solve_bp_batch(D, Y, cfg, X_true)
+
+        monkeypatch.setattr(recovery, "solve_bp_batch", recording)
+        monkeypatch.setattr("sparsethresh.rng.BLOCK", 7)
+        run_recovery_sweep(
+            two_onb8, na_values, nb_values, trials_per_cell=trials, strategies=strategies,
+            master_seed=seed, cfg=BpSolverConfig(max_iterations=2),
+        )
+        X = np.concatenate([X for X, _ in blocks])
+        Y = np.concatenate([Y for _, Y in blocks])
+        assert [len(X) for X, _ in blocks] == [7] * 5 + [5]
+        for index in range(len(X)):
+            cell, t = divmod(index, trials)
+            si, ai, bi = np.unravel_index(cell, (2, 2, 2))
+            x, y = sample_instance(
+                two_onb8, strategies[si], na_values[ai], nb_values[bi],
+                derive_rng(seed, si, ai, bi, t),
+            )
+            assert X[index].tobytes() == x.tobytes() and Y[index].tobytes() == y.tobytes()
+
     def test_rank_deficient_cell_fails(self, two_onb4):
         grid = run_recovery_sweep(
             two_onb4, (2,), (3,), trials_per_cell=5, master_seed=1,
@@ -598,15 +605,6 @@ class TestRecoverySweep:
         with pytest.raises(ValueError, match=message):
             run_recovery_sweep(two_onb4, na_values, nb_values, 20, strategies=strategies)
 
-    def test_unit_law_warns(self, two_onb4):
-        # raised in the calling process, so a pooled run warns too
-        for workers in (1, 2):
-            with pytest.warns(UserWarning, match="continuous"):
-                run_recovery_sweep(
-                    two_onb4, (1,), (0, 1), trials_per_cell=2, master_seed=0,
-                    coeff=CoefficientSpec("unit"), workers=workers,
-                )
-
     def test_summary_dict_rates(self, two_onb4):
         grid = run_recovery_sweep(two_onb4, (0,), (1,), trials_per_cell=3, master_seed=5)
         doc = grid.summary_dict()
@@ -633,7 +631,7 @@ class TestCertificateGate:
 
         def recording(D, Y, cfg=None, X_true=None):
             out = solve_bp_batch(D, Y, cfg, X_true)
-            solved.extend(zip(X_true.T, out.success.tolist()))
+            solved.extend(zip(X_true, out.success.tolist()))
             return out
 
         monkeypatch.setattr(recovery, "solve_bp_batch", recording)
