@@ -142,18 +142,20 @@ def _config_value(name: str, value):
 def _parse_list(text: str, elem):
     """Comma-separated values, or for integers also 'lo:hi[:step]' (inclusive),
     which stays a lazy range: its reader takes no more values than it can use."""
-    if elem is int and ":" in text:
+    if elem is not int:
+        return [elem(p) for p in text.split(",") if p != ""]
+    try:
+        if ":" not in text:
+            return [int(p) for p in text.split(",") if p != ""]
         parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
-            raise ValueError(f"bad range {text!r}, expected lo:hi or lo:hi:step")
-        if step < 1 or hi < lo:
-            raise ValueError(f"bad range {text!r}")
-        return range(lo, hi + 1, step)
-    return [elem(p) for p in text.split(",") if p != ""]
+        if len(parts) > 3:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"expected integers as a,b,c or lo:hi[:step], got {text!r}") from None
+    lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
+    if step < 1 or hi < lo:
+        raise ValueError(f"bad range {text!r}: lo:hi[:step] needs lo <= hi and step >= 1")
+    return range(lo, hi + 1, step)
 
 
 def _resolve(args, cfg: dict, defaults: dict) -> None:
@@ -164,11 +166,15 @@ def _resolve(args, cfg: dict, defaults: dict) -> None:
     }
     for name, default in defaults.items():
         value = getattr(args, name)
+        source = "--" + name.replace("_", "-")
         if value is None:
-            value = checked.get(name, default)
+            value, source = checked.get(name, default), f"config '{name}'"
         kind = _OPTIONS[name][0]
         if isinstance(kind, list) and isinstance(value, str):
-            value = _parse_list(value, kind[0])
+            try:
+                value = _parse_list(value, kind[0])
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from None
         setattr(args, name, value)
 
 

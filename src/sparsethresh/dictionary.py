@@ -22,6 +22,12 @@ Memory: ``coherence`` and ``analyze`` never form the N x N Gram matrix.  They
 walk its upper triangle in row chunks of about GRAM_CHUNK_BYTES (16 MiB) and
 read mu, mu_a and mu_b from each chunk in the same pass, so beside the m x N
 matrix they hold one chunk and its modulus (about 24 MiB) whatever N is.
+The builders fill their matrix in blocks of about 1 MiB and hand it to
+PartitionedDictionary without a copy.  ``load_dictionary`` holds the file's
+text, decoded once, and parses ``entries`` in chunks of about
+ENTRIES_CHUNK_CHARS (2^20) characters into float blocks, with no Python
+object per entry: its peak is about twice the file size, while the file's
+bytes are decoded.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -55,6 +62,17 @@ LOAD_NORM_TOL = 1e-8
 GRAM_CHUNK_BYTES = 16 * 2**20
 # Gram products start at a multiple of this many columns (see ``_coherences``).
 _GRAM_ALIGN = 64
+# Bytes of matrix a builder fills, or a column-norm pass reads, at once.
+_BLOCK_BYTES = 2**20
+# Characters of ``entries`` text read at once by ``load_dictionary``.
+ENTRIES_CHUNK_CHARS = 2**20
+
+_DECODER = json.JSONDecoder()
+_WS = re.compile(r"[ \t\n\r]*")
+# a pair's ']', then the ']' that closes ``entries``
+_ENTRIES_END = re.compile(r"\][ \t\n\r]*\]")
+_NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
+_BRACKET_TO_SPACE = bytes.maketrans(b"[]", b"  ")
 
 
 class DictionaryFormatError(ValueError):
@@ -72,6 +90,22 @@ def _as_complex_matrix(matrix) -> np.ndarray:
     return out
 
 
+def _column_norms(mat: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(mat, axis=0)``, bit for bit, a column block of about
+    _BLOCK_BYTES at a time.  Over two or more columns numpy sums each column
+    in row order; over one it sums pairwise, so no block is a lone column
+    unless the matrix is."""
+    m, n = mat.shape
+    cols = max(2, _BLOCK_BYTES // (16 * m))
+    norms = np.empty(n)
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= cols + 1 else lo + cols
+        norms[lo:hi] = np.linalg.norm(mat[:, lo:hi], axis=0)
+        lo = hi
+    return norms
+
+
 # ============================================================
 # core types
 # ============================================================
@@ -83,7 +117,8 @@ class PartitionedDictionary:
 
     The matrix is copied, validated (unit columns within ``norm_tol``,
     N >= m, 0 <= split <= N) and frozen read-only, so instances are safe
-    to share across threads and processes.
+    to share across threads and processes.  The builders and the loader
+    hand over the matrix they allocated without the copy (``_adopt``).
     """
 
     matrix: np.ndarray
@@ -91,13 +126,18 @@ class PartitionedDictionary:
     norm_tol: InitVar[float] = COLUMN_NORM_TOL
 
     def __post_init__(self, norm_tol: float):
-        mat = _as_complex_matrix(self.matrix).copy()
+        object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix).copy())
+        self._freeze(norm_tol)
+
+    def _freeze(self, norm_tol: float) -> None:
+        """Validate ``matrix`` and ``split`` and make the matrix read-only."""
+        mat = self.matrix
         m, n = mat.shape
         if n < m:
             raise ValueError(f"dictionary must have N >= m, got m={m}, N={n}")
         if not 0 <= self.split <= n:
             raise ValueError(f"split must lie in [0, {n}], got {self.split}")
-        norms = np.linalg.norm(mat, axis=0)
+        norms = _column_norms(mat)
         bad = np.where(np.abs(norms - 1.0) > norm_tol)[0]
         if bad.size:
             j = int(bad[0])
@@ -105,7 +145,6 @@ class PartitionedDictionary:
                 f"column {j} has norm {norms[j]:.12g}, expected 1 within {norm_tol:g}"
             )
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "split", int(self.split))
 
     @property
@@ -282,15 +321,36 @@ def _allocate(m: int, n: int) -> np.ndarray:
         raise ValueError(f"a {m} x {n} dictionary is too large to hold: {exc}") from None
 
 
+def _row_blocks(m: int, row_bytes: int):
+    """Ranges (lo, hi) over rows [0, m) that a builder fills at once, each
+    of about _BLOCK_BYTES at ``row_bytes`` a row."""
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    return ((lo, min(lo + rows, m)) for lo in range(0, m, rows))
+
+
+def _adopt(mat: np.ndarray, split: int, norm_tol: float = COLUMN_NORM_TOL) -> PartitionedDictionary:
+    """A PartitionedDictionary over ``mat`` itself: for a complex matrix its
+    caller has just allocated and keeps no other reference to, which the
+    constructor's copy would only double."""
+    D = object.__new__(PartitionedDictionary)
+    object.__setattr__(D, "matrix", mat)
+    object.__setattr__(D, "split", split)
+    D._freeze(norm_tol)
+    return D
+
+
 def build_two_onb(m: int) -> PartitionedDictionary:
     """Identity plus unitary Fourier basis, split at m; coherence 1/sqrt(m)."""
     if m < 2:
         raise ValueError(f"two-basis dictionary needs m >= 2, got {m}")
     mat = _allocate(m, 2 * m)
-    mat[:, :m] = np.eye(m)
-    j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    mat[:, m:] = np.exp(-2j * np.pi * ((j * k) % m) / m) / math.sqrt(m)
-    return PartitionedDictionary(mat, m)
+    mat[:, :m] = 0
+    np.fill_diagonal(mat, 1.0)
+    k = np.arange(m)
+    for lo, hi in _row_blocks(m, 16 * m):
+        j = np.arange(lo, hi)[:, None]
+        mat[lo:hi, m:] = np.exp(-2j * np.pi * ((j * k) % m) / m) / math.sqrt(m)
+    return _adopt(mat, m)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -316,14 +376,15 @@ def build_mub(p: int) -> PartitionedDictionary:
             "from a file for other sizes"
         )
     mat = _allocate(p, p * (p + 1))
-    mat[:, :p] = np.eye(p)
+    mat[:, :p] = 0
+    np.fill_diagonal(mat, 1.0)
     t = np.arange(p)
     for a in range(p):
         for b in range(p):
             # exact modular phase keeps angles in [0, 2 pi) before the exp
             k = (a * t * t + b * t) % p
             mat[:, (a + 1) * p + b] = np.exp(2j * np.pi * k / p) / math.sqrt(p)
-    return PartitionedDictionary(mat, p)
+    return _adopt(mat, p)
 
 
 def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> PartitionedDictionary:
@@ -332,10 +393,11 @@ def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> Partit
         raise ValueError(f"need N >= m >= 1, got m={m}, N={N}")
     mat = _allocate(m, N)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    mat.real = rng.standard_normal((m, N))
-    mat.imag = rng.standard_normal((m, N))
-    mat /= np.linalg.norm(mat, axis=0)
-    return PartitionedDictionary(mat, split)
+    for part in (mat.real, mat.imag):  # every real part is drawn first
+        for lo, hi in _row_blocks(m, 8 * N):
+            part[lo:hi] = rng.standard_normal((hi - lo, N))
+    mat /= _column_norms(mat)
+    return _adopt(mat, split)
 
 
 # ============================================================
@@ -402,19 +464,22 @@ def save_dictionary(D: PartitionedDictionary, path) -> None:
 def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
     """Read a .dict.json file back into a PartitionedDictionary.
 
+    Any JSON object layout is read as ``json.load`` would read it: keys in
+    any order, extra keys, any whitespace, the last of duplicate keys.
+    ``entries`` must be an array of [re, im] pairs of JSON numbers.
     Column norms are checked at the looser tolerance LOAD_NORM_TOL, since text
     formats written by other tools may round; pass renormalize=True to rescale
     columns instead of failing.  Zero columns are always an error.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise DictionaryFormatError(f"cannot read dictionary file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DictionaryFormatError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DictionaryFormatError(f"{path}: top-level value must be an object")
+    except UnicodeDecodeError as exc:
+        raise DictionaryFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    doc = _read_object(text, path)
+    del text
     for key in ("m", "N", "Na", "entries"):
         if key not in doc:
             raise DictionaryFormatError(f"{path}: missing field {key!r}")
@@ -425,30 +490,23 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
         raise DictionaryFormatError(f"{path}: need N >= m >= 1, got m={m}, N={n}")
     if not 0 <= na <= n:
         raise DictionaryFormatError(f"{path}: Na={na} outside [0, N={n}]")
-    entries = doc["entries"]
-    if not isinstance(entries, list):
+    pairs = doc["entries"]
+    if not isinstance(pairs, (list, np.ndarray)):
         raise DictionaryFormatError(f"{path}: entries must be a list of [re, im] pairs")
-    if len(entries) != m * n:
-        raise DictionaryFormatError(
-            f"{path}: expected {m * n} entries, found {len(entries)}"
-        )
-    not_numbers = f"{path}: entries must be [re, im] pairs of numbers"
-    try:
-        pairs = np.asarray(entries)
-    except ValueError as exc:
-        raise DictionaryFormatError(not_numbers) from exc
-    if pairs.dtype.kind not in "fi" or pairs.shape != (m * n, 2):
-        raise DictionaryFormatError(not_numbers)
-    # JSON true and false among numbers turn into 1 and 0, so only the
-    # entries that read 1 or 0 need a look at their Python type
-    rows, cols = np.nonzero((pairs == 0) | (pairs == 1))
-    if any(type(entries[i][j]) is bool for i, j in zip(rows.tolist(), cols.tolist())):
-        raise DictionaryFormatError(not_numbers)
-    mat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(m, n)
+    if len(pairs) != m * n:
+        raise DictionaryFormatError(f"{path}: expected {m * n} entries, found {len(pairs)}")
+    # a list is JSON that _read_pairs refused; integers in [2^63, 2^64) with
+    # no negative integer or float beside them make numpy's uint64, refused
+    # as when numpy read the whole nested list
+    if not isinstance(pairs, np.ndarray) or pairs.dtype.kind not in "fi":
+        raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs of numbers")
     if not np.all(np.isfinite(pairs)):
         raise DictionaryFormatError(f"{path}: entries must be finite")
+    mat = np.empty((m, n), dtype=complex)
+    np.add(pairs[:, 0], 1j * pairs[:, 1], out=mat.reshape(-1))
+    del pairs, doc
 
-    norms = np.linalg.norm(mat, axis=0)
+    norms = _column_norms(mat)
     zero = np.where(norms <= 1e-300)[0]
     if zero.size:
         raise DictionaryFormatError(f"{path}: column {int(zero[0])} is zero")
@@ -462,4 +520,115 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
                 f"{path}: column {j} has norm {norms[j]:.12g}, beyond "
                 f"{LOAD_NORM_TOL:g}; pass renormalize to rescale"
             )
-    return PartitionedDictionary(mat, na, norm_tol=max(COLUMN_NORM_TOL, 2 * LOAD_NORM_TOL))
+    return _adopt(mat, na, norm_tol=max(COLUMN_NORM_TOL, 2 * LOAD_NORM_TOL))
+
+
+def _read_object(text: str, path) -> dict:
+    """The top-level JSON object of ``text``, walked key by key: json reads
+    every key and value but ``entries``, which ``_read_entries`` reads."""
+
+    def value(idx: int):
+        try:
+            return _DECODER.raw_decode(text, idx)
+        except (ValueError, RecursionError) as exc:  # also an int past the digit limit
+            raise DictionaryFormatError(f"{path} is not valid JSON: {exc}") from None
+
+    def expect(idx: int, char: str) -> None:
+        if not text.startswith(char, idx):
+            raise DictionaryFormatError(
+                f"{path} is not valid JSON: expecting {char!r} at char {idx}"
+            )
+
+    def skip(idx: int, char: str) -> int:
+        """The index past ``char`` at ``idx`` and the whitespace after it."""
+        expect(idx, char)
+        return _WS.match(text, idx + 1).end()
+
+    idx = _WS.match(text).end()
+    if not text.startswith("{", idx):
+        raise DictionaryFormatError(f"{path}: top-level value must be an object")
+    idx = skip(idx, "{")
+    doc = {}
+    more = not text.startswith("}", idx)
+    while more:
+        expect(idx, '"')
+        key, idx = value(idx)
+        idx = skip(_WS.match(text, idx).end(), ":")
+        doc[key], idx = _read_entries(text, idx, path) if key == "entries" else value(idx)
+        idx = _WS.match(text, idx).end()
+        more = text.startswith(",", idx)
+        if more:
+            idx = skip(idx, ",")
+    idx = skip(idx, "}")
+    if idx != len(text):
+        raise DictionaryFormatError(f"{path} is not valid JSON: extra data at char {idx}")
+    return doc
+
+
+def _read_entries(text: str, idx: int, path):
+    """The ``entries`` value at ``idx`` and the index past it: a (k, 2)
+    array when it is an array of [re, im] pairs of numbers, else what json
+    reads there."""
+    if text.startswith("[", idx):
+        found = _read_pairs(text, idx)
+        if found is not None:
+            return found
+    try:
+        return _DECODER.raw_decode(text, idx)
+    except (ValueError, RecursionError):
+        raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs of numbers") from None
+
+
+def _read_pairs(text: str, idx: int):
+    """The array of number pairs opening at ``idx`` as a (k, 2) array and the
+    index past it, or None when it is anything else.
+
+    Chunks of about ENTRIES_CHUNK_CHARS characters, each cut just before a
+    '[', are read one at a time by ``_pair_block``; the last one ends at the
+    first ']' that follows a pair's ']' across whitespace.
+    """
+    blocks = []
+    start = idx + 1
+    while True:
+        cut = text.rfind("[", start + 1, start + ENTRIES_CHUNK_CHARS)
+        block = _pair_block(text[start:cut], last=False) if cut > 0 else None
+        if block is None:  # the chunk runs past the array's end, or is not pairs
+            break
+        blocks.append(block)
+        start = cut
+    end = _ENTRIES_END.search(text, start)
+    block = _pair_block(text[start : end.start() + 1], last=True) if end else None
+    if block is None:
+        return None
+    blocks.append(block)
+    return np.concatenate(blocks), end.end()
+
+
+def _pair_block(chunk: str, last: bool):
+    """The (k, 2) values of ``chunk``, k pairs [re, im] of JSON numbers with a
+    comma after each but the ``last`` chunk's last one; None for other text.
+
+    With numbers and whitespace deleted, a chunk of pairs leaves exactly
+    '[,],' k times.  With its brackets turned to spaces it is one flat
+    array of 2k numbers to json.  numpy gives each block the dtype it would
+    give the nested list, and ``np.concatenate`` promotes the blocks as one
+    list would be; integers past uint64 make an object array, refused here.
+    """
+    raw = chunk.encode()
+    left = raw.translate(None, _NUMBER_OR_SPACE)
+    if last:
+        left += b","
+    k = len(left) // 4
+    if k == 0 or len(left) != 4 * k or left.count(b"[,],") != k:
+        return None
+    flat = raw.translate(_BRACKET_TO_SPACE)
+    if not last:
+        flat = flat[: flat.rindex(b",")]
+    try:
+        values = json.loads(b"[" + flat + b"]")
+    except ValueError:  # not JSON numbers, or an integer past int's digit limit
+        return None
+    block = np.array(values)
+    if len(values) != 2 * k or block.dtype.kind not in "iuf":
+        return None
+    return block.reshape(k, 2)

@@ -41,7 +41,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .dictionary import DictionaryStats, PartitionedDictionary, analyze
+from .dictionary import DictionaryStats, PartitionedDictionary
 
 __all__ = [
     "SPARSITY_CONSTANT",

@@ -333,6 +333,8 @@ class TestMalformedInput:
             ("check", None, {"q": "8"}, "'q' must be a JSON number"),
             ("check", None, {"maximize": True, "na": 99, "gamma": 7},
              "gamma must lie in [0, 1]"),
+            ("recover", None, {"na_range": "0:3,3"},
+             "config 'na_range': expected integers as a,b,c or lo:hi[:step], got '0:3,3'"),
         ],
         ids=[
             "entries-not-a-list", "m-is-a-bool", "entries-string",
@@ -343,6 +345,7 @@ class TestMalformedInput:
             "check-s-string", "check-maximize-int", "analyze-json-string",
             "smin-support-a-floats", "report-out-int", "smin-unknown-key",
             "check-other-command-key-string", "check-maximize-gamma-out-of-range",
+            "recover-na-range-string-malformed",
         ],
     )
     def test_exits_2_with_a_message(
@@ -350,6 +353,21 @@ class TestMalformedInput:
     ):
         assert main(_malformed_argv(tmp_path, file_fields, config, command)) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["recover", "--na-range", "0:3,3"], "--na-range", "'0:3,3'"),
+            (["smin", "--strategy", "prescribed", "--support-a", "x"], "--support-a", "'x'"),
+        ],
+        ids=["recover-na-range", "smin-support-a"],
+    )
+    def test_a_malformed_list_flag_names_the_flag_and_its_syntax(
+        self, dict_dir, tmp_path, capsys, argv, flag, value
+    ):
+        assert main([*argv, "--dict", dict_dir["mub7"], "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag}: expected integers as a,b,c or lo:hi[:step], got {value}\n"
 
     @pytest.mark.parametrize(
         "argv",

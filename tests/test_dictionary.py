@@ -2,7 +2,10 @@
 
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -407,6 +410,45 @@ class TestOnePassGram:
         assert coherence(two_onb8.matrix) == float(_dense_gram(two_onb8.matrix).max())
 
 
+def _reference_two_onb(m):
+    """The full-size formula the blocked builder must reproduce bit for bit."""
+    j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    fourier = np.exp(-2j * np.pi * ((j * k) % m) / m) / math.sqrt(m)
+    return np.hstack([np.eye(m), fourier])
+
+
+def _reference_random(m, N, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    mat = np.empty((m, N), dtype=complex)
+    mat.real = rng.standard_normal((m, N))
+    mat.imag = rng.standard_normal((m, N))
+    return mat / np.linalg.norm(mat, axis=0)
+
+
+class TestBlockedBuilders:
+    # 64 bytes: blocks of a few rows or columns, with a ragged last one
+    @pytest.mark.parametrize("block_bytes", [64, 2**20], ids=["tiny-blocks", "default"])
+    def test_two_onb_is_the_full_size_formula(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(dictionary, "_BLOCK_BYTES", block_bytes)
+        for m in (2, 3, 5, 8, 13):
+            assert build_two_onb(m).matrix.tobytes() == _reference_two_onb(m).tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [64, 2**20], ids=["tiny-blocks", "default"])
+    def test_random_is_the_full_size_formula(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(dictionary, "_BLOCK_BYTES", block_bytes)
+        for m, N, seed in ((1, 1, 0), (1, 6, 2), (3, 7, 1), (4, 9, 5), (6, 17, 4), (9, 31, 3)):
+            D = build_random_dictionary(m, N, seed)
+            assert D.matrix.tobytes() == _reference_random(m, N, seed).tobytes()
+
+    @given(m=st.integers(1, 12), n=st.integers(1, 40), block_bytes=st.integers(1, 800))
+    @settings(max_examples=60, deadline=None)
+    def test_column_norms_match_numpy_bit_for_bit(self, m, n, block_bytes):
+        mat = np.random.default_rng(m * 100 + n).standard_normal((m, 2 * n)).view(complex)
+        with mock.patch.object(dictionary, "_BLOCK_BYTES", block_bytes):
+            norms = dictionary._column_norms(mat)
+        assert norms.tobytes() == np.linalg.norm(mat, axis=0).tobytes()
+
+
 class TestBoundedMemory:
     # the dense N x N Gram of mub61 and its modulus alone take 343 MB
     LIMIT = 64 * 2**20
@@ -429,6 +471,17 @@ class TestBoundedMemory:
 
     def test_coherence_mub61(self, mub61):
         assert self._traced_peak(coherence, mub61.matrix) <= self.LIMIT
+
+    def test_load_mub61_within_three_times_the_file(self, mub61, tmp_path):
+        # json.load's lists of two floats took about four times the 12 MB file
+        path = tmp_path / "mub61.dict.json"
+        save_dictionary(mub61, path)
+        assert self._traced_peak(load_dictionary, path) <= 3 * path.stat().st_size
+
+    def test_build_two_onb_1024_holds_no_second_matrix(self):
+        # the 1024 x 2048 matrix takes 32 MiB; a full-size copy or temporary
+        # would take 16 MiB or more beside it
+        assert self._traced_peak(build_two_onb, 1024) <= 48 * 2**20
 
     def test_save_mub61_never_holds_the_text(self, mub61, tmp_path):
         # the file is 12 MB of text; the writer holds one matrix row of values
@@ -563,3 +616,232 @@ class TestSaveLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DictionaryFormatError, match="cannot read"):
             load_dictionary(tmp_path / "absent.dict.json")
+
+
+# ==============================
+# the chunked entries reader against the json.load reader it replaced
+# ==============================
+
+
+def _reference_load(path, renormalize=False):
+    """The json.load reader that load_dictionary replaced, kept as the
+    reference: it accepts exactly the files load_dictionary must accept."""
+    LoadError = DictionaryFormatError
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise LoadError(f"cannot read dictionary file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise LoadError(f"{path}: top-level value must be an object")
+    for key in ("m", "N", "Na", "entries"):
+        if key not in doc:
+            raise LoadError(f"{path}: missing field {key!r}")
+    m, n, na = doc["m"], doc["N"], doc["Na"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (m, n, na)):
+        raise LoadError(f"{path}: m, N, Na must be integers")
+    if m < 1 or n < m:
+        raise LoadError(f"{path}: need N >= m >= 1, got m={m}, N={n}")
+    if not 0 <= na <= n:
+        raise LoadError(f"{path}: Na={na} outside [0, N={n}]")
+    entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise LoadError(f"{path}: entries must be a list of [re, im] pairs")
+    if len(entries) != m * n:
+        raise LoadError(f"{path}: expected {m * n} entries, found {len(entries)}")
+    not_numbers = f"{path}: entries must be [re, im] pairs of numbers"
+    try:
+        pairs = np.asarray(entries)
+    except ValueError as exc:
+        raise LoadError(not_numbers) from exc
+    if pairs.dtype.kind not in "fi" or pairs.shape != (m * n, 2):
+        raise LoadError(not_numbers)
+    rows, cols = np.nonzero((pairs == 0) | (pairs == 1))
+    if any(type(entries[i][j]) is bool for i, j in zip(rows.tolist(), cols.tolist())):
+        raise LoadError(not_numbers)
+    mat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(m, n)
+    if not np.all(np.isfinite(pairs)):
+        raise LoadError(f"{path}: entries must be finite")
+    norms = np.linalg.norm(mat, axis=0)
+    zero = np.where(norms <= 1e-300)[0]
+    if zero.size:
+        raise LoadError(f"{path}: column {int(zero[0])} is zero")
+    if renormalize:
+        mat = mat / norms
+    else:
+        bad = np.where(np.abs(norms - 1.0) > dictionary.LOAD_NORM_TOL)[0]
+        if bad.size:
+            raise LoadError(f"{path}: column {int(bad[0])} is not unit norm")
+    tol = max(dictionary.COLUMN_NORM_TOL, 2 * dictionary.LOAD_NORM_TOL)
+    return PartitionedDictionary(mat, na, norm_tol=tol)
+
+
+def _outcome(reader, path, renormalize):
+    """The bytes and split a reader loads from ``path``, or None if it refuses."""
+    try:
+        D = reader(path, renormalize)
+    except ValueError:  # DictionaryFormatError is one
+        return None
+    return D.matrix.tobytes(), D.split
+
+
+_WHITESPACE = st.sampled_from(["", "", " ", "\n", "\n  ", "\t", "\r\n "])
+# numbers that read back exactly: a unit matrix written in them stays unit
+_EXACT_FORMS = [repr, "{:.17g}".format, "{:.16e}".format, "{:.17E}".format]
+# JSON number forms; a document draws its numbers from a few of them
+_NUMBER_FORMS = {
+    "ints": st.integers(-9, 9).map(str),
+    "floats": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    "spellings": st.sampled_from(["-0", "0.0", "-0.0", "1E0", "0.5e1", "1e-400", "2.5E+3"]),
+    "past-int64": st.sampled_from(
+        [2**53 + 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, 10**400]
+    ).map(str),
+    # alone these make numpy's uint64, which the reference refuses
+    "uint64": st.sampled_from([2**63, 2**63 + 1, 2**64 - 1]).map(str),
+}
+_NOT_NUMBERS = st.sampled_from([
+    "+1", "01", "1.", ".5", "1e", "--1", "0x1", "1e400", "NaN", "Infinity", "-Infinity",
+    "true", "false", "null", '"1"', "[]",
+])
+_EXTRAS = st.sampled_from([
+    ("note", "]]"),
+    ("copy", '"entries": [[1,0]]'),
+    ("téxt", "über ∑ 日本"),
+    ("list", [[1, 0], [0, 1]]),
+    ("nested", {"entries": [[1, 0]], "m": 1}),
+    ("n", None),
+])
+
+
+@st.composite
+def _documents(draw):
+    """The text of a dictionary file, the text of its entries array, and its
+    pair count: exact unit matrices in any number form, or arbitrary numbers
+    and malformed pairs; compact or indented; keys in any order, extra keys
+    and a duplicate entries."""
+    ws = lambda: draw(_WHITESPACE)  # noqa: E731
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 4))
+    if draw(st.booleans()):  # an exact unit matrix: one chirp of C^m per column
+        t = np.arange(m)
+        mat = np.exp(2j * np.pi * np.outer(t, np.arange(n)) * t[:, None] / 7) / math.sqrt(m)
+        form = draw(st.sampled_from(_EXACT_FORMS))
+        values = [(form(z.real), form(z.imag)) for z in mat.reshape(-1)]
+    else:
+        forms = draw(st.sets(st.sampled_from(sorted(_NUMBER_FORMS)), min_size=1))
+        number = st.one_of(*(_NUMBER_FORMS[f] for f in sorted(forms)))
+        values = [(draw(number), draw(number)) for _ in range(m * n)]
+    pairs = [f"[{ws()}{re}{ws()},{ws()}{im}{ws()}]" for re, im in values]
+    count = len(pairs) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    pairs = pairs[:count] if count <= len(pairs) else pairs + ["[1, 0]"]
+    corrupt = draw(st.sampled_from([None] * 12 + ["trailing", "no-comma", "junk", "empty",
+                                                  "nested", "one", "three", "token", "ff",
+                                                  "ff-key"]))
+    i = draw(st.integers(0, max(0, len(pairs) - 1)))
+    if pairs and corrupt == "token":
+        pairs[i] = f"[{draw(_NOT_NUMBERS)}, 0]"
+    elif pairs and corrupt == "ff":  # a form feed is not JSON whitespace
+        pairs[i] = pairs[i].replace(",", "\f,")
+    elif pairs and corrupt == "junk":
+        pairs[i] += "3"
+    elif pairs and corrupt in ("empty", "nested", "one", "three"):
+        pairs[i] = {"empty": "[]", "nested": f"[{pairs[i]}]", "one": "[1]",
+                    "three": "[1, 0, 0]"}[corrupt]
+    sep = "," + ws() if corrupt != "no-comma" else ws()
+    body = sep.join(pairs) + ("," if corrupt == "trailing" else "")
+    entries = f"[{ws()}{body}{ws()}]"
+    fields = [("m", str(m)), ("N", str(n)), ("Na", str(draw(st.integers(0, n)))),
+              ("entries", entries)]
+    for key, value in draw(st.lists(_EXTRAS, max_size=2)):
+        fields.append((key, json.dumps(value, ensure_ascii=draw(st.booleans()))))
+    duplicate = draw(st.sampled_from([None] * 6 + ["[[1, 0]]", '"x"', "[1, [2]]", "[[1,0],]"]))
+    if duplicate is not None:
+        fields.append(("entries", duplicate))
+    fields = draw(st.permutations(fields))
+    colon = "\f:" if corrupt == "ff-key" else ":"
+    text = "{" + ",".join(f'{ws()}"{k}"{ws()}{colon}{ws()}{v}{ws()}' for k, v in fields) + "}"
+    return text + ws(), entries, max(1, len(pairs))
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("pairs_per_chunk", [None, 1, 3], ids=["default", "1-pair", "3-pairs"])
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_documents(), renormalize=st.booleans())
+    def test_accepts_exactly_what_json_load_accepts(self, pairs_per_chunk, doc, renormalize):
+        text, entries, count = doc
+        chunk = dictionary.ENTRIES_CHUNK_CHARS
+        if pairs_per_chunk is not None:  # characters of about that many pairs
+            chunk = max(1, pairs_per_chunk * len(entries) // count)
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore", invalid="ignore"):
+            path = Path(tmp) / "d.dict.json"
+            path.write_bytes(text.encode("utf-8"))
+            expected = _outcome(_reference_load, path, renormalize)
+            with mock.patch.object(dictionary, "ENTRIES_CHUNK_CHARS", chunk):
+                assert _outcome(load_dictionary, path, renormalize) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 100, 2**20])
+    def test_written_files_load_bit_exact_in_any_chunking(self, monkeypatch, tmp_path, chunk):
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", chunk)
+        for D in (build_mub(7), build_random_dictionary(5, 23, seed=9, split=7)):
+            path = tmp_path / "d.dict.json"
+            save_dictionary(D, path)
+            loaded = load_dictionary(path)
+            assert loaded.matrix.tobytes() == D.matrix.tobytes()
+            assert loaded.matrix.tobytes() == _reference_load(path).matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            "[[1,0],[0,0],[0,0],[1,0],]",
+            "[[1,0][0,0],[0,0],[1,0]]",
+            "[[1,0]3,[0,0],[0,0],[1,0]]",
+            "[[]]",
+            "[[1,0],[0,0],[0,0],[[1,0]]]",
+            "[[NaN,0],[0,0],[0,0],[1,0]]",
+            "[[Infinity,0],[0,0],[0,0],[1,0]]",
+            "[[1e400,0],[0,0],[0,0],[1,0]]",
+            f"[[{2**64},0],[0,0],[0,0],[1,0]]",
+            f"[[1{'0' * 5000},0],[0,0],[0,0],[1,0]]",
+        ],
+        ids=["trailing-comma", "missing-comma", "junk-after-pair", "empty-pair", "nested",
+             "nan", "infinity", "1e400", "past-uint64", "past-int-digit-limit"],
+    )
+    def test_rejects(self, tmp_path, entries):
+        path = tmp_path / "bad.dict.json"
+        path.write_text(f'{{"m": 2, "N": 2, "Na": 1, "entries": {entries}}}')
+        for reader in (_reference_load, load_dictionary):
+            with pytest.raises(ValueError):
+                reader(path)
+        with pytest.raises(DictionaryFormatError, match="entries"):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2**20])
+    def test_integers_past_int64_promote_as_in_one_array(self, monkeypatch, tmp_path, chunk):
+        # numpy reads ints in [2**63, 2**64) alone as uint64, which is refused,
+        # but beside a negative int as float64, also across chunks
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", chunk)
+        path = tmp_path / "d.dict.json"
+        big = 2**63
+        for entries, loads in [(f"[[{big},{big}],[{big},{big}]]", False),
+                               (f"[[{big},{big}],[-1,0]]", True)]:
+            path.write_text(f'{{"m": 1, "N": 2, "Na": 1, "entries": {entries}}}')
+            expected = _outcome(_reference_load, path, True)
+            assert (expected is not None) == loads
+            assert _outcome(load_dictionary, path, True) == expected
+
+    @pytest.mark.parametrize("key", ["entries", "extra"])
+    def test_deep_nesting_is_a_format_error(self, tmp_path, key):
+        # json.load raised RecursionError, which the CLI printed as a traceback
+        path = tmp_path / "d.dict.json"
+        deep = "[" * 100_000 + "]" * 100_000
+        path.write_text(f'{{"m": 1, "N": 1, "Na": 0, "entries": [[1, 0]], "{key}": {deep}}}')
+        with pytest.raises(DictionaryFormatError):
+            load_dictionary(path)
+
+    def test_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "d.dict.json"
+        path.write_bytes(b'{"m": 1, "N": 1, "Na": 0, "entries": [[1, 0]], "x": "\xff"}')
+        with pytest.raises(DictionaryFormatError, match="UTF-8"):
+            load_dictionary(path)
