@@ -105,7 +105,7 @@ def _load_config(args) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # also nesting past the limit
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")

@@ -19,11 +19,11 @@ when both block conditions hold the threshold is at most 1/2, which pins
 sigma_min > 1/sqrt(2) outside the N^{-s} event.  ``run_smin_trials`` measures
 this empirically; ``estimate_moment`` checks the Xi_B and Xi_X moment bounds.
 
-Both runners share one kernel, run on the blocks of ``rng.fan_out``.
-``draw_supports`` reads trial t's supports from its own stream
-derive_rng(master_seed, t) through ``model.draw_support`` (the A-support
-first, then the B-support), and ``chain_batch`` measures the chain for a
-block of draws at once: the sub-dictionaries are stacked into one (T, m, k)
+Both runners share one kernel, run on the blocks of ``rng.fan_out`` on the
+A-support resolved once per run.  ``draw_supports`` reads trial t's supports
+from its own stream derive_rng(master_seed, t) through ``model.draw_support``
+(the A-support first, then the B-support), and ``chain_batch`` measures the
+chain for a block of draws at once: the sub-dictionaries are stacked into one (T, m, k)
 array, and each of sigma_min, Xi_S, Xi_A, Xi_B and Xi_X takes one stacked
 ``np.linalg.svd(..., compute_uv=False)``.  That is
 the LAPACK routine the per-matrix ``svd`` and ``norm(ord=2)`` call, applied
@@ -45,7 +45,7 @@ import numpy as np
 
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
 from .model import SUPPORT_A_STRATEGIES, choose_support_a, draw_support
-from .rng import derive_rng, fan_out
+from .rng import _require_seed, derive_rng, fan_out
 from .threshold import (
     _require_n_gt_2, _require_s, block_a_terms, block_b_terms, default_u, first_feasible_gamma,
 )
@@ -143,25 +143,22 @@ class HollowGramRecord:
 
 def draw_supports(
     D: PartitionedDictionary,
-    strategy: str,
-    n_a: int,
+    support_a: tuple[int, ...] | int,
     n_b: int,
     master_seed: int,
     lo: int,
     hi: int,
-    support_a=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A- and B-column indices of trials lo..hi-1, as (T, n_a) and (T, n_b) arrays.
 
-    Row t is ``draw_support`` on trial t's own stream derive_rng(master_seed,
-    t), so it does not depend on which other trials are drawn.
+    Row t is ``model.draw_support`` on trial t's own stream
+    derive_rng(master_seed, t), so it does not depend on the other trials.
     """
+    n_a = support_a if isinstance(support_a, int) else len(support_a)
     cols_a = np.empty((hi - lo, n_a), dtype=np.intp)
     cols_b = np.empty((hi - lo, n_b), dtype=np.intp)
     for row, t in enumerate(range(lo, hi)):
-        cols_a[row], cols_b[row] = draw_support(
-            D, strategy, n_a, n_b, derive_rng(master_seed, t), support_a
-        )
+        cols_a[row], cols_b[row] = draw_support(D, support_a, n_b, derive_rng(master_seed, t))
     return cols_a, cols_b
 
 
@@ -306,10 +303,8 @@ def _per_trial(shape) -> np.ndarray:
 def _smin_block(common, lo, hi):
     """lo, then the CSV columns, breaks per inequality and broken trials of
     trials lo..hi-1."""
-    D, stats, strategy, support_a, n_a, n_b, master_seed = common
-    rec = chain_batch(
-        D, stats, *draw_supports(D, strategy, n_a, n_b, master_seed, lo, hi, support_a)
-    )
+    D, stats, support_a, n_b, master_seed = common
+    rec = chain_batch(D, stats, *draw_supports(D, support_a, n_b, master_seed, lo, hi))
     masks = rec.breaks()
     return (
         lo,
@@ -393,13 +388,14 @@ def run_smin_trials(
 ) -> SminExperimentResult:
     """Sample ``trials`` sub-dictionaries and measure the whole chain.
 
-    The A-support is fixed once per run (any deterministic strategy or a
+    The A-support is resolved once per run (any deterministic strategy or a
     prescribed list); the ``random-baseline`` strategy instead re-draws it
     every trial before the B-support, as the control experiment.  Failure means
     sigma_min <= 1/sqrt(2); the empirical failure rate is compared against
     the N^{-s} bound whenever some gamma in the default grid satisfies both
     block conditions.
     """
+    _require_seed(master_seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n_a + n_b == 0:
@@ -409,16 +405,14 @@ def run_smin_trials(
     _require_n_gt_2(D.N)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    fixed_a = None  # random-baseline re-draws it per trial, and refuses support_a here
-    if strategy != "random-baseline" or support_a is not None:
-        fixed_a = choose_support_a(strategy, D.Na, n_a, indices=support_a)
+    resolved = choose_support_a(strategy, D.Na, n_a, indices=support_a)
     rows = _per_trial((trials, 5))
     stats = analyze(D)
     gamma_feasible = first_feasible_gamma(stats, D.N, D.Nb, s, n_a, n_b)
 
     by_inequality: Counter = Counter()
     violation_count = 0
-    common = (D, stats, strategy, support_a, n_a, n_b, master_seed)
+    common = (D, stats, resolved, n_b, master_seed)
     for lo, block, breaks, broken in fan_out(_smin_block, common, trials, workers):
         rows[lo : lo + len(block)] = block
         by_inequality.update(breaks)
@@ -438,7 +432,7 @@ def run_smin_trials(
         s=s,
         master_seed=master_seed,
         strategy=strategy,
-        support_a=fixed_a,
+        support_a=None if strategy == "random-baseline" else resolved,
         N=D.N,
         sigma_min=sig,
         xi_s=rows[:, 1],
@@ -526,8 +520,8 @@ class MomentEstimate:
 def _moment_block(common, lo, hi):
     """lo, then Xi_B and Xi_X of trials lo..hi-1; sigma_min, Xi_S and Xi_A
     would be unused SVDs."""
-    D, strategy, support_a, n_a, n_b, master_seed = common
-    cols_a, cols_b = draw_supports(D, strategy, n_a, n_b, master_seed, lo, hi, support_a)
+    D, support_a, n_b, master_seed = common
+    cols_a, cols_b = draw_supports(D, support_a, n_b, master_seed, lo, hi)
     return lo, *_sub_dictionaries(D, cols_a, cols_b)[1:]
 
 
@@ -548,18 +542,13 @@ def estimate_moment(
 ) -> MomentEstimate:
     """Estimate [E Xi^q]^{1/q} for Xi_B and Xi_X over random B-supports.
 
-    The A-support is fixed (default: first n_a columns; ``random-baseline``,
-    which redraws it per trial, is refused).  Bootstrap
+    The A-support is resolved once per run (default: first n_a columns;
+    ``random-baseline``, which redraws it per trial, is refused).  Bootstrap
     percentiles (upper edge of the 95% interval) quantify Monte Carlo error;
     the analytic bounds are provably slack, so the upper edge should sit
     well below them.
     """
-    fixed = tuple(name for name in SUPPORT_A_STRATEGIES if name != "random-baseline")
-    if strategy not in fixed:
-        raise ValueError(
-            f"moments need a fixed A-support: strategy must be one of {fixed}, "
-            f"got {strategy!r}"
-        )
+    _require_seed(master_seed)
     if trials < 1000:
         raise ValueError(f"moment estimation needs >= 1000 trials, got {trials}")
     floor_b = moment_floor_b(n_b)
@@ -572,11 +561,17 @@ def estimate_moment(
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
     D.check_budgets(n_a, n_b)
-    choose_support_a(strategy, D.Na, n_a, indices=support_a)  # validate before any work
+    support_a = choose_support_a(strategy, D.Na, n_a, indices=support_a)
+    if isinstance(support_a, int):
+        fixed = tuple(name for name in SUPPORT_A_STRATEGIES if name != "random-baseline")
+        raise ValueError(
+            f"moments need a fixed A-support: strategy must be one of {fixed}, "
+            f"got {strategy!r}"
+        )
     xi_b, xi_x = _per_trial((2, trials))
     stats = analyze(D)
 
-    common = (D, strategy, support_a, n_a, n_b, master_seed)
+    common = (D, support_a, n_b, master_seed)
     for lo, block_b, block_x in fan_out(_moment_block, common, trials, 1):
         xi_b[lo : lo + len(block_b)] = block_b
         xi_x[lo : lo + len(block_x)] = block_x

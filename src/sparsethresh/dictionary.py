@@ -127,23 +127,25 @@ class PartitionedDictionary:
 
     def __post_init__(self, norm_tol: float):
         object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix).copy())
-        self._freeze(norm_tol)
+        self._freeze(float(norm_tol))  # only _adopt skips the norms
 
-    def _freeze(self, norm_tol: float) -> None:
-        """Validate ``matrix`` and ``split`` and make the matrix read-only."""
+    def _freeze(self, norm_tol: float | None) -> None:
+        """Validate ``matrix``, ``split`` and, unless ``norm_tol`` is None, the
+        column norms; make the matrix read-only."""
         mat = self.matrix
         m, n = mat.shape
         if n < m:
             raise ValueError(f"dictionary must have N >= m, got m={m}, N={n}")
         if not 0 <= self.split <= n:
             raise ValueError(f"split must lie in [0, {n}], got {self.split}")
-        norms = _column_norms(mat)
-        bad = np.where(np.abs(norms - 1.0) > norm_tol)[0]
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(
-                f"column {j} has norm {norms[j]:.12g}, expected 1 within {norm_tol:g}"
-            )
+        if norm_tol is not None:
+            norms = _column_norms(mat)
+            bad = np.where(np.abs(norms - 1.0) > norm_tol)[0]
+            if bad.size:
+                j = int(bad[0])
+                raise ValueError(
+                    f"column {j} has norm {norms[j]:.12g}, expected 1 within {norm_tol:g}"
+                )
         mat.setflags(write=False)
         object.__setattr__(self, "split", int(self.split))
 
@@ -328,10 +330,11 @@ def _row_blocks(m: int, row_bytes: int):
     return ((lo, min(lo + rows, m)) for lo in range(0, m, rows))
 
 
-def _adopt(mat: np.ndarray, split: int, norm_tol: float = COLUMN_NORM_TOL) -> PartitionedDictionary:
+def _adopt(mat: np.ndarray, split: int, norm_tol=COLUMN_NORM_TOL) -> PartitionedDictionary:
     """A PartitionedDictionary over ``mat`` itself: for a complex matrix its
     caller has just allocated and keeps no other reference to, which the
-    constructor's copy would only double."""
+    constructor's copy would only double.  ``norm_tol=None`` is for norms
+    the caller has checked."""
     D = object.__new__(PartitionedDictionary)
     object.__setattr__(D, "matrix", mat)
     object.__setattr__(D, "split", split)
@@ -448,17 +451,22 @@ def save_dictionary(D: PartitionedDictionary, path) -> None:
     """Write D as .dict.json text, one entry at a time, so no large string is
     ever held: joined text, even one matrix row at a time, left the calling
     process's heap larger for the work after it.  The file appears under
-    ``path`` only when complete."""
+    ``path`` only when complete, and a failed write leaves no file behind."""
     entries = (f"  [{z.real:.16e}, {z.imag:.16e}]" for row in D.matrix for z in row.tolist())
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n "m": {D.m},\n "N": {D.N},\n "Na": {D.Na},\n "entries": [\n')
-        fh.write(next(entries))  # m, N >= 1: there is a first entry
-        for entry in entries:
-            fh.write(",\n")
-            fh.write(entry)
-        fh.write("\n ]\n}\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(f'{{\n "m": {D.m},\n "N": {D.N},\n "Na": {D.Na},\n "entries": [\n')
+            fh.write(next(entries))  # m, N >= 1: there is a first entry
+            for entry in entries:
+                fh.write(",\n")
+                fh.write(entry)
+            fh.write("\n ]\n}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
@@ -511,16 +519,16 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
     if zero.size:
         raise DictionaryFormatError(f"{path}: column {int(zero[0])} is zero")
     if renormalize:
-        mat = mat / norms
-    else:
-        bad = np.where(np.abs(norms - 1.0) > LOAD_NORM_TOL)[0]
-        if bad.size:
-            j = int(bad[0])
-            raise DictionaryFormatError(
-                f"{path}: column {j} has norm {norms[j]:.12g}, beyond "
-                f"{LOAD_NORM_TOL:g}; pass renormalize to rescale"
-            )
-    return _adopt(mat, na, norm_tol=max(COLUMN_NORM_TOL, 2 * LOAD_NORM_TOL))
+        mat /= norms  # a norm whose squares overflow or underflow is off: measure again
+        return _adopt(mat, na, norm_tol=max(COLUMN_NORM_TOL, 2 * LOAD_NORM_TOL))
+    bad = np.where(np.abs(norms - 1.0) > LOAD_NORM_TOL)[0]
+    if bad.size:
+        j = int(bad[0])
+        raise DictionaryFormatError(
+            f"{path}: column {j} has norm {norms[j]:.12g}, beyond "
+            f"{LOAD_NORM_TOL:g}; pass renormalize to rescale"
+        )
+    return _adopt(mat, na, norm_tol=None)  # within LOAD_NORM_TOL, checked above
 
 
 def _read_object(text: str, path) -> dict:

@@ -13,10 +13,11 @@ together with the measurement y = D x.  Everything is driven by explicit
 generator streams (see ``sparsethresh.rng``), so instances are reproducible
 and independent of evaluation order.
 
-``draw_support`` is the one hybrid-support draw of every runner: the
-A-support first (only ``random-baseline`` reads the stream for it), then the
-B-support.  ``sample_instance`` reads the same stream on: magnitudes, then
-phases.  So ``smin``, ``moments`` and ``recover`` see one support per stream.
+``choose_support_a`` turns a strategy into an A-support once per run (per
+(strategy, n_a) in ``recover``).  ``draw_support``, the one hybrid-support
+draw of every trial, takes it (only ``random-baseline`` reads the stream for
+it), then draws the B-support; ``sample_instance`` reads the same stream on:
+magnitudes, then phases.  So every runner sees one support per stream.
 """
 
 from __future__ import annotations
@@ -54,19 +55,15 @@ def sample_support_b(n_total: int, n_pick: int, rng: np.random.Generator) -> tup
 
 
 def choose_support_a(
-    strategy: str,
-    n_total: int,
-    n_pick: int,
-    indices=None,
-    rng: np.random.Generator | None = None,
-) -> tuple[int, ...]:
-    """Pick the fixed block-A support per strategy.
+    strategy: str, n_total: int, n_pick: int, indices=None
+) -> tuple[int, ...] | int:
+    """Resolve a strategy into the ``support_a`` of ``draw_support``, once per run.
 
     prescribed        pass ``indices`` through after validation
     first-n           {0, 1, ..., n_pick - 1}
     spread            evenly spaced, index i -> floor(i * n_total / n_pick)
-    random-baseline   uniform subset drawn from ``rng``; the control against
-                      the fixed strategies
+    random-baseline   the int n_pick: each trial draws its own n_pick
+                      columns, the control against the fixed strategies
     """
     if strategy not in SUPPORT_A_STRATEGIES:
         raise ValueError(
@@ -96,26 +93,20 @@ def choose_support_a(
     if strategy == "spread":
         # floor(i * n_total / n_pick) is strictly increasing since n_total >= n_pick
         return tuple(i * n_total // n_pick for i in range(n_pick))
-    if rng is None:
-        raise ValueError("random-baseline needs an rng")
-    return sample_support_b(n_total, n_pick, rng)
+    return int(n_pick)
 
 
 def draw_support(
-    D: PartitionedDictionary,
-    strategy: str,
-    n_a: int,
-    n_b: int,
-    rng: np.random.Generator,
-    support_a=None,
+    D: PartitionedDictionary, support_a: tuple[int, ...] | int, n_b: int, rng: np.random.Generator
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """One hybrid support as (A-column indices, B-column indices).
 
-    The A-support comes first (``choose_support_a``; only ``random-baseline``
-    reads ``rng``), then n_b B-columns uniformly at random from ``rng``.
+    ``support_a`` is ``choose_support_a``'s: a tuple is the A-support and reads
+    nothing; an int n_a draws n_a A-columns from ``rng``.  Then n_b B-columns.
     """
-    cols_a = choose_support_a(strategy, D.Na, n_a, indices=support_a, rng=rng)
-    return cols_a, sample_support_b(D.Nb, n_b, rng)
+    if isinstance(support_a, int):
+        support_a = sample_support_b(D.Na, support_a, rng)
+    return support_a, sample_support_b(D.Nb, n_b, rng)
 
 
 # ============================================================
@@ -124,12 +115,7 @@ def draw_support(
 
 
 def sample_instance(
-    D: PartitionedDictionary,
-    strategy: str,
-    n_a: int,
-    n_b: int,
-    rng: np.random.Generator,
-    support_a=None,
+    D: PartitionedDictionary, support_a: tuple[int, ...] | int, n_b: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one hybrid-model instance (x, y) from ``rng``, with y = D x.
 
@@ -139,7 +125,7 @@ def sample_instance(
     i-th support index in ascending order, so the support is
     ``np.flatnonzero(x)``: the A-columns, then the B-columns.
     """
-    cols_a, cols_b = draw_support(D, strategy, n_a, n_b, rng, support_a)
+    cols_a, cols_b = draw_support(D, support_a, n_b, rng)
     support = sorted(cols_a) + [D.Na + j for j in cols_b]
     k = len(support)
     magnitudes = np.hypot(rng.standard_normal(k), rng.standard_normal(k)) / np.sqrt(2.0)

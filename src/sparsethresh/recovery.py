@@ -55,11 +55,12 @@ cells aggregate success rates into a phase-transition grid.  A sweep lists
 its trials in grid order (strategy, n_a, n_b, trial) and solves the list in
 the blocks of ``rng.fan_out``, one batched solve per block, so cells with
 short solves share one tail instead of each paying its own: every y has
-length m whatever the cell's sparsity.  Trial t of the cell at grid indices
-(si, ai, bi) reads its stream derive_rng(master_seed, si, ai, bi, t) through
-``model.sample_instance`` (support, then magnitudes, then phases), which
-gives its row of the block's X and Y.  The blocks depend only on the grid
-and the trial count, never on the worker count, and each block's counts are
+length m whatever the cell's sparsity.  Each (strategy, n_a) is resolved to
+its A-support once (``model.choose_support_a``), and trial t of the cell at
+grid indices (si, ai, bi) reads its stream derive_rng(master_seed, si, ai,
+bi, t) through ``model.sample_instance`` on it (support, then magnitudes,
+then phases), which gives its row of the block's X and Y.  The blocks depend
+only on the grid and the trial count, never on the worker count, and each block's counts are
 added into the grids as it arrives, so the grid does not depend on the
 worker count and memory does not grow with the trial count.
 """
@@ -73,8 +74,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .dictionary import PartitionedDictionary
-from .model import sample_instance
-from .rng import derive_rng, fan_out
+from .model import choose_support_a, sample_instance
+from .rng import _require_seed, derive_rng, fan_out
 
 __all__ = [
     "BpSolverConfig",
@@ -543,15 +544,15 @@ SWEEP_STRATEGIES = ("first-n", "spread", "random-baseline")
 def _solve_trials(common, lo, hi):
     """(flat cell index, success, stall, handed over, iteration count) of
     trials lo..hi-1 of a sweep's flat list, in one batched solve."""
-    D, strategies, na_values, nb_values, trials, master_seed, cfg = common
+    D, supports_a, nb_values, trials, master_seed, cfg = common
     X = np.empty((hi - lo, D.N), dtype=complex)
     Y = np.empty((hi - lo, D.m), dtype=complex)
     for row, index in enumerate(range(lo, hi)):
         cell, t = divmod(index, trials)
         rest, bi = divmod(cell, len(nb_values))
-        si, ai = divmod(rest, len(na_values))
+        si, ai = divmod(rest, len(supports_a[0]))
         rng = derive_rng(master_seed, si, ai, bi, t)
-        X[row], Y[row] = sample_instance(D, strategies[si], na_values[ai], nb_values[bi], rng)
+        X[row], Y[row] = sample_instance(D, supports_a[si][ai], nb_values[bi], rng)
     out = solve_bp_batch(D, Y, cfg, X)
     return np.stack([
         np.arange(lo, hi) // trials, out.success, ~out.converged,
@@ -633,8 +634,10 @@ def run_recovery_sweep(
     solve per block, whose counts are added into the grids as it arrives.
     Per-trial streams are keyed by (strategy, cell, trial) and the blocks by
     the grid alone, so the grid is bitwise identical across worker counts and
-    run orders.  Every grid value and strategy is checked before any solve.
+    run orders.  Every input is checked, and each (strategy, n_a) resolved to
+    its A-support, before any solve.
     """
+    _require_seed(master_seed)
     # at most Na + 1 distinct values fit in [0, Na]: one more read tells a longer input
     na_values = tuple(int(v) for v in islice(na_values, D.Na + 2))
     nb_values = tuple(int(v) for v in islice(nb_values, D.Nb + 2))
@@ -664,10 +667,11 @@ def run_recovery_sweep(
             f"grid outside the block sizes [0, Na={D.Na}] x [0, Nb={D.Nb}]: "
             f"na_values {na_values}, nb_values {nb_values}"
         )
+    supports_a = [[choose_support_a(name, D.Na, n_a) for n_a in na_values] for name in strategies]
     shape = (len(strategies), len(na_values), len(nb_values))
     # per cell: successes, stalls, handed-over trials and the largest iteration count
     counts = np.zeros((math.prod(shape), 4), dtype=np.int64)
-    common = (D, strategies, na_values, nb_values, trials_per_cell, master_seed, cfg)
+    common = (D, supports_a, nb_values, trials_per_cell, master_seed, cfg)
     for rows in fan_out(_solve_trials, common, len(counts) * trials_per_cell, workers):
         np.add.at(counts[:, :3], rows[:, 0], rows[:, 1:4])
         np.maximum.at(counts[:, 3], rows[:, 0], rows[:, 4])

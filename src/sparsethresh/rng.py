@@ -29,10 +29,14 @@ _worker_task = None  # (fn, common), set once in each pool process
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Return a Generator for the stream identified by ``(master_seed, *key)``."""
-    if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
+    _require_seed(master_seed)
     seq = np.random.SeedSequence([int(master_seed), *[int(k) for k in key]])
     return np.random.default_rng(seq)
+
+
+def _require_seed(master_seed: int):
+    if master_seed < 0:
+        raise ValueError("master_seed must be a nonnegative integer")
 
 
 def fan_out(fn, common, total: int, workers: int):

@@ -103,6 +103,17 @@ class TestBuildDict:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == ([] if config is None else [tmp_path / "cfg.json"])
 
+    def test_an_output_path_naming_a_directory_exits_2_and_leaves_no_file(
+        self, tmp_path, capsys
+    ):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["build-dict", "--mub", "3", "-o", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.glob("*.tmp*")) == []
+        assert list(taken.iterdir()) == []
+
     def test_random_builder_is_deterministic(self, tmp_path):
         a = tmp_path / "a.dict.json"
         b = tmp_path / "b.dict.json"
@@ -353,6 +364,14 @@ class TestMalformedInput:
     ):
         assert main(_malformed_argv(tmp_path, file_fields, config, command)) == 2
         assert message in capsys.readouterr().err
+
+    def test_config_nested_past_the_recursion_limit(self, dict_dir, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["analyze", "--config", str(path), "--dict", dict_dir["mub7"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path} is not valid JSON: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, flag, value",
@@ -643,8 +662,15 @@ class TestRecover:
               "--support-a", "0:20000000"], "expected 2 indices, got more"),
             (["moments", "--dict", "mub7", "--strategy", "prescribed", "--na", "2",
               "--support-a", "0:20000000"], "expected 2 indices, got more"),
+            (["smin", "--dict", "mub7", "--seed", "-1"],
+             "master_seed must be a nonnegative integer"),
+            (["moments", "--dict", "mub7", "--seed", "-1"],
+             "master_seed must be a nonnegative integer"),
+            (["recover", "--dict", "onb4", "--seed", "-1", "--threads", "2"],
+             "master_seed must be a nonnegative integer"),
         ],
-        ids=["na-range", "nb-range-step", "smin-support-a", "moments-support-a"],
+        ids=["na-range", "nb-range-step", "smin-support-a", "moments-support-a",
+             "smin-seed", "moments-seed", "recover-seed"],
     )
     def test_a_huge_range_exits_2_fast_with_a_short_message(
         self, dict_dir, tmp_path, capsys, monkeypatch, argv, message

@@ -15,6 +15,7 @@ from sparsethresh import (
     alpha_beta,
     analyze,
     build_mub,
+    choose_support_a,
     default_u,
     derive_rng,
     estimate_moment,
@@ -234,8 +235,8 @@ class TestChainBatch:
         self, request, dict_name, n_a, n_b, strategy
     ):
         D = request.getfixturevalue(dict_name)
-        support_a = _support_a(D, strategy, n_a)
-        cols_a, cols_b = draw_supports(D, strategy, n_a, n_b, 5, 0, 60, support_a)
+        support_a = choose_support_a(strategy, D.Na, n_a, _support_a(D, strategy, n_a))
+        cols_a, cols_b = draw_supports(D, support_a, n_b, 5, 0, 60)
         rec = chain_batch(D, analyze(D), cols_a, cols_b)
         expected = np.array([_reference_chain(D, a, b) for a, b in zip(cols_a, cols_b)])
         measured = np.column_stack(
@@ -244,7 +245,8 @@ class TestChainBatch:
         np.testing.assert_array_equal(measured, expected)
 
     def test_supports_follow_the_per_trial_streams(self, mub7):
-        cols_a, cols_b = draw_supports(mub7, "random-baseline", 2, 3, 4, 10, 13)
+        support_a = choose_support_a("random-baseline", mub7.Na, 2)
+        cols_a, cols_b = draw_supports(mub7, support_a, 3, 4, 10, 13)
         for row, t in enumerate(range(10, 13)):
             rng = derive_rng(4, t)
             assert tuple(cols_a[row]) == sample_support_b(7, 2, rng)
@@ -297,7 +299,8 @@ class TestChainBatch:
             )
             inv_a, inv_b = np.argsort(perm_a), np.argsort(perm_b)
             for n_a, n_b, strategy in shapes:
-                cols_a, cols_b = draw_supports(D, strategy, n_a, n_b, 6, 0, 40)
+                support_a = choose_support_a(strategy, D.Na, n_a)
+                cols_a, cols_b = draw_supports(D, support_a, n_b, 6, 0, 40)
                 rec = chain_batch(D, stats, cols_a, cols_b)
                 moved = chain_batch(permuted, stats, inv_a[cols_a], inv_b[cols_b])
                 for field in ("sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab"):
@@ -523,8 +526,9 @@ class TestRunSminTrials:
             (None, {"s": math.nan}, "s must be a finite number >= 1"),
             (None, {"workers": 0}, "workers must be >= 1"),
             (PartitionedDictionary(np.eye(2), 1), {}, "N > 2"),
+            (None, {"master_seed": -1}, "master_seed must be a nonnegative integer"),
         ],
-        ids=["s-below-1", "s-nan", "no-workers", "N-2"],
+        ids=["s-below-1", "s-nan", "no-workers", "N-2", "negative-seed"],
     )
     def test_bad_settings_fail_before_any_work(self, mub5, monkeypatch, D, kwargs, message):
         def no_work(*args, **kwargs):
@@ -683,6 +687,15 @@ class TestEstimateMoment:
     def test_rejects_a_redrawn_a_support(self, mub5):
         with pytest.raises(ValueError, match="moments need a fixed A-support"):
             estimate_moment(mub5, 1, 4, q=8.0, trials=1000, strategy="random-baseline")
+
+    def test_a_negative_seed_fails_before_any_work(self, mub5, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the seed was checked")
+
+        for name in ("_per_trial", "analyze", "fan_out"):
+            monkeypatch.setattr(concentration, name, no_work)
+        with pytest.raises(ValueError, match="master_seed must be a nonnegative integer"):
+            estimate_moment(mub5, 1, 4, q=8.0, trials=1000, master_seed=-1)
 
 
 @pytest.mark.parametrize(

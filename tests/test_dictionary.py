@@ -536,6 +536,19 @@ class TestSaveLoad:
         assert path.read_bytes() == self._one_string_text(D).encode("utf-8")
         assert not list(tmp_path.glob("*.tmp*"))
 
+    def test_a_write_that_fails_midway_leaves_no_file(self, mub3, tmp_path):
+        # the disk fills (or the file size limit is hit) after the first row
+        rows = iter(mub3.matrix)
+
+        def one_row_then_full():
+            yield next(rows)
+            raise OSError(27, "File too large")
+
+        D = mock.Mock(m=3, N=12, Na=3, matrix=one_row_then_full())
+        with pytest.raises(OSError, match="File too large"):
+            save_dictionary(D, tmp_path / "d.dict.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_written_file_lists_flat_entry_pairs(self, mub3, tmp_path):
         path = tmp_path / "d.dict.json"
         save_dictionary(mub3, path)
@@ -584,6 +597,17 @@ class TestSaveLoad:
         entries = [[1, 0], [0, 0], [0, 0], [0, 0]]
         path = self._write(tmp_path, {"m": 2, "N": 2, "Na": 1, "entries": entries})
         with pytest.raises(DictionaryFormatError, match="zero"):
+            load_dictionary(path, renormalize=True)
+
+    @pytest.mark.parametrize("column_1, message", [
+        ((1.3407807929942597e154,) * 2, "column 1 has norm 0,"),  # its square sum overflows
+        ((0.0, 1e-160), "column 1 has norm 1.0000055"),  # its square is subnormal
+    ])
+    def test_renormalize_checks_the_rescaled_norms(self, tmp_path, column_1, message):
+        # the norm a column is divided by is off, so the rescaled one is not unit
+        entries = [[1, 0], [column_1[0], 0], [0, 0], [column_1[1], 0]]
+        path = self._write(tmp_path, {"m": 2, "N": 2, "Na": 1, "entries": entries})
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
             load_dictionary(path, renormalize=True)
 
     def test_rejects_undercomplete_description(self, tmp_path):

@@ -14,9 +14,11 @@ from sparsethresh import (
     sample_instance,
     sample_support_b,
 )
+from sparsethresh import concentration, model, recovery
 from sparsethresh.concentration import draw_supports
 
 TOL = 1e-12
+EYE20 = PartitionedDictionary(np.eye(20), 20)
 
 
 # ==============================
@@ -25,26 +27,28 @@ TOL = 1e-12
 
 
 class TestHybridSupportSpec:
-    """The hybrid support's specification as ``draw_support`` checks it."""
+    """The hybrid support's specification as ``choose_support_a`` resolves
+    its A-part and ``draw_support`` draws its B-part."""
 
     def test_n_a_counts_indices(self, mub7):
-        cols_a, cols_b = draw_support(mub7, "prescribed", 3, 2, derive_rng(0), (0, 3, 5))
+        support_a = choose_support_a("prescribed", mub7.Na, 3, (0, 3, 5))
+        cols_a, cols_b = draw_support(mub7, support_a, 2, derive_rng(0))
         assert cols_a == (0, 3, 5)
         assert len(cols_b) == 2
 
     def test_rejects_duplicates(self, mub7):
         with pytest.raises(ValueError, match="duplicate"):
-            draw_support(mub7, "prescribed", 2, 0, derive_rng(0), (1, 1))
+            choose_support_a("prescribed", mub7.Na, 2, (1, 1))
 
     def test_rejects_negative_index(self, mub7):
         with pytest.raises(ValueError, match="out of range"):
-            draw_support(mub7, "prescribed", 1, 0, derive_rng(0), (-1,))
+            choose_support_a("prescribed", mub7.Na, 1, (-1,))
 
     def test_rejects_negative_count(self, mub7):
         with pytest.raises(ValueError, match="n_pick"):
-            draw_support(mub7, "first-n", 0, -2, derive_rng(0))
+            draw_support(mub7, (), -2, derive_rng(0))
         with pytest.raises(ValueError, match="n_pick"):
-            draw_support(mub7, "first-n", -1, 0, derive_rng(0))
+            choose_support_a("first-n", mub7.Na, -1)
 
 
 # ==============================
@@ -111,16 +115,17 @@ class TestChooseSupportA:
             choose_support_a("prescribed", 10, 2, indices=range(10**18))  # read lazily
 
     def test_random_baseline_deterministic_in_seed(self):
-        first = choose_support_a("random-baseline", 20, 5, rng=derive_rng(7))
-        second = choose_support_a("random-baseline", 20, 5, rng=derive_rng(7))
+        # all 20 columns in block A, none in B
+        support_a = choose_support_a("random-baseline", 20, 5)
+        first = draw_support(EYE20, support_a, 0, derive_rng(7))
+        second = draw_support(EYE20, support_a, 0, derive_rng(7))
         assert first == second
-        assert len(first) == 5
+        assert len(first[0]) == 5
 
     def test_random_baseline_draws_what_sample_support_b_draws(self):
         ours, theirs = derive_rng(3, 1), derive_rng(3, 1)
-        assert choose_support_a("random-baseline", 20, 5, rng=ours) == sample_support_b(
-            20, 5, theirs
-        )
+        support_a = choose_support_a("random-baseline", 20, 5)
+        assert draw_support(EYE20, support_a, 0, ours)[0] == sample_support_b(20, 5, theirs)
         assert ours.random() == theirs.random()
 
     @pytest.mark.parametrize(
@@ -128,17 +133,19 @@ class TestChooseSupportA:
     )
     def test_fixed_strategies_draw_nothing(self, strategy, indices):
         rng = derive_rng(3, 1)
-        choose_support_a(strategy, 10, 2, indices=indices, rng=rng)
+        support_a = choose_support_a(strategy, 20, 2, indices=indices)
+        assert draw_support(EYE20, support_a, 0, rng)[0] == support_a
         assert rng.random() == derive_rng(3, 1).random()
 
     @pytest.mark.parametrize("strategy", ["first-n", "spread", "random-baseline"])
     def test_indices_need_prescribed(self, strategy):
         with pytest.raises(ValueError, match="only to the prescribed strategy"):
-            choose_support_a(strategy, 10, 2, indices=[7, 2], rng=derive_rng(0))
+            choose_support_a(strategy, 10, 2, indices=[7, 2])
 
-    def test_random_baseline_needs_entropy_source(self):
-        with pytest.raises(ValueError, match="needs an rng"):
-            choose_support_a("random-baseline", 20, 5)
+    def test_random_baseline_resolves_to_its_count(self):
+        # each trial draws its own A-support: the count is all there is to fix
+        assert choose_support_a("random-baseline", 20, 5) == 5
+        assert choose_support_a("random-baseline", 20, 0) == 0
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -154,36 +161,37 @@ def _nonzeros(seed, draws):
     """The nonzero values of ``draws`` instances with 8 of 16 B-columns."""
     D = PartitionedDictionary(np.eye(16), 0)
     rng = derive_rng(seed)
-    xs = [sample_instance(D, "first-n", 0, 8, rng)[0] for _ in range(draws)]
+    xs = [sample_instance(D, (), 8, rng)[0] for _ in range(draws)]
     return np.concatenate([x[np.flatnonzero(x)] for x in xs])
 
 
 class TestSampleInstance:
     def test_zero_budget_gives_zero_signal(self, two_onb4):
-        x, y = sample_instance(two_onb4, "first-n", 0, 0, derive_rng(0))
+        x, y = sample_instance(two_onb4, (), 0, derive_rng(0))
         assert x.shape == (8,) and y.shape == (4,)
         assert np.all(x == 0) and np.all(y == 0)
 
     def test_support_layout(self, mub7):
-        x, _ = sample_instance(mub7, "prescribed", 2, 3, derive_rng(5), support_a=(4, 1))
+        x, _ = sample_instance(mub7, (4, 1), 3, derive_rng(5))
         support = np.flatnonzero(x)
         assert support.size == 5
         assert support[:2].tolist() == [1, 4]
         assert all(7 <= i < 56 for i in support[2:])
 
     def test_values_align_with_support(self, mub7):
-        x, _ = sample_instance(mub7, "prescribed", 2, 4, derive_rng(9), support_a=(0, 2))
-        cols_a, cols_b = draw_support(mub7, "prescribed", 2, 4, derive_rng(9), (0, 2))
+        x, _ = sample_instance(mub7, (0, 2), 4, derive_rng(9))
+        cols_a, cols_b = draw_support(mub7, (0, 2), 4, derive_rng(9))
         assert np.flatnonzero(x).tolist() == [*cols_a, *(mub7.Na + j for j in cols_b)]
         assert np.min(np.abs(x[np.flatnonzero(x)])) > 1e-12
 
     def test_measurement_is_consistent(self, mub7):
-        x, y = sample_instance(mub7, "prescribed", 2, 5, derive_rng(2), support_a=(0, 3))
+        x, y = sample_instance(mub7, (0, 3), 5, derive_rng(2))
         assert np.max(np.abs(y - mub7.matrix @ x)) <= TOL
 
     def test_deterministic_in_spec_seed(self, mub5):
-        a = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
-        b = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
+        support_a = choose_support_a("random-baseline", mub5.Na, 1)
+        a = sample_instance(mub5, support_a, 3, derive_rng(42))
+        b = sample_instance(mub5, support_a, 3, derive_rng(42))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -191,7 +199,8 @@ class TestSampleInstance:
         # the instance is the stream of seed 42 read in the documented order:
         # A-support, B-support, then magnitudes (all real parts, then all
         # imaginary parts), then phases
-        x, y = sample_instance(mub5, "random-baseline", 1, 3, derive_rng(42))
+        support_a = choose_support_a("random-baseline", mub5.Na, 1)
+        x, y = sample_instance(mub5, support_a, 3, derive_rng(42))
         by_hand = derive_rng(42)
         support_a = sample_support_b(mub5.Na, 1, by_hand)
         support_b = sample_support_b(mub5.Nb, 3, by_hand)
@@ -205,14 +214,18 @@ class TestSampleInstance:
         np.testing.assert_array_equal(y, mub5.matrix @ expected)
 
     def test_rejects_support_outside_block_a(self, mub3):
+        # a fixed A-support is checked once, when it is resolved; a count
+        # for every trial, when its A-support is drawn
         with pytest.raises(ValueError, match="out of range"):
-            sample_instance(mub3, "prescribed", 1, 0, derive_rng(0), support_a=(3,))
+            choose_support_a("prescribed", mub3.Na, 1, (3,))
         with pytest.raises(ValueError, match="n_pick <= n_total"):
-            sample_instance(mub3, "first-n", 4, 0, derive_rng(0))
+            choose_support_a("first-n", mub3.Na, 4)
+        with pytest.raises(ValueError, match="n_pick <= n_total"):
+            sample_instance(mub3, 4, 0, derive_rng(0))
 
     def test_rejects_oversized_b_budget(self, mub3):
         with pytest.raises(ValueError, match="n_pick <= n_total"):
-            sample_instance(mub3, "first-n", 0, 10, derive_rng(0))
+            sample_instance(mub3, (), 10, derive_rng(0))
 
     def test_b_column_inclusion_is_uniform(self):
         # marginal inclusion of each B column is n_b/Nb within 3 sigma
@@ -253,9 +266,46 @@ class TestOneStreamOneSupport:
     def test_instance_support_is_the_chain_support(self, mub7, strategy, n_a, n_b):
         # a descending prescribed list: draw_supports keeps the order, the
         # instance sorts it
-        support_a = tuple(range(6, 6 - n_a, -1)) if strategy == "prescribed" else None
+        indices = tuple(range(6, 6 - n_a, -1)) if strategy == "prescribed" else None
+        support_a = choose_support_a(strategy, mub7.Na, n_a, indices)
         for t in (0, 1, 17):
-            x, _ = sample_instance(mub7, strategy, n_a, n_b, derive_rng(4, t), support_a)
-            cols_a, cols_b = draw_supports(mub7, strategy, n_a, n_b, 4, t, t + 1, support_a)
+            x, _ = sample_instance(mub7, support_a, n_b, derive_rng(4, t))
+            cols_a, cols_b = draw_supports(mub7, support_a, n_b, 4, t, t + 1)
             expected = sorted(cols_a[0]) + list(mub7.Na + cols_b[0])
             assert np.flatnonzero(x).tolist() == expected
+
+
+class TestResolvedOnce:
+    """A runner turns its strategy into an A-support once, before any trial:
+    ``smin`` and ``moments`` once per run, ``recover`` once per (strategy, n_a)."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[0])
+            return choose_support_a(*args, **kwargs)
+
+        for module in (model, concentration, recovery):
+            monkeypatch.setattr(module, "choose_support_a", counting)
+        return seen
+
+    @pytest.mark.parametrize("trials", [1, 300])
+    @pytest.mark.parametrize("strategy", ["first-n", "random-baseline"])
+    def test_smin(self, mub7, calls, strategy, trials):
+        concentration.run_smin_trials(mub7, strategy, 2, 3, trials=trials)
+        assert calls == [strategy]
+
+    @pytest.mark.parametrize("trials", [1000, 1300])
+    def test_moments(self, mub7, calls, trials):
+        concentration.estimate_moment(mub7, 2, 3, q=8.0, trials=trials, n_boot=1)
+        assert calls == ["first-n"]
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_recover(self, two_onb4, calls, trials):
+        recovery.run_recovery_sweep(
+            two_onb4, (0, 1, 2), (1,), trials, strategies=("spread", "random-baseline"),
+            cfg=recovery.BpSolverConfig(max_iterations=2),
+        )
+        assert calls == ["spread"] * 3 + ["random-baseline"] * 3

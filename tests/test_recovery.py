@@ -9,6 +9,7 @@ from sparsethresh import (
     BpSolverConfig,
     PartitionedDictionary,
     brute_force_l0,
+    choose_support_a,
     derive_rng,
     run_recovery_sweep,
     sample_instance,
@@ -128,8 +129,9 @@ class TestSolveBp:
 
 def _cell_data(D, strategy, n_a, n_b, trials, seed, key):
     """Y and X of a sweep cell's trials, one row per trial."""
+    support_a = choose_support_a(strategy, D.Na, n_a)
     X, Y = zip(*(
-        sample_instance(D, strategy, n_a, n_b, derive_rng(seed, *key, t)) for t in range(trials)
+        sample_instance(D, support_a, n_b, derive_rng(seed, *key, t)) for t in range(trials)
     ))
     return np.array(Y), np.array(X)
 
@@ -211,7 +213,8 @@ class TestSolveBpBatch:
         # the README grid's 70,571-iteration solve, capped where the handover
         # would start: ADMM's own unconverged iterate, with the values that
         # ADMM gave before the finisher existed
-        x, y = sample_instance(two_onb8, "first-n", 2, 3, derive_rng(3, 0, 2, 3, 20))
+        support_a = choose_support_a("first-n", two_onb8.Na, 2)
+        x, y = sample_instance(two_onb8, support_a, 3, derive_rng(3, 0, 2, 3, 20))
         cfg = BpSolverConfig(max_iterations=recovery.HANDOVER_ITERATIONS)
         out = solve_bp(two_onb8, y, cfg, x_true=x)
         assert (out.iterations, out.converged, out.success) == (1000, False, False)
@@ -269,7 +272,8 @@ class TestNewtonFinisher:
     def _finished(D, strategy, n_a, n_b, t, monkeypatch):
         monkeypatch.setattr(recovery, "HANDOVER_ITERATIONS", 1)
         si = ("first-n", "random-baseline").index(strategy)
-        x, y = sample_instance(D, strategy, n_a, n_b, derive_rng(3, si, n_a, n_b, t))
+        support_a = choose_support_a(strategy, D.Na, n_a)
+        x, y = sample_instance(D, support_a, n_b, derive_rng(3, si, n_a, n_b, t))
         out = solve_bp(D, y, x_true=x)
         assert out.converged and out.iterations > 1
         return x, out
@@ -364,7 +368,8 @@ class TestOracleAgreement:
         checked = 0
         for t in range(40):
             n_a, n_b = budgets[t % len(budgets)]
-            x, y = sample_instance(two_onb8, "random-baseline", n_a, n_b, rng)
+            support_a = choose_support_a("random-baseline", two_onb8.Na, n_a)
+            x, y = sample_instance(two_onb8, support_a, n_b, rng)
             out = solve_bp(two_onb8, y, x_true=x)
             assert out.success
             oracle = brute_force_l0(two_onb8, y, k_max=2)
@@ -381,7 +386,7 @@ class TestOracleAgreement:
 
 def _trial(D, strategy, n_a, n_b, rng, support_a=None):
     """One sweep trial: an instance from ``rng``, then basis pursuit on its y."""
-    x, y = sample_instance(D, strategy, n_a, n_b, rng, support_a)
+    x, y = sample_instance(D, choose_support_a(strategy, D.Na, n_a, support_a), n_b, rng)
     return solve_bp(D, y, x_true=x)
 
 
@@ -528,8 +533,8 @@ class TestRecoverySweep:
             cell, t = divmod(index, trials)
             si, ai, bi = np.unravel_index(cell, (2, 2, 2))
             x, y = sample_instance(
-                two_onb8, strategies[si], na_values[ai], nb_values[bi],
-                derive_rng(seed, si, ai, bi, t),
+                two_onb8, choose_support_a(strategies[si], two_onb8.Na, na_values[ai]),
+                nb_values[bi], derive_rng(seed, si, ai, bi, t),
             )
             assert X[index].tobytes() == x.tobytes() and Y[index].tobytes() == y.tobytes()
 
@@ -604,6 +609,15 @@ class TestRecoverySweep:
         monkeypatch.setattr(recovery, "fan_out", no_work)
         with pytest.raises(ValueError, match=message):
             run_recovery_sweep(two_onb4, na_values, nb_values, 20, strategies=strategies)
+
+    def test_a_negative_seed_fails_before_any_solve(self, two_onb4, monkeypatch):
+        # at two workers the first block, and so the seed's use, runs in a pool
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cell was solved before the seed was checked")
+
+        monkeypatch.setattr(recovery, "fan_out", no_work)
+        with pytest.raises(ValueError, match="master_seed must be a nonnegative integer"):
+            run_recovery_sweep(two_onb4, (0, 1), (0, 1), 20, master_seed=-1, workers=2)
 
     def test_summary_dict_rates(self, two_onb4):
         grid = run_recovery_sweep(two_onb4, (0,), (1,), trials_per_cell=3, master_seed=5)
