@@ -22,7 +22,8 @@ this empirically; ``estimate_moment`` checks the Xi_B and Xi_X moment bounds.
 Both runners share one kernel, run on the blocks of ``rng.fan_out`` on the
 A-support resolved once per run.  ``draw_supports`` reads trial t's supports
 from its own stream derive_rng(master_seed, t) through ``model.draw_support``
-(the A-support first, then the B-support), and ``chain_batch`` measures the
+(the A-support first, then the B-support); ``rng.derive_rngs`` seeds the
+block's streams in one pass, state for state.  ``chain_batch`` measures the
 chain for a block of draws at once: the sub-dictionaries are stacked into one (T, m, k)
 array, and each of sigma_min, Xi_S, Xi_A, Xi_B and Xi_X takes one stacked
 ``np.linalg.svd(..., compute_uv=False)``.  That is
@@ -45,7 +46,7 @@ import numpy as np
 
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
 from .model import SUPPORT_A_STRATEGIES, choose_support_a, draw_support
-from .rng import _require_seed, derive_rng, fan_out
+from .rng import _require_seed, derive_rng, derive_rngs, fan_out
 from .threshold import (
     _require_n_gt_2, _require_s, block_a_terms, block_b_terms, default_u, first_feasible_gamma,
 )
@@ -152,13 +153,15 @@ def draw_supports(
     """A- and B-column indices of trials lo..hi-1, as (T, n_a) and (T, n_b) arrays.
 
     Row t is ``model.draw_support`` on trial t's own stream
-    derive_rng(master_seed, t), so it does not depend on the other trials.
+    derive_rng(master_seed, t), seeded with the block's other streams by
+    ``derive_rngs``, so it does not depend on the other trials.
     """
     n_a = support_a if isinstance(support_a, int) else len(support_a)
     cols_a = np.empty((hi - lo, n_a), dtype=np.intp)
     cols_b = np.empty((hi - lo, n_b), dtype=np.intp)
-    for row, t in enumerate(range(lo, hi)):
-        cols_a[row], cols_b[row] = draw_support(D, support_a, n_b, derive_rng(master_seed, t))
+    streams = derive_rngs(master_seed, np.arange(lo, hi)[:, None])
+    for row, rng in enumerate(streams):
+        cols_a[row], cols_b[row] = draw_support(D, support_a, n_b, rng)
     return cols_a, cols_b
 
 

@@ -514,13 +514,24 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
     np.add(pairs[:, 0], 1j * pairs[:, 1], out=mat.reshape(-1))
     del pairs, doc
 
+    if renormalize:
+        # scale each column by a power of two, exactly, so that its largest
+        # part lies in [1/2, 1): its squares can then neither overflow nor
+        # underflow the norm, and a column whose plain norm did neither
+        # divides to the same bytes as before
+        parts = mat.view(float).reshape(m, n, 2)
+        largest = np.maximum(parts.max(axis=(0, 2)), -parts.min(axis=(0, 2)))
+        np.ldexp(parts, -np.frexp(largest)[1][:, None], out=parts)
     norms = _column_norms(mat)
     zero = np.where(norms <= 1e-300)[0]
     if zero.size:
         raise DictionaryFormatError(f"{path}: column {int(zero[0])} is zero")
     if renormalize:
-        mat /= norms  # a norm whose squares overflow or underflow is off: measure again
-        return _adopt(mat, na, norm_tol=max(COLUMN_NORM_TOL, 2 * LOAD_NORM_TOL))
+        mat /= norms
+        try:
+            return _adopt(mat, na, norm_tol=max(COLUMN_NORM_TOL, 2 * LOAD_NORM_TOL))
+        except ValueError as exc:
+            raise DictionaryFormatError(f"{path}: {exc}") from exc
     bad = np.where(np.abs(norms - 1.0) > LOAD_NORM_TOL)[0]
     if bad.size:
         j = int(bad[0])

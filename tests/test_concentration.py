@@ -1,6 +1,7 @@
 """Tests for the hollow Gram chain, tail bounds, and Monte Carlo experiments."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from sparsethresh import (
     choose_support_a,
     default_u,
     derive_rng,
+    draw_support,
     estimate_moment,
     run_smin_trials,
     sample_support_b,
@@ -32,6 +34,7 @@ from sparsethresh.concentration import (
     moment_floor_b,
     moment_floor_x,
 )
+from sparsethresh.recovery import SWEEP_STRATEGIES
 from sparsethresh.threshold import TheoremParams, evaluate_conditions
 
 # Hand-computed reference values, frozen.
@@ -90,6 +93,17 @@ CHAIN_SHAPES = [(2, 3), (0, 3), (3, 0), (1, 1), (4, 5), (1, 3), (3, 1)]
 def _support_a(D, strategy, n_a):
     # a descending prescribed list, so column order inside A' is exercised
     return tuple(range(D.Na - 1, D.Na - 1 - n_a, -1)) if strategy == "prescribed" else None
+
+
+def _per_trial_supports(D, support_a, n_b, master_seed, lo, hi):
+    """``draw_supports`` as a loop that derives each trial's stream alone:
+    the reference for the block's streams."""
+    n_a = support_a if isinstance(support_a, int) else len(support_a)
+    cols_a = np.empty((hi - lo, n_a), dtype=np.intp)
+    cols_b = np.empty((hi - lo, n_b), dtype=np.intp)
+    for row, t in enumerate(range(lo, hi)):
+        cols_a[row], cols_b[row] = draw_support(D, support_a, n_b, derive_rng(master_seed, t))
+    return cols_a, cols_b
 
 
 def _chain(D, cols_a, cols_b, stats=None) -> HollowGramRecord:
@@ -251,6 +265,29 @@ class TestChainBatch:
             rng = derive_rng(4, t)
             assert tuple(cols_a[row]) == sample_support_b(7, 2, rng)
             assert tuple(cols_b[row]) == sample_support_b(49, 3, rng)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 255), (0, 256), (0, 257), (255, 512), (257, 259)])
+    @pytest.mark.parametrize("strategy", SWEEP_STRATEGIES)
+    @pytest.mark.parametrize("dict_name", ["mub7", "two_onb8"])
+    def test_block_draws_are_the_per_trial_draws(self, request, dict_name, strategy, lo, hi):
+        D = request.getfixturevalue(dict_name)
+        support_a = choose_support_a(strategy, D.Na, 3)
+        for seed in (41, 2**32 + 41):  # a seed of one word and of two
+            ours = draw_supports(D, support_a, 4, seed, lo, hi)
+            theirs = _per_trial_supports(D, support_a, 4, seed, lo, hi)
+            for cols, expected in zip(ours, theirs):
+                assert cols.tolist() == expected.tolist()
+
+    def test_block_draws_match_a_frozen_digest(self, mub7):
+        # frozen from the per-trial loop, as little-endian int64: a numpy change
+        # that moved both paths together would show here
+        support_a = choose_support_a("random-baseline", mub7.Na, 2)
+        digest = hashlib.sha256()
+        for cols in draw_supports(mub7, support_a, 3, 12345, 256, 512):
+            digest.update(np.ascontiguousarray(cols, dtype="<i8").tobytes())
+        assert digest.hexdigest() == (
+            "566749a30422c0b15d47c7817930d79104d8cddb2bff6ed1a21e71f1e68267f9"
+        )
 
     def test_one_draw_is_a_batch_of_one(self, mub7, mub7_stats):
         # a draw measured alone equals the same draw inside a larger batch

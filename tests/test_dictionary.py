@@ -599,16 +599,41 @@ class TestSaveLoad:
         with pytest.raises(DictionaryFormatError, match="zero"):
             load_dictionary(path, renormalize=True)
 
-    @pytest.mark.parametrize("column_1, message", [
-        ((1.3407807929942597e154,) * 2, "column 1 has norm 0,"),  # its square sum overflows
-        ((0.0, 1e-160), "column 1 has norm 1.0000055"),  # its square is subnormal
+    @pytest.mark.parametrize("column_1, expected", [
+        ((1.3407807929942597e154,) * 2, (math.sqrt(0.5),) * 2),  # its square sum overflows
+        ((0.0, 1e-160), (0.0, 1.0)),  # its square is subnormal
+        ((1.7976931348623157e308, -1.7976931348623157e308), (math.sqrt(0.5), -math.sqrt(0.5))),
+        ((5e-324, 0.0), (1.0, 0.0)),
     ])
-    def test_renormalize_checks_the_rescaled_norms(self, tmp_path, column_1, message):
-        # the norm a column is divided by is off, so the rescaled one is not unit
+    def test_renormalize_checks_the_rescaled_norms(self, tmp_path, column_1, expected):
+        # a norm whose squares overflow or underflow, taken plainly, is off;
+        # measured on the column scaled to a largest part near 1 it is not
         entries = [[1, 0], [column_1[0], 0], [0, 0], [column_1[1], 0]]
         path = self._write(tmp_path, {"m": 2, "N": 2, "Na": 1, "entries": entries})
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        with np.errstate(all="raise"):
+            loaded = load_dictionary(path, renormalize=True)
+        np.testing.assert_allclose(loaded.matrix[:, 1], expected, rtol=1e-15, atol=1e-300)
+        assert loaded.matrix[:, 0].tolist() == [1, 0]
+
+    def test_renormalize_keeps_the_bytes_of_columns_it_can_measure_plainly(self, tmp_path):
+        D = build_random_dictionary(5, 23, seed=9, split=7)
+        path = tmp_path / "d.dict.json"
+        save_dictionary(PartitionedDictionary(3.0 * D.matrix, D.split, norm_tol=np.inf), path)
+        with open(path, encoding="utf-8") as fh:
+            entries = np.array(json.load(fh)["entries"], dtype=float)
+        mat = (entries[:, 0] + 1j * entries[:, 1]).reshape(5, 23)
+        expected = mat / np.linalg.norm(mat, axis=0)
+        assert load_dictionary(path, renormalize=True).matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("entries, message", [
+        ([[1, 0], [0, 0], [0, 0], [0, 0]], "column 1 is zero"),
+        ([[1, 0], [0, 0], [0, 0], [1e400, 0]], "pairs of numbers"),  # written as Infinity
+    ])
+    def test_renormalize_refusals_name_the_file(self, tmp_path, entries, message):
+        path = self._write(tmp_path, {"m": 2, "N": 2, "Na": 1, "entries": entries})
+        with pytest.raises(DictionaryFormatError, match=message) as refused:
             load_dictionary(path, renormalize=True)
+        assert str(refused.value).startswith(f"{path}: ")
 
     def test_rejects_undercomplete_description(self, tmp_path):
         entries = [[1, 0], [0, 0], [0, 0]]
@@ -688,6 +713,10 @@ def _reference_load(path, renormalize=False):
     mat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(m, n)
     if not np.all(np.isfinite(pairs)):
         raise LoadError(f"{path}: entries must be finite")
+    if renormalize:  # each column scaled exactly to a largest part in [1/2, 1) first
+        parts = mat.view(float).reshape(m, n, 2).copy()
+        np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=(0, 2)))[1][:, None], out=parts)
+        mat = parts.view(complex).reshape(m, n)
     norms = np.linalg.norm(mat, axis=0)
     zero = np.where(norms <= 1e-300)[0]
     if zero.size:

@@ -136,6 +136,20 @@ def _cell_data(D, strategy, n_a, n_b, trials, seed, key):
     return np.array(Y), np.array(X)
 
 
+def _per_trial_block(D, supports_a, nb_values, trials, master_seed, lo, hi):
+    """X and Y of trials lo..hi-1 of a sweep's flat list, each from a stream
+    derived alone: the reference for the block's streams."""
+    X = np.empty((hi - lo, D.N), dtype=complex)
+    Y = np.empty((hi - lo, D.m), dtype=complex)
+    for row, index in enumerate(range(lo, hi)):
+        cell, t = divmod(index, trials)
+        rest, bi = divmod(cell, len(nb_values))
+        si, ai = divmod(rest, len(supports_a[0]))
+        rng = derive_rng(master_seed, si, ai, bi, t)
+        X[row], Y[row] = sample_instance(D, supports_a[si][ai], nb_values[bi], rng)
+    return X, Y
+
+
 class TestSolveBpBatch:
     # (dictionary, strategy, n_a, n_b, seed, cell key), 10 trials each: a
     # README-grid cell, whose trial 8 took 1,338 ADMM iterations and 6 of
@@ -509,6 +523,29 @@ class TestRecoverySweep:
         assert grid.nonconverged.tolist() == expected[1].tolist()
         assert grid.iterations_max.tolist() == expected[2].tolist()
         assert grid.handed_over.tolist() == expected[3].tolist()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 255), (0, 256), (0, 257), (255, 512), (256, 513)])
+    @pytest.mark.parametrize("dict_name", ["mub7", "two_onb8"])
+    def test_block_streams_are_the_per_trial_streams(self, request, monkeypatch, dict_name, lo, hi):
+        # 3 strategies x 3 n_a x 2 n_b cells of 50 trials, cut at and around 256
+        D = request.getfixturevalue(dict_name)
+        na_values, nb_values, trials = (0, 2, 3), (1, 3), 50
+        supports_a = [
+            [choose_support_a(name, D.Na, n_a) for n_a in na_values] for name in SWEEP_STRATEGIES
+        ]
+        blocks = []
+
+        def recording(D, Y, cfg=None, X_true=None):
+            blocks.append((X_true.copy(), Y.copy()))
+            return solve_bp_batch(D, Y, cfg, X_true)
+
+        monkeypatch.setattr(recovery, "solve_bp_batch", recording)
+        cfg = BpSolverConfig(max_iterations=1)
+        for seed in (41, 2**32 + 41):  # a seed of one word and of two
+            recovery._solve_trials((D, supports_a, nb_values, trials, seed, cfg), lo, hi)
+            X, Y = _per_trial_block(D, supports_a, nb_values, trials, seed, lo, hi)
+            assert blocks[-1][0].tobytes() == X.tobytes()
+            assert blocks[-1][1].tobytes() == Y.tobytes()
 
     def test_block_rows_are_the_per_trial_instances(self, two_onb8, monkeypatch):
         # blocks of 7 over 2 x 2 x 2 cells of 5 trials: row r of a block's X

@@ -1,11 +1,16 @@
-"""Tests for the block loop shared by the Monte Carlo runners."""
+"""Tests for the per-trial streams and the block loop shared by the Monte
+Carlo runners."""
 
 import time
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsethresh import rng
+from sparsethresh.rng import derive_rng, derive_rngs
 
 
 def _span(common, lo, hi):
@@ -108,3 +113,57 @@ class TestFanOut:
         assert fake_pool["sizes"] == [3]
         assert len(ahead) == 21 and fake_pool["submitted"] == 21
         assert max(ahead) == 2 * 3
+
+
+# keys at and past the one-word boundary, where SeedSequence reads two words
+_KEY = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**40]), st.integers(0, 2**63 - 1))
+
+
+@st.composite
+def _key_blocks(draw):
+    width = draw(st.integers(0, 5))
+    return draw(st.lists(st.lists(_KEY, min_size=width, max_size=width), max_size=6)), width
+
+
+class TestDeriveRngs:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**96 - 1), block=_key_blocks())
+    @example(seed=0, block=([[0], [2**32 - 1], [2**32], [2**40]], 1))
+    @example(seed=2**32, block=([[0, 0, 0, 0], [2**32, 1, 2**40, 2**32 - 1]], 4))
+    @example(seed=2**64 - 1, block=([[5, 2**32, 0, 2**40, 7]] * 2, 5))
+    def test_each_stream_is_derive_rng_state_for_state(self, seed, block):
+        keys, width = block
+        streams = derive_rngs(seed, np.array(keys, dtype=np.int64).reshape(len(keys), width))
+        count = 0
+        for key, ours in zip(keys, streams):
+            theirs = derive_rng(seed, *key)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert ours.integers(0, 2**63, 3).tolist() == theirs.integers(0, 2**63, 3).tolist()
+            assert ours.choice(49, 3, replace=False).tolist() == theirs.choice(
+                49, 3, replace=False
+            ).tolist()
+            assert ours.standard_normal(2).tobytes() == theirs.standard_normal(2).tobytes()
+            count += 1
+        assert count == len(keys) and next(streams, None) is None
+
+    def test_a_stream_read_ahead_does_not_move_the_next(self):
+        # each key re-seeds the generator, whatever the last key read from it
+        keys = np.arange(4)[:, None]
+        for t, ours in enumerate(derive_rngs(3, keys)):
+            ours.random(t * 100)
+        expected = [derive_rng(3, t).random() for t in range(4)]
+        assert [ours.random() for ours in derive_rngs(3, keys)] == expected
+
+    @pytest.mark.parametrize("seed, keys", [(-1, [[0]]), (0, [[1, 2], [3, -4]]), (-1, [[-1]])])
+    def test_a_negative_seed_or_key_raises_the_derive_rng_error_at_once(self, seed, keys):
+        with pytest.raises(ValueError) as theirs:
+            for key in keys:
+                derive_rng(seed, *key)
+        with pytest.raises(ValueError) as ours:
+            derive_rngs(seed, np.array(keys))  # before any stream is taken
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("keys", [np.arange(3), np.zeros((2, 2, 1), dtype=np.int64)])
+    def test_keys_must_be_one_row_per_stream(self, keys):
+        with pytest.raises(ValueError, match="keys must be a"):
+            derive_rngs(0, keys)
