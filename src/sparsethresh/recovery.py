@@ -14,7 +14,9 @@ is scale-free and tunes its own step, per row, from rho = 1
 - it solves for y / ||y|| and multiplies the result by ||y||, so the
   stopping floors max(1, ...) are relative to ||y|| and the iteration count
   does not depend on the scale of y; both residuals stop at TOLERANCE
-  times their floor;
+  times their floor.  ||y|| and the error norms are taken on rows scaled
+  exactly by a power of two, so they neither overflow nor underflow, and
+  y times 2^e gives 2^e times the same x while no entry turns subnormal;
 - the z- and dual updates use the over-relaxed point
   1.6 x + (1 - 1.6) z (RELAXATION; section 3.4.3 there);
 - every 10 iterations (BALANCE_EVERY) the primal and dual residuals, each
@@ -25,9 +27,20 @@ is scale-free and tunes its own step, per row, from rho = 1
   rho, so a new rho needs no refactorisation.
 
 The rows run in lock step: each keeps its own y-scale, rho and stopping
-test and leaves the batch on the iteration it converges, so a batch costs
-about its longest solve.  A row's iterates differ from those it gets
-alone only by the rounding of a matrix-matrix product against a
+test and stops on the first iteration that passes it, so a batch costs
+about its longest solve.  The loop runs in windows of W iterations, W =
+10 (BALANCE_EVERY) while the rows are few (see WINDOWS and
+ADMM_RING_BYTES), over a ring of W + 1 slots of each active row's
+vectors.  An iteration does only the projection, the over-relaxation, the
+shrink and the dual update, reading slot j - 1 and writing slot j; at the
+window's end both residuals of all W iterations take one subtraction
+each, all their norms one matmul and the stopping test one pass (the
+test of Boyd et al., sections 3.3.1 and 3.4.1, only decides on which
+iteration a row stops).  A row returns the x of the first iteration that
+passed, so its iteration count and flags are those of a test on every
+iteration.  Every balancing iteration ends a window, and the rows that
+stopped leave the batch there.  A row's iterates differ from those it
+gets alone only by the rounding of a matrix-matrix product against a
 matrix-vector one (about 1e-15 relative); no iteration count or success
 moved on the README and benchmark grids.
 
@@ -102,6 +115,11 @@ RELAXATION = 1.6
 BALANCE_EVERY = 10
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
+# ADMM runs in windows of the longest of these iteration counts (the
+# divisors of BALANCE_EVERY) whose ring (see solve_bp_batch) fits in
+# ADMM_RING_BYTES, or of 1 iteration
+WINDOWS = (10, 5, 2, 1)
+ADMM_RING_BYTES = 4 * 2**20
 
 # The dual Newton finisher (see the module docstring).  Past a gap of about
 # 1e-9 the Hessian is numerically singular.
@@ -164,6 +182,26 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
+def _binary_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``a`` (k, n) times 2^-e, exactly, with e chosen per row so
+    that its largest real or imaginary part lies in [1/2, 1), and e.  The
+    squares of a scaled row can neither overflow nor underflow its norm,
+    and 2^e times that norm has the bits of the plain norm wherever the
+    plain norm did neither."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    exponent = np.frexp(np.abs(parts).max(axis=1, initial=0.0))[1]
+    return np.ldexp(parts, -exponent[:, None]).view(complex), exponent
+
+
+def _window(done: int, rows: int, n: int) -> int:
+    """The iterations of the ADMM window that follows iteration ``done``:
+    the longest of WINDOWS that divides ``done``, so that every balancing
+    iteration ends a window, and whose ring of window + 1 slots of five
+    (rows, n) complex arrays fits in ADMM_RING_BYTES; 1 if none fits."""
+    slot = 80 * rows * n
+    return next((w for w in WINDOWS if done % w == 0 and (w + 1) * slot <= ADMM_RING_BYTES), 1)
+
+
 def _dictionary_matrix(D) -> np.ndarray:
     if isinstance(D, PartitionedDictionary):
         return D.matrix
@@ -203,11 +241,16 @@ def solve_bp_batch(
     outcome whose fields hold one entry per row.
 
     Each row keeps its own y-scale, rho and residual balancing, stops by its
-    own test and is written out on the iteration it converges; its iterates
-    are those it gets alone up to the rounding of a matrix-matrix product
-    (about 1e-15 relative).  Rows that converge leave the active set, so a
-    batch costs about its longest solve; the rows handed over (see the
-    module docstring) are finished together.  ``X_true`` (k, N) holds the
+    own test and is written out with the x of the iteration it converges;
+    its iterates are those it gets alone up to the rounding of a
+    matrix-matrix product (about 1e-15 relative).  ADMM runs in windows of
+    up to 10 iterations (see ``_window``) over a ring that holds r, s, x, z
+    and u of each active row after every iteration of the window; the
+    stopping test runs once per window, on all its iterations, so every row
+    stops on the iteration a test after each iteration would stop it.  Rows
+    that converged leave the active set at the window's end, so a batch
+    costs about its longest solve; the rows handed over (see the module
+    docstring) are finished together.  ``X_true`` (k, N) holds the
     reference x of each row.  Every row is checked before any setup.
     """
     cfg = cfg or BpSolverConfig()
@@ -226,7 +269,12 @@ def solve_bp_batch(
         if X_true.shape != (k, n):
             raise ValueError(f"X_true has shape {X_true.shape}, expected {(k, n)}")
 
-    y_scale = np.array([_norm(y) or 1.0 for y in Y])
+    scaled, exponent = _binary_scaled(Y)
+    with np.errstate(over="ignore"):  # refused below
+        y_scale = np.ldexp([_norm(y) for y in scaled], exponent)
+    if not np.isfinite(y_scale).all():
+        raise ValueError("the norm of y must be finite")
+    y_scale[y_scale == 0] = 1.0
     y_unit = Y / y_scale[:, None]
     # each row's x at ||y|| = 1, iteration count and stopping test, written
     # where it stops
@@ -245,81 +293,86 @@ def solve_bp_batch(
     relax, relax_rest = np.array(complex(RELAXATION)), np.array(complex(1.0 - RELAXATION))
     zero, one, tiny = np.array(0.0), np.array(1.0), np.array(1e-300)
 
-    # x - z, z - z_old, x, z and u of every active row, so that the five
-    # norms of the stopping test take one call
-    state = np.zeros((5, k, n), dtype=complex)
-    active = np.arange(k)  # the Y row of each row of state
-
+    # the ring: r = x - z, s = z - z_old, x, z and u of every active row,
+    # one slot per iteration of the window and slot 0 before its first.  Any
+    # ring _window allows fits in the pool: 2 slots of at most k rows, or at
+    # most WINDOWS[0] + 1 slots of at most k rows within ADMM_RING_BYTES
+    pool = np.empty(
+        max(2 * k, min((WINDOWS[0] + 1) * k, ADMM_RING_BYTES // (80 * n))) * 5 * n,
+        dtype=complex,
+    )
+    shrink_buffer = np.empty((k, n))
+    last = np.zeros((3, 1, n), dtype=complex)  # x, z and u before iteration 1
+    active = np.arange(k)  # the Y row of each active row
+    limit = min(cfg.max_iterations, HANDOVER_ITERATIONS)
     it = 0
-    bound = False
-    for it in range(1, min(cfg.max_iterations, HANDOVER_ITERATIONS) + 1):
-        if not bound:
-            # views and work buffers of the active rows, remade when one leaves
-            r, s, x, z, u = state
-            w, mag, scaled_z = np.empty_like(x), np.empty(x.shape), np.empty_like(z)
-            threshold = 1.0 / rho[:, None]
-            # ||r||, ||s||, ||x||, ||z||, ||u||, and the factors that make
-            # rows 1 and 4 rho ||s|| and rho ||u||
-            norms, factors = np.empty((5, rho.size)), np.ones((5, rho.size))
-            factors[1::3] = rho
-            residuals, scales, x_norm, z_norm = norms[:2], norms[2::2], norms[2], norms[3]
-            limits, ok = np.empty((2, rho.size)), np.empty((2, rho.size), dtype=bool)
-            done = np.empty(rho.size, dtype=bool)
-            # each squared norm as a (1 x 2n) @ (2n x 1) product of the
-            # vector's real view with itself, all five in one matmul call
-            flat = state.view(np.float64)
-            as_rows, as_cols, squared = flat[..., None, :], flat[..., None], norms[..., None, None]
-            bound = True
-        v = z - u
-        np.subtract(v, (v @ mat_t) @ pinv_t, out=x)
-        x += x_feas
-        np.multiply(relax, x, out=w)
-        np.multiply(relax_rest, z, out=scaled_z)
-        w += scaled_z
-        w += u
-        np.negative(z, out=s)
-        # complex soft-threshold: shrink the modulus of w by 1/rho, keep the phase
-        np.abs(w, out=mag)
-        np.maximum(mag, tiny, out=mag)
-        np.divide(threshold, mag, out=mag)
-        np.subtract(one, mag, out=mag)
-        np.maximum(mag, zero, out=mag)
-        np.multiply(mag, w, out=z)
-        s += z
-        np.subtract(w, z, out=u)
-        np.subtract(x, z, out=r)
-        np.matmul(as_rows, as_cols, out=squared)
-        np.sqrt(norms, out=norms)
-        norms *= factors
-        # rows 2 and 4 become the stopping scales max(1, ||x||, ||z||) and
-        # max(1, rho ||u||)
-        np.maximum(x_norm, z_norm, out=x_norm)
+    while it < limit:
+        size = active.size
+        window = min(_window(it, size, n), limit - it)
+        ring = pool[: 5 * (window + 1) * size * n].reshape(5, window + 1, size, n)
+        ring[2:, 0] = last
+        rs, ss, xs, zs, us = ring
+        shrink = shrink_buffer[:size]
+        threshold = 1.0 / rho[:, None]
+        for j in range(1, window + 1):
+            x, z, u, z_old, u_old = xs[j], zs[j], us[j], zs[j - 1], us[j - 1]
+            # project v = z_old - u_old onto D x = y, with v built in x
+            np.subtract(z_old, u_old, out=x)
+            np.subtract(x, (x @ mat_t) @ pinv_t, out=x)
+            x += x_feas
+            # the over-relaxed point w, held in u until the dual update
+            np.multiply(relax, x, out=u)
+            np.multiply(relax_rest, z_old, out=z)
+            u += z
+            u += u_old
+            # complex soft-threshold: shrink the modulus of w by 1/rho, keep the phase
+            np.abs(u, out=shrink)
+            np.maximum(shrink, tiny, out=shrink)
+            np.divide(threshold, shrink, out=shrink)
+            np.subtract(one, shrink, out=shrink)
+            np.maximum(shrink, zero, out=shrink)
+            np.multiply(shrink, u, out=z)
+            u -= z
+        it += window
+
+        # the stopping test of every iteration of the window at once: each
+        # squared norm as a (1 x 2n) @ (2n x 1) product of the vector's real
+        # view with itself, all 5 x window in one matmul call
+        np.subtract(xs[1:], zs[1:], out=rs[1:])
+        np.subtract(zs[1:], zs[:-1], out=ss[1:])
+        flat = ring[:, 1:].view(np.float64)
+        norms = np.sqrt((flat[..., None, :] @ flat[..., None])[..., 0, 0])
+        # ||r||, rho ||s||, then the stopping scales max(1, ||x||, ||z||) and
+        # max(1, rho ||u||), per iteration and row
+        norms[1::3] *= rho
+        residuals, scales = norms[:2], norms[2::2]
+        np.maximum(norms[2], norms[3], out=norms[2])
         np.maximum(scales, one, out=scales)
-        np.multiply(tol, scales, out=limits)
-        np.less_equal(residuals, limits, out=ok)
-        np.logical_and(ok[0], ok[1], out=done)
+        done = (residuals <= tol * scales).all(axis=0)
         if it % BALANCE_EVERY == 0:
-            r_rel, s_rel = residuals / scales
+            r_rel, s_rel = residuals[:, -1] / scales[:, -1]
             step = np.where(
                 r_rel > BALANCE_RATIO * s_rel,
                 BALANCE_FACTOR,
                 np.where(s_rel > BALANCE_RATIO * r_rel, 1.0 / BALANCE_FACTOR, 1.0),
             )
             rho *= step
-            u /= step[:, None]
-            threshold = 1.0 / rho[:, None]
-            factors[1::3] = rho
-        if np.count_nonzero(done):
-            rows = active[done]
-            x_unit[rows], iterations[rows], converged[rows] = x[done], it, True
-            keep = ~done
+            us[-1] /= step[:, None]
+        last = ring[2:, -1]
+        stopped = done.any(axis=0)
+        if stopped.any():
+            # each row stops on the first iteration that passed its test
+            first = done.argmax(axis=0)[stopped]
+            rows = active[stopped]
+            x_unit[rows] = xs[first + 1, np.flatnonzero(stopped)]
+            iterations[rows], converged[rows] = it - window + 1 + first, True
+            keep = ~stopped
             if not keep.any():
                 break
-            state, rho, x_feas, active = state[:, keep], rho[keep], x_feas[keep], active[keep]
-            bound = False
+            last, rho, x_feas, active = last[:, keep], rho[keep], x_feas[keep], active[keep]
     else:
         if cfg.max_iterations <= HANDOVER_ITERATIONS:
-            x_unit[active], iterations[active] = state[2], it
+            x_unit[active], iterations[active] = last[0], it
         else:
             chunk = max(1, NEWTON_CHUNK_BYTES // (32 * m * n))
             for lo in range(0, active.size, chunk):
@@ -463,9 +516,14 @@ def _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true) -> Rec
     x = x_unit * y_scale[:, None]
     rel_err = match = None
     if x_true is not None:
-        true_norm = np.linalg.norm(x_true, axis=1)
-        rel_err = np.linalg.norm(x, axis=1)  # the absolute norm where x_true = 0
-        np.divide(np.linalg.norm(x - x_true, axis=1), true_norm, out=rel_err, where=true_norm > 0)
+        # ||x - x_true|| / ||x_true|| from the norms of the exactly scaled
+        # rows, then scaled back: ||x|| itself where x_true = 0, whose
+        # exponent is 0
+        diff, diff_exp = _binary_scaled(x - x_true)
+        true, true_exp = _binary_scaled(x_true)
+        rel_err, true_norm = np.linalg.norm(diff, axis=1), np.linalg.norm(true, axis=1)
+        np.divide(rel_err, true_norm, out=rel_err, where=true_norm > 0)
+        rel_err = np.ldexp(rel_err, diff_exp - true_exp)
         floor = SUPPORT_FLOOR_FACTOR * np.abs(x).max(axis=1, initial=0.0)
         match = ((np.abs(x) > floor[:, None]) == (np.abs(x_true) > 1e-12)).all(axis=1)
     return RecoveryOutcome(

@@ -1,5 +1,7 @@
 """Tests for basis pursuit, the l0 oracle, and the success-rate sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from sparsethresh import (
     BpSolverConfig,
     PartitionedDictionary,
     brute_force_l0,
+    build_mub,
     choose_support_a,
     derive_rng,
     run_recovery_sweep,
@@ -107,6 +110,36 @@ class TestSolveBp:
         assert base.converged and scaled.converged
         gap = np.linalg.norm(scaled.x_hat / c - base.x_hat)
         assert gap <= 1e-8 * np.linalg.norm(base.x_hat)
+
+    @pytest.mark.parametrize("e", [-600, -300, 300, 600])
+    def test_power_of_two_scales_keep_every_bit(self, two_onb8, e):
+        # ||y|| overflows at 2^600 and underflows at 2^-600 unless it is
+        # taken on exactly rescaled rows
+        rng = derive_rng(4)
+        x, y = _planted(two_onb8, (1, 11), rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        base = solve_bp(two_onb8, y, x_true=x)
+        scaled = solve_bp(two_onb8, np.ldexp(1.0, e) * y, x_true=np.ldexp(1.0, e) * x)
+        for name in ("iterations", "converged", "success", "relative_l2_error"):
+            assert getattr(scaled, name).tolist() == getattr(base, name).tolist(), name
+        assert scaled.x_hat.tobytes() == (np.ldexp(1.0, e) * base.x_hat).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e160, 1e-160, 1e-170])
+    def test_extreme_scales_succeed(self, two_onb8, c):
+        # at 1e160 the plain ||y|| overflowed to a nan x; at 1e-170 it
+        # underflowed to 0, and the unscaled pinv iterate passed as an exact
+        # success; at 1e-160 the error norms underflowed to 0
+        rng = derive_rng(4)
+        x, y = _planted(two_onb8, (1, 11), rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        base = solve_bp(two_onb8, y, x_true=x)
+        out = solve_bp(two_onb8, c * y, x_true=c * x)
+        assert out.success and out.iterations == base.iterations
+        assert abs(out.relative_l2_error - base.relative_l2_error) <= 1e-12
+        assert np.linalg.norm(out.x_hat / c - base.x_hat) <= 1e-12
+
+    def test_an_overflowing_norm_is_refused(self, two_onb4):
+        with pytest.raises(ValueError, match="norm"):
+            solve_bp(two_onb4, np.full(4, 1e308))
 
     def test_success_requires_reference(self, two_onb4):
         _, y = _planted(two_onb4, (0,), [1.0])
@@ -275,6 +308,163 @@ class TestSolveBpBatch:
             solve_bp_batch(two_onb4, np.zeros((2, 5)))
         with pytest.raises(ValueError, match="X_true"):
             solve_bp_batch(two_onb4, np.zeros((2, 4)), X_true=np.zeros((3, 8)))
+
+
+def _per_iteration_solve(D, Y, cfg=None, X_true=None):
+    """``solve_bp_batch`` with the ADMM loop that took its stopping test on
+    every iteration and dropped a row on the iteration it stopped: the
+    reference for the windowed loop."""
+    cfg = cfg or BpSolverConfig()
+    mat = D.matrix
+    k, n = Y.shape[0], mat.shape[1]
+    y_scale = np.array([recovery._norm(y) or 1.0 for y in Y])
+    y_unit = Y / y_scale[:, None]
+    x_unit = np.zeros((k, n), dtype=complex)
+    iterations = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    pinv = np.linalg.pinv(mat)
+    mat_t, pinv_t = mat.T, pinv.T
+    x_feas = y_unit @ pinv_t
+    rho = np.full(k, recovery.STEP_PARAMETER)
+    tol = np.array(recovery.TOLERANCE)
+    relax = np.array(complex(recovery.RELAXATION))
+    relax_rest = np.array(complex(1.0 - recovery.RELAXATION))
+    zero, one, tiny = np.array(0.0), np.array(1.0), np.array(1e-300)
+    state = np.zeros((5, k, n), dtype=complex)  # x - z, z - z_old, x, z, u
+    active = np.arange(k)
+    it = 0
+    for it in range(1, min(cfg.max_iterations, recovery.HANDOVER_ITERATIONS) + 1):
+        r, s, x, z, u = state
+        threshold = 1.0 / rho[:, None]
+        v = z - u
+        np.subtract(v, (v @ mat_t) @ pinv_t, out=x)
+        x += x_feas
+        w = relax * x
+        w += relax_rest * z
+        w += u
+        np.negative(z, out=s)
+        mag = np.abs(w)
+        np.maximum(mag, tiny, out=mag)
+        np.divide(threshold, mag, out=mag)
+        np.subtract(one, mag, out=mag)
+        np.maximum(mag, zero, out=mag)
+        np.multiply(mag, w, out=z)
+        s += z
+        np.subtract(w, z, out=u)
+        np.subtract(x, z, out=r)
+        flat = state.view(np.float64)
+        norms = np.sqrt((flat[..., None, :] @ flat[..., None])[..., 0, 0])
+        norms[1::3] *= rho
+        residuals, scales = norms[:2], norms[2::2]
+        np.maximum(norms[2], norms[3], out=norms[2])
+        np.maximum(scales, one, out=scales)
+        done = (residuals <= tol * scales).all(axis=0)
+        if it % recovery.BALANCE_EVERY == 0:
+            r_rel, s_rel = residuals / scales
+            step = np.where(
+                r_rel > recovery.BALANCE_RATIO * s_rel,
+                recovery.BALANCE_FACTOR,
+                np.where(
+                    s_rel > recovery.BALANCE_RATIO * r_rel, 1.0 / recovery.BALANCE_FACTOR, 1.0
+                ),
+            )
+            rho *= step
+            u /= step[:, None]
+        if done.any():
+            rows = active[done]
+            x_unit[rows], iterations[rows], converged[rows] = x[done], it, True
+            keep = ~done
+            if not keep.any():
+                break
+            state, rho, x_feas, active = state[:, keep], rho[keep], x_feas[keep], active[keep]
+    else:
+        if cfg.max_iterations <= recovery.HANDOVER_ITERATIONS:
+            x_unit[active], iterations[active] = state[2], it
+        elif active.size:
+            x_unit[active], steps, converged[active] = recovery._newton_finish(
+                mat, pinv, y_unit[active]
+            )
+            iterations[active] = recovery.HANDOVER_ITERATIONS + steps
+    return recovery._outcome(mat, x_unit, y_unit, y_scale, iterations, converged, X_true)
+
+
+class TestAdmmWindows:
+    """The windowed ADMM loop against the per-iteration loop it replaced."""
+
+    @staticmethod
+    def _batch(D):
+        # 30 README-grid trials (two_onb8, seed 3) whose ADMM stops fall on
+        # every position of a 10-iteration window, one of them handed over
+        # after 1,000 iterations, and a zero row
+        cells = [("random-baseline", 3, 1, (1, 3, 1)), ("first-n", 2, 2, (0, 2, 2)),
+                 ("first-n", 1, 3, (0, 1, 3))]
+        Ys, Xs = zip(*(_cell_data(D, s, n_a, n_b, 10, 3, key) for s, n_a, n_b, key in cells))
+        return np.vstack(Ys + (np.zeros((1, D.m)),)), np.vstack(Xs + (np.zeros((1, D.N)),))
+
+    @staticmethod
+    def _assert_same(out, ref):
+        assert out.iterations.tolist() == ref.iterations.tolist()
+        assert out.converged.tolist() == ref.converged.tolist()
+        assert out.success.tolist() == ref.success.tolist()
+        gap = np.linalg.norm(out.x_hat - ref.x_hat, axis=1)
+        assert (gap <= 1e-12 * np.linalg.norm(ref.x_hat, axis=1)).all()
+
+    def test_the_batch_stops_at_every_window_position(self, two_onb8):
+        Y, X = self._batch(two_onb8)
+        out = _per_iteration_solve(two_onb8, Y, X_true=X)
+        admm = out.converged & (out.iterations <= recovery.HANDOVER_ITERATIONS)
+        assert set((out.iterations[admm] % recovery.BALANCE_EVERY).tolist()) == set(range(10))
+        assert (out.iterations > recovery.HANDOVER_ITERATIONS).any()
+        assert out.iterations[-1] == 1 and out.converged[-1]
+
+    @pytest.mark.parametrize("cap", [1, 2, 9, 10, 11, 999, 1000, 1001, None])
+    def test_every_cap(self, two_onb8, cap):
+        Y, X = self._batch(two_onb8)
+        cfg = None if cap is None else BpSolverConfig(max_iterations=cap)
+        out = solve_bp_batch(two_onb8, Y, cfg, X)
+        self._assert_same(out, _per_iteration_solve(two_onb8, Y, cfg, X))
+
+    @pytest.mark.parametrize("handover", [1, 15])
+    def test_an_early_handover(self, two_onb8, monkeypatch, handover):
+        monkeypatch.setattr(recovery, "HANDOVER_ITERATIONS", handover)
+        Y, X = self._batch(two_onb8)
+        out = solve_bp_batch(two_onb8, Y, X_true=X)
+        assert (out.iterations > handover).sum() == Y.shape[0] - 1
+        self._assert_same(out, _per_iteration_solve(two_onb8, Y, X_true=X))
+
+    def test_every_window_length(self, two_onb8, monkeypatch):
+        # a ring budget that admits windows of 2 iterations for 100 rows, 5
+        # for 50 and 10 for 27, and of 1 at an iteration 2 does not divide:
+        # 100 rows start on windows of 2 that lengthen as rows leave
+        n = two_onb8.N
+        monkeypatch.setattr(recovery, "ADMM_RING_BYTES", 3 * 80 * n * 100)
+        assert [recovery._window(0, rows, n) for rows in (101, 100, 51, 50, 28, 27)] == [
+            1, 2, 2, 5, 5, 10
+        ]
+        assert [recovery._window(done, 1, n) for done in (3, 4, 5, 20)] == [1, 2, 5, 10]
+        Y, X = self._batch(two_onb8)
+        Y, X = np.resize(Y, (100, Y.shape[1])), np.resize(X, (100, X.shape[1]))
+        out = solve_bp_batch(two_onb8, Y, X_true=X)
+        self._assert_same(out, _per_iteration_solve(two_onb8, Y, X_true=X))
+
+    def test_the_ring_stays_within_its_budget(self):
+        # 256 mub13 rows, 20 iterations: the ring's memory over the
+        # per-iteration loop's peak is at most ADMM_RING_BYTES
+        D = build_mub(13)
+        support_a = choose_support_a("first-n", D.Na, 2)
+        X, Y = map(np.array, zip(*(
+            sample_instance(D, support_a, 3, derive_rng(1, t)) for t in range(256)
+        )))
+        cfg = BpSolverConfig(max_iterations=20)
+        peaks = []
+        for solve in (_per_iteration_solve, solve_bp_batch):
+            tracemalloc.start()
+            try:
+                solve(D, Y, cfg, X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + recovery.ADMM_RING_BYTES
 
 
 class TestNewtonFinisher:
