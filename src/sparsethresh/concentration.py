@@ -21,9 +21,9 @@ this empirically; ``estimate_moment`` checks the Xi_B and Xi_X moment bounds.
 
 Both runners share one kernel, run on the blocks of ``rng.fan_out`` on the
 A-support resolved once per run.  ``draw_supports`` reads trial t's supports
-from its own stream derive_rng(master_seed, t) through ``model.draw_support``
-(the A-support first, then the B-support); ``rng.derive_rngs`` seeds the
-block's streams in one pass, state for state.  ``chain_batch`` measures the
+from its own stream derive_rng(master_seed, t), as ``model.draw_support``
+would (the A-support first, then the B-support), and ``rng.derive_choices``
+makes a block's draws in one pass, bit for bit.  ``chain_batch`` measures the
 chain for a block of draws at once: the sub-dictionaries are stacked into one (T, m, k)
 array, and each of sigma_min, Xi_S, Xi_A, Xi_B and Xi_X takes one stacked
 ``np.linalg.svd(..., compute_uv=False)``.  That is
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
-from .model import SUPPORT_A_STRATEGIES, choose_support_a, draw_support
-from .rng import _require_seed, derive_rng, derive_rngs, fan_out
+from .model import SUPPORT_A_STRATEGIES, choose_support_a
+from .rng import _require_seed, derive_choices, derive_rng, fan_out
 from .threshold import (
     _require_n_gt_2, _require_s, block_a_terms, block_b_terms, default_u, first_feasible_gamma,
 )
@@ -66,6 +66,7 @@ __all__ = [
 
 CHAIN_SLACK = 1e-9
 BOOT_CHUNK_BYTES = 16 * 2**20  # bounds one bootstrap chunk's int64 resample indices
+CSV_CHUNK_ROWS = 256
 
 TRIAL_CSV_HEADER = "trialIndex,sigmaMin,xiS,xiA,xiB,xiX"
 MOMENT_CSV_HEADER = "trialIndex,xiB,xiX"
@@ -153,16 +154,16 @@ def draw_supports(
     """A- and B-column indices of trials lo..hi-1, as (T, n_a) and (T, n_b) arrays.
 
     Row t is ``model.draw_support`` on trial t's own stream
-    derive_rng(master_seed, t), seeded with the block's other streams by
-    ``derive_rngs``, so it does not depend on the other trials.
+    derive_rng(master_seed, t), so it does not depend on the other trials.
+    ``rng.derive_choices`` makes the block's draws in one pass: the n_a
+    A-columns of ``random-baseline``, then the n_b B-columns, each sorted.  A
+    fixed A-support is repeated on every row in its given order.
     """
-    n_a = support_a if isinstance(support_a, int) else len(support_a)
-    cols_a = np.empty((hi - lo, n_a), dtype=np.intp)
-    cols_b = np.empty((hi - lo, n_b), dtype=np.intp)
-    streams = derive_rngs(master_seed, np.arange(lo, hi)[:, None])
-    for row, rng in enumerate(streams):
-        cols_a[row], cols_b[row] = draw_support(D, support_a, n_b, rng)
-    return cols_a, cols_b
+    keys = np.arange(lo, hi)[:, None]
+    if isinstance(support_a, int):
+        return tuple(derive_choices(master_seed, keys, [(D.Na, support_a), (D.Nb, n_b)]))
+    (cols_b,) = derive_choices(master_seed, keys, [(D.Nb, n_b)])
+    return np.tile(np.array(support_a, dtype=np.intp), (hi - lo, 1)), cols_b
 
 
 def _sub_dictionaries(D: PartitionedDictionary, cols_a, cols_b):
@@ -303,6 +304,18 @@ def _per_trial(shape) -> np.ndarray:
         raise ValueError(f"too many trials to hold one row each: {exc}") from None
 
 
+def _csv_lines(header: str, columns) -> list[str]:
+    """``header``, then "t,<repr of each column's float t>" for each trial t.
+    The floats are made CSV_CHUNK_ROWS rows at a time, so a run's rows never
+    all exist as Python objects at once."""
+    table = np.column_stack(columns)
+    out = [header]
+    for lo in range(0, len(table), CSV_CHUNK_ROWS):
+        chunk = table[lo : lo + CSV_CHUNK_ROWS].tolist()
+        out += (f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(chunk, lo))
+    return out
+
+
 def _smin_block(common, lo, hi):
     """lo, then the CSV columns, breaks per inequality and broken trials of
     trials lo..hi-1."""
@@ -345,11 +358,8 @@ class SminExperimentResult:
     histogram_edges: np.ndarray
 
     def csv_rows(self) -> list[str]:
-        out = [TRIAL_CSV_HEADER]
         columns = (self.sigma_min, self.xi_s, self.xi_a, self.xi_b, self.xi_x)
-        for t in range(self.trials):
-            out.append(f"{t}," + ",".join(repr(float(c[t])) for c in columns))
-        return out
+        return _csv_lines(TRIAL_CSV_HEADER, columns)
 
     def summary_dict(self) -> dict:
         return {
@@ -498,10 +508,7 @@ class MomentEstimate:
     xi_x: np.ndarray
 
     def csv_rows(self) -> list[str]:
-        out = [MOMENT_CSV_HEADER]
-        for t in range(self.trials):
-            out.append(f"{t},{float(self.xi_b[t])!r},{float(self.xi_x[t])!r}")
-        return out
+        return _csv_lines(MOMENT_CSV_HEADER, (self.xi_b, self.xi_x))
 
     def summary_dict(self) -> dict:
         return {

@@ -15,9 +15,12 @@ and independent of evaluation order.
 
 ``choose_support_a`` turns a strategy into an A-support once per run (per
 (strategy, n_a) in ``recover``).  ``draw_support``, the one hybrid-support
-draw of every trial, takes it (only ``random-baseline`` reads the stream for
+draw of a trial, takes it (only ``random-baseline`` reads the stream for
 it), then draws the B-support; ``sample_instance`` reads the same stream on:
 magnitudes, then phases.  So every runner sees one support per stream.
+``recover`` draws each trial this way; ``smin`` and ``moments`` draw a
+block's supports at once with ``concentration.draw_supports``, which gives
+the rows ``draw_support`` gives and is tested against it.
 """
 
 from __future__ import annotations

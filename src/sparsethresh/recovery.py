@@ -223,7 +223,8 @@ def solve_bp(
     Never raises on non-convergence; the outcome carries converged=False and
     the last projected (feasible) iterate instead.  When ``x_true`` is given,
     the relative l2 error (absolute norm if x_true = 0) and the support match
-    at floor SUPPORT_FLOOR_FACTOR * max|x_hat| are filled in.
+    are filled in; each support is the entries above SUPPORT_FLOOR_FACTOR
+    times the largest of its own vector, x_hat or x_true.
     """
     y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
     if x_true is not None:
@@ -510,6 +511,12 @@ def _row_products(a, b):
     return (a[:, None, :] @ b)[:, 0]
 
 
+def _support_mask(a: np.ndarray) -> np.ndarray:
+    """The entries of each row of ``a`` above SUPPORT_FLOOR_FACTOR times its largest."""
+    mag = np.abs(a)
+    return mag > SUPPORT_FLOOR_FACTOR * mag.max(axis=1, initial=0.0)[:, None]
+
+
 def _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true) -> RecoveryOutcome:
     """The batch's result, one entry per row: back to the scale of y, with
     the error fields when ``x_true`` holds each row's reference x."""
@@ -524,8 +531,7 @@ def _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, x_true) -> Rec
         rel_err, true_norm = np.linalg.norm(diff, axis=1), np.linalg.norm(true, axis=1)
         np.divide(rel_err, true_norm, out=rel_err, where=true_norm > 0)
         rel_err = np.ldexp(rel_err, diff_exp - true_exp)
-        floor = SUPPORT_FLOOR_FACTOR * np.abs(x).max(axis=1, initial=0.0)
-        match = ((np.abs(x) > floor[:, None]) == (np.abs(x_true) > 1e-12)).all(axis=1)
+        match = (_support_mask(x) == _support_mask(x_true)).all(axis=1)
     return RecoveryOutcome(
         x_hat=x,
         l1_value=np.abs(x).sum(axis=1),
@@ -559,7 +565,8 @@ def brute_force_l0(D, y, k_max: int, tol: float | None = None) -> BruteForceResu
 
     Returns the smallest k <= k_max for which some size-k support fits y to
     within ``tol`` (default 1e-8 ||y||) by least squares, together with all
-    such supports; k = None when nothing fits under the caps.
+    such supports; k = None when nothing fits under the caps.  The fits run
+    on y scaled exactly by a power of two, so no norm under- or overflows.
     """
     mat = _dictionary_matrix(D)
     m, n = mat.shape
@@ -572,9 +579,9 @@ def brute_force_l0(D, y, k_max: int, tol: float | None = None) -> BruteForceResu
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     if y.shape[0] != m:
         raise ValueError(f"y has length {y.shape[0]}, expected {m}")
-    y_norm = float(np.linalg.norm(y))
-    if tol is None:
-        tol = 1e-8 * y_norm
+    scaled, exponent = _binary_scaled(y[None, :])
+    y, y_norm = scaled[0], float(np.linalg.norm(scaled[0]))
+    tol = 1e-8 * y_norm if tol is None else math.ldexp(tol, -int(exponent[0]))
 
     for k in range(k_max + 1):
         hits = []

@@ -278,6 +278,21 @@ class TestChainBatch:
             for cols, expected in zip(ours, theirs):
                 assert cols.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("strategy", SUPPORT_A_STRATEGIES)
+    def test_block_draws_build_no_generator(self, mub7, strategy, monkeypatch):
+        # the A-then-B draws of random-baseline and the fixed A-supports
+        support_a = choose_support_a(strategy, mub7.Na, 2, _support_a(mub7, strategy, 2))
+        theirs = _per_trial_supports(mub7, support_a, 3, 2**32, 0, 40)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy generator was built")
+
+        for name in ("SeedSequence", "PCG64", "Generator"):
+            monkeypatch.setattr(np.random, name, refuse)
+        ours = draw_supports(mub7, support_a, 3, 2**32, 0, 40)
+        for cols, expected in zip(ours, theirs):
+            assert cols.tolist() == expected.tolist()
+
     def test_block_draws_match_a_frozen_digest(self, mub7):
         # frozen from the per-trial loop, as little-endian int64: a numpy change
         # that moved both paths together would show here

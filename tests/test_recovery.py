@@ -134,6 +134,9 @@ class TestSolveBp:
         base = solve_bp(two_onb8, y, x_true=x)
         out = solve_bp(two_onb8, c * y, x_true=c * x)
         assert out.success and out.iterations == base.iterations
+        # the true support's floor scales with x_true: at 1e-170 an absolute
+        # 1e-12 floor saw no true support
+        assert out.support_match[0].item() is True
         assert abs(out.relative_l2_error - base.relative_l2_error) <= 1e-12
         assert np.linalg.norm(out.x_hat / c - base.x_hat) <= 1e-12
 
@@ -537,6 +540,16 @@ class TestBruteForceL0:
         assert out.k == 2
         assert out.unique
         assert out.supports[0] == (0, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, 1e-170, 1e170])
+    def test_the_search_is_scale_free(self, two_onb8, c):
+        # a plain ||y|| underflowed to 0 at 1e-170 and overflowed at 1e170,
+        # and either way the empty support fit y
+        rng = derive_rng(4)
+        _, y = _planted(two_onb8, (1, 11), rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        out = brute_force_l0(two_onb8, c * y, k_max=2)
+        assert out.k == 2 and out.supports == ((1, 11),)
 
     def test_nothing_fits_under_the_cap(self, two_onb8):
         _, y = _planted(two_onb8, (0, 5, 10), [1.0, 1.0, 1.0])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsethresh import rng
-from sparsethresh.rng import derive_rng, derive_rngs
+from sparsethresh.rng import derive_choices, derive_rng, derive_rngs
 
 
 def _span(common, lo, hi):
@@ -167,3 +167,128 @@ class TestDeriveRngs:
     def test_keys_must_be_one_row_per_stream(self, keys):
         with pytest.raises(ValueError, match="keys must be a"):
             derive_rngs(0, keys)
+
+
+def _state_after(seed, key, words_read):
+    """derive_rng(seed, *key)'s bit_generator state once next_uint32 has read
+    ``words_read`` words: the low, then the high half of each output."""
+    bit_generator = derive_rng(seed, *key).bit_generator
+    steps = -(-words_read // 2)
+    last = bit_generator.random_raw(steps)[-1] if steps else 0
+    state = bit_generator.state
+    # uinteger keeps the last high half, read or not
+    state["has_uint32"], state["uinteger"] = words_read % 2, int(last) >> 32
+    return state
+
+
+def _assert_draws_are_choice(seed, keys, draws):
+    """Each row of each block draw against derive_rng(seed, *row).choice, and
+    the stream position after each draw against the row's own stream."""
+    keys = np.asarray(keys, dtype=np.int64)
+    assert all(rng._by_floyd(population, size) for population, size in draws)
+    ours = derive_choices(seed, keys, draws)
+    picks, read = rng._floyd_choices(*rng._seeded(rng._key_words(seed, keys)), draws)
+    assert [p.tolist() for p in picks] == [o.tolist() for o in ours]
+    assert [o.shape for o in ours] == [(len(keys), size) for _, size in draws]
+    for t, key in enumerate(keys.tolist()):
+        theirs = derive_rng(seed, *key)
+        for d, (population, size) in enumerate(draws):
+            expected = np.sort(theirs.choice(population, size, replace=False))
+            assert ours[d][t].tolist() == expected.tolist()
+            assert theirs.bit_generator.state == _state_after(seed, key, int(read[d][t]))
+    return read
+
+
+# populations where Lemire's rejection is likely (2^32 mod (j + 1) near
+# (j + 1) / 3 and / 2), where j + 1 is close to 2^32, and j = 2^32 - 1,
+# which numpy serves from next_uint32 unbounded
+_WIDE_POPULATIONS = [3 * 2**30, 2**31 + 1, 2**32 - 5, 2**32]
+
+
+@st.composite
+def _floyd_draws(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        population = draw(st.one_of(st.integers(0, 60), st.sampled_from([10_001, *_WIDE_POPULATIONS])))
+        cap = population if population <= 10_000 else population // 50
+        out.append((population, draw(st.integers(0, min(cap, 12 if population > 60 else 60)))))
+    return out
+
+
+@pytest.fixture
+def no_generators(monkeypatch):
+    """Make building any SeedSequence, PCG64 or Generator fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy generator was built")
+
+    for name in ("SeedSequence", "PCG64", "Generator"):
+        monkeypatch.setattr(np.random, name, refuse)
+
+
+class TestDeriveChoices:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**96 - 1), block=_key_blocks(), draws=_floyd_draws())
+    @example(seed=4294967296, block=([[0], [2**32 - 1], [2**32], [2**40]], 1),
+             draws=[(7, 2), (49, 3)])
+    @example(seed=0, block=([[5, 2**32]] * 3, 2), draws=[(60, 60), (1, 1), (0, 0)])
+    def test_each_row_is_choice_on_its_stream(self, seed, block, draws):
+        keys, width = block
+        _assert_draws_are_choice(seed, np.array(keys, dtype=np.int64).reshape(len(keys), width),
+                                 draws)
+
+    @pytest.mark.parametrize("population", _WIDE_POPULATIONS)
+    def test_rejections_shift_the_rest_of_the_row(self, population):
+        draws = [(population, 6), (population, 3)]
+        read = _assert_draws_are_choice(4294967296, np.arange(64)[:, None], draws)
+        # without a rejection a row reads 6 + 5 + 3 + 2 words
+        rejections = read[-1] - 16
+        if population in (3 * 2**30, 2**31 + 1):
+            assert np.count_nonzero(rejections) >= 16
+        else:
+            assert not rejections.any()
+
+    @pytest.mark.parametrize("draws", [[(7, 7)], [(49, 0)], [(1, 1), (0, 0)], [(7, 0), (49, 49)]])
+    def test_full_and_empty_draws_on_a_ragged_block(self, draws):
+        # size = population starts at j = 0, which reads nothing
+        _assert_draws_are_choice(7, np.arange(512, 549)[:, None], draws)
+
+    def test_no_rows(self):
+        out = derive_choices(7, np.empty((0, 1), dtype=np.int64), [(49, 3), (7, 0)])
+        assert [o.shape for o in out] == [(0, 3), (0, 0)]
+
+    def test_floyd_draws_build_no_generator(self, no_generators):
+        keys = np.arange(40)[:, None]
+        for draws in ([(7, 2), (49, 3)], [(10_001, 200)], [(2**32, 2)]):
+            derive_choices(7, keys, draws)
+
+    @pytest.mark.parametrize("population, size", [(10_001, 201), (20_000, 401), (2**32 + 1, 1)])
+    def test_other_draws_go_row_by_row(self, population, size, no_generators):
+        # numpy shuffles a tail of arange(population) past population // 50,
+        # and takes 64-bit bounded integers past 2^32
+        assert not rng._by_floyd(population, size)
+        keys = np.arange(3)[:, None]
+        with pytest.raises(AssertionError, match="generator was built"):
+            derive_choices(5, keys, [(7, 2), (population, size)])
+
+    @pytest.mark.parametrize("population, size", [(10_001, 200), (10_001, 201)])
+    def test_the_tail_shuffle_boundary(self, population, size):
+        keys = np.arange(5)[:, None]
+        ours = derive_choices(5, keys, [(7, 2), (population, size)])
+        for t in range(5):
+            theirs = derive_rng(5, t)
+            for cols, (pop, k) in zip(ours, [(7, 2), (population, size)]):
+                assert cols[t].tolist() == np.sort(theirs.choice(pop, k, replace=False)).tolist()
+
+    def test_a_draw_larger_than_its_population_is_refused(self):
+        with pytest.raises(ValueError, match="size <= population"):
+            derive_choices(0, [[0]], [(3, 4)])
+
+    @pytest.mark.parametrize("seed, keys", [(-1, [[0]]), (0, [[1, 2], [3, -4]])])
+    def test_a_negative_seed_or_key_raises_the_derive_rng_error(self, seed, keys):
+        with pytest.raises(ValueError) as theirs:
+            for key in keys:
+                derive_rng(seed, *key)
+        with pytest.raises(ValueError) as ours:
+            derive_choices(seed, np.array(keys), [(7, 2)])
+        assert str(ours.value) == str(theirs.value)
