@@ -5,8 +5,7 @@ The package splits into small focused modules:
   dictionary     partitioned dictionaries, coherence and spectral statistics
   model          the one hybrid-support draw and instance sampling
   threshold      closed-form terms, sparsity conditions and the budget search
-  concentration  the batched hollow Gram chain, tail bounds, sigma_min and
-                 moment runs
+  concentration  the batched hollow Gram chain, sigma_min and moment runs
   recovery       basis pursuit, a brute-force l0 oracle, success-rate sweeps
   svg            deterministic plot emitters
   cli            the ``sparsethresh`` command-line driver
@@ -52,13 +51,10 @@ from .concentration import (
     HollowGramRecord,
     MomentEstimate,
     SminExperimentResult,
-    TailBoundSpec,
-    alpha_beta,
     chain_batch,
     draw_supports,
     estimate_moment,
     run_smin_trials,
-    tail_probability,
 )
 from .recovery import (
     BpSolverConfig,

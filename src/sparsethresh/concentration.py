@@ -11,13 +11,17 @@ Xi_S = ||S^H S - I||:
     Xi_X <= ||A|| ||B||                      (norm sub-multiplicativity)
 
 with Xi_A, Xi_B the block hollow Gram norms and Xi_X = ||A'^H B'||.  The
-random part concentrates: with alpha and beta from the block terms of
-``threshold`` and Q1 = max{4 log(n_b/2 + 1), 4 log n_b, 4}, the tail bound
-P{Xi_S >= e^{1/4} (alpha u + beta)} <= e^{-u^2/4} holds for all u >= sqrt(Q1).
-At u = sqrt(4 s log N) it is N^{-s}, and eq3 + eq4 = 2 (alpha u + beta), so
-when both block conditions hold the threshold is at most 1/2, which pins
-sigma_min > 1/sqrt(2) outside the N^{-s} event.  ``run_smin_trials`` measures
-this empirically; ``estimate_moment`` checks the Xi_B and Xi_X moment bounds.
+random part concentrates: P{Xi_S >= e^{1/4} (alpha u + beta)} <= e^{-u^2/4}
+for u^2 at or above the moment floors ``moment_floor_b`` and
+``moment_floor_x``, with alpha = slope_a + slope_b and beta = gersgorin +
+frame + cross from ``threshold``'s block terms.  The theorem's
+u = sqrt(4 s log N) (``threshold.default_u``) clears both floors; there the
+threshold is e^{1/4} (eq3 lhs + eq4 lhs) / 2, read from ``threshold``'s
+conditions, and the bound is N^{-s}, the ``lemma1_bound`` of
+``run_smin_trials``.  So when both block conditions hold the threshold is at
+most 1/2, which pins sigma_min > 1/sqrt(2) outside the N^{-s} event.
+``run_smin_trials`` measures this empirically; ``estimate_moment`` checks the
+Xi_B and Xi_X moment bounds.
 
 Both runners share one kernel, run on the blocks of ``rng.fan_out`` on the
 A-support resolved once per run.  ``draw_supports`` reads trial t's supports
@@ -48,18 +52,15 @@ from .dictionary import DictionaryStats, PartitionedDictionary, analyze
 from .model import SUPPORT_A_STRATEGIES, choose_support_a
 from .rng import _require_seed, derive_choices, derive_rng, fan_out
 from .threshold import (
-    _require_n_gt_2, _require_s, block_a_terms, block_b_terms, default_u, first_feasible_gamma,
+    _require_n_gt_2, _require_s, block_a_terms, block_b_terms, first_feasible_gamma,
 )
 
 __all__ = [
     "HollowGramRecord",
-    "TailBoundSpec",
     "SminExperimentResult",
     "MomentEstimate",
     "draw_supports",
     "chain_batch",
-    "alpha_beta",
-    "tail_probability",
     "run_smin_trials",
     "estimate_moment",
 ]
@@ -67,6 +68,7 @@ __all__ = [
 CHAIN_SLACK = 1e-9
 BOOT_CHUNK_BYTES = 16 * 2**20  # bounds one bootstrap chunk's int64 resample indices
 CSV_CHUNK_ROWS = 256
+_NORMAL_MIN = np.finfo(float).tiny  # the smallest normal double
 
 TRIAL_CSV_HEADER = "trialIndex,sigmaMin,xiS,xiA,xiB,xiX"
 MOMENT_CSV_HEADER = "trialIndex,xiB,xiX"
@@ -235,59 +237,6 @@ def chain_batch(
         row_norm_bound=slope_a * math.sqrt(2.0) / 3.0,  # slope_a / (3/sqrt(2))
         cross_bound=stats.spec_a * stats.spec_b,
     )
-
-
-# ============================================================
-# tail bound
-# ============================================================
-
-
-@dataclass(frozen=True)
-class TailBoundSpec:
-    """Coefficients of the concentration tail: threshold e^{1/4}(alpha u + beta).
-
-    ``degenerate`` flags n_b = 0, where Q1's log terms are empty and the
-    moment floor collapses to the constant 4.
-    """
-
-    alpha: float
-    beta: float
-    q1: float
-    u: float
-    degenerate: bool = False
-
-
-def alpha_beta(
-    stats: DictionaryStats,
-    n_a: int,
-    n_b: int,
-    Nb: int,
-    N: int,
-    s: float = 1.0,
-) -> TailBoundSpec:
-    """Assemble alpha, beta, Q1 and the default u for the given budgets."""
-    if n_a < 0 or n_b < 0:
-        raise ValueError(f"budgets must be nonnegative, got {n_a}, {n_b}")
-    slope_a, gersgorin = block_a_terms(stats.mu, stats.mu_a, n_a)
-    slope_b, frame, cross = block_b_terms(stats.mu_b, stats.spec_a, stats.spec_b, n_b, Nb)
-    return TailBoundSpec(
-        alpha=slope_a + slope_b,
-        beta=gersgorin + frame + cross,
-        q1=max(moment_floor_b(n_b), moment_floor_x(n_b)),
-        u=default_u(s, N),
-        degenerate=n_b == 0,
-    )
-
-
-def tail_probability(u: float, spec: TailBoundSpec) -> tuple[float, float]:
-    """Return (threshold, bound): P{Xi >= threshold} <= bound for u >= sqrt(Q1)."""
-    if u < math.sqrt(spec.q1) - 1e-12:
-        raise ValueError(
-            f"tail bound needs u >= sqrt(Q1) = {math.sqrt(spec.q1):.6g}, got {u:.6g}"
-        )
-    threshold = math.exp(0.25) * (spec.alpha * u + spec.beta)
-    bound = math.exp(-u * u / 4.0)
-    return threshold, bound
 
 
 # ============================================================
@@ -535,8 +484,24 @@ def _moment_block(common, lo, hi):
     return lo, *_sub_dictionaries(D, cols_a, cols_b)[1:]
 
 
-def _moment_root(values: np.ndarray, q: float) -> float:
-    return float(np.mean(values**q) ** (1.0 / q))
+def _moment_roots(x: np.ndarray, q: float):
+    """[mean of x^q]^{1/q} along the last axis of nonnegative x, at any q.
+
+    Where the plain mean of q-th powers leaves the normal range (0 or
+    subnormal by underflow, inf by overflow), x is divided by its largest
+    value first: the powers then lie in [0, 1], one of them 1, so their mean
+    is at least 1/T, and the root is that largest value times the scaled
+    root.  Everywhere else the plain formula's bits are kept.
+    """
+    with np.errstate(over="ignore"):
+        means = np.mean(x**q, axis=-1)
+    roots = means ** (1.0 / q)
+    bad = ~((means >= _NORMAL_MIN) & (means < math.inf))
+    if np.any(bad):
+        top = x.max(axis=-1, keepdims=True)
+        unit = x / np.where(top > 0.0, top, 1.0)
+        roots = np.where(bad, top[..., 0] * np.mean(unit**q, axis=-1) ** (1.0 / q), roots)
+    return roots
 
 
 def estimate_moment(
@@ -600,19 +565,19 @@ def estimate_moment(
     for lo in range(0, n_boot, chunk):
         hi = min(lo + chunk, n_boot)
         idx = boot_rng.integers(0, trials, size=(hi - lo, trials))
-        boot_b[lo:hi] = np.mean(xi_b[idx] ** q, axis=1) ** (1.0 / q)
-        boot_x[lo:hi] = np.mean(xi_x[idx] ** q, axis=1) ** (1.0 / q)
+        boot_b[lo:hi] = _moment_roots(xi_b[idx], q)
+        boot_x[lo:hi] = _moment_roots(xi_x[idx], q)
 
     return MomentEstimate(
         q=q,
         trials=trials,
         n_a=n_a,
         n_b=n_b,
-        estimate_b=_moment_root(xi_b, q),
+        estimate_b=float(_moment_roots(xi_b, q)),
         upper95_b=float(np.quantile(boot_b, 0.975)),
         bound_b=bound_b,
         floor_b=floor_b,
-        estimate_x=_moment_root(xi_x, q) if x_valid else None,
+        estimate_x=float(_moment_roots(xi_x, q)) if x_valid else None,
         upper95_x=float(np.quantile(boot_x, 0.975)) if x_valid else None,
         bound_x=bound_x,
         floor_x=floor_x,

@@ -10,7 +10,7 @@ the order in which they are created, so parallel and serial runs of the same
 experiment produce byte-identical output.  ``fan_out`` is the one loop that
 cuts the runners' trials into blocks, run inline or in a process pool.
 
-``derive_rngs`` is the block path the runners take: for a (T, L) array of
+``derive_rngs`` is the block path ``recover`` takes: for a (T, L) array of
 keys it yields the same streams, state for state, but runs numpy's
 SeedSequence hash (O'Neill's seed_seq, 2014) once for the whole block as
 uint32 arithmetic on arrays of T words, and re-seeds one PCG64 per key

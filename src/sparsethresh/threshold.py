@@ -14,10 +14,12 @@ budget split gamma in [0, 1]:
   classical  n_a + n_b <  (1 + 1/mu) / 2                    (strict)
 
 where ``block_a_terms`` and ``block_b_terms`` define the block terms.  eq3 and
-eq4 are the two halves of the singular-value concentration premise: the same
-terms build ``concentration``'s alpha = slope_a + slope_b and beta = gersgorin
-+ frame + cross, with eq3 + eq4 = 2 (alpha u + beta), and its moment bounds
-slope_b sqrt(q) + frame on Xi_B and slope_a sqrt(q) + cross on Xi_X.  eq5
+eq4 are the two halves of the singular-value concentration premise: at the
+theorem's u the tail threshold is e^{1/4} (eq3 lhs + eq4 lhs) / 2, at most 1/2
+where both hold, and its bound is N^{-s}, the ``lemma1_bound`` that
+``concentration.run_smin_trials`` reports.  The same terms give
+``concentration``'s moment bounds slope_b sqrt(q) + frame on Xi_B and
+slope_a sqrt(q) + cross on Xi_X.  eq5
 gives l0 uniqueness and eq6 adds l1 equivalence on top of eq3/eq4.  N > 2 and
 s >= 1 give 8 (s + 1) log N > 2, so eq6's rhs lies below eq5's and eq6 implies
 eq5; eq2 is eq6's formula.

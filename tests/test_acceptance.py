@@ -16,17 +16,16 @@ import pytest
 from sparsethresh import (
     DictionaryStats,
     TheoremParams,
-    alpha_beta,
     analyze,
     brute_force_l0,
     build_mub,
     build_random_dictionary,
+    default_u,
     estimate_moment,
     evaluate_conditions,
     max_sparsity_search,
     run_smin_trials,
     solve_bp,
-    tail_probability,
     GAMMA_GRID_DEFAULT,
 )
 from sparsethresh.cli import main
@@ -107,17 +106,16 @@ def test_hollow_gram_chain_has_zero_violations():
 
 
 # ==============================
-# 4. tail bound closed forms
+# 4. tail bound at the theorem's u
 # ==============================
 
 
 def test_tail_bound_identity_and_half_threshold():
+    # P{Xi_S >= e^{1/4} (lhs3 + lhs4) / 2} <= e^{-u^2/4} at u = default_u(s, N)
     started = time.perf_counter()
-    base = _stats(0.01, 0.005, 0.005, 1.0, 1.0)
-    for s in (1.0, 2.0):
-        for N in (10, 100, 4160):
-            spec = alpha_beta(base, 1, 0, 0, N, s=s)
-            _, bound = tail_probability(spec.u, spec)
+    for s in (1.0, 1.5, 2.0):
+        for N in (10, 56, 100, 4160):
+            bound = math.exp(-default_u(s, N) ** 2 / 4.0)
             target = float(N) ** (-s)
             assert abs(bound - target) <= 1e-14 * target
 
@@ -140,11 +138,11 @@ def test_tail_bound_identity_and_half_threshold():
         )
         stats = _stats(mu, mu_a, mu_b, spec_a, spec_b)
         report = evaluate_conditions(stats, N, Nb, params)
-        if not (report.get("eq3").satisfied and report.get("eq4").satisfied):
+        eq3, eq4 = report.get("eq3"), report.get("eq4")
+        if not (eq3.satisfied and eq4.satisfied):
             continue
         passing += 1
-        spec = alpha_beta(stats, params.n_a, params.n_b, Nb, N, s=params.s)
-        threshold, _ = tail_probability(spec.u, spec)
+        threshold = math.exp(0.25) * (eq3.lhs + eq4.lhs) / 2.0
         assert threshold <= 0.5 + 1e-12
     assert passing >= 50, f"only {passing} profiles passed both block conditions"
     _gate("tail bound identity + 1/2 threshold", started, 1.0)

@@ -1,19 +1,20 @@
-"""Tests for the hollow Gram chain, tail bounds, and Monte Carlo experiments."""
+"""Tests for the hollow Gram chain, the tail's block terms, and Monte Carlo experiments."""
 
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsethresh import (
     SUPPORT_A_STRATEGIES,
     DictionaryStats,
     HollowGramRecord,
     PartitionedDictionary,
-    TailBoundSpec,
-    alpha_beta,
     analyze,
     build_mub,
     choose_support_a,
@@ -23,7 +24,6 @@ from sparsethresh import (
     estimate_moment,
     run_smin_trials,
     sample_support_b,
-    tail_probability,
 )
 from sparsethresh import concentration
 from sparsethresh.concentration import (
@@ -35,12 +35,13 @@ from sparsethresh.concentration import (
     moment_floor_x,
 )
 from sparsethresh.recovery import SWEEP_STRATEGIES
-from sparsethresh.threshold import TheoremParams, evaluate_conditions
+from sparsethresh.threshold import (
+    TheoremParams, block_a_terms, block_b_terms, evaluate_conditions,
+)
 
 # Hand-computed reference values, frozen.
 SIGMA_PAIR = 0.541196100146197         # sqrt(1 - 1/sqrt(2))
 BETA_EXAMPLE = 4.23606797749979        # 2 + sqrt(5)
-Q1_NB5 = 6.437751649736401             # 4 log 5
 U_S2_N10 = 4.291932052578694           # sqrt(8 log 10)
 FLOOR_B_20 = 9.591581091193483         # 4 log 11
 FLOOR_X_9 = 8.788898309344878          # 4 log 9
@@ -362,67 +363,32 @@ class TestChainBatch:
 
 
 # ==============================
-# tail bound assembly
+# block terms of the tail
 # ==============================
 
 
-class TestAlphaBeta:
-    def test_reference_beta(self):
-        # mu = mu_a = mu_b = 0, ||A|| = ||B|| = sqrt(5), N_b = 25, n_b = 5:
-        # beta = 2 n_b ||B||^2 / N_b + sqrt(n_b / N_b) ||A|| ||B|| = 2 + sqrt(5)
-        stats = _stats(spec_a=math.sqrt(5.0), spec_b=math.sqrt(5.0))
-        spec = alpha_beta(stats, n_a=0, n_b=5, Nb=25, N=100)
-        assert spec.alpha == 0.0
-        assert abs(spec.beta - BETA_EXAMPLE) <= TOL
-        assert abs(spec.q1 - Q1_NB5) <= TOL
-        assert not spec.degenerate
+class TestBlockTerms:
+    def test_reference_frame_and_cross(self):
+        # mu_b = 0, ||A|| = ||B|| = sqrt(5), N_b = 25, n_b = 5:
+        # 2 n_b ||B||^2 / N_b + sqrt(n_b / N_b) ||A|| ||B|| = 2 + sqrt(5)
+        slope, frame, cross = block_b_terms(0.0, math.sqrt(5.0), math.sqrt(5.0), 5, 25)
+        assert slope == 0.0
+        assert abs(frame + cross - BETA_EXAMPLE) <= TOL
 
-    def test_block_a_only(self):
-        spec = alpha_beta(_stats(mu=0.2, mu_a=0.15), n_a=2, n_b=0, Nb=50, N=100)
-        assert abs(spec.alpha - 3.0 * math.sqrt(0.04 * 2 / 2.0)) <= TOL
-        assert abs(spec.beta - 0.15) <= TOL
-        assert spec.degenerate and spec.q1 == 4.0
+    def test_reference_block_a(self):
+        slope, gersgorin = block_a_terms(0.2, 0.15, 2)
+        assert abs(slope - 3.0 * math.sqrt(0.04 * 2 / 2.0)) <= TOL
+        assert abs(gersgorin - 0.15) <= TOL
 
-    def test_default_u_is_attached(self):
-        spec = alpha_beta(_stats(), 0, 0, 10, 100, s=2.0)
-        assert abs(spec.u - default_u(2.0, 100)) <= TOL
-
-    def test_rejects_bad_budgets(self):
-        with pytest.raises(ValueError):
-            alpha_beta(_stats(), -1, 0, 10, 100)
-        with pytest.raises(ValueError, match="nonempty"):
-            alpha_beta(_stats(), 0, 1, 0, 100)
-
-
-class TestTailProbability:
-    def test_canonical_u_gives_inverse_power_bound(self):
-        for s, N in ((1.0, 56), (2.0, 10), (1.5, 4160)):
-            spec = alpha_beta(_stats(), 0, 0, 10, N, s=s)
-            _, bound = tail_probability(spec.u, spec)
-            assert abs(bound - N ** (-s)) <= 1e-14 * N ** (-s)
+    def test_empty_budget_b_has_no_terms(self):
+        assert block_b_terms(0.2, 1.0, 1.0, 0, 50) == (0.0, 0.0, 0.0)
 
     def test_reference_u(self):
         assert abs(default_u(2.0, 10) - U_S2_N10) <= TOL
 
-    def test_threshold_formula(self):
-        spec = TailBoundSpec(alpha=0.5, beta=0.25, q1=4.0, u=3.0)
-        threshold, bound = tail_probability(3.0, spec)
-        assert abs(threshold - math.exp(0.25) * (0.5 * 3.0 + 0.25)) <= TOL
-        assert abs(bound - math.exp(-9.0 / 4.0)) <= TOL
-
-    def test_rejects_u_below_floor(self):
-        spec = TailBoundSpec(alpha=0.1, beta=0.1, q1=25.0, u=5.0)
-        with pytest.raises(ValueError, match="sqrt"):
-            tail_probability(4.9, spec)
-        tail_probability(5.0, spec)     # boundary value is accepted
-
-    def test_degenerate_coefficients_give_zero_threshold(self):
-        spec = TailBoundSpec(alpha=0.0, beta=0.0, q1=4.0, u=2.0)
-        threshold, _ = tail_probability(2.0, spec)
-        assert threshold == 0.0
-
     def test_threshold_is_half_the_condition_lhs_sum(self):
-        # alpha u + beta at u = sqrt(4 s log N) equals (lhs3 + lhs4) / 2
+        # (slope_a + slope_b) u + gersgorin + frame + cross at u = sqrt(4 s log N)
+        # equals (lhs3 + lhs4) / 2
         rng = np.random.default_rng(29)
         for _ in range(50):
             stats = _stats(
@@ -439,12 +405,14 @@ class TestTailProbability:
             n_b = int(rng.integers(0, 30))
             params = TheoremParams(s=s, gamma=0.5, n_a=n_a, n_b=n_b)
             report = evaluate_conditions(stats, N, Nb, params)
-            lhs3, lhs4 = report.get("eq3").lhs, report.get("eq4").lhs
-            spec = alpha_beta(stats, n_a, n_b, Nb, N, s=s)
-            lhs_half = 0.5 * (lhs3 + lhs4)
-            assert abs(spec.alpha * spec.u + spec.beta - lhs_half) <= 1e-12 * max(
-                1.0, lhs_half
+            lhs_sum = report.get("eq3").lhs + report.get("eq4").lhs
+            slope_a, gersgorin = block_a_terms(stats.mu, stats.mu_a, n_a)
+            slope_b, frame, cross = block_b_terms(
+                stats.mu_b, stats.spec_a, stats.spec_b, n_b, Nb
             )
+            u = default_u(s, N)
+            expected = 2.0 * ((slope_a + slope_b) * u + gersgorin + frame + cross)
+            assert abs(lhs_sum - expected) <= 1e-12 * max(1.0, expected)
 
 
 # ==============================
@@ -620,6 +588,63 @@ class TestMomentFloors:
         for n_b in (1, 2, 5, 9, 50):
             assert moment_floor_x(n_b) >= moment_floor_b(n_b) - TOL
 
+    @given(
+        N_nb=st.integers(3, 10**9).flatmap(
+            lambda N: st.tuples(st.just(N), st.integers(0, N - 1))
+        ),
+        s=st.floats(1.0, 1e6),
+    )
+    @example(N_nb=(3, 2), s=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_the_theorems_u_clears_both_floors(self, N_nb, s):
+        # smin compares its failure rate with the tail bound N^{-s}, which
+        # holds only for u^2 at or above both floors
+        N, n_b = N_nb
+        assert default_u(s, N) ** 2 >= moment_floor_x(n_b) >= moment_floor_b(n_b)
+
+
+class TestMomentRoots:
+    """[mean of x^q]^{1/q}, the estimate's and every bootstrap resample's."""
+
+    X = np.random.default_rng(5).uniform(0.0, 0.8, size=(3, 1000))
+
+    def test_plain_formula_where_the_powers_stay_normal(self):
+        roots = concentration._moment_roots(self.X, 8.0)
+        np.testing.assert_array_equal(roots, np.mean(self.X**8.0, axis=1) ** (1.0 / 8.0))
+        row = self.X[0]
+        assert concentration._moment_roots(row, 8.0) == np.mean(row**8.0) ** (1.0 / 8.0)
+
+    @pytest.mark.parametrize("q", [8.0, 5000.0])
+    def test_a_power_of_two_scales_the_root_exactly(self, q):
+        base = concentration._moment_roots(self.X, q)
+        up, down = (concentration._moment_roots(np.ldexp(self.X, e), q) for e in (600, -600))
+        assert np.all(np.isfinite(up)) and np.all(down > 0.0)
+        np.testing.assert_array_equal(up, np.ldexp(down, 1200))
+        if q == 5000.0:  # 0.8^5000 underflows, so base is scale-free too
+            np.testing.assert_array_equal(up, np.ldexp(base, 600))
+        else:
+            np.testing.assert_allclose(up, np.ldexp(base, 600), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "dict_name, n_a, n_b, q", [("mub7", 2, 3, 5000.0), ("mub5", 1, 20, 3000.0)]
+    )
+    def test_large_q_lies_between_the_max_and_its_trials_root(
+        self, request, dict_name, n_a, n_b, q
+    ):
+        # at q = 5000 on mub7 Xi_B^q underflows; at n_b = 20, q = 3000 it overflows
+        D = request.getfixturevalue(dict_name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_moment(D, n_a, n_b, q=q, trials=1000, master_seed=0)
+        for xi, estimate, upper in (
+            (est.xi_b, est.estimate_b, est.upper95_b),
+            (est.xi_x, est.estimate_x, est.upper95_x),
+        ):
+            top = float(xi.max())
+            floor = top * 1000.0 ** (-1.0 / q)
+            assert floor * (1.0 - 1e-12) <= estimate <= top
+            assert 0.0 < upper <= top
+
 
 class TestEstimateMoment:
     def test_full_block_b_is_deterministic(self, mub3):
@@ -694,15 +719,18 @@ class TestEstimateMoment:
         assert float(parts[1]) == est.xi_b[0]
 
     def test_bounds_sum_to_the_tail_coefficients(self, mub5):
-        # the Xi_B and Xi_X bounds share their terms with alpha and beta,
-        # which add only the Gersgorin term (n_a - 1) mu_a
+        # the Xi_B and Xi_X bounds are the tail's block terms at sqrt(q) in
+        # place of u, less the Gersgorin term (n_a - 1) mu_a
         n_a, n_b, q = 2, 3, 5.0
         est = estimate_moment(mub5, n_a, n_b, q=q, trials=1000, master_seed=8)
         assert q >= est.floor_x
         stats = analyze(mub5)
-        spec = alpha_beta(stats, n_a, n_b, mub5.Nb, mub5.N)
-        expected = spec.alpha * math.sqrt(q) + spec.beta - (n_a - 1) * stats.mu_a
-        assert abs(est.bound_b + est.bound_x - expected) <= 1e-12
+        slope_a, _ = block_a_terms(stats.mu, stats.mu_a, n_a)
+        slope_b, frame, cross = block_b_terms(
+            stats.mu_b, stats.spec_a, stats.spec_b, n_b, mub5.Nb
+        )
+        assert abs(est.bound_b - (slope_b * math.sqrt(q) + frame)) <= 1e-12
+        assert abs(est.bound_x - (slope_a * math.sqrt(q) + cross)) <= 1e-12
 
     def test_rejects_underpowered_runs(self, mub5):
         with pytest.raises(ValueError, match="1000"):

@@ -1,6 +1,9 @@
-"""The package imports cleanly and every module exports only names it has."""
+"""The package imports cleanly, every module exports only names it has, and
+the README's library example runs."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,12 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"sparsethresh.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_readme_library_example_runs():
+    # the example imports public names by hand; a renamed or deleted one
+    # would break it with nothing else noticing
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
