@@ -3,7 +3,7 @@
 The package splits into small focused modules:
 
   dictionary     partitioned dictionaries, coherence and spectral statistics
-  model          the one hybrid-support draw and instance sampling
+  model          the hybrid-support draws: one instance, or a block's supports
   threshold      closed-form terms, sparsity conditions and the budget search
   concentration  the batched hollow Gram chain, sigma_min and moment runs
   recovery       basis pursuit, a brute-force l0 oracle, success-rate sweeps
@@ -20,7 +20,6 @@ from .dictionary import (
     build_random_dictionary,
     build_two_onb,
     coherence,
-    cross_coherence,
     load_dictionary,
     save_dictionary,
     spectral_norm,
@@ -29,7 +28,7 @@ from .dictionary import (
 from .model import (
     SUPPORT_A_STRATEGIES,
     choose_support_a,
-    draw_support,
+    draw_supports,
     sample_instance,
     sample_support_b,
 )
@@ -52,7 +51,6 @@ from .concentration import (
     MomentEstimate,
     SminExperimentResult,
     chain_batch,
-    draw_supports,
     estimate_moment,
     run_smin_trials,
 )

@@ -24,11 +24,10 @@ most 1/2, which pins sigma_min > 1/sqrt(2) outside the N^{-s} event.
 Xi_B and Xi_X moment bounds.
 
 Both runners share one kernel, run on the blocks of ``rng.fan_out`` on the
-A-support resolved once per run.  ``draw_supports`` reads trial t's supports
-from its own stream derive_rng(master_seed, t), as ``model.draw_support``
-would (the A-support first, then the B-support), and ``rng.derive_choices``
-makes a block's draws in one pass, bit for bit.  ``chain_batch`` measures the
-chain for a block of draws at once: the sub-dictionaries are stacked into one (T, m, k)
+A-support resolved once per run.  This module only measures: a block's
+supports come from ``model.draw_supports``, the rows ``model.sample_instance``
+draws on each trial's own stream.  ``chain_batch`` measures the chain for a
+block of draws at once: the sub-dictionaries are stacked into one (T, m, k)
 array, and each of sigma_min, Xi_S, Xi_A, Xi_B and Xi_X takes one stacked
 ``np.linalg.svd(..., compute_uv=False)``.  That is
 the LAPACK routine the per-matrix ``svd`` and ``norm(ord=2)`` call, applied
@@ -49,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
-from .model import SUPPORT_A_STRATEGIES, choose_support_a
-from .rng import _require_seed, derive_choices, derive_rng, fan_out
+from .model import SUPPORT_A_STRATEGIES, choose_support_a, draw_supports
+from .rng import _require_seed, derive_rng, fan_out
 from .threshold import (
     _require_n_gt_2, _require_s, block_a_terms, block_b_terms, first_feasible_gamma,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "HollowGramRecord",
     "SminExperimentResult",
     "MomentEstimate",
-    "draw_supports",
     "chain_batch",
     "run_smin_trials",
     "estimate_moment",
@@ -143,29 +141,6 @@ class HollowGramRecord:
             "row_norm_ab <= sqrt(mu^2 n_a)": self.row_norm_ab > self.row_norm_bound + slack,
             "xi_x <= ||A|| ||B||": self.xi_x > self.cross_bound + slack,
         }
-
-
-def draw_supports(
-    D: PartitionedDictionary,
-    support_a: tuple[int, ...] | int,
-    n_b: int,
-    master_seed: int,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A- and B-column indices of trials lo..hi-1, as (T, n_a) and (T, n_b) arrays.
-
-    Row t is ``model.draw_support`` on trial t's own stream
-    derive_rng(master_seed, t), so it does not depend on the other trials.
-    ``rng.derive_choices`` makes the block's draws in one pass: the n_a
-    A-columns of ``random-baseline``, then the n_b B-columns, each sorted.  A
-    fixed A-support is repeated on every row in its given order.
-    """
-    keys = np.arange(lo, hi)[:, None]
-    if isinstance(support_a, int):
-        return tuple(derive_choices(master_seed, keys, [(D.Na, support_a), (D.Nb, n_b)]))
-    (cols_b,) = derive_choices(master_seed, keys, [(D.Nb, n_b)])
-    return np.tile(np.array(support_a, dtype=np.intp), (hi - lo, 1)), cols_b
 
 
 def _sub_dictionaries(D: PartitionedDictionary, cols_a, cols_b):

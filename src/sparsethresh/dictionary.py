@@ -36,7 +36,7 @@ import json
 import math
 import os
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "PartitionedDictionary",
     "DictionaryStats",
     "coherence",
-    "cross_coherence",
     "spectral_norm",
     "welch_bound",
     "build_two_onb",
@@ -277,19 +276,6 @@ def _coherences(mat: np.ndarray, split: int) -> tuple[float, float, float]:
         mu_b = max(mu_b, _max(gram[ra:, ca:]))
         mu = max(mu, mu_a, mu_b, _max(gram[:ra, ca:]), _max(gram[ra:, :ca]))
     return mu, mu_a, mu_b
-
-
-def cross_coherence(block_a, block_b) -> float:
-    """max_{i,j} |a_i^H b_j| between two column sets sharing a row count."""
-    a = np.asarray(block_a, dtype=np.complex128)
-    b = np.asarray(block_b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("cross_coherence expects two matrices")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return 0.0
-    return float(np.abs(a.conj().T @ b).max())
 
 
 def spectral_norm(matrix) -> float:

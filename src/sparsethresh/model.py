@@ -13,14 +13,15 @@ together with the measurement y = D x.  Everything is driven by explicit
 generator streams (see ``sparsethresh.rng``), so instances are reproducible
 and independent of evaluation order.
 
+This is the one module that turns a trial's stream into its support.
 ``choose_support_a`` turns a strategy into an A-support once per run (per
-(strategy, n_a) in ``recover``).  ``draw_support``, the one hybrid-support
-draw of a trial, takes it (only ``random-baseline`` reads the stream for
-it), then draws the B-support; ``sample_instance`` reads the same stream on:
-magnitudes, then phases.  So every runner sees one support per stream.
-``recover`` draws each trial this way; ``smin`` and ``moments`` draw a
-block's supports at once with ``concentration.draw_supports``, which gives
-the rows ``draw_support`` gives and is tested against it.
+(strategy, n_a) in ``recover``); only ``random-baseline`` then reads the
+stream for it, before the B-support.  ``sample_instance`` draws one trial's
+support that way and reads the same stream on: magnitudes, then phases.
+``draw_supports`` draws the supports of a block of trials at once, the rows
+``sample_instance`` puts on each trial's stream.  ``recover`` reads its
+trials through the first, ``smin`` and ``moments`` through the second, so
+every runner sees one support per stream.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from itertools import islice
 import numpy as np
 
 from .dictionary import PartitionedDictionary
+from .rng import derive_choices
 
 __all__ = [
     "SUPPORT_A_STRATEGIES",
     "sample_support_b",
     "choose_support_a",
-    "draw_support",
     "sample_instance",
+    "draw_supports",
 ]
 
 SUPPORT_A_STRATEGIES = ("prescribed", "first-n", "spread", "random-baseline")
@@ -60,7 +62,7 @@ def sample_support_b(n_total: int, n_pick: int, rng: np.random.Generator) -> tup
 def choose_support_a(
     strategy: str, n_total: int, n_pick: int, indices=None
 ) -> tuple[int, ...] | int:
-    """Resolve a strategy into the ``support_a`` of ``draw_support``, once per run.
+    """Resolve a strategy into the ``support_a`` of the draws, once per run.
 
     prescribed        pass ``indices`` through after validation
     first-n           {0, 1, ..., n_pick - 1}
@@ -99,21 +101,8 @@ def choose_support_a(
     return int(n_pick)
 
 
-def draw_support(
-    D: PartitionedDictionary, support_a: tuple[int, ...] | int, n_b: int, rng: np.random.Generator
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One hybrid support as (A-column indices, B-column indices).
-
-    ``support_a`` is ``choose_support_a``'s: a tuple is the A-support and reads
-    nothing; an int n_a draws n_a A-columns from ``rng``.  Then n_b B-columns.
-    """
-    if isinstance(support_a, int):
-        support_a = sample_support_b(D.Na, support_a, rng)
-    return support_a, sample_support_b(D.Nb, n_b, rng)
-
-
 # ============================================================
-# instance sampling
+# trial draws: one instance, or a block's supports
 # ============================================================
 
 
@@ -122,17 +111,50 @@ def sample_instance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one hybrid-model instance (x, y) from ``rng``, with y = D x.
 
-    Draw order is fixed (``draw_support``, then the magnitudes from all k
-    real parts before the k imaginary parts, then the phases) so a given
-    stream always produces the same instance.  The i-th value goes to the
-    i-th support index in ascending order, so the support is
-    ``np.flatnonzero(x)``: the A-columns, then the B-columns.
+    ``support_a`` is ``choose_support_a``'s: a tuple is the A-support and
+    reads nothing from ``rng``, and must lie in block A without repeats; an
+    int n_a draws n_a A-columns from ``rng``.  Draw order is fixed (that
+    A-support, the n_b B-columns, then the magnitudes from all k real parts
+    before the k imaginary parts, then the phases) so a given stream always
+    produces the same instance.  The i-th value goes to the i-th support
+    index in ascending order, so the support is ``np.flatnonzero(x)``: the
+    A-columns, then the B-columns.
     """
-    cols_a, cols_b = draw_support(D, support_a, n_b, rng)
-    support = sorted(cols_a) + [D.Na + j for j in cols_b]
+    if isinstance(support_a, int):
+        support_a = sample_support_b(D.Na, support_a, rng)
+    cols_a = sorted(support_a)
+    if cols_a and (cols_a[0] < 0 or cols_a[-1] >= D.Na):
+        raise ValueError(f"A-column indices out of range [0, {D.Na})")
+    if len(set(cols_a)) != len(cols_a):
+        raise ValueError("A-column index sets must be duplicate-free")
+    support = cols_a + [D.Na + j for j in sample_support_b(D.Nb, n_b, rng)]
     k = len(support)
     magnitudes = np.hypot(rng.standard_normal(k), rng.standard_normal(k)) / np.sqrt(2.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
     x = np.zeros(D.N, dtype=complex)
     x[support] = magnitudes * np.exp(1j * phases)
     return x, D.matrix @ x
+
+
+def draw_supports(
+    D: PartitionedDictionary,
+    support_a: tuple[int, ...] | int,
+    n_b: int,
+    master_seed: int,
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A- and B-column indices of trials lo..hi-1, as (T, n_a) and (T, n_b) arrays.
+
+    Row t is the support ``sample_instance`` draws on trial t's own stream
+    derive_rng(master_seed, t), so it does not depend on the other trials.
+    ``rng.derive_choices`` makes the block's draws in one pass: the n_a
+    A-columns of ``random-baseline``, then the n_b B-columns, each sorted.  A
+    fixed A-support is repeated on every row in its given order, where
+    ``sample_instance`` sorts it.
+    """
+    keys = np.arange(lo, hi)[:, None]
+    if isinstance(support_a, int):
+        return tuple(derive_choices(master_seed, keys, [(D.Na, support_a), (D.Nb, n_b)]))
+    (cols_b,) = derive_choices(master_seed, keys, [(D.Nb, n_b)])
+    return np.tile(np.array(support_a, dtype=np.intp), (hi - lo, 1)), cols_b

@@ -142,7 +142,14 @@ NEWTON_CHUNK_BYTES = 16 * 2**20
 @dataclass(frozen=True)
 class BpSolverConfig:
     """ADMM settings: ``max_iterations`` caps ADMM (see the module docstring
-    for the handover to the dual Newton finisher)."""
+    for the handover to the dual Newton finisher).
+
+    Every ``max_iterations`` above HANDOVER_ITERATIONS runs the same solver:
+    ADMM up to HANDOVER_ITERATIONS (1,000) iterations, then Newton on the
+    rows still running.  So the default of 100,000 is never reached; it
+    only turns the finisher on.  At or below HANDOVER_ITERATIONS, ADMM
+    alone runs up to ``max_iterations``.
+    """
 
     max_iterations: int = 100_000
 

@@ -19,7 +19,7 @@ instead of building a SeedSequence, a PCG64 and a Generator per trial.
 against.
 
 ``derive_choices`` goes one step further for the draws ``smin`` and
-``moments`` make: each row's sorted Generator.choice(population, size,
+``moments`` make (``model.draw_supports``): each row's sorted Generator.choice(population, size,
 replace=False) calls, for a whole block, from uint64 array arithmetic that
 mirrors numpy's internals bit for bit and builds no Generator:
 

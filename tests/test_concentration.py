@@ -20,9 +20,10 @@ from sparsethresh import (
     choose_support_a,
     default_u,
     derive_rng,
-    draw_support,
+    draw_supports,
     estimate_moment,
     run_smin_trials,
+    sample_instance,
     sample_support_b,
 )
 from sparsethresh import concentration
@@ -30,7 +31,6 @@ from sparsethresh.concentration import (
     MOMENT_CSV_HEADER,
     TRIAL_CSV_HEADER,
     chain_batch,
-    draw_supports,
     moment_floor_b,
     moment_floor_x,
 )
@@ -97,13 +97,18 @@ def _support_a(D, strategy, n_a):
 
 
 def _per_trial_supports(D, support_a, n_b, master_seed, lo, hi):
-    """``draw_supports`` as a loop that derives each trial's stream alone:
-    the reference for the block's streams."""
+    """``draw_supports`` as a loop over the instances ``sample_instance`` draws
+    on each trial's own stream, the exact stream ``recover`` reads.  The A-row
+    is a fixed support in its given order, or the sorted A-part of the
+    instance's support for ``random-baseline``."""
     n_a = support_a if isinstance(support_a, int) else len(support_a)
     cols_a = np.empty((hi - lo, n_a), dtype=np.intp)
     cols_b = np.empty((hi - lo, n_b), dtype=np.intp)
     for row, t in enumerate(range(lo, hi)):
-        cols_a[row], cols_b[row] = draw_support(D, support_a, n_b, derive_rng(master_seed, t))
+        x, _ = sample_instance(D, support_a, n_b, derive_rng(master_seed, t))
+        support = np.flatnonzero(x)
+        cols_a[row] = support[:n_a] if isinstance(support_a, int) else support_a
+        cols_b[row] = support[n_a:] - D.Na
     return cols_a, cols_b
 
 

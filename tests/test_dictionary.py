@@ -21,7 +21,6 @@ from sparsethresh import (
     build_random_dictionary,
     build_two_onb,
     coherence,
-    cross_coherence,
     load_dictionary,
     save_dictionary,
     spectral_norm,
@@ -67,29 +66,6 @@ class TestCoherence:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             coherence(np.zeros((3, 0)))
-
-
-class TestCrossCoherence:
-    def test_identical_blocks(self):
-        A = np.eye(3)
-        assert abs(cross_coherence(A, A) - 1.0) <= TOL
-
-    def test_orthogonal_blocks(self):
-        A = np.eye(4)[:, :2]
-        B = np.eye(4)[:, 2:]
-        assert cross_coherence(A, B) == 0.0
-
-    def test_empty_block_gives_zero(self):
-        A = np.eye(3)
-        assert cross_coherence(A, np.zeros((3, 0))) == 0.0
-
-    def test_mub_blocks(self, mub5):
-        val = cross_coherence(mub5.A, mub5.B)
-        assert abs(val - 1.0 / math.sqrt(5.0)) <= TOL
-
-    def test_row_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="row"):
-            cross_coherence(np.eye(3), np.eye(4))
 
 
 class TestSpectralNorm:

@@ -6,16 +6,18 @@ import math
 import numpy as np
 import pytest
 
+import sparsethresh
 from sparsethresh import (
     PartitionedDictionary,
+    chain_batch,
     choose_support_a,
     derive_rng,
-    draw_support,
+    draw_supports,
     sample_instance,
     sample_support_b,
 )
 from sparsethresh import concentration, model, recovery
-from sparsethresh.concentration import draw_supports
+from sparsethresh.rng import BLOCK
 
 TOL = 1e-12
 EYE20 = PartitionedDictionary(np.eye(20), 20)
@@ -26,15 +28,22 @@ EYE20 = PartitionedDictionary(np.eye(20), 20)
 # ==============================
 
 
+def _values(rng, k):
+    """The k nonzero values ``sample_instance`` reads after the support."""
+    magnitudes = np.hypot(rng.standard_normal(k), rng.standard_normal(k)) / np.sqrt(2.0)
+    return magnitudes * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=k))
+
+
 class TestHybridSupportSpec:
     """The hybrid support's specification as ``choose_support_a`` resolves
-    its A-part and ``draw_support`` draws its B-part."""
+    its A-part and ``sample_instance`` draws its B-part."""
 
     def test_n_a_counts_indices(self, mub7):
         support_a = choose_support_a("prescribed", mub7.Na, 3, (0, 3, 5))
-        cols_a, cols_b = draw_support(mub7, support_a, 2, derive_rng(0))
-        assert cols_a == (0, 3, 5)
-        assert len(cols_b) == 2
+        x, _ = sample_instance(mub7, support_a, 2, derive_rng(0))
+        support = np.flatnonzero(x)
+        assert support[:3].tolist() == [0, 3, 5]
+        assert support.size == 5 and all(i >= mub7.Na for i in support[3:])
 
     def test_rejects_duplicates(self, mub7):
         with pytest.raises(ValueError, match="duplicate"):
@@ -46,7 +55,7 @@ class TestHybridSupportSpec:
 
     def test_rejects_negative_count(self, mub7):
         with pytest.raises(ValueError, match="n_pick"):
-            draw_support(mub7, (), -2, derive_rng(0))
+            sample_instance(mub7, (), -2, derive_rng(0))
         with pytest.raises(ValueError, match="n_pick"):
             choose_support_a("first-n", mub7.Na, -1)
 
@@ -117,25 +126,31 @@ class TestChooseSupportA:
     def test_random_baseline_deterministic_in_seed(self):
         # all 20 columns in block A, none in B
         support_a = choose_support_a("random-baseline", 20, 5)
-        first = draw_support(EYE20, support_a, 0, derive_rng(7))
-        second = draw_support(EYE20, support_a, 0, derive_rng(7))
-        assert first == second
-        assert len(first[0]) == 5
+        first, _ = sample_instance(EYE20, support_a, 0, derive_rng(7))
+        second, _ = sample_instance(EYE20, support_a, 0, derive_rng(7))
+        np.testing.assert_array_equal(first, second)
+        assert np.count_nonzero(first) == 5
 
     def test_random_baseline_draws_what_sample_support_b_draws(self):
         ours, theirs = derive_rng(3, 1), derive_rng(3, 1)
         support_a = choose_support_a("random-baseline", 20, 5)
-        assert draw_support(EYE20, support_a, 0, ours)[0] == sample_support_b(20, 5, theirs)
+        x, _ = sample_instance(EYE20, support_a, 0, ours)
+        cols_a = sample_support_b(20, 5, theirs)
+        assert tuple(np.flatnonzero(x)) == cols_a
+        np.testing.assert_array_equal(x[list(cols_a)], _values(theirs, 5))
         assert ours.random() == theirs.random()
 
     @pytest.mark.parametrize(
         "strategy, indices", [("first-n", None), ("spread", None), ("prescribed", [7, 2])]
     )
     def test_fixed_strategies_draw_nothing(self, strategy, indices):
-        rng = derive_rng(3, 1)
+        # the stream's first reads are the values: the A-support took none
+        rng, by_hand = derive_rng(3, 1), derive_rng(3, 1)
         support_a = choose_support_a(strategy, 20, 2, indices=indices)
-        assert draw_support(EYE20, support_a, 0, rng)[0] == support_a
-        assert rng.random() == derive_rng(3, 1).random()
+        x, _ = sample_instance(EYE20, support_a, 0, rng)
+        assert np.flatnonzero(x).tolist() == sorted(support_a)
+        np.testing.assert_array_equal(x[sorted(support_a)], _values(by_hand, 2))
+        assert rng.random() == by_hand.random()
 
     @pytest.mark.parametrize("strategy", ["first-n", "spread", "random-baseline"])
     def test_indices_need_prescribed(self, strategy):
@@ -179,10 +194,12 @@ class TestSampleInstance:
         assert all(7 <= i < 56 for i in support[2:])
 
     def test_values_align_with_support(self, mub7):
-        x, _ = sample_instance(mub7, (0, 2), 4, derive_rng(9))
-        cols_a, cols_b = draw_support(mub7, (0, 2), 4, derive_rng(9))
-        assert np.flatnonzero(x).tolist() == [*cols_a, *(mub7.Na + j for j in cols_b)]
-        assert np.min(np.abs(x[np.flatnonzero(x)])) > 1e-12
+        x, _ = sample_instance(mub7, (2, 0), 4, derive_rng(9))
+        by_hand = derive_rng(9)
+        support = [0, 2, *(mub7.Na + j for j in sample_support_b(mub7.Nb, 4, by_hand))]
+        assert np.flatnonzero(x).tolist() == support
+        np.testing.assert_array_equal(x[support], _values(by_hand, 6))
+        assert np.min(np.abs(x[support])) > 1e-12
 
     def test_measurement_is_consistent(self, mub7):
         x, y = sample_instance(mub7, (0, 3), 5, derive_rng(2))
@@ -222,6 +239,20 @@ class TestSampleInstance:
             choose_support_a("first-n", mub3.Na, 4)
         with pytest.raises(ValueError, match="n_pick <= n_total"):
             sample_instance(mub3, 4, 0, derive_rng(0))
+
+    @pytest.mark.parametrize(
+        "support_a, message",
+        [((-1,), "out of range"), ((7,), "out of range"), ((5, 9), "out of range"),
+         ((0, 0), "duplicate-free"), ((3, 1, 3), "duplicate-free")],
+    )
+    def test_refuses_what_chain_batch_refuses(self, mub7, mub7_stats, support_a, message):
+        # unchecked, (-1,) put the A-value on B's last column and (0, 0) gave
+        # one nonzero fewer than k
+        with pytest.raises(ValueError, match=message) as sampled:
+            sample_instance(mub7, support_a, 2, derive_rng(0))
+        with pytest.raises(ValueError) as measured:
+            chain_batch(mub7, mub7_stats, [support_a], [(0, 1)])
+        assert str(sampled.value) == str(measured.value)
 
     def test_rejects_oversized_b_budget(self, mub3):
         with pytest.raises(ValueError, match="n_pick <= n_total"):
@@ -309,3 +340,41 @@ class TestResolvedOnce:
             cfg=recovery.BpSolverConfig(max_iterations=2),
         )
         assert calls == ["spread"] * 3 + ["random-baseline"] * 3
+
+
+class TestBlocksDrawnByModel:
+    """``smin`` and ``moments`` take every block's supports through
+    ``model.draw_supports``, each trial once and in order."""
+
+    @pytest.fixture()
+    def blocks(self, monkeypatch):
+        seen = []
+
+        def counting(D, support_a, n_b, master_seed, lo, hi):
+            seen.append((lo, hi))
+            return draw_supports(D, support_a, n_b, master_seed, lo, hi)
+
+        for module in (model, concentration):
+            monkeypatch.setattr(module, "draw_supports", counting)
+        return seen
+
+    @staticmethod
+    def _blocks(trials):
+        return [(lo, min(lo + BLOCK, trials)) for lo in range(0, trials, BLOCK)]
+
+    @pytest.mark.parametrize("trials", [1, 300])
+    @pytest.mark.parametrize("strategy", ["first-n", "random-baseline"])
+    def test_smin(self, mub7, blocks, strategy, trials):
+        concentration.run_smin_trials(mub7, strategy, 2, 3, trials=trials)
+        assert blocks == self._blocks(trials)
+
+    @pytest.mark.parametrize("trials", [1000, 1300])
+    def test_moments(self, mub7, blocks, trials):
+        concentration.estimate_moment(mub7, 2, 3, q=8.0, trials=trials, n_boot=1)
+        assert blocks == self._blocks(trials)
+
+    def test_model_is_the_one_home(self):
+        assert sparsethresh.draw_supports is model.draw_supports
+        assert not hasattr(model, "draw_support")
+        assert not hasattr(sparsethresh, "draw_support")
+        assert not hasattr(concentration, "derive_choices")

@@ -1,5 +1,5 @@
-"""The package imports cleanly, every module exports only names it has, and
-the README's library example runs."""
+"""The package imports cleanly, every module exports only names it has and
+no name another module exports, and the README's library example runs."""
 
 import importlib
 import re
@@ -24,6 +24,15 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"sparsethresh.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_no_name_is_exported_by_two_modules():
+    # each public name has one home, which the package re-exports
+    homes = {}
+    for name in MODULES:
+        for attr in importlib.import_module(f"sparsethresh.{name}").__all__:
+            homes.setdefault(attr, []).append(name)
+    assert {attr: names for attr, names in homes.items() if len(names) > 1} == {}
 
 
 def test_readme_library_example_runs():
