@@ -437,22 +437,26 @@ def save_dictionary(D: PartitionedDictionary, path) -> None:
     """Write D as .dict.json text, one entry at a time, so no large string is
     ever held: joined text, even one matrix row at a time, left the calling
     process's heap larger for the work after it.  The file appears under
-    ``path`` only when complete, and a failed write leaves no file behind."""
+    ``path`` only when complete, and a failed write leaves no file behind.
+    An OSError names ``path``, never the temporary file."""
     entries = (f"  [{z.real:.16e}, {z.imag:.16e}]" for row in D.matrix for z in row.tolist())
     tmp = f"{path}.tmp{os.getpid()}"
-    fh = open(tmp, "w", encoding="utf-8")
     try:
-        with fh:
-            fh.write(f'{{\n "m": {D.m},\n "N": {D.N},\n "Na": {D.Na},\n "entries": [\n')
-            fh.write(next(entries))  # m, N >= 1: there is a first entry
-            for entry in entries:
-                fh.write(",\n")
-                fh.write(entry)
-            fh.write("\n ]\n}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(f'{{\n "m": {D.m},\n "N": {D.N},\n "Na": {D.Na},\n "entries": [\n')
+                fh.write(next(entries))  # m, N >= 1: there is a first entry
+                for entry in entries:
+                    fh.write(",\n")
+                    fh.write(entry)
+                fh.write("\n ]\n}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write dictionary file {path}: {exc.strerror or exc}") from exc
 
 
 def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:

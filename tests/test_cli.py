@@ -114,6 +114,17 @@ class TestBuildDict:
         assert list(tmp_path.glob("*.tmp*")) == []
         assert list(taken.iterdir()) == []
 
+    @pytest.mark.parametrize("target", ["taken", "nodir/x.dict.json"])
+    def test_a_failed_write_names_the_path_asked_for(self, tmp_path, capsys, monkeypatch, target):
+        # the file is written under a temporary name first; the error must not show it
+        (tmp_path / "taken").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["build-dict", "--mub", "3", "-o", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write dictionary file {target}: ")
+        assert ".tmp" not in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
     def test_random_builder_is_deterministic(self, tmp_path):
         a = tmp_path / "a.dict.json"
         b = tmp_path / "b.dict.json"
