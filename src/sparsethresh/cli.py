@@ -206,7 +206,11 @@ def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
         raise ValueError("no dictionary given: pass --dict or a config 'dictionary' field")
     if not isinstance(source, dict) or len(source) == 0:
         raise ValueError("config 'dictionary' must be an object naming one source")
-    kind_keys = [k for k in source if k in ("path", "mub", "two_onb", "random")]
+    for key in source:
+        if key not in ("path", "mub", "two_onb", "random", "seed", "split"):
+            raise ValueError(f"unknown config key 'dictionary.{key}'")
+    seed, split = (_source_int(source.get(key, 0), key) for key in ("seed", "split"))
+    kind_keys = [k for k in source if k not in ("seed", "split")]
     if len(kind_keys) != 1:
         raise ValueError(
             "config 'dictionary' must name exactly one of path/mub/two_onb/random"
@@ -222,7 +226,6 @@ def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
     if not isinstance(size, list) or len(size) != 2:
         raise ValueError("config 'dictionary.random' must be a list [m, N]")
     m, n = (_source_int(v, "random") for v in size)
-    seed, split = (_source_int(source.get(key, 0), key) for key in ("seed", "split"))
     return _build(kind, (m, n), seed, split)[0]
 
 
@@ -231,15 +234,15 @@ def _resolve_dictionary(args, cfg) -> dictionary.PartitionedDictionary:
 # ============================================================
 
 
-def _stats_lines(D, stats) -> list[str]:
+def _stats_lines(stats) -> list[str]:
     def flagged(v, defined):
         return f"{v:.8f}" + ("" if defined else "  (block has < 2 columns)")
 
     return [
-        f"m  = {D.m}",
-        f"N  = {D.N}",
-        f"Na = {D.Na}",
-        f"Nb = {D.Nb}",
+        f"m  = {stats.m}",
+        f"N  = {stats.N}",
+        f"Na = {stats.Na}",
+        f"Nb = {stats.Nb}",
         f"mu   = {stats.mu:.8f}",
         f"mu_a = {flagged(stats.mu_a, stats.mu_a_defined)}",
         f"mu_b = {flagged(stats.mu_b, stats.mu_b_defined)}",
@@ -296,8 +299,7 @@ def cmd_build_dict(args, cfg) -> int:
     D, default_name = _build(given[0], getattr(args, given[0]), args.seed, args.split)
     path = default_name if args.out is None else args.out
     dictionary.save_dictionary(D, path)
-    stats = dictionary.analyze(D)
-    for line in _stats_lines(D, stats):
+    for line in _stats_lines(dictionary.analyze(D)):
         print(line)
     print(f"wrote {path}")
     return 0
@@ -310,7 +312,7 @@ def cmd_analyze(args, cfg) -> int:
         doc = {"m": D.m, "N": D.N, "Na": D.Na, "Nb": D.Nb, **stats.to_dict()}
         sys.stdout.write(_json_text(doc))
     else:
-        for line in _stats_lines(D, stats):
+        for line in _stats_lines(stats):
             print(line)
     return 0
 
@@ -322,14 +324,14 @@ def cmd_check(args, cfg) -> int:
         D.check_budgets(params.n_a, params.n_b)
     stats = dictionary.analyze(D)
     if args.maximize:  # reports the best budget found, so never fails
-        result = threshold.max_sparsity_search(stats, D.N, D.Nb, s=params.s)
+        result = threshold.max_sparsity_search(stats, s=params.s)
         report, ok = result.report, True
         head = [
             f"best n_a = {result.best_n_a}, n_b = {result.best_n_b}, "
             f"gamma = {result.best_gamma}, total = {result.best_total}"
         ]
     else:
-        result = report = threshold.evaluate_conditions(stats, D.N, D.Nb, params)
+        result = report = threshold.evaluate_conditions(stats, params)
         ok, head = report.all_satisfied, []
     if args.json:
         sys.stdout.write(_json_text(result.to_dict()))
@@ -467,11 +469,9 @@ def cmd_report(args, cfg) -> int:
         "Nb": D.Nb,
         "stats": stats.to_dict(),
         "params": dataclasses.asdict(params),
-        "conditions": threshold.evaluate_conditions(stats, D.N, D.Nb, params).to_dict(),
-        "search": threshold.max_sparsity_search(
-            stats, D.N, D.Nb, s=params.s
-        ).to_dict(),
-        "scaling": threshold.scaling_report(stats, D).to_dict(),
+        "conditions": threshold.evaluate_conditions(stats, params).to_dict(),
+        "search": threshold.max_sparsity_search(stats, s=params.s).to_dict(),
+        "scaling": threshold.scaling_report(stats).to_dict(),
     }
     text = _json_text(doc)
     if args.out:

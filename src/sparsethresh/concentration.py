@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import DictionaryStats, PartitionedDictionary, analyze
-from .model import SUPPORT_A_STRATEGIES, choose_support_a, draw_supports
+from .model import SUPPORT_A_STRATEGIES, _block_columns, choose_support_a, draw_supports
 from .rng import _require_seed, derive_rng, fan_out
 from .threshold import (
     _require_n_gt_2, _require_s, block_a_terms, block_b_terms, first_feasible_gamma,
@@ -148,20 +148,13 @@ def _sub_dictionaries(D: PartitionedDictionary, cols_a, cols_b):
     and the two B-dependent chain quantities, each from one stacked SVD.
 
     Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
-    columns of A and B; each row must be duplicate-free and inside its block.
+    columns of A and B; each row must hold distinct integers inside its block.
     """
-    cols_a = np.asarray(cols_a, dtype=np.intp)
-    cols_b = np.asarray(cols_b, dtype=np.intp)
+    cols_a, cols_b = _block_columns("A", cols_a, D.Na), _block_columns("B", cols_b, D.Nb)
     T, n_a = cols_a.shape
     n_b = cols_b.shape[1]
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
-    for block, cols, size in (("A", cols_a, D.Na), ("B", cols_b, D.Nb)):
-        if cols.size and (cols.min() < 0 or cols.max() >= size):
-            raise ValueError(f"{block}-column indices out of range [0, {size})")
-        ordered = np.sort(cols, axis=1)
-        if np.any(ordered[:, 1:] == ordered[:, :-1]):
-            raise ValueError(f"{block}-column index sets must be duplicate-free")
     # (T, m, k), each draw laid out as np.hstack lays out one S: column-major,
     # but row-major for two single columns.  BLAS dot kernels round contiguous
     # and strided columns differently, so the layout keeps the bytes.
@@ -179,7 +172,7 @@ def chain_batch(
     """Measure every quantity in the chain for T draws at once.
 
     Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
-    columns of A and B; each row must be duplicate-free and inside its block.
+    columns of A and B; each row must hold distinct integers inside its block.
     The T sub-dictionaries are stacked and each quantity takes one stacked
     SVD, which LAPACK runs matrix by matrix, so draw t's values do not depend
     on the other draws.
@@ -200,7 +193,7 @@ def chain_batch(
             row_norm_ab = np.array([
                 np.linalg.norm(a.conj().T @ D.B, axis=0).max() for a in a_distinct
             ])[which]
-    slope_a, gersgorin = block_a_terms(stats.mu, stats.mu_a, n_a)
+    slope_a, gersgorin = block_a_terms(stats, n_a)
     return HollowGramRecord(
         sigma_min=_smallest_singular_values(S),
         xi_s=_hollow_norms(S),
@@ -345,7 +338,7 @@ def run_smin_trials(
     resolved = choose_support_a(strategy, D.Na, n_a, indices=support_a)
     rows = _per_trial((trials, 5))
     stats = analyze(D)
-    gamma_feasible = first_feasible_gamma(stats, D.N, D.Nb, s, n_a, n_b)
+    gamma_feasible = first_feasible_gamma(stats, s, n_a, n_b)
 
     by_inequality: Counter = Counter()
     violation_count = 0
@@ -526,8 +519,8 @@ def estimate_moment(
         xi_b[lo : lo + len(block_b)] = block_b
         xi_x[lo : lo + len(block_x)] = block_x
 
-    slope_a, _ = block_a_terms(stats.mu, stats.mu_a, n_a)
-    slope_b, frame, cross = block_b_terms(stats.mu_b, stats.spec_a, stats.spec_b, n_b, D.Nb)
+    slope_a, _ = block_a_terms(stats, n_a)
+    slope_b, frame, cross = block_b_terms(stats, n_b)
     sqrt_q = math.sqrt(q)
     bound_b = slope_b * sqrt_q + frame
     x_valid = q >= floor_x - 1e-12

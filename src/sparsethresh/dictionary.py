@@ -3,7 +3,7 @@
 A dictionary is a complex m x N matrix with unit-norm columns, N >= m.  A
 partitioned dictionary additionally carries a split point Na: the first Na
 columns form block A, the remaining Nb = N - Na columns form block B.  The
-quantities computed here:
+profile ``analyze`` returns as a ``DictionaryStats``, shape included:
 
     coherence         mu    = max_{i != j} |d_i^H d_j|
     sub-coherences    mu_a, mu_b (within each block)
@@ -183,25 +183,47 @@ class PartitionedDictionary:
 
 @dataclass(frozen=True)
 class DictionaryStats:
-    """Coherence and spectral summary of a partitioned dictionary.
+    """Coherence profile of a partitioned dictionary: its shape and the six
+    numbers ``analyze`` measures, all that ``threshold`` reads of it.
 
-    ``mu_a``/``mu_b`` are reported as 0.0 with the matching ``*_defined``
-    flag cleared when a block has fewer than two columns, since a
-    single-column coherence is undefined but every downstream formula
-    multiplies it by a vanishing count.
+    ``mu_a``/``mu_b`` are 0.0, with ``*_defined`` False, for a block of fewer
+    than two columns: a single-column coherence is undefined, but every
+    downstream formula multiplies it by a vanishing count.
     """
 
+    m: int
+    N: int
+    Na: int
     mu: float
     mu_a: float
     mu_b: float
     spec_a: float
     spec_b: float
     spec_d: float
-    welch: float
-    tight_dev_a: float
-    tight_dev_b: float
-    mu_a_defined: bool = True
-    mu_b_defined: bool = True
+
+    @property
+    def Nb(self) -> int:
+        return self.N - self.Na
+
+    @property
+    def welch(self) -> float:
+        return welch_bound(self.m, self.N) if self.N >= 2 else 0.0
+
+    @property
+    def tight_dev_a(self) -> float:
+        return abs(self.spec_a**2 - self.Na / self.m)
+
+    @property
+    def tight_dev_b(self) -> float:
+        return abs(self.spec_b**2 - self.Nb / self.m)
+
+    @property
+    def mu_a_defined(self) -> bool:
+        return self.Na >= 2
+
+    @property
+    def mu_b_defined(self) -> bool:
+        return self.Nb >= 2
 
     def to_dict(self) -> dict:
         return {
@@ -380,6 +402,8 @@ def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> Partit
     """Columns i.i.d. uniform on the complex unit sphere of C^m; deterministic per seed."""
     if not 1 <= m <= N:
         raise ValueError(f"need N >= m >= 1, got m={m}, N={N}")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     mat = _allocate(m, N)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     for part in (mat.real, mat.imag):  # every real part is drawn first
@@ -395,31 +419,23 @@ def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> Partit
 
 
 def analyze(D: PartitionedDictionary) -> DictionaryStats:
-    """Populate every DictionaryStats field for a partitioned dictionary.
+    """The coherence profile of a partitioned dictionary.
 
     mu, mu_a and mu_b come from one chunked pass over the upper triangle of
     D's Gram matrix (``_coherences``), so the memory it takes is one chunk
     of about GRAM_CHUNK_BYTES (16 MiB) plus its modulus, whatever N is.
     """
     mu, mu_a, mu_b = _coherences(D.matrix, D.Na)
-    spec_a = spectral_norm(D.A)
-    spec_b = spectral_norm(D.B)
-    spec_d = spectral_norm(D.matrix)
-    welch = welch_bound(D.m, D.N) if D.N >= 2 else 0.0
-    tight_dev_a = abs(spec_a**2 - D.Na / D.m)
-    tight_dev_b = abs(spec_b**2 - D.Nb / D.m)
     return DictionaryStats(
+        m=D.m,
+        N=D.N,
+        Na=D.Na,
         mu=mu,
         mu_a=mu_a,
         mu_b=mu_b,
-        spec_a=spec_a,
-        spec_b=spec_b,
-        spec_d=spec_d,
-        welch=welch,
-        tight_dev_a=tight_dev_a,
-        tight_dev_b=tight_dev_b,
-        mu_a_defined=D.Na >= 2,
-        mu_b_defined=D.Nb >= 2,
+        spec_a=spectral_norm(D.A),
+        spec_b=spectral_norm(D.B),
+        spec_d=spectral_norm(D.matrix),
     )
 
 

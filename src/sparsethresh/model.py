@@ -49,6 +49,20 @@ SUPPORT_A_STRATEGIES = ("prescribed", "first-n", "spread", "random-baseline")
 # ============================================================
 
 
+def _block_columns(block: str, cols, size: int) -> np.ndarray:
+    """``cols``, index sets into ``block`` of ``size`` columns, as intp; refuses a float
+    or bool index (a cast would truncate it), one outside the block, or a repeat."""
+    cols = np.asarray(cols)
+    if cols.size and cols.dtype.kind not in "iu":
+        raise ValueError(f"{block}-column indices are {cols.dtype}, not integers in [0, {size})")
+    if cols.size and (cols.min() < 0 or cols.max() >= size):
+        raise ValueError(f"{block}-column indices out of range [0, {size})")
+    ordered = np.sort(cols, axis=-1)
+    if np.any(ordered[..., 1:] == ordered[..., :-1]):
+        raise ValueError(f"{block}-column index sets must be duplicate-free")
+    return cols.astype(np.intp, copy=False)
+
+
 def sample_support_b(n_total: int, n_pick: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniformly random size-n_pick subset of {0..n_total-1}, sorted ascending."""
     if not 0 <= n_pick <= n_total:
@@ -84,15 +98,13 @@ def choose_support_a(
         if indices is None:
             raise ValueError("prescribed strategy needs an explicit index list")
         # one index past n_pick tells a list too long, however long it is
-        chosen = tuple(int(i) for i in islice(indices, n_pick + 1))
+        chosen = tuple(islice(indices, n_pick + 1))
         if len(chosen) != n_pick:
             got = "more" if len(chosen) > n_pick else len(chosen)
             raise ValueError(f"expected {n_pick} indices, got {got}")
         if len(set(chosen)) != len(chosen):
             raise ValueError(f"prescribed indices contain duplicates: {chosen}")
-        if any(not 0 <= i < n_total for i in chosen):
-            raise ValueError(f"prescribed indices out of range [0, {n_total}): {chosen}")
-        return chosen
+        return tuple(_block_columns("A", chosen, n_total).tolist())
     if strategy == "first-n":
         return tuple(range(n_pick))
     if strategy == "spread":
@@ -122,12 +134,8 @@ def sample_instance(
     """
     if isinstance(support_a, int):
         support_a = sample_support_b(D.Na, support_a, rng)
-    cols_a = sorted(support_a)
-    if cols_a and (cols_a[0] < 0 or cols_a[-1] >= D.Na):
-        raise ValueError(f"A-column indices out of range [0, {D.Na})")
-    if len(set(cols_a)) != len(cols_a):
-        raise ValueError("A-column index sets must be duplicate-free")
-    support = cols_a + [D.Na + j for j in sample_support_b(D.Nb, n_b, rng)]
+    support = sorted(_block_columns("A", support_a, D.Na).tolist())
+    support += [D.Na + j for j in sample_support_b(D.Nb, n_b, rng)]
     k = len(support)
     magnitudes = np.hypot(rng.standard_normal(k), rng.standard_normal(k)) / np.sqrt(2.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k)

@@ -1,9 +1,9 @@
 """Closed-form sparsity conditions for partitioned dictionaries.
 
 All conditions bound the support sizes n_a (arbitrary block A) and n_b
-(random block B) through the coherence profile of the dictionary; logs are
-natural throughout.  With L = s log N, u = sqrt(4 s log N) (``default_u``) and
-budget split gamma in [0, 1]:
+(random block B) through one ``DictionaryStats``, the dictionary's coherence
+profile and shape, and read nothing beside it; logs are natural.  With
+L = s log N, u = sqrt(4 s log N) (``default_u``) and budget split gamma in [0, 1]:
 
   eq1  n_a + n_b <  min{ c mu^-2 / L, mu^-2 / 2 }          (strict), c = 0.004212
   eq2  n_a + n_b <= mu^-2 / (8 (s + 1) log N)
@@ -43,7 +43,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .dictionary import DictionaryStats, PartitionedDictionary
+from .dictionary import DictionaryStats
 
 __all__ = [
     "SPARSITY_CONSTANT",
@@ -175,30 +175,29 @@ def classical_threshold(mu: float) -> float:
     return 0.5 * (1.0 + 1.0 / mu)
 
 
-def default_u(s: float, N: int) -> float:
+def default_u(stats: DictionaryStats, s: float) -> float:
     """The canonical tail argument u = sqrt(4 s log N), giving bound N^{-s}."""
-    _require_n_gt_2(N)
-    return math.sqrt(4.0 * s * math.log(N))
+    _require_n_gt_2(stats.N)
+    return math.sqrt(4.0 * s * math.log(stats.N))
 
 
-def block_a_terms(mu: float, mu_a: float, n_a: int) -> tuple[float, float]:
+def block_a_terms(stats: DictionaryStats, n_a: int) -> tuple[float, float]:
     """Block-A terms: slope = (3/sqrt(2)) sqrt(mu^2 n_a), the sqrt(q) coefficient
     of the Xi_X moment bound, and gersgorin = (n_a - 1) mu_a, the bound on Xi_A."""
-    return 3.0 / math.sqrt(2.0) * math.sqrt(mu**2 * n_a), max(n_a - 1, 0) * mu_a
+    return 3.0 / math.sqrt(2.0) * math.sqrt(stats.mu**2 * n_a), max(n_a - 1, 0) * stats.mu_a
 
 
-def block_b_terms(
-    mu_b: float, spec_a: float, spec_b: float, n_b: int, Nb: int
-) -> tuple[float, float, float]:
+def block_b_terms(stats: DictionaryStats, n_b: int) -> tuple[float, float, float]:
     """Block-B terms, all 0 at n_b = 0: slope = 6 sqrt(mu_b^2 n_b) and frame =
     2 n_b ||B||^2 / N_b of the Xi_B moment bound, cross = sqrt(n_b / N_b) ||A|| ||B||
     the constant of the Xi_X moment bound."""
     if n_b == 0:
         return 0.0, 0.0, 0.0
+    Nb, spec_b = stats.Nb, stats.spec_b
     if Nb < 1:
         raise ValueError(f"n_b={n_b} > 0 requires a nonempty block B")
-    slope = 6.0 * math.sqrt(mu_b**2 * n_b)
-    return slope, 2.0 * n_b * spec_b**2 / Nb, math.sqrt(n_b / Nb) * spec_a * spec_b
+    slope = 6.0 * math.sqrt(stats.mu_b**2 * n_b)
+    return slope, 2.0 * n_b * spec_b**2 / Nb, math.sqrt(n_b / Nb) * stats.spec_a * spec_b
 
 
 @dataclass(frozen=True)
@@ -228,10 +227,10 @@ class _Condition:
         return ConditionCheck(self.id, lhs, self.rhs(params.gamma), self.strict, ok, note)
 
 
-def _conditions(stats: DictionaryStats, N: int, Nb: int, s: float) -> tuple[_Condition, ...]:
+def _conditions(stats: DictionaryStats, s: float) -> tuple[_Condition, ...]:
     """eq1..eq6 and the classical bound for one profile and s, in report order."""
     _require_s(s)
-    u = default_u(s, N)
+    u = default_u(stats, s)
     classical = classical_threshold(stats.mu)  # also rejects mu < 0
     mu_sq = stats.mu * stats.mu
     inv = 1.0 / mu_sq if mu_sq else math.inf  # inf also where mu^2 underflows
@@ -239,8 +238,8 @@ def _conditions(stats: DictionaryStats, N: int, Nb: int, s: float) -> tuple[_Con
         l0_cap = l1_cap = eq1_cap = math.inf
     else:
         l0_cap = inv / 2.0
-        l1_cap = inv / (8.0 * (s + 1.0) * math.log(N))
-        eq1_cap = min(SPARSITY_CONSTANT * inv / (s * math.log(N)), l0_cap)
+        l1_cap = inv / (8.0 * (s + 1.0) * math.log(stats.N))
+        eq1_cap = min(SPARSITY_CONSTANT * inv / (s * math.log(stats.N)), l0_cap)
 
     def block_lhs(slope: float, *constants: float) -> float:
         value = slope * u if slope else 0.0  # a zero slope adds 0 even where u is inf
@@ -254,7 +253,7 @@ def _conditions(stats: DictionaryStats, N: int, Nb: int, s: float) -> tuple[_Con
         _Condition(
             "eq3",
             "n_a",
-            lambda n: block_lhs(*block_a_terms(stats.mu, stats.mu_a, n)),
+            lambda n: block_lhs(*block_a_terms(stats, n)),
             lambda gamma: (1.0 - gamma) * _QUARTER_DECAY,
             strict=False,
             note="vacuous at n_a = 0",
@@ -262,7 +261,7 @@ def _conditions(stats: DictionaryStats, N: int, Nb: int, s: float) -> tuple[_Con
         _Condition(
             "eq4",
             "n_b",
-            lambda n: block_lhs(*block_b_terms(stats.mu_b, stats.spec_a, stats.spec_b, n, Nb)),
+            lambda n: block_lhs(*block_b_terms(stats, n)),
             lambda gamma: gamma * _QUARTER_DECAY,
             strict=False,
         ),
@@ -272,14 +271,9 @@ def _conditions(stats: DictionaryStats, N: int, Nb: int, s: float) -> tuple[_Con
     )
 
 
-def evaluate_conditions(
-    stats: DictionaryStats,
-    N: int,
-    Nb: int,
-    params: TheoremParams,
-) -> ConditionReport:
+def evaluate_conditions(stats: DictionaryStats, params: TheoremParams) -> ConditionReport:
     """Evaluate every condition for one (s, gamma, n_a, n_b) setting."""
-    checks = tuple(c.check(params) for c in _conditions(stats, N, Nb, params.s))
+    checks = tuple(c.check(params) for c in _conditions(stats, params.s))
     eq3, eq4, eq5, eq6 = checks[2:6]
     return ConditionReport(
         conditions=checks,
@@ -293,15 +287,13 @@ def evaluate_conditions(
 # ============================================================
 
 
-def first_feasible_gamma(
-    stats: DictionaryStats, N: int, Nb: int, s: float, n_a: int, n_b: int
-) -> float | None:
+def first_feasible_gamma(stats: DictionaryStats, s: float, n_a: int, n_b: int) -> float | None:
     """First gamma of GAMMA_GRID_DEFAULT at which eq3 and eq4 both hold, else None.
 
     Neither lhs depends on gamma, so both are evaluated once, up front: n_b > 0
     on an empty block B raises even where eq3 fails.
     """
-    _, _, eq3, eq4, *_ = _conditions(stats, N, Nb, s)
+    _, _, eq3, eq4, *_ = _conditions(stats, s)
     lhs_a, lhs_b = eq3.lhs(n_a), eq4.lhs(n_b)
     for gamma in GAMMA_GRID_DEFAULT:
         if eq3.holds(lhs_a, gamma) and eq4.holds(lhs_b, gamma):
@@ -369,8 +361,6 @@ def _largest_feasible(conditions: tuple[_Condition, ...], gamma: float, hi: int)
 
 def max_sparsity_search(
     stats: DictionaryStats,
-    N: int,
-    Nb: int,
     s: float = 1.0,
     na_cap: int | None = None,
     nb_cap: int | None = None,
@@ -382,12 +372,11 @@ def max_sparsity_search(
     first.  Returns the lexicographically largest (n_a + n_b, n_a) over the
     grid, with the first maximizing gamma on ties, and (0, 0) when nothing is
     feasible.  ``na_cap``/``nb_cap`` restrict the block budgets below their
-    natural limits N - Nb and Nb.
+    natural limits Na and Nb.
     """
-    _, _, eq3, eq4, eq5, eq6, _ = _conditions(stats, N, Nb, s)
-    Na = N - Nb
-    a_hi = Na if na_cap is None else min(na_cap, Na)
-    b_hi = Nb if nb_cap is None else min(nb_cap, Nb)
+    _, _, eq3, eq4, eq5, eq6, _ = _conditions(stats, s)
+    a_hi = stats.Na if na_cap is None else min(na_cap, stats.Na)
+    b_hi = stats.Nb if nb_cap is None else min(nb_cap, stats.Nb)
 
     per_gamma = []
     for gamma in GAMMA_GRID_DEFAULT:
@@ -399,7 +388,7 @@ def max_sparsity_search(
 
     best = max(per_gamma, key=lambda g: (g.total, g.n_a))
     report = evaluate_conditions(
-        stats, N, Nb, TheoremParams(s=s, gamma=best.gamma, n_a=best.n_a, n_b=best.n_b)
+        stats, TheoremParams(s=s, gamma=best.gamma, n_a=best.n_a, n_b=best.n_b)
     )
     return SparsitySearchResult(
         best_n_a=best.n_a,
@@ -439,14 +428,14 @@ class ScalingReport:
         return {"r1": self.r1, "r2": self.r2, "r3": self.r3, "r4": self.r4, "r5": self.r5}
 
 
-def scaling_report(stats: DictionaryStats, D: PartitionedDictionary) -> ScalingReport:
-    _require_n_gt_2(D.N)
-    log_n = math.log(D.N)
-    nb = max(D.Nb, 1)
+def scaling_report(stats: DictionaryStats) -> ScalingReport:
+    _require_n_gt_2(stats.N)
+    log_n = math.log(stats.N)
+    m, nb = stats.m, max(stats.Nb, 1)
     return ScalingReport(
-        r1=stats.mu * math.sqrt(D.m),
-        r2=stats.mu_a * D.m / log_n,
-        r3=D.Na * log_n / D.m,
-        r4=stats.spec_b**2 * D.m / (nb * log_n),
-        r5=stats.spec_a**2 * stats.spec_b**2 * D.m / (nb * log_n),
+        r1=stats.mu * math.sqrt(m),
+        r2=stats.mu_a * m / log_n,
+        r3=stats.Na * log_n / m,
+        r4=stats.spec_b**2 * m / (nb * log_n),
+        r5=stats.spec_a**2 * stats.spec_b**2 * m / (nb * log_n),
     )

@@ -39,11 +39,10 @@ def _gate(name: str, started: float, budget: float) -> None:
     assert elapsed < budget, f"{name}: {elapsed:.2f}s exceeded the {budget:.0f}s budget"
 
 
-def _stats(mu, mu_a, mu_b, spec_a, spec_b):
+def _stats(N, Nb, mu=0.0, mu_a=0.0, mu_b=0.0, spec_a=1.0, spec_b=1.0):
     return DictionaryStats(
-        mu=mu, mu_a=mu_a, mu_b=mu_b, spec_a=spec_a, spec_b=spec_b,
-        spec_d=max(spec_a, spec_b), welch=0.0, tight_dev_a=0.0, tight_dev_b=0.0,
-        mu_a_defined=True, mu_b_defined=True,
+        m=1, N=N, Na=N - Nb, mu=mu, mu_a=mu_a, mu_b=mu_b, spec_a=spec_a, spec_b=spec_b,
+        spec_d=max(spec_a, spec_b),
     )
 
 
@@ -111,11 +110,11 @@ def test_hollow_gram_chain_has_zero_violations():
 
 
 def test_tail_bound_identity_and_half_threshold():
-    # P{Xi_S >= e^{1/4} (lhs3 + lhs4) / 2} <= e^{-u^2/4} at u = default_u(s, N)
+    # P{Xi_S >= e^{1/4} (lhs3 + lhs4) / 2} <= e^{-u^2/4} at u = default_u(stats, s)
     started = time.perf_counter()
     for s in (1.0, 1.5, 2.0):
         for N in (10, 56, 100, 4160):
-            bound = math.exp(-default_u(s, N) ** 2 / 4.0)
+            bound = math.exp(-default_u(_stats(N, 1), s) ** 2 / 4.0)
             target = float(N) ** (-s)
             assert abs(bound - target) <= 1e-14 * target
 
@@ -136,8 +135,8 @@ def test_tail_bound_identity_and_half_threshold():
             n_a=int(rng.integers(0, 7)),
             n_b=int(rng.integers(0, 5)),
         )
-        stats = _stats(mu, mu_a, mu_b, spec_a, spec_b)
-        report = evaluate_conditions(stats, N, Nb, params)
+        stats = _stats(N, Nb, mu, mu_a, mu_b, spec_a, spec_b)
+        report = evaluate_conditions(stats, params)
         eq3, eq4 = report.get("eq3"), report.get("eq4")
         if not (eq3.satisfied and eq4.satisfied):
             continue
@@ -156,7 +155,7 @@ def test_tail_bound_identity_and_half_threshold():
 def test_search_budget_survives_smin_trials(identity110):
     started = time.perf_counter()
     stats = analyze(identity110)
-    found = max_sparsity_search(stats, identity110.N, identity110.Nb)
+    found = max_sparsity_search(stats)
     assert (found.best_n_a, found.best_n_b) == (10, 6)
     result = run_smin_trials(
         identity110, "first-n", found.best_n_a, found.best_n_b,
@@ -221,13 +220,14 @@ def test_search_matches_exhaustive_scan():
     for i in range(20):
         lo, hi = (0.002, 0.03) if i % 2 == 0 else (0.03, 0.2)
         mu = float(rng.uniform(lo, hi))
-        st = _stats(
+        profile = (
             mu, float(rng.uniform(0, mu)), float(rng.uniform(0, mu)),
             float(rng.uniform(1.0, 3.0)), float(rng.uniform(1.0, 3.0)),
         )
         N = int(rng.integers(200, 5001))
         Nb = int(rng.integers(100, N - 99))
-        found = max_sparsity_search(st, N, Nb, na_cap=50, nb_cap=50)
+        st = _stats(N, Nb, *profile)
+        found = max_sparsity_search(st, na_cap=50, nb_cap=50)
         per_gamma = {g.gamma: g.total for g in found.per_gamma}
         best = 0
         for gamma in GAMMA_GRID_DEFAULT:

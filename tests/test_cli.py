@@ -125,6 +125,13 @@ class TestBuildDict:
         assert ".tmp" not in err and "Traceback" not in err
         assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
+    def test_negative_random_seed_is_refused_by_name(self, tmp_path, capsys):
+        # numpy's own message, "expected non-negative integer", named no seed
+        out = tmp_path / "r.dict.json"
+        assert main(["build-dict", "--random", "4", "8", "--seed", "-1", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not out.exists()
+
     def test_random_builder_is_deterministic(self, tmp_path):
         a = tmp_path / "a.dict.json"
         b = tmp_path / "b.dict.json"
@@ -337,6 +344,14 @@ class TestMalformedInput:
              None, "pairs of numbers"),
             ("analyze", None, {"dictionary": {"mub": None}}, "dictionary.mub"),
             ("analyze", None, {"dictionary": {"path": None}}, "dictionary.path"),
+            ("analyze", None, {"dictionary": {"mub": 3, "seed": "x"}},
+             "config 'dictionary.seed' must be an integer"),
+            ("analyze", None, {"dictionary": {"two_onb": 4, "split": True}},
+             "config 'dictionary.split' must be an integer"),
+            ("analyze", None, {"dictionary": {"mub": 3, "bogus": 1}},
+             "unknown config key 'dictionary.bogus'"),
+            ("analyze", None, {"dictionary": {"random": [4, 8], "seed": -1}},
+             "seed must be a nonnegative integer, got -1"),
             ("smin", None, {"trials": [5]}, "'trials' must be a JSON integer"),
             ("moments", None, {"trials": [5]}, "'trials' must be a JSON integer"),
             ("recover", None, {"trials": [5]}, "'trials' must be a JSON integer"),
@@ -361,6 +376,8 @@ class TestMalformedInput:
         ids=[
             "entries-not-a-list", "m-is-a-bool", "entries-string",
             "entries-bool-among-numbers", "entries-all-bool", "mub-null", "path-null",
+            "mub-seed-string", "two-onb-split-bool", "dictionary-unknown-key",
+            "random-seed-negative",
             "smin-trials-list", "moments-trials-list", "recover-trials-list",
             "smin-na-null", "moments-na-null", "moments-q-list",
             "recover-strategies-int", "recover-na-range-null-item", "check-nb-bool",

@@ -50,10 +50,10 @@ SQRT3 = 1.7320508075688772
 TOL = 1e-12
 
 
-def _stats(mu=0.0, mu_a=0.0, mu_b=0.0, spec_a=1.0, spec_b=1.0) -> DictionaryStats:
+def _stats(N=100, Nb=50, mu=0.0, mu_a=0.0, mu_b=0.0, spec_a=1.0, spec_b=1.0) -> DictionaryStats:
     return DictionaryStats(
-        mu=mu, mu_a=mu_a, mu_b=mu_b, spec_a=spec_a, spec_b=spec_b,
-        spec_d=spec_a + spec_b, welch=0.0, tight_dev_a=0.0, tight_dev_b=0.0,
+        m=1, N=N, Na=N - Nb, mu=mu, mu_a=mu_a, mu_b=mu_b, spec_a=spec_a, spec_b=spec_b,
+        spec_d=spec_a + spec_b,
     )
 
 
@@ -156,6 +156,25 @@ class TestExtractSubdictionary:
         # one bad row among clean ones is enough
         with pytest.raises(ValueError, match="duplicate"):
             chain_batch(mub3, analyze(mub3), [(0, 1), (2, 2)], [(1,), (2,)])
+
+    @pytest.mark.parametrize(
+        "cols_a, cols_b, block",
+        [([[1.5]], [[0.9]], "A"), ([[1]], [[0.9]], "B"), ([[True]], [[0]], "A"),
+         (np.ones((2, 1), dtype=bool), np.zeros((2, 1), dtype=int), "A"),
+         (np.zeros((2, 1), dtype=int), np.ones((2, 1)), "B")],
+    )
+    def test_rejects_float_and_bool_indices(self, mub7, mub7_stats, cols_a, cols_b, block):
+        # a cast to intp once measured A-column 1 and B-column 0 for [[1.5]], [[0.9]]
+        with pytest.raises(ValueError, match=f"{block}-column indices are .*, not integers"):
+            chain_batch(mub7, mub7_stats, cols_a, cols_b)
+
+    def test_takes_any_integer_dtype(self, mub7, mub7_stats):
+        rec = chain_batch(mub7, mub7_stats, [[3, 0]], [[5, 9, 40]])
+        for dtype in (np.int32, np.uint16):
+            again = chain_batch(
+                mub7, mub7_stats, np.array([[3, 0]], dtype), np.array([[5, 9, 40]], dtype)
+            )
+            assert again.sigma_min.tolist() == rec.sigma_min.tolist()
 
     def test_rejects_out_of_range(self, mub3):
         with pytest.raises(ValueError, match="out of range"):
@@ -376,27 +395,28 @@ class TestBlockTerms:
     def test_reference_frame_and_cross(self):
         # mu_b = 0, ||A|| = ||B|| = sqrt(5), N_b = 25, n_b = 5:
         # 2 n_b ||B||^2 / N_b + sqrt(n_b / N_b) ||A|| ||B|| = 2 + sqrt(5)
-        slope, frame, cross = block_b_terms(0.0, math.sqrt(5.0), math.sqrt(5.0), 5, 25)
+        stats = _stats(Nb=25, spec_a=math.sqrt(5.0), spec_b=math.sqrt(5.0))
+        slope, frame, cross = block_b_terms(stats, 5)
         assert slope == 0.0
         assert abs(frame + cross - BETA_EXAMPLE) <= TOL
 
     def test_reference_block_a(self):
-        slope, gersgorin = block_a_terms(0.2, 0.15, 2)
+        slope, gersgorin = block_a_terms(_stats(mu=0.2, mu_a=0.15), 2)
         assert abs(slope - 3.0 * math.sqrt(0.04 * 2 / 2.0)) <= TOL
         assert abs(gersgorin - 0.15) <= TOL
 
     def test_empty_budget_b_has_no_terms(self):
-        assert block_b_terms(0.2, 1.0, 1.0, 0, 50) == (0.0, 0.0, 0.0)
+        assert block_b_terms(_stats(Nb=50, mu_b=0.2), 0) == (0.0, 0.0, 0.0)
 
     def test_reference_u(self):
-        assert abs(default_u(2.0, 10) - U_S2_N10) <= TOL
+        assert abs(default_u(_stats(N=10, Nb=5), 2.0) - U_S2_N10) <= TOL
 
     def test_threshold_is_half_the_condition_lhs_sum(self):
         # (slope_a + slope_b) u + gersgorin + frame + cross at u = sqrt(4 s log N)
         # equals (lhs3 + lhs4) / 2
         rng = np.random.default_rng(29)
         for _ in range(50):
-            stats = _stats(
+            profile = dict(
                 mu=float(rng.uniform(0.0, 0.5)),
                 mu_a=float(rng.uniform(0.0, 0.5)),
                 mu_b=float(rng.uniform(0.0, 0.5)),
@@ -405,17 +425,16 @@ class TestBlockTerms:
             )
             N = int(rng.integers(5, 3000))
             Nb = int(rng.integers(1, N))
+            stats = _stats(N, Nb, **profile)
             s = float(rng.uniform(1.0, 3.0))
             n_a = int(rng.integers(0, 30))
             n_b = int(rng.integers(0, 30))
             params = TheoremParams(s=s, gamma=0.5, n_a=n_a, n_b=n_b)
-            report = evaluate_conditions(stats, N, Nb, params)
+            report = evaluate_conditions(stats, params)
             lhs_sum = report.get("eq3").lhs + report.get("eq4").lhs
-            slope_a, gersgorin = block_a_terms(stats.mu, stats.mu_a, n_a)
-            slope_b, frame, cross = block_b_terms(
-                stats.mu_b, stats.spec_a, stats.spec_b, n_b, Nb
-            )
-            u = default_u(s, N)
+            slope_a, gersgorin = block_a_terms(stats, n_a)
+            slope_b, frame, cross = block_b_terms(stats, n_b)
+            u = default_u(stats, s)
             expected = 2.0 * ((slope_a + slope_b) * u + gersgorin + frame + cross)
             assert abs(lhs_sum - expected) <= 1e-12 * max(1.0, expected)
 
@@ -426,6 +445,11 @@ class TestBlockTerms:
 
 
 class TestRunSminTrials:
+    def test_refuses_a_float_prescribed_index(self, mub7):
+        # int() once read 1.5 as column 1
+        with pytest.raises(ValueError, match="A-column indices are .*, not integers"):
+            run_smin_trials(mub7, "prescribed", 1, 1, 3, support_a=[1.5])
+
     def test_rank_deficient_budget_always_fails(self, mub3):
         res = run_smin_trials(mub3, "first-n", 2, 2, trials=50, master_seed=1)
         assert res.failure_count == 50
@@ -605,7 +629,7 @@ class TestMomentFloors:
         # smin compares its failure rate with the tail bound N^{-s}, which
         # holds only for u^2 at or above both floors
         N, n_b = N_nb
-        assert default_u(s, N) ** 2 >= moment_floor_x(n_b) >= moment_floor_b(n_b)
+        assert default_u(_stats(N, Nb=1), s) ** 2 >= moment_floor_x(n_b) >= moment_floor_b(n_b)
 
 
 class TestMomentRoots:
@@ -730,10 +754,8 @@ class TestEstimateMoment:
         est = estimate_moment(mub5, n_a, n_b, q=q, trials=1000, master_seed=8)
         assert q >= est.floor_x
         stats = analyze(mub5)
-        slope_a, _ = block_a_terms(stats.mu, stats.mu_a, n_a)
-        slope_b, frame, cross = block_b_terms(
-            stats.mu_b, stats.spec_a, stats.spec_b, n_b, mub5.Nb
-        )
+        slope_a, _ = block_a_terms(stats, n_a)
+        slope_b, frame, cross = block_b_terms(stats, n_b)
         assert abs(est.bound_b - (slope_b * math.sqrt(q) + frame)) <= 1e-12
         assert abs(est.bound_x - (slope_a * math.sqrt(q) + cross)) <= 1e-12
 

@@ -1,5 +1,6 @@
 """Tests for partitioned dictionaries, coherence statistics, and file I/O."""
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from sparsethresh import dictionary
 from sparsethresh import (
     DictionaryFormatError,
+    DictionaryStats,
     PartitionedDictionary,
     analyze,
     build_mub,
@@ -251,6 +253,12 @@ class TestAnalyze:
 
     def test_welch_matches_direct_call(self, mub7_stats):
         assert mub7_stats.welch == welch_bound(7, 56)
+
+    def test_profile_stores_the_shape_and_six_measured_numbers(self, mub7_stats):
+        # Nb, welch, the tight-frame gaps and the *_defined flags derive from these
+        names = tuple(field.name for field in dataclasses.fields(DictionaryStats))
+        assert names == ("m", "N", "Na", "mu", "mu_a", "mu_b", "spec_a", "spec_b", "spec_d")
+        assert (mub7_stats.m, mub7_stats.N, mub7_stats.Na, mub7_stats.Nb) == (7, 56, 7, 49)
 
     def test_single_block_flags(self):
         stats = analyze(PartitionedDictionary(np.eye(4), 4))

@@ -123,6 +123,22 @@ class TestChooseSupportA:
         with pytest.raises(ValueError, match="expected 2 indices, got more"):
             choose_support_a("prescribed", 10, 2, indices=range(10**18))  # read lazily
 
+    @pytest.mark.parametrize(
+        "indices", [np.array([0.7, 3.2]), [True], [1.5], (3, 1.0), np.array([True, False])]
+    )
+    def test_prescribed_refuses_float_and_bool_indices(self, indices):
+        # int() once read 0.7 as 0 and True as 1
+        with pytest.raises(ValueError, match="A-column indices are .*, not integers"):
+            choose_support_a("prescribed", 7, len(indices), indices=indices)
+
+    @pytest.mark.parametrize(
+        "indices", [np.array([5, 2]), np.array([5, 2], dtype=np.uint8), (np.int64(5), 2)]
+    )
+    def test_prescribed_takes_numpy_integers(self, indices):
+        chosen = choose_support_a("prescribed", 7, 2, indices=indices)
+        assert chosen == (5, 2) and all(type(i) is int for i in chosen)
+        assert choose_support_a("prescribed", 7, 3, indices=range(2, 5)) == (2, 3, 4)
+
     def test_random_baseline_deterministic_in_seed(self):
         # all 20 columns in block A, none in B
         support_a = choose_support_a("random-baseline", 20, 5)
@@ -243,11 +259,14 @@ class TestSampleInstance:
     @pytest.mark.parametrize(
         "support_a, message",
         [((-1,), "out of range"), ((7,), "out of range"), ((5, 9), "out of range"),
-         ((0, 0), "duplicate-free"), ((3, 1, 3), "duplicate-free")],
+         ((0, 0), "duplicate-free"), ((3, 1, 3), "duplicate-free"),
+         ((1.5,), "not integers"), ((True,), "not integers"),
+         ((2, 0.5), "not integers")],
     )
     def test_refuses_what_chain_batch_refuses(self, mub7, mub7_stats, support_a, message):
-        # unchecked, (-1,) put the A-value on B's last column and (0, 0) gave
-        # one nonzero fewer than k
+        # unchecked, (-1,) put the A-value on B's last column, (0, 0) gave
+        # one nonzero fewer than k, (1.5,) raised a bare IndexError and (True,)
+        # measured column 1
         with pytest.raises(ValueError, match=message) as sampled:
             sample_instance(mub7, support_a, 2, derive_rng(0))
         with pytest.raises(ValueError) as measured:
