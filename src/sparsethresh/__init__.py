@@ -19,7 +19,6 @@ from .dictionary import (
     build_mub,
     build_random_dictionary,
     build_two_onb,
-    coherence,
     load_dictionary,
     save_dictionary,
     spectral_norm,

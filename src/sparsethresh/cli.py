@@ -299,7 +299,7 @@ def cmd_build_dict(args, cfg) -> int:
     D, default_name = _build(given[0], getattr(args, given[0]), args.seed, args.split)
     path = default_name if args.out is None else args.out
     dictionary.save_dictionary(D, path)
-    for line in _stats_lines(dictionary.analyze(D)):
+    for line in _stats_lines(D.stats):
         print(line)
     print(f"wrote {path}")
     return 0
@@ -307,12 +307,11 @@ def cmd_build_dict(args, cfg) -> int:
 
 def cmd_analyze(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
-    stats = dictionary.analyze(D)
     if args.json:
-        doc = {"m": D.m, "N": D.N, "Na": D.Na, "Nb": D.Nb, **stats.to_dict()}
+        doc = {"m": D.m, "N": D.N, "Na": D.Na, "Nb": D.Nb, **D.stats.to_dict()}
         sys.stdout.write(_json_text(doc))
     else:
-        for line in _stats_lines(stats):
+        for line in _stats_lines(D.stats):
             print(line)
     return 0
 
@@ -322,7 +321,7 @@ def cmd_check(args, cfg) -> int:
     params = threshold.TheoremParams(s=args.s, gamma=args.gamma, n_a=args.na, n_b=args.nb)
     if not args.maximize:  # the search ignores n_a and n_b
         D.check_budgets(params.n_a, params.n_b)
-    stats = dictionary.analyze(D)
+    stats = D.stats
     if args.maximize:  # reports the best budget found, so never fails
         result = threshold.max_sparsity_search(stats, s=params.s)
         report, ok = result.report, True
@@ -461,7 +460,7 @@ def cmd_report(args, cfg) -> int:
     D = _resolve_dictionary(args, cfg)
     params = threshold.TheoremParams(s=args.s, gamma=args.gamma, n_a=args.na, n_b=args.nb)
     D.check_budgets(params.n_a, params.n_b)
-    stats = dictionary.analyze(D)
+    stats = D.stats
     doc = {
         "m": D.m,
         "N": D.N,

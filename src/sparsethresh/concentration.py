@@ -24,19 +24,21 @@ most 1/2, which pins sigma_min > 1/sqrt(2) outside the N^{-s} event.
 Xi_B and Xi_X moment bounds.
 
 Both runners share one kernel, run on the blocks of ``rng.fan_out`` on the
-A-support resolved once per run.  This module only measures: a block's
-supports come from ``model.draw_supports``, the rows ``model.sample_instance``
-draws on each trial's own stream.  ``chain_batch`` measures the chain for a
-block of draws at once: the sub-dictionaries are stacked into one (T, m, k)
-array, and each of sigma_min, Xi_S, Xi_A, Xi_B and Xi_X takes one stacked
-``np.linalg.svd(..., compute_uv=False)``.  That is
-the LAPACK routine the per-matrix ``svd`` and ``norm(ord=2)`` call, applied
-matrix by matrix, so every value is bit-identical to measuring the draw on
-its own, whatever the block or worker split.  A batched ``eigvalsh`` of the
-Gram would be cheaper but rounds differently, moving the CSVs' last digits.
-``estimate_moment`` reads only Xi_B and Xi_X, so it takes the stacking and
-those two SVDs from the same code (``_sub_dictionaries``) and skips the
-other three.
+A-support resolved once per run.  Every function here takes the dictionary
+alone and reads its profile as ``D.stats``, which D measures once and keeps,
+so pool workers receive the profile with D.  This module only measures: a
+block's supports come from ``model.draw_supports``, the rows
+``model.sample_instance`` draws on each trial's own stream.  ``chain_batch``
+measures the chain for a block of draws at once: the sub-dictionaries are
+stacked into one (T, m, k) array, and each of sigma_min, Xi_S, Xi_A, Xi_B
+and Xi_X takes one stacked ``np.linalg.svd(..., compute_uv=False)``.  That
+is the LAPACK routine the per-matrix ``svd`` and ``norm(ord=2)`` call,
+applied matrix by matrix, so every value is bit-identical to measuring the
+draw on its own, whatever the block or worker split.  A batched
+``eigvalsh`` of the Gram would be cheaper but rounds differently, moving
+the CSVs' last digits.  ``estimate_moment`` reads only Xi_B and Xi_X, so it
+takes the stacking and those two SVDs from the same code
+(``_sub_dictionaries``) and skips the other three.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import DictionaryStats, PartitionedDictionary, analyze
+from .dictionary import PartitionedDictionary
 from .model import SUPPORT_A_STRATEGIES, _block_columns, choose_support_a, draw_supports
 from .rng import _require_seed, derive_rng, fan_out
 from .threshold import (
@@ -166,16 +168,14 @@ def _sub_dictionaries(D: PartitionedDictionary, cols_a, cols_b):
     return S, _hollow_norms(b_part), xi_x
 
 
-def chain_batch(
-    D: PartitionedDictionary, stats: DictionaryStats, cols_a, cols_b
-) -> HollowGramRecord:
+def chain_batch(D: PartitionedDictionary, cols_a, cols_b) -> HollowGramRecord:
     """Measure every quantity in the chain for T draws at once.
 
     Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
     columns of A and B; each row must hold distinct integers inside its block.
     The T sub-dictionaries are stacked and each quantity takes one stacked
     SVD, which LAPACK runs matrix by matrix, so draw t's values do not depend
-    on the other draws.
+    on the other draws.  The three ceilings read D's own profile, ``D.stats``.
     """
     S, xi_b, xi_x = _sub_dictionaries(D, cols_a, cols_b)
     cols_a = np.asarray(cols_a, dtype=np.intp)
@@ -193,7 +193,7 @@ def chain_batch(
             row_norm_ab = np.array([
                 np.linalg.norm(a.conj().T @ D.B, axis=0).max() for a in a_distinct
             ])[which]
-    slope_a, gersgorin = block_a_terms(stats, n_a)
+    slope_a, gersgorin = block_a_terms(D.stats, n_a)
     return HollowGramRecord(
         sigma_min=_smallest_singular_values(S),
         xi_s=_hollow_norms(S),
@@ -203,7 +203,7 @@ def chain_batch(
         row_norm_ab=row_norm_ab,
         gersgorin_rhs=gersgorin,
         row_norm_bound=slope_a * math.sqrt(2.0) / 3.0,  # slope_a / (3/sqrt(2))
-        cross_bound=stats.spec_a * stats.spec_b,
+        cross_bound=D.stats.spec_a * D.stats.spec_b,
     )
 
 
@@ -236,8 +236,8 @@ def _csv_lines(header: str, columns) -> list[str]:
 def _smin_block(common, lo, hi):
     """lo, then the CSV columns, breaks per inequality and broken trials of
     trials lo..hi-1."""
-    D, stats, support_a, n_b, master_seed = common
-    rec = chain_batch(D, stats, *draw_supports(D, support_a, n_b, master_seed, lo, hi))
+    D, support_a, n_b, master_seed = common
+    rec = chain_batch(D, *draw_supports(D, support_a, n_b, master_seed, lo, hi))
     masks = rec.breaks()
     return (
         lo,
@@ -337,12 +337,12 @@ def run_smin_trials(
         raise ValueError(f"workers must be >= 1, got {workers}")
     resolved = choose_support_a(strategy, D.Na, n_a, indices=support_a)
     rows = _per_trial((trials, 5))
-    stats = analyze(D)
-    gamma_feasible = first_feasible_gamma(stats, s, n_a, n_b)
+    # read before fan_out, so the workers receive the profile with D
+    gamma_feasible = first_feasible_gamma(D.stats, s, n_a, n_b)
 
     by_inequality: Counter = Counter()
     violation_count = 0
-    common = (D, stats, resolved, n_b, master_seed)
+    common = (D, resolved, n_b, master_seed)
     for lo, block, breaks, broken in fan_out(_smin_block, common, trials, workers):
         rows[lo : lo + len(block)] = block
         by_inequality.update(breaks)
@@ -494,6 +494,8 @@ def estimate_moment(
     _require_seed(master_seed)
     if trials < 1000:
         raise ValueError(f"moment estimation needs >= 1000 trials, got {trials}")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
     floor_b = moment_floor_b(n_b)
     floor_x = moment_floor_x(n_b)
     if not (math.isfinite(q) and q >= floor_b - 1e-12):
@@ -512,15 +514,14 @@ def estimate_moment(
             f"got {strategy!r}"
         )
     xi_b, xi_x = _per_trial((2, trials))
-    stats = analyze(D)
 
     common = (D, support_a, n_b, master_seed)
     for lo, block_b, block_x in fan_out(_moment_block, common, trials, 1):
         xi_b[lo : lo + len(block_b)] = block_b
         xi_x[lo : lo + len(block_x)] = block_x
 
-    slope_a, _ = block_a_terms(stats, n_a)
-    slope_b, frame, cross = block_b_terms(stats, n_b)
+    slope_a, _ = block_a_terms(D.stats, n_a)
+    slope_b, frame, cross = block_b_terms(D.stats, n_b)
     sqrt_q = math.sqrt(q)
     bound_b = slope_b * sqrt_q + frame
     x_valid = q >= floor_x - 1e-12

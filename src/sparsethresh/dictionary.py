@@ -3,7 +3,8 @@
 A dictionary is a complex m x N matrix with unit-norm columns, N >= m.  A
 partitioned dictionary additionally carries a split point Na: the first Na
 columns form block A, the remaining Nb = N - Na columns form block B.  The
-profile ``analyze`` returns as a ``DictionaryStats``, shape included:
+profile ``analyze`` returns as a ``DictionaryStats``, shape included, and
+that ``D.stats`` measures once and keeps:
 
     coherence         mu    = max_{i != j} |d_i^H d_j|
     sub-coherences    mu_a, mu_b (within each block)
@@ -18,10 +19,10 @@ identity plus p chirp bases for an odd prime p (p + 1 mutually unbiased bases
 of C^p, coherence 1/sqrt(p)).  Arbitrary dictionaries round-trip through a
 JSON text format, see ``save_dictionary``.
 
-Memory: ``coherence`` and ``analyze`` never form the N x N Gram matrix.  They
-walk its upper triangle in row chunks of about GRAM_CHUNK_BYTES (16 MiB) and
-read mu, mu_a and mu_b from each chunk in the same pass, so beside the m x N
-matrix they hold one chunk and its modulus (about 24 MiB) whatever N is.
+Memory: ``analyze`` never forms the N x N Gram matrix.  It walks its upper
+triangle in row chunks of about GRAM_CHUNK_BYTES (16 MiB) and reads mu, mu_a
+and mu_b from each chunk in the same pass, so beside the m x N matrix it
+holds one chunk and its modulus (about 24 MiB) whatever N is.
 The builders fill their matrix in blocks of about 1 MiB and hand it to
 PartitionedDictionary without a copy.  ``load_dictionary`` holds the file's
 text, decoded once, and parses ``entries`` in chunks of about
@@ -37,6 +38,7 @@ import math
 import os
 import re
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +46,6 @@ __all__ = [
     "DictionaryFormatError",
     "PartitionedDictionary",
     "DictionaryStats",
-    "coherence",
     "spectral_norm",
     "welch_bound",
     "build_two_onb",
@@ -148,6 +149,11 @@ class PartitionedDictionary:
         mat.setflags(write=False)
         object.__setattr__(self, "split", int(self.split))
 
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle with the matrix read-only again: numpy's pickle drops the flag."""
+        self.__dict__.update(state)
+        self.matrix.setflags(write=False)
+
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
@@ -163,6 +169,13 @@ class PartitionedDictionary:
     @property
     def Nb(self) -> int:
         return self.N - self.split
+
+    @cached_property
+    def stats(self) -> DictionaryStats:
+        """``analyze(self)``, measured on first read and kept in ``__dict__``, so a
+        pickled D carries it to pool workers.  The matrix is read-only (``_freeze``,
+        ``__setstate__``) and the split frozen, so it cannot go stale."""
+        return analyze(self)
 
     @property
     def A(self) -> np.ndarray:
@@ -244,18 +257,6 @@ class DictionaryStats:
 # ============================================================
 # scalar statistics
 # ============================================================
-
-
-def coherence(matrix) -> float:
-    """Largest |inner product| over distinct column pairs.
-
-    Raises ValueError for fewer than two columns: the coherence of a single
-    column is undefined and silently reporting 0 would hide the misuse.
-    """
-    mat = _as_complex_matrix(matrix)
-    if mat.shape[1] < 2:
-        raise ValueError("coherence is undefined for fewer than two columns")
-    return _coherences(mat, 0)[0]
 
 
 def _max(block: np.ndarray) -> float:

@@ -49,9 +49,18 @@ SUPPORT_A_STRATEGIES = ("prescribed", "first-n", "spread", "random-baseline")
 # ============================================================
 
 
+def _holds_bool(cols) -> bool:
+    """Whether ``cols`` is a bool, or a list or tuple holding one at any depth."""
+    if isinstance(cols, (list, tuple)):
+        return any(map(_holds_bool, cols))
+    return isinstance(cols, bool) or getattr(cols, "dtype", None) == bool
+
+
 def _block_columns(block: str, cols, size: int) -> np.ndarray:
     """``cols``, index sets into ``block`` of ``size`` columns, as intp; refuses a float
     or bool index (a cast would truncate it), one outside the block, or a repeat."""
+    if isinstance(cols, (list, tuple)) and _holds_bool(cols):  # numpy reads [0, True] as int64
+        raise ValueError(f"{block}-column indices are bool, not integers in [0, {size})")
     cols = np.asarray(cols)
     if cols.size and cols.dtype.kind not in "iu":
         raise ValueError(f"{block}-column indices are {cols.dtype}, not integers in [0, {size})")

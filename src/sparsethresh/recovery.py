@@ -209,17 +209,8 @@ def _window(done: int, rows: int, n: int) -> int:
     return next((w for w in WINDOWS if done % w == 0 and (w + 1) * slot <= ADMM_RING_BYTES), 1)
 
 
-def _dictionary_matrix(D) -> np.ndarray:
-    if isinstance(D, PartitionedDictionary):
-        return D.matrix
-    mat = np.asarray(D, dtype=np.complex128)
-    if mat.ndim != 2:
-        raise ValueError("expected a matrix or a PartitionedDictionary")
-    return mat
-
-
 def solve_bp(
-    D,
+    D: PartitionedDictionary,
     y,
     cfg: BpSolverConfig | None = None,
     x_true=None,
@@ -240,7 +231,7 @@ def solve_bp(
 
 
 def solve_bp_batch(
-    D,
+    D: PartitionedDictionary,
     Y,
     cfg: BpSolverConfig | None = None,
     X_true=None,
@@ -262,7 +253,7 @@ def solve_bp_batch(
     reference x of each row.  Every row is checked before any setup.
     """
     cfg = cfg or BpSolverConfig()
-    mat = _dictionary_matrix(D)
+    mat = D.matrix
     m, n = mat.shape
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2:
@@ -567,7 +558,9 @@ class BruteForceResult:
         return self.k is not None and len(self.supports) == 1
 
 
-def brute_force_l0(D, y, k_max: int, tol: float | None = None) -> BruteForceResult:
+def brute_force_l0(
+    D: PartitionedDictionary, y, k_max: int, tol: float | None = None
+) -> BruteForceResult:
     """Exhaustive minimal-support search, capped at N <= 32 and k_max <= 4.
 
     Returns the smallest k <= k_max for which some size-k support fits y to
@@ -575,7 +568,7 @@ def brute_force_l0(D, y, k_max: int, tol: float | None = None) -> BruteForceResu
     such supports; k = None when nothing fits under the caps.  The fits run
     on y scaled exactly by a power of two, so no norm under- or overflows.
     """
-    mat = _dictionary_matrix(D)
+    mat = D.matrix
     m, n = mat.shape
     if n > 32:
         raise ValueError(f"brute force capped at N <= 32, got N={n}")

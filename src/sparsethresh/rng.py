@@ -94,7 +94,7 @@ def derive_choices(master_seed: int, keys, draws) -> list[np.ndarray]:
         if not 0 <= size <= population:
             raise ValueError(f"need 0 <= size <= population, got {size} of {population}")
     if all(_by_floyd(population, size) for population, size in draws):
-        return _floyd_choices(*_seeded(words), draws)[0]
+        return _floyd_choices(*_seeded(words), draws)
     out = [np.empty((len(words[0]), size), dtype=np.int64) for _, size in draws]
     for row, rng in enumerate(_reseeded(words)):
         for cols, (population, size) in zip(out, draws):
@@ -307,8 +307,7 @@ def _by_floyd(population: int, size: int) -> bool:
 
 def _floyd_choices(state, inc, draws):
     """``derive_choices`` for the rows' PCG64 (state, inc) just after seeding,
-    with every draw ``_by_floyd``; also each row's count of uint32 words
-    read after each draw.
+    with every draw ``_by_floyd``.
 
     choice(population, size, replace=False) makes Floyd's draws on [0, j]
     for j = population - size .. population - 1 (none for j = 0), then
@@ -319,13 +318,12 @@ def _floyd_choices(state, inc, draws):
     once from a table of words; a rejection shifts the rest of its row's
     draws one word on, and the shifts are found a rejection per row per pass.
     """
-    bounds, floyd_at, ends = [], [], []
+    bounds, floyd_at = [], []
     for population, size in draws:
         start = len(bounds)
         bounds += range(max(population - size, 1), population)
         floyd_at.append(slice(start, len(bounds)))
         bounds += range(size - 1, 0, -1)
-        ends.append(len(bounds))
     rows, n = len(state[0]), len(bounds)
     span = np.array([j + 1 for j in bounds], dtype=np.uint64)
     threshold = np.array([2**32 % (j + 1) for j in bounds], dtype=np.uint64)
@@ -346,14 +344,13 @@ def _floyd_choices(state, inc, draws):
             steps = need
         m = np.take_along_axis(words, at + skipped, axis=1) * span
     values = (m >> _U32).astype(np.int64)
-    out, read = [], []
-    for (population, size), at_floyd, end in zip(draws, floyd_at, ends):
+    out = []
+    for (population, size), at_floyd in zip(draws, floyd_at):
         floyd = values[:, at_floyd]
         if floyd.shape[1] < size:  # the draw on [0, 0]
             floyd = np.concatenate((np.zeros((rows, 1), dtype=np.int64), floyd), axis=1)
         out.append(_floyd_picks(floyd, population - size))
-        read.append(end + skipped[:, end - 1] if end else np.zeros(rows, dtype=np.intp))
-    return out, read
+    return out
 
 
 def _floyd_picks(v: np.ndarray, base: int) -> np.ndarray:

@@ -90,7 +90,6 @@ def test_random_dictionaries_respect_welch_floor():
 def test_hollow_gram_chain_has_zero_violations():
     started = time.perf_counter()
     D = build_mub(7)
-    stats = analyze(D)
     rng = np.random.default_rng(33)
     violations = 0
     for _ in range(10_000):
@@ -98,7 +97,7 @@ def test_hollow_gram_chain_has_zero_violations():
         n_b = int(rng.integers(1, 5))
         cols_a = tuple(int(i) for i in rng.choice(D.Na, n_a, replace=False))
         cols_b = tuple(int(i) for i in rng.choice(D.Nb, n_b, replace=False))
-        rec = chain_batch(D, stats, [cols_a], [cols_b])
+        rec = chain_batch(D, [cols_a], [cols_b])
         violations += bool(any(mask[0] for mask in rec.breaks().values()))
     assert violations == 0
     _gate("hollow Gram chain, 1e4 sub-dictionaries", started, 120.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sparsethresh
 from sparsethresh import (
     SUPPORT_A_STRATEGIES,
     DictionaryStats,
@@ -26,7 +28,7 @@ from sparsethresh import (
     sample_instance,
     sample_support_b,
 )
-from sparsethresh import concentration
+from sparsethresh import cli, concentration, dictionary
 from sparsethresh.concentration import (
     MOMENT_CSV_HEADER,
     TRIAL_CSV_HEADER,
@@ -112,9 +114,16 @@ def _per_trial_supports(D, support_a, n_b, master_seed, lo, hi):
     return cols_a, cols_b
 
 
-def _chain(D, cols_a, cols_b, stats=None) -> HollowGramRecord:
+def _chain(D, cols_a, cols_b) -> HollowGramRecord:
     """``chain_batch`` of the one draw (cols_a, cols_b)."""
-    return chain_batch(D, stats or analyze(D), [cols_a], [cols_b])
+    return chain_batch(D, [cols_a], [cols_b])
+
+
+def _patch_profile(monkeypatch, getter):
+    """Make reading any dictionary's ``stats`` call ``getter``: a property is
+    a data descriptor, so it shadows a profile a session fixture has already
+    cached, which a spy on ``analyze`` would never see."""
+    monkeypatch.setattr(PartitionedDictionary, "stats", property(getter))
 
 
 def _broken(rec: HollowGramRecord, t: int = 0, slack: float = concentration.CHAIN_SLACK):
@@ -155,7 +164,7 @@ class TestExtractSubdictionary:
             _chain(mub3, (0,), (1, 1))
         # one bad row among clean ones is enough
         with pytest.raises(ValueError, match="duplicate"):
-            chain_batch(mub3, analyze(mub3), [(0, 1), (2, 2)], [(1,), (2,)])
+            chain_batch(mub3, [(0, 1), (2, 2)], [(1,), (2,)])
 
     @pytest.mark.parametrize(
         "cols_a, cols_b, block",
@@ -163,17 +172,15 @@ class TestExtractSubdictionary:
          (np.ones((2, 1), dtype=bool), np.zeros((2, 1), dtype=int), "A"),
          (np.zeros((2, 1), dtype=int), np.ones((2, 1)), "B")],
     )
-    def test_rejects_float_and_bool_indices(self, mub7, mub7_stats, cols_a, cols_b, block):
+    def test_rejects_float_and_bool_indices(self, mub7, cols_a, cols_b, block):
         # a cast to intp once measured A-column 1 and B-column 0 for [[1.5]], [[0.9]]
         with pytest.raises(ValueError, match=f"{block}-column indices are .*, not integers"):
-            chain_batch(mub7, mub7_stats, cols_a, cols_b)
+            chain_batch(mub7, cols_a, cols_b)
 
-    def test_takes_any_integer_dtype(self, mub7, mub7_stats):
-        rec = chain_batch(mub7, mub7_stats, [[3, 0]], [[5, 9, 40]])
+    def test_takes_any_integer_dtype(self, mub7):
+        rec = chain_batch(mub7, [[3, 0]], [[5, 9, 40]])
         for dtype in (np.int32, np.uint16):
-            again = chain_batch(
-                mub7, mub7_stats, np.array([[3, 0]], dtype), np.array([[5, 9, 40]], dtype)
-            )
+            again = chain_batch(mub7, np.array([[3, 0]], dtype), np.array([[5, 9, 40]], dtype))
             assert again.sigma_min.tolist() == rec.sigma_min.tolist()
 
     def test_rejects_out_of_range(self, mub3):
@@ -238,12 +245,12 @@ class TestHollowGramChain:
         assert abs(rec.xi_max_path[0] - rec.xi_sum_path[0]) <= TOL
         assert _broken(rec) == []
 
-    def test_mub_draws_never_violate_the_chain(self, mub7, mub7_stats):
+    def test_mub_draws_never_violate_the_chain(self, mub7):
         rng = derive_rng(7)
         for _ in range(100):
             cols_a = sample_support_b(7, 2, rng)
             cols_b = sample_support_b(49, 3, rng)
-            rec = _chain(mub7, cols_a, cols_b, mub7_stats)
+            rec = _chain(mub7, cols_a, cols_b)
             assert _broken(rec) == []
             assert rec.xi_a[0] == 0.0            # identity sub-blocks are exact
 
@@ -267,6 +274,17 @@ class TestHollowGramChain:
 
 
 class TestChainBatch:
+    def test_ceilings_read_the_dictionarys_own_profile(self, mub7):
+        # with mub13's profile beside it, all three draws broke
+        # row_norm_ab <= sqrt(mu^2 n_a); a dictionary has one profile now
+        rec = chain_batch(mub7, [[0, 1]] * 3, [[0, 5, 9], [1, 2, 3], [4, 8, 30]])
+        assert not any(mask.any() for mask in rec.breaks().values())
+        stats = analyze(mub7)
+        slope_a, gersgorin = block_a_terms(stats, 2)
+        assert rec.gersgorin_rhs == gersgorin
+        assert rec.row_norm_bound == slope_a * math.sqrt(2.0) / 3.0
+        assert rec.cross_bound == stats.spec_a * stats.spec_b
+
     @pytest.mark.parametrize("strategy", SUPPORT_A_STRATEGIES)
     @pytest.mark.parametrize("n_a, n_b", CHAIN_SHAPES)
     @pytest.mark.parametrize("dict_name", ["mub7", "mub13"])
@@ -276,7 +294,7 @@ class TestChainBatch:
         D = request.getfixturevalue(dict_name)
         support_a = choose_support_a(strategy, D.Na, n_a, _support_a(D, strategy, n_a))
         cols_a, cols_b = draw_supports(D, support_a, n_b, 5, 0, 60)
-        rec = chain_batch(D, analyze(D), cols_a, cols_b)
+        rec = chain_batch(D, cols_a, cols_b)
         expected = np.array([_reference_chain(D, a, b) for a, b in zip(cols_a, cols_b)])
         measured = np.column_stack(
             [rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x, rec.row_norm_ab]
@@ -329,12 +347,10 @@ class TestChainBatch:
             "566749a30422c0b15d47c7817930d79104d8cddb2bff6ed1a21e71f1e68267f9"
         )
 
-    def test_one_draw_is_a_batch_of_one(self, mub7, mub7_stats):
+    def test_one_draw_is_a_batch_of_one(self, mub7):
         # a draw measured alone equals the same draw inside a larger batch
-        alone = _chain(mub7, (3, 0), (5, 9, 40), mub7_stats)
-        batch = chain_batch(
-            mub7, mub7_stats, [(1, 2), (3, 0), (6, 4)], [(0, 1, 2), (5, 9, 40), (48, 7, 3)]
-        )
+        alone = _chain(mub7, (3, 0), (5, 9, 40))
+        batch = chain_batch(mub7, [(1, 2), (3, 0), (6, 4)], [(0, 1, 2), (5, 9, 40), (48, 7, 3)])
         for field in ("sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab"):
             assert getattr(alone, field).shape == (1,)
             assert getattr(alone, field)[0] == getattr(batch, field)[1]
@@ -356,7 +372,7 @@ class TestChainBatch:
 
     def test_rejects_empty_selection(self, mub3):
         with pytest.raises(ValueError, match="empty"):
-            chain_batch(mub3, analyze(mub3), np.empty((4, 0), int), np.empty((4, 0), int))
+            chain_batch(mub3, np.empty((4, 0), int), np.empty((4, 0), int))
 
     @pytest.mark.parametrize("dict_name", ["mub7", "mub13", "two_onb8"])
     def test_permuting_columns_inside_a_block_permutes_nothing_measured(
@@ -365,7 +381,6 @@ class TestChainBatch:
         # relabel the columns of A and of B; the same draws, read through the
         # inverse permutations, must measure bit for bit the same
         D = request.getfixturevalue(dict_name)
-        stats = analyze(D)
         rng = np.random.default_rng(11)
         shapes = [(2, 3, "random-baseline"), (1, 1, "first-n"), (3, 0, "spread"),
                   (0, 4, "first-n")]
@@ -378,8 +393,8 @@ class TestChainBatch:
             for n_a, n_b, strategy in shapes:
                 support_a = choose_support_a(strategy, D.Na, n_a)
                 cols_a, cols_b = draw_supports(D, support_a, n_b, 6, 0, 40)
-                rec = chain_batch(D, stats, cols_a, cols_b)
-                moved = chain_batch(permuted, stats, inv_a[cols_a], inv_b[cols_b])
+                rec = chain_batch(D, cols_a, cols_b)
+                moved = chain_batch(permuted, inv_a[cols_a], inv_b[cols_b])
                 for field in ("sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab"):
                     np.testing.assert_array_equal(
                         getattr(moved, field), getattr(rec, field), err_msg=field
@@ -536,13 +551,12 @@ class TestRunSminTrials:
 
     def test_summary_counts_breaks_per_inequality(self, mub7, monkeypatch):
         # a cross ceiling ||A|| ||B|| shrunk to 0.8 is broken by every draw with xi_x > 0.8
-        stats = analyze(mub7)
-        shrunk = dataclasses.replace(stats, spec_a=0.8, spec_b=1.0)
-        monkeypatch.setattr(concentration, "analyze", lambda D: shrunk)
+        shrunk = dataclasses.replace(analyze(mub7), spec_a=0.8, spec_b=1.0)
+        _patch_profile(monkeypatch, lambda D: shrunk)
         res = run_smin_trials(mub7, "first-n", 2, 3, trials=300, master_seed=1)
         summary = res.summary_dict()
         by_name = summary["violations_by_inequality"]
-        assert list(by_name) == list(_chain(mub7, (0,), (0,), stats).breaks())
+        assert list(by_name) == list(_chain(mub7, (0,), (0,)).breaks())
         expected = int(np.count_nonzero(res.xi_x > 0.8 + concentration.CHAIN_SLACK))
         assert 0 < expected < 300
         assert by_name["xi_x <= ||A|| ||B||"] == expected
@@ -563,7 +577,7 @@ class TestRunSminTrials:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the budgets were checked")
 
-        monkeypatch.setattr(concentration, "analyze", no_work)
+        _patch_profile(monkeypatch, no_work)
         monkeypatch.setattr(concentration, "fan_out", no_work)
         with pytest.raises(ValueError, match=message):
             run_smin_trials(mub5, strategy, n_a, n_b, trials=10)
@@ -583,7 +597,8 @@ class TestRunSminTrials:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the settings were checked")
 
-        for name in ("_per_trial", "analyze", "fan_out"):
+        _patch_profile(monkeypatch, no_work)
+        for name in ("_per_trial", "fan_out"):
             monkeypatch.setattr(concentration, name, no_work)
         with pytest.raises(ValueError, match=message):
             run_smin_trials(D or mub5, "first-n", 1, 1, trials=10, **kwargs)
@@ -592,7 +607,7 @@ class TestRunSminTrials:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the A-support was checked")
 
-        monkeypatch.setattr(concentration, "analyze", no_work)
+        _patch_profile(monkeypatch, no_work)
         monkeypatch.setattr(concentration, "fan_out", no_work)
         with pytest.raises(ValueError, match="apply only to the prescribed strategy"):
             run_smin_trials(mub5, "random-baseline", 1, 1, trials=10, support_a=[2])
@@ -795,14 +810,63 @@ class TestEstimateMoment:
         with pytest.raises(ValueError, match="moments need a fixed A-support"):
             estimate_moment(mub5, 1, 4, q=8.0, trials=1000, strategy="random-baseline")
 
+    @pytest.mark.parametrize("n_boot", [0, -3])
+    def test_rejects_no_bootstrap_resample_before_any_work(self, mub5, monkeypatch, n_boot):
+        # 0 raised a bare IndexError from np.quantile, -3 numpy's negative dimensions
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before n_boot was checked")
+
+        _patch_profile(monkeypatch, no_work)
+        for name in ("_per_trial", "fan_out"):
+            monkeypatch.setattr(concentration, name, no_work)
+        with pytest.raises(ValueError, match=f"n_boot must be >= 1, got {n_boot}"):
+            estimate_moment(mub5, 1, 4, q=8.0, trials=1000, n_boot=n_boot)
+
     def test_a_negative_seed_fails_before_any_work(self, mub5, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the seed was checked")
 
-        for name in ("_per_trial", "analyze", "fan_out"):
+        _patch_profile(monkeypatch, no_work)
+        for name in ("_per_trial", "fan_out"):
             monkeypatch.setattr(concentration, name, no_work)
         with pytest.raises(ValueError, match="master_seed must be a nonnegative integer"):
             estimate_moment(mub5, 1, 4, q=8.0, trials=1000, master_seed=-1)
+
+
+def test_one_dictionary_is_analyzed_once(monkeypatch):
+    # every module attribute that holds analyze is counted, wherever a
+    # runner would find it
+    calls = []
+
+    def counted(D):
+        calls.append(D)
+        return analyze(D)
+
+    for module in (sparsethresh, dictionary, concentration, cli):
+        if getattr(module, "analyze", None) is analyze:
+            monkeypatch.setattr(module, "analyze", counted)
+    D = build_mub(7)
+    for n_a, n_b in [(1, 1), (1, 2), (2, 2), (2, 3)]:
+        run_smin_trials(D, "first-n", n_a, n_b, trials=20, master_seed=3)
+    estimate_moment(D, 2, 3, q=8.0, trials=1000, n_boot=10)
+    assert calls == [D]
+
+
+def test_pool_workers_receive_the_profile(monkeypatch):
+    # more than one block on two workers: the parent reads the profile before
+    # they start, so a worker that analyzed would raise
+    parent = os.getpid()
+
+    def analyze_in_the_parent(D):
+        if os.getpid() != parent:
+            raise AssertionError("a pool worker analyzed the dictionary")
+        return analyze(D)
+
+    monkeypatch.setattr(dictionary, "analyze", analyze_in_the_parent)
+    D = build_mub(5)
+    pooled = run_smin_trials(D, "first-n", 1, 2, trials=600, master_seed=4, workers=2)
+    inline = run_smin_trials(D, "first-n", 1, 2, trials=600, master_seed=4)
+    assert pooled.csv_rows() == inline.csv_rows()
 
 
 @pytest.mark.parametrize(
@@ -818,7 +882,7 @@ def test_an_impossible_trial_count_fails_before_any_work(mub5, monkeypatch, run)
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the per-trial arrays were allocated")
 
-    monkeypatch.setattr(concentration, "analyze", no_work)
+    _patch_profile(monkeypatch, no_work)
     monkeypatch.setattr(concentration, "fan_out", no_work)
     with pytest.raises(ValueError, match="too many trials to hold one row each"):
         run(mub5)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -22,7 +23,6 @@ from sparsethresh import (
     build_mub,
     build_random_dictionary,
     build_two_onb,
-    coherence,
     load_dictionary,
     save_dictionary,
     spectral_norm,
@@ -52,22 +52,18 @@ def _unit(v):
 
 class TestCoherence:
     def test_orthonormal_columns_have_zero_coherence(self):
-        assert coherence(np.eye(4)) == 0.0
+        assert analyze(PartitionedDictionary(np.eye(4), 0)).mu == 0.0
 
     def test_known_pair(self):
-        D = np.column_stack([_unit([1, 0]), _unit([1, 1])])
-        assert abs(coherence(D) - INV_SQRT2) <= TOL
+        D = PartitionedDictionary(np.column_stack([_unit([1, 0]), _unit([1, 1])]), 0)
+        assert abs(analyze(D).mu - INV_SQRT2) <= TOL
 
     def test_mub_value(self, mub3):
-        assert abs(coherence(mub3.matrix) - INV_SQRT3) <= TOL
-
-    def test_single_column_rejected(self):
-        with pytest.raises(ValueError, match="two columns"):
-            coherence(np.ones((3, 1)))
+        assert abs(analyze(mub3).mu - INV_SQRT3) <= TOL
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            coherence(np.zeros((3, 0)))
+        with pytest.raises(ValueError, match="nonempty"):
+            PartitionedDictionary(np.zeros((3, 0)), 0)
 
 
 class TestSpectralNorm:
@@ -154,7 +150,7 @@ class TestTwoOnb:
         assert two_onb4.Na == 4
 
     def test_coherence_is_inverse_root_m(self, two_onb8):
-        assert abs(coherence(two_onb8.matrix) - 1.0 / math.sqrt(8.0)) <= TOL
+        assert abs(analyze(two_onb8).mu - 1.0 / math.sqrt(8.0)) <= TOL
 
     def test_blocks_are_orthonormal(self, two_onb4):
         for block in (two_onb4.A, two_onb4.B):
@@ -177,7 +173,7 @@ class TestMub:
         assert D.m == p
         assert D.N == p * (p + 1)
         assert D.Na == p
-        assert abs(coherence(D.matrix) - 1.0 / math.sqrt(p)) <= TOL
+        assert abs(analyze(D).mu - 1.0 / math.sqrt(p)) <= TOL
 
     def test_identity_block_is_exact(self, mub7):
         np.testing.assert_array_equal(mub7.A, np.eye(7))
@@ -227,7 +223,7 @@ class TestRandomDictionary:
         if N < 2:
             return
         D = build_random_dictionary(m, N, seed=seed)
-        assert coherence(D.matrix) >= welch_bound(m, N) - TOL
+        assert analyze(D).mu >= welch_bound(m, N) - TOL
 
 
 # ==============================
@@ -282,6 +278,40 @@ class TestAnalyze:
         d = mub7_stats.to_dict()
         for key in ("mu", "muA", "muB", "specA", "specB", "specD", "welch"):
             assert key in d
+
+
+class TestStatsProperty:
+    """``D.stats``: ``analyze(D)``, measured once and kept on D."""
+
+    def test_is_analyze_measured_once(self, monkeypatch):
+        # the property calls the module's own ``analyze``, the name a tracer patches
+        D = build_mub(5)
+        calls = []
+        monkeypatch.setattr(dictionary, "analyze", lambda D: calls.append(D) or analyze(D))
+        assert D.stats == analyze(D)
+        assert D.stats is D.stats
+        assert calls == [D]
+
+    def test_pickled_dictionary_carries_its_profile(self, monkeypatch):
+        D = build_mub(5)
+        profile = D.stats
+
+        def no_work(D):
+            raise AssertionError("the unpickled dictionary was analyzed again")
+
+        monkeypatch.setattr(dictionary, "analyze", no_work)
+        again = pickle.loads(pickle.dumps(D))
+        assert again.stats == profile
+        assert again.matrix.tobytes() == D.matrix.tobytes() and again.Na == D.Na
+        # so the kept profile cannot go stale in the copy either
+        assert not again.matrix.flags.writeable
+
+    def test_matrix_stays_read_only(self, mub5):
+        # what keeps the kept profile from going stale
+        with pytest.raises(ValueError, match="read-only"):
+            mub5.matrix[0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mub5.split = 1
 
 
 # ==============================
@@ -391,7 +421,7 @@ class TestOnePassGram:
 
     def test_coherence_reads_the_same_pass(self, monkeypatch, two_onb8):
         monkeypatch.setattr(dictionary, "GRAM_CHUNK_BYTES", 3 * 16 * two_onb8.N)
-        assert coherence(two_onb8.matrix) == float(_dense_gram(two_onb8.matrix).max())
+        assert analyze(two_onb8).mu == float(_dense_gram(two_onb8.matrix).max())
 
 
 def _reference_two_onb(m):
@@ -453,8 +483,10 @@ class TestBoundedMemory:
     def test_analyze_mub61(self, mub61):
         assert self._traced_peak(analyze, mub61) <= self.LIMIT
 
-    def test_coherence_mub61(self, mub61):
-        assert self._traced_peak(coherence, mub61.matrix) <= self.LIMIT
+    def test_stats_mub61(self, mub61):
+        # a fresh instance over the same matrix, so that its profile is measured
+        fresh = dictionary._adopt(mub61.matrix, mub61.Na, norm_tol=None)
+        assert self._traced_peak(lambda D: D.stats, fresh) <= self.LIMIT
 
     def test_load_mub61_within_three_times_the_file(self, mub61, tmp_path):
         # json.load's lists of two floats took about four times the 12 MB file

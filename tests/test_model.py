@@ -124,10 +124,13 @@ class TestChooseSupportA:
             choose_support_a("prescribed", 10, 2, indices=range(10**18))  # read lazily
 
     @pytest.mark.parametrize(
-        "indices", [np.array([0.7, 3.2]), [True], [1.5], (3, 1.0), np.array([True, False])]
+        "indices",
+        [np.array([0.7, 3.2]), [True], [1.5], (3, 1.0), np.array([True, False]), [0, True],
+         (np.True_, 3)],
     )
     def test_prescribed_refuses_float_and_bool_indices(self, indices):
-        # int() once read 0.7 as 0 and True as 1
+        # int() once read 0.7 as 0 and True as 1; numpy reads [0, True] as
+        # int64, which once resolved it to (0, 1)
         with pytest.raises(ValueError, match="A-column indices are .*, not integers"):
             choose_support_a("prescribed", 7, len(indices), indices=indices)
 
@@ -261,16 +264,18 @@ class TestSampleInstance:
         [((-1,), "out of range"), ((7,), "out of range"), ((5, 9), "out of range"),
          ((0, 0), "duplicate-free"), ((3, 1, 3), "duplicate-free"),
          ((1.5,), "not integers"), ((True,), "not integers"),
-         ((2, 0.5), "not integers")],
+         ((2, 0.5), "not integers"), ((0, True), "not integers"),
+         ((np.True_, 3), "not integers")],
     )
-    def test_refuses_what_chain_batch_refuses(self, mub7, mub7_stats, support_a, message):
+    def test_refuses_what_chain_batch_refuses(self, mub7, support_a, message):
         # unchecked, (-1,) put the A-value on B's last column, (0, 0) gave
         # one nonzero fewer than k, (1.5,) raised a bare IndexError and (True,)
-        # measured column 1
+        # measured column 1; numpy reads (0, True) as int64, which once put
+        # values on columns 0 and 1
         with pytest.raises(ValueError, match=message) as sampled:
             sample_instance(mub7, support_a, 2, derive_rng(0))
         with pytest.raises(ValueError) as measured:
-            chain_batch(mub7, mub7_stats, [support_a], [(0, 1)])
+            chain_batch(mub7, [support_a], [(0, 1)])
         assert str(sampled.value) == str(measured.value)
 
     def test_rejects_oversized_b_budget(self, mub3):

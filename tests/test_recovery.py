@@ -26,10 +26,9 @@ TOL = 1e-12
 
 
 def _planted(D, support, values):
-    x = np.zeros(D.N if isinstance(D, PartitionedDictionary) else D.shape[1], dtype=complex)
+    x = np.zeros(D.N, dtype=complex)
     x[list(support)] = values
-    mat = D.matrix if isinstance(D, PartitionedDictionary) else D
-    return x, mat @ x
+    return x, D.matrix @ x
 
 
 # ==============================
@@ -50,13 +49,13 @@ class TestSolveBp:
     def test_identity_returns_the_data(self):
         rng = derive_rng(1)
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        out = solve_bp(np.eye(6), y, x_true=y)
+        out = solve_bp(PartitionedDictionary(np.eye(6), 0), y, x_true=y)
         assert out.converged
         assert out.relative_l2_error <= 1e-6
         assert out.feasibility_residual <= 1e-8
 
     def test_zero_data_is_immediate(self):
-        out = solve_bp(np.eye(4), np.zeros(4), x_true=np.zeros(4))
+        out = solve_bp(PartitionedDictionary(np.eye(4), 0), np.zeros(4), x_true=np.zeros(4))
         assert out.converged
         assert out.iterations == 1
         assert np.all(out.x_hat == 0)
