@@ -29,16 +29,15 @@ alone and reads its profile as ``D.stats``, which D measures once and keeps,
 so pool workers receive the profile with D.  This module only measures: a
 block's supports come from ``model.draw_supports``, the rows
 ``model.sample_instance`` draws on each trial's own stream.  ``chain_batch``
-measures the chain for a block of draws at once: the sub-dictionaries are
-stacked into one (T, m, k) array, and each of sigma_min, Xi_S, Xi_A, Xi_B
-and Xi_X takes one stacked ``np.linalg.svd(..., compute_uv=False)``.  That
-is the LAPACK routine the per-matrix ``svd`` and ``norm(ord=2)`` call,
-applied matrix by matrix, so every value is bit-identical to measuring the
-draw on its own, whatever the block or worker split.  A batched
-``eigvalsh`` of the Gram would be cheaper but rounds differently, moving
-the CSVs' last digits.  ``estimate_moment`` reads only Xi_B and Xi_X, so it
-takes the stacking and those two SVDs from the same code
-(``_sub_dictionaries``) and skips the other three.
+measures the chain for a block of draws from their stacked Grams G = S^H S
+with stacked ``eigvalsh`` calls: the extreme eigenvalues of G give sigma_min
+and Xi_S, those of its diagonal blocks Xi_A and Xi_B, and the largest of
+G_AB G_AB^H gives Xi_X.  LAPACK solves a stack matrix by matrix, so a draw's
+values do not depend on the block or worker split.  sqrt(lambda_min) errs by
+about eps ||G|| / (2 sigma_min), 2e-8 on an exactly singular S, so a draw
+with lambda_min below ``SVD_BELOW_LAMBDA_MIN`` takes sigma_min from an SVD
+of its S.  ``estimate_moment``
+reads only Xi_B and Xi_X, from the same code (``_sub_dictionaries``).
 """
 
 from __future__ import annotations
@@ -66,6 +65,10 @@ __all__ = [
 ]
 
 CHAIN_SLACK = 1e-9
+# An eigenvalue of G errs by about eps ||G||, so sqrt(lambda_min) by eps ||G|| / (2 sigma_min).
+# From lambda_min = 1e-2 up (sigma_min >= 0.1) that is at most 5 eps ||G|| <= 5 eps k, for k
+# unit columns; below, sigma_min comes from an SVD of S.
+SVD_BELOW_LAMBDA_MIN = 1e-2
 BOOT_CHUNK_BYTES = 16 * 2**20  # bounds one bootstrap chunk's int64 resample indices
 CSV_CHUNK_ROWS = 256
 _NORMAL_MIN = np.finfo(float).tiny  # the smallest normal double
@@ -79,29 +82,15 @@ MOMENT_CSV_HEADER = "trialIndex,xiB,xiX"
 # ============================================================
 
 
-def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
-    """sigma_min of each stacked (m, k) matrix; exactly 0 when k > m."""
-    T, m, k = stack.shape
-    if k > m:
-        return np.zeros(T)
-    return np.linalg.svd(stack, compute_uv=False)[:, -1]
-
-
 def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
-def _spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """norm(ord=2) of each stacked matrix: its largest singular value."""
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
-def _hollow_norms(blocks: np.ndarray) -> np.ndarray:
-    """||X^H X - I|| for each stacked column block X; zeros for empty blocks."""
-    k = blocks.shape[-1]
-    if k == 0:
-        return np.zeros(len(blocks))
-    return _spectral_norms(_adjoint(blocks) @ blocks - np.eye(k))
+def _spectrum(gram: np.ndarray):
+    """(lambda_min, lambda_max, ||G - I||) of each stacked Hermitian G, k >= 1."""
+    eigenvalues = np.linalg.eigvalsh(gram)
+    low, high = eigenvalues[:, 0], eigenvalues[:, -1]
+    return low, high, np.maximum(high - 1.0, 1.0 - low)
 
 
 @dataclass(frozen=True)
@@ -146,8 +135,9 @@ class HollowGramRecord:
 
 
 def _sub_dictionaries(D: PartitionedDictionary, cols_a, cols_b):
-    """(S, Xi_B, Xi_X) of T draws: the stacked (T, m, n_a + n_b) sub-dictionaries
-    and the two B-dependent chain quantities, each from one stacked SVD.
+    """(S, G, Xi_B, Xi_X) of T draws: the stacked (T, m, k) sub-dictionaries,
+    their (T, k, k) Grams G = S^H S and the two B-dependent chain quantities,
+    read off the blocks of G.
 
     Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
     columns of A and B; each row must hold distinct integers inside its block.
@@ -157,15 +147,16 @@ def _sub_dictionaries(D: PartitionedDictionary, cols_a, cols_b):
     n_b = cols_b.shape[1]
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
-    # (T, m, k), each draw laid out as np.hstack lays out one S: column-major,
-    # but row-major for two single columns.  BLAS dot kernels round contiguous
-    # and strided columns differently, so the layout keeps the bytes.
-    S = np.concatenate((D.A.T[cols_a], D.B.T[cols_b]), axis=1).swapaxes(1, 2)
-    if n_a == n_b == 1:
-        S = np.ascontiguousarray(S)
-    a_part, b_part = S[..., :n_a], S[..., n_a:]
-    xi_x = _spectral_norms(_adjoint(a_part) @ b_part) if n_a and n_b else np.zeros(T)
-    return S, _hollow_norms(b_part), xi_x
+    # one gather from the whole matrix: half the time of one per block at p = 127
+    S = np.moveaxis(D.matrix[:, np.hstack((cols_a, cols_b + D.Na))], 0, 1)
+    gram = _adjoint(S) @ S
+    xi_b = _spectrum(gram[:, n_a:, n_a:])[2] if n_b else np.zeros(T)
+    xi_x = np.zeros(T)
+    if n_a and n_b:
+        cross = gram[:, :n_a, n_a:]  # A'^H B'
+        outer = cross @ _adjoint(cross) if n_a <= n_b else _adjoint(cross) @ cross
+        xi_x = np.sqrt(_spectrum(outer)[1])
+    return S, gram, xi_b, xi_x
 
 
 def chain_batch(D: PartitionedDictionary, cols_a, cols_b) -> HollowGramRecord:
@@ -173,30 +164,38 @@ def chain_batch(D: PartitionedDictionary, cols_a, cols_b) -> HollowGramRecord:
 
     Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
     columns of A and B; each row must hold distinct integers inside its block.
-    The T sub-dictionaries are stacked and each quantity takes one stacked
-    SVD, which LAPACK runs matrix by matrix, so draw t's values do not depend
-    on the other draws.  The three ceilings read D's own profile, ``D.stats``.
+    Each quantity is read off the eigenvalues of the draws' Grams G = S^H S or
+    of their blocks; sigma_min comes from an SVD of S where lambda_min lies
+    below ``SVD_BELOW_LAMBDA_MIN``, and is exactly 0 with more columns than
+    rows.  The three ceilings read D's own profile, ``D.stats``.
     """
-    S, xi_b, xi_x = _sub_dictionaries(D, cols_a, cols_b)
+    S, gram, xi_b, xi_x = _sub_dictionaries(D, cols_a, cols_b)
     cols_a = np.asarray(cols_a, dtype=np.intp)
     T, n_a = cols_a.shape
+    lambda_min, _, xi_s = _spectrum(gram)
+    m, k = S.shape[1:]
+    sigma_min = np.zeros(T)
+    if k <= m:
+        sigma_min = np.sqrt(np.maximum(lambda_min, 0.0))
+        low = np.flatnonzero(lambda_min < SVD_BELOW_LAMBDA_MIN)
+        if low.size:
+            sigma_min[low] = np.linalg.svd(S[low], compute_uv=False)[:, -1]
     xi_a = row_norm_ab = np.zeros(T)
     if n_a:
         # both depend on the A-support only: measure each distinct one once
         _, first, which = np.unique(cols_a, axis=0, return_index=True, return_inverse=True)
         which = which.reshape(-1)
-        a_distinct = S[..., :n_a][first]
-        xi_a = _hollow_norms(a_distinct)[which]
+        xi_a = _spectrum(gram[first, :n_a, :n_a])[2][which]
         if D.Nb:
             # max column l2 norm of A'^H against the FULL block B, one support
             # at a time so memory stays n_a x Nb
             row_norm_ab = np.array([
-                np.linalg.norm(a.conj().T @ D.B, axis=0).max() for a in a_distinct
+                np.linalg.norm(a.conj().T @ D.B, axis=0).max() for a in S[..., :n_a][first]
             ])[which]
     slope_a, gersgorin = block_a_terms(D.stats, n_a)
     return HollowGramRecord(
-        sigma_min=_smallest_singular_values(S),
-        xi_s=_hollow_norms(S),
+        sigma_min=sigma_min,
+        xi_s=xi_s,
         xi_a=xi_a,
         xi_b=xi_b,
         xi_x=xi_x,
@@ -446,10 +445,10 @@ class MomentEstimate:
 
 def _moment_block(common, lo, hi):
     """lo, then Xi_B and Xi_X of trials lo..hi-1; sigma_min, Xi_S and Xi_A
-    would be unused SVDs."""
+    would be unused eigensolves of the Grams."""
     D, support_a, n_b, master_seed = common
     cols_a, cols_b = draw_supports(D, support_a, n_b, master_seed, lo, hi)
-    return lo, *_sub_dictionaries(D, cols_a, cols_b)[1:]
+    return lo, *_sub_dictionaries(D, cols_a, cols_b)[2:]
 
 
 def _moment_roots(x: np.ndarray, q: float):

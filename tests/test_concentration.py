@@ -50,6 +50,11 @@ FLOOR_X_9 = 8.788898309344878          # 4 log 9
 SQRT3 = 1.7320508075688772
 
 TOL = 1e-12
+# chain_batch reads eigenvalues of S^H S where _reference_chain takes SVDs of S
+# and of its blocks, so the two round differently: by at most 3.4e-15 over 400
+# draws of every CHAIN_SHAPES shape and strategy on mub5, mub7 and mub13,
+# singular S included.  row_norm_ab is the same product in both.
+ORACLE_ATOL = 1e-13
 
 
 def _stats(N=100, Nb=50, mu=0.0, mu_a=0.0, mu_b=0.0, spec_a=1.0, spec_b=1.0) -> DictionaryStats:
@@ -126,6 +131,18 @@ def _patch_profile(monkeypatch, getter):
     monkeypatch.setattr(PartitionedDictionary, "stats", property(getter))
 
 
+def _count_svd_calls(monkeypatch) -> list:
+    """Record each ``np.linalg.svd`` call from here on; returns the record."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 def _broken(rec: HollowGramRecord, t: int = 0, slack: float = concentration.CHAIN_SLACK):
     """Names of the inequalities that draw t of ``rec`` breaks."""
     return [name for name, mask in rec.breaks(slack).items() if mask[t]]
@@ -146,12 +163,14 @@ class TestExtractSubdictionary:
         assert rec.xi_s[0] == rec.xi_a[0] == rec.xi_b[0] == rec.xi_x[0] == 0.0
 
     def test_column_layout(self, mub3):
-        # every quantity equals the reference built on np.hstack([A[:, ca], B[:, cb]])
+        # every quantity matches the reference built on np.hstack([A[:, ca], B[:, cb]])
         rec = _chain(mub3, (0, 2), (1, 5, 7))
         measured = [float(getattr(rec, f)[0]) for f in (
             "sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab"
         )]
-        assert measured == list(_reference_chain(mub3, (0, 2), (1, 5, 7)))
+        expected = _reference_chain(mub3, (0, 2), (1, 5, 7))
+        np.testing.assert_allclose(measured[:5], expected[:5], rtol=0, atol=ORACLE_ATOL)
+        assert measured[5] == expected[5]
 
     def test_rejects_empty_selection(self, mub3):
         with pytest.raises(ValueError, match="empty"):
@@ -207,6 +226,36 @@ class TestSigmaMin:
     def test_wide_matrix_is_exactly_zero(self, two_onb4):
         # 5 columns in 4 rows have a nontrivial null space
         assert _chain(two_onb4, (0, 1, 2), (0, 1)).sigma_min[0] == 0.0
+
+    def test_more_columns_than_rows_is_exactly_zero_without_an_svd(self, mub7, monkeypatch):
+        cols_a, cols_b = draw_supports(mub7, choose_support_a("first-n", 7, 4), 4, 5, 0, 100)
+        calls = _count_svd_calls(monkeypatch)
+        rec = chain_batch(mub7, cols_a, cols_b)
+        assert rec.sigma_min.tolist() == [0.0] * 100
+        assert calls == []
+
+    @pytest.mark.parametrize("strategy", ["first-n", "random-baseline"])
+    @pytest.mark.parametrize("n_a, n_b", [(2, 3), (1, 3)])
+    def test_rank_deficient_draws_match_the_svd_reference(self, mub5, n_a, n_b, strategy):
+        # sqrt(lambda_min) would read about 2e-8 on these exactly singular S
+        cols_a, cols_b = draw_supports(mub5, choose_support_a(strategy, 5, n_a), n_b, 5, 0, 400)
+        rec = chain_batch(mub5, cols_a, cols_b)
+        expected = np.array([_reference_chain(mub5, a, b)[0] for a, b in zip(cols_a, cols_b)])
+        assert np.count_nonzero(expected < 1e-12) >= 5
+        np.testing.assert_allclose(rec.sigma_min, expected, rtol=0, atol=ORACLE_ATOL)
+
+    @pytest.mark.parametrize("side, svd_calls", [(0.99, 1), (1.01, 0)])
+    def test_each_side_of_the_svd_cutoff(self, monkeypatch, side, svd_calls):
+        # [e1, c e1 + sqrt(1 - c^2) e2] has Gram eigenvalues 1 -+ c: lambda_min = 1 - c
+        lambda_min = side * concentration.SVD_BELOW_LAMBDA_MIN
+        c = 1.0 - lambda_min
+        D = PartitionedDictionary(np.array([[1.0, c], [0.0, math.sqrt(1.0 - c * c)]]), 1)
+        expected = _reference_chain(D, (0,), (0,))[0]
+        calls = _count_svd_calls(monkeypatch)
+        sigma_min = _chain(D, (0,), (0,)).sigma_min[0]
+        assert len(calls) == svd_calls
+        assert abs(sigma_min - expected) <= ORACLE_ATOL
+        assert abs(sigma_min - math.sqrt(lambda_min)) <= 1e-12
 
     def test_rejects_empty(self, mub3):
         with pytest.raises(ValueError, match="empty"):
@@ -288,7 +337,7 @@ class TestChainBatch:
     @pytest.mark.parametrize("strategy", SUPPORT_A_STRATEGIES)
     @pytest.mark.parametrize("n_a, n_b", CHAIN_SHAPES)
     @pytest.mark.parametrize("dict_name", ["mub7", "mub13"])
-    def test_matches_the_per_draw_reference_bit_for_bit(
+    def test_matches_the_per_draw_svd_reference(
         self, request, dict_name, n_a, n_b, strategy
     ):
         D = request.getfixturevalue(dict_name)
@@ -296,10 +345,9 @@ class TestChainBatch:
         cols_a, cols_b = draw_supports(D, support_a, n_b, 5, 0, 60)
         rec = chain_batch(D, cols_a, cols_b)
         expected = np.array([_reference_chain(D, a, b) for a, b in zip(cols_a, cols_b)])
-        measured = np.column_stack(
-            [rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x, rec.row_norm_ab]
-        )
-        np.testing.assert_array_equal(measured, expected)
+        measured = np.column_stack([rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x])
+        np.testing.assert_allclose(measured, expected[:, :5], rtol=0, atol=ORACLE_ATOL)
+        np.testing.assert_array_equal(rec.row_norm_ab, expected[:, 5])
 
     def test_supports_follow_the_per_trial_streams(self, mub7):
         support_a = choose_support_a("random-baseline", mub7.Na, 2)
@@ -790,7 +838,7 @@ class TestEstimateMoment:
     @pytest.mark.parametrize("dict_name, n_a, n_b", [
         ("mub7", 2, 3), ("mub7", 0, 3), ("mub13", 1, 1), ("mub13", 3, 1), ("mub13", 4, 5),
     ])
-    def test_matches_the_per_draw_reference_bit_for_bit(self, request, dict_name, n_a, n_b):
+    def test_matches_the_per_draw_svd_reference(self, request, dict_name, n_a, n_b):
         D = request.getfixturevalue(dict_name)
         est = estimate_moment(
             D, n_a, n_b, q=9.0, trials=1000, master_seed=3, strategy="spread", n_boot=1
@@ -800,7 +848,9 @@ class TestEstimateMoment:
             _reference_chain(D, cols_a, sample_support_b(D.Nb, n_b, derive_rng(3, t)))[3:5]
             for t in range(1000)
         ])
-        np.testing.assert_array_equal(np.column_stack([est.xi_b, est.xi_x]), expected)
+        np.testing.assert_allclose(
+            np.column_stack([est.xi_b, est.xi_x]), expected, rtol=0, atol=ORACLE_ATOL
+        )
 
     def test_rejects_an_empty_sub_dictionary(self, mub5):
         with pytest.raises(ValueError, match="empty sub-dictionary"):
@@ -889,6 +939,40 @@ def test_an_impossible_trial_count_fails_before_any_work(mub5, monkeypatch, run)
 
 
 # ==============================
+# the README runs, frozen
+# ==============================
+
+
+class TestReadmeRunsAreFrozen:
+    """The README ``smin`` and ``moments`` runs, pinned from the SVD kernel
+    that preceded the Gram eigensolves: the counts exactly, the roots to 1e-12."""
+
+    def test_smin_counts(self, mub7):
+        # sparsethresh smin --dict mub7.dict.json --na 2 --nb 3 --trials 10000 --seed 7
+        result = run_smin_trials(mub7, "first-n", 2, 3, trials=10_000, master_seed=7)
+        assert result.failure_count == 10_000
+        assert result.violations_by_inequality == {
+            "sigma_min^2 >= 1 - xi_s": 0,
+            "xi_s <= max(xi_a, xi_b) + xi_x": 0,
+            "xi_s <= xi_a + xi_b + xi_x": 0,
+            "xi_a <= (n_a - 1) mu_a": 0,
+            "row_norm_ab <= sqrt(mu^2 n_a)": 0,
+            "xi_x <= ||A|| ||B||": 0,
+        }
+        assert result.histogram_counts.tolist() == [
+            0, 0, 0, 0, 0, 27, 0, 0, 0, 0, 168, 149, 278, 319, 819, 194, 90, 428, 895,
+            717, 1128, 1047, 1325, 367, 667, 709, 56, 341, 118, 0, 105, 53,
+        ] + [0] * 18
+
+    def test_moment_roots(self, mub7):
+        # sparsethresh moments --dict mub7.dict.json --na 2 --nb 3 --q 8 --trials 10000
+        est = estimate_moment(mub7, 2, 3, q=8.0, trials=10_000)
+        assert abs(est.estimate_b - 0.6908381771643988) <= TOL
+        assert abs(est.upper95_b - 0.692074455124862) <= TOL
+        assert abs(est.upper95_x - 0.8200752046457751) <= TOL
+
+
+# ==============================
 # LAPACK calls per trial
 # ==============================
 
@@ -942,5 +1026,5 @@ class TestLapackCalls:
                 lambda: estimate_moment(mub7, 2, 3, q=8.0, trials=trials, n_boot=1)
             )
 
-        # Xi_B and Xi_X only: two stacked SVDs per block, not the chain's five
+        # Xi_B and Xi_X only: two stacked eigensolves per block, not the chain's four
         assert run(1000 + self.EXTRA) - run(1000) <= 2 * -(-self.EXTRA // self.BLOCK)
