@@ -27,8 +27,8 @@ Both runners share one kernel, run on the blocks of ``rng.fan_out`` on the
 A-support resolved once per run.  Every function here takes the dictionary
 alone and reads its profile as ``D.stats``, which D measures once and keeps,
 so pool workers receive the profile with D.  This module only measures: a
-block's supports come from ``model.draw_supports``, the rows
-``model.sample_instance`` draws on each trial's own stream.  ``chain_batch``
+block's supports come from ``model.draw_supports``, which draws each row
+from its own trial's stream, whatever the block.  ``chain_batch``
 measures the chain for a block of draws from their stacked Grams G = S^H S
 with stacked ``eigvalsh`` calls: the extreme eigenvalues of G give sigma_min
 and Xi_S, those of its diagonal blocks Xi_A and Xi_B, and the largest of
@@ -359,7 +359,7 @@ def run_smin_trials(
         n_b=n_b,
         trials=trials,
         s=s,
-        master_seed=master_seed,
+        master_seed=int(master_seed),  # a numpy integer would not dump to JSON
         strategy=strategy,
         support_a=None if strategy == "random-baseline" else resolved,
         N=D.N,

@@ -10,18 +10,18 @@ An instance is a coefficient vector x of length N with
     and whose phases theta_i are i.i.d. uniform on [0, 2 pi),
 
 together with the measurement y = D x.  Everything is driven by explicit
-generator streams (see ``sparsethresh.rng``), so instances are reproducible
+per-trial streams (see ``sparsethresh.rng``), so instances are reproducible
 and independent of evaluation order.
 
 This is the one module that turns a trial's stream into its support.
 ``choose_support_a`` turns a strategy into an A-support once per run (per
 (strategy, n_a) in ``recover``); only ``random-baseline`` then reads the
 stream for it, before the B-support.  ``sample_instance`` draws one trial's
-support that way and reads the same stream on: magnitudes, then phases.
-``draw_supports`` draws the supports of a block of trials at once, the rows
-``sample_instance`` puts on each trial's stream.  ``recover`` reads its
-trials through the first, ``smin`` and ``moments`` through the second, so
-every runner sees one support per stream.
+support that way from a numpy Generator and reads the same stream on:
+magnitudes, then phases; ``recover`` reads its trials through it.
+``draw_supports`` draws the supports of a block of trials at once, for
+``smin`` and ``moments``, in the same order from the package's own stream
+(``rng.derive_choices``), which no numpy version or worker count can move.
 """
 
 from __future__ import annotations
@@ -163,10 +163,10 @@ def draw_supports(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A- and B-column indices of trials lo..hi-1, as (T, n_a) and (T, n_b) arrays.
 
-    Row t is the support ``sample_instance`` draws on trial t's own stream
-    derive_rng(master_seed, t), so it does not depend on the other trials.
-    ``rng.derive_choices`` makes the block's draws in one pass: the n_a
-    A-columns of ``random-baseline``, then the n_b B-columns, each sorted.  A
+    Row t is drawn from trial t's own stream, ``rng.derive_choices`` at key
+    (t,), so it does not depend on the other trials or the block.  The
+    block's draws are made in one pass: the n_a A-columns of
+    ``random-baseline``, then the n_b B-columns, each uniform and sorted.  A
     fixed A-support is repeated on every row in its given order, where
     ``sample_instance`` sorts it.
     """

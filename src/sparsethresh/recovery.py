@@ -748,7 +748,7 @@ def run_recovery_sweep(
         nb_values=nb_values,
         strategies=strategies,
         trials_per_cell=trials_per_cell,
-        master_seed=master_seed,
+        master_seed=int(master_seed),  # a numpy integer would not dump to JSON
         successes=successes,
         nonconverged=nonconverged,
         iterations_max=iterations_max,

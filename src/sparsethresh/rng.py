@@ -1,41 +1,28 @@
 """Deterministic random streams and the one block loop of experiment runners.
 
-Every Monte Carlo trial in this package draws from the stream
-
-    derive_rng(master_seed, *key)
-
+A Monte Carlo trial draws from a stream named by ``(master_seed, *key)``,
 where ``key`` identifies the trial (for example ``(cell_index, trial_index)``).
 Streams for distinct keys are statistically independent and do not depend on
 the order in which they are created, so parallel and serial runs of the same
 experiment produce byte-identical output.  ``fan_out`` is the one loop that
 cuts the runners' trials into blocks, run inline or in a process pool.
 
-``derive_rngs`` is the block path ``recover`` takes: for a (T, L) array of
-keys it yields the same streams, state for state, but runs numpy's
-SeedSequence hash (O'Neill's seed_seq, 2014) once for the whole block as
-uint32 arithmetic on arrays of T words, and re-seeds one PCG64 per key
-instead of building a SeedSequence, a PCG64 and a Generator per trial.
-``derive_rng`` stays the one-stream API and the reference it is tested
-against.
+``recover`` reads numpy streams: ``derive_rng(master_seed, *key)`` is one,
+and ``derive_rngs`` gives a (T, L) array of keys the same streams, state for
+state, but runs numpy's SeedSequence hash (O'Neill's seed_seq, 2014) once
+for the whole block as uint32 arithmetic on arrays of T words, and re-seeds
+one PCG64 per key instead of building a SeedSequence, a PCG64 and a
+Generator per trial.
 
-``derive_choices`` goes one step further for the draws ``smin`` and
-``moments`` make (``model.draw_supports``): each row's sorted Generator.choice(population, size,
-replace=False) calls, for a whole block, from uint64 array arithmetic that
-mirrors numpy's internals bit for bit and builds no Generator:
-
-  - PCG64 as seeded (pcg_setseq_128_srandom_r), stepped by its 128-bit LCG
-    and read through XSL-RR; ``next_uint32`` returns an output's low half
-    and buffers its high half for the next call (has_uint32, uinteger);
-  - Lemire's bounded integers on [0, j] (Lemire 2019), redrawn while the
-    low word falls below 2^32 mod (j + 1);
-  - Floyd's sampling (Bentley and Floyd 1987) for j = population - size ..
-    population - 1, then the size - 1 draws of choice's Fisher-Yates
-    shuffle, which move the stream though the sorted result ignores them.
-
-numpy draws without Floyd's method when population > 10,000 and size >
-population // 50 (it shuffles a tail of arange(population)) and takes
-64-bit bounded integers past a population of 2^32; a list with such a draw
-runs row by row on ``derive_rngs``.
+``derive_choices`` is the stream of the draws ``smin`` and ``moments`` make
+(``model.draw_supports``), and this package owns its definition, as
+counter-based generators do (Salmon et al. 2011, "Parallel random numbers:
+as easy as 1, 2, 3"): word i of key row t is SplitMix64's finalizer (Steele,
+Lea and Flood 2014) at step i + 1 from a state that hashes the seed and the
+row's keys, a bounded draw on [0, j] is the high word of w * (j + 1), and
+Floyd's method turns the bounded draws into a sample.  Every draw is a pure
+function of (seed, key, index): no Generator is built, and neither the numpy
+version nor the block split can reach it.
 """
 
 from __future__ import annotations
@@ -70,41 +57,50 @@ def derive_rngs(master_seed: int, keys):
     taken.  A negative seed or key raises derive_rng's ValueError, before
     anything is yielded.
     """
-    return _reseeded(_key_words(master_seed, keys))
+    return _reseeded(_seed_words(master_seed, _checked_keys(master_seed, keys)))
 
 
 def derive_choices(master_seed: int, keys, draws) -> list[np.ndarray]:
-    """Successive draws without replacement from each row's stream, sorted.
+    """Successive draws without replacement from each row's own stream, sorted.
 
     ``keys`` is a (T, L) array as for ``derive_rngs``, and ``draws`` a list
-    of (population, size) pairs.  Draw d is a (T, size) int64 array whose
-    row t is np.sort of the d-th of the calls
+    of (population, size) pairs.  Draw d is a (T, size) int64 array whose row
+    t is a uniform size-subset of range(population), a function of
+    master_seed, keys[t] and draws[:d + 1] alone.
 
-        rng = derive_rng(master_seed, *keys[t])
-        rng.choice(population, size, replace=False)   # for each draw, in order
-
-    Draws that numpy makes by Floyd's method from 32-bit bounded integers
-    are made for all rows at once in uint64 arrays, with no Generator; any
-    other draw in the list sends the whole list through ``derive_rngs``,
-    row by row.
+    Row t's state folds the words [n, seed limb 0, .., seed limb n-1,
+    *keys[t]] into h = 0 by h <- mix((h + GAMMA) ^ word), with mix
+    SplitMix64's finalizer and the seed cut into its n 64-bit limbs, low
+    first, so seed 2^64 is not seed 0.  Its word i (from 0, over the draws
+    in order) is w_i = mix(h + (i + 1) GAMMA) mod 2^64, and Floyd's draw on
+    [0, j] for j = population - size .. population - 1 is the high word of
+    w_i (j + 1), without rejection: each value has probability within 2^-64
+    of 1 / (j + 1), so the draw is at most (j + 1) / 2^64 from uniform.
     """
-    words = _key_words(master_seed, keys)
+    keys = _checked_keys(master_seed, keys)
     draws = [(int(population), int(size)) for population, size in draws]
     for population, size in draws:
         if not 0 <= size <= population:
             raise ValueError(f"need 0 <= size <= population, got {size} of {population}")
-    if all(_by_floyd(population, size) for population, size in draws):
-        return _floyd_choices(*_seeded(words), draws)
-    out = [np.empty((len(words[0]), size), dtype=np.int64) for _, size in draws]
-    for row, rng in enumerate(_reseeded(words)):
-        for cols, (population, size) in zip(out, draws):
-            cols[row] = np.sort(rng.choice(population, size, replace=False))
-    return out
+    seed, limbs = int(master_seed), []
+    while seed or not limbs:
+        limbs.append(seed & _MASK64)
+        seed >>= 64
+    state = np.zeros(len(keys), dtype=np.uint64)
+    for word in [np.uint64(len(limbs)), *map(np.uint64, limbs), *keys.T.astype(np.uint64)]:
+        state = _mix64((state + _GAMMA) ^ word)
+    bounds = [j for population, size in draws for j in range(population - size, population)]
+    steps = np.arange(1, len(bounds) + 1, dtype=np.uint64) * _GAMMA
+    span = np.array([j + 1 for j in bounds], dtype=np.uint64)
+    values = _mulhi64(_mix64(state[:, None] + steps), span).astype(np.int64)
+    ends = np.cumsum([size for _, size in draws])
+    return [_floyd_picks(values[:, end - size:end], population - size)
+            for (population, size), end in zip(draws, ends)]
 
 
-def _key_words(master_seed: int, keys) -> list[np.ndarray]:
-    """``_seed_words`` of a checked seed and (T, L) key array; a negative
-    seed or key raises derive_rng's own ValueError."""
+def _checked_keys(master_seed: int, keys) -> np.ndarray:
+    """``keys`` as a (T, L) int64 array, for a checked seed; a negative seed
+    or key raises derive_rng's own ValueError."""
     _require_seed(master_seed)
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2:
@@ -112,7 +108,7 @@ def _key_words(master_seed: int, keys) -> list[np.ndarray]:
     negative = np.any(keys < 0, axis=1)
     if negative.any():
         derive_rng(master_seed, *keys[negative][0].tolist())  # raises its ValueError
-    return _seed_words(master_seed, keys)
+    return keys
 
 
 def _reseeded(words):
@@ -136,15 +132,15 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (pcg64.h)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
 _MULT = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
 _LOW32 = np.uint64(_MASK32)
-_U32, _U58, _U63, _U64 = (np.uint64(n) for n in (32, 58, 63, 64))
-# Generator.choice(population, size, replace=False) shuffles a tail of
-# arange(population) instead of running Floyd's method past these sizes
-_FLOYD_TAIL_POPULATION = 10_000
-_FLOYD_TAIL_FRACTION = 50
+_U32, _U63 = np.uint64(32), np.uint64(63)
+# SplitMix64 (Steele, Lea and Flood 2014): the golden-ratio step and the
+# finalizer's multipliers (Stafford's Mix13)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _words(n: int) -> list[int]:
@@ -223,16 +219,15 @@ def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
 
 
 # ============================================================
-# PCG64 and Generator.choice as uint64 array arithmetic
+# uint64 array arithmetic: PCG64's seeding and the owned stream
 # ============================================================
 
 
-def _split128(values) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit ints as (hi, lo) uint64 arrays."""
-    return (
-        np.array([v >> 64 for v in values], dtype=np.uint64),
-        np.array([v & _MASK64 for v in values], dtype=np.uint64),
-    )
+def _mix64(z):
+    """SplitMix64's finalizer, elementwise on a uint64 array (products wrap)."""
+    z = (z ^ (z >> _U30)) * _MIX[0]
+    z = (z ^ (z >> _U27)) * _MIX[1]
+    return z ^ (z >> _U31)
 
 
 def _mulhi64(x, y):
@@ -265,94 +260,6 @@ def _seeded(words):
     return _add128(_mul128(_add128(inc, (s_hi, s_lo)), _MULT), inc), inc
 
 
-def _jumps(steps: int):
-    """(a^k, 1 + a + ... + a^(k-1)) mod 2^128 for k = 1..steps, with a the
-    LCG multiplier, each as a (hi, lo) pair of uint64 arrays: k steps take a
-    state s to a^k s + (1 + ... + a^(k-1)) inc."""
-    mult, add = [], []
-    a_k, g_k = 1, 0
-    for _ in range(steps):
-        a_k, g_k = a_k * _PCG_MULT & _MASK128, g_k + a_k & _MASK128
-        mult.append(a_k)
-        add.append(g_k)
-    return _split128(mult), _split128(add)
-
-
-def _stream_words(state, inc, start: int, stop: int) -> np.ndarray:
-    """The uint32 words that next_uint32 reads from outputs start+1..stop of
-    each row's stream, as a (T, 2 (stop - start)) uint64 array.
-
-    Each output steps the LCG and applies XSL-RR to the new state; PCG64's
-    next_uint32 returns its low half and keeps the high half (has_uint32,
-    uinteger) for the next call.
-    """
-    (m_hi, m_lo), (g_hi, g_lo) = _jumps(stop)
-    k = slice(start, stop)
-    hi, lo = _add128(
-        _mul128((state[0][:, None], state[1][:, None]), (m_hi[k], m_lo[k])),
-        _mul128((inc[0][:, None], inc[1][:, None]), (g_hi[k], g_lo[k])),
-    )
-    v = hi ^ lo
-    rot = hi >> _U58
-    out = v >> rot | v << ((_U64 - rot) & _U63)
-    return np.stack((out & _LOW32, out >> _U32), axis=-1).reshape(len(out), 2 * (stop - start))
-
-
-def _by_floyd(population: int, size: int) -> bool:
-    """Whether Generator.choice(population, size, replace=False) draws by
-    Floyd's method from 32-bit bounded integers, as ``_floyd_choices`` does."""
-    tail = population > _FLOYD_TAIL_POPULATION and size > population // _FLOYD_TAIL_FRACTION
-    return size == 0 or (population <= 2**32 and not tail)
-
-
-def _floyd_choices(state, inc, draws):
-    """``derive_choices`` for the rows' PCG64 (state, inc) just after seeding,
-    with every draw ``_by_floyd``.
-
-    choice(population, size, replace=False) makes Floyd's draws on [0, j]
-    for j = population - size .. population - 1 (none for j = 0), then
-    size - 1 draws for its Fisher-Yates shuffle on [0, i], i = size - 1 .. 1,
-    which leave the sorted result alone but move the stream.  Each draw is
-    Lemire's: the high word of next_uint32() * (j + 1), redrawn while the
-    low word is below 2^32 mod (j + 1).  All draws of all rows are made at
-    once from a table of words; a rejection shifts the rest of its row's
-    draws one word on, and the shifts are found a rejection per row per pass.
-    """
-    bounds, floyd_at = [], []
-    for population, size in draws:
-        start = len(bounds)
-        bounds += range(max(population - size, 1), population)
-        floyd_at.append(slice(start, len(bounds)))
-        bounds += range(size - 1, 0, -1)
-    rows, n = len(state[0]), len(bounds)
-    span = np.array([j + 1 for j in bounds], dtype=np.uint64)
-    threshold = np.array([2**32 % (j + 1) for j in bounds], dtype=np.uint64)
-    at = np.arange(n)
-    skipped = np.zeros((rows, n), dtype=np.intp)  # rejected words before each draw
-    steps = (n + 1) // 2
-    words = _stream_words(state, inc, 0, steps)
-    m = words[:, :n] * span
-    while True:
-        rejected = (m & _LOW32) < threshold
-        if not rejected.any():
-            break
-        again = np.flatnonzero(rejected.any(axis=1))
-        skipped[again] += at >= rejected[again].argmax(axis=1)[:, None]
-        need = (int(skipped[:, -1].max()) + n + 1) // 2
-        if need > steps:
-            words = np.concatenate((words, _stream_words(state, inc, steps, need)), axis=1)
-            steps = need
-        m = np.take_along_axis(words, at + skipped, axis=1) * span
-    values = (m >> _U32).astype(np.int64)
-    out = []
-    for (population, size), at_floyd in zip(draws, floyd_at):
-        floyd = values[:, at_floyd]
-        if floyd.shape[1] < size:  # the draw on [0, 0]
-            floyd = np.concatenate((np.zeros((rows, 1), dtype=np.int64), floyd), axis=1)
-        out.append(_floyd_picks(floyd, population - size))
-    return out
-
-
 def _floyd_picks(v: np.ndarray, base: int) -> np.ndarray:
     """Floyd's sample from the bounded draws v[:, c] on [0, base + c], sorted
     per row: column c adds v_c, or base + c when v_c is in the sample already.
@@ -378,8 +285,11 @@ def _floyd_picks(v: np.ndarray, base: int) -> np.ndarray:
 
 
 def _require_seed(master_seed: int):
-    if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
+    """Refuse a seed that is not a nonnegative int or numpy integer: a float
+    or bool would be truncated to another seed, a string misread."""
+    if (isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer))
+            or master_seed < 0):
+        raise ValueError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
 
 
 def fan_out(fn, common, total: int, workers: int):

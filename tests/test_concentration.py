@@ -25,7 +25,6 @@ from sparsethresh import (
     draw_supports,
     estimate_moment,
     run_smin_trials,
-    sample_instance,
     sample_support_b,
 )
 from sparsethresh import cli, concentration, dictionary
@@ -101,22 +100,6 @@ CHAIN_SHAPES = [(2, 3), (0, 3), (3, 0), (1, 1), (4, 5), (1, 3), (3, 1)]
 def _support_a(D, strategy, n_a):
     # a descending prescribed list, so column order inside A' is exercised
     return tuple(range(D.Na - 1, D.Na - 1 - n_a, -1)) if strategy == "prescribed" else None
-
-
-def _per_trial_supports(D, support_a, n_b, master_seed, lo, hi):
-    """``draw_supports`` as a loop over the instances ``sample_instance`` draws
-    on each trial's own stream, the exact stream ``recover`` reads.  The A-row
-    is a fixed support in its given order, or the sorted A-part of the
-    instance's support for ``random-baseline``."""
-    n_a = support_a if isinstance(support_a, int) else len(support_a)
-    cols_a = np.empty((hi - lo, n_a), dtype=np.intp)
-    cols_b = np.empty((hi - lo, n_b), dtype=np.intp)
-    for row, t in enumerate(range(lo, hi)):
-        x, _ = sample_instance(D, support_a, n_b, derive_rng(master_seed, t))
-        support = np.flatnonzero(x)
-        cols_a[row] = support[:n_a] if isinstance(support_a, int) else support_a
-        cols_b[row] = support[n_a:] - D.Na
-    return cols_a, cols_b
 
 
 def _chain(D, cols_a, cols_b) -> HollowGramRecord:
@@ -349,31 +332,24 @@ class TestChainBatch:
         np.testing.assert_allclose(measured, expected[:, :5], rtol=0, atol=ORACLE_ATOL)
         np.testing.assert_array_equal(rec.row_norm_ab, expected[:, 5])
 
-    def test_supports_follow_the_per_trial_streams(self, mub7):
-        support_a = choose_support_a("random-baseline", mub7.Na, 2)
-        cols_a, cols_b = draw_supports(mub7, support_a, 3, 4, 10, 13)
-        for row, t in enumerate(range(10, 13)):
-            rng = derive_rng(4, t)
-            assert tuple(cols_a[row]) == sample_support_b(7, 2, rng)
-            assert tuple(cols_b[row]) == sample_support_b(49, 3, rng)
-
     @pytest.mark.parametrize("lo, hi", [(0, 255), (0, 256), (0, 257), (255, 512), (257, 259)])
     @pytest.mark.parametrize("strategy", SWEEP_STRATEGIES)
     @pytest.mark.parametrize("dict_name", ["mub7", "two_onb8"])
-    def test_block_draws_are_the_per_trial_draws(self, request, dict_name, strategy, lo, hi):
+    def test_block_rows_are_one_trial_blocks(self, request, dict_name, strategy, lo, hi):
         D = request.getfixturevalue(dict_name)
         support_a = choose_support_a(strategy, D.Na, 3)
-        for seed in (41, 2**32 + 41):  # a seed of one word and of two
+        for seed in (41, 2**64 + 41):  # a seed of one 64-bit limb and of two
             ours = draw_supports(D, support_a, 4, seed, lo, hi)
-            theirs = _per_trial_supports(D, support_a, 4, seed, lo, hi)
-            for cols, expected in zip(ours, theirs):
-                assert cols.tolist() == expected.tolist()
+            for row, t in enumerate(range(lo, hi)):
+                alone = draw_supports(D, support_a, 4, seed, t, t + 1)
+                for cols, expected in zip(ours, alone):
+                    assert cols[row].tolist() == expected[0].tolist()
 
     @pytest.mark.parametrize("strategy", SUPPORT_A_STRATEGIES)
     def test_block_draws_build_no_generator(self, mub7, strategy, monkeypatch):
         # the A-then-B draws of random-baseline and the fixed A-supports
         support_a = choose_support_a(strategy, mub7.Na, 2, _support_a(mub7, strategy, 2))
-        theirs = _per_trial_supports(mub7, support_a, 3, 2**32, 0, 40)
+        theirs = draw_supports(mub7, support_a, 3, 2**32, 0, 40)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a numpy generator was built")
@@ -383,16 +359,23 @@ class TestChainBatch:
         ours = draw_supports(mub7, support_a, 3, 2**32, 0, 40)
         for cols, expected in zip(ours, theirs):
             assert cols.tolist() == expected.tolist()
+        cols_a, cols_b = ours
+        # a fixed A-support is every row, in its given order; a drawn one is sorted
+        if isinstance(support_a, int):
+            assert np.all(np.diff(cols_a, axis=1) > 0) and cols_a.max() < mub7.Na
+        else:
+            assert cols_a.tolist() == [list(support_a)] * 40
+        assert np.all(np.diff(cols_b, axis=1) > 0) and cols_b.max() < mub7.Nb
 
     def test_block_draws_match_a_frozen_digest(self, mub7):
-        # frozen from the per-trial loop, as little-endian int64: a numpy change
-        # that moved both paths together would show here
+        # frozen from the pure-Python reference of the stream in test_rng, as
+        # little-endian int64: the A-columns of rows 256..511, then the B-columns
         support_a = choose_support_a("random-baseline", mub7.Na, 2)
         digest = hashlib.sha256()
         for cols in draw_supports(mub7, support_a, 3, 12345, 256, 512):
             digest.update(np.ascontiguousarray(cols, dtype="<i8").tobytes())
         assert digest.hexdigest() == (
-            "566749a30422c0b15d47c7817930d79104d8cddb2bff6ed1a21e71f1e68267f9"
+            "1a7a1c630b1f7703c60b1e890480848bf22fa5ca05f1ae3de4c4cf475c657c1e"
         )
 
     def test_one_draw_is_a_batch_of_one(self, mub7):
@@ -843,11 +826,8 @@ class TestEstimateMoment:
         est = estimate_moment(
             D, n_a, n_b, q=9.0, trials=1000, master_seed=3, strategy="spread", n_boot=1
         )
-        cols_a = tuple(i * D.Na // n_a for i in range(n_a))
-        expected = np.array([
-            _reference_chain(D, cols_a, sample_support_b(D.Nb, n_b, derive_rng(3, t)))[3:5]
-            for t in range(1000)
-        ])
+        cols_a, cols_b = draw_supports(D, choose_support_a("spread", D.Na, n_a), n_b, 3, 0, 1000)
+        expected = np.array([_reference_chain(D, a, b)[3:5] for a, b in zip(cols_a, cols_b)])
         np.testing.assert_allclose(
             np.column_stack([est.xi_b, est.xi_x]), expected, rtol=0, atol=ORACLE_ATOL
         )
@@ -944,8 +924,8 @@ def test_an_impossible_trial_count_fails_before_any_work(mub5, monkeypatch, run)
 
 
 class TestReadmeRunsAreFrozen:
-    """The README ``smin`` and ``moments`` runs, pinned from the SVD kernel
-    that preceded the Gram eigensolves: the counts exactly, the roots to 1e-12."""
+    """The README ``smin`` and ``moments`` runs on the package's own support
+    stream: the counts exactly, the roots to 1e-12."""
 
     def test_smin_counts(self, mub7):
         # sparsethresh smin --dict mub7.dict.json --na 2 --nb 3 --trials 10000 --seed 7
@@ -960,16 +940,16 @@ class TestReadmeRunsAreFrozen:
             "xi_x <= ||A|| ||B||": 0,
         }
         assert result.histogram_counts.tolist() == [
-            0, 0, 0, 0, 0, 27, 0, 0, 0, 0, 168, 149, 278, 319, 819, 194, 90, 428, 895,
-            717, 1128, 1047, 1325, 367, 667, 709, 56, 341, 118, 0, 105, 53,
+            0, 0, 0, 0, 0, 30, 0, 0, 0, 0, 147, 159, 277, 325, 880, 162, 132, 433, 882,
+            748, 1140, 1024, 1349, 326, 593, 751, 47, 328, 106, 0, 102, 59,
         ] + [0] * 18
 
     def test_moment_roots(self, mub7):
         # sparsethresh moments --dict mub7.dict.json --na 2 --nb 3 --q 8 --trials 10000
         est = estimate_moment(mub7, 2, 3, q=8.0, trials=10_000)
-        assert abs(est.estimate_b - 0.6908381771643988) <= TOL
-        assert abs(est.upper95_b - 0.692074455124862) <= TOL
-        assert abs(est.upper95_x - 0.8200752046457751) <= TOL
+        assert abs(est.estimate_b - 0.692685748961161) <= TOL
+        assert abs(est.upper95_b - 0.6938396420708774) <= TOL
+        assert abs(est.upper95_x - 0.8213494813327692) <= TOL
 
 
 # ==============================

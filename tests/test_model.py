@@ -313,23 +313,6 @@ class TestSampleInstance:
         assert ks < 0.01
 
 
-class TestOneStreamOneSupport:
-    """``smin``, ``moments`` and ``recover`` read one support per stream."""
-
-    @pytest.mark.parametrize("strategy", ["first-n", "spread", "random-baseline", "prescribed"])
-    @pytest.mark.parametrize("n_a, n_b", [(2, 3), (0, 4), (3, 0)])
-    def test_instance_support_is_the_chain_support(self, mub7, strategy, n_a, n_b):
-        # a descending prescribed list: draw_supports keeps the order, the
-        # instance sorts it
-        indices = tuple(range(6, 6 - n_a, -1)) if strategy == "prescribed" else None
-        support_a = choose_support_a(strategy, mub7.Na, n_a, indices)
-        for t in (0, 1, 17):
-            x, _ = sample_instance(mub7, support_a, n_b, derive_rng(4, t))
-            cols_a, cols_b = draw_supports(mub7, support_a, n_b, 4, t, t + 1)
-            expected = sorted(cols_a[0]) + list(mub7.Na + cols_b[0])
-            assert np.flatnonzero(x).tolist() == expected
-
-
 class TestResolvedOnce:
     """A runner turns its strategy into an A-support once, before any trial:
     ``smin`` and ``moments`` once per run, ``recover`` once per (strategy, n_a)."""

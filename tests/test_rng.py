@@ -1,6 +1,9 @@
 """Tests for the per-trial streams and the block loop shared by the Monte
 Carlo runners."""
 
+import json
+import math
+import re
 import time
 from concurrent.futures import Future
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsethresh import rng
+from sparsethresh import concentration, recovery, rng
 from sparsethresh.rng import derive_choices, derive_rng, derive_rngs
 
 
@@ -169,46 +172,51 @@ class TestDeriveRngs:
             derive_rngs(0, keys)
 
 
-def _state_after(seed, key, words_read):
-    """derive_rng(seed, *key)'s bit_generator state once next_uint32 has read
-    ``words_read`` words: the low, then the high half of each output."""
-    bit_generator = derive_rng(seed, *key).bit_generator
-    steps = -(-words_read // 2)
-    last = bit_generator.random_raw(steps)[-1] if steps else 0
-    state = bit_generator.state
-    # uinteger keeps the last high half, read or not
-    state["has_uint32"], state["uinteger"] = words_read % 2, int(last) >> 32
-    return state
+# SplitMix64 (Steele, Lea and Flood 2014), written out here apart from rng's
+_M64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _assert_draws_are_choice(seed, keys, draws):
-    """Each row of each block draw against derive_rng(seed, *row).choice; a
-    draw after the first starts where the row's stream stands after the one
-    before it, so a wrong stream position shows in its picks."""
-    keys = np.asarray(keys, dtype=np.int64)
-    assert all(rng._by_floyd(population, size) for population, size in draws)
-    ours = derive_choices(seed, keys, draws)
-    assert [o.shape for o in ours] == [(len(keys), size) for _, size in draws]
-    for t, key in enumerate(keys.tolist()):
-        theirs = derive_rng(seed, *key)
-        for d, (population, size) in enumerate(draws):
-            expected = np.sort(theirs.choice(population, size, replace=False))
-            assert ours[d][t].tolist() == expected.tolist()
+def _mix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return z ^ (z >> 31)
 
 
-# populations where Lemire's rejection is likely (2^32 mod (j + 1) near
-# (j + 1) / 3 and / 2), where j + 1 is close to 2^32, and j = 2^32 - 1,
-# which numpy serves from next_uint32 unbounded
-_WIDE_POPULATIONS = [3 * 2**30, 2**31 + 1, 2**32 - 5, 2**32]
+def _reference_choices(seed, key, draws):
+    """One row of derive_choices in Python ints, one word at a time: the
+    state folds [limb count, seed limbs low first, *key], word i is
+    mix(state + (i + 1) GAMMA), and Floyd's draw on [0, j] is the high word
+    of word * (j + 1), a repeat taking j instead."""
+    limbs = []
+    while seed or not limbs:
+        limbs.append(seed & _M64)
+        seed >>= 64
+    state = 0
+    for word in [len(limbs), *limbs, *key]:
+        state = _mix((state + _GAMMA & _M64) ^ word)
+    i, out = 0, []
+    for population, size in draws:
+        sample = set()
+        for j in range(population - size, population):
+            i += 1
+            v = _mix(state + i * _GAMMA & _M64) * (j + 1) >> 64
+            sample.add(j if v in sample else v)
+        out.append(sorted(sample))
+    return out
+
+
+_WIDE_POPULATIONS = [2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]
 
 
 @st.composite
-def _floyd_draws(draw):
+def _draws(draw):
     out = []
     for _ in range(draw(st.integers(1, 3))):
-        population = draw(st.one_of(st.integers(0, 60), st.sampled_from([10_001, *_WIDE_POPULATIONS])))
-        cap = population if population <= 10_000 else population // 50
-        out.append((population, draw(st.integers(0, min(cap, 12 if population > 60 else 60)))))
+        population = draw(st.one_of(st.integers(0, 60), st.sampled_from(_WIDE_POPULATIONS)))
+        full = population if population <= 60 else 12
+        size = draw(st.one_of(st.sampled_from([0, full]), st.integers(0, min(population, 12))))
+        out.append((population, size))
     return out
 
 
@@ -225,63 +233,66 @@ def no_generators(monkeypatch):
 
 class TestDeriveChoices:
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**96 - 1), block=_key_blocks(), draws=_floyd_draws())
-    @example(seed=4294967296, block=([[0], [2**32 - 1], [2**32], [2**40]], 1),
+    @given(seed=st.integers(0, 2**96), block=_key_blocks(), draws=_draws())
+    @example(seed=2**64, block=([[0], [2**32 - 1], [2**32], [2**63 - 1]], 1),
              draws=[(7, 2), (49, 3)])
     @example(seed=0, block=([[5, 2**32]] * 3, 2), draws=[(60, 60), (1, 1), (0, 0)])
-    def test_each_row_is_choice_on_its_stream(self, seed, block, draws):
+    @example(seed=2**96, block=([[]] * 2, 0), draws=[(2**32 + 1, 12), (16129, 7)])
+    def test_each_row_is_the_reference(self, seed, block, draws):
         keys, width = block
-        _assert_draws_are_choice(seed, np.array(keys, dtype=np.int64).reshape(len(keys), width),
-                                 draws)
-
-    @pytest.mark.parametrize("population", _WIDE_POPULATIONS)
-    def test_rejections_shift_the_rest_of_the_row(self, population):
-        draws = [(population, 6), (population, 3)]
-        _assert_draws_are_choice(4294967296, np.arange(64)[:, None], draws)
-        # without a rejection a row reads 6 + 5 + 3 + 2 words; numpy's own
-        # streams show which rows rejected one, so the draws above cover them
-        rejected = 0
-        for t in range(64):
-            theirs = derive_rng(4294967296, t)
-            for population_d, size in draws:
-                theirs.choice(population_d, size, replace=False)
-            rejected += theirs.bit_generator.state != _state_after(4294967296, (t,), 16)
-        if population in (3 * 2**30, 2**31 + 1):
-            assert rejected >= 16
-        else:
-            assert rejected == 0
+        ours = derive_choices(seed, np.array(keys, dtype=np.int64).reshape(len(keys), width), draws)
+        assert [(o.shape, o.dtype) for o in ours] == [((len(keys), size), np.int64)
+                                                      for _, size in draws]
+        for t, key in enumerate(keys):
+            assert [o[t].tolist() for o in ours] == _reference_choices(seed, key, draws)
 
     @pytest.mark.parametrize("draws", [[(7, 7)], [(49, 0)], [(1, 1), (0, 0)], [(7, 0), (49, 49)]])
     def test_full_and_empty_draws_on_a_ragged_block(self, draws):
-        # size = population starts at j = 0, which reads nothing
-        _assert_draws_are_choice(7, np.arange(512, 549)[:, None], draws)
+        # size = population starts at the draw on [0, 0], which still takes a word
+        ours = derive_choices(7, np.arange(512, 549)[:, None], draws)
+        for t in range(37):
+            assert [o[t].tolist() for o in ours] == _reference_choices(7, [512 + t], draws)
 
     def test_no_rows(self):
         out = derive_choices(7, np.empty((0, 1), dtype=np.int64), [(49, 3), (7, 0)])
         assert [o.shape for o in out] == [(0, 3), (0, 0)]
 
-    def test_floyd_draws_build_no_generator(self, no_generators):
+    def test_builds_no_generator(self, no_generators):
+        # numpy's own choice changes algorithm past population 10,000 and 2^32
         keys = np.arange(40)[:, None]
-        for draws in ([(7, 2), (49, 3)], [(10_001, 200)], [(2**32, 2)]):
+        for draws in ([(7, 2), (49, 3)], [(10_001, 201)], [(2**32 + 1, 2)], [(7, 7)]):
             derive_choices(7, keys, draws)
 
-    @pytest.mark.parametrize("population, size", [(10_001, 201), (20_000, 401), (2**32 + 1, 1)])
-    def test_other_draws_go_row_by_row(self, population, size, no_generators):
-        # numpy shuffles a tail of arange(population) past population // 50,
-        # and takes 64-bit bounded integers past 2^32
-        assert not rng._by_floyd(population, size)
-        keys = np.arange(3)[:, None]
-        with pytest.raises(AssertionError, match="generator was built"):
-            derive_choices(5, keys, [(7, 2), (population, size)])
+    @pytest.mark.parametrize("lo, hi", [(0, 256), (255, 512), (257, 259)])
+    def test_a_row_never_depends_on_its_block(self, lo, hi):
+        draws = [(7, 2), (49, 3)]
+        block = derive_choices(9, np.arange(lo, hi)[:, None], draws)
+        backwards = derive_choices(9, np.arange(hi - 1, lo - 1, -1)[:, None], draws)
+        for t in range(lo, hi):
+            alone = derive_choices(9, [[t]], draws)
+            for cols, reversed_cols, one in zip(block, backwards, alone):
+                assert cols[t - lo].tolist() == one[0].tolist()
+                assert reversed_cols[hi - 1 - t].tolist() == one[0].tolist()
 
-    @pytest.mark.parametrize("population, size", [(10_001, 200), (10_001, 201)])
-    def test_the_tail_shuffle_boundary(self, population, size):
-        keys = np.arange(5)[:, None]
-        ours = derive_choices(5, keys, [(7, 2), (population, size)])
-        for t in range(5):
-            theirs = derive_rng(5, t)
-            for cols, (pop, k) in zip(ours, [(7, 2), (population, size)]):
-                assert cols[t].tolist() == np.sort(theirs.choice(pop, k, replace=False)).tolist()
+    @pytest.mark.parametrize("seed, other", [(2**64, 0), (2**64 + 5, 5), (2**128, 2**64)])
+    def test_seed_limbs_do_not_wrap(self, seed, other):
+        keys = np.arange(64)[:, None]
+        (ours,), (theirs,) = (derive_choices(s, keys, [(49, 3)]) for s in (seed, other))
+        assert np.count_nonzero(np.any(ours != theirs, axis=1)) >= 60
+
+    def test_a_seed_limb_is_not_a_key(self):
+        # the limb count leads the state, so (2^64, t) is not (0, 1, t)
+        t = np.arange(64)
+        (ours,) = derive_choices(2**64, t[:, None], [(49, 3)])
+        (theirs,) = derive_choices(0, np.stack([np.ones_like(t), t], axis=1), [(49, 3)])
+        assert np.count_nonzero(np.any(ours != theirs, axis=1)) >= 60
+
+    def test_a_numpy_integer_seed_is_its_int(self):
+        keys = np.arange(8)[:, None]
+        for seed in (np.int64(5), np.uint64(5), np.uint32(5)):
+            assert derive_choices(seed, keys, [(49, 3)])[0].tolist() == derive_choices(
+                5, keys, [(49, 3)]
+            )[0].tolist()
 
     def test_a_draw_larger_than_its_population_is_refused(self):
         with pytest.raises(ValueError, match="size <= population"):
@@ -295,3 +306,132 @@ class TestDeriveChoices:
         with pytest.raises(ValueError) as ours:
             derive_choices(seed, np.array(keys), [(7, 2)])
         assert str(ours.value) == str(theirs.value)
+
+
+# ============================================================
+# statistical gates, at seeds and thresholds fixed in advance
+# ============================================================
+
+_TRIALS = 100_000
+_SEED = 11
+
+
+def _falling(x, r):
+    return math.perm(x, r) if x >= r else 0
+
+
+def _chi2(observed, expected):
+    return float(np.sum((observed - expected) ** 2 / expected))
+
+
+def _within(chi2, mean):
+    """chi2 lies within 6 standard deviations, sqrt(2 mean), of its mean."""
+    return abs(chi2 - mean) <= 6.0 * math.sqrt(2.0 * mean)
+
+
+def _pair_chi2_mean(population, size, width):
+    """E[chi^2] of the unordered bin-pair counts of a uniform size-subset,
+    bins of ``width`` columns: each row gives C(size, 2) pairs, which share
+    picks, so the mean is sum_c E[X_c^2] / E[X_c] - C(size, 2) over cells c,
+    from the factorial moments of the bin counts (multivariate
+    hypergeometric): E[prod_b n_b^(r_b)] = size^(r) prod_b width^(r_b) / population^(r)."""
+
+    def moment(*orders):
+        out = _falling(size, sum(orders)) / _falling(population, sum(orders))
+        return out * math.prod(_falling(width, r) for r in orders)
+
+    bins = population // width
+    # X = n_a n_b across two bins, C(n_a, 2) inside one: n^2 = n^(2) + n and
+    # (n^(2))^2 = n^(4) + 4 n^(3) + 2 n^(2)
+    total = math.comb(bins, 2) * sum(moment(r, s) for r in (1, 2) for s in (1, 2)) / moment(1, 1)
+    if width > 1:
+        total += bins * (moment(4) + 4 * moment(3) + 2 * moment(2)) / 2 / moment(2)
+    return total - math.comb(size, 2)
+
+
+@pytest.mark.parametrize("population, size, width", [
+    (7, 2, 1), (49, 3, 1), (961, 4, 31), (16129, 7, 127),
+])
+def test_marginals_and_pairs_are_uniform(population, size, width):
+    # the draw shapes of mub7's A and B, and of mub31's and mub127's B; pairs
+    # are counted over bins of ``width`` columns
+    (cols,) = derive_choices(_SEED, np.arange(_TRIALS)[:, None], [(population, size)])
+    assert np.all(np.diff(cols, axis=1) > 0) and cols.min() >= 0 and cols.max() < population
+    # a column is in a row with probability p = size / population, so
+    # E[chi^2] = sum (1 - p) = population - size
+    counts = np.bincount(cols.ravel(), minlength=population)
+    assert _within(_chi2(counts, _TRIALS * size / population), population - size)
+    bins = population // width
+    i, j = np.triu_indices(size, 1)
+    cells = (cols[:, i] // width * bins + cols[:, j] // width).ravel()
+    pairs = np.bincount(cells, minlength=bins * bins).reshape(bins, bins)
+    per_pair = _TRIALS * math.comb(size, 2) / math.comb(population, 2)
+    expected = np.full((bins, bins), width * width * per_pair)
+    np.fill_diagonal(expected, math.comb(width, 2) * per_pair)
+    upper = np.triu(np.ones((bins, bins), dtype=bool)) & (expected > 0)
+    assert pairs[~upper].sum() == 0
+    assert _within(_chi2(pairs[upper], expected[upper]),
+                   _pair_chi2_mean(population, size, width))
+
+
+@pytest.mark.parametrize("layout", ["t", "3, t", "t, 3"])
+def test_adjacent_keys_are_independent(layout):
+    # rows 2s and 2s + 1 differ by one in one key: their (7, 2) draws, one of
+    # 21 pairs each, fall on the 441 cells of the product uniformly
+    t = np.arange(_TRIALS)
+    three = np.full_like(t, 3)
+    keys = {"t": t[:, None], "3, t": np.stack([three, t], axis=1),
+            "t, 3": np.stack([t, three], axis=1)}[layout]
+    (cols,) = derive_choices(_SEED, keys, [(7, 2)])
+    pair = cols[:, 0] * 7 + cols[:, 1]
+    index = np.full(49, -1)
+    index[[a * 7 + b for a in range(7) for b in range(a + 1, 7)]] = np.arange(21)
+    cell = index[pair[0::2]] * 21 + index[pair[1::2]]
+    counts = np.bincount(cell, minlength=441)
+    assert _within(_chi2(counts, _TRIALS / 2 / 441), 440)
+
+
+# ============================================================
+# seeds
+# ============================================================
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(1.0), True, False, np.True_, "3", None])
+@pytest.mark.parametrize("runner", ["derive_rng", "derive_rngs", "derive_choices", "smin",
+                                    "moments", "recover"])
+def test_a_seed_that_is_not_an_integer_is_refused_before_any_draw(
+    runner, seed, mub5, monkeypatch
+):
+    # a float or bool seed was truncated to another seed, and recover wrote
+    # the float into its summary
+    def no_work(*args, **kwargs):
+        raise AssertionError("a draw ran before the seed was checked")
+
+    for module in (concentration, recovery):
+        monkeypatch.setattr(module, "fan_out", no_work)
+    call = {
+        "derive_rng": lambda: derive_rng(seed, 1),
+        "derive_rngs": lambda: derive_rngs(seed, [[1]]),
+        "derive_choices": lambda: derive_choices(seed, [[1]], [(7, 2)]),
+        "smin": lambda: concentration.run_smin_trials(mub5, "first-n", 1, 2, trials=10,
+                                                      master_seed=seed),
+        "moments": lambda: concentration.estimate_moment(mub5, 1, 2, q=8.0, trials=1000,
+                                                         master_seed=seed),
+        "recover": lambda: recovery.run_recovery_sweep(mub5, (0,), (1,), 2, master_seed=seed),
+    }[runner]
+    message = f"master_seed must be a nonnegative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_numpy_integer_seeds_are_accepted(mub5):
+    assert derive_rng(np.int64(4), 1).random() == derive_rng(4, 1).random()
+    assert next(derive_rngs(np.uint64(4), [[1]])).random() == derive_rng(4, 1).random()
+    # and the runners write them into their summaries as the int
+    for run in (
+        lambda seed: concentration.run_smin_trials(mub5, "first-n", 1, 2, trials=10,
+                                                   master_seed=seed),
+        lambda seed: recovery.run_recovery_sweep(mub5, (0,), (1,), 2, master_seed=seed),
+    ):
+        ours, theirs = run(np.int64(4)).summary_dict(), run(4).summary_dict()
+        assert json.dumps(ours) == json.dumps(theirs)
