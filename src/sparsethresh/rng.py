@@ -44,6 +44,8 @@ _worker_task = None  # (fn, common), set once in each pool process
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Return a Generator for the stream identified by ``(master_seed, *key)``."""
     _require_seed(master_seed)
+    for k in key:
+        _require_key(k)
     seq = np.random.SeedSequence([int(master_seed), *[int(k) for k in key]])
     return np.random.default_rng(seq)
 
@@ -54,8 +56,8 @@ def derive_rngs(master_seed: int, keys):
 
     The rows' streams are seeded together, and one Generator is re-seeded
     for each row: a yielded Generator is valid only until the next one is
-    taken.  A negative seed or key raises derive_rng's ValueError, before
-    anything is yielded.
+    taken.  A negative seed or key raises derive_rng's ValueError, and a
+    float or bool key a ValueError too, before anything is yielded.
     """
     return _reseeded(_seed_words(master_seed, _checked_keys(master_seed, keys)))
 
@@ -100,8 +102,14 @@ def derive_choices(master_seed: int, keys, draws) -> list[np.ndarray]:
 
 def _checked_keys(master_seed: int, keys) -> np.ndarray:
     """``keys`` as a (T, L) int64 array, for a checked seed; a negative seed
-    or key raises derive_rng's own ValueError."""
+    or key raises derive_rng's own ValueError, and a float or bool key, which
+    the cast would truncate to another key, a ValueError of its own."""
     _require_seed(master_seed)
+    if not isinstance(keys, np.ndarray) or keys.dtype == object:
+        for key in np.asarray(keys, dtype=object).flat:
+            _require_key(key)
+    elif keys.size and keys.dtype.kind not in "iu":
+        raise ValueError(f"keys must be integers, got an array of {keys.dtype}")
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2:
         raise ValueError(f"keys must be a (T, L) array, got shape {keys.shape}")
@@ -290,6 +298,13 @@ def _require_seed(master_seed: int):
     if (isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer))
             or master_seed < 0):
         raise ValueError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
+
+
+def _require_key(key):
+    """Refuse a key that is not an int or numpy integer: a float or bool
+    would be truncated to another key."""
+    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+        raise ValueError(f"keys must be integers, got {key!r}")
 
 
 def fan_out(fn, common, total: int, workers: int):

@@ -34,18 +34,18 @@ COMMANDS = {
 }
 
 DIGESTS = {
-    ("mub7", "analyze"): "67dfa5cbf766a9f659e515bc6c0c6d400e4a4d15a64dcedaf83135e03234baa9",
+    ("mub7", "analyze"): "5bc90bc43a2a713ea2a8670abc8dd01696d4a460cd39d5c74129b18e1915036f",
     ("mub7", "check"): "efb6611fa3334d58457367197cf5893036ccaa3fa90dd0a4c9f4d7d64b9efad5",
     ("mub7", "maximize"): "ea43a8e316f6840529ca894ee712987b1debe47d766cc48265a0279a7ae9ae8c",
-    ("mub7", "report"): "925fb98211790975444814c1b1642aa57150868cf967ddf9eed272c1c58c55b5",
-    ("two_onb8", "analyze"): "0a9ae6bc9935084a7caecb174c23928134526b16eaf6dfbe4cf9ad4e21b30ff8",
+    ("mub7", "report"): "9eadb5d93a3e5390a21489baaff4b913e012a39c13b581b664a4703565bec094",
+    ("two_onb8", "analyze"): "392e9b8a94668c1377c29a2a0ac68957441a01fef5d1b9e8588beec96b92cbe1",
     ("two_onb8", "check"): "8f31ede9d9e705fa8f227870e71366fc017788a992ba41678cb067d75a19314d",
     ("two_onb8", "maximize"): "99da83526ff07b445e3b90c47101b3d25972020039129ce2fe45933454e1c43b",
-    ("two_onb8", "report"): "1329228f1d00f3cdf5b882c93f6216455b8b49c41cf48702ad7face972f82c35",
-    ("random6x12", "analyze"): "12d3c1c352bbf0d56f5bdea9e3dbfa11ab3bcc3172d5edfe054e3c9800c895c3",
+    ("two_onb8", "report"): "956047786f1f46525b42271c06522c0d73cdbf9b6084d9d394e7bd57940f4ddc",
+    ("random6x12", "analyze"): "b3e46759115cb7ea6f8084d18a1a2aca95a71ca88f9f04eb484346bd12b7d27f",
     ("random6x12", "check"): "dade147f9c95690506ffb9e782c611a588fe4a6ecd2eec049216a4fbd686eea3",
     ("random6x12", "maximize"): "24e41f8dbf1187db15e133b343ef5f0e41786365c5acaa5d4aaa58d5e689e94a",
-    ("random6x12", "report"): "b2ed0c8e6e84f2c8feb4f845a1dc8436868d3948e4c231d4bc39f19cd4098cd1",
+    ("random6x12", "report"): "ac61281249492a53bda235c610a9e48016b5029f95903aa60ded766253026956",
 }
 
 

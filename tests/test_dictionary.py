@@ -73,11 +73,44 @@ class TestSpectralNorm:
     def test_rank_one(self):
         assert abs(spectral_norm(np.ones((2, 2))) - 2.0) <= TOL
 
-    def test_empty_block(self):
-        assert spectral_norm(np.zeros((4, 0))) == 0.0
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)])
+    def test_empty_block(self, shape):
+        assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
 
     def test_mub_full_matrix(self, mub5):
         assert abs(spectral_norm(mub5.matrix) - SQRT6) <= TOL
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(11)
+
+        def gaussian(m, n):
+            return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+        return {
+            "wide": gaussian(6, 40),
+            "tall": gaussian(40, 6),
+            "square": gaussian(9, 9),
+            "rank-one": np.outer(gaussian(7, 1), gaussian(1, 30)),
+            "graded-columns": gaussian(8, 24) * np.logspace(-12, 12, 24),
+            "single-column": gaussian(11, 1),
+            "single-row": gaussian(1, 11),
+            "unit-columns": build_random_dictionary(5, 30, seed=2).matrix,
+        }
+
+    def test_agrees_with_the_svd(self):
+        for name, X in self._inputs().items():
+            expected = np.linalg.svd(X, compute_uv=False)[0]
+            assert abs(spectral_norm(X) - expected) <= 1e-14 * expected, name
+
+    def test_zero_matrix(self):
+        assert spectral_norm(np.zeros((3, 5))) == 0.0
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_a_power_of_two_scales_the_norm_exactly(self, exponent):
+        # the Gram of 2^600 X would overflow, that of 2^-600 X underflow
+        for name, X in self._inputs().items():
+            assert spectral_norm(2.0**exponent * X) == 2.0**exponent * spectral_norm(X), name
 
 
 class TestWelchBound:
@@ -241,6 +274,14 @@ class TestAnalyze:
         assert abs(st7.spec_b - math.sqrt(7.0)) <= TOL
         assert abs(st7.spec_d - math.sqrt(8.0)) <= TOL
         assert st7.mu_a_defined and st7.mu_b_defined
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 31])
+    def test_mub_blocks_are_tight_frames(self, p):
+        # B is p ONBs of C^p and D is p + 1 of them: ||B||^2 = p, ||D||^2 = p + 1
+        stats = analyze(build_mub(p))
+        assert abs(stats.spec_a - 1.0) <= 1e-12
+        assert abs(stats.spec_b**2 - p) <= 1e-12 * p
+        assert abs(stats.spec_d**2 - (p + 1)) <= 1e-12 * (p + 1)
 
     def test_tight_frame_deviations(self, mub7_stats):
         # blocks are 7x7 and 7x49 tight frames, so both deviations vanish
@@ -519,6 +560,21 @@ class TestSaveLoad:
         np.testing.assert_array_equal(loaded.matrix, mub5.matrix)
         assert loaded.Na == mub5.Na
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_two_onb(8), lambda: PartitionedDictionary(build_two_onb(8).matrix.conj(), 8)],
+        ids=["two_onb8", "conj-two_onb8"],
+    )
+    def test_save_load_save_keeps_signed_zeros(self, tmp_path, build):
+        # the conjugate's identity block has a -0.0 imaginary part in every entry
+        D = build()
+        first, second = tmp_path / "first.dict.json", tmp_path / "second.dict.json"
+        save_dictionary(D, first)
+        loaded = load_dictionary(first)
+        save_dictionary(loaded, second)
+        np.testing.assert_array_equal(loaded.matrix.view(np.uint64), D.matrix.view(np.uint64))
+        assert second.read_bytes() == first.read_bytes()
+
     def test_round_trip_random(self, tmp_path):
         D = build_random_dictionary(6, 17, seed=4, split=5)
         path = tmp_path / "r.dict.json"
@@ -726,7 +782,8 @@ def _reference_load(path, renormalize=False):
     rows, cols = np.nonzero((pairs == 0) | (pairs == 1))
     if any(type(entries[i][j]) is bool for i, j in zip(rows.tolist(), cols.tolist())):
         raise LoadError(not_numbers)
-    mat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(m, n)
+    # each pair's two floats as read, a -0.0 included
+    mat = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(m, n)
     if not np.all(np.isfinite(pairs)):
         raise LoadError(f"{path}: entries must be finite")
     if renormalize:  # each column scaled exactly to a largest part in [1/2, 1) first

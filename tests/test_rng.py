@@ -424,6 +424,26 @@ def test_a_seed_that_is_not_an_integer_is_refused_before_any_draw(
         call()
 
 
+@pytest.mark.parametrize("key", [1.5, 1.0, np.float64(1.0), True, np.True_])
+@pytest.mark.parametrize("function", ["derive_rng", "derive_rngs", "derive_choices"])
+def test_a_key_that_is_not_an_integer_is_refused(function, key, no_generators):
+    # a float or bool key was truncated to another key: 1.5 drew the stream of 1
+    call = {
+        "derive_rng": lambda: derive_rng(1, key),
+        "derive_rngs": lambda: derive_rngs(1, [[0], [key]]),
+        "derive_choices": lambda: derive_choices(1, [[0], [key]], [(7, 2)]),
+    }[function]
+    with pytest.raises(ValueError, match="keys must be integers"):
+        call()
+
+
+@pytest.mark.parametrize("keys", [np.array([[0.0], [1.5]]), np.array([[False], [True]])])
+def test_an_array_of_keys_that_are_not_integers_is_refused(keys, no_generators):
+    for call in (lambda: derive_rngs(1, keys), lambda: derive_choices(1, keys, [(7, 2)])):
+        with pytest.raises(ValueError, match="keys must be integers"):
+            call()
+
+
 def test_numpy_integer_seeds_are_accepted(mub5):
     assert derive_rng(np.int64(4), 1).random() == derive_rng(4, 1).random()
     assert next(derive_rngs(np.uint64(4), [[1]])).random() == derive_rng(4, 1).random()
