@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dictionary
 from .dictionary import PartitionedDictionary
 from .model import SUPPORT_A_STRATEGIES, _block_columns, choose_support_a, draw_supports
 from .rng import _require_seed, derive_rng, fan_out
@@ -159,6 +160,39 @@ def _sub_dictionaries(D: PartitionedDictionary, cols_a, cols_b):
     return S, gram, xi_b, xi_x
 
 
+def _row_norms_ab(D: PartitionedDictionary, supports: np.ndarray) -> np.ndarray:
+    """max_j ||A'^H b_j||, the largest column l2 norm of A'^H against the
+    FULL block B, for the A-support A' of each row of ``supports`` (k, n_a).
+
+    |a_i^H b_j|^2 is formed once for each column i in the union of the
+    supports, over B-column chunks of about GRAM_CHUNK_BYTES, and a
+    support's squared column norms are the sums of its rows, in its column
+    order.  A fixed support is its own union, so it costs one n_a x Nb
+    product.  BLAS may round an entry of a larger product in another last
+    bit than the support's own product would: a few eps relative at most,
+    and the value is only compared with its ceiling plus CHAIN_SLACK.
+    """
+    # the union as a mask over A (numpy 2.4's first np.unique of a flat array
+    # costs 1.7 MB of RSS)
+    present = np.zeros(D.Na, dtype=bool)
+    present[supports] = True
+    union = np.flatnonzero(present)
+    rows = (np.cumsum(present) - 1)[supports]  # each support's rows in the union
+    adjoint = D.A[:, union].conj().T
+    width = max(1, dictionary.GRAM_CHUNK_BYTES // (16 * max(len(union), len(supports))))
+    largest = np.zeros(len(supports))
+    for lo in range(0, D.Nb, width):
+        product = adjoint @ D.B[:, lo : lo + width]
+        squares = np.square(product.real)
+        squares += np.square(product.imag)
+        del product
+        sums = squares[rows[:, 0]]
+        for i in range(1, rows.shape[1]):
+            sums += squares[rows[:, i]]
+        np.maximum(largest, sums.max(axis=1), out=largest)
+    return np.sqrt(largest)
+
+
 def chain_batch(D: PartitionedDictionary, cols_a, cols_b) -> HollowGramRecord:
     """Measure every quantity in the chain for T draws at once.
 
@@ -187,11 +221,7 @@ def chain_batch(D: PartitionedDictionary, cols_a, cols_b) -> HollowGramRecord:
         which = which.reshape(-1)
         xi_a = _spectrum(gram[first, :n_a, :n_a])[2][which]
         if D.Nb:
-            # max column l2 norm of A'^H against the FULL block B, one support
-            # at a time so memory stays n_a x Nb
-            row_norm_ab = np.array([
-                np.linalg.norm(a.conj().T @ D.B, axis=0).max() for a in S[..., :n_a][first]
-            ])[which]
+            row_norm_ab = _row_norms_ab(D, cols_a[first])[which]
     slope_a, gersgorin = block_a_terms(D.stats, n_a)
     return HollowGramRecord(
         sigma_min=sigma_min,

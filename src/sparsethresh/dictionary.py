@@ -21,21 +21,24 @@ of C^p, coherence 1/sqrt(p)).  Arbitrary dictionaries round-trip through a
 JSON text format, see ``save_dictionary``.
 
 Memory: ``analyze`` never forms the N x N Gram matrix.  It walks its upper
-triangle in row chunks of about GRAM_CHUNK_BYTES (16 MiB) and reads mu, mu_a
-and mu_b from each chunk in the same pass, so beside the m x N matrix it
-holds one chunk and its modulus (about 24 MiB) whatever N is.  Each
-spectral norm holds a scaled copy of its block, the copy's conjugate and
-the smaller Gram: for ||D|| about twice the m x N matrix.
+triangle in row chunks of about GRAM_CHUNK_BYTES (4 MiB) and reads mu, mu_a
+and mu_b from each chunk in the same pass, writing every chunk's product
+and modulus into two buffers made once, so beside the m x N matrix it holds
+about 6 MiB whatever N is.  Each spectral norm holds a scaled copy of its
+block, the copy's conjugate and the smaller Gram: for ||D|| about twice the
+m x N matrix, the peak of ``analyze`` from mub61 up.
 The builders fill their matrix in blocks of about 1 MiB and hand it to
-PartitionedDictionary without a copy.  ``load_dictionary`` holds the file's
-text, decoded once, and parses ``entries`` in chunks of about
-ENTRIES_CHUNK_CHARS (2^20) characters into float blocks, with no Python
-object per entry: its peak is about twice the file size, while the file's
-bytes are decoded.
+PartitionedDictionary without a copy.  ``load_dictionary`` reads the file
+in pieces of about ENTRIES_CHUNK_CHARS (2^20) bytes through an incremental
+UTF-8 decoder, never whole, and parses ``entries`` piece by piece into
+float blocks, with no Python object per entry, each copied into the matrix
+as it is read: beside the matrix it holds a few pieces, whatever the file
+size (about twice the matrix when ``entries`` comes before m and N).
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -61,17 +64,23 @@ __all__ = [
 
 COLUMN_NORM_TOL = 1e-10
 LOAD_NORM_TOL = 1e-8
-# Bytes of complex Gram entries formed at once by ``_coherences``.
-GRAM_CHUNK_BYTES = 16 * 2**20
+# Bytes of complex Gram entries formed at once by ``_coherences``, and of
+# |A'^H B| entries by ``concentration``'s row norms.  Against 16 MiB, 4 MiB
+# takes a quarter of the memory and no more time at mub61, but about a fifth
+# more at mub127, where a chunk's 16 rows re-pack the whole matrix per product.
+GRAM_CHUNK_BYTES = 4 * 2**20
 # Gram products start at a multiple of this many columns (see ``_coherences``).
 _GRAM_ALIGN = 64
 # Bytes of matrix a builder fills, or a column-norm pass reads, at once.
 _BLOCK_BYTES = 2**20
-# Characters of ``entries`` text read at once by ``load_dictionary``.
+# Bytes of the file ``load_dictionary`` reads at once, and characters of
+# ``entries`` it parses at once: a few of them are its peak beside the matrix.
 ENTRIES_CHUNK_CHARS = 2**20
 
 _DECODER = json.JSONDecoder()
 _WS = re.compile(r"[ \t\n\r]*")
+# every character a JSON number can hold: one ends before the first other
+_NUMBER_RUN = re.compile(r"[-+.eE0-9]*")
 # a pair's ']', then the ']' that closes ``entries``
 _ENTRIES_END = re.compile(r"\][ \t\n\r]*\]")
 _NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
@@ -290,11 +299,17 @@ def _coherences(mat: np.ndarray, split: int) -> tuple[float, float, float]:
     n = mat.shape[1]
     ragged = n - n % _GRAM_ALIGN
     rows = max(2, GRAM_CHUNK_BYTES // (16 * n))
+    # every chunk's product and modulus lead the same two buffers
+    size = min(rows + 1, n) * n
+    product, modulus = np.empty(size, dtype=complex), np.empty(size)
     mu = mu_a = mu_b = 0.0
     for lo in range(0, n - 1, rows):
         hi = n if n - lo <= rows + 1 else lo + rows  # no lone last row
         start = 0 if hi > ragged else lo - lo % _GRAM_ALIGN
-        gram = np.abs(mat[:, lo:hi].conj().T @ mat[:, start:])
+        shape = (hi - lo, n - start)
+        chunk = product[: shape[0] * shape[1]].reshape(shape)
+        np.matmul(mat[:, lo:hi].conj().T, mat[:, start:], out=chunk)
+        gram = np.abs(chunk, out=modulus[: chunk.size].reshape(shape))
         np.fill_diagonal(gram[:, lo - start :], 0.0)
         ra = min(max(split - lo, 0), hi - lo)  # chunk rows [0, ra) lie in A
         ca = max(split - start, 0)  # chunk columns [0, ca) lie in A
@@ -448,7 +463,7 @@ def analyze(D: PartitionedDictionary) -> DictionaryStats:
 
     mu, mu_a and mu_b come from one chunked pass over the upper triangle of
     D's Gram matrix (``_coherences``), so the memory it takes is one chunk
-    of about GRAM_CHUNK_BYTES (16 MiB) plus its modulus, whatever N is.
+    of about GRAM_CHUNK_BYTES (4 MiB) plus its modulus, whatever N is.
     """
     mu, mu_a, mu_b = _coherences(D.matrix, D.Na)
     return DictionaryStats(
@@ -509,16 +524,20 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
     Column norms are checked at the looser tolerance LOAD_NORM_TOL, since text
     formats written by other tools may round; pass renormalize=True to rescale
     columns instead of failing.  Zero columns are always an error.
+
+    The file is read a piece of about ENTRIES_CHUNK_CHARS bytes at a time
+    (``_Window``), never whole, and ``entries`` is parsed piece by piece into
+    the matrix of the m and N read before it (``_Pairs``).  With m and N
+    first, as ``save_dictionary`` writes them, the peak beside the matrix is
+    a few pieces whatever the file size; with ``entries`` first it is about
+    twice the matrix.
     """
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DictionaryFormatError(f"cannot read dictionary file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DictionaryFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    doc = _read_object(text, path)
-    del text
+    with fh:
+        doc = _read_object(_Window(fh, path))
     for key in ("m", "N", "Na", "entries"):
         if key not in doc:
             raise DictionaryFormatError(f"{path}: missing field {key!r}")
@@ -529,23 +548,20 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
         raise DictionaryFormatError(f"{path}: need N >= m >= 1, got m={m}, N={n}")
     if not 0 <= na <= n:
         raise DictionaryFormatError(f"{path}: Na={na} outside [0, N={n}]")
-    pairs = doc["entries"]
-    if not isinstance(pairs, (list, np.ndarray)):
+    pairs = doc.pop("entries")
+    if not isinstance(pairs, (list, _Pairs)):
         raise DictionaryFormatError(f"{path}: entries must be a list of [re, im] pairs")
     if len(pairs) != m * n:
         raise DictionaryFormatError(f"{path}: expected {m * n} entries, found {len(pairs)}")
     # a list is JSON that _read_pairs refused; integers in [2^63, 2^64) with
     # no negative integer or float beside them make numpy's uint64, refused
     # as when numpy read the whole nested list
-    if not isinstance(pairs, np.ndarray) or pairs.dtype.kind not in "fi":
+    if not isinstance(pairs, _Pairs) or pairs.unsigned:
         raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs of numbers")
-    if not np.all(np.isfinite(pairs)):
-        raise DictionaryFormatError(f"{path}: entries must be finite")
-    # each pair fills its entry's two float parts as read, a -0.0 included
-    # (re + 1j * im would read it as +0.0), with no complex temporary
-    mat = np.empty((m, n), dtype=complex)
-    mat.view(float).reshape(-1, 2)[...] = pairs
+    mat = pairs.matrix(m, n)
     del pairs, doc
+    if not np.isfinite(mat).all():
+        raise DictionaryFormatError(f"{path}: entries must be finite")
 
     if renormalize:
         # scale each column by a power of two, exactly, so that its largest
@@ -575,98 +591,264 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
     return _adopt(mat, na, norm_tol=None)  # within LOAD_NORM_TOL, checked above
 
 
-def _read_object(text: str, path) -> dict:
-    """The top-level JSON object of ``text``, walked key by key: json reads
-    every key and value but ``entries``, which ``_read_entries`` reads."""
+class _Window:
+    """A sliding window ``text`` over a file's UTF-8 text, read ``pos`` on.
 
-    def value(idx: int):
-        try:
-            return _DECODER.raw_decode(text, idx)
-        except (ValueError, RecursionError) as exc:  # also an int past the digit limit
-            raise DictionaryFormatError(f"{path} is not valid JSON: {exc}") from None
+    ``fill`` drops the text before ``pos`` and decodes the next piece of
+    about ENTRIES_CHUNK_CHARS bytes onto the end, through an incremental
+    decoder, so a character may span pieces.  The window holds what its
+    reader has not yet consumed and about a piece more.
+    """
 
-    def expect(idx: int, char: str) -> None:
-        if not text.startswith(char, idx):
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.decoder = codecs.getincrementaldecoder("utf-8")()
+        self.text = ""
+        self.pos = 0
+        self.base = 0  # characters of the file before ``text``
+        self.bytes_read = 0
+        self.eof = False
+
+    def fill(self, size: int = 0) -> bool:
+        """Drop ``text[:pos]`` and append the text of the next max(``size``,
+        ENTRIES_CHUNK_CHARS) bytes, or of more while they end inside a
+        character; False when the file has ended."""
+        self.base += self.pos
+        rest, self.text, self.pos = self.text[self.pos :], "", 0
+        new = ""
+        while not new and not self.eof:
+            try:
+                data = self.fh.read(max(size, ENTRIES_CHUNK_CHARS))
+                self.bytes_read += len(data)
+                self.eof = not data
+                new = self.decoder.decode(data, final=self.eof)
+            except OSError as exc:
+                raise DictionaryFormatError(
+                    f"cannot read dictionary file {self.path}: {exc}"
+                ) from exc
+            except UnicodeDecodeError as exc:  # exc.start counts the pending bytes first
+                at = self.bytes_read - len(data) - len(self.decoder.getstate()[0]) + exc.start
+                raise DictionaryFormatError(
+                    f"{self.path} is not UTF-8 text: {exc.reason} at byte {at}"
+                ) from None
+            del data  # the piece's bytes go before its text is joined on
+        self.text = rest + new
+        return bool(new)
+
+    def reach(self, count: int) -> bool:
+        """Whether ``count`` characters follow ``pos``, read in if need be."""
+        while len(self.text) - self.pos < count:
+            if not self.fill(count - len(self.text) + self.pos):
+                return False
+        return True
+
+    def at(self, char: str) -> bool:
+        """Whether ``char`` comes next."""
+        if self.pos == len(self.text):
+            self.fill()
+        return self.text.startswith(char, self.pos)
+
+    def skip_space(self) -> None:
+        self.pos = _WS.match(self.text, self.pos).end()
+        while self.pos == len(self.text) and self.fill():
+            self.pos = _WS.match(self.text).end()
+
+    def expect(self, char: str) -> None:
+        if not self.at(char):
             raise DictionaryFormatError(
-                f"{path} is not valid JSON: expecting {char!r} at char {idx}"
+                f"{self.path} is not valid JSON: expecting {char!r} at char {self.base + self.pos}"
             )
 
-    def skip(idx: int, char: str) -> int:
-        """The index past ``char`` at ``idx`` and the whitespace after it."""
-        expect(idx, char)
-        return _WS.match(text, idx + 1).end()
+    def skip(self, char: str) -> None:
+        """Move ``pos`` past ``char``, which must be there, and the whitespace after it."""
+        self.expect(char)
+        self.pos += 1
+        self.skip_space()
 
-    idx = _WS.match(text).end()
-    if not text.startswith("{", idx):
-        raise DictionaryFormatError(f"{path}: top-level value must be an object")
-    idx = skip(idx, "{")
+    def value(self, refusal: str | None = None):
+        """The JSON value at ``pos``, read by json, with ``pos`` moved past it.
+
+        A value json cannot complete yet, or a number that may go on past
+        the window, doubles the window until it can or the file ends, so
+        the reads stay linear in the value's length.  ``refusal`` replaces
+        the message of a value that is not JSON.
+        """
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.pos)
+                # a number ends at the first character no number holds
+                if self.eof or _NUMBER_RUN.match(self.text, self.pos).end() < len(self.text):
+                    self.pos = end
+                    return value
+            except (ValueError, RecursionError) as exc:  # also an int past the digit limit
+                if self.eof or isinstance(exc, RecursionError):
+                    if isinstance(exc, json.JSONDecodeError):
+                        exc = f"{exc.msg} at char {self.base + exc.pos}"
+                    raise DictionaryFormatError(
+                        refusal or f"{self.path} is not valid JSON: {exc}"
+                    ) from None
+            self.fill(len(self.text) - self.pos)
+
+    def mark(self) -> tuple[int, int]:
+        """The byte and character offsets of ``pos`` in the file, for ``rewind``."""
+        rest = len(self.text) - self.pos
+        if not self.text.isascii():
+            rest = len(self.text[self.pos :].encode())
+        pending = len(self.decoder.getstate()[0])  # bytes read of a character not yet whole
+        return self.bytes_read - pending - rest, self.base + self.pos
+
+    def rewind(self, mark: tuple[int, int]) -> None:
+        """Read on from ``mark`` again, with an empty window."""
+        try:
+            self.fh.seek(mark[0])
+        except OSError as exc:
+            raise DictionaryFormatError(f"cannot read dictionary file {self.path}: {exc}") from exc
+        self.decoder.reset()
+        self.bytes_read, self.base = mark
+        self.text, self.pos, self.eof = "", 0, False
+
+
+def _read_object(w: _Window) -> dict:
+    """The top-level JSON object of ``w``'s file, walked key by key: json
+    reads every key and value but ``entries``, which ``_read_entries``
+    reads."""
+    w.skip_space()
+    if not w.at("{"):
+        raise DictionaryFormatError(f"{w.path}: top-level value must be an object")
+    w.skip("{")
     doc = {}
-    more = not text.startswith("}", idx)
+    more = not w.at("}")
     while more:
-        expect(idx, '"')
-        key, idx = value(idx)
-        idx = skip(_WS.match(text, idx).end(), ":")
-        doc[key], idx = _read_entries(text, idx, path) if key == "entries" else value(idx)
-        idx = _WS.match(text, idx).end()
-        more = text.startswith(",", idx)
+        w.expect('"')
+        key = w.value()
+        w.skip_space()
+        w.skip(":")
+        doc[key] = _read_entries(w, doc) if key == "entries" else w.value()
+        w.skip_space()
+        more = w.at(",")
         if more:
-            idx = skip(idx, ",")
-    idx = skip(idx, "}")
-    if idx != len(text):
-        raise DictionaryFormatError(f"{path} is not valid JSON: extra data at char {idx}")
+            w.skip(",")
+    w.skip("}")
+    if w.pos < len(w.text):  # skip_space stops at text or the end of the file
+        raise DictionaryFormatError(
+            f"{w.path} is not valid JSON: extra data at char {w.base + w.pos}"
+        )
     return doc
 
 
-def _read_entries(text: str, idx: int, path):
-    """The ``entries`` value at ``idx`` and the index past it: a (k, 2)
-    array when it is an array of [re, im] pairs of numbers, else what json
-    reads there."""
-    if text.startswith("[", idx):
-        found = _read_pairs(text, idx)
-        if found is not None:
-            return found
-    try:
-        return _DECODER.raw_decode(text, idx)
-    except (ValueError, RecursionError):
-        raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs of numbers") from None
+def _read_entries(w: _Window, doc: dict):
+    """The ``entries`` value at ``w.pos``: its ``_Pairs`` when it is an
+    array of [re, im] pairs of numbers, else what json reads there, read
+    again from its start."""
+    if w.at("["):
+        mark = w.mark()
+        pairs = _read_pairs(w, _Pairs(doc.get("m"), doc.get("N")))
+        if pairs is not None:
+            return pairs
+        w.rewind(mark)
+    return w.value(refusal=f"{w.path}: entries must be [re, im] pairs of numbers")
 
 
-def _read_pairs(text: str, idx: int):
-    """The array of number pairs opening at ``idx`` as a (k, 2) array and the
-    index past it, or None when it is anything else.
+def _read_pairs(w: _Window, pairs: _Pairs):
+    """``pairs`` filled from the array of number pairs opening at ``w.pos``,
+    with ``w.pos`` moved past the array, or None when it is anything else.
 
     Chunks of about ENTRIES_CHUNK_CHARS characters, each cut just before a
     '[', are read one at a time by ``_pair_block``; the last one ends at the
     first ']' that follows a pair's ']' across whitespace.
     """
-    blocks = []
-    start = idx + 1
+    start = w.pos + 1
     while True:
-        cut = text.rfind("[", start + 1, start + ENTRIES_CHUNK_CHARS)
-        block = _pair_block(text[start:cut], last=False) if cut > 0 else None
+        w.pos = start
+        w.reach(ENTRIES_CHUNK_CHARS)
+        start = w.pos
+        cut = w.text.rfind("[", start + 1, start + ENTRIES_CHUNK_CHARS)
+        block = _pair_block(w.text, start, cut, last=False) if cut > 0 else None
         if block is None:  # the chunk runs past the array's end, or is not pairs
             break
-        blocks.append(block)
+        pairs.add(block)
         start = cut
-    end = _ENTRIES_END.search(text, start)
-    block = _pair_block(text[start : end.start() + 1], last=True) if end else None
+    end = _ENTRIES_END.search(w.text, w.pos)
+    while end is None and w.fill(len(w.text) - w.pos):
+        end = _ENTRIES_END.search(w.text, w.pos)
+    block = _pair_block(w.text, w.pos, end.start() + 1, last=True) if end else None
     if block is None:
         return None
-    blocks.append(block)
-    return np.concatenate(blocks), end.end()
+    pairs.add(block)
+    w.pos = end.end()
+    return pairs
 
 
-def _pair_block(chunk: str, last: bool):
-    """The (k, 2) values of ``chunk``, k pairs [re, im] of JSON numbers with a
-    comma after each but the ``last`` chunk's last one; None for other text.
+class _Pairs:
+    """The [re, im] pairs of ``entries``, added block by block: into an
+    (m N, 2) float buffer for the ``m`` and ``N`` read before ``entries``
+    while they fit it, and kept aside past it or without such m and N.
+
+    A block's values are converted to float as they are copied, so the
+    buffer holds what one nested list would give: numpy promotes int64 and
+    uint64 blocks together to float64, and every block of uint64 alone is
+    refused (``unsigned``).
+    """
+
+    def __init__(self, m, n):
+        self.flat = None
+        if type(m) is int and type(n) is int and 1 <= m <= n:
+            try:
+                self.flat = np.empty((m * n, 2))
+            except (MemoryError, ValueError):  # ValueError: past the address space
+                pass
+        self.filled = 0  # pairs in ``flat``
+        self.aside = []
+        self.count = 0
+        self.unsigned = True
+
+    def __len__(self) -> int:
+        return self.count
+
+    def add(self, block: np.ndarray) -> None:
+        k = len(block)
+        if self.flat is not None and not self.aside and self.filled + k <= len(self.flat):
+            self.flat[self.filled : self.filled + k] = block
+            self.filled += k
+        else:
+            self.aside.append(block)
+        self.count += k
+        self.unsigned &= block.dtype.kind == "u"
+
+    def matrix(self, m: int, n: int) -> np.ndarray:
+        """The m x n complex matrix whose row-major entries are the m n
+        pairs; each pair fills its entry's two float parts as read, a -0.0
+        included (re + 1j * im would read it as +0.0).  The buffer itself
+        when it holds them all, else a new one, the blocks moved over one
+        at a time."""
+        flat, self.flat = self.flat, None
+        if self.filled < self.count or len(flat) != self.count:
+            kept, flat = flat, np.empty((self.count, 2))
+            if self.filled:
+                flat[: self.filled] = kept[: self.filled]
+            del kept
+            lo = self.filled
+            self.aside.reverse()
+            while self.aside:
+                block = self.aside.pop()
+                flat[lo : lo + len(block)] = block
+                lo += len(block)
+        return flat.view(complex).reshape(m, n)
+
+
+def _pair_block(text: str, lo: int, hi: int, last: bool):
+    """The (k, 2) values of ``text[lo:hi]``, k pairs [re, im] of JSON
+    numbers with a comma after each but the ``last`` chunk's last one; None
+    for other text.
 
     With numbers and whitespace deleted, a chunk of pairs leaves exactly
     '[,],' k times.  With its brackets turned to spaces it is one flat
     array of 2k numbers to json.  numpy gives each block the dtype it would
-    give the nested list, and ``np.concatenate`` promotes the blocks as one
-    list would be; integers past uint64 make an object array, refused here.
+    give the nested list, and ``_Pairs`` promotes the blocks as one list
+    would be; integers past uint64 make an object array, refused here.
+    Each copy of the chunk is dropped as soon as the next one is made.
     """
-    raw = chunk.encode()
+    raw = text[lo:hi].encode()
     left = raw.translate(None, _NUMBER_OR_SPACE)
     if last:
         left += b","
@@ -674,12 +856,15 @@ def _pair_block(chunk: str, last: bool):
     if k == 0 or len(left) != 4 * k or left.count(b"[,],") != k:
         return None
     flat = raw.translate(_BRACKET_TO_SPACE)
-    if not last:
-        flat = flat[: flat.rindex(b",")]
+    del raw
+    body = memoryview(flat)[: len(flat) if last else flat.rindex(b",")]
+    array = b"".join((b"[", body, b"]")).decode()
+    del body, flat
     try:
-        values = json.loads(b"[" + flat + b"]")
+        values = json.loads(array)
     except ValueError:  # not JSON numbers, or an integer past int's digit limit
         return None
+    del array
     block = np.array(values)
     if len(values) != 2 * k or block.dtype.kind not in "iuf":
         return None

@@ -52,7 +52,8 @@ TOL = 1e-12
 # chain_batch reads eigenvalues of S^H S where _reference_chain takes SVDs of S
 # and of its blocks, so the two round differently: by at most 3.4e-15 over 400
 # draws of every CHAIN_SHAPES shape and strategy on mub5, mub7 and mub13,
-# singular S included.  row_norm_ab is the same product in both.
+# singular S included.  row_norm_ab sums the entries of one product over the
+# union of a block's A-supports, which BLAS rounds as the per-draw product.
 ORACLE_ATOL = 1e-13
 
 
@@ -377,6 +378,34 @@ class TestChainBatch:
         assert digest.hexdigest() == (
             "1a7a1c630b1f7703c60b1e890480848bf22fa5ca05f1ae3de4c4cf475c657c1e"
         )
+
+    @staticmethod
+    def _per_support_row_norms(D, supports):
+        """row_norm_ab as chain_batch measured it one A-support at a time."""
+        return np.array([np.linalg.norm(D.A[:, a].conj().T @ D.B, axis=0).max() for a in supports])
+
+    # 2^14 bytes: B-column chunks of about 4 columns for about 256 distinct supports
+    @pytest.mark.parametrize("chunk_bytes", [None, 2**14], ids=["default", "4-columns"])
+    def test_union_row_norms_match_the_per_support_formula(
+        self, mub13, monkeypatch, chunk_bytes
+    ):
+        # random-baseline draws each trial's A-support: one product over their
+        # union serves them all
+        if chunk_bytes is not None:
+            monkeypatch.setattr(dictionary, "GRAM_CHUNK_BYTES", chunk_bytes)
+        support_a = choose_support_a("random-baseline", mub13.Na, 4)
+        cols_a, cols_b = draw_supports(mub13, support_a, 5, 9, 0, 256)
+        rec = chain_batch(mub13, cols_a, cols_b)
+        expected = self._per_support_row_norms(mub13, cols_a)
+        np.testing.assert_allclose(rec.row_norm_ab, expected, rtol=1e-13, atol=0)
+
+    def test_union_row_norms_change_no_violation_count(self, mub13, monkeypatch):
+        run = lambda: run_smin_trials(  # noqa: E731
+            mub13, "random-baseline", 4, 5, trials=600, master_seed=3
+        ).violations_by_inequality
+        ours = run()
+        monkeypatch.setattr(concentration, "_row_norms_ab", self._per_support_row_norms)
+        assert ours == run()
 
     def test_one_draw_is_a_batch_of_one(self, mub7):
         # a draw measured alone equals the same draw inside a larger batch

@@ -1,6 +1,7 @@
 """Tests for partitioned dictionaries, coherence statistics, and file I/O."""
 
 import dataclasses
+import io
 import json
 import math
 import pickle
@@ -506,11 +507,16 @@ class TestBlockedBuilders:
 
 class TestBoundedMemory:
     # the dense N x N Gram of mub61 and its modulus alone take 343 MB
-    LIMIT = 64 * 2**20
 
     @pytest.fixture(scope="class")
     def mub61(self):
         return build_mub(61)
+
+    @pytest.fixture(scope="class")
+    def mub61_file(self, mub61, tmp_path_factory):
+        path = tmp_path_factory.mktemp("mub61") / "mub61.dict.json"
+        save_dictionary(mub61, path)
+        return path
 
     @staticmethod
     def _traced_peak(fn, *args):
@@ -521,19 +527,51 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def _analyze_limit(D):
+        # the scaled copy of the matrix and its conjugate beside it for ||D||,
+        # or one Gram chunk and its modulus
+        return 3 * D.matrix.nbytes + 2 * dictionary.GRAM_CHUNK_BYTES
+
     def test_analyze_mub61(self, mub61):
-        assert self._traced_peak(analyze, mub61) <= self.LIMIT
+        assert self._traced_peak(analyze, mub61) <= self._analyze_limit(mub61)
 
     def test_stats_mub61(self, mub61):
         # a fresh instance over the same matrix, so that its profile is measured
         fresh = dictionary._adopt(mub61.matrix, mub61.Na, norm_tol=None)
-        assert self._traced_peak(lambda D: D.stats, fresh) <= self.LIMIT
+        assert self._traced_peak(lambda D: D.stats, fresh) <= self._analyze_limit(mub61)
 
-    def test_load_mub61_within_three_times_the_file(self, mub61, tmp_path):
-        # json.load's lists of two floats took about four times the 12 MB file
-        path = tmp_path / "mub61.dict.json"
-        save_dictionary(mub61, path)
-        assert self._traced_peak(load_dictionary, path) <= 3 * path.stat().st_size
+    def test_load_mub61_within_twice_the_matrix(self, mub61, mub61_file):
+        # the 3.7 MB matrix and a few 1 MiB pieces: the 12 MB text, held
+        # whole, would take more than three times the matrix
+        limit = 2 * mub61.matrix.nbytes + 4 * dictionary.ENTRIES_CHUNK_CHARS
+        assert self._traced_peak(load_dictionary, mub61_file) <= limit
+
+    def test_whitespace_between_tokens_costs_no_memory(self, mub61_file, tmp_path):
+        # 4 MiB of whitespace, a piece each before the object, after "m":,
+        # before "entries" and after the object, is skipped a piece at a
+        # time; whole pieces keep entries on the same piece boundaries
+        pad = " " * dictionary.ENTRIES_CHUNK_CHARS
+        text = mub61_file.read_text(encoding="utf-8")
+        text = text.replace('"m":', '"m":' + pad, 1).replace('"entries"', pad + '"entries"', 1)
+        padded = tmp_path / "padded.dict.json"
+        padded.write_text(pad + text + pad, encoding="utf-8")
+        assert padded.stat().st_size == mub61_file.stat().st_size + 4 * 2**20
+        peaks = [self._traced_peak(load_dictionary, path) for path in (mub61_file, padded)]
+        assert abs(peaks[1] - peaks[0]) <= dictionary.ENTRIES_CHUNK_CHARS
+
+    def test_load_reads_the_file_a_piece_at_a_time(self, mub61_file, monkeypatch):
+        sizes = []
+
+        class Recorded(io.FileIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(dictionary, "open", lambda path, mode: Recorded(path, mode),
+                            raising=False)
+        load_dictionary(mub61_file)
+        assert len(sizes) > 12 and 0 < min(sizes) <= max(sizes) <= dictionary.ENTRIES_CHUNK_CHARS
 
     def test_build_two_onb_1024_holds_no_second_matrix(self):
         # the 1024 x 2048 matrix takes 32 MiB; a full-size copy or temporary
@@ -970,4 +1008,92 @@ class TestChunkedReader:
         path = tmp_path / "d.dict.json"
         path.write_bytes(b'{"m": 1, "N": 1, "Na": 0, "entries": [[1, 0]], "x": "\xff"}')
         with pytest.raises(DictionaryFormatError, match="UTF-8"):
+            load_dictionary(path)
+
+
+def _read_doc(path) -> dict:
+    """The top-level object of ``path`` as the streamed reader walks it."""
+    with open(path, "rb") as fh:
+        return dictionary._read_object(dictionary._Window(fh, path))
+
+
+class TestStreamedReader:
+    """The file is read in pieces of ENTRIES_CHUNK_CHARS bytes: every token,
+    character and value may span pieces."""
+
+    _TEXT = "über ∑ 日本"
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 4])
+    def test_a_character_split_across_pieces_reads_whole(self, monkeypatch, tmp_path, piece):
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", piece)
+        D = build_random_dictionary(2, 3, seed=1, split=1)
+        path = tmp_path / "d.dict.json"
+        save_dictionary(D, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = {self._TEXT: self._TEXT, **doc, "tail": [self._TEXT]}
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        assert path.stat().st_size > len(path.read_text(encoding="utf-8"))  # multi-byte
+        read = _read_doc(path)
+        assert (read[self._TEXT], read["tail"]) == (self._TEXT, [self._TEXT])
+        assert load_dictionary(path).matrix.tobytes() == D.matrix.tobytes()
+
+    @pytest.mark.parametrize("piece", [64, 2**20], ids=["64-bytes", "default"])
+    @pytest.mark.parametrize("where", ["before", "inside", "after"])
+    def test_a_byte_that_is_not_utf8_is_a_format_error(self, monkeypatch, tmp_path, where, piece):
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", piece)
+        path = tmp_path / "d.dict.json"
+        save_dictionary(build_mub(3), path)
+        raw = path.read_bytes()
+        if where == "before":
+            raw = raw.replace(b'"m"', b'"x\xff": 0, "m"', 1)
+        elif where == "inside":  # between two pairs in the middle of entries
+            middle = raw.index(b",\n", len(raw) // 2)
+            raw = raw[: middle + 1] + b"\xff" + raw[middle + 1 :]
+        else:  # a key after entries
+            raw = raw[: raw.rindex(b"}")] + b', "x": "\xff"}\n'
+        path.write_bytes(raw)
+        with pytest.raises(DictionaryFormatError, match="UTF-8") as refused:
+            load_dictionary(path)
+        assert str(refused.value).endswith(f" at byte {raw.index(bytes([0xFF]))}")
+
+    def test_values_longer_than_three_pieces(self, monkeypatch, tmp_path):
+        # 64-byte pieces: the string, the list and the number each span more
+        # than three, and json reads each of them as from the whole text
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", 64)
+        listed = json.dumps([1.5, -2, [3e-5, {"k": "v"}]] * 20)
+        extras = (f'"note": "{"x" * 300}", "list": {listed}, '
+                  f'"number": -0.{"1" * 300}e-2, "count": {"7" * 300}')
+        path = tmp_path / "d.dict.json"
+        path.write_text(f'{{"m": 1, "N": 1, {extras}, "Na": 10, "entries": [[1, 0]]}}')
+        doc = _read_doc(path)
+        expected = json.loads(path.read_text())
+        assert doc.keys() == expected.keys()
+        assert all(doc[key] == expected[key] for key in expected if key != "entries")
+        with pytest.raises(DictionaryFormatError, match="Na=10 outside"):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("piece", [64, 2**20], ids=["64-bytes", "default"])
+    @pytest.mark.parametrize("entries_at", ["first", "last"])
+    def test_entries_first_or_last(self, monkeypatch, tmp_path, entries_at, piece):
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", piece)
+        D = build_random_dictionary(5, 23, seed=9, split=7)
+        path = tmp_path / "d.dict.json"
+        save_dictionary(D, path)
+        doc = json.loads(path.read_text())
+        entries = doc.pop("entries")
+        doc = {"entries": entries, **doc} if entries_at == "first" else {**doc, "entries": entries}
+        path.write_text(json.dumps(doc, indent=1))
+        loaded = load_dictionary(path)
+        assert loaded.matrix.tobytes() == D.matrix.tobytes()
+        assert loaded.matrix.tobytes() == _reference_load(path).matrix.tobytes()
+        assert loaded.split == D.split
+
+    @pytest.mark.parametrize("key", ["entries", "extra"])
+    def test_deep_nesting_across_pieces_is_a_format_error(self, monkeypatch, tmp_path, key):
+        # the 200,000 brackets span 49 pieces of 4096 bytes
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", 4096)
+        path = tmp_path / "d.dict.json"
+        deep = "[" * 100_000 + "]" * 100_000
+        path.write_text(f'{{"m": 1, "N": 1, "Na": 0, "entries": [[1, 0]], "{key}": {deep}}}')
+        with pytest.raises(DictionaryFormatError):
             load_dictionary(path)
