@@ -102,6 +102,12 @@ def _as_complex_matrix(matrix) -> np.ndarray:
     return out
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, not a bool: a float or bool size, seed or
+    split would be truncated to another one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _column_norms(mat: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(mat, axis=0)``, bit for bit, a column block of about
     _BLOCK_BYTES at a time.  Over two or more columns numpy sums each column
@@ -148,6 +154,8 @@ class PartitionedDictionary:
         m, n = mat.shape
         if n < m:
             raise ValueError(f"dictionary must have N >= m, got m={m}, N={n}")
+        if not _is_integer(self.split):
+            raise ValueError(f"split must be an integer, got {self.split!r}")
         if not 0 <= self.split <= n:
             raise ValueError(f"split must lie in [0, {n}], got {self.split}")
         if norm_tol is not None:
@@ -392,8 +400,9 @@ def _adopt(mat: np.ndarray, split: int, norm_tol=COLUMN_NORM_TOL) -> Partitioned
 
 def build_two_onb(m: int) -> PartitionedDictionary:
     """Identity plus unitary Fourier basis, split at m; coherence 1/sqrt(m)."""
-    if m < 2:
-        raise ValueError(f"two-basis dictionary needs m >= 2, got {m}")
+    if not _is_integer(m) or m < 2:
+        raise ValueError(f"two-basis dictionary needs an integer m >= 2, got {m!r}")
+    m = int(m)  # a numpy integer's arithmetic would wrap
     mat = _allocate(m, 2 * m)
     mat[:, :m] = 0
     np.fill_diagonal(mat, 1.0)
@@ -405,7 +414,7 @@ def build_two_onb(m: int) -> PartitionedDictionary:
 
 
 def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
+    if not _is_integer(p) or p < 3 or p % 2 == 0:
         return False
     return all(p % d for d in range(3, int(math.isqrt(p)) + 1, 2))
 
@@ -423,9 +432,10 @@ def build_mub(p: int) -> PartitionedDictionary:
     """
     if not _is_odd_prime(p):
         raise ValueError(
-            f"p must be an odd prime, got {p}; load prepared dictionaries "
+            f"p must be an odd prime, got {p!r}; load prepared dictionaries "
             "from a file for other sizes"
         )
+    p = int(p)  # a numpy integer's arithmetic would wrap
     mat = _allocate(p, p * (p + 1))
     mat[:, :p] = 0
     np.fill_diagonal(mat, 1.0)
@@ -440,10 +450,11 @@ def build_mub(p: int) -> PartitionedDictionary:
 
 def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> PartitionedDictionary:
     """Columns i.i.d. uniform on the complex unit sphere of C^m; deterministic per seed."""
-    if not 1 <= m <= N:
-        raise ValueError(f"need N >= m >= 1, got m={m}, N={N}")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    if not (_is_integer(m) and _is_integer(N) and 1 <= m <= N):
+        raise ValueError(f"need integers N >= m >= 1, got m={m!r}, N={N!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    m, N = int(m), int(N)  # a numpy integer's arithmetic would wrap
     mat = _allocate(m, N)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     for part in (mat.real, mat.imag):  # every real part is drawn first

@@ -18,7 +18,8 @@ This is the one module that turns a trial's stream into its support.
 (strategy, n_a) in ``recover``); only ``random-baseline`` then reads the
 stream for it, before the B-support.  ``sample_instance`` draws one trial's
 support that way from a numpy Generator and reads the same stream on:
-magnitudes, then phases; ``recover`` reads its trials through it.
+magnitudes, then phases; ``recover`` reads each trial through it, from the
+trial's own ``rng.derive_rng`` stream.
 ``draw_supports`` draws the supports of a block of trials at once, for
 ``smin`` and ``moments``, in the same order from the package's own stream
 (``rng.derive_choices``), which no numpy version or worker count can move.

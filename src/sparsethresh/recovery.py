@@ -70,10 +70,9 @@ the blocks of ``rng.fan_out``, one batched solve per block, so cells with
 short solves share one tail instead of each paying its own: every y has
 length m whatever the cell's sparsity.  Each (strategy, n_a) is resolved to
 its A-support once (``model.choose_support_a``), and trial t of the cell at
-grid indices (si, ai, bi) reads its stream derive_rng(master_seed, si, ai,
-bi, t), seeded with the rest of its block by ``rng.derive_rngs``, through
-``model.sample_instance`` on it (support, then magnitudes, then phases),
-which gives its row of the block's X and Y.  The blocks depend
+grid indices (si, ai, bi) reads its own stream derive_rng(master_seed, si,
+ai, bi, t) through ``model.sample_instance`` (support, then magnitudes,
+then phases), which gives its row of the block's X and Y.  The blocks depend
 only on the grid and the trial count, never on the worker count, and each block's counts are
 added into the grids as it arrives, so the grid does not depend on the
 worker count and memory does not grow with the trial count.
@@ -89,7 +88,7 @@ import numpy as np
 
 from .dictionary import PartitionedDictionary
 from .model import choose_support_a, sample_instance
-from .rng import _require_seed, derive_rngs, fan_out
+from .rng import _require_seed, derive_rng, fan_out
 
 __all__ = [
     "BpSolverConfig",
@@ -616,10 +615,10 @@ def _solve_trials(common, lo, hi):
     cell, t = np.divmod(np.arange(lo, hi), trials)
     rest, bi = np.divmod(cell, len(nb_values))
     si, ai = np.divmod(rest, len(supports_a[0]))
-    keys = np.stack([si, ai, bi, t], axis=1)
-    streams = derive_rngs(master_seed, keys)
-    for row, (s, a, b, _) in enumerate(keys.tolist()):
-        X[row], Y[row] = sample_instance(D, supports_a[s][a], nb_values[b], next(streams))
+    keys = np.stack([si, ai, bi, t], axis=1).tolist()
+    for row, (s, a, b, trial) in enumerate(keys):
+        rng = derive_rng(master_seed, s, a, b, trial)
+        X[row], Y[row] = sample_instance(D, supports_a[s][a], nb_values[b], rng)
     out = solve_bp_batch(D, Y, cfg, X)
     return np.stack([
         cell, out.success, ~out.converged,

@@ -7,12 +7,9 @@ the order in which they are created, so parallel and serial runs of the same
 experiment produce byte-identical output.  ``fan_out`` is the one loop that
 cuts the runners' trials into blocks, run inline or in a process pool.
 
-``recover`` reads numpy streams: ``derive_rng(master_seed, *key)`` is one,
-and ``derive_rngs`` gives a (T, L) array of keys the same streams, state for
-state, but runs numpy's SeedSequence hash (O'Neill's seed_seq, 2014) once
-for the whole block as uint32 arithmetic on arrays of T words, and re-seeds
-one PCG64 per key instead of building a SeedSequence, a PCG64 and a
-Generator per trial.
+``derive_rng(master_seed, *key)`` is a numpy stream: a Generator on the
+PCG64 that numpy's SeedSequence seeds from [master_seed, *key].  ``recover``
+reads one per trial, and the bootstrap of ``moments`` one per run.
 
 ``derive_choices`` is the stream of the draws ``smin`` and ``moments`` make
 (``model.draw_supports``), and this package owns its definition, as
@@ -33,7 +30,7 @@ from itertools import islice
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_rngs", "derive_choices", "fan_out"]
+__all__ = ["derive_rng", "derive_choices", "fan_out"]
 
 # Trials per block: bounds each block's working set, never the output.
 BLOCK = 256
@@ -50,25 +47,13 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def derive_rngs(master_seed: int, keys):
-    """Iterate over one Generator per row of ``keys``, a (T, L) array of
-    nonnegative int64, whose state is that of derive_rng(master_seed, *row).
-
-    The rows' streams are seeded together, and one Generator is re-seeded
-    for each row: a yielded Generator is valid only until the next one is
-    taken.  A negative seed or key raises derive_rng's ValueError, and a
-    float or bool key a ValueError too, before anything is yielded.
-    """
-    return _reseeded(_seed_words(master_seed, _checked_keys(master_seed, keys)))
-
-
 def derive_choices(master_seed: int, keys, draws) -> list[np.ndarray]:
     """Successive draws without replacement from each row's own stream, sorted.
 
-    ``keys`` is a (T, L) array as for ``derive_rngs``, and ``draws`` a list
-    of (population, size) pairs.  Draw d is a (T, size) int64 array whose row
-    t is a uniform size-subset of range(population), a function of
-    master_seed, keys[t] and draws[:d + 1] alone.
+    ``keys`` is a (T, L) array of nonnegative integers, one stream per row,
+    and ``draws`` a list of (population, size) pairs.  Draw d is a (T, size)
+    int64 array whose row t is a uniform size-subset of range(population), a
+    function of master_seed, keys[t] and draws[:d + 1] alone.
 
     Row t's state folds the words [n, seed limb 0, .., seed limb n-1,
     *keys[t]] into h = 0 by h <- mix((h + GAMMA) ^ word), with mix
@@ -119,116 +104,19 @@ def _checked_keys(master_seed: int, keys) -> np.ndarray:
     return keys
 
 
-def _reseeded(words):
-    """One Generator, re-seeded to each row's ``_seeded`` PCG64 state."""
-    (s_hi, s_lo), (i_hi, i_lo) = _seeded(words)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
-        bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        yield rng
+# ============================================================
+# uint64 array arithmetic of the owned stream
+# ============================================================
 
 
-# numpy's SeedSequence at its default pool of 4 uint32 words (bit_generator.pyx)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (pcg64.h)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = (1 << 64) - 1
-_MULT = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
-_LOW32 = np.uint64(_MASK32)
-_U32, _U63 = np.uint64(32), np.uint64(63)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
 # SplitMix64 (Steele, Lea and Flood 2014): the golden-ratio step and the
 # finalizer's multipliers (Stafford's Mix13)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
-
-
-def _words(n: int) -> list[int]:
-    """The uint32 words SeedSequence reads from the nonnegative int n, low first."""
-    out = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        out.append(n & _MASK32)
-    return out
-
-
-def _seed_words(master_seed: int, keys: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence([master_seed, *row]).generate_state(4, np.uint64) for
-    each row, as four uint64 arrays: word j of row t is [j][t].
-
-    SeedSequence reads each entry as its uint32 words, so rows are grouped by
-    which keys take two words (2^32 or more); within a group every step of
-    the hash is one elementwise uint32 op over the group's rows.
-    """
-    seed = _words(int(master_seed))
-    low = (keys & _MASK32).astype(np.uint32)
-    high = (keys >> 32).astype(np.uint32)
-    wide = high != 0
-    pool = [np.empty(len(keys), dtype=np.uint32) for _ in range(_POOL_SIZE)]
-    todo = np.ones(len(keys), dtype=bool)
-    while todo.any():
-        pattern = wide[np.argmax(todo)]
-        rows = np.flatnonzero(todo & np.all(wide == pattern, axis=1))
-        todo[rows] = False
-        entropy = [np.full(len(rows), w, dtype=np.uint32) for w in seed]
-        for col, two_words in enumerate(pattern):
-            entropy.append(low[rows, col])
-            if two_words:
-                entropy.append(high[rows, col])
-        for word, mixed in zip(pool, _mix_entropy(entropy)):
-            word[rows] = mixed
-    # generate_state(4, np.uint64): 8 uint32 words read as 4 little-endian uint64
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    out = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-    return [out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4)]
-
-
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's hash of one uint32 word, elementwise, with the running
-    constant it carries from word to word, starting at ``hash_const``."""
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
-
-
-def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence.mix_entropy on a pool of _POOL_SIZE words, for a column
-    of rows at once: ``entropy`` holds each row's n-th word at index n."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    zeros = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-    return pool
-
-
-# ============================================================
-# uint64 array arithmetic: PCG64's seeding and the owned stream
-# ============================================================
 
 
 def _mix64(z):
@@ -245,27 +133,6 @@ def _mulhi64(x, y):
     p01, p10 = x0 * y1, x1 * y0
     mid = (x0 * y0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
     return x1 * y1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-
-
-def _mul128(x, y):
-    """x * y mod 2^128 on (hi, lo) uint64 pairs; uint64 products wrap mod 2^64."""
-    (x_hi, x_lo), (y_hi, y_lo) = x, y
-    return _mulhi64(x_lo, y_lo) + x_hi * y_lo + x_lo * y_hi, x_lo * y_lo
-
-
-def _add128(x, y):
-    """x + y mod 2^128 on (hi, lo) uint64 pairs."""
-    lo = x[1] + y[1]
-    return x[0] + y[0] + (lo < y[1]), lo
-
-
-def _seeded(words):
-    """PCG64's (state, inc) once it has seeded itself from each row's four
-    uint64 SeedSequence words (pcg_setseq_128_srandom_r): inc = initseq << 1
-    | 1, step, add initstate, step.  Each is a (hi, lo) pair of uint64 arrays."""
-    s_hi, s_lo, i_hi, i_lo = words
-    inc = (i_hi << np.uint64(1) | i_lo >> _U63, i_lo << np.uint64(1) | np.uint64(1))
-    return _add128(_mul128(_add128(inc, (s_hi, s_lo)), _MULT), inc), inc
 
 
 def _floyd_picks(v: np.ndarray, base: int) -> np.ndarray:

@@ -168,6 +168,21 @@ class TestPartitionedDictionary:
         with pytest.raises(ValueError):
             PartitionedDictionary(np.eye(3), -1)
 
+    @pytest.mark.parametrize("split", [1.5, 1.0, np.float64(1.0), True, np.True_, "1"])
+    @pytest.mark.parametrize("make", [
+        lambda split: PartitionedDictionary(np.eye(3), split),
+        lambda split: dictionary._adopt(np.eye(3, dtype=complex), split),
+        lambda split: build_random_dictionary(3, 5, 0, split=split),
+    ], ids=["constructor", "adopt", "random"])
+    def test_rejects_a_split_that_is_not_an_integer(self, make, split):
+        # a float or bool split was truncated: 1.5 and True both read as 1
+        with pytest.raises(ValueError, match="split must be an integer"):
+            make(split)
+
+    def test_a_numpy_integer_split_is_its_int(self):
+        D = PartitionedDictionary(np.eye(3), np.int64(2))
+        assert D.split == 2 and type(D.split) is int
+
     def test_rejects_undercomplete_matrix(self):
         with pytest.raises(ValueError):
             PartitionedDictionary(np.eye(4)[:, :2], 1)
@@ -175,6 +190,43 @@ class TestPartitionedDictionary:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             PartitionedDictionary(np.ones(4), 0)
+
+
+class TestBuildersRefuseNonIntegers:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_two_onb(8.0), "two-basis dictionary needs an integer m"),
+        (lambda: build_two_onb(np.float64(8.0)), "two-basis dictionary needs an integer m"),
+        (lambda: build_two_onb("8"), "two-basis dictionary needs an integer m"),
+        (lambda: build_mub(7.0), "p must be an odd prime"),
+        (lambda: build_mub(np.float64(7.0)), "p must be an odd prime"),
+        (lambda: build_mub("7"), "p must be an odd prime"),
+        (lambda: build_random_dictionary(3.0, 5, 0), "need integers N >= m >= 1"),
+        (lambda: build_random_dictionary(3, 5.0, 0), "need integers N >= m >= 1"),
+        (lambda: build_random_dictionary(True, 5, 0), "need integers N >= m >= 1"),
+        (lambda: build_random_dictionary(3, 5, 1.5), "seed must be a nonnegative integer"),
+        (lambda: build_random_dictionary(3, 5, True), "seed must be a nonnegative integer"),
+        (lambda: build_random_dictionary(3, 5, np.float64(1.0)),
+         "seed must be a nonnegative integer"),
+        (lambda: build_random_dictionary(3, 5, "1"), "seed must be a nonnegative integer"),
+    ])
+    def test_before_any_allocation(self, build, message, monkeypatch):
+        # 1.5 and True both ran as seed 1; 7.0 and 8.0 raised a TypeError
+        def no_allocation(m, n):
+            raise AssertionError("the builder allocated before checking its arguments")
+
+        monkeypatch.setattr(dictionary, "_allocate", no_allocation)
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_numpy_integers_build_as_their_ints(self):
+        pairs = [
+            (build_two_onb(np.int64(4)), build_two_onb(4)),
+            (build_mub(np.int32(5)), build_mub(5)),
+            (build_random_dictionary(np.int64(3), np.uint8(5), np.uint64(2), np.int16(1)),
+             build_random_dictionary(3, 5, 2, 1)),
+        ]
+        for ours, theirs in pairs:
+            assert ours.matrix.tobytes() == theirs.matrix.tobytes() and ours.split == theirs.split
 
 
 class TestTwoOnb:

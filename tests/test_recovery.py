@@ -743,7 +743,7 @@ class TestRecoverySweep:
 
         monkeypatch.setattr(recovery, "solve_bp_batch", recording)
         cfg = BpSolverConfig(max_iterations=1)
-        for seed in (41, 2**32 + 41):  # a seed of one word and of two
+        for seed in (41, 2**32 + 41, 2**128 + 41):  # one 32-bit word, two, three limbs
             recovery._solve_trials((D, supports_a, nb_values, trials, seed, cfg), lo, hi)
             X, Y = _per_trial_block(D, supports_a, nb_values, trials, seed, lo, hi)
             assert blocks[-1][0].tobytes() == X.tobytes()

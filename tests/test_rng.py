@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsethresh import concentration, recovery, rng
-from sparsethresh.rng import derive_choices, derive_rng, derive_rngs
+from sparsethresh.rng import derive_choices, derive_rng
 
 
 def _span(common, lo, hi):
@@ -118,7 +118,7 @@ class TestFanOut:
         assert max(ahead) == 2 * 3
 
 
-# keys at and past the one-word boundary, where SeedSequence reads two words
+# keys at and past 2^32, up to the largest int64
 _KEY = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**40]), st.integers(0, 2**63 - 1))
 
 
@@ -126,50 +126,6 @@ _KEY = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**40]), st.integers(0, 2
 def _key_blocks(draw):
     width = draw(st.integers(0, 5))
     return draw(st.lists(st.lists(_KEY, min_size=width, max_size=width), max_size=6)), width
-
-
-class TestDeriveRngs:
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**96 - 1), block=_key_blocks())
-    @example(seed=0, block=([[0], [2**32 - 1], [2**32], [2**40]], 1))
-    @example(seed=2**32, block=([[0, 0, 0, 0], [2**32, 1, 2**40, 2**32 - 1]], 4))
-    @example(seed=2**64 - 1, block=([[5, 2**32, 0, 2**40, 7]] * 2, 5))
-    def test_each_stream_is_derive_rng_state_for_state(self, seed, block):
-        keys, width = block
-        streams = derive_rngs(seed, np.array(keys, dtype=np.int64).reshape(len(keys), width))
-        count = 0
-        for key, ours in zip(keys, streams):
-            theirs = derive_rng(seed, *key)
-            assert ours.bit_generator.state == theirs.bit_generator.state
-            assert ours.integers(0, 2**63, 3).tolist() == theirs.integers(0, 2**63, 3).tolist()
-            assert ours.choice(49, 3, replace=False).tolist() == theirs.choice(
-                49, 3, replace=False
-            ).tolist()
-            assert ours.standard_normal(2).tobytes() == theirs.standard_normal(2).tobytes()
-            count += 1
-        assert count == len(keys) and next(streams, None) is None
-
-    def test_a_stream_read_ahead_does_not_move_the_next(self):
-        # each key re-seeds the generator, whatever the last key read from it
-        keys = np.arange(4)[:, None]
-        for t, ours in enumerate(derive_rngs(3, keys)):
-            ours.random(t * 100)
-        expected = [derive_rng(3, t).random() for t in range(4)]
-        assert [ours.random() for ours in derive_rngs(3, keys)] == expected
-
-    @pytest.mark.parametrize("seed, keys", [(-1, [[0]]), (0, [[1, 2], [3, -4]]), (-1, [[-1]])])
-    def test_a_negative_seed_or_key_raises_the_derive_rng_error_at_once(self, seed, keys):
-        with pytest.raises(ValueError) as theirs:
-            for key in keys:
-                derive_rng(seed, *key)
-        with pytest.raises(ValueError) as ours:
-            derive_rngs(seed, np.array(keys))  # before any stream is taken
-        assert str(ours.value) == str(theirs.value)
-
-    @pytest.mark.parametrize("keys", [np.arange(3), np.zeros((2, 2, 1), dtype=np.int64)])
-    def test_keys_must_be_one_row_per_stream(self, keys):
-        with pytest.raises(ValueError, match="keys must be a"):
-            derive_rngs(0, keys)
 
 
 # SplitMix64 (Steele, Lea and Flood 2014), written out here apart from rng's
@@ -307,6 +263,11 @@ class TestDeriveChoices:
             derive_choices(seed, np.array(keys), [(7, 2)])
         assert str(ours.value) == str(theirs.value)
 
+    @pytest.mark.parametrize("keys", [np.arange(3), np.zeros((2, 2, 1), dtype=np.int64)])
+    def test_keys_must_be_one_row_per_stream(self, keys):
+        with pytest.raises(ValueError, match="keys must be a"):
+            derive_choices(0, keys, [(7, 2)])
+
 
 # ============================================================
 # statistical gates, at seeds and thresholds fixed in advance
@@ -397,8 +358,8 @@ def test_adjacent_keys_are_independent(layout):
 
 
 @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(1.0), True, False, np.True_, "3", None])
-@pytest.mark.parametrize("runner", ["derive_rng", "derive_rngs", "derive_choices", "smin",
-                                    "moments", "recover"])
+@pytest.mark.parametrize("runner", ["derive_rng", "derive_choices", "smin", "moments",
+                                    "recover"])
 def test_a_seed_that_is_not_an_integer_is_refused_before_any_draw(
     runner, seed, mub5, monkeypatch
 ):
@@ -411,7 +372,6 @@ def test_a_seed_that_is_not_an_integer_is_refused_before_any_draw(
         monkeypatch.setattr(module, "fan_out", no_work)
     call = {
         "derive_rng": lambda: derive_rng(seed, 1),
-        "derive_rngs": lambda: derive_rngs(seed, [[1]]),
         "derive_choices": lambda: derive_choices(seed, [[1]], [(7, 2)]),
         "smin": lambda: concentration.run_smin_trials(mub5, "first-n", 1, 2, trials=10,
                                                       master_seed=seed),
@@ -425,12 +385,11 @@ def test_a_seed_that_is_not_an_integer_is_refused_before_any_draw(
 
 
 @pytest.mark.parametrize("key", [1.5, 1.0, np.float64(1.0), True, np.True_])
-@pytest.mark.parametrize("function", ["derive_rng", "derive_rngs", "derive_choices"])
+@pytest.mark.parametrize("function", ["derive_rng", "derive_choices"])
 def test_a_key_that_is_not_an_integer_is_refused(function, key, no_generators):
     # a float or bool key was truncated to another key: 1.5 drew the stream of 1
     call = {
         "derive_rng": lambda: derive_rng(1, key),
-        "derive_rngs": lambda: derive_rngs(1, [[0], [key]]),
         "derive_choices": lambda: derive_choices(1, [[0], [key]], [(7, 2)]),
     }[function]
     with pytest.raises(ValueError, match="keys must be integers"):
@@ -439,14 +398,13 @@ def test_a_key_that_is_not_an_integer_is_refused(function, key, no_generators):
 
 @pytest.mark.parametrize("keys", [np.array([[0.0], [1.5]]), np.array([[False], [True]])])
 def test_an_array_of_keys_that_are_not_integers_is_refused(keys, no_generators):
-    for call in (lambda: derive_rngs(1, keys), lambda: derive_choices(1, keys, [(7, 2)])):
-        with pytest.raises(ValueError, match="keys must be integers"):
-            call()
+    with pytest.raises(ValueError, match="keys must be integers"):
+        derive_choices(1, keys, [(7, 2)])
 
 
 def test_numpy_integer_seeds_are_accepted(mub5):
     assert derive_rng(np.int64(4), 1).random() == derive_rng(4, 1).random()
-    assert next(derive_rngs(np.uint64(4), [[1]])).random() == derive_rng(4, 1).random()
+    assert derive_rng(np.uint64(4), 1).random() == derive_rng(4, 1).random()
     # and the runners write them into their summaries as the int
     for run in (
         lambda seed: concentration.run_smin_trials(mub5, "first-n", 1, 2, trials=10,
