@@ -27,6 +27,7 @@ from .dictionary import (
 from .model import (
     SUPPORT_A_STRATEGIES,
     choose_support_a,
+    draw_instances,
     draw_supports,
     sample_instance,
     sample_support_b,

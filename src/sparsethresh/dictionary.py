@@ -108,6 +108,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_split(split, n: int) -> None:
+    """Refuse a split that is not an integer in [0, n]."""
+    if not _is_integer(split):
+        raise ValueError(f"split must be an integer, got {split!r}")
+    if not 0 <= split <= n:
+        raise ValueError(f"split must lie in [0, {n}], got {split}")
+
+
 def _column_norms(mat: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(mat, axis=0)``, bit for bit, a column block of about
     _BLOCK_BYTES at a time.  Over two or more columns numpy sums each column
@@ -154,10 +162,7 @@ class PartitionedDictionary:
         m, n = mat.shape
         if n < m:
             raise ValueError(f"dictionary must have N >= m, got m={m}, N={n}")
-        if not _is_integer(self.split):
-            raise ValueError(f"split must be an integer, got {self.split!r}")
-        if not 0 <= self.split <= n:
-            raise ValueError(f"split must lie in [0, {n}], got {self.split}")
+        _check_split(self.split, n)
         if norm_tol is not None:
             norms = _column_norms(mat)
             bad = np.where(np.abs(norms - 1.0) > norm_tol)[0]
@@ -455,6 +460,7 @@ def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> Partit
     if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     m, N = int(m), int(N)  # a numpy integer's arithmetic would wrap
+    _check_split(split, N)  # before the matrix is allocated and drawn
     mat = _allocate(m, N)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     for part in (mat.real, mat.imag):  # every real part is drawn first

@@ -16,10 +16,15 @@ and independent of evaluation order.
 This is the one module that turns a trial's stream into its support.
 ``choose_support_a`` turns a strategy into an A-support once per run (per
 (strategy, n_a) in ``recover``); only ``random-baseline`` then reads the
-stream for it, before the B-support.  ``sample_instance`` draws one trial's
-support that way from a numpy Generator and reads the same stream on:
-magnitudes, then phases; ``recover`` reads each trial through it, from the
-trial's own ``rng.derive_rng`` stream.
+stream for it, before the B-support.  ``draw_instances`` draws the trials
+of one cell in one pass, one numpy Generator per trial: each trial's
+support that way, then from the same stream its magnitudes, then its
+phases.  A fixed A-support is checked and sorted once per cell, and the
+values and their scatter into X are computed for all rows at once; only
+the stream reads and y = D x stay per row, so every row has the bits of a
+draw on its own.  ``sample_instance`` is its one-row case, and ``recover``
+calls ``draw_instances`` once per cell of a block, with each trial's own
+``rng.derive_rng`` stream.
 ``draw_supports`` draws the supports of a block of trials at once, for
 ``smin`` and ``moments``, in the same order from the package's own stream
 (``rng.derive_choices``), which no numpy version or worker count can move.
@@ -39,6 +44,7 @@ __all__ = [
     "sample_support_b",
     "choose_support_a",
     "sample_instance",
+    "draw_instances",
     "draw_supports",
 ]
 
@@ -73,14 +79,23 @@ def _block_columns(block: str, cols, size: int) -> np.ndarray:
     return cols.astype(np.intp, copy=False)
 
 
-def sample_support_b(n_total: int, n_pick: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniformly random size-n_pick subset of {0..n_total-1}, sorted ascending."""
+def _subsets(n_total: int, n_pick: int, rngs) -> np.ndarray:
+    """A uniformly random size-n_pick subset of {0..n_total-1} from each
+    stream of ``rngs``, sorted ascending, as the rows of a (len(rngs),
+    n_pick) intp array.  n_pick = 0 reads nothing from the streams."""
     if not 0 <= n_pick <= n_total:
         raise ValueError(f"need 0 <= n_pick <= n_total, got {n_pick} of {n_total}")
-    if n_pick == 0:
-        return ()
-    picked = rng.choice(n_total, size=n_pick, replace=False)
-    return tuple(int(i) for i in np.sort(picked))
+    picks = np.empty((len(rngs), n_pick), dtype=np.intp)
+    if n_pick:
+        for row, rng in zip(picks, rngs):
+            row[:] = rng.choice(n_total, size=n_pick, replace=False)
+        picks.sort(axis=1)
+    return picks
+
+
+def sample_support_b(n_total: int, n_pick: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Uniformly random size-n_pick subset of {0..n_total-1}, sorted ascending."""
+    return tuple(_subsets(n_total, n_pick, [rng])[0].tolist())
 
 
 def choose_support_a(
@@ -128,30 +143,52 @@ def choose_support_a(
 # ============================================================
 
 
+def draw_instances(
+    D: PartitionedDictionary, support_a: tuple[int, ...] | int, n_b: int, rngs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one hybrid-model instance per stream of ``rngs``: X (T, N) and
+    Y (T, m), whose row t is the instance (x, y = D x) of the t-th stream.
+
+    ``support_a`` is ``choose_support_a``'s: a tuple is the A-support of
+    every row, checked once (it must lie in block A without repeats) and
+    read from no stream; an int n_a draws each row's n_a A-columns from its
+    stream.  Each stream is read in a fixed order (that A-support, the n_b
+    B-columns, then the magnitudes from all k real parts before the k
+    imaginary parts, then the phases), so a given stream always produces the
+    same instance, whatever the other rows.  The i-th value goes to the i-th
+    support index in ascending order, so the support is
+    ``np.flatnonzero(x)``: the A-columns, then the B-columns.  Each y is
+    one matrix-vector product, so it has the bits of ``D.matrix @ x``.
+    """
+    rngs = list(rngs)
+    if isinstance(support_a, int):
+        cols_a = _subsets(D.Na, support_a, rngs)
+    else:
+        fixed = np.sort(_block_columns("A", support_a, D.Na))
+        cols_a = np.broadcast_to(fixed, (len(rngs), fixed.size))
+    support = np.concatenate([cols_a, D.Na + _subsets(D.Nb, n_b, rngs)], axis=1)
+    k = support.shape[1]
+    re, im, phases = np.empty((3, len(rngs), k))
+    for t, rng in enumerate(rngs):
+        re[t] = rng.standard_normal(k)
+        im[t] = rng.standard_normal(k)
+        phases[t] = rng.uniform(0.0, 2.0 * np.pi, size=k)
+    X = np.zeros((len(rngs), D.N), dtype=complex)
+    np.put_along_axis(X, support, np.hypot(re, im) / np.sqrt(2.0) * np.exp(1j * phases), axis=1)
+    Y = np.empty((len(rngs), D.m), dtype=complex)
+    for x, y in zip(X, Y):
+        np.matmul(D.matrix, x, out=y)
+    return X, Y
+
+
 def sample_instance(
     D: PartitionedDictionary, support_a: tuple[int, ...] | int, n_b: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one hybrid-model instance (x, y) from ``rng``, with y = D x.
-
-    ``support_a`` is ``choose_support_a``'s: a tuple is the A-support and
-    reads nothing from ``rng``, and must lie in block A without repeats; an
-    int n_a draws n_a A-columns from ``rng``.  Draw order is fixed (that
-    A-support, the n_b B-columns, then the magnitudes from all k real parts
-    before the k imaginary parts, then the phases) so a given stream always
-    produces the same instance.  The i-th value goes to the i-th support
-    index in ascending order, so the support is ``np.flatnonzero(x)``: the
-    A-columns, then the B-columns.
-    """
-    if isinstance(support_a, int):
-        support_a = sample_support_b(D.Na, support_a, rng)
-    support = sorted(_block_columns("A", support_a, D.Na).tolist())
-    support += [D.Na + j for j in sample_support_b(D.Nb, n_b, rng)]
-    k = len(support)
-    magnitudes = np.hypot(rng.standard_normal(k), rng.standard_normal(k)) / np.sqrt(2.0)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
-    x = np.zeros(D.N, dtype=complex)
-    x[support] = magnitudes * np.exp(1j * phases)
-    return x, D.matrix @ x
+    """Draw one hybrid-model instance (x, y) from ``rng``, with y = D x: the
+    one-row case of ``draw_instances``, which says what is drawn and in
+    which order."""
+    X, Y = draw_instances(D, support_a, n_b, [rng])
+    return X[0], Y[0]
 
 
 def draw_supports(

@@ -5,7 +5,11 @@ for every row y of Y with ADMM (Boyd et al. 2011, "Distributed
 Optimization and Statistical Learning via the Alternating Direction Method
 of Multipliers"): alternate the affine projection
 x = v - pinv(D) (D v) + pinv(D) y onto the constraint set with complex
-soft-thresholding, plus a scaled dual step.  ``solve_bp`` is the batch of
+soft-thresholding, plus a scaled dual step.  The projection's linear part
+is one product with the N x N matrix I - pinv(D) D, formed once per solve,
+when N <= 2m, where it costs no more flops than the two thin products with
+D and pinv(D) that it replaces (and the matrix holds at most twice pinv's
+memory); for N > 2m the thin products stay.  ``solve_bp`` is the batch of
 one row, so there is one iteration loop, and both return one
 ``RecoveryOutcome`` whose fields hold one entry per row.  The iteration
 is scale-free and tunes its own step, per row, from rho = 1
@@ -71,8 +75,10 @@ short solves share one tail instead of each paying its own: every y has
 length m whatever the cell's sparsity.  Each (strategy, n_a) is resolved to
 its A-support once (``model.choose_support_a``), and trial t of the cell at
 grid indices (si, ai, bi) reads its own stream derive_rng(master_seed, si,
-ai, bi, t) through ``model.sample_instance`` (support, then magnitudes,
-then phases), which gives its row of the block's X and Y.  The blocks depend
+ai, bi, t) (support, then magnitudes, then phases) for its row of the
+block's X and Y: ``model.draw_instances`` draws each cell's trials in the
+block in one pass, each row as ``model.sample_instance`` draws it alone,
+bit for bit.  The blocks depend
 only on the grid and the trial count, never on the worker count, and each block's counts are
 added into the grids as it arrives, so the grid does not depend on the
 worker count and memory does not grow with the trial count.
@@ -87,8 +93,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .dictionary import PartitionedDictionary
-from .model import choose_support_a, sample_instance
-from .rng import _require_seed, derive_rng, fan_out
+from .model import choose_support_a, draw_instances
+from .rng import BLOCK, _require_seed, derive_rng, fan_out
 
 __all__ = [
     "BpSolverConfig",
@@ -119,6 +125,11 @@ BALANCE_FACTOR = 2.0
 # ADMM_RING_BYTES, or of 1 iteration
 WINDOWS = (10, 5, 2, 1)
 ADMM_RING_BYTES = 4 * 2**20
+# rows per call of the one-product projection (see solve_bp_batch): with
+# N <= 2m, half a fan-out block of rows has at most the multiply-adds of a
+# thin product over a whole block.  OpenBLAS splits larger calls across
+# threads, which then fight the pool's workers for the cores.
+PROJECTION_ROWS = BLOCK // 2
 
 # The dual Newton finisher (see the module docstring).  Past a gap of about
 # 1e-9 the Hessian is numerically singular.
@@ -248,7 +259,9 @@ def solve_bp_batch(
     stops on the iteration a test after each iteration would stop it.  Rows
     that converged leave the active set at the window's end, so a batch
     costs about its longest solve; the rows handed over (see the module
-    docstring) are finished together.  ``X_true`` (k, N) holds the
+    docstring) are finished together.  The projection takes one product
+    with (I - pinv(D) D)^T when N <= 2m, and two thin ones through
+    pinv(D) otherwise.  ``X_true`` (k, N) holds the
     reference x of each row.  Every row is checked before any setup.
     """
     cfg = cfg or BpSolverConfig()
@@ -283,13 +296,17 @@ def solve_bp_batch(
         return _outcome(mat, x_unit, y_unit, y_scale, iterations, converged, X_true)
     pinv = np.linalg.pinv(mat)
     mat_t, pinv_t = mat.T, pinv.T
+    # v -> v - pinv(D) D v as one product with the N x N (I - pinv(D) D)^T,
+    # PROJECTION_ROWS rows at a time, when that costs no more flops than the
+    # two thin ones (N <= 2m)
+    projector_t = np.identity(n) - mat_t @ pinv_t if n <= 2 * m else None
     x_feas = y_unit @ pinv_t
     rho = np.full(k, STEP_PARAMETER)
     # 0-d arrays, not Python scalars: a ufunc converts a Python scalar operand
     # on every call, which costs more than the arithmetic on a few rows
     tol = np.array(TOLERANCE)
     relax, relax_rest = np.array(complex(RELAXATION)), np.array(complex(1.0 - RELAXATION))
-    zero, one, tiny = np.array(0.0), np.array(1.0), np.array(1e-300)
+    one = np.array(1.0)
 
     # the ring: r = x - z, s = z - z_old, x, z and u of every active row,
     # one slot per iteration of the window and slot 0 before its first.  Any
@@ -312,23 +329,30 @@ def solve_bp_batch(
         rs, ss, xs, zs, us = ring
         shrink = shrink_buffer[:size]
         threshold = 1.0 / rho[:, None]
+        parts = [slice(lo, lo + PROJECTION_ROWS) for lo in range(0, size, PROJECTION_ROWS)]
         for j in range(1, window + 1):
             x, z, u, z_old, u_old = xs[j], zs[j], us[j], zs[j - 1], us[j - 1]
-            # project v = z_old - u_old onto D x = y, with v built in x
-            np.subtract(z_old, u_old, out=x)
-            np.subtract(x, (x @ mat_t) @ pinv_t, out=x)
+            # project v = z_old - u_old onto D x = y, with v built in z
+            np.subtract(z_old, u_old, out=z)
+            if projector_t is None:
+                np.subtract(z, (z @ mat_t) @ pinv_t, out=x)
+            elif size <= PROJECTION_ROWS:
+                np.matmul(z, projector_t, out=x)
+            else:
+                for rows in parts:
+                    np.matmul(z[rows], projector_t, out=x[rows])
             x += x_feas
             # the over-relaxed point w, held in u until the dual update
             np.multiply(relax, x, out=u)
             np.multiply(relax_rest, z_old, out=z)
             u += z
             u += u_old
-            # complex soft-threshold: shrink the modulus of w by 1/rho, keep the phase
+            # complex soft-threshold: shrink the modulus of w by 1/rho, keep the
+            # phase; |w| floored at 1/rho gives exactly 0 wherever |w| <= 1/rho
             np.abs(u, out=shrink)
-            np.maximum(shrink, tiny, out=shrink)
+            np.maximum(shrink, threshold, out=shrink)
             np.divide(threshold, shrink, out=shrink)
             np.subtract(one, shrink, out=shrink)
-            np.maximum(shrink, zero, out=shrink)
             np.multiply(shrink, u, out=z)
             u -= z
         it += window
@@ -612,13 +636,16 @@ def _solve_trials(common, lo, hi):
     D, supports_a, nb_values, trials, master_seed, cfg = common
     X = np.empty((hi - lo, D.N), dtype=complex)
     Y = np.empty((hi - lo, D.m), dtype=complex)
-    cell, t = np.divmod(np.arange(lo, hi), trials)
-    rest, bi = np.divmod(cell, len(nb_values))
-    si, ai = np.divmod(rest, len(supports_a[0]))
-    keys = np.stack([si, ai, bi, t], axis=1).tolist()
-    for row, (s, a, b, trial) in enumerate(keys):
-        rng = derive_rng(master_seed, s, a, b, trial)
-        X[row], Y[row] = sample_instance(D, supports_a[s][a], nb_values[b], rng)
+    # one draw per cell the block meets, of its trials first..last-1
+    for start in range(lo - lo % trials, hi, trials):
+        first, last = max(lo, start), min(hi, start + trials)
+        rest, bi = divmod(start // trials, len(nb_values))
+        si, ai = divmod(rest, len(supports_a[0]))
+        rngs = [derive_rng(master_seed, si, ai, bi, t - start) for t in range(first, last)]
+        X[first - lo:last - lo], Y[first - lo:last - lo] = draw_instances(
+            D, supports_a[si][ai], nb_values[bi], rngs
+        )
+    cell = np.arange(lo, hi) // trials
     out = solve_bp_batch(D, Y, cfg, X)
     return np.stack([
         cell, out.success, ~out.converged,

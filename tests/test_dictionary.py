@@ -208,9 +208,13 @@ class TestBuildersRefuseNonIntegers:
         (lambda: build_random_dictionary(3, 5, np.float64(1.0)),
          "seed must be a nonnegative integer"),
         (lambda: build_random_dictionary(3, 5, "1"), "seed must be a nonnegative integer"),
+        (lambda: build_random_dictionary(3, 5, 0, split=-1), r"split must lie in \[0, 5\]"),
+        (lambda: build_random_dictionary(3, 5, 0, split=99), r"split must lie in \[0, 5\]"),
+        (lambda: build_random_dictionary(3, 5, 0, split=1.5), "split must be an integer"),
     ])
     def test_before_any_allocation(self, build, message, monkeypatch):
-        # 1.5 and True both ran as seed 1; 7.0 and 8.0 raised a TypeError
+        # 1.5 and True both ran as seed 1; 7.0 and 8.0 raised a TypeError; a
+        # bad split was refused only after the whole matrix was drawn
         def no_allocation(m, n):
             raise AssertionError("the builder allocated before checking its arguments")
 

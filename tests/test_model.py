@@ -9,9 +9,11 @@ import pytest
 import sparsethresh
 from sparsethresh import (
     PartitionedDictionary,
+    build_random_dictionary,
     chain_batch,
     choose_support_a,
     derive_rng,
+    draw_instances,
     draw_supports,
     sample_instance,
     sample_support_b,
@@ -311,6 +313,55 @@ class TestSampleInstance:
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(grid - u), np.max(u - (grid - 1.0 / n)))
         assert ks < 0.01
+
+
+# a random dictionary whose blocks are neither orthonormal nor equal in size
+RANDOM6X20 = build_random_dictionary(6, 20, 3, split=8)
+
+
+class TestDrawInstances:
+    """``draw_instances`` draws a cell's trials in one pass; row t is
+    ``sample_instance`` on stream t, bit for bit."""
+
+    @pytest.mark.parametrize("dict_name", ["two_onb8", "mub7", "random6x20"])
+    @pytest.mark.parametrize("strategy, n_a, indices, n_b", [
+        ("first-n", 2, None, 3),
+        ("prescribed", 3, (4, 0, 2), 2),  # unsorted: every row sorts it
+        ("random-baseline", 3, None, 2),
+        ("first-n", 0, None, 4),
+        ("random-baseline", 2, None, 0),
+        ("spread", 0, None, 0),
+    ])
+    def test_rows_are_the_one_row_draws(self, request, dict_name, strategy, n_a, indices, n_b):
+        D = RANDOM6X20 if dict_name == "random6x20" else request.getfixturevalue(dict_name)
+        support_a = choose_support_a(strategy, D.Na, n_a, indices)
+        X, Y = draw_instances(D, support_a, n_b, [derive_rng(11, t) for t in range(256)])
+        assert X.shape == (256, D.N) and Y.shape == (256, D.m)
+        for t in range(256):
+            x, y = sample_instance(D, support_a, n_b, derive_rng(11, t))
+            assert X[t].tobytes() == x.tobytes() and Y[t].tobytes() == y.tobytes()
+            assert np.count_nonzero(x) == n_a + n_b
+
+    def test_no_streams_no_rows(self, mub7):
+        X, Y = draw_instances(mub7, (1, 0), 2, [])
+        assert X.shape == (0, mub7.N) and Y.shape == (0, mub7.m)
+
+    @pytest.mark.parametrize("support_a, message", [
+        ((7,), "out of range"), ((-1, 2), "out of range"),
+        ((3, 1, 3), "duplicate-free"), ((0, 0), "duplicate-free"),
+    ])
+    def test_refuses_a_fixed_support_outside_block_a_or_repeated(
+        self, mub7, support_a, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            draw_instances(mub7, support_a, 2, [derive_rng(0, t) for t in range(4)])
+
+    def test_refuses_counts_beyond_the_blocks(self, mub7):
+        rngs = [derive_rng(0, t) for t in range(4)]
+        with pytest.raises(ValueError, match="n_pick <= n_total"):
+            draw_instances(mub7, mub7.Na + 1, 0, rngs)
+        with pytest.raises(ValueError, match="n_pick <= n_total"):
+            draw_instances(mub7, (0,), mub7.Nb + 1, rngs)
 
 
 class TestResolvedOnce:
