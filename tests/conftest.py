@@ -6,6 +6,7 @@ from sparsethresh import (
     analyze,
     build_mub,
     build_two_onb,
+    rng,
 )
 
 
@@ -43,3 +44,20 @@ def two_onb8():
 def identity110():
     # orthonormal columns, split 10 + 100: the zero-coherence reference profile
     return PartitionedDictionary(np.eye(110), 10)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The size of each process pool ``rng.fan_out`` starts, appended as the
+    pool's first block is asked for.  The CPU count reads 2, so that a
+    two-worker run fans out on any host."""
+    starts = []
+    pooled = rng._pooled
+
+    def counted(fn, common, blocks, pool_size):
+        starts.append(pool_size)
+        yield from pooled(fn, common, blocks, pool_size)
+
+    monkeypatch.setattr(rng, "_pooled", counted)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: 2)
+    return starts

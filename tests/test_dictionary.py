@@ -334,11 +334,12 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("p", [5, 7, 13, 31])
     def test_mub_blocks_are_tight_frames(self, p):
-        # B is p ONBs of C^p and D is p + 1 of them: ||B||^2 = p, ||D||^2 = p + 1
+        # A is the identity, B is p ONBs of C^p and D is p + 1 of them:
+        # mu_A = 0, ||B||^2 = p and ||D||^2 = p + 1
         stats = analyze(build_mub(p))
-        assert abs(stats.spec_a - 1.0) <= 1e-12
-        assert abs(stats.spec_b**2 - p) <= 1e-12 * p
-        assert abs(stats.spec_d**2 - (p + 1)) <= 1e-12 * (p + 1)
+        assert abs(stats.spec_a - 1.0) <= 1e-12 and abs(stats.mu_a) <= 1e-12
+        assert abs(stats.spec_b**2 - p) <= 1e-12
+        assert abs(stats.spec_d**2 - (p + 1)) <= 1e-12
 
     def test_tight_frame_deviations(self, mub7_stats):
         # blocks are 7x7 and 7x49 tight frames, so both deviations vanish
