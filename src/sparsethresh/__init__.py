@@ -21,7 +21,6 @@ from .dictionary import (
     build_two_onb,
     load_dictionary,
     save_dictionary,
-    spectral_norm,
     welch_bound,
 )
 from .model import (

@@ -9,7 +9,7 @@ that ``D.stats`` measures once and keeps:
     coherence         mu    = max_{i != j} |d_i^H d_j|
     sub-coherences    mu_a, mu_b (within each block)
     spectral norms    ||A||, ||B||, ||D||  (largest singular value, read
-                      off the smaller Gram, see ``spectral_norm``)
+                      off the m x m frame operator X X^H)
     Welch bound       sqrt((N - m) / (m (N - 1)))  for N >= m, a universal
                       lower bound on mu
     tight-frame gap   | ||X||^2 - N_x / m |  per block (zero for a tight frame)
@@ -24,9 +24,8 @@ Memory: ``analyze`` never forms the N x N Gram matrix.  It walks its upper
 triangle in row chunks of about GRAM_CHUNK_BYTES (4 MiB) and reads mu, mu_a
 and mu_b from each chunk in the same pass, writing every chunk's product
 and modulus into two buffers made once, so beside the m x N matrix it holds
-about 6 MiB whatever N is.  Each spectral norm holds a scaled copy of its
-block, the copy's conjugate and the smaller Gram: for ||D|| about twice the
-m x N matrix, the peak of ``analyze`` from mub61 up.
+about 6 MiB whatever N is.  Its spectral norms hold a column span of about
+_BLOCK_BYTES (1 MiB), its conjugate and at most three m x m matrices.
 The builders fill their matrix in blocks of about 1 MiB and hand it to
 PartitionedDictionary without a copy.  ``load_dictionary`` reads the file
 in pieces of about ENTRIES_CHUNK_CHARS (2^20) bytes through an incremental
@@ -52,7 +51,6 @@ __all__ = [
     "DictionaryFormatError",
     "PartitionedDictionary",
     "DictionaryStats",
-    "spectral_norm",
     "welch_bound",
     "build_two_onb",
     "build_mub",
@@ -71,7 +69,7 @@ LOAD_NORM_TOL = 1e-8
 GRAM_CHUNK_BYTES = 4 * 2**20
 # Gram products start at a multiple of this many columns (see ``_coherences``).
 _GRAM_ALIGN = 64
-# Bytes of matrix a builder fills, or a column-norm pass reads, at once.
+# Bytes of matrix a builder fills, or a column norm or frame operator reads, at once.
 _BLOCK_BYTES = 2**20
 # Bytes of the file ``load_dictionary`` reads at once, and characters of
 # ``entries`` it parses at once: a few of them are its peak beside the matrix.
@@ -116,19 +114,24 @@ def _check_split(split, n: int) -> None:
         raise ValueError(f"split must lie in [0, {n}], got {split}")
 
 
+def _spans(lo: int, hi: int, item_bytes: int):
+    """Ranges [a, b) over [lo, hi), each of about _BLOCK_BYTES at ``item_bytes``
+    an item, and none a lone item unless [lo, hi) is one."""
+    step = max(2, _BLOCK_BYTES // item_bytes)
+    while lo < hi:
+        end = hi if hi - lo <= step + 1 else lo + step
+        yield lo, end
+        lo = end
+
+
 def _column_norms(mat: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(mat, axis=0)``, bit for bit, a column block of about
-    _BLOCK_BYTES at a time.  Over two or more columns numpy sums each column
-    in row order; over one it sums pairwise, so no block is a lone column
-    unless the matrix is."""
+    """``np.linalg.norm(mat, axis=0)``, bit for bit, a column span at a time.
+    Over two or more columns numpy sums each column in row order; over one
+    it sums pairwise, hence spans that are no lone column."""
     m, n = mat.shape
-    cols = max(2, _BLOCK_BYTES // (16 * m))
     norms = np.empty(n)
-    lo = 0
-    while lo < n:
-        hi = n if n - lo <= cols + 1 else lo + cols
+    for lo, hi in _spans(0, n, 16 * m):
         norms[lo:hi] = np.linalg.norm(mat[:, lo:hi], axis=0)
-        lo = hi
     return norms
 
 
@@ -332,35 +335,6 @@ def _coherences(mat: np.ndarray, split: int) -> tuple[float, float, float]:
     return mu, mu_a, mu_b
 
 
-def spectral_norm(matrix) -> float:
-    """Largest singular value of a 2-d matrix; 0.0 for a block with no columns.
-
-    sigma_max(X)^2 = lambda_max(X X^H) (Golub and Van Loan, Matrix
-    Computations, 8.6), so this is the root of the largest eigenvalue of the
-    smaller Gram, X X^H or X^H X, from one Hermitian eigensolve: for an m x N
-    dictionary an m x m problem in place of an m x N SVD.  It agrees with the
-    SVD's value to a few eps relative.
-
-    X is first scaled by 2^-e, exactly, with e chosen so that its largest
-    real or imaginary part lies in [1/2, 1), and the root scaled back by
-    2^e: no input scale can overflow or underflow the Gram, and
-    spectral_norm(2^k X) is 2^k spectral_norm(X) bit for bit wherever
-    neither 2^k X nor its norm leaves the normal range.
-    """
-    scaled = np.array(matrix, dtype=np.complex128, order="C")
-    if scaled.size == 0:
-        return 0.0
-    parts = scaled.view(float)
-    exponent = int(np.frexp(max(parts.max(), -parts.min()))[1])
-    np.ldexp(parts, -exponent, out=parts)
-    if scaled.shape[0] <= scaled.shape[1]:
-        gram = scaled @ scaled.conj().T
-    else:
-        gram = scaled.conj().T @ scaled
-    largest = float(np.linalg.eigvalsh(gram)[-1])
-    return math.ldexp(math.sqrt(max(largest, 0.0)), exponent)
-
-
 def welch_bound(m: int, N: int) -> float:
     """Universal coherence lower bound sqrt((N - m) / (m (N - 1)))."""
     if N < m:
@@ -384,13 +358,6 @@ def _allocate(m: int, n: int) -> np.ndarray:
         raise ValueError(f"a {m} x {n} dictionary is too large to hold: {exc}") from None
 
 
-def _row_blocks(m: int, row_bytes: int):
-    """Ranges (lo, hi) over rows [0, m) that a builder fills at once, each
-    of about _BLOCK_BYTES at ``row_bytes`` a row."""
-    rows = max(1, _BLOCK_BYTES // row_bytes)
-    return ((lo, min(lo + rows, m)) for lo in range(0, m, rows))
-
-
 def _adopt(mat: np.ndarray, split: int, norm_tol=COLUMN_NORM_TOL) -> PartitionedDictionary:
     """A PartitionedDictionary over ``mat`` itself: for a complex matrix its
     caller has just allocated and keeps no other reference to, which the
@@ -412,7 +379,7 @@ def build_two_onb(m: int) -> PartitionedDictionary:
     mat[:, :m] = 0
     np.fill_diagonal(mat, 1.0)
     k = np.arange(m)
-    for lo, hi in _row_blocks(m, 16 * m):
+    for lo, hi in _spans(0, m, 16 * m):
         j = np.arange(lo, hi)[:, None]
         mat[lo:hi, m:] = np.exp(-2j * np.pi * ((j * k) % m) / m) / math.sqrt(m)
     return _adopt(mat, m)
@@ -464,7 +431,7 @@ def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> Partit
     mat = _allocate(m, N)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     for part in (mat.real, mat.imag):  # every real part is drawn first
-        for lo, hi in _row_blocks(m, 8 * N):
+        for lo, hi in _spans(0, m, 8 * N):
             part[lo:hi] = rng.standard_normal((hi - lo, N))
     mat /= _column_norms(mat)
     return _adopt(mat, split)
@@ -481,19 +448,27 @@ def analyze(D: PartitionedDictionary) -> DictionaryStats:
     mu, mu_a and mu_b come from one chunked pass over the upper triangle of
     D's Gram matrix (``_coherences``), so the memory it takes is one chunk
     of about GRAM_CHUNK_BYTES (4 MiB) plus its modulus, whatever N is.
+
+    ||X|| is the root of the largest eigenvalue of the m x m frame operator
+    X X^H (Golub and Van Loan, Matrix Computations, 8.6), clamped at 0 so
+    that an empty block reads 0.0: A A^H and B B^H summed over column spans
+    of about _BLOCK_BYTES, and D D^H their sum.  Unit columns keep them far
+    from overflow, and each norm agrees with the SVD's to a few eps relative.
     """
     mu, mu_a, mu_b = _coherences(D.matrix, D.Na)
-    return DictionaryStats(
-        m=D.m,
-        N=D.N,
-        Na=D.Na,
-        mu=mu,
-        mu_a=mu_a,
-        mu_b=mu_b,
-        spec_a=spectral_norm(D.A),
-        spec_b=spectral_norm(D.B),
-        spec_d=spectral_norm(D.matrix),
-    )
+    frames = np.zeros((2, D.m, D.m), dtype=complex)  # A A^H and B B^H
+    for frame, (start, stop) in zip(frames, ((0, D.Na), (D.Na, D.N))):
+        for lo, hi in _spans(start, stop, 16 * D.m):
+            span = D.matrix[:, lo:hi]
+            frame += span @ span.conj().T
+    spec_a, spec_b = map(_largest_root, frames)
+    frames[0] += frames[1]  # D D^H, in place: at most three m x m matrices at once
+    return DictionaryStats(m=D.m, N=D.N, Na=D.Na, mu=mu, mu_a=mu_a, mu_b=mu_b,
+                           spec_a=spec_a, spec_b=spec_b, spec_d=_largest_root(frames[0]))
+
+
+def _largest_root(frame: np.ndarray) -> float:
+    return math.sqrt(max(0.0, float(np.linalg.eigvalsh(frame)[-1])))
 
 
 # ============================================================

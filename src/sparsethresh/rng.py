@@ -24,6 +24,7 @@ version nor the block split can reach it.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from itertools import islice
@@ -36,6 +37,10 @@ __all__ = ["derive_rng", "derive_choices", "fan_out"]
 BLOCK = 256
 
 _worker_task = None  # (fn, common), set once in each pool process
+
+# OpenBLAS's thread-count calls, by the names its builds export
+_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                   "openblas_{}_num_threads")
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -178,9 +183,9 @@ def fan_out(fn, common, total: int, workers: int):
     """Yield ``fn(common, lo, hi)`` for the consecutive blocks [lo, hi) of BLOCK
     trials over 0..total-1: inline and in order when min(workers, block
     count, CPU count) is below 2, else from a pool of that many processes that
-    each receive ``fn`` and ``common`` once, as the blocks finish.  So each
-    result must say where it belongs (its ``lo``, or its cell), and ``fn``,
-    ``common`` and the results must pickle."""
+    each receive ``fn`` and ``common`` once and run one OpenBLAS thread, as
+    the blocks finish.  So each result must say where it belongs (its ``lo``,
+    or its cell), and ``fn``, ``common`` and the results must pickle."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     blocks = ((lo, min(lo + BLOCK, total)) for lo in range(0, total, BLOCK))
@@ -203,6 +208,26 @@ def _pooled(fn, common, blocks, pool_size):
 def _bind(fn, common):
     global _worker_task
     _worker_task = (fn, common)
+    set_threads = _openblas_call("set", [ctypes.c_int], None)
+    if set_threads is not None:
+        set_threads(1)
+
+
+def _openblas_call(verb: str, argtypes, restype):
+    """OpenBLAS's ``{verb}_num_threads`` call, typed, from a library that
+    /proc/self/maps lists under an OpenBLAS name, or None: numpy offers none."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(line.split(maxsplit=5)[5].strip()
+                                  for line in maps if "openblas" in line)
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    calls = (getattr(lib, name.format(verb), None) for lib in libs for name in _OPENBLAS_CALLS)
+    call = next((call for call in calls if call is not None), None)
+    if call is not None:
+        call.argtypes, call.restype = argtypes, restype
+    return call
 
 
 def _run_block(lo, hi):

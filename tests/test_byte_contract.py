@@ -108,10 +108,10 @@ PINNED = {
     "build-mub7": ("5ea5a6cd6838f7e111f43e62ed924997b0d6d2c45125f60b2885cc8f03db4f72",),
     "build-fourier8": ("c9cd9a46d4bdcc11b0ae18c449df2afd639c1b21ac06b1684eced01ef11a8e5e",),
     "build-random4x9": ("e4945ad9a618d6ed438a5ee7dfb7403599968fcdded93b45479b832f3c7c2966",),
-    "analyze-mub7": ("5bc90bc43a2a713ea2a8670abc8dd01696d4a460cd39d5c74129b18e1915036f",),
+    "analyze-mub7": ("d92c7f73530d313c16e918c29445ad8bb7f38b2ad7fea937dbeccbc9577b58f5",),
     "check-mub7": ("efb6611fa3334d58457367197cf5893036ccaa3fa90dd0a4c9f4d7d64b9efad5",),
     "maximize-mub7": ("ea43a8e316f6840529ca894ee712987b1debe47d766cc48265a0279a7ae9ae8c",),
-    "report-mub7": ("9eadb5d93a3e5390a21489baaff4b913e012a39c13b581b664a4703565bec094",),
+    "report-mub7": ("5fa9c5124f32d1b2996d4b5da7e4649d7833829fd6e2029a6b6d4cfb11d4b0ec",),
     "analyze-fourier8": ("392e9b8a94668c1377c29a2a0ac68957441a01fef5d1b9e8588beec96b92cbe1",),
     "check-fourier8": ("8f31ede9d9e705fa8f227870e71366fc017788a992ba41678cb067d75a19314d",),
     "maximize-fourier8": ("99da83526ff07b445e3b90c47101b3d25972020039129ce2fe45933454e1c43b",),

@@ -26,7 +26,6 @@ from sparsethresh import (
     build_two_onb,
     load_dictionary,
     save_dictionary,
-    spectral_norm,
     welch_bound,
 )
 
@@ -68,50 +67,73 @@ class TestCoherence:
 
 
 class TestSpectralNorm:
+    # analyze's spec_a, spec_b and spec_d: the norms of the two blocks and of D
+    @staticmethod
+    def _norms(D):
+        stats = analyze(D)
+        return stats.spec_a, stats.spec_b, stats.spec_d
+
     def test_identity(self):
-        assert abs(spectral_norm(np.eye(5)) - 1.0) <= TOL
+        for got in self._norms(PartitionedDictionary(np.eye(5), 2)):
+            assert abs(got - 1.0) <= TOL
 
     def test_rank_one(self):
-        assert abs(spectral_norm(np.ones((2, 2))) - 2.0) <= TOL
+        # one unit column twice: each block reads 1, the whole matrix sqrt(2)
+        spec_a, spec_b, spec_d = self._norms(PartitionedDictionary(np.full((2, 2), INV_SQRT2), 1))
+        assert abs(spec_a - 1.0) <= TOL and abs(spec_b - 1.0) <= TOL
+        assert abs(spec_d - math.sqrt(2.0)) <= TOL
 
-    @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)])
+    # shape = (Na, Nb), the widths of the two blocks, one of them empty
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 1)])
     def test_empty_block(self, shape):
-        assert spectral_norm(np.zeros(shape, dtype=complex)) == 0.0
+        na, nb = shape
+        spec_a, spec_b, spec_d = self._norms(PartitionedDictionary(np.eye(na + nb), na))
+        empty = spec_a if na == 0 else spec_b
+        assert empty == 0.0 and math.copysign(1.0, empty) == 1.0
+        assert abs(spec_d - 1.0) <= TOL
 
     def test_mub_full_matrix(self, mub5):
-        assert abs(spectral_norm(mub5.matrix) - SQRT6) <= TOL
+        # six bases of C^5 make a tight frame: ||D||^2 = N/m = 6
+        assert abs(analyze(mub5).spec_d - SQRT6) <= TOL
+
+    def test_two_onb_full_matrix(self):
+        spec_a, spec_b, spec_d = self._norms(build_two_onb(8))
+        assert abs(spec_a - 1.0) <= TOL and abs(spec_b - 1.0) <= TOL
+        assert abs(spec_d - math.sqrt(2.0)) <= TOL
 
     @staticmethod
-    def _inputs():
-        rng = np.random.default_rng(11)
-
-        def gaussian(m, n):
-            return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-
+    def _dictionaries():
         return {
-            "wide": gaussian(6, 40),
-            "tall": gaussian(40, 6),
-            "square": gaussian(9, 9),
-            "rank-one": np.outer(gaussian(7, 1), gaussian(1, 30)),
-            "graded-columns": gaussian(8, 24) * np.logspace(-12, 12, 24),
-            "single-column": gaussian(11, 1),
-            "single-row": gaussian(1, 11),
-            "unit-columns": build_random_dictionary(5, 30, seed=2).matrix,
+            "mub5": build_mub(5),
+            "mub7": build_mub(7),
+            "mub13": build_mub(13),
+            "two_onb8": build_two_onb(8),
+            "random5x30": build_random_dictionary(5, 30, seed=2),
+            "random16x40": build_random_dictionary(16, 40, seed=7),
         }
 
     def test_agrees_with_the_svd(self):
-        for name, X in self._inputs().items():
-            expected = np.linalg.svd(X, compute_uv=False)[0]
-            assert abs(spectral_norm(X) - expected) <= 1e-14 * expected, name
+        self._check_every_split_against_the_svd()
 
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((3, 5))) == 0.0
+    def test_agrees_with_the_svd_over_tiny_spans(self, monkeypatch):
+        # 64 bytes: frame operators summed over spans of a few columns
+        monkeypatch.setattr(dictionary, "_BLOCK_BYTES", 64)
+        self._check_every_split_against_the_svd()
 
-    @pytest.mark.parametrize("exponent", [600, -600])
-    def test_a_power_of_two_scales_the_norm_exactly(self, exponent):
-        # the Gram of 2^600 X would overflow, that of 2^-600 X underflow
-        for name, X in self._inputs().items():
-            assert spectral_norm(2.0**exponent * X) == 2.0**exponent * spectral_norm(X), name
+    def _check_every_split_against_the_svd(self):
+        eps = np.finfo(float).eps
+        for name, built in self._dictionaries().items():
+            n = built.N
+            for split in sorted({0, 1, 2, n // 3, n - 1, n}):
+                D = PartitionedDictionary(built.matrix, split)
+                stats = analyze(D)
+                for got, block in ((stats.spec_a, D.A), (stats.spec_b, D.B),
+                                   (stats.spec_d, D.matrix)):
+                    if block.shape[1] == 0:
+                        assert got == 0.0 and math.copysign(1.0, got) == 1.0, (name, split)
+                    else:
+                        expected = np.linalg.svd(block, compute_uv=False)[0]
+                        assert abs(got - expected) <= 8 * eps * expected, (name, split)
 
 
 class TestWelchBound:
@@ -586,12 +608,18 @@ class TestBoundedMemory:
 
     @staticmethod
     def _analyze_limit(D):
-        # the scaled copy of the matrix and its conjugate beside it for ||D||,
-        # or one Gram chunk and its modulus
-        return 3 * D.matrix.nbytes + 2 * dictionary.GRAM_CHUNK_BYTES
+        # one Gram chunk and its modulus, a column span and its conjugate,
+        # and three m x m frame operators: nothing that grows with N
+        return (2 * dictionary.GRAM_CHUNK_BYTES + 2 * dictionary._BLOCK_BYTES
+                + 3 * 16 * D.m * D.m)
 
     def test_analyze_mub61(self, mub61):
         assert self._traced_peak(analyze, mub61) <= self._analyze_limit(mub61)
+
+    def test_analyze_random_256x4096(self):
+        # a 16 MiB matrix: a full-size copy of it alone would break the limit
+        D = build_random_dictionary(256, 4096, seed=3, split=1000)
+        assert self._traced_peak(analyze, D) <= self._analyze_limit(D)
 
     def test_stats_mub61(self, mub61):
         # a fresh instance over the same matrix, so that its profile is measured

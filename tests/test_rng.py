@@ -1,6 +1,7 @@
 """Tests for the per-trial streams and the block loop shared by the Monte
 Carlo runners."""
 
+import ctypes
 import json
 import math
 import re
@@ -24,6 +25,12 @@ def _slow_first(common, lo, hi):
     if lo == 0:
         time.sleep(1.0)
     return lo
+
+
+def _blas_threads(common=None, lo=0, hi=0):
+    """The thread count of the OpenBLAS this process has loaded, or None."""
+    get_threads = rng._openblas_call("get", [], ctypes.c_int)
+    return None if get_threads is None else get_threads()
 
 
 def _blocks(total):
@@ -54,6 +61,8 @@ def fake_pool(monkeypatch):
             return future
 
     monkeypatch.setattr(rng, "ProcessPoolExecutor", FakeExecutor)
+    # the initializer runs in this process, whose BLAS threads stay as they are
+    monkeypatch.setattr(rng, "_openblas_call", lambda verb, argtypes, restype: None)
     return record
 
 
@@ -69,6 +78,13 @@ class TestFanOut:
         common = {"payload": list(range(5))}
         out = list(rng.fan_out(_span, common, total, 2))
         assert sorted(out, key=lambda r: r[1]) == [(common, lo, hi) for lo, hi in _blocks(total)]
+
+    @pytest.mark.skipif(_blas_threads() is None, reason="no OpenBLAS thread call")
+    def test_a_pooled_block_runs_one_blas_thread(self, pool_starts):
+        own = _blas_threads()
+        assert list(rng.fan_out(_blas_threads, None, 2 * rng.BLOCK, 2)) == [1, 1]
+        assert pool_starts == [2]
+        assert _blas_threads() == own  # this process keeps its own
 
     def test_pooled_blocks_arrive_as_they_finish(self, monkeypatch):
         # a slow first block does not hold back the blocks after it
