@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dictionary
-from .dictionary import PartitionedDictionary
+from .dictionary import PartitionedDictionary, _require_integer
 from .model import SUPPORT_A_STRATEGIES, _block_columns, choose_support_a, draw_supports
 from .rng import _require_seed, derive_rng, fan_out
 from .threshold import (
@@ -355,14 +355,14 @@ def run_smin_trials(
     block conditions.
     """
     _require_seed(master_seed)
-    if trials < 1:
+    if _require_integer("trials", trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
     D.check_budgets(n_a, n_b)
     _require_s(s)
     _require_n_gt_2(D.N)
-    if workers < 1:
+    if _require_integer("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     resolved = choose_support_a(strategy, D.Na, n_a, indices=support_a)
     rows = _per_trial((trials, 5))
@@ -521,9 +521,9 @@ def estimate_moment(
     well below them.
     """
     _require_seed(master_seed)
-    if trials < 1000:
+    if _require_integer("trials", trials) < 1000:
         raise ValueError(f"moment estimation needs >= 1000 trials, got {trials}")
-    if n_boot < 1:
+    if _require_integer("n_boot", n_boot) < 1:
         raise ValueError(f"n_boot must be >= 1, got {n_boot}")
     floor_b = moment_floor_b(n_b)
     floor_x = moment_floor_x(n_b)

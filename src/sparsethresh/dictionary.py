@@ -28,11 +28,13 @@ about 6 MiB whatever N is.  Its spectral norms hold a column span of about
 _BLOCK_BYTES (1 MiB), its conjugate and at most three m x m matrices.
 The builders fill their matrix in blocks of about 1 MiB and hand it to
 PartitionedDictionary without a copy.  ``load_dictionary`` reads the file
-in pieces of about ENTRIES_CHUNK_CHARS (2^20) bytes through an incremental
-UTF-8 decoder, never whole, and parses ``entries`` piece by piece into
-float blocks, with no Python object per entry, each copied into the matrix
-as it is read: beside the matrix it holds a few pieces, whatever the file
-size (about twice the matrix when ``entries`` comes before m and N).
+once, front to back, in pieces of about ENTRIES_CHUNK_CHARS (2^20) bytes
+through an incremental UTF-8 decoder, never whole, and parses ``entries``
+piece by piece into float blocks, with no Python object per entry, each
+copied into the matrix as it is read: beside the matrix it holds a few
+pieces, whatever the file size (about twice the matrix when ``entries``
+comes before m and N).  Past a piece that is not pairs it only counts the
+elements, so refusing a malformed ``entries`` holds no more.
 """
 
 from __future__ import annotations
@@ -106,10 +108,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an integer."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_split(split, n: int) -> None:
     """Refuse a split that is not an integer in [0, n]."""
-    if not _is_integer(split):
-        raise ValueError(f"split must be an integer, got {split!r}")
+    _require_integer("split", split)
     if not 0 <= split <= n:
         raise ValueError(f"split must lie in [0, {n}], got {split}")
 
@@ -214,7 +222,10 @@ class PartitionedDictionary:
         return self.matrix[:, self.split :]
 
     def check_budgets(self, n_a: int, n_b: int) -> None:
-        """Raise ValueError unless 0 <= n_a <= Na and 0 <= n_b <= Nb."""
+        """Raise ValueError unless n_a and n_b are integers with 0 <= n_a <= Na
+        and 0 <= n_b <= Nb."""
+        _require_integer("n_a", n_a)
+        _require_integer("n_b", n_b)
         if not (0 <= n_a <= self.Na and 0 <= n_b <= self.Nb):
             raise ValueError(
                 f"budgets must satisfy 0 <= n_a <= {self.Na} and 0 <= n_b <= {self.Nb}, "
@@ -517,12 +528,14 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
     formats written by other tools may round; pass renormalize=True to rescale
     columns instead of failing.  Zero columns are always an error.
 
-    The file is read a piece of about ENTRIES_CHUNK_CHARS bytes at a time
-    (``_Window``), never whole, and ``entries`` is parsed piece by piece into
-    the matrix of the m and N read before it (``_Pairs``).  With m and N
-    first, as ``save_dictionary`` writes them, the peak beside the matrix is
-    a few pieces whatever the file size; with ``entries`` first it is about
-    twice the matrix.
+    The file is read once, front to back, a piece of about
+    ENTRIES_CHUNK_CHARS bytes at a time (``_Window``), so ``path`` may be a
+    pipe, and ``entries`` is parsed piece by piece into the matrix of the m
+    and N read before it (``_Pairs``).  With m and N first, as
+    ``save_dictionary`` writes them, the peak beside the matrix is a few
+    pieces whatever the file size; with ``entries`` first it is about twice
+    the matrix.  From a piece of ``entries`` that is not pairs on, json
+    reads its elements one at a time and only their count is kept.
     """
     try:
         fh = open(path, "rb")
@@ -541,14 +554,13 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
     if not 0 <= na <= n:
         raise DictionaryFormatError(f"{path}: Na={na} outside [0, N={n}]")
     pairs = doc.pop("entries")
-    if not isinstance(pairs, (list, _Pairs)):
+    if not isinstance(pairs, _Pairs):
         raise DictionaryFormatError(f"{path}: entries must be a list of [re, im] pairs")
-    if len(pairs) != m * n:
-        raise DictionaryFormatError(f"{path}: expected {m * n} entries, found {len(pairs)}")
-    # a list is JSON that _read_pairs refused; integers in [2^63, 2^64) with
-    # no negative integer or float beside them make numpy's uint64, refused
-    # as when numpy read the whole nested list
-    if not isinstance(pairs, _Pairs) or pairs.unsigned:
+    if pairs.count != m * n:
+        raise DictionaryFormatError(f"{path}: expected {m * n} entries, found {pairs.count}")
+    # integers in [2^63, 2^64) with no negative integer or float beside them
+    # make numpy's uint64, refused as when numpy read the whole nested list
+    if not pairs.all_pairs or pairs.unsigned:
         raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs of numbers")
     mat = pairs.matrix(m, n)
     del pairs, doc
@@ -645,17 +657,31 @@ class _Window:
         while self.pos == len(self.text) and self.fill():
             self.pos = _WS.match(self.text).end()
 
-    def expect(self, char: str) -> None:
+    def expect(self, char: str, refusal: str | None = None) -> None:
         if not self.at(char):
-            raise DictionaryFormatError(
+            raise DictionaryFormatError(refusal or (
                 f"{self.path} is not valid JSON: expecting {char!r} at char {self.base + self.pos}"
-            )
+            ))
 
-    def skip(self, char: str) -> None:
+    def skip(self, char: str, refusal: str | None = None) -> None:
         """Move ``pos`` past ``char``, which must be there, and the whitespace after it."""
-        self.expect(char)
+        self.expect(char, refusal)
         self.pos += 1
         self.skip_space()
+
+    def items(self, close: str, refusal: str | None = None):
+        """Yield at each element of the comma-separated sequence at ``pos``,
+        for the caller to read it, then move past the ``close`` that ends
+        the sequence.  ``refusal`` replaces the message of a missing one."""
+        self.skip_space()
+        more = not self.at(close)
+        while more:
+            yield
+            self.skip_space()
+            more = self.at(",")
+            if more:
+                self.skip(",")
+        self.skip(close, refusal)
 
     def value(self, refusal: str | None = None):
         """The JSON value at ``pos``, read by json, with ``pos`` moved past it.
@@ -681,46 +707,24 @@ class _Window:
                     ) from None
             self.fill(len(self.text) - self.pos)
 
-    def mark(self) -> tuple[int, int]:
-        """The byte and character offsets of ``pos`` in the file, for ``rewind``."""
-        rest = len(self.text) - self.pos
-        if not self.text.isascii():
-            rest = len(self.text[self.pos :].encode())
-        pending = len(self.decoder.getstate()[0])  # bytes read of a character not yet whole
-        return self.bytes_read - pending - rest, self.base + self.pos
-
-    def rewind(self, mark: tuple[int, int]) -> None:
-        """Read on from ``mark`` again, with an empty window."""
-        try:
-            self.fh.seek(mark[0])
-        except OSError as exc:
-            raise DictionaryFormatError(f"cannot read dictionary file {self.path}: {exc}") from exc
-        self.decoder.reset()
-        self.bytes_read, self.base = mark
-        self.text, self.pos, self.eof = "", 0, False
-
 
 def _read_object(w: _Window) -> dict:
     """The top-level JSON object of ``w``'s file, walked key by key: json
-    reads every key and value but ``entries``, which ``_read_entries``
-    reads."""
+    reads every key and value but an ``entries`` array, which
+    ``_read_pairs`` reads."""
     w.skip_space()
-    if not w.at("{"):
-        raise DictionaryFormatError(f"{w.path}: top-level value must be an object")
-    w.skip("{")
+    w.skip("{", f"{w.path}: top-level value must be an object")
     doc = {}
-    more = not w.at("}")
-    while more:
+    not_pairs = f"{w.path}: entries must be [re, im] pairs of numbers"
+    for _ in w.items("}"):
         w.expect('"')
         key = w.value()
         w.skip_space()
         w.skip(":")
-        doc[key] = _read_entries(w, doc) if key == "entries" else w.value()
-        w.skip_space()
-        more = w.at(",")
-        if more:
-            w.skip(",")
-    w.skip("}")
+        if key == "entries" and w.at("["):
+            doc[key] = _read_pairs(w, _Pairs(doc.get("m"), doc.get("N")), not_pairs)
+        else:
+            doc[key] = w.value(not_pairs if key == "entries" else None)
     if w.pos < len(w.text):  # skip_space stops at text or the end of the file
         raise DictionaryFormatError(
             f"{w.path} is not valid JSON: extra data at char {w.base + w.pos}"
@@ -728,28 +732,20 @@ def _read_object(w: _Window) -> dict:
     return doc
 
 
-def _read_entries(w: _Window, doc: dict):
-    """The ``entries`` value at ``w.pos``: its ``_Pairs`` when it is an
-    array of [re, im] pairs of numbers, else what json reads there, read
-    again from its start."""
-    if w.at("["):
-        mark = w.mark()
-        pairs = _read_pairs(w, _Pairs(doc.get("m"), doc.get("N")))
-        if pairs is not None:
-            return pairs
-        w.rewind(mark)
-    return w.value(refusal=f"{w.path}: entries must be [re, im] pairs of numbers")
-
-
-def _read_pairs(w: _Window, pairs: _Pairs):
-    """``pairs`` filled from the array of number pairs opening at ``w.pos``,
-    with ``w.pos`` moved past the array, or None when it is anything else.
+def _read_pairs(w: _Window, pairs: _Pairs, refusal: str) -> _Pairs:
+    """``pairs`` filled from the array opening at ``w.pos``, with ``w.pos``
+    moved past the array, in one forward pass.
 
     Chunks of about ENTRIES_CHUNK_CHARS characters, each cut just before a
     '[', are read one at a time by ``_pair_block``; the last one ends at the
-    first ']' that follows a pair's ']' across whitespace.
+    first ']' that follows a pair's ']' across whitespace, which lies before
+    the cut of a chunk the array ends in.  From a chunk that is not pairs on,
+    json reads the elements one at a time and ``pairs`` only counts them
+    (``all_pairs`` False), so no text is read twice; JSON that is not valid
+    there raises ``refusal``.
     """
-    start = w.pos + 1
+    w.skip("[")  # so that a chunk of no pairs is never the space before the first
+    start = w.pos
     while True:
         w.pos = start
         w.reach(ENTRIES_CHUNK_CHARS)
@@ -760,14 +756,20 @@ def _read_pairs(w: _Window, pairs: _Pairs):
             break
         pairs.add(block)
         start = cut
-    end = _ENTRIES_END.search(w.text, w.pos)
-    while end is None and w.fill(len(w.text) - w.pos):
+    end = _ENTRIES_END.search(w.text, w.pos, cut if cut > 0 else len(w.text))
+    # the last chunk reads on to the array's end only while it may be pairs
+    while end is None and cut < 0 and not w.eof and _may_be_pairs(w.text[w.pos :]):
+        w.fill(len(w.text) - w.pos)
         end = _ENTRIES_END.search(w.text, w.pos)
     block = _pair_block(w.text, w.pos, end.start() + 1, last=True) if end else None
-    if block is None:
-        return None
-    pairs.add(block)
-    w.pos = end.end()
+    if block is not None:
+        pairs.add(block)
+        w.pos = end.end()
+        return pairs
+    pairs.all_pairs = False
+    for _ in w.items("]", refusal):
+        w.value(refusal)
+        pairs.count += 1
     return pairs
 
 
@@ -775,6 +777,8 @@ class _Pairs:
     """The [re, im] pairs of ``entries``, added block by block: into an
     (m N, 2) float buffer for the ``m`` and ``N`` read before ``entries``
     while they fit it, and kept aside past it or without such m and N.
+    ``all_pairs`` is False, and ``count`` counts the elements, once one was
+    not read as a pair.
 
     A block's values are converted to float as they are copied, so the
     buffer holds what one nested list would give: numpy promotes int64 and
@@ -792,10 +796,8 @@ class _Pairs:
         self.filled = 0  # pairs in ``flat``
         self.aside = []
         self.count = 0
+        self.all_pairs = True
         self.unsigned = True
-
-    def __len__(self) -> int:
-        return self.count
 
     def add(self, block: np.ndarray) -> None:
         k = len(block)
@@ -826,6 +828,12 @@ class _Pairs:
                 flat[lo : lo + len(block)] = block
                 lo += len(block)
         return flat.view(complex).reshape(m, n)
+
+
+def _may_be_pairs(text: str) -> bool:
+    """Whether ``text``, bare of numbers and whitespace, starts '[,],' repeated."""
+    left = text.encode().translate(None, _NUMBER_OR_SPACE)
+    return (b"[,]," * (len(left) // 4 + 1)).startswith(left)
 
 
 def _pair_block(text: str, lo: int, hi: int, last: bool):

@@ -36,7 +36,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dictionary import PartitionedDictionary
+from .dictionary import PartitionedDictionary, _require_integer
 from .rng import derive_choices
 
 __all__ = [
@@ -113,6 +113,7 @@ def choose_support_a(
         raise ValueError(
             f"unknown strategy {strategy!r}, expected one of {SUPPORT_A_STRATEGIES}"
         )
+    _require_integer("n_pick", n_pick)
     if not 0 <= n_pick <= n_total:
         raise ValueError(f"need 0 <= n_pick <= n_total, got {n_pick} of {n_total}")
     if indices is not None and strategy != "prescribed":

@@ -92,9 +92,9 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .dictionary import PartitionedDictionary
+from .dictionary import PartitionedDictionary, _require_integer
 from .model import choose_support_a, draw_instances
-from .rng import BLOCK, _require_seed, derive_rng, fan_out
+from .rng import _require_seed, derive_rng, fan_out
 
 __all__ = [
     "BpSolverConfig",
@@ -125,12 +125,6 @@ BALANCE_FACTOR = 2.0
 # ADMM_RING_BYTES, or of 1 iteration
 WINDOWS = (10, 5, 2, 1)
 ADMM_RING_BYTES = 4 * 2**20
-# rows per call of the one-product projection (see solve_bp_batch): with
-# N <= 2m, half a fan-out block of rows has at most the multiply-adds of a
-# thin product over a whole block.  OpenBLAS splits larger calls across
-# threads, which then fight the pool's workers for the cores.
-PROJECTION_ROWS = BLOCK // 2
-
 # The dual Newton finisher (see the module docstring).  Past a gap of about
 # 1e-9 the Hessian is numerically singular.
 HANDOVER_ITERATIONS = 1_000
@@ -297,8 +291,7 @@ def solve_bp_batch(
     pinv = np.linalg.pinv(mat)
     mat_t, pinv_t = mat.T, pinv.T
     # v -> v - pinv(D) D v as one product with the N x N (I - pinv(D) D)^T,
-    # PROJECTION_ROWS rows at a time, when that costs no more flops than the
-    # two thin ones (N <= 2m)
+    # when that costs no more flops than the two thin ones (N <= 2m)
     projector_t = np.identity(n) - mat_t @ pinv_t if n <= 2 * m else None
     x_feas = y_unit @ pinv_t
     rho = np.full(k, STEP_PARAMETER)
@@ -329,18 +322,14 @@ def solve_bp_batch(
         rs, ss, xs, zs, us = ring
         shrink = shrink_buffer[:size]
         threshold = 1.0 / rho[:, None]
-        parts = [slice(lo, lo + PROJECTION_ROWS) for lo in range(0, size, PROJECTION_ROWS)]
         for j in range(1, window + 1):
             x, z, u, z_old, u_old = xs[j], zs[j], us[j], zs[j - 1], us[j - 1]
             # project v = z_old - u_old onto D x = y, with v built in z
             np.subtract(z_old, u_old, out=z)
             if projector_t is None:
                 np.subtract(z, (z @ mat_t) @ pinv_t, out=x)
-            elif size <= PROJECTION_ROWS:
-                np.matmul(z, projector_t, out=x)
             else:
-                for rows in parts:
-                    np.matmul(z[rows], projector_t, out=x[rows])
+                np.matmul(z, projector_t, out=x)
             x += x_feas
             # the over-relaxed point w, held in u until the dual update
             np.multiply(relax, x, out=u)
@@ -732,8 +721,10 @@ def run_recovery_sweep(
     """
     _require_seed(master_seed)
     # at most Na + 1 distinct values fit in [0, Na]: one more read tells a longer input
-    na_values = tuple(int(v) for v in islice(na_values, D.Na + 2))
-    nb_values = tuple(int(v) for v in islice(nb_values, D.Nb + 2))
+    na_values = tuple(_require_integer(f"na_values[{i}]", v)
+                      for i, v in enumerate(islice(na_values, D.Na + 2)))
+    nb_values = tuple(_require_integer(f"nb_values[{i}]", v)
+                      for i, v in enumerate(islice(nb_values, D.Nb + 2)))
     strategies = tuple(strategies)
     if not na_values or not nb_values or not strategies:
         raise ValueError("na_values, nb_values and strategies must be non-empty")
@@ -753,8 +744,9 @@ def run_recovery_sweep(
             raise ValueError(
                 f"sweep strategy must be one of {SWEEP_STRATEGIES}, got {strategy!r}"
             )
-    if trials_per_cell < 1:
+    if _require_integer("trials_per_cell", trials_per_cell) < 1:
         raise ValueError(f"trials_per_cell must be >= 1, got {trials_per_cell}")
+    _require_integer("workers", workers)  # fan_out refuses fewer than 1
     if min(na_values + nb_values) < 0 or max(na_values) > D.Na or max(nb_values) > D.Nb:
         raise ValueError(
             f"grid outside the block sizes [0, Na={D.Na}] x [0, Nb={D.Nb}]: "

@@ -624,7 +624,8 @@ class TestRunSminTrials:
     @pytest.mark.parametrize(
         "n_a, n_b, message",
         [(0, 0, "empty sub-dictionary"), (6, 1, "budgets"), (1, 26, "budgets"),
-         (-1, 2, "budgets")],
+         (-1, 2, "budgets"), (1, 1.0, "n_b must be an integer"),
+         (True, 1, "n_a must be an integer")],
     )
     def test_bad_budgets_fail_before_any_work(
         self, mub5, monkeypatch, strategy, n_a, n_b, message
@@ -643,10 +644,13 @@ class TestRunSminTrials:
             (None, {"s": 0.5}, "s must be a finite number >= 1"),
             (None, {"s": math.nan}, "s must be a finite number >= 1"),
             (None, {"workers": 0}, "workers must be >= 1"),
+            (None, {"workers": 1.5}, "workers must be an integer, got 1.5"),
+            (None, {"trials": 10.0}, "trials must be an integer, got 10.0"),
             (PartitionedDictionary(np.eye(2), 1), {}, "N > 2"),
             (None, {"master_seed": -1}, "master_seed must be a nonnegative integer"),
         ],
-        ids=["s-below-1", "s-nan", "no-workers", "N-2", "negative-seed"],
+        ids=["s-below-1", "s-nan", "no-workers", "float-workers", "float-trials", "N-2",
+             "negative-seed"],
     )
     def test_bad_settings_fail_before_any_work(self, mub5, monkeypatch, D, kwargs, message):
         def no_work(*args, **kwargs):
@@ -656,7 +660,7 @@ class TestRunSminTrials:
         for name in ("_per_trial", "fan_out"):
             monkeypatch.setattr(concentration, name, no_work)
         with pytest.raises(ValueError, match=message):
-            run_smin_trials(D or mub5, "first-n", 1, 1, trials=10, **kwargs)
+            run_smin_trials(D or mub5, "first-n", 1, 1, **{"trials": 10, **kwargs})
 
     def test_random_baseline_with_support_a_fails_before_any_work(self, mub5, monkeypatch):
         def no_work(*args, **kwargs):
@@ -868,6 +872,25 @@ class TestEstimateMoment:
             monkeypatch.setattr(concentration, name, no_work)
         with pytest.raises(ValueError, match=f"n_boot must be >= 1, got {n_boot}"):
             estimate_moment(mub5, 1, 4, q=8.0, trials=1000, n_boot=n_boot)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_boot": 2.5}, "n_boot must be an integer, got 2.5"),
+        ({"n_boot": True}, "n_boot must be an integer, got True"),
+        ({"trials": 1000.0}, "trials must be an integer, got 1000.0"),
+        ({"n_b": 4.0}, "n_b must be an integer, got 4.0"),
+    ])
+    def test_refuses_a_count_that_is_not_an_integer_before_any_work(
+        self, mub5, monkeypatch, kwargs, message
+    ):
+        # an n_boot of 2.5 ended in a TypeError
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the counts were checked")
+
+        _patch_profile(monkeypatch, no_work)
+        for name in ("_per_trial", "fan_out"):
+            monkeypatch.setattr(concentration, name, no_work)
+        with pytest.raises(ValueError, match=message):
+            estimate_moment(mub5, **{"n_a": 1, "n_b": 4, "q": 8.0, "trials": 1000, **kwargs})
 
     def test_a_negative_seed_fails_before_any_work(self, mub5, monkeypatch):
         def no_work(*args, **kwargs):

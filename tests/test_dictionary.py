@@ -4,8 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pickle
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -38,6 +40,15 @@ WELCH_3_12 = 0.5222329678670935
 SQRT6 = 2.449489742783178
 
 TOL = 1e-12
+NOT_PAIRS = r"entries must be \[re, im\] pairs of numbers"
+
+
+def _three_numbers_for_a_pair(text: str, where: str) -> str:
+    """A dictionary file's text with its first or last pair [1, 0, 0]."""
+    lo = text.index("[", text.index("[", text.index('"entries"')) + 1)
+    if where == "last":
+        lo = text.rindex("[")
+    return text[:lo] + "[1, 0, 0]" + text[text.index("]", lo) + 1 :]
 
 
 def _unit(v):
@@ -200,6 +211,18 @@ class TestPartitionedDictionary:
         # a float or bool split was truncated: 1.5 and True both read as 1
         with pytest.raises(ValueError, match="split must be an integer"):
             make(split)
+
+    @pytest.mark.parametrize("n_a, n_b, message", [
+        (1.5, 0, "n_a must be an integer, got 1.5"),
+        (0, 1.0, "n_b must be an integer, got 1.0"),
+        (True, 0, "n_a must be an integer, got True"),
+        (0, np.float64(2.0), "n_b must be an integer"),
+    ])
+    def test_check_budgets_refuses_a_float_or_bool(self, mub3, n_a, n_b, message):
+        # 1.5 passed as a budget of 1.5 columns, True as 1
+        with pytest.raises(ValueError, match=message):
+            mub3.check_budgets(n_a, n_b)
+        mub3.check_budgets(np.int64(1), 2)
 
     def test_a_numpy_integer_split_is_its_int(self):
         D = PartitionedDictionary(np.eye(3), np.int64(2))
@@ -644,6 +667,51 @@ class TestBoundedMemory:
         assert padded.stat().st_size == mub61_file.stat().st_size + 4 * 2**20
         peaks = [self._traced_peak(load_dictionary, path) for path in (mub61_file, padded)]
         assert abs(peaks[1] - peaks[0]) <= dictionary.ENTRIES_CHUNK_CHARS
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_a_malformed_pair_is_refused_within_the_same_bound(
+        self, mub61, mub61_file, tmp_path, where
+    ):
+        # the rest of entries is walked an element at a time, never read
+        # whole or twice.  The walk after a bad first pair takes about 3 s
+        # traced on mub61, so that one is mub37's 2.8 MB, three pieces
+        D, source = mub61, mub61_file
+        if where == "first":
+            D, source = build_mub(37), tmp_path / "mub37.dict.json"
+            save_dictionary(D, source)
+        bad = tmp_path / "bad.dict.json"
+        bad.write_text(_three_numbers_for_a_pair(source.read_text(encoding="utf-8"), where))
+        assert bad.stat().st_size > 2 * dictionary.ENTRIES_CHUNK_CHARS
+
+        def refused(path):
+            with pytest.raises(DictionaryFormatError, match=NOT_PAIRS):
+                load_dictionary(path)
+
+        limit = 2 * D.matrix.nbytes + 4 * dictionary.ENTRIES_CHUNK_CHARS
+        assert self._traced_peak(refused, bad) <= limit
+
+    def test_a_flat_list_of_numbers_is_refused_within_the_same_bound(
+        self, monkeypatch, tmp_path
+    ):
+        # with no '[' after the first number the first chunk is the last
+        # one; its search for the array's end stops at text that cannot be
+        # pairs, which read on held the rest of the file
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", 2**16)
+        D = build_mub(37)
+        source = tmp_path / "mub37.dict.json"
+        save_dictionary(D, source)
+        text = source.read_text(encoding="utf-8")
+        lo, hi = text.index("[", text.index('"entries"')) + 1, text.rindex("]")
+        flat = tmp_path / "flat.dict.json"
+        flat.write_text(text[:lo] + text[lo:hi].replace("[", "").replace("]", "") + text[hi:])
+
+        def refused(path):
+            with pytest.raises(DictionaryFormatError,
+                               match=f"expected {D.m * D.N} entries, found {2 * D.m * D.N}"):
+                load_dictionary(path)
+
+        limit = 2 * D.matrix.nbytes + 4 * dictionary.ENTRIES_CHUNK_CHARS
+        assert self._traced_peak(refused, flat) <= limit
 
     def test_load_reads_the_file_a_piece_at_a_time(self, mub61_file, monkeypatch):
         sizes = []
@@ -1172,6 +1240,63 @@ class TestStreamedReader:
         assert loaded.matrix.tobytes() == D.matrix.tobytes()
         assert loaded.matrix.tobytes() == _reference_load(path).matrix.tobytes()
         assert loaded.split == D.split
+
+    @staticmethod
+    def _texts(D):
+        """D's file text, and the same with its first pair [1, 0, 0]."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.dict.json"
+            save_dictionary(D, path)
+            good = path.read_text(encoding="utf-8")
+        return {"good": good, "first-pair-bad": _three_numbers_for_a_pair(good, "first")}
+
+    @pytest.mark.parametrize("text", ["good", "first-pair-bad"])
+    def test_a_pipe_reads_as_a_file(self, monkeypatch, tmp_path, text):
+        # 64-byte pieces: a malformed entries is decided in one pass too
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", 64)
+        D = build_mub(7)
+        raw = self._texts(D)[text].encode("utf-8")
+        fifo = tmp_path / "d.dict.json"
+        os.mkfifo(fifo)
+
+        def write():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(raw)
+            except BrokenPipeError:  # the reader stopped early
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            if text == "good":
+                assert load_dictionary(fifo).matrix.tobytes() == D.matrix.tobytes()
+            else:
+                with pytest.raises(DictionaryFormatError, match=NOT_PAIRS):
+                    load_dictionary(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("text", ["good", "first-pair-bad"])
+    def test_the_file_is_never_asked_to_seek(self, monkeypatch, tmp_path, text):
+        seeks = []
+
+        class Recorded(io.FileIO):
+            def seek(self, *args):
+                seeks.append(args)
+                return super().seek(*args)
+
+        path = tmp_path / "d.dict.json"
+        path.write_text(self._texts(build_mub(7))[text], encoding="utf-8")
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", 64)
+        monkeypatch.setattr(dictionary, "open", lambda path, mode: Recorded(path, mode),
+                            raising=False)
+        try:
+            load_dictionary(path)
+        except DictionaryFormatError:
+            assert text != "good"
+        assert seeks == []
 
     @pytest.mark.parametrize("key", ["entries", "extra"])
     def test_deep_nesting_across_pieces_is_a_format_error(self, monkeypatch, tmp_path, key):

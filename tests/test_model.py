@@ -55,6 +55,13 @@ class TestHybridSupportSpec:
         with pytest.raises(ValueError, match="out of range"):
             choose_support_a("prescribed", mub7.Na, 1, (-1,))
 
+    @pytest.mark.parametrize("strategy", ["first-n", "spread", "random-baseline"])
+    @pytest.mark.parametrize("n_pick", [2.5, 2.0, True])
+    def test_refuses_a_count_that_is_not_an_integer(self, mub7, strategy, n_pick):
+        # random-baseline resolved 2.5 to 2
+        with pytest.raises(ValueError, match=f"n_pick must be an integer, got {n_pick!r}"):
+            choose_support_a(strategy, mub7.Na, n_pick)
+
     def test_rejects_negative_count(self, mub7):
         with pytest.raises(ValueError, match="n_pick"):
             sample_instance(mub7, (), -2, derive_rng(0))

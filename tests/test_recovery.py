@@ -834,6 +834,8 @@ class TestRecoverySweep:
             ((0, 1, -1), (0, 1), ("first-n",), "block sizes"),
             ((0,), (-2,), ("first-n",), "block sizes"),
             ((0,), (5,), ("first-n",), "block sizes"),
+            ((0.9, 1.5), (0,), ("first-n",), r"na_values\[0\] must be an integer, got 0.9"),
+            ((0,), (0, True), ("first-n",), r"nb_values\[1\] must be an integer, got True"),
         ],
     )
     def test_bad_grid_fails_before_any_solve(
@@ -845,6 +847,22 @@ class TestRecoverySweep:
         monkeypatch.setattr(recovery, "fan_out", no_work)
         with pytest.raises(ValueError, match=message):
             run_recovery_sweep(two_onb4, na_values, nb_values, 20, strategies=strategies)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials_per_cell": True}, "trials_per_cell must be an integer, got True"),
+        ({"trials_per_cell": 2.0}, "trials_per_cell must be an integer, got 2.0"),
+        ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+    ])
+    def test_a_count_that_is_not_an_integer_fails_before_any_solve(
+        self, two_onb4, monkeypatch, kwargs, message
+    ):
+        # True ran one trial a cell, and a workers of 1.5 ran inline
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cell was solved before the counts were checked")
+
+        monkeypatch.setattr(recovery, "fan_out", no_work)
+        with pytest.raises(ValueError, match=message):
+            run_recovery_sweep(two_onb4, (0, 1), (0, 1), **{"trials_per_cell": 2, **kwargs})
 
     def test_a_negative_seed_fails_before_any_solve(self, two_onb4, monkeypatch):
         # at two workers the first block, and so the seed's use, runs in a pool
