@@ -33,8 +33,9 @@ through an incremental UTF-8 decoder, never whole, and parses ``entries``
 piece by piece into float blocks, with no Python object per entry, each
 copied into the matrix as it is read: beside the matrix it holds a few
 pieces, whatever the file size (about twice the matrix when ``entries``
-comes before m and N).  Past a piece that is not pairs it only counts the
-elements, so refusing a malformed ``entries`` holds no more.
+comes before m and N).  The first piece that is not pairs, or that runs
+past the m N pairs, refuses the file there, so refusing a malformed
+``entries`` holds no more than loading a good one.
 """
 
 from __future__ import annotations
@@ -522,7 +523,7 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
     """Read a .dict.json file back into a PartitionedDictionary.
 
     Any JSON object layout is read as ``json.load`` would read it: keys in
-    any order, extra keys, any whitespace, the last of duplicate keys.
+    any order, extra keys, any whitespace; each key appears once.
     ``entries`` must be an array of [re, im] pairs of JSON numbers.
     Column norms are checked at the looser tolerance LOAD_NORM_TOL, since text
     formats written by other tools may round; pass renormalize=True to rescale
@@ -534,8 +535,9 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
     and N read before it (``_Pairs``).  With m and N first, as
     ``save_dictionary`` writes them, the peak beside the matrix is a few
     pieces whatever the file size; with ``entries`` first it is about twice
-    the matrix.  From a piece of ``entries`` that is not pairs on, json
-    reads its elements one at a time and only their count is kept.
+    the matrix.  A repeated key, a piece of ``entries`` that is not pairs
+    and a pair past the m N read before ``entries`` are refused where they
+    are read.
     """
     try:
         fh = open(path, "rb")
@@ -560,7 +562,7 @@ def load_dictionary(path, renormalize: bool = False) -> PartitionedDictionary:
         raise DictionaryFormatError(f"{path}: expected {m * n} entries, found {pairs.count}")
     # integers in [2^63, 2^64) with no negative integer or float beside them
     # make numpy's uint64, refused as when numpy read the whole nested list
-    if not pairs.all_pairs or pairs.unsigned:
+    if pairs.unsigned:
         raise DictionaryFormatError(f"{path}: entries must be [re, im] pairs of numbers")
     mat = pairs.matrix(m, n)
     del pairs, doc
@@ -669,27 +671,12 @@ class _Window:
         self.pos += 1
         self.skip_space()
 
-    def items(self, close: str, refusal: str | None = None):
-        """Yield at each element of the comma-separated sequence at ``pos``,
-        for the caller to read it, then move past the ``close`` that ends
-        the sequence.  ``refusal`` replaces the message of a missing one."""
-        self.skip_space()
-        more = not self.at(close)
-        while more:
-            yield
-            self.skip_space()
-            more = self.at(",")
-            if more:
-                self.skip(",")
-        self.skip(close, refusal)
-
-    def value(self, refusal: str | None = None):
+    def value(self):
         """The JSON value at ``pos``, read by json, with ``pos`` moved past it.
 
         A value json cannot complete yet, or a number that may go on past
         the window, doubles the window until it can or the file ends, so
-        the reads stay linear in the value's length.  ``refusal`` replaces
-        the message of a value that is not JSON.
+        the reads stay linear in the value's length.
         """
         while True:
             try:
@@ -702,29 +689,35 @@ class _Window:
                 if self.eof or isinstance(exc, RecursionError):
                     if isinstance(exc, json.JSONDecodeError):
                         exc = f"{exc.msg} at char {self.base + exc.pos}"
-                    raise DictionaryFormatError(
-                        refusal or f"{self.path} is not valid JSON: {exc}"
-                    ) from None
+                    raise DictionaryFormatError(f"{self.path} is not valid JSON: {exc}") from None
             self.fill(len(self.text) - self.pos)
 
 
 def _read_object(w: _Window) -> dict:
     """The top-level JSON object of ``w``'s file, walked key by key: json
     reads every key and value but an ``entries`` array, which
-    ``_read_pairs`` reads."""
+    ``_read_pairs`` reads into the m and N read before it.  A key that
+    appears twice is refused, so none read before ``entries`` can change."""
     w.skip_space()
     w.skip("{", f"{w.path}: top-level value must be an object")
     doc = {}
-    not_pairs = f"{w.path}: entries must be [re, im] pairs of numbers"
-    for _ in w.items("}"):
+    more = not w.at("}")
+    while more:
         w.expect('"')
         key = w.value()
+        if key in doc:
+            raise DictionaryFormatError(f"{w.path}: key {key!r} appears more than once")
         w.skip_space()
         w.skip(":")
         if key == "entries" and w.at("["):
-            doc[key] = _read_pairs(w, _Pairs(doc.get("m"), doc.get("N")), not_pairs)
+            doc[key] = _read_pairs(w, _Pairs(doc.get("m"), doc.get("N"), w.path))
         else:
-            doc[key] = w.value(not_pairs if key == "entries" else None)
+            doc[key] = w.value()
+        w.skip_space()
+        more = w.at(",")
+        if more:
+            w.skip(",")
+    w.skip("}")
     if w.pos < len(w.text):  # skip_space stops at text or the end of the file
         raise DictionaryFormatError(
             f"{w.path} is not valid JSON: extra data at char {w.base + w.pos}"
@@ -732,17 +725,15 @@ def _read_object(w: _Window) -> dict:
     return doc
 
 
-def _read_pairs(w: _Window, pairs: _Pairs, refusal: str) -> _Pairs:
+def _read_pairs(w: _Window, pairs: _Pairs) -> _Pairs:
     """``pairs`` filled from the array opening at ``w.pos``, with ``w.pos``
     moved past the array, in one forward pass.
 
     Chunks of about ENTRIES_CHUNK_CHARS characters, each cut just before a
     '[', are read one at a time by ``_pair_block``; the last one ends at the
     first ']' that follows a pair's ']' across whitespace, which lies before
-    the cut of a chunk the array ends in.  From a chunk that is not pairs on,
-    json reads the elements one at a time and ``pairs`` only counts them
-    (``all_pairs`` False), so no text is read twice; JSON that is not valid
-    there raises ``refusal``.
+    the cut of a chunk the array ends in.  The first chunk that is not
+    pairs refuses the file.
     """
     w.skip("[")  # so that a chunk of no pairs is never the space before the first
     start = w.pos
@@ -762,71 +753,57 @@ def _read_pairs(w: _Window, pairs: _Pairs, refusal: str) -> _Pairs:
         w.fill(len(w.text) - w.pos)
         end = _ENTRIES_END.search(w.text, w.pos)
     block = _pair_block(w.text, w.pos, end.start() + 1, last=True) if end else None
-    if block is not None:
-        pairs.add(block)
-        w.pos = end.end()
-        return pairs
-    pairs.all_pairs = False
-    for _ in w.items("]", refusal):
-        w.value(refusal)
-        pairs.count += 1
+    if block is None:
+        raise DictionaryFormatError(f"{w.path}: entries must be [re, im] pairs of numbers")
+    pairs.add(block)
+    w.pos = end.end()
     return pairs
 
 
 class _Pairs:
     """The [re, im] pairs of ``entries``, added block by block: into an
-    (m N, 2) float buffer for the ``m`` and ``N`` read before ``entries``
-    while they fit it, and kept aside past it or without such m and N.
-    ``all_pairs`` is False, and ``count`` counts the elements, once one was
-    not read as a pair.
+    (m N, 2) float buffer when a valid ``m`` and ``N`` came before
+    ``entries``, where a block past its end refuses the file, and else
+    kept aside until the array ends.
 
     A block's values are converted to float as they are copied, so the
-    buffer holds what one nested list would give: numpy promotes int64 and
-    uint64 blocks together to float64, and every block of uint64 alone is
+    pairs read as one nested list would: numpy promotes int64 and uint64
+    blocks together to float64, and every block of uint64 alone is
     refused (``unsigned``).
     """
 
-    def __init__(self, m, n):
+    def __init__(self, m, n, path):
+        self.path = path
         self.flat = None
+        self.aside = []
+        self.count = 0
+        self.unsigned = True
         if type(m) is int and type(n) is int and 1 <= m <= n:
             try:
                 self.flat = np.empty((m * n, 2))
             except (MemoryError, ValueError):  # ValueError: past the address space
-                pass
-        self.filled = 0  # pairs in ``flat``
-        self.aside = []
-        self.count = 0
-        self.all_pairs = True
-        self.unsigned = True
+                raise DictionaryFormatError(
+                    f"{path}: an {m} x {n} matrix does not fit in memory"
+                ) from None
 
     def add(self, block: np.ndarray) -> None:
         k = len(block)
-        if self.flat is not None and not self.aside and self.filled + k <= len(self.flat):
-            self.flat[self.filled : self.filled + k] = block
-            self.filled += k
-        else:
+        if self.flat is None:
             self.aside.append(block)
+        elif self.count + k > len(self.flat):
+            raise DictionaryFormatError(
+                f"{self.path}: expected {len(self.flat)} entries, found more"
+            )
+        else:
+            self.flat[self.count : self.count + k] = block
         self.count += k
         self.unsigned &= block.dtype.kind == "u"
 
     def matrix(self, m: int, n: int) -> np.ndarray:
         """The m x n complex matrix whose row-major entries are the m n
         pairs; each pair fills its entry's two float parts as read, a -0.0
-        included (re + 1j * im would read it as +0.0).  The buffer itself
-        when it holds them all, else a new one, the blocks moved over one
-        at a time."""
-        flat, self.flat = self.flat, None
-        if self.filled < self.count or len(flat) != self.count:
-            kept, flat = flat, np.empty((self.count, 2))
-            if self.filled:
-                flat[: self.filled] = kept[: self.filled]
-            del kept
-            lo = self.filled
-            self.aside.reverse()
-            while self.aside:
-                block = self.aside.pop()
-                flat[lo : lo + len(block)] = block
-                lo += len(block)
+        included (re + 1j * im would read it as +0.0)."""
+        flat = np.concatenate(self.aside, dtype=float) if self.flat is None else self.flat
         return flat.view(complex).reshape(m, n)
 
 

@@ -33,7 +33,7 @@ is scale-free and tunes its own step, per row, from rho = 1
 The rows run in lock step: each keeps its own y-scale, rho and stopping
 test and stops on the first iteration that passes it, so a batch costs
 about its longest solve.  The loop runs in windows of W iterations, W =
-10 (BALANCE_EVERY) while the rows are few (see WINDOWS and
+10 (BALANCE_EVERY) while the rows are few (see
 ADMM_RING_BYTES), over a ring of W + 1 slots of each active row's
 vectors.  An iteration does only the projection, the over-relaxation, the
 shrink and the dual update, reading slot j - 1 and writing slot j; at the
@@ -120,10 +120,8 @@ RELAXATION = 1.6
 BALANCE_EVERY = 10
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
-# ADMM runs in windows of the longest of these iteration counts (the
-# divisors of BALANCE_EVERY) whose ring (see solve_bp_batch) fits in
-# ADMM_RING_BYTES, or of 1 iteration
-WINDOWS = (10, 5, 2, 1)
+# ADMM runs in windows of iterations whose ring (see solve_bp_batch) fits in
+# this many bytes, or of 1 iteration
 ADMM_RING_BYTES = 4 * 2**20
 # The dual Newton finisher (see the module docstring).  Past a gap of about
 # 1e-9 the Hessian is numerically singular.
@@ -158,6 +156,7 @@ class BpSolverConfig:
     max_iterations: int = 100_000
 
     def __post_init__(self):
+        _require_integer("max_iterations", self.max_iterations)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -206,11 +205,11 @@ def _binary_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _window(done: int, rows: int, n: int) -> int:
     """The iterations of the ADMM window that follows iteration ``done``:
-    the longest of WINDOWS that divides ``done``, so that every balancing
-    iteration ends a window, and whose ring of window + 1 slots of five
-    (rows, n) complex arrays fits in ADMM_RING_BYTES; 1 if none fits."""
+    the most that end at or before the next balancing iteration, and whose
+    ring of window + 1 slots of five (rows, n) complex arrays fits in
+    ADMM_RING_BYTES; 1 if none fits."""
     slot = 80 * rows * n
-    return next((w for w in WINDOWS if done % w == 0 and (w + 1) * slot <= ADMM_RING_BYTES), 1)
+    return min(BALANCE_EVERY - done % BALANCE_EVERY, max(1, ADMM_RING_BYTES // slot - 1))
 
 
 def solve_bp(
@@ -304,9 +303,9 @@ def solve_bp_batch(
     # the ring: r = x - z, s = z - z_old, x, z and u of every active row,
     # one slot per iteration of the window and slot 0 before its first.  Any
     # ring _window allows fits in the pool: 2 slots of at most k rows, or at
-    # most WINDOWS[0] + 1 slots of at most k rows within ADMM_RING_BYTES
+    # most BALANCE_EVERY + 1 slots of at most k rows within ADMM_RING_BYTES
     pool = np.empty(
-        max(2 * k, min((WINDOWS[0] + 1) * k, ADMM_RING_BYTES // (80 * n))) * 5 * n,
+        max(2 * k, min((BALANCE_EVERY + 1) * k, ADMM_RING_BYTES // (80 * n))) * 5 * n,
         dtype=complex,
     )
     shrink_buffer = np.empty((k, n))
@@ -584,7 +583,7 @@ def brute_force_l0(
     m, n = mat.shape
     if n > 32:
         raise ValueError(f"brute force capped at N <= 32, got N={n}")
-    if k_max > 4:
+    if _require_integer("k_max", k_max) > 4:
         raise ValueError(f"brute force capped at k_max <= 4, got {k_max}")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")

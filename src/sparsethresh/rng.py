@@ -142,26 +142,13 @@ def _mulhi64(x, y):
 
 def _floyd_picks(v: np.ndarray, base: int) -> np.ndarray:
     """Floyd's sample from the bounded draws v[:, c] on [0, base + c], sorted
-    per row: column c adds v_c, or base + c when v_c is in the sample already.
-
-    v_c is in the sample already exactly when it repeats an earlier v_i, or
-    when it is base + i for an earlier column i whose own v_i was in the
-    sample already, so that base + i went in instead.  The second case links
-    column c to an earlier column; following the links by pointer doubling
-    settles every column in log2(size) passes.
-    """
-    order = np.argsort(v, axis=1, kind="stable")
-    ranked = np.take_along_axis(v, order, axis=1)
-    taken = np.zeros(v.shape, dtype=bool)
-    np.put_along_axis(taken, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
-    column = np.arange(v.shape[1])
-    link = np.where((v >= base) & (v - base < column), v - base, -1)
-    while (link >= 0).any():
-        linked = link >= 0
-        to = np.maximum(link, 0)
-        taken |= linked & np.take_along_axis(taken, to, axis=1)
-        link = np.where(linked, np.take_along_axis(link, to, axis=1), -1)
-    return np.sort(np.where(taken, base + column, v), axis=1)
+    per row: column c adds v_c, or base + c when v_c is in the sample already,
+    all rows at once, one column after another."""
+    picks = np.empty_like(v)
+    for c in range(v.shape[1]):
+        taken = (picks[:, :c] == v[:, c, None]).any(axis=1)
+        picks[:, c] = np.where(taken, base + c, v[:, c])
+    return np.sort(picks, axis=1)
 
 
 def _require_seed(master_seed: int):

@@ -43,7 +43,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .dictionary import DictionaryStats
+from .dictionary import DictionaryStats, _require_integer
 
 __all__ = [
     "SPARSITY_CONSTANT",
@@ -94,6 +94,8 @@ class TheoremParams:
         _require_s(self.s)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        _require_integer("n_a", self.n_a)
+        _require_integer("n_b", self.n_b)
         if self.n_a < 0 or self.n_b < 0:
             raise ValueError(f"budgets must be nonnegative, got {self.n_a}, {self.n_b}")
 
@@ -375,8 +377,8 @@ def max_sparsity_search(
     natural limits Na and Nb.
     """
     _, _, eq3, eq4, eq5, eq6, _ = _conditions(stats, s)
-    a_hi = stats.Na if na_cap is None else min(na_cap, stats.Na)
-    b_hi = stats.Nb if nb_cap is None else min(nb_cap, stats.Nb)
+    a_hi = stats.Na if na_cap is None else min(_require_integer("na_cap", na_cap), stats.Na)
+    b_hi = stats.Nb if nb_cap is None else min(_require_integer("nb_cap", nb_cap), stats.Nb)
 
     per_gamma = []
     for gamma in GAMMA_GRID_DEFAULT:

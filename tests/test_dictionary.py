@@ -43,12 +43,19 @@ TOL = 1e-12
 NOT_PAIRS = r"entries must be \[re, im\] pairs of numbers"
 
 
-def _three_numbers_for_a_pair(text: str, where: str) -> str:
-    """A dictionary file's text with its first or last pair [1, 0, 0]."""
+def _replace_pair(text: str, where: str, pair: str = "[1, 0, 0]") -> str:
+    """A dictionary file's text with its first or last pair ``pair``."""
     lo = text.index("[", text.index("[", text.index('"entries"')) + 1)
     if where == "last":
         lo = text.rindex("[")
-    return text[:lo] + "[1, 0, 0]" + text[text.index("]", lo) + 1 :]
+    return text[:lo] + pair + text[text.index("]", lo) + 1 :]
+
+
+def _no_pair_brackets(text: str) -> str:
+    """A dictionary file's text with the brackets of every pair removed:
+    ``entries`` a flat list of numbers."""
+    lo, hi = text.index("[", text.index('"entries"')) + 1, text.rindex("]")
+    return text[:lo] + text[lo:hi].replace("[", "").replace("]", "") + text[hi:]
 
 
 def _unit(v):
@@ -672,22 +679,16 @@ class TestBoundedMemory:
     def test_a_malformed_pair_is_refused_within_the_same_bound(
         self, mub61, mub61_file, tmp_path, where
     ):
-        # the rest of entries is walked an element at a time, never read
-        # whole or twice.  The walk after a bad first pair takes about 3 s
-        # traced on mub61, so that one is mub37's 2.8 MB, three pieces
-        D, source = mub61, mub61_file
-        if where == "first":
-            D, source = build_mub(37), tmp_path / "mub37.dict.json"
-            save_dictionary(D, source)
+        # the chunk that holds the pair is refused, never read whole or twice
         bad = tmp_path / "bad.dict.json"
-        bad.write_text(_three_numbers_for_a_pair(source.read_text(encoding="utf-8"), where))
+        bad.write_text(_replace_pair(mub61_file.read_text(encoding="utf-8"), where))
         assert bad.stat().st_size > 2 * dictionary.ENTRIES_CHUNK_CHARS
 
         def refused(path):
             with pytest.raises(DictionaryFormatError, match=NOT_PAIRS):
                 load_dictionary(path)
 
-        limit = 2 * D.matrix.nbytes + 4 * dictionary.ENTRIES_CHUNK_CHARS
+        limit = 2 * mub61.matrix.nbytes + 4 * dictionary.ENTRIES_CHUNK_CHARS
         assert self._traced_peak(refused, bad) <= limit
 
     def test_a_flat_list_of_numbers_is_refused_within_the_same_bound(
@@ -700,20 +701,19 @@ class TestBoundedMemory:
         D = build_mub(37)
         source = tmp_path / "mub37.dict.json"
         save_dictionary(D, source)
-        text = source.read_text(encoding="utf-8")
-        lo, hi = text.index("[", text.index('"entries"')) + 1, text.rindex("]")
         flat = tmp_path / "flat.dict.json"
-        flat.write_text(text[:lo] + text[lo:hi].replace("[", "").replace("]", "") + text[hi:])
+        flat.write_text(_no_pair_brackets(source.read_text(encoding="utf-8")))
 
         def refused(path):
-            with pytest.raises(DictionaryFormatError,
-                               match=f"expected {D.m * D.N} entries, found {2 * D.m * D.N}"):
+            with pytest.raises(DictionaryFormatError, match=NOT_PAIRS):
                 load_dictionary(path)
 
         limit = 2 * D.matrix.nbytes + 4 * dictionary.ENTRIES_CHUNK_CHARS
         assert self._traced_peak(refused, flat) <= limit
 
-    def test_load_reads_the_file_a_piece_at_a_time(self, mub61_file, monkeypatch):
+    @staticmethod
+    def _recorded_reads(monkeypatch) -> list:
+        """The size of every ``read`` that ``load_dictionary`` makes from here on."""
         sizes = []
 
         class Recorded(io.FileIO):
@@ -723,8 +723,34 @@ class TestBoundedMemory:
 
         monkeypatch.setattr(dictionary, "open", lambda path, mode: Recorded(path, mode),
                             raising=False)
+        return sizes
+
+    def test_load_reads_the_file_a_piece_at_a_time(self, mub61_file, monkeypatch):
+        sizes = self._recorded_reads(monkeypatch)
         load_dictionary(mub61_file)
         assert len(sizes) > 12 and 0 < min(sizes) <= max(sizes) <= dictionary.ENTRIES_CHUNK_CHARS
+
+    @pytest.mark.parametrize("malformed", [
+        lambda text: _replace_pair(text, "first", "[0x1, 0]"),
+        lambda text: _replace_pair(text, "first"),
+        _no_pair_brackets,
+    ], ids=["hex-first-pair", "three-number-first-pair", "flat"])
+    def test_a_malformed_entries_is_refused_at_its_first_chunk(
+        self, mub61, mub61_file, tmp_path, monkeypatch, malformed
+    ):
+        # the first piece holds m, N and Na, the second the first chunk of
+        # entries; the 12 MB file is never read on, nor its JSON retried
+        bad = tmp_path / "bad.dict.json"
+        bad.write_text(malformed(mub61_file.read_text(encoding="utf-8")))
+        sizes = self._recorded_reads(monkeypatch)
+
+        def refused(path):
+            with pytest.raises(DictionaryFormatError, match=NOT_PAIRS):
+                load_dictionary(path)
+
+        peak = self._traced_peak(refused, bad)
+        assert len(sizes) <= 2
+        assert peak <= 2 * mub61.matrix.nbytes + 4 * dictionary.ENTRIES_CHUNK_CHARS
 
     def test_build_two_onb_1024_holds_no_second_matrix(self):
         # the 1024 x 2048 matrix takes 32 MiB; a full-size copy or temporary
@@ -941,13 +967,17 @@ def _reference_load(path, renormalize=False):
     LoadError = DictionaryFormatError
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=tuple)
     except OSError as exc:
         raise LoadError(f"cannot read dictionary file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+    if not isinstance(doc, tuple):
         raise LoadError(f"{path}: top-level value must be an object")
+    keys = [key for key, _ in doc]
+    if len(set(keys)) < len(keys):
+        raise LoadError(f"{path}: a key appears more than once")
+    doc = dict(doc)
     for key in ("m", "N", "Na", "entries"):
         if key not in doc:
             raise LoadError(f"{path}: missing field {key!r}")
@@ -1134,6 +1164,36 @@ class TestChunkedReader:
         with pytest.raises(DictionaryFormatError, match="entries"):
             load_dictionary(path)
 
+    @pytest.mark.parametrize("chunk", [1, 100, 2**20])
+    @pytest.mark.parametrize("key", ["m", "entries", "note"])
+    def test_a_repeated_key_is_refused(self, monkeypatch, tmp_path, key, chunk):
+        # the repeat has the same value, so json.load's last-one-wins would
+        # have read the same dictionary
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", chunk)
+        path = tmp_path / "d.dict.json"
+        save_dictionary(build_mub(3), path)
+        fields = list(json.loads(path.read_text()).items()) + [("note", "x")]
+        fields.append((key, dict(fields)[key]))
+        path.write_text("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in fields) + "}")
+        with pytest.raises(ValueError):
+            _reference_load(path)
+        with pytest.raises(DictionaryFormatError, match=f"key '{key}' appears more than once"):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2**20])
+    def test_a_pair_past_m_n_is_refused(self, monkeypatch, tmp_path, chunk):
+        monkeypatch.setattr(dictionary, "ENTRIES_CHUNK_CHARS", chunk)
+        path = tmp_path / "d.dict.json"
+        path.write_text('{"m": 2, "N": 2, "Na": 1, "entries": [[1,0],[0,0],[0,0],[1,0],[0,0]]}')
+        with pytest.raises(DictionaryFormatError, match="expected 4 entries, found more"):
+            load_dictionary(path)
+
+    def test_a_matrix_past_the_address_space_is_refused_at_entries(self, tmp_path):
+        path = tmp_path / "d.dict.json"
+        path.write_text('{"m": 10000000000, "N": 10000000000, "Na": 0, "entries": [[1, 0]]}')
+        with pytest.raises(DictionaryFormatError, match="does not fit in memory"):
+            load_dictionary(path)
+
     @pytest.mark.parametrize("chunk", [1, 2**20])
     def test_integers_past_int64_promote_as_in_one_array(self, monkeypatch, tmp_path, chunk):
         # numpy reads ints in [2**63, 2**64) alone as uint64, which is refused,
@@ -1248,7 +1308,7 @@ class TestStreamedReader:
             path = Path(tmp) / "d.dict.json"
             save_dictionary(D, path)
             good = path.read_text(encoding="utf-8")
-        return {"good": good, "first-pair-bad": _three_numbers_for_a_pair(good, "first")}
+        return {"good": good, "first-pair-bad": _replace_pair(good, "first")}
 
     @pytest.mark.parametrize("text", ["good", "first-pair-bad"])
     def test_a_pipe_reads_as_a_file(self, monkeypatch, tmp_path, text):

@@ -43,6 +43,9 @@ class TestBpSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BpSolverConfig(max_iterations=0)
+        for cap in (2.5, True):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                BpSolverConfig(max_iterations=cap)
 
 
 class TestSolveBp:
@@ -435,15 +438,16 @@ class TestAdmmWindows:
         self._assert_same(out, _per_iteration_solve(two_onb8, Y, X_true=X))
 
     def test_every_window_length(self, two_onb8, monkeypatch):
-        # a ring budget that admits windows of 2 iterations for 100 rows, 5
-        # for 50 and 10 for 27, and of 1 at an iteration 2 does not divide:
-        # 100 rows start on windows of 2 that lengthen as rows leave
+        # a ring budget that admits windows of 2 iterations for 100 rows, 4
+        # for 51, 5 for 50, 9 for 28 and 10 for 27, each cut at the next
+        # balancing iteration: 100 rows start on windows of 2 that lengthen
+        # as rows leave
         n = two_onb8.N
         monkeypatch.setattr(recovery, "ADMM_RING_BYTES", 3 * 80 * n * 100)
         assert [recovery._window(0, rows, n) for rows in (101, 100, 51, 50, 28, 27)] == [
-            1, 2, 2, 5, 5, 10
+            1, 2, 4, 5, 9, 10
         ]
-        assert [recovery._window(done, 1, n) for done in (3, 4, 5, 20)] == [1, 2, 5, 10]
+        assert [recovery._window(done, 1, n) for done in (3, 4, 5, 20)] == [7, 6, 5, 10]
         Y, X = self._batch(two_onb8)
         Y, X = np.resize(Y, (100, Y.shape[1])), np.resize(X, (100, X.shape[1]))
         out = solve_bp_batch(two_onb8, Y, X_true=X)
@@ -571,6 +575,8 @@ class TestBruteForceL0:
             brute_force_l0(narrow, np.zeros(4), k_max=5)
         with pytest.raises(ValueError, match="nonnegative"):
             brute_force_l0(narrow, np.zeros(4), k_max=-1)
+        with pytest.raises(ValueError, match="k_max must be an integer, got 1.0"):
+            brute_force_l0(narrow, np.zeros(4), k_max=1.0)
 
     def test_rejects_bad_length(self, two_onb4):
         with pytest.raises(ValueError, match="length"):

@@ -175,6 +175,10 @@ class TestTheoremParams:
             TheoremParams(gamma=1.5)
         with pytest.raises(ValueError):
             TheoremParams(n_a=-1)
+        with pytest.raises(ValueError, match="n_a must be an integer, got 1.5"):
+            TheoremParams(n_a=1.5)
+        with pytest.raises(ValueError, match="n_b must be an integer, got True"):
+            TheoremParams(n_b=True)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf])
     def test_non_finite_s_is_rejected(self, s):
@@ -451,6 +455,11 @@ class TestMaxSparsitySearch:
     def test_rejects_tiny_dictionary(self):
         with pytest.raises(ValueError, match="N > 2"):
             max_sparsity_search(_stats(2, 1, mu=0.5))
+
+    @pytest.mark.parametrize("cap", ["na_cap", "nb_cap"])
+    def test_rejects_a_cap_that_is_not_an_integer(self, cap):
+        with pytest.raises(ValueError, match=f"{cap} must be an integer, got 2.5"):
+            max_sparsity_search(_stats(100, 50, mu=0.1), **{cap: 2.5})
 
 
 # ==============================
