@@ -71,7 +71,7 @@ CHAIN_SLACK = 1e-9
 # unit columns; below, sigma_min comes from an SVD of S.
 SVD_BELOW_LAMBDA_MIN = 1e-2
 BOOT_CHUNK_BYTES = 16 * 2**20  # bounds one bootstrap chunk's int64 resample indices
-CSV_CHUNK_ROWS = 256
+CSV_CHUNK_ROWS = 1024
 _NORMAL_MIN = np.finfo(float).tiny  # the smallest normal double
 
 TRIAL_CSV_HEADER = "trialIndex,sigmaMin,xiS,xiA,xiB,xiX"
@@ -252,13 +252,17 @@ def _per_trial(shape) -> np.ndarray:
 
 def _csv_lines(header: str, columns) -> list[str]:
     """``header``, then "t,<repr of each column's float t>" for each trial t.
-    The floats are made CSV_CHUNK_ROWS rows at a time, so a run's rows never
-    all exist as Python objects at once."""
+    The rows are made CSV_CHUNK_ROWS at a time, so a run's rows never all exist
+    as Python objects at once; within a chunk each distinct bit pattern is
+    formatted once (bits, not values, so -0.0 stays apart from 0.0)."""
     table = np.column_stack(columns)
     out = [header]
     for lo in range(0, len(table), CSV_CHUNK_ROWS):
-        chunk = table[lo : lo + CSV_CHUNK_ROWS].tolist()
-        out += (f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(chunk, lo))
+        chunk = table[lo : lo + CSV_CHUNK_ROWS]
+        bits, inverse = np.unique(chunk.view(np.uint64).ravel(), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+        rows = text[inverse.reshape(chunk.shape)].tolist()
+        out += (f"{t}," + ",".join(row) for t, row in enumerate(rows, lo))
     return out
 
 

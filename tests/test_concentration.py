@@ -672,6 +672,56 @@ class TestRunSminTrials:
             run_smin_trials(mub5, "random-baseline", 1, 1, trials=10, support_a=[2])
 
 
+class TestCsvLines:
+    """_csv_lines against the per-cell reference "t," + ",".join(map(repr, row))."""
+
+    # -0.0 beside 0.0, the infinities, NaN (also with a payload and its sign
+    # set), the smallest subnormal, 0.1 + 0.2, and where repr switches notation
+    SPECIAL = [
+        -0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan,
+        float(np.uint64(0x7FF8000000000001).view(float)), 5e-324, 0.1 + 0.2,
+        1e16, 9999999999999998.0, 1e-5, 0.0001,
+    ]
+    CHUNKS = pytest.mark.parametrize("chunk", [1, 2, 7])
+    TRIALS = pytest.mark.parametrize("trials", [
+        lambda c: 1, lambda c: c, lambda c: c + 1, lambda c: 3 * c + 7,
+    ], ids=["1", "chunk", "chunk+1", "3chunks+7"])
+
+    def _check(self, rows, chunk):
+        columns = [np.array(col, dtype=float) for col in zip(*rows)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concentration, "CSV_CHUNK_ROWS", chunk)
+            lines = concentration._csv_lines("h", columns)
+        assert lines == ["h"] + [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(rows)]
+        # every value but NaN reads back bit for bit, -0.0 included
+        back = np.array([line.split(",")[1:] for line in lines[1:]], dtype=float)
+        table = np.column_stack(columns)
+        keep = ~np.isnan(table)
+        assert np.array_equal(back.view(np.uint64)[keep], table.view(np.uint64)[keep])
+        assert np.isnan(back[~keep]).all()
+
+    @CHUNKS
+    @TRIALS
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_special_values(self, chunk, trials, width):
+        # the values cycle row by row, so each repeats within and across chunks
+        cells = np.resize(np.arange(len(self.SPECIAL)), (trials(chunk), width))
+        self._check([[self.SPECIAL[i] for i in row] for row in cells.tolist()], chunk)
+
+    @CHUNKS
+    @TRIALS
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_cell_reference(self, chunk, trials, data):
+        # a small pool of values, so they repeat within a chunk and across chunks
+        pool = data.draw(st.lists(st.sampled_from(self.SPECIAL) | st.floats(), min_size=1,
+                                  max_size=6))
+        width = data.draw(st.sampled_from([2, 5]))
+        row = st.lists(st.sampled_from(pool), min_size=width, max_size=width)
+        n = trials(chunk)
+        self._check(data.draw(st.lists(row, min_size=n, max_size=n)), chunk)
+
+
 # ==============================
 # moment estimation
 # ==============================
