@@ -21,11 +21,12 @@ of C^p, coherence 1/sqrt(p)).  Arbitrary dictionaries round-trip through a
 file of two .npy arrays, see ``save_dictionary``.
 
 Memory: ``analyze`` never forms the N x N Gram matrix.  It walks its upper
-triangle in row chunks of about GRAM_CHUNK_BYTES (4 MiB) and reads mu, mu_a
-and mu_b from each chunk in the same pass, writing every chunk's product
-and modulus into two buffers made once, so beside the m x N matrix it holds
-about 6 MiB whatever N is.  Its spectral norms hold a column span of about
-_BLOCK_BYTES (1 MiB), its conjugate and at most three m x m matrices.
+triangle in tiles of about GRAM_CHUNK_BYTES (1 MiB, 64 x 1,024 entries) and
+reads mu, mu_a and mu_b from each tile in the same pass, writing every
+tile's product and modulus into two buffers made once, so beside the m x N
+matrix it holds about 1.6 MiB whatever N is.  Its spectral norms hold a
+column span of about _BLOCK_BYTES (1 MiB), its conjugate and at most three
+m x m matrices.
 The builders fill their matrix in blocks of about 1 MiB and hand it to
 PartitionedDictionary without a copy.  ``load_dictionary`` reads the file
 straight into the matrix it allocates once the header is checked, and
@@ -56,12 +57,13 @@ __all__ = [
 
 COLUMN_NORM_TOL = 1e-10
 LOAD_NORM_TOL = 1e-8
-# Bytes of complex Gram entries formed at once by ``_coherences``, and of
-# |A'^H B| entries by ``concentration``'s row norms.  Against 16 MiB, 4 MiB
-# takes a quarter of the memory and no more time at mub61, but about a fifth
-# more at mub127, where a chunk's 16 rows re-pack the whole matrix per product.
-GRAM_CHUNK_BYTES = 4 * 2**20
-# Gram products start at a multiple of this many columns (see ``_coherences``).
+# Bytes of complex Gram entries in one ``_coherences`` tile (``_gram_tile``),
+# and of |A'^H B| entries formed at once by ``concentration``'s row norms.
+# Against 4 MiB row chunks, 1 MiB tiles cut report-mub61's peak RSS from 59.7
+# to 55.0 MB; the pass takes 1-12% less time at mub127 and 5-9% more at mub61.
+GRAM_CHUNK_BYTES = 2**20
+# Gram tiles start at a multiple of this many columns, and all but a band's
+# last span a multiple of it (see ``_coherences``).
 _GRAM_ALIGN = 64
 # Bytes of matrix a builder fills, or a column norm or frame operator reads, at once.
 _BLOCK_BYTES = 2**20
@@ -282,47 +284,65 @@ def _max(block: np.ndarray) -> float:
     return float(block.max()) if block.size else 0.0
 
 
+def _gram_tile() -> tuple[int, int]:
+    """Rows and columns of a Gram tile of about GRAM_CHUNK_BYTES, 64 x 1,024
+    at 1 MiB: the columns the largest multiple of _GRAM_ALIGN at most
+    GRAM_CHUNK_BYTES / (16 _GRAM_ALIGN), and at least _GRAM_ALIGN; the rows
+    what the columns leave of the budget, and at least two."""
+    cols = max(_GRAM_ALIGN, GRAM_CHUNK_BYTES // (16 * _GRAM_ALIGN) // _GRAM_ALIGN * _GRAM_ALIGN)
+    return max(2, GRAM_CHUNK_BYTES // (16 * cols)), cols
+
+
 def _coherences(mat: np.ndarray, split: int) -> tuple[float, float, float]:
     """mu of all columns, mu_a of columns [0, split) and mu_b of [split, N).
 
-    One pass over the upper triangle of the Gram matrix, ``rows`` rows at a
-    time: the chunk of rows [lo, hi) holds |d_i^H d_j| for i in [lo, hi) and
-    j from ``start`` <= lo on, with its diagonal zeroed, and each entry
-    raises the coherence of the block pair it lies in.  A block with fewer
-    than two columns reads 0.0.
+    One pass over the upper triangle of the Gram matrix in tiles of at most
+    ``rows`` x ``cols`` entries (``_gram_tile``): the band of rows [lo, hi)
+    is cut into tiles of columns [start, stop), each holding |d_i^H d_j|
+    with the diagonal zeroed, and each entry raises the coherence of the
+    block pair it lies in.  A block with fewer than two columns reads 0.0.
 
     Each entry is rounded as in one N x N product, so no value depends on
-    GRAM_CHUNK_BYTES:
+    the tile shape:
 
     - BLAS rounds the ragged last columns of a product on a path of their
-      own, so every chunk's columns run from a multiple of _GRAM_ALIGN to N
-      and end in the same ragged columns as the N x N product;
+      own, so every tile starts at a multiple of _GRAM_ALIGN, a band's
+      tiles but its last are ``cols`` wide, a multiple of it too, and its
+      last runs to N, ending in the same ragged columns as the N x N
+      product;
     - in those columns |G_ij| and |G_ji| can differ in the last bit, so a
-      chunk holding rows past the last multiple of _GRAM_ALIGN spans every
+      band holding rows past the last multiple of _GRAM_ALIGN spans every
       column;
-    - no chunk has a single row, which BLAS would take as a matrix-vector
-      product.
+    - no band has a single row, and no tile a single column (a band's last
+      tile is at least _GRAM_ALIGN wide, or spans all its columns), which
+      BLAS would take as a matrix-vector product.
     """
     n = mat.shape[1]
     ragged = n - n % _GRAM_ALIGN
-    rows = max(2, GRAM_CHUNK_BYTES // (16 * n))
-    # every chunk's product and modulus lead the same two buffers
-    size = min(rows + 1, n) * n
+    rows, cols = _gram_tile()
+    # every tile's product and modulus lead the same two buffers: a band
+    # has at most rows + 1 rows, a tile fewer than cols + _GRAM_ALIGN columns
+    size = min(rows + 1, n) * min(cols + _GRAM_ALIGN - 1, n)
     product, modulus = np.empty(size, dtype=complex), np.empty(size)
     mu = mu_a = mu_b = 0.0
     for lo in range(0, n - 1, rows):
         hi = n if n - lo <= rows + 1 else lo + rows  # no lone last row
+        adjoint = mat[:, lo:hi].conj().T
+        ra = min(max(split - lo, 0), hi - lo)  # band rows [0, ra) lie in A
         start = 0 if hi > ragged else lo - lo % _GRAM_ALIGN
-        shape = (hi - lo, n - start)
-        chunk = product[: shape[0] * shape[1]].reshape(shape)
-        np.matmul(mat[:, lo:hi].conj().T, mat[:, start:], out=chunk)
-        gram = np.abs(chunk, out=modulus[: chunk.size].reshape(shape))
-        np.fill_diagonal(gram[:, lo - start :], 0.0)
-        ra = min(max(split - lo, 0), hi - lo)  # chunk rows [0, ra) lie in A
-        ca = max(split - start, 0)  # chunk columns [0, ca) lie in A
-        mu_a = max(mu_a, _max(gram[:ra, :ca]))
-        mu_b = max(mu_b, _max(gram[ra:, ca:]))
-        mu = max(mu, mu_a, mu_b, _max(gram[:ra, ca:]), _max(gram[ra:, :ca]))
+        while start < n:
+            stop = n if n - start < cols + _GRAM_ALIGN else start + cols
+            shape = (hi - lo, stop - start)
+            tile = product[: shape[0] * shape[1]].reshape(shape)
+            np.matmul(adjoint, mat[:, start:stop], out=tile)
+            gram = np.abs(tile, out=modulus[: tile.size].reshape(shape))
+            if lo < stop and start < hi:  # the tile meets the diagonal
+                np.fill_diagonal(gram[max(start - lo, 0) :, max(lo - start, 0) :], 0.0)
+            ca = max(split - start, 0)  # tile columns [0, ca) lie in A
+            mu_a = max(mu_a, _max(gram[:ra, :ca]))
+            mu_b = max(mu_b, _max(gram[ra:, ca:]))
+            mu = max(mu, mu_a, mu_b, _max(gram[:ra, ca:]), _max(gram[ra:, :ca]))
+            start = stop
     return mu, mu_a, mu_b
 
 
@@ -436,9 +456,9 @@ def build_random_dictionary(m: int, N: int, seed: int, split: int = 0) -> Partit
 def analyze(D: PartitionedDictionary) -> DictionaryStats:
     """The coherence profile of a partitioned dictionary.
 
-    mu, mu_a and mu_b come from one chunked pass over the upper triangle of
-    D's Gram matrix (``_coherences``), so the memory it takes is one chunk
-    of about GRAM_CHUNK_BYTES (4 MiB) plus its modulus, whatever N is.
+    mu, mu_a and mu_b come from one tiled pass over the upper triangle of
+    D's Gram matrix (``_coherences``), so the memory it takes is one tile
+    of about GRAM_CHUNK_BYTES (1 MiB) plus its modulus, whatever N is.
 
     ||X|| is the root of the largest eigenvalue of the m x m frame operator
     X X^H (Golub and Van Loan, Matrix Computations, 8.6), clamped at 0 so

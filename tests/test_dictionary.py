@@ -491,25 +491,36 @@ def _dense_block_coherence(block):
     return float(_dense_gram(block).max()), True
 
 
-def _dense_blocks_of_one_gram(mat, split):
-    """mu_a and mu_b read off the diagonal blocks of the dense N x N Gram."""
-    gram = _dense_gram(mat)
-    a, b = gram[:split, :split], gram[split:, split:]
-    return (float(a.max()) if a.size else 0.0), (float(b.max()) if b.size else 0.0)
-
-
-def _analyze_in_chunks(monkeypatch, D, rows):
-    """analyze with GRAM_CHUNK_BYTES set to hold ``rows`` Gram rows."""
-    monkeypatch.setattr(dictionary, "GRAM_CHUNK_BYTES", rows * 16 * D.N)
+def _analyze_in_tiles(monkeypatch, D, rows, cols):
+    """analyze with Gram tiles of ``rows`` x ``cols`` entries."""
+    monkeypatch.setattr(dictionary, "_gram_tile", lambda: (rows, cols))
     return analyze(D)
 
 
+def _analyze_in_one_tile(monkeypatch, D):
+    """analyze with one tile that holds the whole Gram."""
+    return _analyze_in_tiles(monkeypatch, D, D.N, -(-D.N // 64) * 64)
+
+
+def _tile_edge_splits(n, rows, cols):
+    """0, 1, N - 1, N and each side of the first two tile edges in each
+    direction, of the last aligned column and of the last band."""
+    last_band = (n - 2) // rows * rows
+    edges = {rows, 2 * rows, cols, 2 * cols, n - n % 64, last_band}
+    splits = {0, 1, n - 1, n} | {e + d for e in edges for d in (-1, 0, 1)}
+    return sorted(s for s in splits if 0 <= s <= n)
+
+
 _GRAM_CASES = {
-    "mub7": lambda: build_mub(7),
+    "mub7": lambda: build_mub(7),  # N = 56, less than one column tile
     "mub13": lambda: build_mub(13),
     "two_onb8": lambda: build_two_onb(8),
     "random12x300": lambda: build_random_dictionary(12, 300, seed=8),
+    "random5x128": lambda: build_random_dictionary(5, 128, seed=9),  # N a multiple of 64
+    "random3x129": lambda: build_random_dictionary(3, 129, seed=10),  # N = 64k + 1
 }
+_TILE_ROWS = [2, 3, 7, 64]
+_TILE_COLS = [64, 128, 1024]
 
 
 class TestOnePassGram:
@@ -518,21 +529,28 @@ class TestOnePassGram:
     # 5.7e-18 (two_onb8, split 13 and 14, on a rounding-noise mu_b of 8e-17)
     BLOCK_ROUNDING = np.finfo(float).eps
 
-    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @staticmethod
+    def _check_against_the_dense_gram(stats, whole, gram, split):
+        """``stats`` equal the one-tile pass and the maxima of the dense ``gram``."""
+        a, b = gram[:split, :split], gram[split:, split:]
+        assert stats == whole, split
+        assert stats.mu == float(gram.max()), split
+        assert stats.mu_a == (float(a.max()) if a.size else 0.0), split
+        assert stats.mu_b == (float(b.max()) if b.size else 0.0), split
+
+    @pytest.mark.parametrize("cols", _TILE_COLS)
+    @pytest.mark.parametrize("rows", _TILE_ROWS)
     @pytest.mark.parametrize("name", sorted(_GRAM_CASES))
-    def test_chunks_straddling_the_split_match_the_dense_reference(
-        self, monkeypatch, name, rows
+    def test_tiles_straddling_the_split_match_the_dense_reference(
+        self, monkeypatch, name, rows, cols
     ):
         D = _GRAM_CASES[name]()
-        mu = float(_dense_gram(D.matrix).max())
-        edge = 2 * rows
-        for split in sorted({0, 1, 2, edge - 1, edge, edge + 1, D.N - 1, D.N}):
+        gram = _dense_gram(D.matrix)
+        for split in _tile_edge_splits(D.N, rows, cols):
             Ds = PartitionedDictionary(D.matrix, split)
-            whole = _analyze_in_chunks(monkeypatch, Ds, D.N)
-            stats = _analyze_in_chunks(monkeypatch, Ds, rows)
-            assert stats == whole, split
-            assert stats.mu == mu, split
-            assert (stats.mu_a, stats.mu_b) == _dense_blocks_of_one_gram(D.matrix, split)
+            whole = _analyze_in_one_tile(monkeypatch, Ds)
+            stats = _analyze_in_tiles(monkeypatch, Ds, rows, cols)
+            self._check_against_the_dense_gram(stats, whole, gram, split)
             mu_a, a_defined = _dense_block_coherence(Ds.A)
             mu_b, b_defined = _dense_block_coherence(Ds.B)
             assert (stats.mu_a_defined, stats.mu_b_defined) == (a_defined, b_defined)
@@ -541,31 +559,42 @@ class TestOnePassGram:
             assert abs(stats.mu_a - mu_a) <= self.BLOCK_ROUNDING, split
             assert abs(stats.mu_b - mu_b) <= self.BLOCK_ROUNDING, split
 
+    @pytest.mark.parametrize("rows", _TILE_ROWS)
+    def test_column_tile_edges_of_a_wide_gram(self, monkeypatch, rows):
+        # N = 64 * 33 + 1: two 1,024-column tiles and a ragged last one per band
+        D = build_random_dictionary(3, 2113, seed=11)
+        gram = _dense_gram(D.matrix)
+        for split in _tile_edge_splits(D.N, rows, 1024):
+            Ds = PartitionedDictionary(D.matrix, split)
+            whole = _analyze_in_one_tile(monkeypatch, Ds)
+            stats = _analyze_in_tiles(monkeypatch, Ds, rows, 1024)
+            self._check_against_the_dense_gram(stats, whole, gram, split)
+
     @pytest.mark.parametrize("name", ["mub7", "mub13", "two_onb8"])
     def test_built_split_is_bit_identical_to_separate_block_grams(self, monkeypatch, name):
         D = _GRAM_CASES[name]()
-        for rows in (1, 3, 7, D.N):
-            stats = _analyze_in_chunks(monkeypatch, D, rows)
+        for rows, cols in ((2, 64), (3, 128), (7, 64), (D.N, 1024)):
+            stats = _analyze_in_tiles(monkeypatch, D, rows, cols)
             assert stats.mu_a == _dense_block_coherence(D.A)[0]
             assert stats.mu_b == _dense_block_coherence(D.B)[0]
 
     @given(
         m=st.integers(1, 9),
-        extra=st.integers(0, 140),
+        extra=st.integers(0, 1200),
         seed=st.integers(0, 10**6),
         split_share=st.floats(0, 1),
-        rows=st.integers(1, 9),
+        rows=st.sampled_from(_TILE_ROWS),
+        cols=st.sampled_from(_TILE_COLS),
     )
     @settings(max_examples=60, deadline=None)
-    def test_chunk_size_changes_no_bit(self, m, extra, seed, split_share, rows):
+    def test_tile_shape_changes_no_bit(self, m, extra, seed, split_share, rows, cols):
         D = build_random_dictionary(m, m + extra, seed=seed)
-        Ds = PartitionedDictionary(D.matrix, round(split_share * D.N))
+        split = round(split_share * D.N)
+        Ds = PartitionedDictionary(D.matrix, split)
         with pytest.MonkeyPatch.context() as mp:
-            whole = _analyze_in_chunks(mp, Ds, D.N)
-            stats = _analyze_in_chunks(mp, Ds, rows)
-        assert stats == whole
-        if D.N >= 2:
-            assert stats.mu == float(_dense_gram(D.matrix).max())
+            whole = _analyze_in_one_tile(mp, Ds)
+            stats = _analyze_in_tiles(mp, Ds, rows, cols)
+        self._check_against_the_dense_gram(stats, whole, _dense_gram(D.matrix), split)
         assert stats.mu >= max(stats.mu_a, stats.mu_b)
 
     @pytest.mark.parametrize("rows", [2, 3])
@@ -575,11 +604,18 @@ class TestOnePassGram:
         D = build_random_dictionary(3, 70, seed=22)
         gram = _dense_gram(D.matrix)
         assert gram[69, 15] == gram.max() > gram[15, 69]
-        assert _analyze_in_chunks(monkeypatch, D, rows).mu == gram.max()
+        assert _analyze_in_tiles(monkeypatch, D, rows, 64).mu == gram.max()
 
     def test_coherence_reads_the_same_pass(self, monkeypatch, two_onb8):
-        monkeypatch.setattr(dictionary, "GRAM_CHUNK_BYTES", 3 * 16 * two_onb8.N)
+        monkeypatch.setattr(dictionary, "_gram_tile", lambda: (3, 64))
         assert analyze(two_onb8).mu == float(_dense_gram(two_onb8.matrix).max())
+
+    @pytest.mark.parametrize("budget, tile", [(2**14, (16, 64)), (2**16, (64, 64)),
+                                              (2**17, (64, 128)), (2**20, (64, 1024)),
+                                              (2**22, (64, 4096))])
+    def test_tile_shape_comes_from_the_budget(self, monkeypatch, budget, tile):
+        monkeypatch.setattr(dictionary, "GRAM_CHUNK_BYTES", budget)
+        assert dictionary._gram_tile() == tile
 
 
 def _reference_two_onb(m):
@@ -644,11 +680,17 @@ class TestBoundedMemory:
             tracemalloc.stop()
 
     @staticmethod
-    def _analyze_limit(D):
-        # one Gram chunk and its modulus, a column span and its conjugate,
+    def _tile_bytes():
+        # the product and modulus buffers of the largest tile: a band of at
+        # most rows + 1 rows, a tile of fewer than cols + _GRAM_ALIGN columns
+        rows, cols = dictionary._gram_tile()
+        return 24 * (rows + 1) * (cols + dictionary._GRAM_ALIGN)
+
+    @classmethod
+    def _analyze_limit(cls, D):
+        # one Gram tile and its modulus, a column span and its conjugate,
         # and three m x m frame operators: nothing that grows with N
-        return (2 * dictionary.GRAM_CHUNK_BYTES + 2 * dictionary._BLOCK_BYTES
-                + 3 * 16 * D.m * D.m)
+        return cls._tile_bytes() + 2 * dictionary._BLOCK_BYTES + 3 * 16 * D.m * D.m
 
     @staticmethod
     def _load_limit(D):
@@ -662,6 +704,16 @@ class TestBoundedMemory:
         # a 16 MiB matrix: a full-size copy of it alone would break the limit
         D = build_random_dictionary(256, 4096, seed=3, split=1000)
         assert self._traced_peak(analyze, D) <= self._analyze_limit(D)
+
+    def test_a_wide_gram_stays_within_one_tile(self, monkeypatch):
+        # at 16 KiB a tile is 16 x 64 entries, where a band of two rows of
+        # all 2,000 columns would take nearly three times the tile's buffers
+        monkeypatch.setattr(dictionary, "GRAM_CHUNK_BYTES", 2**14)
+        D = build_random_dictionary(4, 2000, seed=3, split=700)
+        peak = self._traced_peak(dictionary._coherences, D.matrix, D.Na)
+        # beside the tile: a band's 1 KiB adjoint, and a few KiB that
+        # fill_diagonal and the views take whatever the tile's size
+        assert peak <= self._tile_bytes() + 2**14
 
     def test_stats_mub61(self, mub61):
         # a fresh instance over the same matrix, so that its profile is measured
