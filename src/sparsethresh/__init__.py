@@ -3,7 +3,7 @@
 The package splits into small focused modules:
 
   dictionary     partitioned dictionaries, coherence and spectral statistics
-  model          the hybrid-support draws: one instance, or a block's supports
+  model          the hybrid-support draws: a block's instances, or its supports
   threshold      closed-form terms, sparsity conditions and the budget search
   concentration  the batched hollow Gram chain, sigma_min and moment runs
   recovery       basis pursuit, a brute-force l0 oracle, success-rate sweeps
@@ -28,8 +28,6 @@ from .model import (
     choose_support_a,
     draw_instances,
     draw_supports,
-    sample_instance,
-    sample_support_b,
 )
 from .threshold import (
     GAMMA_GRID_DEFAULT,

@@ -123,8 +123,9 @@ class HollowGramRecord:
     def xi_sum_path(self):
         return self.xi_a + self.xi_b + self.xi_x
 
-    def breaks(self, slack: float = CHAIN_SLACK) -> dict:
-        """Inequality name -> mask of the draws that break it beyond ``slack``."""
+    def breaks(self) -> dict:
+        """Inequality name -> mask of the draws that break it beyond CHAIN_SLACK."""
+        slack = CHAIN_SLACK
         return {
             "sigma_min^2 >= 1 - xi_s": self.sigma_min**2 < 1.0 - self.xi_s - slack,
             "xi_s <= max(xi_a, xi_b) + xi_x": self.xi_s > self.xi_max_path + slack,
@@ -252,8 +253,9 @@ def _per_trial(shape) -> np.ndarray:
 
 def _csv_lines(header: str, columns) -> list[str]:
     """``header``, then "t,<repr of each column's float t>" for each trial t.
-    The rows are made CSV_CHUNK_ROWS at a time, so a run's rows never all exist
-    as Python objects at once; within a chunk each distinct bit pattern is
+    The table is formatted CSV_CHUNK_ROWS rows at a time, which bounds the
+    nested per-row lists and ``np.unique``'s working arrays, not the rows:
+    ``out`` holds every row.  Within a chunk each distinct bit pattern is
     formatted once (bits, not values, so -0.0 stays apart from 0.0)."""
     table = np.column_stack(columns)
     out = [header]
@@ -270,7 +272,8 @@ def _smin_block(common, lo, hi):
     """lo, then the CSV columns, breaks per inequality and broken trials of
     trials lo..hi-1."""
     D, support_a, n_b, master_seed = common
-    rec = chain_batch(D, *draw_supports(D, support_a, n_b, master_seed, lo, hi))
+    keys = np.arange(lo, hi)[:, None]  # trial t's stream is key (t,)
+    rec = chain_batch(D, *draw_supports(D, support_a, n_b, master_seed, keys))
     masks = rec.breaks()
     return (
         lo,
@@ -361,9 +364,9 @@ def run_smin_trials(
     _require_seed(master_seed)
     if _require_integer("trials", trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    D.check_budgets(n_a, n_b)
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
-    D.check_budgets(n_a, n_b)
     _require_s(s)
     _require_n_gt_2(D.N)
     if _require_integer("workers", workers) < 1:
@@ -481,7 +484,8 @@ def _moment_block(common, lo, hi):
     """lo, then Xi_B and Xi_X of trials lo..hi-1; sigma_min, Xi_S and Xi_A
     would be unused eigensolves of the Grams."""
     D, support_a, n_b, master_seed = common
-    cols_a, cols_b = draw_supports(D, support_a, n_b, master_seed, lo, hi)
+    keys = np.arange(lo, hi)[:, None]  # trial t's stream is key (t,)
+    cols_a, cols_b = draw_supports(D, support_a, n_b, master_seed, keys)
     return lo, *_sub_dictionaries(D, cols_a, cols_b)[2:]
 
 
@@ -529,6 +533,7 @@ def estimate_moment(
         raise ValueError(f"moment estimation needs >= 1000 trials, got {trials}")
     if _require_integer("n_boot", n_boot) < 1:
         raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    D.check_budgets(n_a, n_b)
     floor_b = moment_floor_b(n_b)
     floor_x = moment_floor_x(n_b)
     if not (math.isfinite(q) and q >= floor_b - 1e-12):
@@ -538,7 +543,6 @@ def estimate_moment(
         )
     if n_a + n_b == 0:
         raise ValueError("empty sub-dictionary has no smallest singular value")
-    D.check_budgets(n_a, n_b)
     support_a = choose_support_a(strategy, D.Na, n_a, indices=support_a)
     if isinstance(support_a, int):
         fixed = tuple(name for name in SUPPORT_A_STRATEGIES if name != "random-baseline")

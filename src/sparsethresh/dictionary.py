@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -134,7 +134,7 @@ def _column_norms(mat: np.ndarray) -> np.ndarray:
 class PartitionedDictionary:
     """Unit-column complex matrix with a split into blocks A and B.
 
-    The matrix is copied, validated (unit columns within ``norm_tol``,
+    The matrix is copied, validated (unit columns within COLUMN_NORM_TOL,
     N >= m, 0 <= split <= N) and frozen read-only, so instances are safe
     to share across threads and processes.  The builders and the loader
     hand over the matrix they allocated without the copy (``_adopt``).
@@ -142,11 +142,10 @@ class PartitionedDictionary:
 
     matrix: np.ndarray
     split: int
-    norm_tol: InitVar[float] = COLUMN_NORM_TOL
 
-    def __post_init__(self, norm_tol: float):
+    def __post_init__(self):
         object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix).copy())
-        self._freeze(float(norm_tol))  # only _adopt skips the norms
+        self._freeze(COLUMN_NORM_TOL)  # only _adopt skips the norms
 
     def _freeze(self, norm_tol: float | None) -> None:
         """Validate ``matrix``, ``split`` and, unless ``norm_tol`` is None, the

@@ -13,18 +13,19 @@ together with the measurement y = D x.  Everything is driven by explicit
 per-trial streams (see ``sparsethresh.rng``), so instances are reproducible
 and independent of evaluation order.
 
-This is the one module that turns a trial's stream into its support.
-``choose_support_a`` turns a strategy into an A-support once per run (per
-(strategy, n_a) in ``recover``); only ``random-baseline`` then reads the
-stream for it, before the B-support.  ``draw_instances`` draws the trials
-of one cell in one pass, one numpy Generator per trial: each trial's
-support that way, then from the same stream its magnitudes, then its
-phases.  A fixed A-support is checked and sorted once per cell, and the
-values and their scatter into X are computed for all rows at once; only
-the stream reads and y = D x stay per row, so every row has the bits of a
-draw on its own.  ``sample_instance`` is its one-row case, and ``recover``
-calls ``draw_instances`` once per cell of a block, with each trial's own
-``rng.derive_rng`` stream.
+This is the one module that turns a trial's stream into its support, and
+it builds those streams itself: both draws take the run's master seed and
+a (T, L) array of key rows, one row per trial, so a caller names its
+trials and never holds a stream.  ``choose_support_a`` turns a strategy
+into an A-support once per run (per (strategy, n_a) in ``recover``); only
+``random-baseline`` then reads the stream for it, before the B-support.
+``draw_instances`` draws the trials of one ``recover`` cell in one pass,
+one numpy Generator ``rng.derive_rng(master_seed, *row)`` per key row:
+each trial's support that way, then from the same stream its magnitudes,
+then its phases.  A fixed A-support is checked and sorted once per cell,
+and the values and their scatter into X are computed for all rows at
+once; only the stream reads and y = D x stay per row, so a row of
+``draw_instances`` equals the one-row draw on its own key, bit for bit.
 ``draw_supports`` draws the supports of a block of trials at once, for
 ``smin`` and ``moments``, in the same order from the package's own stream
 (``rng.derive_choices``), which no numpy version or worker count can move.
@@ -37,13 +38,11 @@ from itertools import islice
 import numpy as np
 
 from .dictionary import PartitionedDictionary, _require_integer
-from .rng import derive_choices
+from .rng import _checked_keys, derive_choices, derive_rng
 
 __all__ = [
     "SUPPORT_A_STRATEGIES",
-    "sample_support_b",
     "choose_support_a",
-    "sample_instance",
     "draw_instances",
     "draw_supports",
 ]
@@ -93,11 +92,6 @@ def _subsets(n_total: int, n_pick: int, rngs) -> np.ndarray:
     return picks
 
 
-def sample_support_b(n_total: int, n_pick: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniformly random size-n_pick subset of {0..n_total-1}, sorted ascending."""
-    return tuple(_subsets(n_total, n_pick, [rng])[0].tolist())
-
-
 def choose_support_a(
     strategy: str, n_total: int, n_pick: int, indices=None
 ) -> tuple[int, ...] | int:
@@ -140,28 +134,30 @@ def choose_support_a(
 
 
 # ============================================================
-# trial draws: one instance, or a block's supports
+# trial draws: a block's instances, or its supports
 # ============================================================
 
 
 def draw_instances(
-    D: PartitionedDictionary, support_a: tuple[int, ...] | int, n_b: int, rngs
+    D: PartitionedDictionary, support_a: tuple[int, ...] | int, n_b: int, master_seed: int, keys
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one hybrid-model instance per stream of ``rngs``: X (T, N) and
-    Y (T, m), whose row t is the instance (x, y = D x) of the t-th stream.
+    """Draw one hybrid-model instance per row of ``keys``: X (T, N) and
+    Y (T, m), whose row t is the instance (x, y = D x) of the stream
+    ``rng.derive_rng(master_seed, *keys[t])``.
 
-    ``support_a`` is ``choose_support_a``'s: a tuple is the A-support of
-    every row, checked once (it must lie in block A without repeats) and
-    read from no stream; an int n_a draws each row's n_a A-columns from its
-    stream.  Each stream is read in a fixed order (that A-support, the n_b
-    B-columns, then the magnitudes from all k real parts before the k
-    imaginary parts, then the phases), so a given stream always produces the
-    same instance, whatever the other rows.  The i-th value goes to the i-th
-    support index in ascending order, so the support is
-    ``np.flatnonzero(x)``: the A-columns, then the B-columns.  Each y is
-    one matrix-vector product, so it has the bits of ``D.matrix @ x``.
+    ``keys`` is a (T, L) array of nonnegative integers.  ``support_a`` is
+    ``choose_support_a``'s: a tuple is the A-support of every row, checked
+    once (it must lie in block A without repeats) and read from no stream;
+    an int n_a draws each row's n_a A-columns from its stream.  Each stream
+    is read in a fixed order (that A-support, the n_b B-columns, then the
+    magnitudes from all k real parts before the k imaginary parts, then the
+    phases), so a key row always produces the same instance, whatever the
+    other rows.  The i-th value goes to the i-th support index in ascending
+    order, so the support is ``np.flatnonzero(x)``: the A-columns, then the
+    B-columns.  Each y is one matrix-vector product, so it has the bits of
+    ``D.matrix @ x``.
     """
-    rngs = list(rngs)
+    rngs = [derive_rng(master_seed, *row) for row in _checked_keys(master_seed, keys).tolist()]
     if isinstance(support_a, int):
         cols_a = _subsets(D.Na, support_a, rngs)
     else:
@@ -182,35 +178,19 @@ def draw_instances(
     return X, Y
 
 
-def sample_instance(
-    D: PartitionedDictionary, support_a: tuple[int, ...] | int, n_b: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one hybrid-model instance (x, y) from ``rng``, with y = D x: the
-    one-row case of ``draw_instances``, which says what is drawn and in
-    which order."""
-    X, Y = draw_instances(D, support_a, n_b, [rng])
-    return X[0], Y[0]
-
-
 def draw_supports(
-    D: PartitionedDictionary,
-    support_a: tuple[int, ...] | int,
-    n_b: int,
-    master_seed: int,
-    lo: int,
-    hi: int,
+    D: PartitionedDictionary, support_a: tuple[int, ...] | int, n_b: int, master_seed: int, keys
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A- and B-column indices of trials lo..hi-1, as (T, n_a) and (T, n_b) arrays.
+    """A- and B-column indices of one trial per row of ``keys``, as (T, n_a)
+    and (T, n_b) arrays.
 
-    Row t is drawn from trial t's own stream, ``rng.derive_choices`` at key
-    (t,), so it does not depend on the other trials or the block.  The
-    block's draws are made in one pass: the n_a A-columns of
-    ``random-baseline``, then the n_b B-columns, each uniform and sorted.  A
-    fixed A-support is repeated on every row in its given order, where
-    ``sample_instance`` sorts it.
+    Row t is drawn from its own stream, ``rng.derive_choices`` at key row
+    keys[t], so it does not depend on the other rows.  The draws are made
+    in one pass: the n_a A-columns of ``random-baseline``, then the n_b
+    B-columns, each uniform and sorted.  A fixed A-support is repeated on
+    every row in its given order, where ``draw_instances`` sorts it.
     """
-    keys = np.arange(lo, hi)[:, None]
     if isinstance(support_a, int):
         return tuple(derive_choices(master_seed, keys, [(D.Na, support_a), (D.Nb, n_b)]))
     (cols_b,) = derive_choices(master_seed, keys, [(D.Nb, n_b)])
-    return np.tile(np.array(support_a, dtype=np.intp), (hi - lo, 1)), cols_b
+    return np.tile(np.array(support_a, dtype=np.intp), (len(cols_b), 1)), cols_b

@@ -74,11 +74,10 @@ the blocks of ``rng.fan_out``, one batched solve per block, so cells with
 short solves share one tail instead of each paying its own: every y has
 length m whatever the cell's sparsity.  Each (strategy, n_a) is resolved to
 its A-support once (``model.choose_support_a``), and trial t of the cell at
-grid indices (si, ai, bi) reads its own stream derive_rng(master_seed, si,
-ai, bi, t) (support, then magnitudes, then phases) for its row of the
-block's X and Y: ``model.draw_instances`` draws each cell's trials in the
-block in one pass, each row as ``model.sample_instance`` draws it alone,
-bit for bit.  The blocks depend
+grid indices (si, ai, bi) is the row of key (si, ai, bi, t) in the block's
+X and Y: ``model.draw_instances`` draws each cell's trials in the block in
+one pass from the master seed and those key rows, and a row equals the
+one-row draw on its own key, bit for bit.  The blocks depend
 only on the grid and the trial count, never on the worker count, and each block's counts are
 added into the grids as it arrives, so the grid does not depend on the
 worker count and memory does not grow with the trial count.
@@ -94,7 +93,7 @@ import numpy as np
 
 from .dictionary import PartitionedDictionary, _require_integer
 from .model import choose_support_a, draw_instances
-from .rng import _require_seed, derive_rng, fan_out
+from .rng import _require_seed, fan_out
 
 __all__ = [
     "BpSolverConfig",
@@ -629,9 +628,9 @@ def _solve_trials(common, lo, hi):
         first, last = max(lo, start), min(hi, start + trials)
         rest, bi = divmod(start // trials, len(nb_values))
         si, ai = divmod(rest, len(supports_a[0]))
-        rngs = [derive_rng(master_seed, si, ai, bi, t - start) for t in range(first, last)]
+        keys = [(si, ai, bi, t - start) for t in range(first, last)]
         X[first - lo:last - lo], Y[first - lo:last - lo] = draw_instances(
-            D, supports_a[si][ai], nb_values[bi], rngs
+            D, supports_a[si][ai], nb_values[bi], master_seed, keys
         )
     cell = np.arange(lo, hi) // trials
     out = solve_bp_batch(D, Y, cfg, X)

@@ -8,8 +8,10 @@ experiment produce byte-identical output.  ``fan_out`` is the one loop that
 cuts the runners' trials into blocks, run inline or in a process pool.
 
 ``derive_rng(master_seed, *key)`` is a numpy stream: a Generator on the
-PCG64 that numpy's SeedSequence seeds from [master_seed, *key].  ``recover``
-reads one per trial, and the bootstrap of ``moments`` one per run.
+PCG64 that numpy's SeedSequence seeds from [master_seed, *key].
+``model.draw_instances`` builds one per key row for ``recover``'s trials, so
+a row of its draw equals the one-row draw on its own key, and the bootstrap
+of ``moments`` reads one per run.
 
 ``derive_choices`` is the stream of the draws ``smin`` and ``moments`` make
 (``model.draw_supports``), and this package owns its definition, as

@@ -25,7 +25,6 @@ from sparsethresh import (
     draw_supports,
     estimate_moment,
     run_smin_trials,
-    sample_support_b,
 )
 from sparsethresh import cli, concentration, dictionary
 from sparsethresh.concentration import (
@@ -103,6 +102,11 @@ def _support_a(D, strategy, n_a):
     return tuple(range(D.Na - 1, D.Na - 1 - n_a, -1)) if strategy == "prescribed" else None
 
 
+def _keys(lo, hi) -> np.ndarray:
+    """The key rows (t,) of trials lo..hi-1, as ``smin`` and ``moments`` key them."""
+    return np.arange(lo, hi)[:, None]
+
+
 def _chain(D, cols_a, cols_b) -> HollowGramRecord:
     """``chain_batch`` of the one draw (cols_a, cols_b)."""
     return chain_batch(D, [cols_a], [cols_b])
@@ -127,9 +131,9 @@ def _count_svd_calls(monkeypatch) -> list:
     return calls
 
 
-def _broken(rec: HollowGramRecord, t: int = 0, slack: float = concentration.CHAIN_SLACK):
+def _broken(rec: HollowGramRecord, t: int = 0):
     """Names of the inequalities that draw t of ``rec`` breaks."""
-    return [name for name, mask in rec.breaks(slack).items() if mask[t]]
+    return [name for name, mask in rec.breaks().items() if mask[t]]
 
 
 # ==============================
@@ -212,7 +216,8 @@ class TestSigmaMin:
         assert _chain(two_onb4, (0, 1, 2), (0, 1)).sigma_min[0] == 0.0
 
     def test_more_columns_than_rows_is_exactly_zero_without_an_svd(self, mub7, monkeypatch):
-        cols_a, cols_b = draw_supports(mub7, choose_support_a("first-n", 7, 4), 4, 5, 0, 100)
+        support_a = choose_support_a("first-n", 7, 4)
+        cols_a, cols_b = draw_supports(mub7, support_a, 4, 5, _keys(0, 100))
         calls = _count_svd_calls(monkeypatch)
         rec = chain_batch(mub7, cols_a, cols_b)
         assert rec.sigma_min.tolist() == [0.0] * 100
@@ -222,7 +227,8 @@ class TestSigmaMin:
     @pytest.mark.parametrize("n_a, n_b", [(2, 3), (1, 3)])
     def test_rank_deficient_draws_match_the_svd_reference(self, mub5, n_a, n_b, strategy):
         # sqrt(lambda_min) would read about 2e-8 on these exactly singular S
-        cols_a, cols_b = draw_supports(mub5, choose_support_a(strategy, 5, n_a), n_b, 5, 0, 400)
+        support_a = choose_support_a(strategy, 5, n_a)
+        cols_a, cols_b = draw_supports(mub5, support_a, n_b, 5, _keys(0, 400))
         rec = chain_batch(mub5, cols_a, cols_b)
         expected = np.array([_reference_chain(mub5, a, b)[0] for a, b in zip(cols_a, cols_b)])
         assert np.count_nonzero(expected < 1e-12) >= 5
@@ -279,13 +285,9 @@ class TestHollowGramChain:
         assert _broken(rec) == []
 
     def test_mub_draws_never_violate_the_chain(self, mub7):
-        rng = derive_rng(7)
-        for _ in range(100):
-            cols_a = sample_support_b(7, 2, rng)
-            cols_b = sample_support_b(49, 3, rng)
-            rec = _chain(mub7, cols_a, cols_b)
-            assert _broken(rec) == []
-            assert rec.xi_a[0] == 0.0            # identity sub-blocks are exact
+        rec = chain_batch(mub7, *draw_supports(mub7, 2, 3, 7, _keys(0, 100)))
+        assert [_broken(rec, t) for t in range(100)] == [[]] * 100
+        assert rec.xi_a.tolist() == [0.0] * 100  # identity sub-blocks are exact
 
     def test_violation_reporting(self):
         # fabricated record breaking the first chain inequality only
@@ -296,14 +298,15 @@ class TestHollowGramChain:
         )
         assert _broken(rec) == ["sigma_min^2 >= 1 - xi_s"]
 
-    def test_slack_silences_small_breaches(self):
+    def test_slack_silences_small_breaches(self, monkeypatch):
         rec = HollowGramRecord(
             sigma_min=np.ones(1), xi_s=np.array([0.5]), xi_a=np.array([0.5 - 1e-12]),
             xi_b=np.zeros(1), xi_x=np.zeros(1), row_norm_ab=np.zeros(1),
             gersgorin_rhs=1.0, row_norm_bound=1.0, cross_bound=1.0,
         )
         assert _broken(rec) == []
-        assert _broken(rec, slack=1e-15) != []
+        monkeypatch.setattr(concentration, "CHAIN_SLACK", 1e-15)
+        assert _broken(rec) != []
 
 
 class TestChainBatch:
@@ -326,7 +329,7 @@ class TestChainBatch:
     ):
         D = request.getfixturevalue(dict_name)
         support_a = choose_support_a(strategy, D.Na, n_a, _support_a(D, strategy, n_a))
-        cols_a, cols_b = draw_supports(D, support_a, n_b, 5, 0, 60)
+        cols_a, cols_b = draw_supports(D, support_a, n_b, 5, _keys(0, 60))
         rec = chain_batch(D, cols_a, cols_b)
         expected = np.array([_reference_chain(D, a, b) for a, b in zip(cols_a, cols_b)])
         measured = np.column_stack([rec.sigma_min, rec.xi_s, rec.xi_a, rec.xi_b, rec.xi_x])
@@ -340,9 +343,9 @@ class TestChainBatch:
         D = request.getfixturevalue(dict_name)
         support_a = choose_support_a(strategy, D.Na, 3)
         for seed in (41, 2**64 + 41):  # a seed of one 64-bit limb and of two
-            ours = draw_supports(D, support_a, 4, seed, lo, hi)
+            ours = draw_supports(D, support_a, 4, seed, _keys(lo, hi))
             for row, t in enumerate(range(lo, hi)):
-                alone = draw_supports(D, support_a, 4, seed, t, t + 1)
+                alone = draw_supports(D, support_a, 4, seed, _keys(t, t + 1))
                 for cols, expected in zip(ours, alone):
                     assert cols[row].tolist() == expected[0].tolist()
 
@@ -350,14 +353,14 @@ class TestChainBatch:
     def test_block_draws_build_no_generator(self, mub7, strategy, monkeypatch):
         # the A-then-B draws of random-baseline and the fixed A-supports
         support_a = choose_support_a(strategy, mub7.Na, 2, _support_a(mub7, strategy, 2))
-        theirs = draw_supports(mub7, support_a, 3, 2**32, 0, 40)
+        theirs = draw_supports(mub7, support_a, 3, 2**32, _keys(0, 40))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a numpy generator was built")
 
         for name in ("SeedSequence", "PCG64", "Generator"):
             monkeypatch.setattr(np.random, name, refuse)
-        ours = draw_supports(mub7, support_a, 3, 2**32, 0, 40)
+        ours = draw_supports(mub7, support_a, 3, 2**32, _keys(0, 40))
         for cols, expected in zip(ours, theirs):
             assert cols.tolist() == expected.tolist()
         cols_a, cols_b = ours
@@ -373,7 +376,7 @@ class TestChainBatch:
         # little-endian int64: the A-columns of rows 256..511, then the B-columns
         support_a = choose_support_a("random-baseline", mub7.Na, 2)
         digest = hashlib.sha256()
-        for cols in draw_supports(mub7, support_a, 3, 12345, 256, 512):
+        for cols in draw_supports(mub7, support_a, 3, 12345, _keys(256, 512)):
             digest.update(np.ascontiguousarray(cols, dtype="<i8").tobytes())
         assert digest.hexdigest() == (
             "1a7a1c630b1f7703c60b1e890480848bf22fa5ca05f1ae3de4c4cf475c657c1e"
@@ -394,7 +397,7 @@ class TestChainBatch:
         if chunk_bytes is not None:
             monkeypatch.setattr(dictionary, "GRAM_CHUNK_BYTES", chunk_bytes)
         support_a = choose_support_a("random-baseline", mub13.Na, 4)
-        cols_a, cols_b = draw_supports(mub13, support_a, 5, 9, 0, 256)
+        cols_a, cols_b = draw_supports(mub13, support_a, 5, 9, _keys(0, 256))
         rec = chain_batch(mub13, cols_a, cols_b)
         expected = self._per_support_row_norms(mub13, cols_a)
         np.testing.assert_allclose(rec.row_norm_ab, expected, rtol=1e-13, atol=0)
@@ -452,7 +455,7 @@ class TestChainBatch:
             inv_a, inv_b = np.argsort(perm_a), np.argsort(perm_b)
             for n_a, n_b, strategy in shapes:
                 support_a = choose_support_a(strategy, D.Na, n_a)
-                cols_a, cols_b = draw_supports(D, support_a, n_b, 6, 0, 40)
+                cols_a, cols_b = draw_supports(D, support_a, n_b, 6, _keys(0, 40))
                 rec = chain_batch(D, cols_a, cols_b)
                 moved = chain_batch(permuted, inv_a[cols_a], inv_b[cols_b])
                 for field in ("sigma_min", "xi_s", "xi_a", "xi_b", "xi_x", "row_norm_ab"):
@@ -897,7 +900,8 @@ class TestEstimateMoment:
         est = estimate_moment(
             D, n_a, n_b, q=9.0, trials=1000, master_seed=3, strategy="spread", n_boot=1
         )
-        cols_a, cols_b = draw_supports(D, choose_support_a("spread", D.Na, n_a), n_b, 3, 0, 1000)
+        support_a = choose_support_a("spread", D.Na, n_a)
+        cols_a, cols_b = draw_supports(D, support_a, n_b, 3, _keys(0, 1000))
         expected = np.array([_reference_chain(D, a, b)[3:5] for a, b in zip(cols_a, cols_b)])
         np.testing.assert_allclose(
             np.column_stack([est.xi_b, est.xi_x]), expected, rtol=0, atol=ORACLE_ATOL
@@ -1006,6 +1010,18 @@ def test_an_impossible_trial_count_fails_before_any_work(mub5, monkeypatch, run)
     monkeypatch.setattr(concentration, "fan_out", no_work)
     with pytest.raises(ValueError, match="too many trials to hold one row each"):
         run(mub5)
+
+
+@pytest.mark.parametrize("budget", ["1", None])
+@pytest.mark.parametrize("name", ["n_a", "n_b"])
+def test_runners_name_a_budget_that_is_no_integer(mub5, name, budget):
+    # n_a + n_b == 0 and moment_floor_b(n_b) ran first, and raised a bare TypeError
+    budgets = {"n_a": 1, "n_b": 1, name: budget}
+    message = f"{name} must be an integer, got {budget!r}"
+    with pytest.raises(ValueError, match=message):
+        run_smin_trials(mub5, "first-n", budgets["n_a"], budgets["n_b"], 10)
+    with pytest.raises(ValueError, match=message):
+        estimate_moment(mub5, budgets["n_a"], budgets["n_b"], 8.0, 1000)
 
 
 # ==============================

@@ -1,6 +1,5 @@
 """Tests for the hybrid support model and instance sampling."""
 
-import itertools
 import math
 
 import numpy as np
@@ -15,8 +14,6 @@ from sparsethresh import (
     derive_rng,
     draw_instances,
     draw_supports,
-    sample_instance,
-    sample_support_b,
 )
 from sparsethresh import concentration, model, recovery
 from sparsethresh.rng import BLOCK
@@ -30,19 +27,30 @@ EYE20 = PartitionedDictionary(np.eye(20), 20)
 # ==============================
 
 
+def _one(D, support_a, n_b, seed, *key):
+    """The instance (x, y) of key row ``key``: ``draw_instances``' one-row draw."""
+    X, Y = draw_instances(D, support_a, n_b, seed, [key])
+    return X[0], Y[0]
+
+
+def _subset(rng, n_total, n_pick):
+    """The sorted n_pick of range(n_total) that ``draw_instances`` reads from ``rng``."""
+    return np.sort(rng.choice(n_total, size=n_pick, replace=False)).tolist()
+
+
 def _values(rng, k):
-    """The k nonzero values ``sample_instance`` reads after the support."""
+    """The k nonzero values ``draw_instances`` reads after the support."""
     magnitudes = np.hypot(rng.standard_normal(k), rng.standard_normal(k)) / np.sqrt(2.0)
     return magnitudes * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=k))
 
 
 class TestHybridSupportSpec:
     """The hybrid support's specification as ``choose_support_a`` resolves
-    its A-part and ``sample_instance`` draws its B-part."""
+    its A-part and ``draw_instances`` draws its B-part."""
 
     def test_n_a_counts_indices(self, mub7):
         support_a = choose_support_a("prescribed", mub7.Na, 3, (0, 3, 5))
-        x, _ = sample_instance(mub7, support_a, 2, derive_rng(0))
+        x, _ = _one(mub7, support_a, 2, 0)
         support = np.flatnonzero(x)
         assert support[:3].tolist() == [0, 3, 5]
         assert support.size == 5 and all(i >= mub7.Na for i in support[3:])
@@ -64,7 +72,7 @@ class TestHybridSupportSpec:
 
     def test_rejects_negative_count(self, mub7):
         with pytest.raises(ValueError, match="n_pick"):
-            sample_instance(mub7, (), -2, derive_rng(0))
+            _one(mub7, (), -2, 0)
         with pytest.raises(ValueError, match="n_pick"):
             choose_support_a("first-n", mub7.Na, -1)
 
@@ -74,32 +82,54 @@ class TestHybridSupportSpec:
 # ==============================
 
 
-class TestSampleSupportB:
-    def test_trivial_sizes(self):
-        rng = derive_rng(0)
-        assert sample_support_b(5, 0, rng) == ()
-        assert sample_support_b(5, 5, rng) == (0, 1, 2, 3, 4)
+# 100,000 one-row draws of 4 of 16 B-columns, each on its own key row (t,)
+UNIFORM_DRAWS = 100_000
 
-    def test_sorted_and_distinct(self):
-        rng = derive_rng(3)
-        for _ in range(200):
-            sup = sample_support_b(9, 4, rng)
-            assert list(sup) == sorted(set(sup))
-            assert all(0 <= i < 9 for i in sup)
 
-    def test_rejects_oversized_pick(self):
-        with pytest.raises(ValueError):
-            sample_support_b(3, 4, derive_rng(0))
+@pytest.fixture(scope="module")
+def b_hits():
+    """The (UNIFORM_DRAWS, 16) inclusion table of the B-columns drawn."""
+    X, _ = draw_instances(
+        PartitionedDictionary(np.eye(16), 0), (), 4, 23, np.arange(UNIFORM_DRAWS)[:, None]
+    )
+    return (X != 0).astype(np.int64)
 
-    def test_subsets_are_uniform(self):
-        # all 6 two-element subsets of {0..3} appear with frequency 1/6 +- 0.01
-        rng = derive_rng(17)
-        draws = 100_000
-        counts = {sub: 0 for sub in itertools.combinations(range(4), 2)}
-        for _ in range(draws):
-            counts[sample_support_b(4, 2, rng)] += 1
-        for sub, count in counts.items():
-            assert abs(count / draws - 1.0 / 6.0) < 0.01, sub
+
+class TestUniformBSubsets:
+    """``draw_instances`` draws n_b distinct B-columns, uniform over the
+    subsets; ``draw_supports`` draws them sorted and distinct."""
+
+    @pytest.mark.parametrize("n_b", [0, 5])
+    def test_trivial_sizes(self, n_b):
+        D = PartitionedDictionary(np.eye(5), 0)
+        keys = np.arange(20)[:, None]
+        X, _ = draw_instances(D, (), n_b, 0, keys)
+        assert (X != 0).tolist() == [[n_b == 5] * 5] * 20
+        _, cols_b = draw_supports(D, (), n_b, 0, keys)
+        assert cols_b.tolist() == [list(range(n_b))] * 20
+
+    def test_distinct_columns_in_block_b(self, mub7):
+        keys = np.arange(200)[:, None]
+        X, _ = draw_instances(mub7, (), 4, 3, keys)
+        assert np.count_nonzero(X, axis=1).tolist() == [4] * 200
+        assert not X[:, :mub7.Na].any()
+        _, cols_b = draw_supports(mub7, (), 4, 3, keys)
+        assert np.all(np.diff(cols_b, axis=1) > 0) and cols_b.max() < mub7.Nb
+
+    def test_b_column_inclusion_is_uniform(self, b_hits):
+        # marginal inclusion of each B column is n_b/Nb within 3 sigma
+        p = 4.0 / 16.0
+        three_sigma = 3.0 * math.sqrt(p * (1 - p) / UNIFORM_DRAWS)
+        assert np.max(np.abs(b_hits.mean(axis=0) - p)) <= three_sigma
+
+    def test_subsets_are_uniform(self, b_hits):
+        # all 1,820 four-element subsets of {0..15} appear, and their counts'
+        # chi-squared statistic lies within 4 sigma of its mean, the 1,819
+        # degrees of freedom
+        _, counts = np.unique(b_hits @ (1 << np.arange(16)), return_counts=True)
+        expected, dof = UNIFORM_DRAWS / math.comb(16, 4), math.comb(16, 4) - 1
+        assert counts.size == dof + 1
+        assert np.sum((counts - expected) ** 2 / expected) <= dof + 4.0 * math.sqrt(2 * dof)
 
 
 class TestChooseSupportA:
@@ -154,31 +184,27 @@ class TestChooseSupportA:
     def test_random_baseline_deterministic_in_seed(self):
         # all 20 columns in block A, none in B
         support_a = choose_support_a("random-baseline", 20, 5)
-        first, _ = sample_instance(EYE20, support_a, 0, derive_rng(7))
-        second, _ = sample_instance(EYE20, support_a, 0, derive_rng(7))
+        first, _ = _one(EYE20, support_a, 0, 7)
+        second, _ = _one(EYE20, support_a, 0, 7)
         np.testing.assert_array_equal(first, second)
         assert np.count_nonzero(first) == 5
 
-    def test_random_baseline_draws_what_sample_support_b_draws(self):
-        ours, theirs = derive_rng(3, 1), derive_rng(3, 1)
-        support_a = choose_support_a("random-baseline", 20, 5)
-        x, _ = sample_instance(EYE20, support_a, 0, ours)
-        cols_a = sample_support_b(20, 5, theirs)
-        assert tuple(np.flatnonzero(x)) == cols_a
-        np.testing.assert_array_equal(x[list(cols_a)], _values(theirs, 5))
-        assert ours.random() == theirs.random()
+    def test_random_baseline_reads_its_a_support_first(self):
+        by_hand = derive_rng(3, 1)
+        x, _ = _one(EYE20, choose_support_a("random-baseline", 20, 5), 0, 3, 1)
+        cols_a = _subset(by_hand, 20, 5)
+        assert np.flatnonzero(x).tolist() == cols_a
+        np.testing.assert_array_equal(x[cols_a], _values(by_hand, 5))
 
     @pytest.mark.parametrize(
         "strategy, indices", [("first-n", None), ("spread", None), ("prescribed", [7, 2])]
     )
     def test_fixed_strategies_draw_nothing(self, strategy, indices):
         # the stream's first reads are the values: the A-support took none
-        rng, by_hand = derive_rng(3, 1), derive_rng(3, 1)
         support_a = choose_support_a(strategy, 20, 2, indices=indices)
-        x, _ = sample_instance(EYE20, support_a, 0, rng)
+        x, _ = _one(EYE20, support_a, 0, 3, 1)
         assert np.flatnonzero(x).tolist() == sorted(support_a)
-        np.testing.assert_array_equal(x[sorted(support_a)], _values(by_hand, 2))
-        assert rng.random() == by_hand.random()
+        np.testing.assert_array_equal(x[sorted(support_a)], _values(derive_rng(3, 1), 2))
 
     @pytest.mark.parametrize("strategy", ["first-n", "spread", "random-baseline"])
     def test_indices_need_prescribed(self, strategy):
@@ -202,53 +228,52 @@ class TestChooseSupportA:
 
 def _nonzeros(seed, draws):
     """The nonzero values of ``draws`` instances with 8 of 16 B-columns."""
-    D = PartitionedDictionary(np.eye(16), 0)
-    rng = derive_rng(seed)
-    xs = [sample_instance(D, (), 8, rng)[0] for _ in range(draws)]
-    return np.concatenate([x[np.flatnonzero(x)] for x in xs])
+    X, _ = draw_instances(PartitionedDictionary(np.eye(16), 0), (), 8, seed,
+                          np.arange(draws)[:, None])
+    return X[X != 0]
 
 
-class TestSampleInstance:
+class TestInstance:
     def test_zero_budget_gives_zero_signal(self, two_onb4):
-        x, y = sample_instance(two_onb4, (), 0, derive_rng(0))
+        x, y = _one(two_onb4, (), 0, 0)
         assert x.shape == (8,) and y.shape == (4,)
         assert np.all(x == 0) and np.all(y == 0)
 
     def test_support_layout(self, mub7):
-        x, _ = sample_instance(mub7, (4, 1), 3, derive_rng(5))
+        x, _ = _one(mub7, (4, 1), 3, 5)
         support = np.flatnonzero(x)
         assert support.size == 5
         assert support[:2].tolist() == [1, 4]
         assert all(7 <= i < 56 for i in support[2:])
 
     def test_values_align_with_support(self, mub7):
-        x, _ = sample_instance(mub7, (2, 0), 4, derive_rng(9))
+        x, _ = _one(mub7, (2, 0), 4, 9)
         by_hand = derive_rng(9)
-        support = [0, 2, *(mub7.Na + j for j in sample_support_b(mub7.Nb, 4, by_hand))]
+        support = [0, 2, *(mub7.Na + j for j in _subset(by_hand, mub7.Nb, 4))]
         assert np.flatnonzero(x).tolist() == support
         np.testing.assert_array_equal(x[support], _values(by_hand, 6))
         assert np.min(np.abs(x[support])) > 1e-12
 
     def test_measurement_is_consistent(self, mub7):
-        x, y = sample_instance(mub7, (0, 3), 5, derive_rng(2))
+        x, y = _one(mub7, (0, 3), 5, 2)
         assert np.max(np.abs(y - mub7.matrix @ x)) <= TOL
 
     def test_deterministic_in_spec_seed(self, mub5):
         support_a = choose_support_a("random-baseline", mub5.Na, 1)
-        a = sample_instance(mub5, support_a, 3, derive_rng(42))
-        b = sample_instance(mub5, support_a, 3, derive_rng(42))
+        a = _one(mub5, support_a, 3, 42)
+        b = _one(mub5, support_a, 3, 42)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_explicit_rng_matches_seed_derivation(self, mub5):
-        # the instance is the stream of seed 42 read in the documented order:
-        # A-support, B-support, then magnitudes (all real parts, then all
-        # imaginary parts), then phases
+    def test_key_row_names_the_stream(self, mub5):
+        # the instance of key row (2, 5) is the stream derive_rng(42, 2, 5)
+        # read in the documented order: A-support, B-support, then magnitudes
+        # (all real parts, then all imaginary parts), then phases
         support_a = choose_support_a("random-baseline", mub5.Na, 1)
-        x, y = sample_instance(mub5, support_a, 3, derive_rng(42))
-        by_hand = derive_rng(42)
-        support_a = sample_support_b(mub5.Na, 1, by_hand)
-        support_b = sample_support_b(mub5.Nb, 3, by_hand)
+        x, y = _one(mub5, support_a, 3, 42, 2, 5)
+        by_hand = derive_rng(42, 2, 5)
+        support_a = _subset(by_hand, mub5.Na, 1)
+        support_b = _subset(by_hand, mub5.Nb, 3)
         re, im = by_hand.standard_normal(4), by_hand.standard_normal(4)
         phases = by_hand.uniform(0.0, 2.0 * np.pi, size=4)
         expected = np.zeros(mub5.N, dtype=complex)
@@ -266,7 +291,7 @@ class TestSampleInstance:
         with pytest.raises(ValueError, match="n_pick <= n_total"):
             choose_support_a("first-n", mub3.Na, 4)
         with pytest.raises(ValueError, match="n_pick <= n_total"):
-            sample_instance(mub3, 4, 0, derive_rng(0))
+            _one(mub3, 4, 0, 0)
 
     @pytest.mark.parametrize(
         "support_a, message",
@@ -282,27 +307,14 @@ class TestSampleInstance:
         # measured column 1; numpy reads (0, True) as int64, which once put
         # values on columns 0 and 1
         with pytest.raises(ValueError, match=message) as sampled:
-            sample_instance(mub7, support_a, 2, derive_rng(0))
+            _one(mub7, support_a, 2, 0)
         with pytest.raises(ValueError) as measured:
             chain_batch(mub7, [support_a], [(0, 1)])
         assert str(sampled.value) == str(measured.value)
 
     def test_rejects_oversized_b_budget(self, mub3):
         with pytest.raises(ValueError, match="n_pick <= n_total"):
-            sample_instance(mub3, (), 10, derive_rng(0))
-
-    def test_b_column_inclusion_is_uniform(self):
-        # marginal inclusion of each B column is n_b/Nb within 3 sigma
-        D = PartitionedDictionary(np.eye(16), 0)
-        rng = derive_rng(23)
-        draws = 100_000
-        hits = np.zeros(16)
-        for _ in range(draws):
-            support = sample_support_b(16, 4, rng)
-            hits[list(support)] += 1
-        p = 4.0 / 16.0
-        three_sigma = 3.0 * math.sqrt(p * (1 - p) / draws)
-        assert np.max(np.abs(hits / draws - p)) <= three_sigma
+            _one(mub3, (), 10, 0)
 
     def test_half_normal_law_has_unit_second_moment(self):
         # the modulus of a standard complex Gaussian: 1e5 magnitudes, every
@@ -326,9 +338,13 @@ class TestSampleInstance:
 RANDOM6X20 = build_random_dictionary(6, 20, 3, split=8)
 
 
+# key rows of two columns, neither in order nor from 0
+KEYS = np.array([(t % 5, 3 * (255 - t)) for t in range(256)])
+
+
 class TestDrawInstances:
-    """``draw_instances`` draws a cell's trials in one pass; row t is
-    ``sample_instance`` on stream t, bit for bit."""
+    """``draw_instances`` draws a cell's trials in one pass; row t is the
+    one-row draw on key row t, bit for bit."""
 
     @pytest.mark.parametrize("dict_name", ["two_onb8", "mub7", "random6x20"])
     @pytest.mark.parametrize("strategy, n_a, indices, n_b", [
@@ -342,15 +358,15 @@ class TestDrawInstances:
     def test_rows_are_the_one_row_draws(self, request, dict_name, strategy, n_a, indices, n_b):
         D = RANDOM6X20 if dict_name == "random6x20" else request.getfixturevalue(dict_name)
         support_a = choose_support_a(strategy, D.Na, n_a, indices)
-        X, Y = draw_instances(D, support_a, n_b, [derive_rng(11, t) for t in range(256)])
+        X, Y = draw_instances(D, support_a, n_b, 11, KEYS)
         assert X.shape == (256, D.N) and Y.shape == (256, D.m)
         for t in range(256):
-            x, y = sample_instance(D, support_a, n_b, derive_rng(11, t))
+            x, y = draw_instances(D, support_a, n_b, 11, KEYS[t : t + 1])
             assert X[t].tobytes() == x.tobytes() and Y[t].tobytes() == y.tobytes()
             assert np.count_nonzero(x) == n_a + n_b
 
-    def test_no_streams_no_rows(self, mub7):
-        X, Y = draw_instances(mub7, (1, 0), 2, [])
+    def test_no_keys_no_rows(self, mub7):
+        X, Y = draw_instances(mub7, (1, 0), 2, 0, np.empty((0, 1), dtype=np.int64))
         assert X.shape == (0, mub7.N) and Y.shape == (0, mub7.m)
 
     @pytest.mark.parametrize("support_a, message", [
@@ -361,14 +377,38 @@ class TestDrawInstances:
         self, mub7, support_a, message
     ):
         with pytest.raises(ValueError, match=message):
-            draw_instances(mub7, support_a, 2, [derive_rng(0, t) for t in range(4)])
+            draw_instances(mub7, support_a, 2, 0, KEYS[:4])
 
     def test_refuses_counts_beyond_the_blocks(self, mub7):
-        rngs = [derive_rng(0, t) for t in range(4)]
         with pytest.raises(ValueError, match="n_pick <= n_total"):
-            draw_instances(mub7, mub7.Na + 1, 0, rngs)
+            draw_instances(mub7, mub7.Na + 1, 0, 0, KEYS[:4])
         with pytest.raises(ValueError, match="n_pick <= n_total"):
-            draw_instances(mub7, (0,), mub7.Nb + 1, rngs)
+            draw_instances(mub7, (0,), mub7.Nb + 1, 0, KEYS[:4])
+
+
+@pytest.mark.parametrize("draw", [draw_instances, draw_supports])
+class TestKeyRows:
+    """Both draws take the same (master_seed, keys) and refuse the same."""
+
+    @pytest.mark.parametrize("keys, message", [
+        (np.arange(4), "must be a \\(T, L\\) array"),
+        ([[1], [-2]], "non-negative"),
+        (np.array([[0.5], [1.0]]), "must be integers"),
+        ([(1, True)], "must be integers"),
+    ])
+    def test_refuses_bad_keys(self, mub7, draw, keys, message):
+        with pytest.raises(ValueError, match=message):
+            draw(mub7, (0,), 2, 0, keys)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True])
+    def test_refuses_a_bad_seed(self, mub7, draw, seed):
+        with pytest.raises(ValueError, match="master_seed must be a nonnegative integer"):
+            draw(mub7, (0,), 2, seed, KEYS[:4])
+
+    def test_a_list_of_tuples_is_its_array(self, mub7, draw):
+        ours = draw(mub7, 2, 3, 8, [tuple(row) for row in KEYS.tolist()])
+        for cols, expected in zip(ours, draw(mub7, 2, 3, 8, KEYS)):
+            assert cols.tobytes() == expected.tobytes()
 
 
 class TestResolvedOnce:
@@ -415,9 +455,10 @@ class TestBlocksDrawnByModel:
     def blocks(self, monkeypatch):
         seen = []
 
-        def counting(D, support_a, n_b, master_seed, lo, hi):
-            seen.append((lo, hi))
-            return draw_supports(D, support_a, n_b, master_seed, lo, hi)
+        def counting(D, support_a, n_b, master_seed, keys):
+            seen.append((int(keys[0, 0]), int(keys[-1, 0]) + 1))
+            assert keys.tolist() == [[t] for t in range(*seen[-1])]
+            return draw_supports(D, support_a, n_b, master_seed, keys)
 
         for module in (model, concentration):
             monkeypatch.setattr(module, "draw_supports", counting)
@@ -443,3 +484,4 @@ class TestBlocksDrawnByModel:
         assert not hasattr(model, "draw_support")
         assert not hasattr(sparsethresh, "draw_support")
         assert not hasattr(concentration, "derive_choices")
+        assert not hasattr(recovery, "derive_rng")  # the model builds every trial's stream

@@ -1,12 +1,16 @@
 """The package imports cleanly, every module exports only names it has and
-no name another module exports, and the README's library example runs."""
+no name another module exports, the README's library example runs, and
+every package name the benchmark scripts use still exists."""
 
+import ast
 import importlib
 import re
+from types import ModuleType
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = (
     "dictionary", "rng", "model", "threshold", "concentration", "recovery", "svg", "cli",
 )
@@ -38,7 +42,52 @@ def test_no_name_is_exported_by_two_modules():
 def test_readme_library_example_runs():
     # the example imports public names by hand; a renamed or deleted one
     # would break it with nothing else noticing
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def _from_import(module: str, name: str):
+    """What ``from module import name`` binds, or None: an attribute of the
+    module, or else a submodule of that name, as the statement finds it."""
+    if not hasattr(importlib.import_module(module), name):
+        try:
+            importlib.import_module(f"{module}.{name}")
+        except ModuleNotFoundError:
+            return None
+    return getattr(importlib.import_module(module), name, None)
+
+
+def _package_names(path: Path) -> list[str]:
+    """The ``sparsethresh`` names that ``path`` imports, or reads as
+    ``module.attr`` of a name an import bound to a ``sparsethresh`` module,
+    which are missing: its AST is read, none of its code runs."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sparsethresh":
+                    # ``import a.b`` binds a, ``import a.b as c`` binds c to a.b
+                    bound = alias.name if alias.asname else "sparsethresh"
+                    modules[alias.asname or bound] = importlib.import_module(bound)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sparsethresh"):
+            for alias in node.names:
+                value = _from_import(node.module, alias.name)
+                if value is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif isinstance(value, ModuleType):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)):
+            missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
+    return missing
+
+
+@pytest.mark.parametrize("script", ["run.py", "workloads.py", "tracing.py"])
+def test_every_package_name_the_bench_uses_resolves(script):
+    # a deleted name (recovery.solve_bp, concentration.estimate_moment) breaks
+    # the benchmark only when it runs; the imports it reads tell at once
+    assert _package_names(ROOT / "bench" / script) == []

@@ -14,8 +14,8 @@ from sparsethresh import (
     build_mub,
     choose_support_a,
     derive_rng,
+    draw_instances,
     run_recovery_sweep,
-    sample_instance,
     solve_bp,
     solve_bp_batch,
 )
@@ -23,6 +23,12 @@ from sparsethresh import recovery
 from sparsethresh.recovery import RECOVERY_CSV_HEADER, SUCCESS_REL_ERROR, SWEEP_STRATEGIES
 
 TOL = 1e-12
+
+
+def _instance(D, support_a, n_b, seed, *key):
+    """The instance (x, y) of key row ``key``: ``draw_instances``' one-row draw."""
+    X, Y = draw_instances(D, support_a, n_b, seed, [key])
+    return X[0], Y[0]
 
 
 def _planted(D, support, values):
@@ -168,23 +174,22 @@ class TestSolveBp:
 def _cell_data(D, strategy, n_a, n_b, trials, seed, key):
     """Y and X of a sweep cell's trials, one row per trial."""
     support_a = choose_support_a(strategy, D.Na, n_a)
-    X, Y = zip(*(
-        sample_instance(D, support_a, n_b, derive_rng(seed, *key, t)) for t in range(trials)
-    ))
-    return np.array(Y), np.array(X)
+    X, Y = draw_instances(D, support_a, n_b, seed, [(*key, t) for t in range(trials)])
+    return Y, X
 
 
 def _per_trial_block(D, supports_a, nb_values, trials, master_seed, lo, hi):
-    """X and Y of trials lo..hi-1 of a sweep's flat list, each from a stream
-    derived alone: the reference for the block's streams."""
+    """X and Y of trials lo..hi-1 of a sweep's flat list, each drawn alone
+    on its own key row: the reference for the block's draws."""
     X = np.empty((hi - lo, D.N), dtype=complex)
     Y = np.empty((hi - lo, D.m), dtype=complex)
     for row, index in enumerate(range(lo, hi)):
         cell, t = divmod(index, trials)
         rest, bi = divmod(cell, len(nb_values))
         si, ai = divmod(rest, len(supports_a[0]))
-        rng = derive_rng(master_seed, si, ai, bi, t)
-        X[row], Y[row] = sample_instance(D, supports_a[si][ai], nb_values[bi], rng)
+        X[row], Y[row] = _instance(
+            D, supports_a[si][ai], nb_values[bi], master_seed, si, ai, bi, t
+        )
     return X, Y
 
 
@@ -266,7 +271,7 @@ class TestSolveBpBatch:
         # would start: ADMM's own unconverged iterate, with the values that
         # ADMM gave before the finisher existed
         support_a = choose_support_a("first-n", two_onb8.Na, 2)
-        x, y = sample_instance(two_onb8, support_a, 3, derive_rng(3, 0, 2, 3, 20))
+        x, y = _instance(two_onb8, support_a, 3, 3, 0, 2, 3, 20)
         cfg = BpSolverConfig(max_iterations=recovery.HANDOVER_ITERATIONS)
         out = solve_bp(two_onb8, y, cfg, x_true=x)
         assert (out.iterations, out.converged, out.success) == (1000, False, False)
@@ -458,9 +463,7 @@ class TestAdmmWindows:
         # per-iteration loop's peak is at most ADMM_RING_BYTES
         D = build_mub(13)
         support_a = choose_support_a("first-n", D.Na, 2)
-        X, Y = map(np.array, zip(*(
-            sample_instance(D, support_a, 3, derive_rng(1, t)) for t in range(256)
-        )))
+        X, Y = draw_instances(D, support_a, 3, 1, np.arange(256)[:, None])
         cfg = BpSolverConfig(max_iterations=20)
         peaks = []
         for solve in (_per_iteration_solve, solve_bp_batch):
@@ -483,7 +486,7 @@ class TestNewtonFinisher:
         monkeypatch.setattr(recovery, "HANDOVER_ITERATIONS", 1)
         si = ("first-n", "random-baseline").index(strategy)
         support_a = choose_support_a(strategy, D.Na, n_a)
-        x, y = sample_instance(D, support_a, n_b, derive_rng(3, si, n_a, n_b, t))
+        x, y = _instance(D, support_a, n_b, 3, si, n_a, n_b, t)
         out = solve_bp(D, y, x_true=x)
         assert out.converged and out.iterations > 1
         return x, out
@@ -586,12 +589,11 @@ class TestBruteForceL0:
 class TestOracleAgreement:
     def test_solver_and_oracle_supports_coincide(self, two_onb8):
         budgets = ((0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
-        rng = derive_rng(13)
         checked = 0
         for t in range(40):
             n_a, n_b = budgets[t % len(budgets)]
             support_a = choose_support_a("random-baseline", two_onb8.Na, n_a)
-            x, y = sample_instance(two_onb8, support_a, n_b, rng)
+            x, y = _instance(two_onb8, support_a, n_b, 13, t)
             out = solve_bp(two_onb8, y, x_true=x)
             assert out.success
             oracle = brute_force_l0(two_onb8, y, k_max=2)
@@ -606,21 +608,21 @@ class TestOracleAgreement:
 # ==============================
 
 
-def _trial(D, strategy, n_a, n_b, rng, support_a=None):
-    """One sweep trial: an instance from ``rng``, then basis pursuit on its y."""
-    x, y = sample_instance(D, choose_support_a(strategy, D.Na, n_a, support_a), n_b, rng)
+def _trial(D, strategy, n_a, n_b, seed, support_a=None):
+    """One sweep trial: the instance of ``seed``, then basis pursuit on its y."""
+    x, y = _instance(D, choose_support_a(strategy, D.Na, n_a, support_a), n_b, seed)
     return solve_bp(D, y, x_true=x)
 
 
 class TestRecoveryTrial:
     def test_hybrid_instance_succeeds(self):
         D = PartitionedDictionary(np.eye(8), 4)
-        out = _trial(D, "prescribed", 2, 2, derive_rng(5), support_a=(0, 2))
+        out = _trial(D, "prescribed", 2, 2, 5, support_a=(0, 2))
         assert out.success
         assert out.support_match[0].item() is True
 
     def test_zero_budget(self, two_onb4):
-        out = _trial(two_onb4, "first-n", 0, 0, derive_rng(0))
+        out = _trial(two_onb4, "first-n", 0, 0, 0)
         assert out.success
         assert out.relative_l2_error == 0.0
 
@@ -754,7 +756,7 @@ class TestRecoverySweep:
 
     def test_block_rows_are_the_per_trial_instances(self, two_onb8, monkeypatch):
         # blocks of 7 over 2 x 2 x 2 cells of 5 trials: row r of a block's X
-        # and Y is trial lo + r's sample_instance, bit for bit
+        # and Y is trial lo + r's one-row draw, bit for bit
         strategies, na_values, nb_values, trials, seed = SWEEP_STRATEGIES[1:], (0, 2), (1, 3), 5, 4
         blocks = []
 
@@ -774,9 +776,9 @@ class TestRecoverySweep:
         for index in range(len(X)):
             cell, t = divmod(index, trials)
             si, ai, bi = np.unravel_index(cell, (2, 2, 2))
-            x, y = sample_instance(
+            x, y = _instance(
                 two_onb8, choose_support_a(strategies[si], two_onb8.Na, na_values[ai]),
-                nb_values[bi], derive_rng(seed, si, ai, bi, t),
+                nb_values[bi], seed, si, ai, bi, t,
             )
             assert X[index].tobytes() == x.tobytes() and Y[index].tobytes() == y.tobytes()
 
