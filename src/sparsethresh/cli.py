@@ -15,13 +15,15 @@ configuration and the seed, never on wall time or worker count.  A JSON config
 file (``--config``) supplies defaults; explicit flags override it.
 
 Exit codes: 0 success, 2 usage or input error, 3 condition-check failure,
-4 numerical failure.
+4 numerical failure.  ``main(argv)`` returns the exit code and may be called
+repeatedly in one process; it builds its parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -513,6 +515,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: it holds no per-call state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsethresh",

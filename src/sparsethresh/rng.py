@@ -95,13 +95,19 @@ def derive_choices(master_seed: int, keys, draws) -> list[np.ndarray]:
 def _checked_keys(master_seed: int, keys) -> np.ndarray:
     """``keys`` as a (T, L) int64 array, for a checked seed; a negative seed
     or key raises derive_rng's own ValueError, and a float or bool key, which
-    the cast would truncate to another key, a ValueError of its own."""
+    the cast would truncate to another key, or a key of 2^63 or more, which
+    it would wrap or refuse, a ValueError of its own."""
     _require_seed(master_seed)
     if not isinstance(keys, np.ndarray) or keys.dtype == object:
         for key in np.asarray(keys, dtype=object).flat:
             _require_key(key)
+            if key < 0:
+                derive_rng(master_seed, key)  # raises its ValueError
+            _require_int64_key(key)
     elif keys.size and keys.dtype.kind not in "iu":
         raise ValueError(f"keys must be integers, got an array of {keys.dtype}")
+    elif keys.dtype.kind == "u" and keys.size:
+        _require_int64_key(keys.max())
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2:
         raise ValueError(f"keys must be a (T, L) array, got shape {keys.shape}")
@@ -166,6 +172,12 @@ def _require_key(key):
     would be truncated to another key."""
     if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
         raise ValueError(f"keys must be integers, got {key!r}")
+
+
+def _require_int64_key(key):
+    """Refuse a key that the int64 key array cannot hold."""
+    if key >= 1 << 63:
+        raise ValueError(f"keys must lie in [0, 2^63), got {int(key)}")
 
 
 def fan_out(fn, common, total: int, workers: int):

@@ -855,3 +855,95 @@ class TestUsageErrors:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+
+# ==============================
+# the parser: built once per process, with no state kept between calls
+# ==============================
+
+
+def _captured(argv, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def _option_flags(help_text: str) -> list[str]:
+    """The first flag of each entry of a subcommand help's options section."""
+    section = help_text.split("\noptions:\n", 1)[1]
+    return [line.split()[0].rstrip(",") for line in section.splitlines()
+            if line.startswith("  -")]
+
+
+class TestParserBuiltOnce:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def test_a_bare_call_after_flags_gets_the_defaults(self, monkeypatch):
+        seen = []
+        _, help_text, defaults = cli._COMMANDS["check"]
+        monkeypatch.setitem(
+            cli._COMMANDS, "check",
+            (lambda args, cfg: seen.append(vars(args)) or 0, help_text, defaults),
+        )
+        assert main(["check", "--na", "1", "--nb", "1", "--gamma", "0.3"]) == 0
+        assert main(["check"]) == 0
+        assert seen[0] == {"command": "check", "config": None, "dict": None,
+                           **defaults, "na": 1, "nb": 1, "gamma": 0.3}
+        assert seen[1] == {"command": "check", "config": None, "dict": None, **defaults}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["smin", "--help"]])
+    def test_help_prints_the_same_bytes_on_every_call(self, capsys, argv):
+        first = _captured(argv, capsys)
+        assert first[0] == 0 and first[1] and not first[2]
+        assert main(["check", "--help"]) == 0
+        capsys.readouterr()
+        assert _captured(argv, capsys) == first
+
+    def test_help_width_is_read_when_printing(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = _captured(["smin", "--help"], capsys)[1]
+        monkeypatch.setenv("COLUMNS", "60")
+        narrow = _captured(["smin", "--help"], capsys)[1]
+        assert max(map(len, narrow.splitlines())) <= 60 < max(map(len, wide.splitlines()))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["smin", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_errors_print_the_same_bytes_on_every_call(self, capsys, argv, message):
+        first = _captured(argv, capsys)
+        assert first[0] == 2 and not first[1] and message in first[2]
+        for _ in range(2):
+            assert _captured(argv, capsys) == first
+
+    def test_the_parser_is_built_once(self, dict_dir, tmp_path, capsys):
+        for argv in (["analyze", "--dict", dict_dir["mub7"]],
+                     ["check", "--dict", dict_dir["mub7"]],
+                     ["smin", "--dict", dict_dir["mub7"], "--trials", "3",
+                      "--out", str(tmp_path)],
+                     ["report", "--dict", dict_dir["mub7"]],
+                     ["frobnicate"], ["--help"]):
+            main(argv)
+        assert cli._build_parser.cache_info().misses == 1
+
+
+class TestParserShape:
+    def test_top_level_help_names_every_subcommand(self, capsys):
+        rc, out, _ = _captured(["--help"], capsys)
+        assert rc == 0
+        entries = {line.split()[0]: line.split(None, 1)[1] for line in out.splitlines()
+                   if line.startswith("    ") and not line.startswith("     ")}
+        assert entries == {command: help_text
+                           for command, (_, help_text, _) in cli._COMMANDS.items()}
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_subcommand_help_names_its_options_in_order(self, capsys, command):
+        rc, out, _ = _captured([command, "--help"], capsys)
+        assert rc == 0
+        source = ["--mub", "--two-onb", "--random"] if command == "build-dict" else ["--dict"]
+        options = ["--" + name.replace("_", "-") for name in cli._COMMANDS[command][2]]
+        assert _option_flags(out) == ["-h", "--config", *source, *options]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsethresh import concentration, recovery, rng
+from sparsethresh import concentration, model, recovery, rng
 from sparsethresh.rng import derive_choices, derive_rng
 
 
@@ -270,7 +270,7 @@ class TestDeriveChoices:
         with pytest.raises(ValueError, match="size <= population"):
             derive_choices(0, [[0]], [(3, 4)])
 
-    @pytest.mark.parametrize("seed, keys", [(-1, [[0]]), (0, [[1, 2], [3, -4]])])
+    @pytest.mark.parametrize("seed, keys", [(-1, [[0]]), (0, [[1, 2], [3, -4]]), (0, [[-2**70]])])
     def test_a_negative_seed_or_key_raises_the_derive_rng_error(self, seed, keys):
         with pytest.raises(ValueError) as theirs:
             for key in keys:
@@ -416,6 +416,39 @@ def test_a_key_that_is_not_an_integer_is_refused(function, key, no_generators):
 def test_an_array_of_keys_that_are_not_integers_is_refused(keys, no_generators):
     with pytest.raises(ValueError, match="keys must be integers"):
         derive_choices(1, keys, [(7, 2)])
+
+
+_KEY_DRAWS = {
+    "derive_choices": lambda D, keys: derive_choices(3, keys, [(D.Nb, 2)]),
+    "draw_supports": lambda D, keys: model.draw_supports(D, 1, 2, 3, keys),
+    "draw_instances": lambda D, keys: model.draw_instances(D, 1, 2, 3, keys),
+}
+
+
+@pytest.mark.parametrize("keys, key", [
+    ([[0], [2**63]], 2**63),
+    ([(1, 2**64 - 1)], 2**64 - 1),
+    ([[np.uint64(2**63)]], 2**63),
+    (np.array([[0], [2**63]], dtype=np.uint64), 2**63),
+    (np.array([[1, 2**64 - 1]], dtype=np.uint64), 2**64 - 1),
+], ids=["int", "int-2^64-1", "numpy-scalar", "uint64", "uint64-2^64-1"])
+@pytest.mark.parametrize("function", sorted(_KEY_DRAWS))
+def test_a_key_past_int64_is_refused_by_name_before_any_draw(
+    function, keys, key, mub5, no_generators
+):
+    # the int64 cast raised a bare OverflowError on a Python int, and wrapped a
+    # uint64 key negative, which SeedSequence then refused as negative
+    message = f"keys must lie in [0, 2^63), got {key}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _KEY_DRAWS[function](mub5, keys)
+
+
+@pytest.mark.parametrize("function", sorted(_KEY_DRAWS))
+def test_the_largest_key_is_the_same_stream_as_int_or_uint64(function, mub5):
+    keys = [[0], [2**63 - 1]]
+    ours = _KEY_DRAWS[function](mub5, keys)
+    theirs = _KEY_DRAWS[function](mub5, np.array(keys, dtype=np.uint64))
+    assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
 
 
 def test_numpy_integer_seeds_are_accepted(mub5):
