@@ -5,7 +5,8 @@ The package splits into small focused modules:
   dictionary     partitioned dictionaries, coherence and spectral statistics
   model          the hybrid-support draws: a block's instances, or its supports
   threshold      closed-form terms, sparsity conditions and the budget search
-  concentration  the batched hollow Gram chain, sigma_min and moment runs
+  concentration  the batched hollow Gram chain and the sigma_min runs, with
+                 their Xi_B and Xi_X moment estimates
   recovery       basis pursuit, a brute-force l0 oracle, success-rate sweeps
   svg            deterministic plot emitters
   cli            the ``sparsethresh`` command-line driver

@@ -5,8 +5,8 @@ Subcommands:
   build-dict   construct a dictionary and write it as .dict.npy
   analyze      print coherence and spectral statistics
   check        evaluate the closed-form conditions; exit 3 when any fails
-  smin         smallest-singular-value concentration experiment
-  moments      Monte Carlo moment estimates against their closed-form bounds
+  smin         smallest-singular-value concentration experiment; with --q
+               also the Xi_B and Xi_X moment estimates against their bounds
   recover      basis-pursuit success-rate sweep over (n_a, n_b)
   report       combined stats + conditions + budget search + scaling ratios
 
@@ -98,13 +98,24 @@ _OPTIONS = {
 _JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
 
+def _unique_keys(pairs) -> dict:
+    """A config object from its (key, value) pairs; a key given twice is
+    refused, where ``json`` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config key '{key}' is given twice")
+        obj[key] = value
+    return obj
+
+
 def _load_config(args) -> dict:
     path = args.config
     if not path:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # also nesting past the limit
@@ -354,6 +365,7 @@ def cmd_smin(args, cfg) -> int:
         master_seed=args.seed,
         support_a=args.support_a,
         workers=args.threads,
+        q=args.q,
     )
     summary = _json_text(result.summary_dict())
     files = {
@@ -367,51 +379,29 @@ def cmd_smin(args, cfg) -> int:
             x_label="sigma_min",
         ),
     }
-    return _emit(
-        args, files, summary,
-        f"trials = {result.trials}  failures = {result.failure_count}  "
-        f"rate = {result.empirical_failure_rate!r}  bound = {result.lemma_bound!r}",
-    )
-
-
-def cmd_moments(args, cfg) -> int:
-    D = _resolve_dictionary(args, cfg)
-    result = concentration.estimate_moment(
-        D,
-        n_a=args.na,
-        n_b=args.nb,
-        q=args.q,
-        trials=args.trials,
-        master_seed=args.seed,
-        strategy=args.strategy,
-        support_a=args.support_a,
-    )
-    bars = [
-        ("xi_b estimate", result.estimate_b),
-        ("xi_b upper95", result.upper95_b),
-        ("xi_b bound", result.bound_b),
-    ]
-    if result.bound_x is not None:
-        bars += [
-            ("xi_x estimate", result.estimate_x),
-            ("xi_x upper95", result.upper95_x),
-            ("xi_x bound", result.bound_x),
+    line = (f"trials = {result.trials}  failures = {result.failure_count}  "
+            f"rate = {result.empirical_failure_rate!r}  bound = {result.lemma_bound!r}")
+    moments = result.moments
+    if moments is not None:
+        bars = [
+            ("xi_b estimate", moments.estimate_b),
+            ("xi_b upper95", moments.upper95_b),
+            ("xi_b bound", moments.bound_b),
         ]
-    summary = _json_text(result.summary_dict())
-    files = {
-        "moment_trials.csv": _csv_text(result.csv_rows()),
-        "moment_summary.json": summary,
-        "moment_bounds.svg": svg.bars_svg(
+        if moments.bound_x is not None:
+            bars += [
+                ("xi_x estimate", moments.estimate_x),
+                ("xi_x upper95", moments.upper95_x),
+                ("xi_x bound", moments.bound_x),
+            ]
+        files["smin_moment_bounds.svg"] = svg.bars_svg(
             bars,
-            title=f"moment roots vs bounds (q={result.q:g}, trials={result.trials})",
+            title=f"moment roots vs bounds (q={moments.q:g}, trials={moments.trials})",
             y_label="moment root",
-        ),
-    }
-    return _emit(
-        args, files, summary,
-        f"q = {result.q:g}  estimate_b = {result.estimate_b!r}  "
-        f"bound_b = {result.bound_b!r}",
-    )
+        )
+        line += (f"  q = {moments.q:g}  estimate_b = {moments.estimate_b!r}  "
+                 f"bound_b = {moments.bound_b!r}")
+    return _emit(args, files, summary, line)
 
 
 def cmd_recover(args, cfg) -> int:
@@ -500,11 +490,7 @@ _COMMANDS = {
     "smin": (cmd_smin, "sigma_min concentration experiment",
              {"renormalize": False, "json": False, "na": 1, "nb": 1, "trials": 1000,
               "seed": 0, "s": 1.0, "strategy": "first-n", "support_a": None, "out": ".",
-              "threads": 1}),
-    "moments": (cmd_moments, "moment estimates vs closed-form bounds",
-                {"renormalize": False, "json": False, "na": 1, "nb": 1, "q": 4.0,
-                 "trials": 2000, "seed": 0, "strategy": "first-n", "support_a": None,
-                 "out": "."}),
+              "threads": 1, "q": None}),
     "recover": (cmd_recover, "basis-pursuit success-rate sweep",
                 {"renormalize": False, "json": False, "na_range": [0, 1, 2],
                  "nb_range": [0, 1, 2], "trials": 50, "seed": 0,

@@ -20,24 +20,24 @@ threshold is e^{1/4} (eq3 lhs + eq4 lhs) / 2, read from ``threshold``'s
 conditions, and the bound is N^{-s}, the ``lemma1_bound`` of
 ``run_smin_trials``.  So when both block conditions hold the threshold is at
 most 1/2, which pins sigma_min > 1/sqrt(2) outside the N^{-s} event.
-``run_smin_trials`` measures this empirically; ``estimate_moment`` checks the
-Xi_B and Xi_X moment bounds.
+``run_smin_trials`` measures this empirically and, given a moment order q,
+bootstraps its own Xi_B and Xi_X columns against their moment bounds
+(``estimate_moment`` is that bootstrap without the rest of the summary).
 
-Both runners share one kernel, run on the blocks of ``rng.fan_out`` on the
-A-support resolved once per run.  Every function here takes the dictionary
-alone and reads its profile as ``D.stats``, which D measures once and keeps,
-so pool workers receive the profile with D.  This module only measures: a
-block's supports come from ``model.draw_supports``, which draws each row
-from its own trial's stream, whatever the block.  ``chain_batch``
-measures the chain for a block of draws from their stacked Grams G = S^H S
-with stacked ``eigvalsh`` calls: the extreme eigenvalues of G give sigma_min
-and Xi_S, those of its diagonal blocks Xi_A and Xi_B, and the largest of
-G_AB G_AB^H gives Xi_X.  LAPACK solves a stack matrix by matrix, so a draw's
-values do not depend on the block or worker split.  sqrt(lambda_min) errs by
-about eps ||G|| / (2 sigma_min), 2e-8 on an exactly singular S, so a draw
-with lambda_min below ``SVD_BELOW_LAMBDA_MIN`` takes sigma_min from an SVD
-of its S.  ``estimate_moment``
-reads only Xi_B and Xi_X, from the same code (``_sub_dictionaries``).
+Every run measures its trials with one kernel, ``_smin_block``, on the blocks
+of ``rng.fan_out`` and the A-support resolved once per run.  Every function
+here takes the dictionary alone and reads its profile as ``D.stats``, which D
+measures once and keeps, so pool workers receive the profile with D.  This
+module only measures: a block's supports come from ``model.draw_supports``,
+which draws each row from its own trial's stream, whatever the block.
+``chain_batch`` measures the chain for a block of draws from their stacked
+Grams G = S^H S with stacked ``eigvalsh`` calls: the extreme eigenvalues of G
+give sigma_min and Xi_S, those of its diagonal blocks Xi_A and Xi_B, and the
+largest of G_AB G_AB^H gives Xi_X.  LAPACK solves a stack matrix by matrix,
+so a draw's values do not depend on the block or worker split.
+sqrt(lambda_min) errs by about eps ||G|| / (2 sigma_min), 2e-8 on an exactly
+singular S, so a draw with lambda_min below ``SVD_BELOW_LAMBDA_MIN`` takes
+sigma_min from an SVD of its S.
 """
 
 from __future__ import annotations
@@ -136,31 +136,6 @@ class HollowGramRecord:
         }
 
 
-def _sub_dictionaries(D: PartitionedDictionary, cols_a, cols_b):
-    """(S, G, Xi_B, Xi_X) of T draws: the stacked (T, m, k) sub-dictionaries,
-    their (T, k, k) Grams G = S^H S and the two B-dependent chain quantities,
-    read off the blocks of G.
-
-    Row t of ``cols_a`` (T, n_a) and ``cols_b`` (T, n_b) selects draw t's
-    columns of A and B; each row must hold distinct integers inside its block.
-    """
-    cols_a, cols_b = _block_columns("A", cols_a, D.Na), _block_columns("B", cols_b, D.Nb)
-    T, n_a = cols_a.shape
-    n_b = cols_b.shape[1]
-    if n_a + n_b == 0:
-        raise ValueError("empty sub-dictionary has no smallest singular value")
-    # one gather from the whole matrix: half the time of one per block at p = 127
-    S = np.moveaxis(D.matrix[:, np.hstack((cols_a, cols_b + D.Na))], 0, 1)
-    gram = _adjoint(S) @ S
-    xi_b = _spectrum(gram[:, n_a:, n_a:])[2] if n_b else np.zeros(T)
-    xi_x = np.zeros(T)
-    if n_a and n_b:
-        cross = gram[:, :n_a, n_a:]  # A'^H B'
-        outer = cross @ _adjoint(cross) if n_a <= n_b else _adjoint(cross) @ cross
-        xi_x = np.sqrt(_spectrum(outer)[1])
-    return S, gram, xi_b, xi_x
-
-
 def _row_norms_ab(D: PartitionedDictionary, supports: np.ndarray) -> np.ndarray:
     """max_j ||A'^H b_j||, the largest column l2 norm of A'^H against the
     FULL block B, for the A-support A' of each row of ``supports`` (k, n_a).
@@ -204,10 +179,21 @@ def chain_batch(D: PartitionedDictionary, cols_a, cols_b) -> HollowGramRecord:
     below ``SVD_BELOW_LAMBDA_MIN``, and is exactly 0 with more columns than
     rows.  The three ceilings read D's own profile, ``D.stats``.
     """
-    S, gram, xi_b, xi_x = _sub_dictionaries(D, cols_a, cols_b)
-    cols_a = np.asarray(cols_a, dtype=np.intp)
+    cols_a, cols_b = _block_columns("A", cols_a, D.Na), _block_columns("B", cols_b, D.Nb)
     T, n_a = cols_a.shape
+    n_b = cols_b.shape[1]
+    if n_a + n_b == 0:
+        raise ValueError("empty sub-dictionary has no smallest singular value")
+    # one gather from the whole matrix: half the time of one per block at p = 127
+    S = np.moveaxis(D.matrix[:, np.hstack((cols_a, cols_b + D.Na))], 0, 1)
+    gram = _adjoint(S) @ S
     lambda_min, _, xi_s = _spectrum(gram)
+    xi_b = _spectrum(gram[:, n_a:, n_a:])[2] if n_b else np.zeros(T)
+    xi_x = np.zeros(T)
+    if n_a and n_b:
+        cross = gram[:, :n_a, n_a:]  # A'^H B'
+        outer = cross @ _adjoint(cross) if n_a <= n_b else _adjoint(cross) @ cross
+        xi_x = np.sqrt(_spectrum(outer)[1])
     m, k = S.shape[1:]
     sigma_min = np.zeros(T)
     if k <= m:
@@ -285,7 +271,8 @@ def _smin_block(common, lo, hi):
 
 @dataclass(eq=False)
 class SminExperimentResult:
-    """Per-trial chain measurements plus the empirical concentration summary."""
+    """Per-trial chain measurements plus the empirical concentration summary,
+    and the moment estimates of the run's Xi_B and Xi_X when it had a q."""
 
     n_a: int
     n_b: int
@@ -309,13 +296,14 @@ class SminExperimentResult:
     bound_respected: bool | None
     histogram_counts: np.ndarray
     histogram_edges: np.ndarray
+    moments: MomentEstimate | None = None
 
     def csv_rows(self) -> list[str]:
         columns = (self.sigma_min, self.xi_s, self.xi_a, self.xi_b, self.xi_x)
         return _csv_lines(TRIAL_CSV_HEADER, columns)
 
     def summary_dict(self) -> dict:
-        return {
+        summary = {
             "n_a": self.n_a,
             "n_b": self.n_b,
             "trials": self.trials,
@@ -339,6 +327,9 @@ class SminExperimentResult:
                 "edges": [float(e) for e in self.histogram_edges],
             },
         }
+        if self.moments is not None:
+            summary["moments"] = self.moments.summary_dict()
+        return summary
 
 
 def run_smin_trials(
@@ -351,6 +342,7 @@ def run_smin_trials(
     master_seed: int = 0,
     support_a=None,
     workers: int = 1,
+    q: float | None = None,
 ) -> SminExperimentResult:
     """Sample ``trials`` sub-dictionaries and measure the whole chain.
 
@@ -360,6 +352,10 @@ def run_smin_trials(
     sigma_min <= 1/sqrt(2); the empirical failure rate is compared against
     the N^{-s} bound whenever some gamma in the default grid satisfies both
     block conditions.
+
+    With a moment order ``q`` the run must also pass ``estimate_moment``'s
+    checks, before any trial, and its ``moments`` are that estimate of its
+    own Xi_B and Xi_X columns; without one nothing else changes.
     """
     _require_seed(master_seed)
     if _require_integer("trials", trials) < 1:
@@ -371,18 +367,14 @@ def run_smin_trials(
     _require_n_gt_2(D.N)
     if _require_integer("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    resolved = choose_support_a(strategy, D.Na, n_a, indices=support_a)
+    if q is None:
+        resolved = choose_support_a(strategy, D.Na, n_a, indices=support_a)
+    else:
+        resolved = _moment_support(D, strategy, n_a, n_b, q, trials, support_a)
     rows = _per_trial((trials, 5))
     # read before fan_out, so the workers receive the profile with D
     gamma_feasible = first_feasible_gamma(D.stats, s, n_a, n_b)
-
-    by_inequality: Counter = Counter()
-    violation_count = 0
-    common = (D, resolved, n_b, master_seed)
-    for lo, block, breaks, broken in fan_out(_smin_block, common, trials, workers):
-        rows[lo : lo + len(block)] = block
-        by_inequality.update(breaks)
-        violation_count += broken
+    by_inequality, violation_count = _measure(rows, D, resolved, n_b, master_seed, workers)
 
     sig = rows[:, 0]
     failure_count = int(np.count_nonzero(sig <= 1.0 / math.sqrt(2.0)))
@@ -406,7 +398,7 @@ def run_smin_trials(
         xi_b=rows[:, 3],
         xi_x=rows[:, 4],
         violation_count=violation_count,
-        violations_by_inequality=dict(by_inequality),
+        violations_by_inequality=by_inequality,
         failure_count=failure_count,
         empirical_failure_rate=rate,
         lemma_bound=lemma_bound,
@@ -414,7 +406,21 @@ def run_smin_trials(
         bound_respected=bound_respected,
         histogram_counts=counts,
         histogram_edges=edges,
+        moments=None if q is None else _bootstrap(D, n_a, n_b, q, master_seed, rows),
     )
+
+
+def _measure(rows, D, support_a, n_b, master_seed, workers):
+    """Fill ``rows`` with the CSV columns of every trial; return the breaks
+    per inequality and the count of trials that break any."""
+    by_inequality: Counter = Counter()
+    violation_count = 0
+    common = (D, support_a, n_b, master_seed)
+    for lo, block, breaks, broken in fan_out(_smin_block, common, len(rows), workers):
+        rows[lo : lo + len(block)] = block
+        by_inequality.update(breaks)
+        violation_count += broken
+    return dict(by_inequality), violation_count
 
 
 # ============================================================
@@ -480,15 +486,6 @@ class MomentEstimate:
         }
 
 
-def _moment_block(common, lo, hi):
-    """lo, then Xi_B and Xi_X of trials lo..hi-1; sigma_min, Xi_S and Xi_A
-    would be unused eigensolves of the Grams."""
-    D, support_a, n_b, master_seed = common
-    keys = np.arange(lo, hi)[:, None]  # trial t's stream is key (t,)
-    cols_a, cols_b = draw_supports(D, support_a, n_b, master_seed, keys)
-    return lo, *_sub_dictionaries(D, cols_a, cols_b)[2:]
-
-
 def _moment_roots(x: np.ndarray, q: float):
     """[mean of x^q]^{1/q} along the last axis of nonnegative x, at any q.
 
@@ -509,33 +506,13 @@ def _moment_roots(x: np.ndarray, q: float):
     return roots
 
 
-def estimate_moment(
-    D: PartitionedDictionary,
-    n_a: int,
-    n_b: int,
-    q: float,
-    trials: int,
-    master_seed: int = 0,
-    strategy: str = "first-n",
-    support_a=None,
-    n_boot: int = 1000,
-) -> MomentEstimate:
-    """Estimate [E Xi^q]^{1/q} for Xi_B and Xi_X over random B-supports.
-
-    The A-support is resolved once per run (default: first n_a columns;
-    ``random-baseline``, which redraws it per trial, is refused).  Bootstrap
-    percentiles (upper edge of the 95% interval) quantify Monte Carlo error;
-    the analytic bounds are provably slack, so the upper edge should sit
-    well below them.
-    """
-    _require_seed(master_seed)
+def _moment_support(D, strategy, n_a, n_b, q, trials, support_a):
+    """The fixed A-support of a moment run, once its q, its trial count and
+    its strategy pass the checks a moment estimate needs."""
     if _require_integer("trials", trials) < 1000:
         raise ValueError(f"moment estimation needs >= 1000 trials, got {trials}")
-    if _require_integer("n_boot", n_boot) < 1:
-        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
     D.check_budgets(n_a, n_b)
     floor_b = moment_floor_b(n_b)
-    floor_x = moment_floor_x(n_b)
     if not (math.isfinite(q) and q >= floor_b - 1e-12):
         raise ValueError(
             f"q must be a finite number at or above the validity floor "
@@ -550,13 +527,17 @@ def estimate_moment(
             f"moments need a fixed A-support: strategy must be one of {fixed}, "
             f"got {strategy!r}"
         )
-    xi_b, xi_x = _per_trial((2, trials))
+    return support_a
 
-    common = (D, support_a, n_b, master_seed)
-    for lo, block_b, block_x in fan_out(_moment_block, common, trials, 1):
-        xi_b[lo : lo + len(block_b)] = block_b
-        xi_x[lo : lo + len(block_x)] = block_x
 
+def _bootstrap(D, n_a, n_b, q, master_seed, rows, n_boot=1000) -> MomentEstimate:
+    """The moment estimate of a run's Xi_B and Xi_X, columns 3 and 4 of its
+    CSV ``rows``, with n_boot resamples from the stream (master_seed,
+    trials, 1)."""
+    trials = len(rows)
+    xi_b, xi_x = rows[:, 3], rows[:, 4]
+    floor_b = moment_floor_b(n_b)
+    floor_x = moment_floor_x(n_b)
     slope_a, _ = block_a_terms(D.stats, n_a)
     slope_b, frame, cross = block_b_terms(D.stats, n_b)
     sqrt_q = math.sqrt(q)
@@ -590,3 +571,32 @@ def estimate_moment(
         xi_b=xi_b,
         xi_x=xi_x,
     )
+
+
+def estimate_moment(
+    D: PartitionedDictionary,
+    n_a: int,
+    n_b: int,
+    q: float,
+    trials: int,
+    master_seed: int = 0,
+    strategy: str = "first-n",
+    support_a=None,
+    n_boot: int = 1000,
+) -> MomentEstimate:
+    """Estimate [E Xi^q]^{1/q} for Xi_B and Xi_X over random B-supports.
+
+    The A-support is resolved once per run (default: first n_a columns;
+    ``random-baseline``, which redraws it per trial, is refused).  Bootstrap
+    percentiles (upper edge of the 95% interval) quantify Monte Carlo error;
+    the analytic bounds are provably slack, so the upper edge should sit
+    well below them.  The trials are ``run_smin_trials``' on one worker, so
+    at n_boot = 1000 this is its ``moments`` at the same arguments.
+    """
+    _require_seed(master_seed)
+    if _require_integer("n_boot", n_boot) < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    support_a = _moment_support(D, strategy, n_a, n_b, q, trials, support_a)
+    rows = _per_trial((trials, 5))
+    _measure(rows, D, support_a, n_b, master_seed, 1)
+    return _bootstrap(D, n_a, n_b, q, master_seed, rows, n_boot)

@@ -27,8 +27,9 @@ and the values and their scatter into X are computed for all rows at
 once; only the stream reads and y = D x stay per row, so a row of
 ``draw_instances`` equals the one-row draw on its own key, bit for bit.
 ``draw_supports`` draws the supports of a block of trials at once, for
-``smin`` and ``moments``, in the same order from the package's own stream
-(``rng.derive_choices``), which no numpy version or worker count can move.
+``smin`` and its moment estimates, in the same order from the package's
+own stream (``rng.derive_choices``), which no numpy version or worker
+count can move.
 """
 
 from __future__ import annotations

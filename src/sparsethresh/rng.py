@@ -10,10 +10,10 @@ cuts the runners' trials into blocks, run inline or in a process pool.
 ``derive_rng(master_seed, *key)`` is a numpy stream: a Generator on the
 PCG64 that numpy's SeedSequence seeds from [master_seed, *key].
 ``model.draw_instances`` builds one per key row for ``recover``'s trials, so
-a row of its draw equals the one-row draw on its own key, and the bootstrap
-of ``moments`` reads one per run.
+a row of its draw equals the one-row draw on its own key, and the moment
+bootstrap of ``smin --q`` reads one per run.
 
-``derive_choices`` is the stream of the draws ``smin`` and ``moments`` make
+``derive_choices`` is the stream of the draws ``smin`` makes
 (``model.draw_supports``), and this package owns its definition, as
 counter-based generators do (Salmon et al. 2011, "Parallel random numbers:
 as easy as 1, 2, 3"): word i of key row t is SplitMix64's finalizer (Steele,

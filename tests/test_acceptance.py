@@ -21,7 +21,6 @@ from sparsethresh import (
     build_mub,
     build_random_dictionary,
     default_u,
-    estimate_moment,
     evaluate_conditions,
     max_sparsity_search,
     run_smin_trials,
@@ -177,7 +176,7 @@ def test_moment_bootstrap_stays_below_bound():
     D = build_mub(7)
     stats = analyze(D)
     for q in (4.0, 8.0):
-        est = estimate_moment(D, 2, 3, q=q, trials=10_000, master_seed=1)
+        est = run_smin_trials(D, "first-n", 2, 3, trials=10_000, master_seed=1, q=q).moments
         closed_form = 6.0 * math.sqrt(stats.mu_b**2 * 3) * math.sqrt(q) \
             + 2.0 * 3 * stats.spec_b**2 / D.Nb
         assert est.bound_b == pytest.approx(closed_form, rel=1e-12)
@@ -283,8 +282,8 @@ def test_cli_experiments_rerun_byte_identical(tmp_path):
     commands = {
         "smin": ["smin", "--dict", dict_path, "--na", "1", "--nb", "2",
                  "--trials", "200", "--seed", "5"],
-        "moments": ["moments", "--dict", dict_path, "--na", "1", "--nb", "2",
-                    "--q", "8", "--trials", "1000", "--seed", "6"],
+        "smin-q": ["smin", "--dict", dict_path, "--na", "1", "--nb", "2",
+                   "--q", "8", "--trials", "1000", "--seed", "6"],
         "recover": ["recover", "--dict", dict_path, "--na-range", "0:1",
                     "--nb-range", "0:1", "--trials", "3", "--seed", "7"],
         "report": ["report", "--dict", dict_path, "--na", "1", "--nb", "1"],

@@ -6,7 +6,7 @@ Each row of ROWS is a build (a dictionary of BUILDS, or none for
 stands for the document that ``analyze``, ``check`` and ``report`` print.
 Each row runs ``cli.main`` in-process twice: ``smin`` and ``recover`` at
 ``--threads 1`` and ``--threads 2``, the one-worker commands (``build-dict``,
-``analyze``, ``check``, ``report`` and ``moments``) twice alike.  The two
+``analyze``, ``check`` and ``report``) twice alike.  The two
 runs must write the same bytes, which holds on any platform.  Then the
 sha256 of each artifact must be ``DIGESTS[row, artifact]``, read off PINNED
 and taken on the reference platform (numpy 2.4 with OpenBLAS on x86-64).
@@ -15,6 +15,11 @@ draw more than ``rng.BLOCK`` trials.
 
 A change that moves bytes on purpose re-pins exactly the rows it moves and
 lists them in CHANGES.md.
+
+The ``smin --q`` rows are the runs of the former ``moments`` command, which
+``smin --q`` replaced: the moment bytes they carry are pinned again, under
+the old names, in MOMENT_PINNED, and their other bytes are those of the same
+run without ``--q``.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
-from sparsethresh.cli import main
+from sparsethresh.cli import _csv_text, _json_text, main
+from sparsethresh.concentration import MOMENT_CSV_HEADER, _csv_lines
 
 BUILDS = {
     "mub5": "--mub 5",
@@ -37,6 +44,7 @@ BUILDS = {
 }
 
 SMIN = ("smin_trials.csv", "smin_summary.json", "smin_sigma_hist.svg")
+SMIN_Q = SMIN + ("smin_moment_bounds.svg",)
 MOMENTS = ("moment_trials.csv", "moment_summary.json", "moment_bounds.svg")
 RECOVER = ("recovery_rates.csv", "recovery_summary.json", "recovery_rates.svg")
 HEATMAPS = tuple(f"recovery_heatmap_{s}.svg" for s in ("first-n", "spread", "random-baseline"))
@@ -63,9 +71,8 @@ ROWS = {
     # are singular and take sigma_min from an SVD
     "smin-mub7-4-4": ("mub7", "smin --na 4 --nb 4 --trials 600 --seed 5", SMIN),
     "smin-mub5-2-3": ("mub5", "smin --na 2 --nb 3 --trials 600 --seed 5", SMIN),
-    # a seed of two 32-bit words, and 2^64, two 64-bit limbs of the smin and
-    # moments stream that must not wrap to seed 0; recover hands both to
-    # SeedSequence
+    # a seed of two 32-bit words, and 2^64, two 64-bit limbs of the smin
+    # stream that must not wrap to seed 0; recover hands both to SeedSequence
     "smin-seed0": ("mub7", "smin --na 2 --nb 3 --trials 600 --seed 0", SMIN),
     "smin-seed2^32": ("mub7", "smin --na 2 --nb 3 --trials 600 --seed 4294967296", SMIN),
     "smin-seed2^64": ("mub7", "smin --na 2 --nb 3 --trials 600 --seed 18446744073709551616",
@@ -79,13 +86,13 @@ ROWS = {
                     "--seed 4294967296", SMIN),
     "smin-prescribed": ("mub7", "smin --na 2 --nb 3 --strategy prescribed --support-a 5,1 "
                         "--trials 600 --seed 4294967296", SMIN),
-    "moments-readme": ("mub7", "moments --na 2 --nb 3 --q 8 --trials 10000", MOMENTS),
-    "moments-seed2^32": ("mub7", "moments --na 2 --nb 3 --q 8 --trials 1000 "
-                         "--seed 4294967296", MOMENTS),
-    "moments-seed2^64": ("mub7", "moments --na 2 --nb 3 --q 8 --trials 1000 "
-                         "--seed 18446744073709551616", MOMENTS),
-    "moments-prescribed": ("mub7", "moments --na 2 --nb 3 --q 8 --trials 1000 --strategy "
-                           "prescribed --support-a 5,1 --seed 4294967296", MOMENTS),
+    "smin-q-readme": ("mub7", "smin --na 2 --nb 3 --q 8 --trials 10000", SMIN_Q),
+    "smin-q-seed2^32": ("mub7", "smin --na 2 --nb 3 --q 8 --trials 1000 "
+                        "--seed 4294967296", SMIN_Q),
+    "smin-q-seed2^64": ("mub7", "smin --na 2 --nb 3 --q 8 --trials 1000 "
+                        "--seed 18446744073709551616", SMIN_Q),
+    "smin-q-prescribed": ("mub7", "smin --na 2 --nb 3 --q 8 --trials 1000 --strategy "
+                          "prescribed --support-a 5,1 --seed 4294967296", SMIN_Q),
     # fourier8 has N <= 2m, so ADMM projects with one N x N product; mub7 has
     # N > 2m, so with two thin products through pinv(D)
     "recover-readme": ("fourier8", "recover --na-range 0:4 --nb-range 0:4 --trials 50 --seed 3",
@@ -147,18 +154,22 @@ PINNED = {
     "smin-prescribed": ("cfbd972dfc9d2f62243c7f1962df3b6f49e21879ca2317c1a07469a2ebb14b28",
                         "596241dfa1fe515181e1ea03e9fe38e227c9c229c7f062dc120d9bc2ff1cd25e",
                         "e44a2ab6319372ab32e4b7b2b178b5721fb824503a92a51f5c7c515345c6fbf3"),
-    "moments-readme": ("10a8c8d22e9edc19ed24701c686568e8651a926f4ba9070b47c0345228de4a2b",
-                       "739a476920c318ab2d2707b627dc2543b195ce03286a6f5dd4e6ed381e4173b3",
-                       "34005b54fdede1c6e1de59813050928bd981123938d538c71f29e4063b3045ca"),
-    "moments-seed2^32": ("fb02bf7573899c1720a72e7f15108ee39d1645512fe0444a653bcd573f788aa5",
-                         "9c2c15043409f9edd9263831287699cc9a938a34092c9b2f5f10c0979de981f9",
-                         "0c2738febda671fea01f128c61b6363523f48d9cda071fa3499169850bf0feaa"),
-    "moments-seed2^64": ("aaedb5292b5ccd871d20426e23d5c2dcf4ae5ab0fd35fa78c59715779181f394",
-                         "d04954cc3991b3981dc59023f13da6ee9791ed37686ce5d95feb6e459a019e3c",
-                         "af804165585ae421969011288cf06b68a346a2fbc750c5962ac06b8599d19a37"),
-    "moments-prescribed": ("2d04b06c8714995854340de75275364aa0e2a5865f401e56826223b3088396c9",
-                           "3cf7cd2713c1c77f8933453d626a35d59bd247c2db498c3d4720664959e515ab",
-                           "f24f2537a18198cca6fd4bd8e80eac50a69396098ba736f3f4649310f867f6a7"),
+    "smin-q-readme": ("0bbb4b26fb70aa4ea770e8573c34bcddf6d9ed0b4936e062b1e97a468544a6c7",
+                      "b31a855ea5a981548e96326ac975c578652ea2b29040d1d62c113ca3a3acabdb",
+                      "6a047169a53541724e6cfd3146ad3e883e0a9a47f4d57903be22b6ae1cb29a36",
+                      "34005b54fdede1c6e1de59813050928bd981123938d538c71f29e4063b3045ca"),
+    "smin-q-seed2^32": ("c5978012ea892e9309f6fc7f3c40726b21c962c81cf8c8a2475b0a4fcc6aeea2",
+                        "2c265293d86b3f29a8e93528b4523bee05318be872ff61ad32e1ddaf192ce6e8",
+                        "5825a61e15e7da3db5d03814875eb4072ce59a6003fda33e4fda0d28a14022b0",
+                        "0c2738febda671fea01f128c61b6363523f48d9cda071fa3499169850bf0feaa"),
+    "smin-q-seed2^64": ("d221f4f664f91175ef99a6dd3499a18b7311e887b5d5127333e33f4e557a60e2",
+                        "c4577d274430cca5cf8e59d058bb4c3bee86a7349451f820386d9882b89d1d4e",
+                        "e08def2f5bc50610e30260ad0caedec5a9182814a6619c799fa23e73d6990489",
+                        "af804165585ae421969011288cf06b68a346a2fbc750c5962ac06b8599d19a37"),
+    "smin-q-prescribed": ("847d483be0fa1ed9264e6c0288d06e7a590d9c32560e7f3959fc49d8a0db8bf1",
+                          "7ea1b4d0a343a206c02c7468b592e70d34064c135f751b2d58df8473e4c5cd49",
+                          "b4c0f1476f1b7e68fdb3d02c493e810ff19ec6d472088b1c1c3db3716129f86f",
+                          "f24f2537a18198cca6fd4bd8e80eac50a69396098ba736f3f4649310f867f6a7"),
     "recover-readme": ("f868d48f2154986b7e84d5fc02cce389e66243c13729fd3b204e66cbc570413d",
                        "f1d24cc12610398e546ac47ae5ce2839aa2c079e8b7d8ce291dede92effc175a",
                        "c58bd09367c91371f2ccff9dbd6e692db1ae32b3539a4f7c68b4ac2b9e3c2692",
@@ -192,6 +203,22 @@ DIGESTS = {
     (row, name): digest
     for row, digests in PINNED.items() for name, digest in zip(ROWS[row][2], digests)
 }
+# row -> the sha256 of each of MOMENTS, as the former ``moments`` command
+# wrote them for the row's run
+MOMENT_PINNED = {
+    "smin-q-readme": ("10a8c8d22e9edc19ed24701c686568e8651a926f4ba9070b47c0345228de4a2b",
+                      "739a476920c318ab2d2707b627dc2543b195ce03286a6f5dd4e6ed381e4173b3",
+                      "34005b54fdede1c6e1de59813050928bd981123938d538c71f29e4063b3045ca"),
+    "smin-q-seed2^32": ("fb02bf7573899c1720a72e7f15108ee39d1645512fe0444a653bcd573f788aa5",
+                        "9c2c15043409f9edd9263831287699cc9a938a34092c9b2f5f10c0979de981f9",
+                        "0c2738febda671fea01f128c61b6363523f48d9cda071fa3499169850bf0feaa"),
+    "smin-q-seed2^64": ("aaedb5292b5ccd871d20426e23d5c2dcf4ae5ab0fd35fa78c59715779181f394",
+                        "d04954cc3991b3981dc59023f13da6ee9791ed37686ce5d95feb6e459a019e3c",
+                        "af804165585ae421969011288cf06b68a346a2fbc750c5962ac06b8599d19a37"),
+    "smin-q-prescribed": ("2d04b06c8714995854340de75275364aa0e2a5865f401e56826223b3088396c9",
+                          "3cf7cd2713c1c77f8933453d626a35d59bd247c2db498c3d4720664959e515ab",
+                          "f24f2537a18198cca6fd4bd8e80eac50a69396098ba736f3f4649310f867f6a7"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -205,15 +232,15 @@ def dict_paths(tmp_path_factory):
     return paths
 
 
-def _run(row, dict_paths, out, threads) -> dict[str, bytes]:
-    """The bytes of each artifact of one run of ``row`` into ``out``, by name."""
-    build, command, artifacts = ROWS[row]
+def _run(build, command, artifacts, dict_paths, out, threads) -> dict[str, bytes]:
+    """The bytes of each artifact of one run of a row's ``command`` on its
+    ``build`` into ``out``, by name."""
     argv = command.split()
     if argv[0] == "build-dict":
         argv += ["-o", str(out / artifacts[0])]
     else:
         argv += ["--dict", dict_paths[build]]
-    if argv[0] in ("smin", "moments", "recover"):
+    if argv[0] in ("smin", "recover"):
         argv += ["--out", str(out)]
     if argv[0] in THREADED:
         argv += ["--threads", threads]
@@ -230,7 +257,7 @@ def _run(row, dict_paths, out, threads) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("row", ROWS)
 def test_row_bytes_are_rerun_and_pinned(row, dict_paths, tmp_path, pool_starts):
-    first, second = (_run(row, dict_paths, tmp_path / t, t) for t in ("1", "2"))
+    first, second = (_run(*ROWS[row], dict_paths, tmp_path / t, t) for t in ("1", "2"))
     for name in first:
         assert first[name] == second[name], name
     threaded = ROWS[row][1].split()[0] in THREADED
@@ -248,3 +275,21 @@ def test_every_artifact_has_one_digest():
 def test_seed_2_to_64_is_not_seed_0():
     name = "smin_trials.csv"
     assert DIGESTS["smin-seed2^64", name] != DIGESTS["smin-seed0", name]
+
+
+@pytest.mark.parametrize("row", MOMENT_PINNED)
+def test_smin_q_holds_the_former_moments_bytes(row, dict_paths, tmp_path):
+    build, command, artifacts = ROWS[row]
+    ran = _run(build, command, artifacts, dict_paths, tmp_path / "q", "1")
+    lines = [line.split(",") for line in ran["smin_trials.csv"].decode().splitlines()[1:]]
+    xi_b, xi_x = ([float(cells[i]) for cells in lines] for i in (4, 5))
+    moments = {
+        "moment_trials.csv": _csv_text(_csv_lines(MOMENT_CSV_HEADER, (xi_b, xi_x))),
+        "moment_summary.json": _json_text(json.loads(ran["smin_summary.json"])["moments"]),
+        "moment_bounds.svg": ran["smin_moment_bounds.svg"].decode(),
+    }
+    for name, digest in zip(MOMENTS, MOMENT_PINNED[row]):
+        assert hashlib.sha256(moments[name].encode()).hexdigest() == digest, name
+    plain = _run(build, command.replace(" --q 8", ""), SMIN, dict_paths, tmp_path / "plain", "1")
+    for name in ("smin_trials.csv", "smin_sigma_hist.svg"):
+        assert ran[name] == plain[name], name

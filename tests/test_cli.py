@@ -295,7 +295,7 @@ def _malformed_argv(tmp, file_header=None, config=None, command="analyze") -> li
     or on mub3 through a config file holding ``config``; its 'dictionary'
     object, if any, replaces mub3.  Experiments write into ``tmp``."""
     tmp = Path(tmp)
-    out = ["--out", str(tmp)] if command in ("smin", "moments", "recover") else []
+    out = ["--out", str(tmp)] if command in ("smin", "recover") else []
     if config is not None:
         (tmp / "cfg.json").write_text(json.dumps({"dictionary": {"mub": 3}, **config}))
         return [command, "--config", str(tmp / "cfg.json"), *out]
@@ -317,13 +317,13 @@ _FUZZ_RUNS = {
                     "analyze"),
     **dict.fromkeys(("na", "nb", "s", "gamma"), "report"),
     "maximize": "check",
-    **dict.fromkeys(("trials", "seed", "threads", "strategy", "support_a"), "smin"),
-    "q": "moments",
+    **dict.fromkeys(("trials", "seed", "threads", "strategy", "support_a", "q"), "smin"),
     **dict.fromkeys(("na_range", "nb_range", "strategies"), "recover"),
 }
+# the config each fuzzed key is added to: its own entry, else its command's
 _FUZZ_BASE = {
     "smin": {"trials": 3},
-    "moments": {"trials": 1000},
+    "q": {"trials": 1000},  # a moment run needs 1,000 trials
     "recover": {"trials": 1, "na_range": "0:1", "nb_range": "0:1", "strategies": "first-n"},
 }
 
@@ -348,11 +348,11 @@ class TestMalformedInput:
             ("analyze", None, {"dictionary": {"random": [4, 8], "seed": -1}},
              "seed must be a nonnegative integer, got -1"),
             ("smin", None, {"trials": [5]}, "'trials' must be a JSON integer"),
-            ("moments", None, {"trials": [5]}, "'trials' must be a JSON integer"),
+            ("smin", None, {"q": 8.0, "trials": [5]}, "'trials' must be a JSON integer"),
             ("recover", None, {"trials": [5]}, "'trials' must be a JSON integer"),
             ("smin", None, {"na": None}, "'na' must be a JSON integer"),
-            ("moments", None, {"na": None}, "'na' must be a JSON integer"),
-            ("moments", None, {"q": [4]}, "'q' must be a JSON number"),
+            ("smin", None, {"q": 8.0, "na": None}, "'na' must be a JSON integer"),
+            ("smin", None, {"q": [4]}, "'q' must be a JSON number"),
             ("recover", None, {"strategies": 5}, "'strategies' must be a string or a list"),
             ("recover", None, {"na_range": [None]}, "'na_range' must be a string or a list"),
             ("check", None, {"nb": True}, "'nb' must be a JSON integer"),
@@ -373,8 +373,8 @@ class TestMalformedInput:
             "mub-null", "path-null",
             "mub-seed-string", "two-onb-split-bool", "dictionary-unknown-key",
             "random-seed-negative",
-            "smin-trials-list", "moments-trials-list", "recover-trials-list",
-            "smin-na-null", "moments-na-null", "moments-q-list",
+            "smin-trials-list", "smin-q-trials-list", "recover-trials-list",
+            "smin-na-null", "smin-q-na-null", "smin-q-list",
             "recover-strategies-int", "recover-na-range-null-item", "check-nb-bool",
             "check-s-string", "check-maximize-int", "analyze-json-string",
             "smin-support-a-floats", "report-out-int", "smin-unknown-key",
@@ -387,6 +387,25 @@ class TestMalformedInput:
     ):
         assert main(_malformed_argv(tmp_path, file_header, config, command)) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (["check"], '{"na": 1, "nb": 1, "na": 4}', "na"),
+            (["analyze"], '{"dictionary": {"mub": 7, "mub": 5}}', "mub"),
+            (["analyze"], '{"dictionary": {"mub": 7}, "x": [{"k": 1, "k": 2}]}', "k"),
+        ],
+        ids=["top-level", "dictionary", "in-a-list"],
+    )
+    def test_a_repeated_config_key_exits_2_and_names_it(
+        self, dict_dir, tmp_path, capsys, argv, text, key
+    ):
+        # the last value won: check ran at n_a = 4, analyze built mub5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        source = [] if "dictionary" in text else ["--dict", dict_dir["mub7"]]
+        assert main([*argv, "--config", str(cfg), *source]) == 2
+        assert capsys.readouterr().err == f"error: config key '{key}' is given twice\n"
 
     def test_config_nested_past_the_recursion_limit(self, dict_dir, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -447,7 +466,7 @@ class TestMalformedInput:
             elif field in ("mub", "path"):
                 argv = _malformed_argv(tmp, config={"dictionary": {field: value}})
             else:
-                config = {**_FUZZ_BASE.get(command, {}), field: value}
+                config = {**_FUZZ_BASE.get(field, _FUZZ_BASE.get(command, {})), field: value}
                 argv = _malformed_argv(tmp, config=config, command=command)
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -563,52 +582,62 @@ class TestSmin:
                 float(cell)
 
 
-class TestMoments:
+class TestSminMoments:
     def test_artifacts(self, dict_dir, tmp_path, capsys):
         assert main([
-            "moments", "--dict", dict_dir["mub7"], "--na", "2", "--nb", "3",
+            "smin", "--dict", dict_dir["mub7"], "--na", "2", "--nb", "3",
             "--q", "8", "--trials", "1000", "--seed", "4", "--out", str(tmp_path),
         ]) == 0
-        for name in ("moment_trials.csv", "moment_summary.json", "moment_bounds.svg"):
-            assert (tmp_path / name).exists()
-        summary = json.loads((tmp_path / "moment_summary.json").read_text())
-        assert summary["q"] == 8.0
-        assert summary["estimate_b"] <= summary["bound_b"]
-        assert summary["estimate_x"] is not None
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "smin_moment_bounds.svg", "smin_sigma_hist.svg", "smin_summary.json",
+            "smin_trials.csv",
+        ]
+        moments = json.loads((tmp_path / "smin_summary.json").read_text())["moments"]
+        assert moments["q"] == 8.0
+        assert moments["trials"] == 1000
+        assert moments["estimate_b"] <= moments["bound_b"]
+        assert moments["estimate_x"] is not None
 
-    def test_rejects_q_below_floor(self, dict_dir, tmp_path, capsys):
-        rc = main([
-            "moments", "--dict", dict_dir["mub7"], "--na", "1", "--nb", "20",
-            "--q", "4", "--trials", "1000", "--out", str(tmp_path),
-        ])
-        assert rc == 2
-        assert "floor" in capsys.readouterr().err
+    def test_the_moments_command_is_gone(self, dict_dir, tmp_path, capsys):
+        assert main([
+            "moments", "--dict", dict_dir["mub7"], "--q", "8", "--out", str(tmp_path),
+        ]) == 2
+        assert "invalid choice: 'moments'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, config, message",
         [
+            (["--q", "4", "--nb", "20"], {}, "at or above the validity floor 9.59158"),
             (["--q", "nan"], {}, "q must be a finite number"),
             (["--q", "inf"], {}, "q must be a finite number"),
             ([], {"q": math.nan}, "q must be a finite number"),
-            (["--strategy", "random-baseline"], {}, "moments need a fixed A-support"),
-            ([], {"strategy": "random-baseline"}, "moments need a fixed A-support"),
-            (["--support-a", "3"], {}, "apply only to the prescribed strategy"),
-            ([], {"strategy": "spread", "support_a": [3]},
+            (["--q", "8", "--strategy", "random-baseline"], {},
+             "moments need a fixed A-support"),
+            (["--q", "8"], {"strategy": "random-baseline"}, "moments need a fixed A-support"),
+            (["--q", "8", "--trials", "999"], {},
+             "moment estimation needs >= 1000 trials, got 999"),
+            (["--q", "8", "--support-a", "3"], {}, "apply only to the prescribed strategy"),
+            (["--q", "8"], {"strategy": "spread", "support_a": [3]},
              "apply only to the prescribed strategy"),
         ],
         ids=[
-            "q-nan", "q-inf", "config-q-nan", "random-baseline", "config-random-baseline",
-            "support-a-first-n", "config-support-a-spread",
+            "q-below-floor", "q-nan", "q-inf", "config-q-nan", "random-baseline",
+            "config-random-baseline", "trials-999", "support-a-first-n",
+            "config-support-a-spread",
         ],
     )
-    def test_rejected_parameters_write_nothing(
-        self, dict_dir, tmp_path, capsys, flags, config, message
+    def test_rejected_parameters_fail_before_any_trial(
+        self, dict_dir, tmp_path, capsys, monkeypatch, flags, config, message
     ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the moment checks")
+
+        monkeypatch.setattr(concentration, "fan_out", no_trials)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dictionary": {"path": dict_dir["mub7"]}, **config}))
         out = tmp_path / "out"
         rc = main([
-            "moments", "--config", str(cfg), "--na", "1", "--nb", "1",
+            "smin", "--config", str(cfg), "--na", "1", "--nb", "1",
             "--trials", "1000", "--out", str(out), *flags,
         ])
         assert rc == 2
@@ -651,17 +680,17 @@ class TestRecover:
              "nb_values has more than 5 entries"),
             (["smin", "--dict", "mub7", "--strategy", "prescribed", "--na", "2",
               "--support-a", "0:20000000"], "expected 2 indices, got more"),
-            (["moments", "--dict", "mub7", "--strategy", "prescribed", "--na", "2",
+            (["smin", "--q", "8", "--dict", "mub7", "--strategy", "prescribed", "--na", "2",
               "--support-a", "0:20000000"], "expected 2 indices, got more"),
             (["smin", "--dict", "mub7", "--seed", "-1"],
              "master_seed must be a nonnegative integer"),
-            (["moments", "--dict", "mub7", "--seed", "-1"],
+            (["smin", "--q", "8", "--dict", "mub7", "--seed", "-1"],
              "master_seed must be a nonnegative integer"),
             (["recover", "--dict", "onb4", "--seed", "-1", "--threads", "2"],
              "master_seed must be a nonnegative integer"),
         ],
-        ids=["na-range", "nb-range-step", "smin-support-a", "moments-support-a",
-             "smin-seed", "moments-seed", "recover-seed"],
+        ids=["na-range", "nb-range-step", "smin-support-a", "smin-q-support-a",
+             "smin-seed", "smin-q-seed", "recover-seed"],
     )
     def test_a_huge_range_exits_2_fast_with_a_short_message(
         self, dict_dir, tmp_path, capsys, monkeypatch, argv, message
@@ -741,13 +770,13 @@ class TestReport:
 
 _RUNNERS = {
     "smin": (concentration, "run_smin_trials"),
-    "moments": (concentration, "estimate_moment"),
     "recover": (recovery, "run_recovery_sweep"),
 }
+# each experiment's smallest run, by name: argv[0] is the subcommand
 _SMALL_RUNS = {
-    "smin": ["--na", "1", "--nb", "1", "--trials", "5"],
-    "moments": ["--na", "1", "--nb", "1", "--trials", "1000"],
-    "recover": ["--na-range", "0:1", "--nb-range", "1", "--trials", "1",
+    "smin": ["smin", "--na", "1", "--nb", "1", "--trials", "5"],
+    "smin-q": ["smin", "--q", "8", "--na", "1", "--nb", "1", "--trials", "1000"],
+    "recover": ["recover", "--na-range", "0:1", "--nb-range", "1", "--trials", "1",
                 "--strategies", "first-n,spread"],
 }
 # (flag text, config value) of each option type, none of them a default
@@ -762,28 +791,28 @@ _SAMPLES = {
 
 class TestResolveFirst:
     @pytest.mark.parametrize("config", [{"out": 5}, {"json": "yes"}], ids=["out-int", "json-str"])
-    @pytest.mark.parametrize("command", sorted(_RUNNERS))
+    @pytest.mark.parametrize("run", sorted(_SMALL_RUNS))
     def test_bad_config_fails_before_any_work(
-        self, tmp_path, capsys, monkeypatch, command, config
+        self, tmp_path, capsys, monkeypatch, run, config
     ):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the config was checked")
 
-        monkeypatch.setattr(*_RUNNERS[command], no_work)
+        argv = _SMALL_RUNS[run]
+        monkeypatch.setattr(*_RUNNERS[argv[0]], no_work)
         monkeypatch.setattr(cli, "_resolve_dictionary", no_work)
         (tmp_path / "cfg.json").write_text(json.dumps({"dictionary": {"mub": 3}, **config}))
         out = tmp_path / "out"
-        rc = main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        rc = main([*argv, "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
         assert rc == 2
         key = next(iter(config))
         assert f"config '{key}' must be" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", sorted(_RUNNERS))
-    def test_wrote_line_names_every_file(self, dict_dir, tmp_path, capsys, command):
+    @pytest.mark.parametrize("run", sorted(_SMALL_RUNS))
+    def test_wrote_line_names_every_file(self, dict_dir, tmp_path, capsys, run):
         out = tmp_path / "out"
-        rc = main([command, "--dict", dict_dir["mub7"], "--out", str(out),
-                   *_SMALL_RUNS[command]])
+        rc = main([*_SMALL_RUNS[run], "--dict", dict_dir["mub7"], "--out", str(out)])
         assert rc == 0
         wrote = capsys.readouterr().out.splitlines()[-1]
         prefix = f"wrote {out}/"
@@ -828,11 +857,11 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    @pytest.mark.parametrize("command", ["smin", "moments"])
+    @pytest.mark.parametrize("q", [[], ["--q", "8"]], ids=["smin", "smin-q"])
     def test_too_many_trials_to_hold_is_a_usage_error(
-        self, dict_dir, tmp_path, capsys, monkeypatch, command
+        self, dict_dir, tmp_path, capsys, monkeypatch, q
     ):
-        # smin and moments keep one row per trial, allocated before any block
+        # smin keeps one row per trial, allocated before any block
         real_empty = np.empty
 
         def empty(shape, *args, **kwargs):
@@ -846,7 +875,8 @@ class TestUsageErrors:
         monkeypatch.setattr(concentration.np, "empty", empty)
         monkeypatch.setattr(concentration, "fan_out", no_trials)
         rc = main([
-            command, "--dict", dict_dir["mub7"], "--trials", str(10**12), "--out", str(tmp_path),
+            "smin", *q, "--dict", dict_dir["mub7"], "--trials", str(10**12),
+            "--out", str(tmp_path),
         ])
         assert rc == 2
         err = capsys.readouterr().err

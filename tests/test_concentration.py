@@ -103,7 +103,7 @@ def _support_a(D, strategy, n_a):
 
 
 def _keys(lo, hi) -> np.ndarray:
-    """The key rows (t,) of trials lo..hi-1, as ``smin`` and ``moments`` key them."""
+    """The key rows (t,) of trials lo..hi-1, as ``smin`` keys them."""
     return np.arange(lo, hi)[:, None]
 
 
@@ -859,6 +859,16 @@ class TestEstimateMoment:
         assert (single.upper95_b, single.upper95_x) == (default.upper95_b, default.upper95_x)
         assert single.upper95_x is not None
 
+    @pytest.mark.parametrize("strategy, support_a", [("first-n", None), ("prescribed", (5, 1))])
+    def test_is_the_smin_runs_moments(self, mub7, strategy, support_a):
+        # the same trials on one worker or two, and the same bootstrap
+        est = estimate_moment(mub7, 2, 3, q=8.0, trials=1001, master_seed=4,
+                              strategy=strategy, support_a=support_a)
+        run = run_smin_trials(mub7, strategy, 2, 3, trials=1001, master_seed=4,
+                              support_a=support_a, workers=2, q=8.0)
+        assert run.summary_dict()["moments"] == est.summary_dict()
+        assert run.moments.csv_rows() == est.csv_rows()
+
     def test_csv_rows(self, mub5):
         est = estimate_moment(mub5, 1, 4, q=7.2, trials=1000, master_seed=6)
         rows = est.csv_rows()
@@ -997,9 +1007,10 @@ def test_pool_workers_receive_the_profile(monkeypatch):
     "run",
     [
         lambda D: run_smin_trials(D, "first-n", 1, 1, trials=10**17),
+        lambda D: run_smin_trials(D, "first-n", 1, 1, trials=10**17, q=8.0),
         lambda D: estimate_moment(D, 1, 1, q=8.0, trials=10**17),
     ],
-    ids=["smin", "moments"],
+    ids=["smin", "smin-q", "moments"],
 )
 def test_an_impossible_trial_count_fails_before_any_work(mub5, monkeypatch, run):
     # the per-trial arrays (10^17 rows) exceed any address space
@@ -1030,8 +1041,8 @@ def test_runners_name_a_budget_that_is_no_integer(mub5, name, budget):
 
 
 class TestReadmeRunsAreFrozen:
-    """The README ``smin`` and ``moments`` runs on the package's own support
-    stream: the counts exactly, the roots to 1e-12."""
+    """The README ``smin`` runs on the package's own support stream: the
+    counts exactly, the moment roots to 1e-12."""
 
     def test_smin_counts(self, mub7):
         # sparsethresh smin --dict mub7.dict.npy --na 2 --nb 3 --trials 10000 --seed 7
@@ -1051,8 +1062,8 @@ class TestReadmeRunsAreFrozen:
         ] + [0] * 18
 
     def test_moment_roots(self, mub7):
-        # sparsethresh moments --dict mub7.dict.npy --na 2 --nb 3 --q 8 --trials 10000
-        est = estimate_moment(mub7, 2, 3, q=8.0, trials=10_000)
+        # sparsethresh smin --dict mub7.dict.npy --na 2 --nb 3 --q 8 --trials 10000
+        est = run_smin_trials(mub7, "first-n", 2, 3, trials=10_000, q=8.0).moments
         assert abs(est.estimate_b - 0.692685748961161) <= TOL
         assert abs(est.upper95_b - 0.6938396420708774) <= TOL
         assert abs(est.upper95_x - 0.8213494813327692) <= TOL
@@ -1112,5 +1123,13 @@ class TestLapackCalls:
                 lambda: estimate_moment(mub7, 2, 3, q=8.0, trials=trials, n_boot=1)
             )
 
-        # Xi_B and Xi_X only: two stacked eigensolves per block, not the chain's four
-        assert run(1000 + self.EXTRA) - run(1000) <= 2 * -(-self.EXTRA // self.BLOCK)
+        assert run(1000 + self.EXTRA) - run(1000) <= self.ALLOWED
+
+    def test_a_moment_order_adds_no_call(self, mub7, lapack_calls):
+        # the estimate reads the chain's own Xi_B and Xi_X columns
+        def run(q):
+            return lapack_calls(
+                lambda: run_smin_trials(mub7, "first-n", 2, 3, trials=1000, master_seed=1, q=q)
+            )
+
+        assert run(8.0) == run(None)

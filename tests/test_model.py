@@ -413,7 +413,8 @@ class TestKeyRows:
 
 class TestResolvedOnce:
     """A runner turns its strategy into an A-support once, before any trial:
-    ``smin`` and ``moments`` once per run, ``recover`` once per (strategy, n_a)."""
+    ``smin`` and ``estimate_moment`` once per run, ``recover`` once per
+    (strategy, n_a)."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -448,7 +449,7 @@ class TestResolvedOnce:
 
 
 class TestBlocksDrawnByModel:
-    """``smin`` and ``moments`` take every block's supports through
+    """``smin`` and ``estimate_moment`` take every block's supports through
     ``model.draw_supports``, each trial once and in order."""
 
     @pytest.fixture()

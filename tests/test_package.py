@@ -91,3 +91,38 @@ def test_every_package_name_the_bench_uses_resolves(script):
     # a deleted name (recovery.solve_bp, concentration.estimate_moment) breaks
     # the benchmark only when it runs; the imports it reads tell at once
     assert _package_names(ROOT / "bench" / script) == []
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    """Import a bench script as ``bench/run.py`` does: ``bench`` on sys.path."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module
+
+
+def test_the_bench_tracer_patches_only_names_that_exist_and_restores_them(bench_modules):
+    # the tracer patches methods by name, MomentEstimate.csv_rows among them,
+    # which no import of the scripts names; no command runs inside
+    from sparsethresh.concentration import MomentEstimate
+
+    tracer = bench_modules("tracing").Tracer(count_linalg=True)
+    with tracer:
+        patches = list(tracer._patches)
+        for owner, attr, original in patches:
+            assert getattr(owner, attr) is not original, (owner, attr)
+    assert (MomentEstimate, "csv_rows", MomentEstimate.csv_rows) in patches
+    for owner, attr, original in patches:
+        assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_the_bench_bootstrap_probe_call_runs(bench_modules, mub7):
+    # bench/run.py's _bootstrap_seconds, on the smin-mub7 dictionary at seed 1
+    from sparsethresh import concentration
+
+    workloads = bench_modules("workloads")
+    seed = workloads.command_seed(1, "smin-mub7")
+    for n_boot in (1000, 1):
+        est = concentration.estimate_moment(
+            mub7, 2, 3, 8.0, workloads.MUB7_TRIALS, master_seed=seed, n_boot=n_boot
+        )
+        assert est.trials == workloads.MUB7_TRIALS

@@ -36,7 +36,7 @@ CASES = {
         y_label="draws",
     ),
     "bars-one": lambda: svg.bars_svg([("only", 0.125)], title="one bar", y_label="v"),
-    # the CLI's moments chart with the xi_x bars: 6 bars, plus one so the palette wraps
+    # the CLI's moment chart (smin --q) with the xi_x bars: 6 bars, plus one so the palette wraps
     "bars-seven": lambda: svg.bars_svg(
         [(f"bar {i}", 0.1 + 0.37 * i) for i in range(7)],
         title="moment roots vs bounds (q=8, trials=10000)",
